@@ -1,19 +1,18 @@
-"""Demo 2: exact modal evolution, energy conservation, and boundary traces.
+"""Demo 2: exact modal evolution, energy conservation, and observation norms.
 
 Projects a smooth initial bump onto the separated basis, evolves it
 semi-analytically (no time-stepping error), verifies that the energy drift
-is pure roundoff, and compares the trapezoidal boundary-trace quadrature
-with the exact trigonometric pair integrals.
+is pure roundoff, and evaluates the top-side trace norms and the interior
+observation norm exactly in time.
 """
 
 import numpy as np
 
 from degenwave import (
-    boundary_trace_norm,
     energy,
     energy_series,
     evolve,
-    interior_observation_norm,
+    observation_norms,
     project_initial_data,
     solve_radial_basis,
 )
@@ -39,17 +38,10 @@ snap = evolve(state, T / 3.0)
 print(f"state at t = T/3: kinetic fraction "
       f"{0.25 * np.sum(snap.b**2) / energy(snap):.3f}")
 
-exact = boundary_trace_norm(state, T, DELTA0, method="closed-form")
-quad = boundary_trace_norm(state, T, DELTA0, method="trapezoid", time_samples="auto")
+norms = observation_norms(state, T, DELTA0)
 print("\nsquared top-side trace norms over (0, T):")
-print(f"  full side   : exact {exact.full_trace_norm_sq:.8f}   "
-      f"trapezoid {quad.full_trace_norm_sq:.8f}")
-print(f"  restricted  : exact {exact.restricted_trace_norm_sq:.8f}   "
-      f"trapezoid {quad.restricted_trace_norm_sq:.8f}")
-print(f"  quadrature refinement change: {quad.refinement_rel_change:.2e} "
-      f"(underresolved: {quad.underresolved})")
-
-interior = interior_observation_norm(state, DELTA0, T, method="closed-form")
-print(f"\ninterior observation norm over the lateral strips: {interior:.8f}")
+print(f"  full side   : {norms.full_trace_norm_sq:.8f}")
+print(f"  restricted  : {norms.restricted_trace_norm_sq:.8f}")
+print(f"\ninterior observation norm over the lateral strips: {norms.interior_norm_sq:.8f}")
 print(f"E(0) / (restricted trace + interior) = "
-      f"{energy(state) / (exact.restricted_trace_norm_sq + interior):.6f}")
+      f"{energy(state) / (norms.restricted_trace_norm_sq + norms.interior_norm_sq):.6f}")

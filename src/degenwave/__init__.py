@@ -38,6 +38,7 @@ from .errors import (
     InsufficientData,
     InvalidMeshSpec,
     NoAdmissibleEpsilon,
+    NonFiniteReport,
     NonPositiveInput,
     TimeTooShort,
     TruncationTooSmall,
@@ -73,8 +74,6 @@ from .params import (
     carleman_params_from_json,
     carleman_params_to_json,
     eval_cutoff,
-    eval_cutoff_theta,
-    eval_cutoff_time,
     observation_time_threshold,
     theta_cutoff,
     theta_strips,
@@ -103,7 +102,6 @@ from .waves import (
     EnergyReport,
     ModalCoefficients,
     TraceReport,
-    boundary_trace_norm,
     cosine_overlap_matrix,
     data_norms,
     duhamel_forcing,
@@ -111,8 +109,8 @@ from .waves import (
     energy_series,
     evolve,
     full_trace_norm_closed,
-    interior_observation_norm,
     modal_state,
+    observation_norms,
     parseval_l2_norm_sq,
     project_initial_data,
     random_state,

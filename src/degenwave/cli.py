@@ -10,7 +10,6 @@ object on stderr so harnesses can parse them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -29,12 +28,7 @@ from .carleman import (
 from .errors import ConfigError, DegenWaveError
 from .params import DomainSpec, carleman_params_to_json, validate_carleman_params
 from .radial import build_graded_mesh, solve_radial_basis
-from .waves import (
-    boundary_trace_norm,
-    energy_series,
-    interior_observation_norm,
-    random_state,
-)
+from .waves import energy_series, observation_norms, random_state
 
 ENV_PREFIX = "DEGENWAVE_"
 
@@ -200,10 +194,7 @@ def _run_simulate(cfg: dict, out: Path) -> None:
         ),
         cfg,
     )
-    trace = boundary_trace_norm(state, T, cfg["delta0"])
-    interior = interior_observation_norm(state, cfg["delta0"], T)
-    trace = dataclasses.replace(trace, interior_norm_sq=interior)
-    reports.write_json(out / "trace.json", trace, cfg)
+    reports.write_json(out / "trace.json", observation_norms(state, T, cfg["delta0"]), cfg)
 
 
 def _run_hardy(cfg: dict, out: Path) -> None:

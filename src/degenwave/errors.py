@@ -59,3 +59,7 @@ class DegenerateCellTouched(DegenWaveError):
 
 class ConfigError(DegenWaveError):
     """A run configuration failed validation."""
+
+
+class NonFiniteReport(DegenWaveError):
+    """A report holds an infinite value, which strict JSON cannot encode."""

@@ -8,7 +8,8 @@ ratios over seeded ensembles; the scan over pure high tangential modes
 R_1(r) sin(n pi theta) cos(omega_n t) is the designed negative control:
 their energy grows like (n pi)^2 while the top-side trace stays bounded, so
 the pure-trace ratio diverges with slope 2 in log-log, and only the
-interior term restores boundedness.
+interior term restores boundedness.  Every observation term, for ensembles
+and scanned modes alike, comes from the exact path waves.observation_norms.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, TimeTooShort
-from .params import DomainSpec, observation_time_threshold, theta_strips
+from .params import DomainSpec, observation_time_threshold
 from .radial import RadialBasis, solve_radial_basis
 from .waves import (
     ModalCoefficients,
-    boundary_trace_norm,
     data_norms,
     energy,
     full_trace_norm_closed,
-    interior_observation_norm,
+    modal_state,
+    observation_norms,
     random_state,
-    sine_overlap_matrix,
 )
 
 __all__ = [
@@ -52,7 +52,8 @@ def default_beta(delta0: float) -> float:
 
 def default_horizon(delta0: float, beta: float | None = None) -> float:
     """1.1 times the smallest horizon the sufficient condition admits."""
-    return 1.1 * observation_time_threshold(delta0, beta or default_beta(delta0))
+    beta = default_beta(delta0) if beta is None else beta
+    return 1.1 * observation_time_threshold(delta0, beta)
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,18 @@ def observability_ratio(
     Raises:
         TimeTooShort: T at or below the admissible threshold.
     """
-    threshold = observation_time_threshold(domain.delta0, beta or default_beta(domain.delta0))
+    beta = default_beta(domain.delta0) if beta is None else beta
+    threshold = observation_time_threshold(domain.delta0, beta)
     if not T > threshold:
         raise TimeTooShort(f"T = {T} must exceed {threshold}")
     e0 = energy(state)
-    trace = boundary_trace_norm(state, T, domain.delta0, method="closed-form")
-    interior = interior_observation_norm(state, domain.delta0, T, method="closed-form")
-    denom = trace.restricted_trace_norm_sq + interior
+    norms = observation_norms(state, T, domain.delta0)
+    denom = norms.restricted_trace_norm_sq + norms.interior_norm_sq
     degenerate = denom == 0.0
     return ObservabilityRecord(
         E0=e0,
-        trace_restricted=trace.restricted_trace_norm_sq,
-        interior_term=interior,
+        trace_restricted=norms.restricted_trace_norm_sq,
+        interior_term=norms.interior_norm_sq,
         ratio=math.nan if degenerate else e0 / denom,
         degenerate=degenerate,
         T=T,
@@ -112,36 +113,6 @@ class ObstructionScan:
     remedied_max_over_min: float
 
 
-def _single_mode_interior(
-    basis: RadialBasis, n: int, omega: float, delta0: float, T: float
-) -> float:
-    """Interior observation term of R_1 sin(n pi theta) cos(omega t), exactly.
-
-    Time integrals of cos^2 and sin^2 and strip overlaps of sin^2 and cos^2
-    are closed forms; radial factors are exact element integrals.  Keeping
-    this path analytic lets the scan reach n = 64 without chasing the
-    oscillation with quadrature points.
-    """
-    cos2 = 0.5 * T + math.sin(2.0 * omega * T) / (4.0 * omega)
-    sin2 = T - cos2
-    strips = theta_strips(delta0)
-    g_s = 0.0
-    g_c = 0.0
-    for a, b in strips:
-        g_s += float(sine_overlap_matrix(n, a, b)[n - 1, n - 1])
-        # cos overlap via int cos^2 = (b - a) - int sin^2
-        g_c += (b - a) - float(sine_overlap_matrix(n, a, b)[n - 1, n - 1])
-    r_mass = float(basis.consistent_gram()[0, 0])
-    rho1 = float(basis.rho[0])
-    mu = (n * math.pi) ** 2
-    return (
-        sin2 * omega**2 * g_s * r_mass  # (phi_t)^2
-        + cos2 * mu * g_c * r_mass  # (d_theta phi)^2
-        + cos2 * g_s * rho1  # r^alpha (d_r phi)^2
-        + cos2 * g_s * r_mass  # phi^2
-    )
-
-
 def high_mode_obstruction_scan(
     n_values,
     T: float,
@@ -154,7 +125,8 @@ def high_mode_obstruction_scan(
     The pure ratio uses the full top side: per mode it is
     (omega_n^2/4) / [|R_1'(1)|^2 (1/2)(T/2 + sin(2 omega_n T)/(4 omega_n))],
     growing like (n pi)^2.  The remedied ratio adds the restricted-segment
-    trace and the interior term and stays bounded.
+    trace and the interior term and stays bounded.  All three norms of each
+    mode come from observation_norms.
 
     Raises:
         InsufficientData: fewer than 4 orders or a span below one decade.
@@ -163,22 +135,15 @@ def high_mode_obstruction_scan(
     if len(ns) < 4 or max(ns) < 8 * min(ns):
         raise InsufficientData("need at least 4 orders spanning a decade")
     basis = basis or solve_radial_basis(alpha, N=2048, g=2.0, k_max=1)
-    flux_sq = float(basis.flux[0]) ** 2
-    rho1 = float(basis.rho[0])
-    d0 = domain.delta0
 
     pure = []
     remedied = []
     for n in ns:
-        omega = math.sqrt((n * math.pi) ** 2 + rho1)
-        e0 = 0.25 * omega**2
-        cos2 = 0.5 * T + math.sin(2.0 * omega * T) / (4.0 * omega)
-        full_trace = flux_sq * 0.5 * cos2
-        g_restricted = float(sine_overlap_matrix(n, d0, 1.0 - d0)[n - 1, n - 1])
-        restricted_trace = flux_sq * g_restricted * cos2
-        interior = _single_mode_interior(basis, n, omega, d0, T)
-        pure.append(e0 / full_trace)
-        remedied.append(e0 / (restricted_trace + interior))
+        state = modal_state(basis, n, 1, amplitudes={(n, 1): 1.0})
+        e0 = energy(state)
+        norms = observation_norms(state, T, domain.delta0)
+        pure.append(e0 / norms.full_trace_norm_sq)
+        remedied.append(e0 / (norms.restricted_trace_norm_sq + norms.interior_norm_sq))
 
     slope = float(np.polyfit(np.log(ns), np.log(pure), 1)[0])
     return ObstructionScan(

@@ -75,11 +75,6 @@ class DomainSpec:
         return theta_strips(self.delta0)
 
     @property
-    def core_theta_interval(self) -> tuple[float, float]:
-        """Theta interval of the localized region (delta0, 1-delta0)."""
-        return (self.delta0, 1.0 - self.delta0)
-
-    @property
     def restricted_top_segment(self) -> tuple[float, float]:
         """Theta interval of the restricted top-side observation segment."""
         return (self.delta0, 1.0 - self.delta0)
@@ -377,16 +372,6 @@ def eval_cutoff(
         d1[down] = -ds / w
         d2[down] = dds / w**2
     return val, d1, d2
-
-
-def eval_cutoff_theta(spec: CutoffSpec, theta: np.ndarray | float):
-    """Angular cutoff value and derivatives (alias of the generic evaluator)."""
-    return eval_cutoff(spec, theta)
-
-
-def eval_cutoff_time(spec: CutoffSpec, t: np.ndarray | float):
-    """Temporal cutoff value and derivatives (alias of the generic evaluator)."""
-    return eval_cutoff(spec, t)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
 from .errors import ConvergenceFailure, DivergentWeight, InvalidMeshSpec
@@ -586,14 +585,6 @@ def bessel_radial_mode(
 
     flux = -0.5 * (2.0 - alpha) ** 1.5 * j * math.copysign(1.0, tail)
     return rho, R, dR, flux
-
-
-def bessel_small_r_coefficient(alpha: float, k: int) -> float:
-    """Leading coefficient a0 of R(r) = a0 r^{1-alpha} (1 + O(r^{2-alpha}))."""
-    nu = (1.0 - alpha) / (2.0 - alpha)
-    j = _bessel_root(nu, k)
-    c = math.sqrt(2.0 - alpha) / abs(jv(nu + 1.0, j))
-    return c * (0.5 * j) ** nu / gamma_fn(nu + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-FORMAT_VERSION = "1"
+from .errors import NonFiniteReport
+
+FORMAT_VERSION = "2"
 
 
 def _config_echo(config: Mapping) -> str:
@@ -46,17 +48,23 @@ def write_csv(
 
 
 def write_json(path: Path | str, payload: Mapping, config: Mapping) -> Path:
-    """Write a JSON report wrapping the payload with config and version."""
+    """Write a JSON report wrapping the payload with config and version.
+
+    The document is encoded as strict JSON before the file is opened, so an
+    infinite value raises NonFiniteReport and leaves no file behind.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "format_version": FORMAT_VERSION,
         "config": dict(config),
         "result": _jsonable(payload),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteReport(f"{path.name}: {exc}") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
     return path
 
 

@@ -6,10 +6,10 @@ harmonic oscillator of frequency omega_nk = sqrt((n*pi)^2 + rho_k), so time
 evolution carries no discretization error and energy conservation is a pure
 roundoff statement.  Boundary traces on the top side r = 1 and interior
 observation norms over the lateral strips are quadratic forms in the modal
-amplitudes; their theta and radial factors are evaluated in closed form or
-by exact element integrals, and their time factors either by trapezoidal
-quadrature (with a refinement flag) or by exact trigonometric pair
-integrals.
+amplitudes.  All of them go through one exact path, observation_norms:
+theta factors are closed-form overlaps, radial factors exact element
+integrals, and time factors exact trigonometric pair integrals, assembled
+in blocks of sine orders so that memory stays bounded.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ __all__ = [
     "energy_series",
     "data_norms",
     "parseval_l2_norm_sq",
-    "boundary_trace_norm",
     "full_trace_norm_closed",
-    "interior_observation_norm",
+    "observation_norms",
     "sine_overlap_matrix",
     "cosine_overlap_matrix",
 ]
@@ -324,6 +323,11 @@ def _strips_overlap(n_max: int, strips, kind: str) -> np.ndarray:
 # Exact time pair integrals for f = 0 evolutions
 # ---------------------------------------------------------------------------
 
+#: float64 entries per time-kernel array in one block of observation_norms;
+#: about ten arrays of this size are live at once, so a block peaks near
+#: 25 MB, and blocks this small run faster than larger ones (cache reuse)
+_BLOCK_ELEMENTS = 2**18
+
 
 def _sinc_integral(w: np.ndarray, T: float) -> np.ndarray:
     """int_0^T cos(w t) dt = sin(wT)/w with the w -> 0 limit T."""
@@ -339,20 +343,33 @@ def _versine_integral(w: np.ndarray, T: float) -> np.ndarray:
     return np.where(small, 0.5 * w * T**2, (1.0 - np.cos(w_safe * T)) / w_safe)
 
 
-def _amp_pair_integrals(
-    w1: np.ndarray, c1: np.ndarray, s1: np.ndarray,
-    w2: np.ndarray, c2: np.ndarray, s2: np.ndarray,
-    T: float,
-) -> np.ndarray:
-    """Exact int_0^T amp1(t) amp2(t) dt for amp = c cos(wt) + s sin(wt).
+def _time_kernels(
+    w: np.ndarray, T: float, one, other
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact int_0^T of cos cos, cos sin, sin cos and sin sin of (w_i t, w_j t).
 
-    All inputs broadcast; used with shapes (P, 1) against (1, P).
+    Mode i runs over w[one] and mode j over w[other], two index expressions
+    that broadcast against each other.  All four kernels come from the sum
+    and difference frequencies, whose sine integral is odd.
     """
-    icc = 0.5 * (_sinc_integral(w1 - w2, T) + _sinc_integral(w1 + w2, T))
-    iss = 0.5 * (_sinc_integral(w1 - w2, T) - _sinc_integral(w1 + w2, T))
-    ics = 0.5 * (_versine_integral(w2 - w1, T) + _versine_integral(w2 + w1, T))
-    isc = 0.5 * (_versine_integral(w1 - w2, T) + _versine_integral(w1 + w2, T))
-    return c1 * c2 * icc + c1 * s2 * ics + s1 * c2 * isc + s1 * s2 * iss
+    dif = w[one] - w[other]
+    tot = w[one] + w[other]
+    sinc_dif = _sinc_integral(dif, T)
+    sinc_tot = _sinc_integral(tot, T)
+    vers_dif = _versine_integral(dif, T)
+    vers_tot = _versine_integral(tot, T)
+    return (
+        0.5 * (sinc_dif + sinc_tot),
+        0.5 * (vers_tot - vers_dif),
+        0.5 * (vers_tot + vers_dif),
+        0.5 * (sinc_dif - sinc_tot),
+    )
+
+
+def _pair_weights(kernels, c: np.ndarray, s: np.ndarray, one, other) -> np.ndarray:
+    """int_0^T u_i(t) u_j(t) dt for u = c cos(w t) + s sin(w t), indexed as in the kernels."""
+    cc, cs, sc, ss = kernels
+    return c[one] * (c[other] * cc + s[other] * cs) + s[one] * (c[other] * sc + s[other] * ss)
 
 
 # ---------------------------------------------------------------------------
@@ -366,197 +383,78 @@ class TraceReport:
 
     full_trace_norm_sq: float
     restricted_trace_norm_sq: float
-    interior_norm_sq: float | None = None
-    method: str = "trapezoid"
-    time_samples: int | None = None
-    refinement_rel_change: float | None = None
-    underresolved: bool | None = None
-
-
-def _auto_samples(state: ModalCoefficients, T: float, requested) -> int:
-    if requested != "auto":
-        return int(requested)
-    w_max = float(state.omega.max())
-    return max(4096, int(math.ceil(16.0 * w_max * T / math.pi)))
-
-
-def _trace_time_quadrature(
-    state: ModalCoefficients, T: float, G: np.ndarray, samples: int
-) -> tuple[float, float]:
-    """Trapezoidal time integrals of the full and restricted trace forms."""
-    flux = state.basis.flux[: state.k_max]
-    full = 0.0
-    restricted = 0.0
-    t_all = np.linspace(0.0, T, samples + 1)
-    w_t = np.full(samples + 1, T / samples)
-    w_t[[0, -1]] *= 0.5
-    block = max(1, int(2e6 // max(state.n_max * state.k_max, 1)))
-    for lo in range(0, samples + 1, block):
-        t = t_all[lo : lo + block]
-        w = state.omega[..., None]
-        amp = state.a[..., None] * np.cos(w * t) + (state.b / state.omega)[..., None] * np.sin(w * t)
-        tr = np.einsum("nkb,k->nb", amp, flux)
-        wb = w_t[lo : lo + block]
-        full += 0.5 * float(np.sum(tr**2 * wb))
-        restricted += float(np.einsum("nb,nm,mb,b->", tr, G, tr, wb))
-    return full, restricted
+    interior_norm_sq: float
 
 
 def full_trace_norm_closed(state: ModalCoefficients, T: float) -> float:
-    """Exact full-side squared trace norm; only same-n mode pairs couple."""
+    """Exact squared L2 norm over (0, T) of the normal derivative on the top side.
+
+    Sine orthogonality on the whole side couples only mode pairs of the same
+    sine order, so the form is block diagonal in n.
+    """
     flux = state.basis.flux[: state.k_max]
-    w = state.omega[:, :, None]
-    c = state.a[:, :, None]
-    s = (state.b / state.omega)[:, :, None]
-    pair = _amp_pair_integrals(
-        w, c, s, w.transpose(0, 2, 1), c.transpose(0, 2, 1), s.transpose(0, 2, 1), T
-    )
+    w = state.omega
+    one, other = np.s_[:, :, None], np.s_[:, None, :]
+    kernels = _time_kernels(w, T, one, other)
+    pair = _pair_weights(kernels, state.a, state.b / w, one, other)
     return 0.5 * float(np.einsum("nkl,k,l->", pair, flux, flux))
 
 
-def _trace_closed_form(
-    state: ModalCoefficients, T: float, G: np.ndarray
-) -> tuple[float, float]:
-    """Exact time integration of both trace forms (f = 0 evolutions).
+def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> TraceReport:
+    """Exact trace and interior observation norms of the free evolution over (0, T).
 
-    The restricted segment couples every mode pair; the pair-integral
-    tensor is assembled in blocks of sine orders to keep memory bounded at
-    large truncations.
+    The normal derivative on the top side r = 1 is
+    sum amp_nk(t) sin(n pi theta) R_k'(1); its squared L2 norm is taken over
+    the whole side and over the restricted segment (delta0, 1 - delta0).
+    The interior norm integrates
+    (phi_t)^2 + (d_theta phi)^2 + r^alpha (d_r phi)^2 + phi^2 over the
+    lateral strips [(0, 4 delta0) + (1 - 4 delta0, 1)] x (0, 1).
+
+    Each is a quadratic form over mode pairs whose factors are exact: time
+    by trigonometric pair integrals, theta by sine and cosine overlaps, and
+    radius by element integrals (the consistent Gram matrix and the
+    eigenvalues rho_k).  The time kernels are built for one block of sine
+    orders against all modes at a time and shared by the amplitude and
+    velocity forms, so memory stays bounded at large truncations.
     """
     n_max, k_max = state.n_max, state.k_max
-    flux = state.basis.flux[:k_max]
-    w = state.omega
-    c = state.a
-    s = state.b / state.omega
-    full = full_trace_norm_closed(state, T)  # only same-n pairs couple there
-    restricted = 0.0
-    block = max(1, int(2e6 // (n_max * k_max * k_max)))
-    for lo in range(0, n_max, block):
-        hi = min(lo + block, n_max)
-        pair = _amp_pair_integrals(
-            w[lo:hi, :, None, None], c[lo:hi, :, None, None], s[lo:hi, :, None, None],
-            w[None, None, :, :], c[None, None, :, :], s[None, None, :, :], T,
-        )
-        restricted += float(
-            np.einsum("nkml,k,l,nm->", pair, flux, flux, G[lo:hi])
-        )
-    return full, restricted
-
-
-def boundary_trace_norm(
-    state: ModalCoefficients,
-    T: float,
-    delta0: float,
-    method: str = "trapezoid",
-    time_samples: int | str = 4096,
-) -> TraceReport:
-    """Squared L2 norms of the normal derivative on the top side over (0, T).
-
-    The trace is sum over modes of amp(t) sin(n pi theta) R_k'(1); the full
-    side uses sine orthogonality, the restricted segment
-    (delta0, 1 - delta0) the closed-form sine overlap matrix.  The
-    trapezoidal path doubles its sample count once and flags the report when
-    the result moves by more than 0.1%; the closed-form path integrates the
-    trigonometric products exactly.
-    """
-    G = sine_overlap_matrix(state.n_max, delta0, 1.0 - delta0)
-    if method == "closed-form":
-        full, restricted = _trace_closed_form(state, T, G)
-        return TraceReport(
-            full_trace_norm_sq=full,
-            restricted_trace_norm_sq=restricted,
-            method=method,
-        )
-    if method != "trapezoid":
-        raise ValueError(f"unknown trace method: {method!r}")
-    samples = _auto_samples(state, T, time_samples)
-    full, restricted = _trace_time_quadrature(state, T, G, samples)
-    full2, restricted2 = _trace_time_quadrature(state, T, G, 2 * samples)
-    scale = max(abs(full2), abs(restricted2), np.finfo(float).tiny)
-    change = max(abs(full - full2), abs(restricted - restricted2)) / scale
-    return TraceReport(
-        full_trace_norm_sq=full2,
-        restricted_trace_norm_sq=restricted2,
-        method=method,
-        time_samples=2 * samples,
-        refinement_rel_change=change,
-        underresolved=bool(change > 1e-3),
-    )
-
-
-def interior_observation_norm(
-    state: ModalCoefficients,
-    delta0: float,
-    T: float,
-    n_theta: int = 256,
-    method: str = "trapezoid",
-    time_samples: int | str = 4096,
-) -> float:
-    """Observation integral of (phi_t)^2 + A grad phi . grad phi + phi^2.
-
-    The region is the strip pair [(0, 4 delta0) + (1 - 4 delta0, 1)] x (0, 1).
-    The quadratic form factorizes over mode pairs into (time) x (theta) x
-    (radial) factors: time by trapezoid (or exact pair integrals), theta by
-    trapezoid on each strip with n_theta points (or exact overlaps with
-    method="closed-form"), radial by exact element integrals, with
-    derivatives of R_k exact per cell.
-    """
+    basis = state.basis
+    flux = basis.flux[:k_max]
+    gram = basis.consistent_gram()[:k_max, :k_max]
     strips = theta_strips(delta0)
-    n_max, k_max = state.n_max, state.k_max
-    if method == "closed-form":
-        Gs = _strips_overlap(n_max, strips, "sine")
-        Cs = _strips_overlap(n_max, strips, "cosine")
-    elif method == "trapezoid":
-        Gs = np.zeros((n_max, n_max))
-        Cs = np.zeros((n_max, n_max))
-        orders = np.arange(1, n_max + 1) * math.pi
-        for a, b in strips:
-            theta = np.linspace(a, b, n_theta + 1)
-            w = np.full(theta.size, (b - a) / n_theta)
-            w[[0, -1]] *= 0.5
-            sins = np.sin(np.outer(orders, theta))
-            coss = np.cos(np.outer(orders, theta))
-            Gs += (sins * w) @ sins.T
-            Cs += (coss * w) @ coss.T
-    else:
-        raise ValueError(f"unknown interior method: {method!r}")
-
-    gram = state.basis.consistent_gram()[:k_max, :k_max]
-    stiff = np.diag(state.basis.rho[:k_max])
+    strip_sines = _strips_overlap(n_max, strips, "sine")
     mu = np.arange(1, n_max + 1) * math.pi
-
-    w = state.omega.reshape(-1)
-    c = state.a.reshape(-1)
-    s = (state.b / state.omega).reshape(-1)
-    cv = state.b.reshape(-1)  # velocity = cv cos(wt) + sv sin(wt)
-    sv = (-state.a * state.omega).reshape(-1)
-
-    if method == "closed-form":
-        W_amp = _amp_pair_integrals(
-            w[:, None], c[:, None], s[:, None], w[None, :], c[None, :], s[None, :], T
-        )
-        W_vel = _amp_pair_integrals(
-            w[:, None], cv[:, None], sv[:, None], w[None, :], cv[None, :], sv[None, :], T
-        )
-    else:
-        samples = _auto_samples(state, T, time_samples)
-        t = np.linspace(0.0, T, samples + 1)
-        w_t = np.full(t.size, T / samples)
-        w_t[[0, -1]] *= 0.5
-        phase = np.outer(w, t)
-        amp = c[:, None] * np.cos(phase) + s[:, None] * np.sin(phase)
-        vel = cv[:, None] * np.cos(phase) + sv[:, None] * np.sin(phase)
-        W_amp = (amp * w_t) @ amp.T
-        W_vel = (vel * w_t) @ vel.T
-
-    shape4 = (n_max, k_max, n_max, k_max)
-    W_amp = W_amp.reshape(shape4)
-    W_vel = W_vel.reshape(shape4)
-    theta_grad = np.outer(mu, mu) * Cs
-    value = (
-        np.einsum("nkml,nm,kl->", W_vel, Gs, gram)
-        + np.einsum("nkml,nm,kl->", W_amp, theta_grad, gram)
-        + np.einsum("nkml,nm,kl->", W_amp, Gs, stiff)
-        + np.einsum("nkml,nm,kl->", W_amp, Gs, gram)
+    # amplitude form: theta factor j pairs with radial factor j
+    theta_amp = np.stack(
+        [
+            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),  # restricted trace
+            np.outer(mu, mu) * _strips_overlap(n_max, strips, "cosine"),  # (d_theta phi)^2
+            strip_sines,  # r^alpha (d_r phi)^2 + phi^2
+        ],
+        axis=-1,
     )
-    return float(value)
+    radial_amp = np.stack(
+        [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
+    ).reshape(k_max * k_max, 3)
+
+    w = state.omega
+    restricted = 0.0
+    interior = 0.0
+    block = max(1, _BLOCK_ELEMENTS // (n_max * k_max * k_max))
+    every = np.s_[None, :, None, :]
+    for lo in range(0, n_max, block):
+        rows = np.s_[lo : lo + block, None, :, None]
+        kernels = _time_kernels(w, T, rows, every)  # (block, n_max, k_max, k_max)
+        amp_pairs = _pair_weights(kernels, state.a, state.b / w, rows, every)
+        vel_pairs = _pair_weights(kernels, state.b, -state.a * w, rows, every)  # phi_t
+        del kernels
+        amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_max, 3)
+        vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_max)
+        terms = np.sum(amp_nm * theta_amp[lo : lo + block], axis=(0, 1))
+        restricted += float(terms[0])
+        interior += float(terms[1] + terms[2] + np.sum(vel_nm * strip_sines[lo : lo + block]))
+    return TraceReport(
+        full_trace_norm_sq=full_trace_norm_closed(state, T),
+        restricted_trace_norm_sq=restricted,
+        interior_norm_sq=interior,
+    )

@@ -68,3 +68,63 @@ def quad_power_integral(f, a: float, b: float, weight_exp: float) -> float:
     """Adaptive quadrature of r^weight_exp * f(r)^2 on (a, b)."""
     val, _ = quad(lambda r: r**weight_exp * f(r) ** 2, a, b, limit=400)
     return val
+
+
+def _trapezoid(a: float, b: float, intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite trapezoidal rule on (a, b)."""
+    x = np.linspace(a, b, intervals + 1)
+    w = np.full(x.size, (b - a) / intervals)
+    w[[0, -1]] *= 0.5
+    return x, w
+
+
+def _theta_grams(orders: np.ndarray, intervals, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoidal sine and cosine overlap matrices summed over theta intervals."""
+    sines = np.zeros((orders.size, orders.size))
+    cosines = np.zeros((orders.size, orders.size))
+    for a, b in intervals:
+        theta, w = _trapezoid(a, b, n_theta)
+        s = np.sin(np.outer(orders, theta))
+        c = np.cos(np.outer(orders, theta))
+        sines += (s * w) @ s.T
+        cosines += (c * w) @ c.T
+    return sines, cosines
+
+
+def trapezoid_observation_norms(
+    state, T: float, delta0: float, n_theta: int = 256, n_theta_top: int = 8192
+) -> tuple[float, float, float]:
+    """Full trace, restricted trace and interior norm by the trapezoidal rule.
+
+    Time: max(4096, ceil(16 w_max T / pi)) intervals, doubled once.  Theta:
+    a trapezoid per interval, n_theta on each lateral strip and n_theta_top
+    on the restricted top segment; the whole top side uses sine
+    orthogonality.  Radius: the basis' consistent Gram matrix, eigenvalues
+    and boundary fluxes.
+    """
+    n_max, k_max = state.a.shape
+    basis = state.basis
+    samples = 2 * max(4096, int(np.ceil(16.0 * float(state.omega.max()) * T / np.pi)))
+    t, w_t = _trapezoid(0.0, T, samples)
+    phase = state.omega.reshape(-1, 1) * t
+    amp = state.a.reshape(-1, 1) * np.cos(phase) + (state.b / state.omega).reshape(-1, 1) * np.sin(phase)
+    vel = state.b.reshape(-1, 1) * np.cos(phase) - (state.a * state.omega).reshape(-1, 1) * np.sin(phase)
+
+    orders = np.arange(1, n_max + 1) * np.pi
+    trace = np.einsum("nkt,k->nt", amp.reshape(n_max, k_max, -1), basis.flux[:k_max])
+    top, _ = _theta_grams(orders, [(delta0, 1.0 - delta0)], n_theta_top)
+    full = 0.5 * float(np.sum(trace**2 * w_t))
+    restricted = float(np.einsum("nt,nm,mt,t->", trace, top, trace, w_t))
+
+    c = 4.0 * delta0
+    strips = [(0.0, 1.0)] if c >= 0.5 else [(0.0, c), (1.0 - c, 1.0)]
+    g_s, g_c = _theta_grams(orders, strips, n_theta)
+    gram = basis.consistent_gram()[:k_max, :k_max]
+    w_amp = ((amp * w_t) @ amp.T).reshape(n_max, k_max, n_max, k_max)
+    w_vel = ((vel * w_t) @ vel.T).reshape(n_max, k_max, n_max, k_max)
+    interior = (
+        np.einsum("nkml,nm,kl->", w_vel, g_s, gram)
+        + np.einsum("nkml,nm,kl->", w_amp, np.outer(orders, orders) * g_c, gram)
+        + np.einsum("nkml,nm,kl->", w_amp, g_s, np.diag(basis.rho[:k_max]) + gram)
+    )
+    return full, restricted, float(interior)

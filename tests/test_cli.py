@@ -56,7 +56,7 @@ class TestHardy:
         exact = 4.0 / math.pi**2 * math.log(100.0) ** 2  # ~8.5951
         assert abs(rep["reference_constant"] - exact) < 1e-9
         assert abs(rep["numerical_best_constant"] - exact) < 0.05
-        assert doc["format_version"] == "1"
+        assert doc["format_version"] == "2"
         assert doc["config"]["delta"] == 0.01
 
     def test_subcritical(self, tmp_path):
@@ -87,6 +87,13 @@ class TestConfigHandling:
         res = run_cli("spectrum", "--config", str(cfg))
         assert res.returncode == 0, res.stderr
         assert len(csv_body(tmp_path / "o" / "spectrum.csv")) == 3
+
+    def test_non_finite_report_rejected(self, tmp_path):
+        res = run_cli("carleman-check", "--lam", "2", "--s", "8", "--out", str(tmp_path))
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["kind"] == "NonFiniteReport"
+        assert not (tmp_path / "carleman.json").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         res = run_cli(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from degenwave.errors import InsufficientData, TimeTooShort
+from degenwave.errors import InsufficientData, NonPositiveInput, TimeTooShort
 from degenwave.observability import (
     default_beta,
     default_horizon,
@@ -12,8 +12,13 @@ from degenwave.observability import (
     high_mode_obstruction_scan,
     observability_ratio,
 )
-from degenwave.params import observation_time_threshold
-from degenwave.waves import full_trace_norm_closed, modal_state, random_state
+from degenwave.params import observation_time_threshold, theta_strips
+from degenwave.waves import (
+    full_trace_norm_closed,
+    modal_state,
+    random_state,
+    sine_overlap_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +53,13 @@ class TestObservabilityRatio:
         with pytest.raises(TimeTooShort):
             observability_ratio(st, domain001, 0.9 * threshold)
 
+    def test_zero_beta_rejected(self, basis05, domain001, horizon):
+        st = modal_state(basis05, 1, 1, amplitudes={(1, 1): 1.0})
+        with pytest.raises(NonPositiveInput):
+            observability_ratio(st, domain001, horizon, beta=0.0)
+        with pytest.raises(NonPositiveInput):
+            default_horizon(domain001.delta0, beta=0.0)
+
 
 class TestObstructionScan:
     def test_slope_and_boundedness(self, basis05_k64, domain001, horizon):
@@ -69,6 +81,30 @@ class TestObstructionScan:
             flux_sq * 0.5 * (horizon / 2.0 + math.sin(2.0 * w * horizon) / (4.0 * w))
         )
         assert scan.pure_ratios[1] == pytest.approx(expect, rel=1e-12)
+
+    def test_remedied_ratio_formula(self, basis05_k64, domain001, horizon):
+        """Remedied ratios against the per-mode closed forms of R_1 sin(n pi theta) cos(w t)."""
+        ns = [8, 16, 32, 64]
+        scan = high_mode_obstruction_scan(ns, horizon, domain001, basis=basis05_k64)
+        T, d0 = horizon, domain001.delta0
+        flux_sq = basis05_k64.flux[0] ** 2
+        rho1 = basis05_k64.rho[0]
+        r_mass = basis05_k64.consistent_gram()[0, 0]
+        for n, got in zip(ns, scan.remedied_ratios):
+            w = math.sqrt((n * math.pi) ** 2 + rho1)
+            cos2 = 0.5 * T + math.sin(2.0 * w * T) / (4.0 * w)
+            sin2 = T - cos2
+            sin_sq = [(b - a, sine_overlap_matrix(n, a, b)[n - 1, n - 1]) for a, b in theta_strips(d0)]
+            g_s = sum(s for _, s in sin_sq)
+            g_c = sum(width - s for width, s in sin_sq)  # int cos^2 = width - int sin^2
+            interior = (
+                sin2 * w**2 * g_s * r_mass  # (phi_t)^2
+                + cos2 * (n * math.pi) ** 2 * g_c * r_mass  # (d_theta phi)^2
+                + cos2 * g_s * rho1  # r^alpha (d_r phi)^2
+                + cos2 * g_s * r_mass  # phi^2
+            )
+            restricted = flux_sq * sine_overlap_matrix(n, d0, 1.0 - d0)[n - 1, n - 1] * cos2
+            assert got == pytest.approx((w**2 / 4.0) / (restricted + interior), rel=1e-12)
 
     def test_insufficient_data(self, basis05_k64, domain001, horizon):
         with pytest.raises(InsufficientData):

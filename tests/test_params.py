@@ -19,8 +19,7 @@ from degenwave.params import (
     beta_upper_bound,
     carleman_params_from_json,
     carleman_params_to_json,
-    eval_cutoff_theta,
-    eval_cutoff_time,
+    eval_cutoff,
     observation_time_threshold,
     theta_cutoff,
     theta_strips,
@@ -124,13 +123,13 @@ class TestValidateCarlemanParams:
 class TestThetaCutoff:
     def test_plateau_and_gap(self):
         spec = theta_cutoff(0.01)
-        v, d1, d2 = eval_cutoff_theta(spec, np.array([0.5, 0.015]))
+        v, d1, d2 = eval_cutoff(spec, np.array([0.5, 0.015]))
         assert v[0] == 1.0 and d1[0] == 0.0 and d2[0] == 0.0
         assert v[1] == 0.0 and d1[1] == 0.0 and d2[1] == 0.0
 
     def test_ramp_interior(self):
         spec = theta_cutoff(0.01)
-        v, d1, _ = eval_cutoff_theta(spec, 0.025)
+        v, d1, _ = eval_cutoff(spec, 0.025)
         assert 0.0 < float(v) < 1.0
         assert float(d1) > 0.0
 
@@ -141,7 +140,7 @@ class TestThetaCutoff:
         bands = ((theta > 2 * d0) & (theta < 3 * d0)) | (
             (theta > 1 - 3 * d0) & (theta < 1 - 2 * d0)
         )
-        v, _, _ = eval_cutoff_theta(spec, theta)
+        v, _, _ = eval_cutoff(spec, theta)
         assert np.all(v[~bands] * (1.0 - v[~bands]) == 0.0)
 
     def test_derivative_bounds_scale_free(self):
@@ -149,7 +148,7 @@ class TestThetaCutoff:
         stats = []
         for d0 in (1.0 / 64.0, 1.0 / 128.0, 1.0 / 256.0):
             x = np.linspace(0.0, 1.0, 10001)
-            _, d1, d2 = eval_cutoff_theta(theta_cutoff(d0), x)
+            _, d1, d2 = eval_cutoff(theta_cutoff(d0), x)
             stats.append((np.max(np.abs(d1)) * d0, np.max(np.abs(d2)) * d0**2))
         first, second = zip(*stats)
         assert max(first) / min(first) < 1.01
@@ -159,9 +158,9 @@ class TestThetaCutoff:
         spec = theta_cutoff(0.01)
         x = np.array([0.022, 0.025, 0.028, 0.975])
         h = 1e-6
-        v, d1, d2 = eval_cutoff_theta(spec, x)
-        vp, _, _ = eval_cutoff_theta(spec, x + h)
-        vm, _, _ = eval_cutoff_theta(spec, x - h)
+        v, d1, d2 = eval_cutoff(spec, x)
+        vp, _, _ = eval_cutoff(spec, x + h)
+        vm, _, _ = eval_cutoff(spec, x - h)
         assert np.allclose((vp - vm) / (2 * h), d1, rtol=1e-4)
         # centered FD2 roundoff floor is ~eps/h^2, so compare against the
         # derivative scale rather than pointwise (S'' vanishes mid-band)
@@ -173,14 +172,14 @@ class TestTimeCutoff:
     def test_plateau_gap_ramp(self):
         T, eps = 40.0, 2.0
         spec = time_cutoff(eps, T)
-        v, d1, d2 = eval_cutoff_time(spec, np.array([T / 2, eps / 2, 1.5 * eps]))
+        v, d1, d2 = eval_cutoff(spec, np.array([T / 2, eps / 2, 1.5 * eps]))
         assert (v[0], d1[0], d2[0]) == (1.0, 0.0, 0.0)
         assert (v[1], d1[1], d2[1]) == (0.0, 0.0, 0.0)
         assert 0.0 < v[2] < 1.0 and d1[2] > 0.0
 
     def test_total_on_real_line(self):
         spec = time_cutoff(2.0, 40.0)
-        v, _, _ = eval_cutoff_time(spec, np.array([-5.0, 100.0]))
+        v, _, _ = eval_cutoff(spec, np.array([-5.0, 100.0]))
         assert np.all(v == 0.0)
 
 

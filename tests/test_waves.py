@@ -1,20 +1,23 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import trapezoid_observation_norms
 
+from degenwave import waves
 from degenwave.errors import GridMismatch, TruncationTooSmall
 from degenwave.waves import (
     RANDOM_CAP,
-    boundary_trace_norm,
     data_norms,
     duhamel_forcing,
     energy,
     energy_series,
     evolve,
     full_trace_norm_closed,
-    interior_observation_norm,
     modal_state,
+    observation_norms,
     parseval_l2_norm_sq,
     project_initial_data,
     random_state,
@@ -201,7 +204,7 @@ class TestDuhamel:
 class TestBoundaryTrace:
     def test_zero_state(self, basis05):
         st = modal_state(basis05, 2, 2)
-        rep = boundary_trace_norm(st, T_HORIZON, 0.01, method="closed-form")
+        rep = observation_norms(st, T_HORIZON, 0.01)
         assert rep.full_trace_norm_sq == 0.0
         assert rep.restricted_trace_norm_sq == 0.0
 
@@ -210,49 +213,39 @@ class TestBoundaryTrace:
         w = st.omega[0, 0]
         flux = basis05.flux[0]
         expect = flux**2 * 0.5 * (T_HORIZON / 2 + math.sin(2 * w * T_HORIZON) / (4 * w))
-        rep = boundary_trace_norm(st, T_HORIZON, 0.01, method="closed-form")
+        rep = observation_norms(st, T_HORIZON, 0.01)
         assert rep.full_trace_norm_sq == pytest.approx(expect, rel=1e-12)
         assert full_trace_norm_closed(st, T_HORIZON) == pytest.approx(expect, rel=1e-12)
 
     def test_restricted_approaches_full(self, basis05):
         st = random_state(basis05, 4, 4, seed=8)
-        rep = boundary_trace_norm(st, T_HORIZON, 1e-7, method="closed-form")
+        rep = observation_norms(st, T_HORIZON, 1e-7)
         assert rep.restricted_trace_norm_sq == pytest.approx(
             rep.full_trace_norm_sq, rel=1e-5
         )
 
     def test_restricted_below_full(self, basis05):
         st = random_state(basis05, 6, 6, seed=9)
-        rep = boundary_trace_norm(st, T_HORIZON, 0.01, method="closed-form")
+        rep = observation_norms(st, T_HORIZON, 0.01)
         assert 0.0 < rep.restricted_trace_norm_sq <= rep.full_trace_norm_sq
 
     def test_trapezoid_agrees_with_closed_form(self, basis05):
         st = random_state(basis05, 4, 4, seed=10)
-        exact = boundary_trace_norm(st, T_HORIZON, 0.01, method="closed-form")
-        quad = boundary_trace_norm(st, T_HORIZON, 0.01, time_samples="auto")
-        assert not quad.underresolved
-        assert quad.full_trace_norm_sq == pytest.approx(
-            exact.full_trace_norm_sq, rel=1e-5
-        )
-        assert quad.restricted_trace_norm_sq == pytest.approx(
-            exact.restricted_trace_norm_sq, rel=1e-5
-        )
-
-    def test_underresolved_flag(self, basis05):
-        st = random_state(basis05, 16, 16, seed=12)
-        rep = boundary_trace_norm(st, T_HORIZON, 0.01, time_samples=64)
-        assert rep.underresolved
+        exact = observation_norms(st, T_HORIZON, 0.01)
+        full, restricted, _ = trapezoid_observation_norms(st, T_HORIZON, 0.01)
+        assert full == pytest.approx(exact.full_trace_norm_sq, rel=1e-5)
+        assert restricted == pytest.approx(exact.restricted_trace_norm_sq, rel=1e-5)
 
 
 class TestInteriorNorm:
     def test_zero_state(self, basis05):
         st = modal_state(basis05, 2, 2)
-        assert interior_observation_norm(st, 0.01, T_HORIZON) == 0.0
+        assert observation_norms(st, T_HORIZON, 0.01).interior_norm_sq == 0.0
 
     def test_region_exhaustion(self, basis05):
         st = modal_state(basis05, 1, 1, amplitudes={(1, 1): 1.0})
         w = st.omega[0, 0]
-        val = interior_observation_norm(st, 0.2499999, T_HORIZON, method="closed-form")
+        val = observation_norms(st, T_HORIZON, 0.2499999).interior_norm_sq
         g11 = basis05.consistent_gram()[0, 0]
         amp_int = T_HORIZON / 2 + math.sin(2 * w * T_HORIZON) / (4 * w)
         expect = 2.0 * T_HORIZON * energy(st) + 0.5 * amp_int * g11
@@ -260,18 +253,41 @@ class TestInteriorNorm:
 
     def test_strip_measure_scaling(self, basis05):
         st = modal_state(basis05, 1, 1, amplitudes={(1, 1): 1.0})
-        small = interior_observation_norm(st, 0.001, T_HORIZON, method="closed-form")
-        double = interior_observation_norm(st, 0.002, T_HORIZON, method="closed-form")
+        small = observation_norms(st, T_HORIZON, 0.001).interior_norm_sq
+        double = observation_norms(st, T_HORIZON, 0.002).interior_norm_sq
         assert small > 0.0
         assert small / double == pytest.approx(0.5, rel=0.05)
 
     def test_trapezoid_matches_closed_form(self, basis05):
         st = random_state(basis05, 4, 4, seed=13)
-        exact = interior_observation_norm(st, 0.01, T_HORIZON, method="closed-form")
-        quad = interior_observation_norm(
-            st, 0.01, T_HORIZON, method="trapezoid", time_samples="auto"
-        )
+        exact = observation_norms(st, T_HORIZON, 0.01).interior_norm_sq
+        _, _, quad = trapezoid_observation_norms(st, T_HORIZON, 0.01)
         assert quad == pytest.approx(exact, rel=1e-5)
+
+
+class TestBlockedAssembly:
+    def test_block_invariance(self, basis05, monkeypatch):
+        st = random_state(basis05, 12, 12, seed=14)
+        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 12 * 12 * 12 * 12)
+        one_block = observation_norms(st, T_HORIZON, 0.01)
+        # five sine orders per block: blocks of 5, 5 and a ragged 2
+        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 5 * 12 * 12 * 12)
+        blocked = observation_norms(st, T_HORIZON, 0.01)
+        assert blocked.full_trace_norm_sq == one_block.full_trace_norm_sq
+        for field in ("restricted_trace_norm_sq", "interior_norm_sq"):
+            assert getattr(blocked, field) == pytest.approx(
+                getattr(one_block, field), rel=1e-13
+            )
+
+    def test_memory_bound(self, basis05_k64):
+        st = random_state(basis05_k64, 48, 48, seed=15)
+        tracemalloc.start()
+        try:
+            observation_norms(st, T_HORIZON, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256e6
 
 
 class TestRandomState:
