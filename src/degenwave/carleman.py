@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,14 +178,9 @@ def build_weight_field(
     theta = np.asarray(theta, dtype=float)
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    xi = (
-        theta[:, None, None] ** 2
-        + r[None, :, None] ** (2.0 - alpha)
-        - params.beta * (t[None, None, :] - params.t0) ** 2
-    )
-    return WeightField(
-        params=params, alpha=alpha, theta=theta, r=r, t=t, sigma=np.exp(params.lam * xi)
-    )
+    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, r, t)
+    sigma = sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
+    return WeightField(params=params, alpha=alpha, theta=theta, r=r, t=t, sigma=sigma)
 
 
 def conjugate_field(psi: np.ndarray, field: WeightField, inverse: bool = False) -> np.ndarray:
@@ -244,15 +239,16 @@ class SmoothModalSolution:
         theta = np.asarray(theta, dtype=float)
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
-        out = 0.0
+        out = None
         for m in self.modes:
             tp = m.amplitude(t) if time_part == "amp" else m.velocity(t)
             ang = np.sin(m.n * math.pi * theta)
             if angular == "deriv":
                 ang = m.n * math.pi * np.cos(m.n * math.pi * theta)
             rad = m.radial(r) if radial == "value" else m.radial_deriv(r)
-            out = out + tp * ang * rad
-        return out
+            term = tp * ang * rad
+            out = term if out is None else out + term
+        return 0.0 if out is None else out
 
     def phi(self, theta, r, t) -> np.ndarray:
         return self._sum(theta, r, t, "amp", "value", "value")
@@ -274,6 +270,48 @@ class SmoothModalSolution:
         for m in self.modes:
             out = out + m.amplitude(t) * np.sin(m.n * math.pi * theta) * m.flux_at_1
         return out
+
+
+# ---------------------------------------------------------------------------
+# Cache-sized tiles of the tensor grid
+# ---------------------------------------------------------------------------
+
+# Points per theta x t tile, halo included (r is never split), in the 3-D
+# kernels below: small enough that each tile-sized temporary stays in cache.
+_TILE_ELEMENTS = 65536
+
+
+def _sigma_factors(
+    params: CarlemanParams, alpha: float, theta: np.ndarray, r: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The axis factors of sigma = exp(lam theta^2) exp(lam r^(2-alpha)) exp(-lam beta (t-t0)^2)."""
+    lam = params.lam
+    return (
+        np.exp(lam * theta**2),
+        np.exp(lam * r ** (2.0 - alpha)),
+        np.exp(-lam * params.beta * (t - params.t0) ** 2),
+    )
+
+
+def _weight_tiles(
+    params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray, halo: int
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Walk theta x t in tiles of about _TILE_ELEMENTS points, with sigma on each.
+
+    The tiles partition theta[halo:-halo] x t[halo:-halo]; each yielded
+    (theta slice, t slice, sigma) reaches `halo` points further on both
+    sides of both axes, and sigma covers those slices and the whole r axis.
+    """
+    sig_theta, sig_r, sig_t = _sigma_factors(params, params.alpha, theta, r, t)
+    per_plane = max(1, _TILE_ELEMENTS // r.size)
+    n_t = min(t.size - 2 * halo, max(1, math.isqrt(per_plane) - 2 * halo))
+    n_theta = max(1, per_plane // (n_t + 2 * halo) - 2 * halo)
+    for i0 in range(halo, theta.size - halo, n_theta):
+        ith = slice(i0 - halo, min(i0 + n_theta, theta.size - halo) + halo)
+        for j0 in range(halo, t.size - halo, n_t):
+            jt = slice(j0 - halo, min(j0 + n_t, t.size - halo) + halo)
+            sigma = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
+            yield ith, jt, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +347,15 @@ def _residual_axes(
     return theta, r, t
 
 
+def _second_difference(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray, h2: float) -> np.ndarray:
+    """(hi - 2 mid + lo) / h2 into a fresh array, in the stencil's own order."""
+    out = np.multiply(mid, 2.0)
+    np.subtract(hi, out, out=out)
+    out += lo
+    out /= h2
+    return out
+
+
 def conjugation_residual(
     solution: SmoothModalSolution,
     params: CarlemanParams,
@@ -316,7 +363,6 @@ def conjugation_residual(
     r_min: float = 0.1,
     zeta: CutoffSpec | None = None,
     kcut: CutoffSpec | None = None,
-    t_chunk: int = 0,
 ) -> ConjugationReport:
     """Finite-difference residual of the conjugation identity on a tensor grid.
 
@@ -329,6 +375,11 @@ def conjugation_residual(
     convergence ratios compare norms over one and the same domain (the
     radial profiles behave like r^(1-alpha) at the degenerate end, whose
     unbounded higher derivatives would otherwise contaminate the order).
+
+    The grid is walked in cache-sized theta x t tiles with a one-cell halo,
+    and the operator pieces are fused:
+    P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_theta + (2-alpha) r eta_r)
+    and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta.
     """
     alpha = params.alpha
     lam, s, beta = params.lam, params.s, params.beta
@@ -338,87 +389,89 @@ def conjugation_residual(
     h_t = t[1] - t[0]
     zeta = zeta or theta_cutoff(params.delta0)
     kcut = kcut or time_cutoff(params.epsilon, params.T)
-
     zv, zd1, zd2 = eval_cutoff(zeta, theta)
-    two_a = 2.0 - alpha
-    r_pow = r**two_a
-    r_alpha = r**alpha
-    r_alpha_m1 = alpha * r ** (alpha - 1.0)
-    quad_rad = two_a**2 * r_pow
+    kv, kd1, kd2 = eval_cutoff(kcut, t)
 
-    th_c = theta[1:-1][:, None, None]
-    zv_c = zv[1:-1][:, None, None]
+    # coefficients at the interior points (radial ones shaped (1, n_r - 2, 1));
+    # the 1/(2h) of each first difference is folded into the coefficient it meets
+    two_a = 2.0 - alpha
     r_c = r[1:-1][None, :, None]
-    r_alpha_c = r_alpha[1:-1][None, :, None]
-    r_alpha_m1_c = r_alpha_m1[1:-1][None, :, None]
+    r_alpha_c = r_c**alpha
+    lap_r_coef = alpha * r_c ** (alpha - 1.0) / (2.0 * h_r)
+    drift_r_coef = two_a * r_c / h_r
+    quad_rad_c = two_a**2 * r_c**two_a
+    xi_t = -2.0 * beta * (t - params.t0)
+    xi_t_sq = xi_t**2
+    drift_t_coef = xi_t / h_t
+    drift_th_coef = 2.0 * theta / h_theta
+    zero_order = 4.0 - alpha + 2.0 * beta
 
     acc_res = 0.0
     acc_ref = 0.0
-    if t_chunk <= 0:
-        # slabs of ~1.6M points keep every temporary cache-resident
-        t_chunk = max(4, int(1.6e6 / (theta.size * r.size)))
+    for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=1):
+        th, ts = theta[ith], t[jt]
+        ith_c = slice(ith.start + 1, ith.stop - 1)
+        jt_c = slice(jt.start + 1, jt.stop - 1)
+        th_c = th[1:-1][:, None, None]
+        ts_c = ts[1:-1][None, None, :]
 
-    # sigma = exp(lam xi) factorizes over the three axes; only exp(s sigma)
-    # needs a full-volume transcendental per chunk
-    sig_theta = np.exp(lam * theta**2)
-    sig_r = np.exp(lam * r_pow)
+        phi = solution.phi(th[:, None, None], r[None, :, None], ts[None, None, :])
+        esig = np.multiply(sigma, s)
+        np.exp(esig, out=esig)
+        eta = (zv[ith, None] * kv[None, jt])[:, None, :] * phi
+        eta *= esig
+        core = eta[1:-1, 1:-1, 1:-1]
 
-    for lo in range(1, t.size - 1, t_chunk):
-        hi = min(lo + t_chunk, t.size - 1)
-        slab = slice(lo - 1, hi + 1)
-        ts = t[slab]
-        kv, kd1, kd2 = eval_cutoff(kcut, ts)
+        # P1+ = eta_tt - (eta_thth + r^alpha eta_rr + alpha r^(alpha-1) eta_r)
+        lap = _second_difference(eta[2:, 1:-1, 1:-1], core, eta[:-2, 1:-1, 1:-1], h_theta**2)
+        work = _second_difference(eta[1:-1, 2:, 1:-1], core, eta[1:-1, :-2, 1:-1], h_r**2)
+        work *= r_alpha_c
+        lap += work
+        drift = np.subtract(eta[1:-1, 2:, 1:-1], eta[1:-1, :-2, 1:-1])  # 2 h_r eta_r
+        np.multiply(lap_r_coef, drift, out=work)
+        lap += work
+        total = _second_difference(eta[1:-1, 1:-1, 2:], core, eta[1:-1, 1:-1, :-2], h_t**2)
+        total -= lap
 
-        phi = solution.phi(theta[:, None, None], r[None, :, None], ts[None, None, :])
-        sig_t = np.exp(-lam * beta * (ts - params.t0) ** 2)
-        sigma = sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
-        esig = np.exp(s * sigma)
-        eta = esig * ((zv[:, None] * kv[None, :])[:, None, :] * phi)
+        # P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_th + (2-alpha) r eta_r)
+        drift *= drift_r_coef
+        np.subtract(eta[2:, 1:-1, 1:-1], eta[:-2, 1:-1, 1:-1], out=work)
+        work *= drift_th_coef[ith_c, None, None]
+        drift += work
+        np.subtract(eta[1:-1, 1:-1, 2:], eta[1:-1, 1:-1, :-2], out=work)
+        work *= drift_t_coef[None, None, jt_c]
+        drift -= work
+        slam_sigma = np.multiply(sigma[1:-1, 1:-1, 1:-1], s * lam)
+        drift *= slam_sigma
+        total += drift
 
-        # second-order centered differences, sliced to the common interior
-        eta_tt = (eta[:, :, 2:] - 2.0 * eta[:, :, 1:-1] + eta[:, :, :-2])[1:-1, 1:-1, :] / h_t**2
-        eta_t = (eta[:, :, 2:] - eta[:, :, :-2])[1:-1, 1:-1, :] / (2.0 * h_t)
-        eta_thth = (eta[2:] - 2.0 * eta[1:-1] + eta[:-2])[:, 1:-1, 1:-1] / h_theta**2
-        eta_th = (eta[2:] - eta[:-2])[:, 1:-1, 1:-1] / (2.0 * h_theta)
-        eta_rr = (eta[:, 2:] - 2.0 * eta[:, 1:-1] + eta[:, :-2])[1:-1, :, 1:-1] / h_r**2
-        eta_r = (eta[:, 2:] - eta[:, :-2])[1:-1, :, 1:-1] / (2.0 * h_r)
+        # P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta
+        # with b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha))
+        np.subtract(xi_t_sq[None, None, jt_c], 4.0 * th_c**2 + quad_rad_c, out=work)
+        np.subtract(slam_sigma, lam, out=drift)
+        drift *= work
+        drift += zero_order
+        drift *= slam_sigma
+        drift *= core
+        total += drift
 
-        sig_i = sigma[1:-1, 1:-1, 1:-1]
-        eta_i = eta[1:-1, 1:-1, 1:-1]
-        ts_i = ts[1:-1][None, None, :]
-        xi_t = -2.0 * beta * (ts_i - params.t0)
-        sigma_t = lam * sig_i * xi_t
-        b = xi_t**2 - (4.0 * th_c**2 + quad_rad[1:-1][None, :, None])
-
-        p1_plus = eta_tt - (eta_thth + r_alpha_c * eta_rr + r_alpha_m1_c * eta_r)
-        p2_plus = s**2 * lam**2 * sig_i**2 * b * eta_i
-        p1_minus = 2.0 * s * (
-            -eta_t * sigma_t
-            + lam * sig_i * (2.0 * th_c * eta_th + two_a * r_c * eta_r)
+        # exp(s sigma) h with h from the exact derivatives of phi
+        lhs = solution.phi_t(th_c, r_c, ts_c)
+        lhs *= (2.0 * zv[ith_c, None] * kd1[None, jt_c])[:, None, :]
+        phi_th = solution.phi_theta(th_c, r_c, ts_c)
+        phi_th *= (2.0 * kv[None, jt_c] * zd1[ith_c, None])[:, None, :]
+        np.multiply(
+            (zv[ith_c, None] * kd2[None, jt_c] - kv[None, jt_c] * zd2[ith_c, None])[:, None, :],
+            phi[1:-1, 1:-1, 1:-1],
+            out=work,
         )
-        p2_minus = s * eta_i * ((4.0 - alpha + 2.0 * beta) * lam * sig_i - lam**2 * sig_i * b)
+        lhs += work
+        lhs -= phi_th
+        lhs *= esig[1:-1, 1:-1, 1:-1]
 
-        phi_i = phi[1:-1, 1:-1, 1:-1]
-        phi_t = solution.phi_t(
-            theta[1:-1][:, None, None], r[1:-1][None, :, None], ts[1:-1][None, None, :]
-        )
-        phi_th = solution.phi_theta(
-            theta[1:-1][:, None, None], r[1:-1][None, :, None], ts[1:-1][None, None, :]
-        )
-        kv_i = kv[1:-1][None, None, :]
-        kd1_i = kd1[1:-1][None, None, :]
-        kd2_i = kd2[1:-1][None, None, :]
-        h_src = (
-            2.0 * zv_c * kd1_i * phi_t
-            + zv_c * kd2_i * phi_i
-            - 2.0 * kv_i * zd1[1:-1][:, None, None] * phi_th
-            - kv_i * zd2[1:-1][:, None, None] * phi_i
-        )
-        lhs = esig[1:-1, 1:-1, 1:-1] * h_src
-
-        diff = lhs - (p1_plus + p2_plus + p1_minus + p2_minus)
-        acc_res += float(np.sum(diff**2))
-        acc_ref += float(np.sum(lhs**2))
+        np.subtract(lhs, total, out=total)
+        acc_res += float(np.vdot(total, total))
+        acc_ref += float(np.vdot(lhs, lhs))
 
     vol = h_theta * h_r * h_t
     res = math.sqrt(acc_res * vol)
@@ -494,7 +547,7 @@ def _weighted_region_integrals(
     at the degenerate side).  e^{2 s sigma} enters as
     e^{2 s sigma - log_offset}; the caller restores the scale.
     """
-    alpha, lam, s, beta = params.alpha, params.lam, params.s, params.beta
+    alpha, lam, s = params.alpha, params.lam, params.s
     theta = np.linspace(theta_lo, theta_hi, n_theta + 1)
     w_th = np.full(theta.size, (theta_hi - theta_lo) / n_theta)
     w_th[[0, -1]] *= 0.5
@@ -505,47 +558,47 @@ def _weighted_region_integrals(
     w_t[[0, -1]] *= 0.5
     zv, zd1, _ = eval_cutoff(zeta, theta)
     kv, kd1, kd2 = eval_cutoff(kcut, t)
-    r_alpha = r[None, :, None] ** alpha
-    wvol_2d = w_th[:, None, None] * (hr * np.ones_like(r))[None, :, None]
+    r3 = r[None, :, None]
+    r_alpha = r3**alpha
 
-    out = (
-        {"lhs_gradient": 0.0, "lhs_zero_order": 0.0}
-        if with_cutoffs
-        else {"rhs_interior": 0.0, "rhs_commutator": 0.0}
-    )
-    block = max(4, int(4e6 / ((n_theta + 1) * n_r)))
-    for lo in range(0, t.size, block):
-        sl = slice(lo, lo + block)
-        th3, r3, t3 = theta[:, None, None], r[None, :, None], t[sl][None, None, :]
-        sigma = np.exp(lam * (th3**2 + r3 ** (2.0 - alpha) - beta * (t3 - params.t0) ** 2))
-        weight = np.exp(2.0 * s * sigma - log_offset)
-        wvol = wvol_2d * w_t[sl][None, None, :]
+    sums = np.zeros(2)
+    for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=0):
+        th3, t3 = theta[ith, None, None], t[None, None, jt]
+        # e^{2 s sigma - log_offset} times the theta and t rule weights
+        weight = np.multiply(sigma, 2.0 * s)
+        weight -= log_offset
+        np.exp(weight, out=weight)
+        weight *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
 
         phi = solution.phi(th3, r3, t3)
         phi_t = solution.phi_t(th3, r3, t3)
+        phi_th = solution.phi_theta(th3, r3, t3)
+        phi_r = solution.phi_r(th3, r3, t3)
         if with_cutoffs:
-            phi_th = solution.phi_theta(th3, r3, t3)
-            phi_r = solution.phi_r(th3, r3, t3)
-            zv3, zd13 = zv[:, None, None], zd1[:, None, None]
-            kv3, kd13 = kv[sl][None, None, :], kd1[sl][None, None, :]
-            psi = kv3 * zv3 * phi
-            psi_t = kd13 * zv3 * phi + kv3 * zv3 * phi_t
-            psi_th = kv3 * (zd13 * phi + zv3 * phi_th)
-            psi_r = kv3 * zv3 * phi_r
-            grad_sq = psi_t**2 + psi_th**2 + r_alpha * psi_r**2
-            out["lhs_gradient"] += s * lam * float(np.sum(sigma * grad_sq * weight * wvol))
-            out["lhs_zero_order"] += s**3 * lam**3 * float(
-                np.sum(sigma**3 * psi**2 * weight * wvol)
+            # psi = k zeta phi; its derivatives overwrite those of phi
+            kz = (zv[ith, None] * kv[None, jt])[:, None, :]
+            phi_t *= kz
+            phi_t += (zv[ith, None] * kd1[None, jt])[:, None, :] * phi
+            phi_th *= kz
+            phi_th += (zd1[ith, None] * kv[None, jt])[:, None, :] * phi
+            phi_r *= kz
+            phi *= kz
+            grad_sq = phi_t**2 + phi_th**2 + r_alpha * phi_r**2
+            sums += (
+                np.vdot(sigma * grad_sq, weight),
+                np.vdot(sigma * sigma * sigma * phi**2, weight),
             )
         else:
-            phi_th = solution.phi_theta(th3, r3, t3)
-            phi_r = solution.phi_r(th3, r3, t3)
-            kd13, kd23 = kd1[sl][None, None, :], kd2[sl][None, None, :]
             interior = s**2 * phi**2 + phi_th**2 + r_alpha * phi_r**2 + phi_t**2
-            commutator = (kd13 * phi_t + kd23 * phi) ** 2
-            out["rhs_interior"] += float(np.sum(interior * weight * wvol))
-            out["rhs_commutator"] += float(np.sum(commutator * weight * wvol))
-    return out
+            commutator = (kd1[None, None, jt] * phi_t + kd2[None, None, jt] * phi) ** 2
+            sums += (np.vdot(interior, weight), np.vdot(commutator, weight))
+    sums *= hr
+    if with_cutoffs:
+        return {
+            "lhs_gradient": s * lam * float(sums[0]),
+            "lhs_zero_order": s**3 * lam**3 * float(sums[1]),
+        }
+    return {"rhs_interior": float(sums[0]), "rhs_commutator": float(sums[1])}
 
 
 def carleman_component_integrals(
@@ -593,8 +646,8 @@ def carleman_component_integrals(
     t = np.linspace(0.0, params.T, n_t + 1)
     w_t = np.full(t.size, params.T / n_t)
     w_t[[0, -1]] *= 0.5
-    xi_top = theta[:, None] ** 2 + 1.0 - params.beta * (t[None, :] - params.t0) ** 2
-    sigma_top = np.exp(lam * xi_top)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, np.ones(1), t)
+    sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
     tr = solution.trace_r1(theta[:, None], t[None, :])
     rhs_trace = s * lam * float(np.sum(sigma_top * tr**2 * w_th[:, None] * w_t[None, :]))
 

@@ -193,9 +193,10 @@ class WeightedMatrices:
 
 
 def _tridiag_matvec(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal product along the last axis (each row of a block)."""
     y = d * x
-    y[:-1] += e * x[1:]
-    y[1:] += e * x[:-1]
+    y[..., :-1] += e * x[..., 1:]
+    y[..., 1:] += e * x[..., :-1]
     return y
 
 
@@ -450,10 +451,13 @@ class RadialBasis:
     def k_max(self) -> int:
         return self.rho.size
 
-    def consistent_gram(self) -> np.ndarray:
-        """Exact pairwise integrals int R_j R_k dr (consistent mass products)."""
-        dof = self.R[:, self.mats.i0 : self.mats.i1]
-        return dof @ np.array([self.mats.mass_action(x) for x in dof]).T
+    def consistent_gram(self, k_max: int | None = None) -> np.ndarray:
+        """Exact pairwise integrals int R_j R_k dr (consistent mass products).
+
+        Covers the first k_max pairs (all of them by default).
+        """
+        dof = self.R[:k_max, self.mats.i0 : self.mats.i1]
+        return dof @ self.mats.mass_action(dof).T
 
 
 def solve_radial_basis(
@@ -577,9 +581,10 @@ def bessel_radial_mode(
     def dR(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         z = j * r**pow_arg
-        jp = jv(nu - 1.0, z) - nu / np.where(z > 0.0, z, np.inf) * jv(nu, z)
+        j_nu = jv(nu, z)
+        jp = jv(nu - 1.0, z) - nu / np.where(z > 0.0, z, np.inf) * j_nu
         with np.errstate(divide="ignore", invalid="ignore"):
-            term1 = half * r ** (half - 1.0) * jv(nu, z)
+            term1 = half * r ** (half - 1.0) * j_nu
             term2 = r**half * jp * j * pow_arg * r ** (pow_arg - 1.0)
         return c * (term1 + term2)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -32,9 +33,16 @@ def write_csv(
     """Write a CSV report: timestamp comment, config echo, header, rows.
 
     Floats are serialized with repr so the body is bit-faithful and
-    reproducible.
+    reproducible.  Every row is checked before the file is opened, so an
+    infinite or NaN value raises NonFiniteReport and leaves no file behind.
     """
     path = Path(path)
+    body = []
+    for row in rows:
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NonFiniteReport(f"{path.name}: non-finite value {v!r} in row {row!r}")
+        body.append([repr(v) if isinstance(v, float) else v for v in row])
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
@@ -42,8 +50,7 @@ def write_csv(
         fh.write(f"# config: {_config_echo(config)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(body)
     return path
 
 

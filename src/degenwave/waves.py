@@ -420,7 +420,7 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = basis.flux[:k_max]
-    gram = basis.consistent_gram()[:k_max, :k_max]
+    gram = basis.consistent_gram(k_max)
     strips = theta_strips(delta0)
     strip_sines = _strips_overlap(n_max, strips, "sine")
     mu = np.arange(1, n_max + 1) * math.pi

@@ -2,14 +2,24 @@
 
 These deliberately avoid the package's finite element path: eigenvalues
 come from adaptive ODE shooting with a regular-singular series start, and
-reference integrals come from adaptive quadrature.
+reference integrals come from adaptive quadrature.  Optimized kernels are
+checked against their plain first versions, kept here unchanged.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
+
+from degenwave.carleman import (
+    ConjugationReport,
+    SmoothModalSolution,
+    _residual_axes,
+)
+from degenwave.params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
 
 
 def _series_start(alpha: float, rho: float, r0: float) -> tuple[float, float]:
@@ -128,3 +138,121 @@ def trapezoid_observation_norms(
         + np.einsum("nkml,nm,kl->", w_amp, g_s, np.diag(basis.rho[:k_max]) + gram)
     )
     return full, restricted, float(interior)
+
+
+def slab_conjugation_residual(
+    solution: SmoothModalSolution,
+    params: CarlemanParams,
+    shape: tuple[int, int, int] = (768, 96, 512),
+    r_min: float = 0.1,
+    zeta: CutoffSpec | None = None,
+    kcut: CutoffSpec | None = None,
+    t_chunk: int = 0,
+) -> ConjugationReport:
+    """The conjugation residual as first written: whole-theta t-slabs.
+
+    Reference for the tiled kernel in `degenwave.carleman`: every slab-sized
+    temporary is materialized and the four operator pieces P1+, P2+, P1-,
+    P2- are formed separately, exactly as the identity reads.
+    """
+    alpha = params.alpha
+    lam, s, beta = params.lam, params.s, params.beta
+    theta, r, t = _residual_axes(params, shape, r_min, params.T)
+    h_theta = theta[1] - theta[0]
+    h_r = r[1] - r[0]
+    h_t = t[1] - t[0]
+    zeta = zeta or theta_cutoff(params.delta0)
+    kcut = kcut or time_cutoff(params.epsilon, params.T)
+
+    zv, zd1, zd2 = eval_cutoff(zeta, theta)
+    two_a = 2.0 - alpha
+    r_pow = r**two_a
+    r_alpha = r**alpha
+    r_alpha_m1 = alpha * r ** (alpha - 1.0)
+    quad_rad = two_a**2 * r_pow
+
+    th_c = theta[1:-1][:, None, None]
+    zv_c = zv[1:-1][:, None, None]
+    r_c = r[1:-1][None, :, None]
+    r_alpha_c = r_alpha[1:-1][None, :, None]
+    r_alpha_m1_c = r_alpha_m1[1:-1][None, :, None]
+
+    acc_res = 0.0
+    acc_ref = 0.0
+    if t_chunk <= 0:
+        # slabs of ~1.6M points keep every temporary cache-resident
+        t_chunk = max(4, int(1.6e6 / (theta.size * r.size)))
+
+    # sigma = exp(lam xi) factorizes over the three axes; only exp(s sigma)
+    # needs a full-volume transcendental per chunk
+    sig_theta = np.exp(lam * theta**2)
+    sig_r = np.exp(lam * r_pow)
+
+    for lo in range(1, t.size - 1, t_chunk):
+        hi = min(lo + t_chunk, t.size - 1)
+        slab = slice(lo - 1, hi + 1)
+        ts = t[slab]
+        kv, kd1, kd2 = eval_cutoff(kcut, ts)
+
+        phi = solution.phi(theta[:, None, None], r[None, :, None], ts[None, None, :])
+        sig_t = np.exp(-lam * beta * (ts - params.t0) ** 2)
+        sigma = sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
+        esig = np.exp(s * sigma)
+        eta = esig * ((zv[:, None] * kv[None, :])[:, None, :] * phi)
+
+        # second-order centered differences, sliced to the common interior
+        eta_tt = (eta[:, :, 2:] - 2.0 * eta[:, :, 1:-1] + eta[:, :, :-2])[1:-1, 1:-1, :] / h_t**2
+        eta_t = (eta[:, :, 2:] - eta[:, :, :-2])[1:-1, 1:-1, :] / (2.0 * h_t)
+        eta_thth = (eta[2:] - 2.0 * eta[1:-1] + eta[:-2])[:, 1:-1, 1:-1] / h_theta**2
+        eta_th = (eta[2:] - eta[:-2])[:, 1:-1, 1:-1] / (2.0 * h_theta)
+        eta_rr = (eta[:, 2:] - 2.0 * eta[:, 1:-1] + eta[:, :-2])[1:-1, :, 1:-1] / h_r**2
+        eta_r = (eta[:, 2:] - eta[:, :-2])[1:-1, :, 1:-1] / (2.0 * h_r)
+
+        sig_i = sigma[1:-1, 1:-1, 1:-1]
+        eta_i = eta[1:-1, 1:-1, 1:-1]
+        ts_i = ts[1:-1][None, None, :]
+        xi_t = -2.0 * beta * (ts_i - params.t0)
+        sigma_t = lam * sig_i * xi_t
+        b = xi_t**2 - (4.0 * th_c**2 + quad_rad[1:-1][None, :, None])
+
+        p1_plus = eta_tt - (eta_thth + r_alpha_c * eta_rr + r_alpha_m1_c * eta_r)
+        p2_plus = s**2 * lam**2 * sig_i**2 * b * eta_i
+        p1_minus = 2.0 * s * (
+            -eta_t * sigma_t
+            + lam * sig_i * (2.0 * th_c * eta_th + two_a * r_c * eta_r)
+        )
+        p2_minus = s * eta_i * ((4.0 - alpha + 2.0 * beta) * lam * sig_i - lam**2 * sig_i * b)
+
+        phi_i = phi[1:-1, 1:-1, 1:-1]
+        phi_t = solution.phi_t(
+            theta[1:-1][:, None, None], r[1:-1][None, :, None], ts[1:-1][None, None, :]
+        )
+        phi_th = solution.phi_theta(
+            theta[1:-1][:, None, None], r[1:-1][None, :, None], ts[1:-1][None, None, :]
+        )
+        kv_i = kv[1:-1][None, None, :]
+        kd1_i = kd1[1:-1][None, None, :]
+        kd2_i = kd2[1:-1][None, None, :]
+        h_src = (
+            2.0 * zv_c * kd1_i * phi_t
+            + zv_c * kd2_i * phi_i
+            - 2.0 * kv_i * zd1[1:-1][:, None, None] * phi_th
+            - kv_i * zd2[1:-1][:, None, None] * phi_i
+        )
+        lhs = esig[1:-1, 1:-1, 1:-1] * h_src
+
+        diff = lhs - (p1_plus + p2_plus + p1_minus + p2_minus)
+        acc_res += float(np.sum(diff**2))
+        acc_ref += float(np.sum(lhs**2))
+
+    vol = h_theta * h_r * h_t
+    res = math.sqrt(acc_res * vol)
+    ref = math.sqrt(acc_ref * vol)
+    return ConjugationReport(
+        residual_norm=res,
+        reference_norm=ref,
+        relative=res / max(ref, np.finfo(float).tiny),
+        shape=shape,
+        spacings=(h_theta, h_r, h_t),
+        r_min=r_min,
+    )

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import slab_conjugation_residual
 
+from degenwave import carleman
 from degenwave.carleman import (
     SmoothModalSolution,
     bessel_mode,
@@ -226,6 +229,59 @@ class TestPSplittingCompleteness:
         err = np.sqrt(np.mean((lhs - rhs) ** 2)) / scale
         assert err < 0.02  # pure finite-difference discrepancy
 
+    def test_identity_with_analytic_derivatives(self, carleman_params):
+        """The fused P+ eta + P- eta equals exp(s sigma)(psi_tt - Div(A grad psi))
+        to roundoff when every derivative of eta = exp(s sigma) psi is exact:
+        the product rule runs through the closed-form weight package."""
+        alpha = 0.5
+        p = carleman_params
+        lam, s, beta = p.lam, p.s, p.beta
+        rng = np.random.default_rng(8)
+        th, r, t = rng.uniform([0.05, 0.05, 1.0], [0.95, 0.95, p.T - 1.0], size=(1000, 3)).T
+
+        # psi = sin(2 theta + 0.3) cos(1.3 r) g(t), g = exp(-((t - 16)/6)^2)
+        ang, d_ang = np.sin(2.0 * th + 0.3), 2.0 * np.cos(2.0 * th + 0.3)
+        rad, d_rad = np.cos(1.3 * r), -1.3 * np.sin(1.3 * r)
+        g = np.exp(-(((t - 16.0) / 6.0) ** 2))
+        d_g = -2.0 * (t - 16.0) / 36.0 * g
+        dd_g = (-2.0 / 36.0 + (2.0 * (t - 16.0) / 36.0) ** 2) * g
+        psi = ang * rad * g
+        psi_t, psi_tt = ang * rad * d_g, ang * rad * dd_g
+        psi_th, psi_thth = d_ang * rad * g, -4.0 * psi
+        psi_r, psi_rr = ang * d_rad * g, -1.69 * psi
+
+        w = eval_xi_sigma(p, alpha, (th, r, t))
+        esig = np.exp(s * w.sigma)
+
+        def first(sig_1, psi_1):
+            return esig * (s * sig_1 * psi + psi_1)
+
+        def second(sig_1, sig_2, psi_1, psi_2):
+            return esig * (
+                (s * sig_1) ** 2 * psi + s * sig_2 * psi + 2.0 * s * sig_1 * psi_1 + psi_2
+            )
+
+        eta = esig * psi
+        eta_t, eta_tt = first(w.sigma_t, psi_t), second(w.sigma_t, w.sigma_tt, psi_t, psi_tt)
+        eta_th = first(w.sigma_grad_theta, psi_th)
+        eta_thth = second(w.sigma_grad_theta, w.sigma_hess_theta_theta, psi_th, psi_thth)
+        eta_r = first(w.sigma_grad_r, psi_r)
+        eta_rr = second(w.sigma_grad_r, w.sigma_hess_rr, psi_r, psi_rr)
+
+        # the algebra of conjugation_residual: P1+, fused P1-, fused P2+ + P2-
+        xi_t = -2.0 * beta * (t - p.t0)
+        b = eval_b(p, alpha, (th, r, t))
+        slam_sigma = s * lam * w.sigma
+        p1_plus = eta_tt - (eta_thth + r**alpha * eta_rr + alpha * r ** (alpha - 1.0) * eta_r)
+        p1_minus = 2.0 * slam_sigma * (
+            -xi_t * eta_t + 2.0 * th * eta_th + (2.0 - alpha) * r * eta_r
+        )
+        p2 = slam_sigma * (slam_sigma * b + (4.0 - alpha + 2.0 * beta) - lam * b) * eta
+
+        lhs = esig * (psi_tt - (psi_thth + r**alpha * psi_rr + alpha * r ** (alpha - 1.0) * psi_r))
+        err = np.linalg.norm(p1_plus + p1_minus + p2 - lhs) / np.linalg.norm(lhs)
+        assert err <= 1e-10
+
 
 class TestConjugationResidual:
     def test_zero_solution(self, carleman_params):
@@ -264,6 +320,45 @@ class TestConjugationResidual:
                 bessel_solution, carleman_params, shape=(64, 8, 16), r_min=-0.1
             )
 
+    @pytest.mark.parametrize("case", ["one_mode", "two_modes", "s_zero"])
+    def test_matches_slab_kernel(self, carleman_params, bessel_solution, case):
+        shape = {"one_mode": (576, 12, 48), "two_modes": (768, 24, 128), "s_zero": (384, 24, 96)}[case]
+        params, sol = carleman_params, bessel_solution
+        if case == "two_modes":
+            sol = SmoothModalSolution(
+                0.5,
+                (bessel_mode(0.5, 1, 1, a=1.0, b=0.3), bessel_mode(0.5, 2, 2, a=-0.4, b=0.2)),
+            )
+        if case == "s_zero":
+            params = dataclasses.replace(carleman_params, s=0.0)
+        tiled = conjugation_residual(sol, params, shape=shape)
+        slab = slab_conjugation_residual(sol, params, shape=shape)
+        assert tiled.residual_norm == pytest.approx(slab.residual_norm, rel=1e-12)
+        assert tiled.reference_norm == pytest.approx(slab.reference_norm, rel=1e-12)
+
+    def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
+        shape = (96, 16, 48)  # interior 95 x 16 x 47 points
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 97 * 16 * 49)
+        one_tile = conjugation_residual(bessel_solution, carleman_params, shape=shape)
+        # 10 x 16 x 10 tiles: 8 x 8 interior points, ragged 7 at both far edges
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 16 * 10)
+        theta, r, t = carleman._residual_axes(carleman_params, shape, 0.1, carleman_params.T)
+        tiles = list(carleman._weight_tiles(carleman_params, theta, r, t, halo=1))
+        assert {ith.stop - ith.start - 2 for ith, _, _ in tiles} == {8, 7}
+        assert {jt.stop - jt.start - 2 for _, jt, _ in tiles} == {8, 7}
+        tiled = conjugation_residual(bessel_solution, carleman_params, shape=shape)
+        assert tiled.residual_norm == pytest.approx(one_tile.residual_norm, rel=1e-13)
+        assert tiled.reference_norm == pytest.approx(one_tile.reference_norm, rel=1e-13)
+
+    def test_memory_bound(self, carleman_params, bessel_solution):
+        tracemalloc.start()
+        try:
+            conjugation_residual(bessel_solution, carleman_params, shape=(2304, 24, 128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+
 
 class TestComponentIntegrals:
     def test_zero_solution(self, carleman_params):
@@ -272,6 +367,28 @@ class TestComponentIntegrals:
         assert out.lhs_gradient == 0.0
         assert out.lhs_zero_order == 0.0
         assert out.rhs_trace == 0.0
+
+    def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
+        grid = dict(n_theta=48, n_r=32, n_t=64)
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 49 * 32 * 65)
+        one_tile = carleman_component_integrals(bessel_solution, carleman_params, **grid)
+        # 10 x 32 x 10 tiles: the 49 x 65 core and 33 x 65 strip grids end ragged
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 32 * 10)
+        tiled = carleman_component_integrals(bessel_solution, carleman_params, **grid)
+        for field in (
+            "lhs_gradient", "lhs_zero_order", "rhs_trace", "rhs_interior",
+            "rhs_commutator", "chat",
+        ):
+            assert getattr(tiled, field) == pytest.approx(getattr(one_tile, field), rel=1e-13)
+
+    def test_memory_bound(self, carleman_params, bessel_solution):
+        tracemalloc.start()
+        try:
+            carleman_component_integrals(bessel_solution, carleman_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
 
     def test_quadrature_refinement(self, carleman_params, bessel_solution):
         coarse = carleman_component_integrals(

@@ -24,6 +24,12 @@ def csv_body(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
 
 
+def assert_finite_csv(path):
+    """Every data cell of a CSV report parses as a finite number."""
+    for line in csv_body(path)[1:]:
+        assert all(math.isfinite(float(v)) for v in line.split(",")), line
+
+
 class TestSpectrum:
     def test_writes_table_and_reruns_identically(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -95,6 +101,16 @@ class TestConfigHandling:
         assert err["kind"] == "NonFiniteReport"
         assert not (tmp_path / "carleman.json").exists()
 
+    def test_non_finite_csv_rejected(self, tmp_path):
+        res = run_cli(
+            "carleman-check", "--lam", "2", "--s", "2", "--s-scan", "2,8",
+            "--out", str(tmp_path),
+        )
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["kind"] == "NonFiniteReport"
+        assert not (tmp_path / "carleman_scan.csv").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         res = run_cli(
             "validate-params", "--t-horizon", "10", "--out", str(tmp_path)
@@ -126,6 +142,18 @@ class TestObservabilityCommand:
         body = csv_body(tmp_path / "obstruction.csv")
         assert body[0] == "n,pure_ratio,remedied_ratio"
         assert len(body) == 5
+        assert_finite_csv(tmp_path / "obstruction.csv")
+
+    def test_ensemble_artifacts(self, tmp_path):
+        res = run_cli(
+            "observability", "--mode", "ensemble", "--size", "8", "--n-max", "4",
+            "--k-max", "4", "--out", str(tmp_path),
+        )
+        assert res.returncode == 0, res.stderr
+        body = csv_body(tmp_path / "ensemble.csv")
+        assert body[0] == "member,ratio_base,ratio_doubled"
+        assert len(body) == 9
+        assert_finite_csv(tmp_path / "ensemble.csv")
 
 
 class TestSimulateCommand:

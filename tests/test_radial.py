@@ -214,6 +214,22 @@ class TestEigenpairs:
         assert np.max(np.abs(diffs)) < 2.5  # no jumps at fixed mesh
 
 
+class TestConsistentGram:
+    def test_block_product_matches_per_vector_loop(self, basis05_k64):
+        mats = basis05_k64.mats
+        dof = basis05_k64.R[:, mats.i0 : mats.i1]
+        loop = dof @ np.array([mats.mass_action(x) for x in dof]).T
+        gram = basis05_k64.consistent_gram()
+        assert gram.shape == (64, 64)
+        assert np.max(np.abs(gram - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+    def test_leading_block(self, basis05_k64):
+        full = basis05_k64.consistent_gram()
+        lead = basis05_k64.consistent_gram(5)
+        assert lead.shape == (5, 5)
+        assert np.max(np.abs(lead - full[:5, :5])) <= 1e-14 * np.max(np.abs(full))
+
+
 class TestEllipticIdentity:
     def test_eigenfunction_with_zero_tangential(self, basis05):
         rep = elliptic_identity_residual(basis05, 0.0, [1.0])
