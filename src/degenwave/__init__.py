@@ -13,6 +13,7 @@ from .carleman import (
     ComponentIntegrals,
     ConjugationReport,
     SmoothModalSolution,
+    SmoothMode,
     WeightDerivatives,
     WeightField,
     bessel_mode,
@@ -37,7 +38,6 @@ from .errors import (
     GridMismatch,
     InsufficientData,
     InvalidMeshSpec,
-    NoAdmissibleEpsilon,
     NonFiniteReport,
     NonPositiveInput,
     TimeTooShort,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateCellTouched, GridMismatch
 from .params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
-from .radial import bessel_radial_mode
+from .radial import _trapezoid_weights, bessel_radial_mode
 
 __all__ = [
     "WeightDerivatives",
@@ -108,7 +108,7 @@ def eval_xi_sigma(params: CarlemanParams, alpha: float, point) -> WeightDerivati
         inv_pow = np.where(r > 0.0, r ** (-alpha), np.inf)
     hess_rr = two_a * (1.0 - alpha) * inv_pow
     quad = 4.0 * theta**2 + two_a**2 * r**two_a
-    b = xi_t**2 - quad
+    b = eval_b(params, alpha, point)
     div_a = (4.0 - alpha) * lam * sigma + lam**2 * sigma * quad
     sig_tt = -2.0 * beta * lam * sigma + 4.0 * beta**2 * lam**2 * sigma * (t - t0) ** 2
 
@@ -549,13 +549,11 @@ def _weighted_region_integrals(
     """
     alpha, lam, s = params.alpha, params.lam, params.s
     theta = np.linspace(theta_lo, theta_hi, n_theta + 1)
-    w_th = np.full(theta.size, (theta_hi - theta_lo) / n_theta)
-    w_th[[0, -1]] *= 0.5
+    w_th = _trapezoid_weights(n_theta, (theta_hi - theta_lo) / n_theta)
     hr = 1.0 / n_r
     r = (np.arange(n_r) + 0.5) * hr
     t = np.linspace(0.0, params.T, n_t + 1)
-    w_t = np.full(t.size, params.T / n_t)
-    w_t[[0, -1]] *= 0.5
+    w_t = _trapezoid_weights(n_t, params.T / n_t)
     zv, zd1, _ = eval_cutoff(zeta, theta)
     kv, kd1, kd2 = eval_cutoff(kcut, t)
     r3 = r[None, :, None]
@@ -641,11 +639,9 @@ def carleman_component_integrals(
 
     # restricted top-side trace: s l int sigma (d_r phi)^2, no exponential
     theta = np.linspace(d0, 1.0 - d0, n_theta + 1)
-    w_th = np.full(theta.size, (1.0 - 2.0 * d0) / n_theta)
-    w_th[[0, -1]] *= 0.5
+    w_th = _trapezoid_weights(n_theta, (1.0 - 2.0 * d0) / n_theta)
     t = np.linspace(0.0, params.T, n_t + 1)
-    w_t = np.full(t.size, params.T / n_t)
-    w_t[[0, -1]] *= 0.5
+    w_t = _trapezoid_weights(n_t, params.T / n_t)
     sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, np.ones(1), t)
     sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
     tr = solution.trace_r1(theta[:, None], t[None, :])

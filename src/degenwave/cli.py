@@ -27,7 +27,12 @@ from .carleman import (
 )
 from .errors import ConfigError, DegenWaveError
 from .params import DomainSpec, carleman_params_to_json, validate_carleman_params
-from .radial import build_graded_mesh, solve_radial_basis
+from .radial import (
+    _EIGENPAIR_COLUMNS,
+    _eigenpair_rows,
+    build_graded_mesh,
+    solve_radial_basis,
+)
 from .waves import energy_series, observation_norms, random_state
 
 ENV_PREFIX = "DEGENWAVE_"
@@ -155,24 +160,7 @@ def _int_list(text: str) -> list[int]:
 
 def _run_spectrum(cfg: dict, out: Path) -> None:
     basis = solve_radial_basis(cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["kmax"])
-    rows = [
-        (
-            k + 1,
-            float(basis.rho[k]),
-            float(basis.flux[k]),
-            float(basis.weighted_energy[k]),
-            basis.mesh.n_cells,
-            basis.mesh.grading,
-            basis.alpha,
-        )
-        for k in range(basis.k_max)
-    ]
-    reports.write_csv(
-        out / "spectrum.csv",
-        ["k", "rho", "flux_at_1", "weighted_energy", "mesh_N", "grading", "alpha"],
-        rows,
-        cfg,
-    )
+    reports.write_csv(out / "spectrum.csv", _EIGENPAIR_COLUMNS, _eigenpair_rows(basis), cfg)
 
 
 def _run_simulate(cfg: dict, out: Path) -> None:

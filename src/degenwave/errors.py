@@ -17,10 +17,6 @@ class BetaOutOfRange(DegenWaveError):
     """Carleman weight curvature outside its admissible interval."""
 
 
-class NoAdmissibleEpsilon(DegenWaveError):
-    """Grid search found no band half-width certifying the weight estimates."""
-
-
 class InvalidMeshSpec(DegenWaveError):
     """Mesh construction parameters are unusable."""
 

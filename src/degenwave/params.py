@@ -4,9 +4,9 @@ The diffusion matrix is diag(1, r^alpha) on the unit square with coordinates
 z = (theta, r).  This module owns the degeneracy exponent, the interior /
 boundary region bookkeeping driven by the corner margin delta0, the Carleman
 weight parameters (lambda, s, beta, t0, T) together with their derived
-admissibility data (gamma, gamma_hat, epsilon, A0, A1), and the two smooth
-cutoffs: the angular plateau cutoff and the temporal plateau cutoff.  All
-types are immutable; all functions are pure.
+admissibility data (gamma, gamma_hat, epsilon, A0, A1), each in closed form,
+and the two smooth cutoffs: the angular plateau cutoff and the temporal
+plateau cutoff.  All types are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -17,16 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    BetaOutOfRange,
-    NoAdmissibleEpsilon,
-    NonPositiveInput,
-    TimeTooShort,
-)
-
-#: grid density (points per unit length per axis) used when certifying the
-#: weight sign conditions that select epsilon and gamma_hat
-CERTIFICATION_GRID_PER_UNIT = 256
+from .errors import BetaOutOfRange, NonPositiveInput, TimeTooShort
 
 
 @dataclass(frozen=True)
@@ -138,45 +129,6 @@ def observation_time_threshold(delta0: float, beta: float) -> float:
     return max(4.0 * delta0 ** -0.5, math.sqrt(8.0 / beta))
 
 
-def _xi_spatial_range(alpha: float, grid_per_unit: int) -> tuple[float, float]:
-    """Min and max of theta^2 + r^(2-alpha) over a spatial certification grid."""
-    n = max(2, grid_per_unit)
-    axis = np.linspace(0.0, 1.0, n + 1)
-    spatial = axis[:, None] ** 2 + axis[None, :] ** (2.0 - alpha)
-    return float(spatial.min()), float(spatial.max())
-
-
-def _band_certified(
-    alpha: float,
-    beta: float,
-    T: float,
-    gamma_hat: float,
-    epsilon: float,
-    grid_per_unit: int,
-    spatial_range: tuple[float, float] | None = None,
-) -> bool:
-    """Grid check of the two band conditions on xi for a candidate epsilon.
-
-    Outer bands (0, 2*epsilon) and (T - 2*epsilon, T): xi <= -2*gamma_hat
-    everywhere.  Center band |t - T/2| <= epsilon: xi >= -gamma_hat
-    everywhere.  Band endpoints are always included, so the check is
-    conservative under refinement (xi is monotone in |t - T/2|).
-    """
-    lo, hi = spatial_range or _xi_spatial_range(alpha, grid_per_unit)
-    t0 = 0.5 * T
-
-    def tgrid(a: float, b: float) -> np.ndarray:
-        n = max(2, int(math.ceil((b - a) * grid_per_unit)))
-        return np.linspace(a, b, n + 1)
-
-    for a, b in ((0.0, 2.0 * epsilon), (T - 2.0 * epsilon, T)):
-        xi_max = hi - beta * (tgrid(a, b) - t0) ** 2
-        if not np.all(xi_max <= -2.0 * gamma_hat):
-            return False
-    xi_min = lo - beta * (tgrid(t0 - epsilon, t0 + epsilon) - t0) ** 2
-    return bool(np.all(xi_min >= -gamma_hat))
-
-
 def validate_carleman_params(
     alpha: float,
     domain: DomainSpec,
@@ -184,25 +136,33 @@ def validate_carleman_params(
     T: float,
     lam: float = 1.0,
     s: float = 2.0,
-    grid_per_unit: int = CERTIFICATION_GRID_PER_UNIT,
 ) -> CarlemanParams:
     """Validate raw weight parameters and derive the admissibility package.
 
     gamma is set to half its maximal admissible value,
-    gamma = (min{delta0, beta} T^2 - 8)/8, gamma_hat = gamma/4, and epsilon
-    is the largest band half-width in (0, T/16) certified on a dense grid,
-    found by bisection and shrunk by a small safety factor.
+    gamma = (min{delta0, beta} T^2 - 8)/8, and gamma_hat = gamma/4.  On the
+    unit square theta^2 + r^(2-alpha) spans exactly [0, 2] and both band
+    conditions on xi are monotone in |t - T/2|, so the largest admissible
+    band half-width is the closed form
+    min{sqrt(gamma_hat/beta), (T/2 - sqrt((2 + 2 gamma_hat)/beta))/2, T/16};
+    epsilon is that value with the cap just below T/16, shrunk by 0.999.
+    Both bounds are positive whenever gamma_hat is, that is above the
+    threshold beta T^2 > 8.
 
     Raises:
-        NonPositiveInput: a raw scalar is not positive.
-        BetaOutOfRange: beta outside (0, min{(2-alpha)^2/8, delta0}/2).
-        TimeTooShort: T at or below the observation threshold.
-        NoAdmissibleEpsilon: certification failed for every candidate.
+        NonPositiveInput: a raw scalar is not positive and finite, or
+            A1 = exp(-2 lam gamma_hat) < A0 = exp(-lam gamma_hat) fails in
+            floating point.
+        BetaOutOfRange: beta outside (0, min{(2-alpha)^2/8, delta0}/2].
+        TimeTooShort: T at or below the observation threshold, or within
+            rounding of it, so that gamma_hat is not positive in floating
+            point.
     """
     DegeneracyParams(alpha)
     delta0 = domain.delta0
-    if min(beta, T, lam, s) <= 0.0:
-        raise NonPositiveInput("beta, T, lambda, s must all be positive")
+    raw = np.array([beta, T, lam, s])
+    if not np.all((raw > 0.0) & (raw < math.inf)):
+        raise NonPositiveInput("beta, T, lambda, s must all be positive and finite")
     bmax = beta_upper_bound(alpha, delta0)
     # the endpoint beta = bmax is admitted: every derived quantity stays
     # well defined there, and the canonical configuration delta0 = 0.01,
@@ -215,35 +175,29 @@ def validate_carleman_params(
 
     gamma = (min(delta0, beta) * T * T - 8.0) / 8.0
     gamma_hat = 0.25 * gamma
-    spatial = _xi_spatial_range(alpha, grid_per_unit)
-
-    def ok(eps: float) -> bool:
-        return _band_certified(
-            alpha, beta, T, gamma_hat, eps, grid_per_unit, spatial_range=spatial
+    if not gamma_hat > 0.0:
+        raise TimeTooShort(
+            f"T = {T} is within rounding of the threshold {threshold}: "
+            f"gamma_hat = {gamma_hat} in floating point"
         )
-
-    # just above the horizon threshold the admissible half-width shrinks to
-    # zero with gamma, so the certified starting point must shrink too
-    lo = T * 1e-6
-    while lo > T * 1e-16 and not ok(lo):
-        lo /= 10.0
-    if not ok(lo):
-        raise NoAdmissibleEpsilon(
-            "no band half-width certifies the weight sign conditions"
+    # center band |t - T/2| <= epsilon: xi >= -beta epsilon^2 >= -gamma_hat;
+    # outer bands within 2 epsilon of 0 or T:
+    # xi <= 2 - beta (T/2 - 2 epsilon)^2 <= -2 gamma_hat.  beta <= delta0/2
+    # gives T^2/4 - (2 + 2 gamma_hat)/beta = 6 gamma_hat/beta, so the outer
+    # bound is written without the cancellation in T/2 - sqrt(...)
+    root = math.sqrt((2.0 + 2.0 * gamma_hat) / beta)
+    epsilon = 0.999 * min(
+        math.sqrt(gamma_hat / beta),
+        3.0 * gamma_hat / (beta * (0.5 * T + root)),
+        T / 16.0 * (1.0 - 1e-9),
+    )
+    A0 = math.exp(-lam * gamma_hat)
+    A1 = math.exp(-2.0 * lam * gamma_hat)
+    if not A1 < A0:
+        raise NonPositiveInput(
+            f"A1 = exp(-2 lam gamma_hat) < A0 = exp(-lam gamma_hat) fails in "
+            f"floating point at lam = {lam}, gamma_hat = {gamma_hat}"
         )
-    hi = T / 16.0 * (1.0 - 1e-9)
-    if ok(hi):
-        lo = hi
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-    epsilon = 0.999 * lo
-    if not ok(epsilon):  # pragma: no cover - safety margin never fails
-        raise NoAdmissibleEpsilon("bisection produced an uncertified epsilon")
 
     return CarlemanParams(
         alpha=alpha,
@@ -256,8 +210,8 @@ def validate_carleman_params(
         gamma=gamma,
         gamma_hat=gamma_hat,
         epsilon=epsilon,
-        A0=math.exp(-lam * gamma_hat),
-        A1=math.exp(-2.0 * lam * gamma_hat),
+        A0=A0,
+        A1=A1,
     )
 
 

@@ -106,6 +106,13 @@ def build_uniform_mesh(N: int, a: float = 0.0, b: float = 1.0) -> RadialMesh:
     return RadialMesh(np.linspace(a, b, N + 1))
 
 
+def _trapezoid_weights(intervals: int, h: float) -> np.ndarray:
+    """Composite trapezoidal weights on intervals + 1 equispaced nodes of step h."""
+    w = np.full(intervals + 1, h)
+    w[[0, -1]] = 0.5 * h
+    return w
+
+
 def power_integral(a: np.ndarray, b: np.ndarray, m: float) -> np.ndarray:
     """Exact integral of r^m over [a, b]; +inf where it diverges at a = 0."""
     a = np.asarray(a, dtype=float)
@@ -552,9 +559,7 @@ def bessel_eigenvalue(alpha: float, k: int) -> float:
 
     rho_k = ((2-alpha)/2)^2 j_{nu,k}^2 with nu = (1-alpha)/(2-alpha).
     """
-    nu = (1.0 - alpha) / (2.0 - alpha)
-    j = _bessel_root(nu, k)
-    return ((2.0 - alpha) / 2.0 * j) ** 2
+    return bessel_radial_mode(alpha, k)[0]
 
 
 def bessel_radial_mode(
@@ -597,21 +602,29 @@ def bessel_radial_mode(
 # ---------------------------------------------------------------------------
 
 
+_EIGENPAIR_COLUMNS = ("k", "rho", "flux_at_1", "weighted_energy", "mesh_N", "grading", "alpha")
+
+
+def _eigenpair_rows(basis: RadialBasis) -> list[tuple]:
+    """One row per eigenpair in the column order of _EIGENPAIR_COLUMNS."""
+    return [
+        (
+            k + 1,
+            float(basis.rho[k]),
+            float(basis.flux[k]),
+            float(basis.weighted_energy[k]),
+            basis.mesh.n_cells,
+            basis.mesh.grading,
+            basis.alpha,
+        )
+        for k in range(basis.k_max)
+    ]
+
+
 def eigenpairs_to_csv(basis: RadialBasis) -> str:
     """Eigenpair table with columns k, rho, flux_at_1, weighted_energy, mesh_N, grading, alpha."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "rho", "flux_at_1", "weighted_energy", "mesh_N", "grading", "alpha"])
-    for k in range(basis.k_max):
-        writer.writerow(
-            [
-                k + 1,
-                repr(float(basis.rho[k])),
-                repr(float(basis.flux[k])),
-                repr(float(basis.weighted_energy[k])),
-                basis.mesh.n_cells,
-                basis.mesh.grading,
-                basis.alpha,
-            ]
-        )
+    writer.writerow(_EIGENPAIR_COLUMNS)
+    writer.writerows(_eigenpair_rows(basis))
     return buf.getvalue()

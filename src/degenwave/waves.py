@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridMismatch, TruncationTooSmall
 from .params import theta_strips
-from .radial import RadialBasis
+from .radial import RadialBasis, _trapezoid_weights
 
 __all__ = [
     "ModalCoefficients",
@@ -114,15 +114,6 @@ def modal_state(
     )
 
 
-def _lumped_full(basis: RadialBasis) -> np.ndarray:
-    """Row sums of the full consistent mass (the discrete L2 weights, all nodes)."""
-    mats = basis.mats
-    row = mats.md.copy()
-    row[:-1] += mats.me
-    row[1:] += mats.me
-    return row
-
-
 def project_initial_data(
     phi0: Callable | Mapping[tuple[int, int], float] | None,
     phi1: Callable | Mapping[tuple[int, int], float] | None,
@@ -141,7 +132,9 @@ def project_initial_data(
     basis elements project to exact unit coefficients.
     """
     omega, omega_sq = _frequencies(basis, n_max, k_max)
-    weights = _lumped_full(basis)
+    # R vanishes off the dof window, so the radial product needs only its nodes
+    mats = basis.mats
+    dof = slice(mats.i0, mats.i1)
     nodes = basis.mesh.nodes
 
     def project(field) -> np.ndarray:
@@ -150,14 +143,13 @@ def project_initial_data(
         if isinstance(field, Mapping):
             return modal_state(basis, n_max, k_max, amplitudes=field).a
         theta = np.linspace(0.0, 1.0, n_theta + 1)
-        w_theta = np.full(n_theta + 1, 1.0 / n_theta)
-        w_theta[[0, -1]] = 0.5 / n_theta
+        w_theta = _trapezoid_weights(n_theta, 1.0 / n_theta)
         vals = np.asarray(field(theta[:, None], nodes[None, :]), dtype=float)
         if vals.shape != (theta.size, nodes.size):
             raise GridMismatch("field callable must broadcast on (theta, r) grids")
         sines = np.sin(np.outer(np.arange(1, n_max + 1) * math.pi, theta))
         c = 2.0 * (sines * w_theta) @ vals  # (n_max, n_nodes)
-        return (c * weights) @ basis.R[:k_max].T
+        return (c[:, dof] * mats.lumped) @ basis.R[:k_max, dof].T
 
     return ModalCoefficients(
         basis=basis, a=project(phi0), b=project(phi1), omega=omega, omega_sq=omega_sq
@@ -221,8 +213,7 @@ def duhamel_forcing(
     if j == 0:
         return free
     s_grid = np.arange(j + 1) * dt
-    w_trap = np.full(j + 1, dt)
-    w_trap[[0, -1]] = 0.5 * dt
+    w_trap = _trapezoid_weights(j, dt)
     w = state.omega[..., None]
     phase = w * (t - s_grid)
     f = f_hat[:, :, : j + 1]

@@ -3,7 +3,9 @@
 These deliberately avoid the package's finite element path: eigenvalues
 come from adaptive ODE shooting with a regular-singular series start, and
 reference integrals come from adaptive quadrature.  Optimized kernels are
-checked against their plain first versions, kept here unchanged.
+checked against their plain first versions, kept here unchanged; the closed
+form Carleman band half-width is checked against the grid certificate that
+the validator used to search with.
 """
 
 from __future__ import annotations
@@ -138,6 +140,45 @@ def trapezoid_observation_norms(
         + np.einsum("nkml,nm,kl->", w_amp, g_s, np.diag(basis.rho[:k_max]) + gram)
     )
     return full, restricted, float(interior)
+
+
+def _xi_spatial_range(alpha: float, grid_per_unit: int) -> tuple[float, float]:
+    """Min and max of theta^2 + r^(2-alpha) over a spatial certification grid."""
+    n = max(2, grid_per_unit)
+    axis = np.linspace(0.0, 1.0, n + 1)
+    spatial = axis[:, None] ** 2 + axis[None, :] ** (2.0 - alpha)
+    return float(spatial.min()), float(spatial.max())
+
+
+def _band_certified(
+    alpha: float,
+    beta: float,
+    T: float,
+    gamma_hat: float,
+    epsilon: float,
+    grid_per_unit: int,
+    spatial_range: tuple[float, float] | None = None,
+) -> bool:
+    """Grid check of the two band conditions on xi for a candidate epsilon.
+
+    Outer bands (0, 2*epsilon) and (T - 2*epsilon, T): xi <= -2*gamma_hat
+    everywhere.  Center band |t - T/2| <= epsilon: xi >= -gamma_hat
+    everywhere.  Band endpoints are always included, so the check is
+    conservative under refinement (xi is monotone in |t - T/2|).
+    """
+    lo, hi = spatial_range or _xi_spatial_range(alpha, grid_per_unit)
+    t0 = 0.5 * T
+
+    def tgrid(a: float, b: float) -> np.ndarray:
+        n = max(2, int(math.ceil((b - a) * grid_per_unit)))
+        return np.linspace(a, b, n + 1)
+
+    for a, b in ((0.0, 2.0 * epsilon), (T - 2.0 * epsilon, T)):
+        xi_max = hi - beta * (tgrid(a, b) - t0) ** 2
+        if not np.all(xi_max <= -2.0 * gamma_hat):
+            return False
+    xi_min = lo - beta * (tgrid(t0 - epsilon, t0 + epsilon) - t0) ** 2
+    return bool(np.all(xi_min >= -gamma_hat))
 
 
 def slab_conjugation_residual(

@@ -41,6 +41,14 @@ class TestSpectrum:
         assert len(body1) == 9  # header + 8 eigenpairs
         assert body1 == csv_body(out2 / "spectrum.csv")
 
+    def test_body_matches_library_table(self, tmp_path):
+        from degenwave.radial import eigenpairs_to_csv, solve_radial_basis
+
+        res = run_cli("spectrum", "--n", "256", "--kmax", "5", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        basis = solve_radial_basis(0.5, N=256, g=2.0, k_max=5)
+        assert csv_body(tmp_path / "spectrum.csv") == eigenpairs_to_csv(basis).splitlines()
+
     def test_env_override(self, tmp_path):
         res = run_cli(
             "spectrum", "--n", "256", "--out", str(tmp_path),
@@ -121,6 +129,26 @@ class TestConfigHandling:
 
 
 class TestValidateParams:
+    def test_threshold_rounding_is_json_error(self, tmp_path):
+        # gamma rounds to zero just above the threshold
+        res = run_cli(
+            "validate-params", "--delta0", "0.019000000000000003",
+            "--beta", "0.008025862068965517", "--t-horizon", "31.571785797319002",
+            "--out", str(tmp_path),
+        )
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["kind"] == "TimeTooShort"
+
+    def test_absorption_underflow_is_json_error(self, tmp_path):
+        # A0 = exp(-lam gamma_hat) and A1 = exp(-2 lam gamma_hat) underflow to 0
+        res = run_cli(
+            "validate-params", "--t-horizon", "2000", "--lam", "2", "--out", str(tmp_path)
+        )
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["kind"] == "NonPositiveInput"
+        assert "lam" in err["error"] and "gamma_hat" in err["error"]
+
     def test_derived_quantities_emitted(self, tmp_path):
         res = run_cli(
             "validate-params", "--alpha", "0.5", "--delta0", "0.01",

@@ -12,10 +12,8 @@ from degenwave.errors import (
     TimeTooShort,
 )
 from degenwave.params import (
-    CERTIFICATION_GRID_PER_UNIT,
     DegeneracyParams,
     DomainSpec,
-    _band_certified,
     beta_upper_bound,
     carleman_params_from_json,
     carleman_params_to_json,
@@ -26,6 +24,7 @@ from degenwave.params import (
     time_cutoff,
     validate_carleman_params,
 )
+from oracles import _band_certified
 
 
 class TestDegeneracyParams:
@@ -100,12 +99,55 @@ class TestValidateCarlemanParams:
         with pytest.raises(NonPositiveInput):
             validate_carleman_params(0.5, DomainSpec(0.01), beta=0.005, T=50.0, s=0.0)
 
+    def test_rejects_non_finite_scalars(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonPositiveInput):
+                validate_carleman_params(0.5, DomainSpec(0.01), beta=0.005, T=50.0, s=bad)
+            with pytest.raises(NonPositiveInput):
+                validate_carleman_params(0.5, DomainSpec(0.01), beta=bad, T=50.0)
+
+    def test_rounding_above_threshold_is_time_too_short(self):
+        # T a few ulps above the threshold, where gamma rounds to zero
+        with pytest.raises(TimeTooShort, match="within rounding"):
+            validate_carleman_params(
+                0.5, DomainSpec(0.019000000000000003),
+                beta=0.008025862068965517, T=31.571785797319002,
+            )
+
+    def test_underflowing_absorption_constants(self):
+        # exp(-lam gamma_hat) and exp(-2 lam gamma_hat) both underflow to 0
+        with pytest.raises(NonPositiveInput, match="lam = 2.0, gamma_hat"):
+            validate_carleman_params(0.5, DomainSpec(0.01), beta=0.004, T=2000.0, lam=2.0)
+
+    def test_epsilon_cap(self):
+        # the conftest carleman_params configuration: the T/16 cap binds
+        p = validate_carleman_params(0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=0.5)
+        assert p.epsilon == 2.4974999975025
+
     def test_certification_survives_grid_doubling(self):
         p = validate_carleman_params(0.5, DomainSpec(0.01), beta=0.005, T=50.0)
-        assert _band_certified(
-            p.alpha, p.beta, p.T, p.gamma_hat, p.epsilon,
-            2 * CERTIFICATION_GRID_PER_UNIT,
-        )
+        for grid_per_unit in (256, 512):
+            assert _band_certified(
+                p.alpha, p.beta, p.T, p.gamma_hat, p.epsilon, grid_per_unit
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        d0=st.floats(min_value=0.002, max_value=0.031),
+        frac=st.floats(min_value=0.1, max_value=1.0),
+        ratio=st.floats(min_value=1.0 + 1e-6, max_value=10.0),
+    )
+    def test_closed_form_is_supremum(self, alpha, d0, frac, ratio):
+        beta = frac * beta_upper_bound(alpha, d0)
+        T = ratio * observation_time_threshold(d0, beta)
+        p = validate_carleman_params(alpha, DomainSpec(d0), beta=beta, T=T)
+        assert _band_certified(alpha, beta, T, p.gamma_hat, p.epsilon, 512)
+        # just past the closed-form supremum the band conditions fail,
+        # unless the T/16 cap is what bounds epsilon
+        past = p.epsilon / 0.999 * (1.0 + 1e-6)
+        if past < T / 16.0:
+            assert not _band_certified(alpha, beta, T, p.gamma_hat, past, 512)
 
     @settings(max_examples=30, deadline=None)
     @given(
