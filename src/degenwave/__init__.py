@@ -40,6 +40,7 @@ from .errors import (
     InvalidMeshSpec,
     NonFiniteReport,
     NonPositiveInput,
+    ParameterOutOfRange,
     TimeTooShort,
     TruncationTooSmall,
 )

@@ -9,6 +9,10 @@ class NonPositiveInput(DegenWaveError):
     """A parameter that must be strictly positive was not."""
 
 
+class ParameterOutOfRange(DegenWaveError, ValueError):
+    """A scalar parameter lies outside its admissible range."""
+
+
 class TimeTooShort(DegenWaveError):
     """Observation horizon below the admissible threshold."""
 

@@ -33,6 +33,7 @@ from .errors import (
     DegenWaveError,
     DeltaOutOfRange,
     InsufficientData,
+    ParameterOutOfRange,
 )
 from .radial import (
     RadialMesh,
@@ -60,7 +61,7 @@ __all__ = [
 def subcritical_bound(alpha: float) -> float:
     """The subcritical Hardy constant 4/(1-alpha)^2."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise ParameterOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
     return 4.0 / (1.0 - alpha) ** 2
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BetaOutOfRange, NonPositiveInput, TimeTooShort
+from .errors import BetaOutOfRange, NonPositiveInput, ParameterOutOfRange, TimeTooShort
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class DegeneracyParams:
     def __post_init__(self) -> None:
         if self.critical:
             if self.alpha != 1.0:
-                raise ValueError("critical flag requires alpha = 1")
+                raise ParameterOutOfRange("critical flag requires alpha = 1")
         elif not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ParameterOutOfRange(f"alpha must lie in (0, 1), got {self.alpha}")
 
     def weight(self, r: np.ndarray | float) -> np.ndarray | float:
         """Radial diffusion coefficient w(r) = r^alpha."""
@@ -58,7 +58,7 @@ class DomainSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta0 < 1.0 / 32.0:
-            raise ValueError(f"delta0 must lie in (0, 1/32), got {self.delta0}")
+            raise ParameterOutOfRange(f"delta0 must lie in (0, 1/32), got {self.delta0}")
 
     @property
     def omega_theta_strips(self) -> tuple[tuple[float, float], ...]:
@@ -117,6 +117,9 @@ class CarlemanParams:
             raise ValueError("A1 < A0 must hold")
 
 
+_UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
+
+
 def beta_upper_bound(alpha: float, delta0: float) -> float:
     """Supremum of the admissible curvature interval for beta."""
     return 0.5 * min((2.0 - alpha) ** 2 / 8.0, delta0)
@@ -154,9 +157,9 @@ def validate_carleman_params(
             A1 = exp(-2 lam gamma_hat) < A0 = exp(-lam gamma_hat) fails in
             floating point.
         BetaOutOfRange: beta outside (0, min{(2-alpha)^2/8, delta0}/2].
-        TimeTooShort: T at or below the observation threshold, or within
-            rounding of it, so that gamma_hat is not positive in floating
-            point.
+        TimeTooShort: T at or below the observation threshold, or so close
+            to it (about 1e-11 relative) that gamma_hat is too small to
+            certify the band conditions against their own rounding.
     """
     DegeneracyParams(alpha)
     delta0 = domain.delta0
@@ -175,10 +178,20 @@ def validate_carleman_params(
 
     gamma = (min(delta0, beta) * T * T - 8.0) / 8.0
     gamma_hat = 0.25 * gamma
-    if not gamma_hat > 0.0:
+    # The band conditions below compare xi = theta^2 + r^(2-alpha)
+    # - beta (t - t0)^2, of magnitude at most X = 2 + beta T^2/4, with
+    # -gamma_hat and -2 gamma_hat.  Forming t - t0, its square, the product
+    # with beta, the sum, and gamma_hat itself each err by at most a few
+    # units u = 2^-53 of X, less than 16 u X in all.  Shrinking epsilon by
+    # 0.999 leaves every band a slack of at least (1 - 0.999^2) gamma_hat
+    # > gamma_hat/1000 (the center band is the tightest; the outer slack is
+    # 0.012 gamma_hat root/(T/2 + root) >= 0.004 gamma_hat, because
+    # root^2 = T^2/16 + 3/(2 beta) puts root in [T/4, T/2]).  Unless that
+    # slack exceeds 16 u X, the conditions hold only to rounding.
+    if not gamma_hat > 16000.0 * _UNIT_ROUNDOFF * (2.0 + 0.25 * beta * T * T):
         raise TimeTooShort(
             f"T = {T} is within rounding of the threshold {threshold}: "
-            f"gamma_hat = {gamma_hat} in floating point"
+            f"gamma_hat = {gamma_hat} cannot certify the band conditions"
         )
     # center band |t - T/2| <= epsilon: xi >= -beta epsilon^2 >= -gamma_hat;
     # outer bands within 2 epsilon of 0 or T:

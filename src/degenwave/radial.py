@@ -4,9 +4,14 @@ Discretizes -d/dr(r^p dR/dr) = rho * r^q * R on an interval with Dirichlet
 conditions imposed strongly at either end.  Element integrals of power
 weights are evaluated in closed form, so the only discretization errors are
 interpolation and mass lumping.  The generalized pencil is lumped to a
-symmetric tridiagonal standard problem and solved by Sturm-sequence
-bisection plus inverse iteration (LAPACK stebz/stein via scipy), the
-smallest eigenvalues first.
+symmetric tridiagonal standard problem T and its smallest eigenpairs are
+computed in three LAPACK/BLAS stages: Sturm-sequence bisection for the
+eigenvalues (dstebz), inverse iteration once per eigenvalue (dstein), and a
+single Cholesky QR orthonormalization of the whole block in the lumped
+inner product.  Inverse iteration runs per eigenvalue because dstein
+re-orthogonalizes against every neighbour within 1e-3 ||T||_1, and the
+near-origin diagonal of graded meshes inflates ||T|| so far that the whole
+low spectrum would count as one cluster.
 
 The weighted stiffness integral r^alpha |R'|^2 and the weighted masses with
 exponents alpha, alpha - 2, 1, -1 are exactly the bilinear forms behind the
@@ -25,10 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
+from scipy.linalg import blas, lapack
 from scipy.special import jv
 
-from .errors import ConvergenceFailure, DivergentWeight, InvalidMeshSpec
+from .errors import ConvergenceFailure, DivergentWeight, InvalidMeshSpec, ParameterOutOfRange
 
 __all__ = [
     "RadialMesh",
@@ -295,9 +300,17 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair
     """Smallest k_max eigenpairs of K x = rho M x with M lumped to diagonal.
 
     The lumped pencil is transformed to the standard symmetric tridiagonal
-    problem D^{-1/2} K D^{-1/2} and solved by bisection plus inverse
-    iteration; eigenvectors are re-orthonormalized in the lumped inner
-    product and oriented to start positive.
+    problem T = D^{-1/2} K D^{-1/2}.  Sturm bisection (LAPACK dstebz)
+    locates the eigenvalues; inverse iteration (dstein) is then called once
+    per eigenvalue.  A single dstein call re-orthogonalizes each vector
+    against every earlier one whose eigenvalue lies within 1e-3 ||T||_1, and
+    the near-origin diagonal of graded meshes makes ||T|| many orders larger
+    than the low spectrum, so the whole request would form one cluster and
+    cost O(n k^2) vector operations.  The vectors are instead orthonormalized
+    once, by Cholesky QR in the lumped inner product (L L^T = Z Z^T,
+    Z <- L^{-1} Z, the same Q as Gram-Schmidt in exact arithmetic), scaled
+    back by D^{-1/2} and oriented to start positive.  The eigenvalue reported
+    is the Rayleigh quotient of the computed vector.
 
     Extreme grading caution: bisection resolves eigenvalues to an absolute
     tolerance tied to the norm of the transformed matrix, whose first
@@ -306,56 +319,72 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair
     the low end of the spectrum drowns in roundoff; use
     `refine_smallest_eigenpair` on the consistent pencil in that regime.
     """
+    rho, R, flux, energy = _eigenbasis(mats, k_max)
+    return [
+        RadialEigenpair(
+            rho=float(rho[j]), R=R[j], flux_at_1=float(flux[j]), weighted_energy=float(energy[j])
+        )
+        for j in range(k_max)
+    ]
+
+
+def _eigenbasis(
+    mats: WeightedMatrices, k_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (rho, R, flux, energy) of the k_max smallest lumped eigenpairs.
+
+    R is (k_max, n_nodes) with zero constrained entries; see
+    `solve_eigenpairs` for the method.
+    """
     n = mats.n_dof
     if not 1 <= k_max <= n:
-        raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
+        raise ParameterOutOfRange(f"k_max must lie in [1, {n}], got {k_max}")
     d_lump = mats.lumped
     if np.any(d_lump <= 0.0):
         raise DivergentWeight("lumped mass must be positive on all dofs")
     sqrt_d = np.sqrt(d_lump)
     diag = mats.kd_dof / d_lump
-    off = mats.ke_dof / (sqrt_d[:-1] * sqrt_d[1:])
-    try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, k_max - 1), lapack_driver="stebz"
-        )
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+    off = np.zeros(max(n - 1, 1))  # the LAPACK wrappers want one entry even at n = 1
+    off[: n - 1] = mats.ke_dof / (sqrt_d[:-1] * sqrt_d[1:])
 
-    x = vecs / sqrt_d[:, None]
-    # modified Gram-Schmidt in the lumped inner product; bisection+stein can
-    # lose orthogonality only for pathologically clustered eigenvalues, but
-    # the invariant is cheap to enforce unconditionally
-    for j in range(k_max):
-        for i in range(j):
-            x[:, j] -= (x[:, i] * d_lump) @ x[:, j] * x[:, i]
-        nrm = math.sqrt((x[:, j] * d_lump) @ x[:, j])
-        if nrm == 0.0:
-            raise ConvergenceFailure(f"inverse iteration returned a null vector at {j}")
-        x[:, j] /= nrm
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k_max, 0.0, "B")
+    if info != 0 or m != k_max:
+        raise ConvergenceFailure(f"bisection (dstebz) returned info {info}, {m} of {k_max} values")
+    # rows of z are eigenvectors of T, in ascending eigenvalue order
+    z = np.empty((k_max, n))
+    one_block = np.empty(n, dtype=iblock.dtype)
+    for row, j in enumerate(np.argsort(w[:m], kind="stable")):
+        one_block[0] = iblock[j]
+        vec, info = lapack.dstein(diag, off, w[j : j + 1], one_block, isplit)
+        if info != 0:
+            raise ConvergenceFailure(f"inverse iteration (dstein) returned info {info} at {row}")
+        z[row] = vec[:, 0]
 
-    pairs = []
-    for j in range(k_max):
-        xj = x[:, j]
-        nz = np.flatnonzero(xj)
-        if nz.size and xj[nz[0]] < 0.0:
-            xj = -xj
-        # bisection locates eigenvalues only to ~eps * ||T||, which the huge
-        # near-origin diagonal entries can make coarse; the Rayleigh quotient
-        # of the computed eigenvector is second-order accurate in its
-        # residual and restores near-machine eigenvalues
-        energy = mats.stiffness_product(xj, xj)
-        rho = energy  # x is unit-norm in the lumped mass
-        full = mats.expand(xj)
-        pairs.append(
-            RadialEigenpair(
-                rho=rho,
-                R=full,
-                flux_at_1=_variational_flux(mats, full, rho),
-                weighted_energy=energy,
-            )
-        )
-    return pairs
+    # Cholesky QR: the lumped inner product of x = D^{-1/2} v is v . v.  The
+    # Gram matrix, the factor and the solve all go through scipy's BLAS:
+    # numpy links its own OpenBLAS, and alternating between the two thread
+    # pools stalls each behind the other's spinning workers
+    gram = blas.dsyrk(1.0, z.T, trans=1, lower=1)
+    chol, info = lapack.dpotrf(gram, lower=1, overwrite_a=1)
+    if info != 0:
+        raise ConvergenceFailure(f"eigenvectors are numerically dependent (dpotrf info {info})")
+    # z^T is F-ordered, so the right-side solve z^T <- z^T L^{-T} works in place
+    blas.dtrsm(1.0, chol, z.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+    R = np.zeros((k_max, mats.mesh.nodes.size))
+    x = R[:, mats.i0 : mats.i1]
+    np.divide(z, sqrt_d, out=x)
+    del z
+    first = np.argmax(x != 0.0, axis=1)
+    R *= np.where(x[np.arange(k_max), first] < 0.0, -1.0, 1.0)[:, None]
+
+    # bisection locates eigenvalues only to ~eps * ||T||, which the huge
+    # near-origin diagonal entries can make coarse; the Rayleigh quotient
+    # of the computed eigenvector is second-order accurate in its residual
+    # and restores near-machine eigenvalues (x is unit-norm in lumped mass).
+    # Row by row, each product stays in cache and needs no (k, n) temporary
+    energy = np.array([mats.stiffness_product(xj, xj) for xj in x])
+    return energy.copy(), R, _variational_flux(mats, R, energy), energy
 
 
 def refine_smallest_eigenpair(
@@ -405,20 +434,22 @@ def refine_smallest_eigenpair(
     )
 
 
-def _variational_flux(mats: WeightedMatrices, full: np.ndarray, rho: float) -> float:
-    """Boundary derivative at the right endpoint by variational recovery.
+def _variational_flux(mats: WeightedMatrices, R: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Boundary derivatives at the right endpoint by variational recovery.
 
-    Tests the eigen-equation against the boundary hat function: the residual
-    of the last full row equals r^p R' there.  Falls back to a one-sided
-    difference when the recovered value is not finite.
+    Tests the eigen-equation of each row of R (full nodal vectors) against
+    the boundary hat function: the residual of the last full row equals
+    r^p R' there.  Falls back to a one-sided difference where the recovered
+    value is not finite.
     """
     kd, ke, md, me = mats.kd, mats.ke, mats.md, mats.me
-    k_row = ke[-1] * full[-2] + kd[-1] * full[-1]
-    m_row = me[-1] * full[-2] + md[-1] * full[-1]
-    flux = (k_row - rho * m_row) / mats.mesh.nodes[-1] ** mats.p
-    if not math.isfinite(flux):  # pragma: no cover - defensive
-        return one_sided_flux(mats.mesh, full)
-    return float(flux)
+    k_row = ke[-1] * R[:, -2] + kd[-1] * R[:, -1]
+    m_row = me[-1] * R[:, -2] + md[-1] * R[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flux = (k_row - rho * m_row) / mats.mesh.nodes[-1] ** mats.p
+    for j in np.flatnonzero(~np.isfinite(flux)):  # pragma: no cover - defensive
+        flux[j] = one_sided_flux(mats.mesh, R[j])
+    return flux
 
 
 def one_sided_flux(mesh: RadialMesh, R: np.ndarray) -> float:
@@ -473,14 +504,9 @@ def solve_radial_basis(
     """Assemble and solve the weighted eigenbasis on a graded mesh."""
     mesh = build_graded_mesh(N, g)
     mats = assemble_weighted_system(mesh, p=alpha, q=0.0, bc="dirichlet-dirichlet")
-    pairs = solve_eigenpairs(mats, k_max)
+    rho, R, flux, energy = _eigenbasis(mats, k_max)
     return RadialBasis(
-        alpha=alpha,
-        mats=mats,
-        rho=np.array([p.rho for p in pairs]),
-        R=np.array([p.R for p in pairs]),
-        flux=np.array([p.flux_at_1 for p in pairs]),
-        weighted_energy=np.array([p.weighted_energy for p in pairs]),
+        alpha=alpha, mats=mats, rho=rho, R=R, flux=flux, weighted_energy=energy
     )
 
 
@@ -533,25 +559,31 @@ def elliptic_identity_residual(
 
 
 def _bessel_root(nu: float, k: int) -> float:
-    """k-th positive zero of J_nu via bracketing from the McMahon estimate."""
+    """k-th positive zero of J_nu: a sign-change scan, then bisection to the ulp."""
     est = (k + 0.5 * nu - 0.25) * math.pi
-    lo, hi = max(est - 0.6 * math.pi, 1e-8), est + 0.6 * math.pi
-    f = lambda z: jv(nu, z)
-    # widen the bracket until it straddles the k-th sign change
+    # step along the axis until the k-th sign change is bracketed
     zeros_found = 0
-    z_prev, f_prev = 1e-8, f(1e-8)
-    z = z_prev
+    z, f_prev = 1e-8, jv(nu, 1e-8)
     step = 0.05
     while zeros_found < k:
         z += step
-        fz = f(z)
+        fz = jv(nu, z)
         if f_prev * fz < 0.0:
             zeros_found += 1
-            lo, hi = z - step, z
+            lo, hi, f_lo = z - step, z, f_prev
         f_prev = fz
         if z > est + 20.0:  # pragma: no cover - cannot happen for moderate k
             raise ConvergenceFailure("Bessel root bracketing failed")
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    # halve the bracket until no float lies strictly between its endpoints
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = jv(nu, mid)
+        if f_mid == 0.0:
+            return float(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return float(lo if abs(f_lo) <= abs(jv(nu, hi)) else hi)
 
 
 def bessel_eigenvalue(alpha: float, k: int) -> float:

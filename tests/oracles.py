@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
@@ -21,7 +22,9 @@ from degenwave.carleman import (
     SmoothModalSolution,
     _residual_axes,
 )
+from degenwave.errors import ConvergenceFailure, DivergentWeight
 from degenwave.params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
+from degenwave.radial import RadialEigenpair, WeightedMatrices, one_sided_flux
 
 
 def _series_start(alpha: float, rho: float, r0: float) -> tuple[float, float]:
@@ -297,3 +300,78 @@ def slab_conjugation_residual(
         spacings=(h_theta, h_r, h_t),
         r_min=r_min,
     )
+
+
+def _variational_flux(mats: WeightedMatrices, full: np.ndarray, rho: float) -> float:
+    """Boundary derivative at the right endpoint by variational recovery.
+
+    Tests the eigen-equation against the boundary hat function: the residual
+    of the last full row equals r^p R' there.  Falls back to a one-sided
+    difference when the recovered value is not finite.
+    """
+    kd, ke, md, me = mats.kd, mats.ke, mats.md, mats.me
+    k_row = ke[-1] * full[-2] + kd[-1] * full[-1]
+    m_row = me[-1] * full[-2] + md[-1] * full[-1]
+    flux = (k_row - rho * m_row) / mats.mesh.nodes[-1] ** mats.p
+    if not math.isfinite(flux):  # pragma: no cover - defensive
+        return one_sided_flux(mats.mesh, full)
+    return float(flux)
+
+
+def mgs_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair]:
+    """The lumped eigensolver as first written: eigh_tridiagonal plus MGS.
+
+    Reference for `degenwave.radial.solve_eigenpairs`: one `stebz`/`stein`
+    call for the whole request, then modified Gram-Schmidt in the lumped
+    inner product, one eigenpair at a time.
+    """
+    n = mats.n_dof
+    if not 1 <= k_max <= n:
+        raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
+    d_lump = mats.lumped
+    if np.any(d_lump <= 0.0):
+        raise DivergentWeight("lumped mass must be positive on all dofs")
+    sqrt_d = np.sqrt(d_lump)
+    diag = mats.kd_dof / d_lump
+    off = mats.ke_dof / (sqrt_d[:-1] * sqrt_d[1:])
+    try:
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, k_max - 1), lapack_driver="stebz"
+        )
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+
+    x = vecs / sqrt_d[:, None]
+    # modified Gram-Schmidt in the lumped inner product; bisection+stein can
+    # lose orthogonality only for pathologically clustered eigenvalues, but
+    # the invariant is cheap to enforce unconditionally
+    for j in range(k_max):
+        for i in range(j):
+            x[:, j] -= (x[:, i] * d_lump) @ x[:, j] * x[:, i]
+        nrm = math.sqrt((x[:, j] * d_lump) @ x[:, j])
+        if nrm == 0.0:
+            raise ConvergenceFailure(f"inverse iteration returned a null vector at {j}")
+        x[:, j] /= nrm
+
+    pairs = []
+    for j in range(k_max):
+        xj = x[:, j]
+        nz = np.flatnonzero(xj)
+        if nz.size and xj[nz[0]] < 0.0:
+            xj = -xj
+        # bisection locates eigenvalues only to ~eps * ||T||, which the huge
+        # near-origin diagonal entries can make coarse; the Rayleigh quotient
+        # of the computed eigenvector is second-order accurate in its
+        # residual and restores near-machine eigenvalues
+        energy = mats.stiffness_product(xj, xj)
+        rho = energy  # x is unit-norm in the lumped mass
+        full = mats.expand(xj)
+        pairs.append(
+            RadialEigenpair(
+                rho=rho,
+                R=full,
+                flux_at_1=_variational_flux(mats, full, rho),
+                weighted_energy=energy,
+            )
+        )
+    return pairs

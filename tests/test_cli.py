@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     import os
@@ -126,6 +128,25 @@ class TestConfigHandling:
         assert res.returncode == 1
         err = json.loads(res.stderr)
         assert err["kind"] == "TimeTooShort"
+
+
+class TestParameterRange:
+    @pytest.mark.parametrize(
+        "args,artifact",
+        [
+            (("validate-params", "--delta0", "0.5"), "params.json"),
+            (("carleman-check", "--alpha", "1.2"), "carleman.json"),
+            (("spectrum", "--n", "16", "--kmax", "100"), "spectrum.csv"),
+            (("hardy", "--alpha", "1.2", "--n", "64"), "hardy.json"),
+        ],
+        ids=["validate-params", "carleman-check", "spectrum", "hardy"],
+    )
+    def test_out_of_range_is_json_error(self, tmp_path, args, artifact):
+        res = run_cli(*args, "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert json.loads(res.stderr)["kind"] == "ParameterOutOfRange"
+        assert not (tmp_path / artifact).exists()
 
 
 class TestValidateParams:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from degenwave.errors import (
     BetaOutOfRange,
+    DegenWaveError,
     NonPositiveInput,
+    ParameterOutOfRange,
     TimeTooShort,
 )
 from degenwave.params import (
@@ -36,6 +38,12 @@ class TestDegeneracyParams:
         with pytest.raises(ValueError):
             DegeneracyParams(alpha)
 
+    def test_range_error_is_typed(self):
+        for alpha, critical in ((1.2, False), (0.5, True)):
+            with pytest.raises(ParameterOutOfRange) as info:
+                DegeneracyParams(alpha, critical=critical)
+            assert isinstance(info.value, DegenWaveError)
+
     def test_critical_flag_admits_one(self):
         assert DegeneracyParams(1.0, critical=True).critical
 
@@ -54,6 +62,8 @@ class TestDomainSpec:
     @pytest.mark.parametrize("d0", [0.0, 1.0 / 32.0, 0.5])
     def test_rejects_bad_margin(self, d0):
         with pytest.raises(ValueError):
+            DomainSpec(d0)
+        with pytest.raises(ParameterOutOfRange):
             DomainSpec(d0)
 
 
@@ -113,6 +123,31 @@ class TestValidateCarlemanParams:
                 0.5, DomainSpec(0.019000000000000003),
                 beta=0.008025862068965517, T=31.571785797319002,
             )
+
+    def test_near_threshold_epsilon_certifies_or_is_rejected(self):
+        # random probes 1-12 ulps above the threshold, where gamma_hat is of
+        # the size of its own rounding error, and 1e-14..1e-9 relative above
+        # it, where acceptance begins: every accepted epsilon passes the grid
+        # certificate, every rejection is TimeTooShort
+        rng = np.random.default_rng(20261018)
+        accepted = 0
+        for i in range(400):
+            alpha = rng.uniform(0.05, 0.95)
+            d0 = rng.uniform(0.002, 0.031)
+            beta = rng.uniform(0.1, 1.0) * beta_upper_bound(alpha, d0)
+            T = observation_time_threshold(d0, beta)
+            if i % 2:
+                T *= 1.0 + 10.0 ** rng.uniform(-14.0, -9.0)
+            else:
+                for _ in range(rng.integers(1, 13)):
+                    T = math.nextafter(T, math.inf)
+            try:
+                p = validate_carleman_params(alpha, DomainSpec(d0), beta=beta, T=T)
+            except TimeTooShort:
+                continue
+            accepted += 1
+            assert _band_certified(alpha, beta, T, p.gamma_hat, p.epsilon, 512)
+        assert 0 < accepted < 200
 
     def test_underflowing_absorption_constants(self):
         # exp(-lam gamma_hat) and exp(-2 lam gamma_hat) both underflow to 0

@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +41,11 @@ def test_every_reexport_resolves():
         if inspect.ismodule(obj):
             continue
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about a quarter second of every import and CLI run
+    probe = "import sys, degenwave; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

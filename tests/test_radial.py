@@ -1,11 +1,20 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from degenwave.errors import DivergentWeight, InvalidMeshSpec
+from degenwave import radial
+from degenwave.errors import (
+    ConvergenceFailure,
+    DivergentWeight,
+    InvalidMeshSpec,
+    ParameterOutOfRange,
+)
 from degenwave.radial import (
     RadialMesh,
+    _bessel_root,
     assemble_weighted_system,
     bessel_eigenvalue,
     bessel_radial_mode,
@@ -20,7 +29,7 @@ from degenwave.radial import (
     solve_radial_basis,
 )
 
-from oracles import quad_power_integral
+from oracles import mgs_eigenpairs, quad_power_integral
 
 
 class TestMeshes:
@@ -168,6 +177,8 @@ class TestEigenpairs:
     def test_k_max_bounds(self, basis05):
         with pytest.raises(ValueError):
             solve_eigenpairs(basis05.mats, basis05.mats.n_dof + 1)
+        with pytest.raises(ParameterOutOfRange):
+            solve_eigenpairs(basis05.mats, 0)
 
     def test_one_sided_flux_reference(self):
         errs = []
@@ -212,6 +223,99 @@ class TestEigenpairs:
         diffs = np.diff(rhos)
         assert np.all(diffs < 0.0)  # decreasing toward the strongly degenerate end
         assert np.max(np.abs(diffs)) < 2.5  # no jumps at fixed mesh
+
+
+@pytest.fixture(scope="module")
+def wide_basis():
+    """The widest basis of the benchmark: alpha 0.5, N 8192, g 2, k 256."""
+    return solve_radial_basis(0.5, N=8192, g=2.0, k_max=256)
+
+
+def _oracle_arrays(mats, k_max):
+    pairs = mgs_eigenpairs(mats, k_max)
+    return np.array([p.rho for p in pairs]), np.array([p.R for p in pairs])
+
+
+def _max_eigen_residual(mats, rho, R):
+    """max_j ||K x_j - rho_j D x_j|| / (rho_j ||D x_j||) in the lumped pencil."""
+    x = R[:, mats.i0 : mats.i1]
+    dx = mats.lumped * x
+    res = radial._tridiag_matvec(mats.kd_dof, mats.ke_dof, x) - rho[:, None] * dx
+    return float(np.max(np.linalg.norm(res, axis=1) / (rho * np.linalg.norm(dx, axis=1))))
+
+
+class TestLumpedSolver:
+    """Per-eigenvalue inverse iteration with one Cholesky QR, against MGS."""
+
+    @pytest.mark.parametrize("name", ["basis05_k64", "wide_basis"])
+    def test_matches_gram_schmidt_oracle(self, name, request):
+        basis = request.getfixturevalue(name)
+        rho, R = _oracle_arrays(basis.mats, basis.k_max)
+        assert np.max(np.abs(basis.rho - rho) / rho) <= 1e-10
+        assert np.max(np.abs(basis.R - R)) <= 1e-10 * np.max(np.abs(R))
+
+    def test_matches_oracle_at_grading_three(self):
+        basis = solve_radial_basis(0.5, N=2048, g=3.0, k_max=64)
+        rho, R = _oracle_arrays(basis.mats, 64)
+        assert np.max(np.abs(basis.rho - rho) / rho) <= 1e-10
+        assert _max_eigen_residual(basis.mats, basis.rho, basis.R) <= 1.01 * _max_eigen_residual(
+            basis.mats, rho, R
+        )
+
+    def test_lumped_orthonormality_at_k256(self, wide_basis):
+        mats = wide_basis.mats
+        dof = wide_basis.R[:, mats.i0 : mats.i1]
+        gram = (dof * mats.lumped) @ dof.T
+        assert np.max(np.abs(gram - np.eye(256))) <= 1e-13
+
+    def test_pairs_match_basis_arrays(self, basis05):
+        pairs = solve_eigenpairs(basis05.mats, basis05.k_max)
+        assert np.array_equal([p.rho for p in pairs], basis05.rho)
+        assert np.array_equal([p.R for p in pairs], basis05.R)
+        assert np.array_equal([p.flux_at_1 for p in pairs], basis05.flux)
+        assert np.array_equal([p.weighted_energy for p in pairs], basis05.weighted_energy)
+
+    def test_single_dof(self):
+        mats = assemble_weighted_system(build_uniform_mesh(2), 0.5, 0.0, "dirichlet-dirichlet")
+        (pair,) = solve_eigenpairs(mats, 1)
+        assert pair.rho == pytest.approx(mats.kd_dof[0] / mats.lumped[0], rel=1e-15)
+        assert pair.R[1] > 0.0 and pair.R[0] == pair.R[2] == 0.0
+
+    def test_memory_bound(self):
+        # the one-call stein path with Gram-Schmidt peaked at 51.1 MB here
+        solve_radial_basis(0.5, N=512, g=2.0, k_max=8)
+        tracemalloc.start()
+        try:
+            solve_radial_basis(0.5, N=8192, g=2.0, k_max=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 49e6
+
+    def test_stein_failure_is_convergence_failure(self, monkeypatch, basis05):
+        stein = radial.lapack.dstein
+
+        def failing(*args):
+            z, _ = stein(*args)
+            return z, 1
+
+        monkeypatch.setattr(radial.lapack, "dstein", failing)
+        with pytest.raises(ConvergenceFailure, match="dstein"):
+            solve_eigenpairs(basis05.mats, 4)
+
+
+class TestBesselRoots:
+    """Closed-form eigenvalues against mpmath's independent Bessel zeros."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_roots_against_mpmath(self, alpha):
+        nu = (1.0 - alpha) / (2.0 - alpha)
+        for k in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+            ref = mpmath.besseljzero(mpmath.mpf(nu), k)
+            root = _bessel_root(nu, k)
+            assert abs(root - ref) <= 1e-14 * ref, (alpha, k)
+            exact = (mpmath.mpf(2.0 - alpha) / 2 * ref) ** 2
+            assert abs(bessel_eigenvalue(alpha, k) - exact) <= 1e-14 * exact, (alpha, k)
 
 
 class TestConsistentGram:
