@@ -12,6 +12,13 @@ Exact smooth modal solutions (Bessel radial profiles) are used wherever a
 residual is differentiated numerically: second-order convergence of the
 centered stencils needs four bounded derivatives, which the piecewise
 linear eigenvectors of the solver cannot offer.
+
+Modes, sigma and both cutoffs are products of one-axis factors, which the
+kernels evaluate once per axis per call.  Their theta x t tiles carry only
+the weight exp(s sigma) and the residual's stencil; the weighted quadratures
+contract each tile's weight over r against radial pair products (R_i R_j,
+r^alpha R_i' R_j') and reduce the result against (theta, t) products of the
+angular, temporal and cutoff factors.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCellTouched, GridMismatch
+from .errors import DegenerateCellTouched, GridMismatch, ParameterOutOfRange
 from .params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
 from .radial import _trapezoid_weights, bessel_radial_mode
 
@@ -221,6 +228,8 @@ class SmoothMode:
 
 def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) -> SmoothMode:
     """Exact eigenmode with the k-th Bessel radial profile and sine order n."""
+    if n < 1:
+        raise ParameterOutOfRange(f"sine order n must be at least 1, got {n}")
     rho, R, dR, flux = bessel_radial_mode(alpha, k)
     omega = math.sqrt((n * math.pi) ** 2 + rho)
     return SmoothMode(
@@ -228,48 +237,72 @@ def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) ->
     )
 
 
+def _modal_sum(*factors: np.ndarray) -> np.ndarray:
+    """Sum over the leading mode axis of a product of per-mode factor stacks."""
+    ndim = max(f.ndim for f in factors)
+    out = 1.0
+    for f in factors:
+        out = out * f.reshape(f.shape[:1] + (1,) * (ndim - f.ndim) + f.shape[1:])
+    return np.sum(out, axis=0)
+
+
 @dataclass(frozen=True)
 class SmoothModalSolution:
-    """Finite superposition of exact modes; solves the wave equation pointwise."""
+    """Finite superposition of exact modes; solves the wave equation pointwise.
+
+    Each mode separates as amp(t) sin(n pi theta) R(r): the `*_factors`
+    methods evaluate one axis for every mode (mode axis first), and the
+    fields are sums over modes of products of those factors.
+    """
 
     alpha: float
     modes: tuple[SmoothMode, ...]
 
-    def _sum(self, theta, r, t, time_part: str, angular: str, radial: str) -> np.ndarray:
+    def __post_init__(self) -> None:
+        if not self.modes:
+            raise ParameterOutOfRange("a modal solution needs at least one mode")
+
+    def angular_factors(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """sin(n pi theta) and its theta-derivative, one row per mode."""
         theta = np.asarray(theta, dtype=float)
-        r = np.asarray(r, dtype=float)
+        k = np.array([m.n * math.pi for m in self.modes]).reshape((-1,) + (1,) * theta.ndim)
+        return np.sin(k * theta), k * np.cos(k * theta)
+
+    def radial_factors(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """R(r) and R'(r), one row per mode."""
+        rad = np.stack([m.radial(r) for m in self.modes])
+        return rad, np.stack([m.radial_deriv(r) for m in self.modes])
+
+    def temporal_factors(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """amp(t) and its time derivative, one row per mode."""
         t = np.asarray(t, dtype=float)
-        out = None
-        for m in self.modes:
-            tp = m.amplitude(t) if time_part == "amp" else m.velocity(t)
-            ang = np.sin(m.n * math.pi * theta)
-            if angular == "deriv":
-                ang = m.n * math.pi * np.cos(m.n * math.pi * theta)
-            rad = m.radial(r) if radial == "value" else m.radial_deriv(r)
-            term = tp * ang * rad
-            out = term if out is None else out + term
-        return 0.0 if out is None else out
+        amp = np.stack([m.amplitude(t) for m in self.modes])
+        return amp, np.stack([m.velocity(t) for m in self.modes])
 
     def phi(self, theta, r, t) -> np.ndarray:
-        return self._sum(theta, r, t, "amp", "value", "value")
+        return _modal_sum(
+            self.temporal_factors(t)[0], self.angular_factors(theta)[0], self.radial_factors(r)[0]
+        )
 
     def phi_t(self, theta, r, t) -> np.ndarray:
-        return self._sum(theta, r, t, "vel", "value", "value")
+        return _modal_sum(
+            self.temporal_factors(t)[1], self.angular_factors(theta)[0], self.radial_factors(r)[0]
+        )
 
     def phi_theta(self, theta, r, t) -> np.ndarray:
-        return self._sum(theta, r, t, "amp", "deriv", "value")
+        return _modal_sum(
+            self.temporal_factors(t)[0], self.angular_factors(theta)[1], self.radial_factors(r)[0]
+        )
 
     def phi_r(self, theta, r, t) -> np.ndarray:
-        return self._sum(theta, r, t, "amp", "value", "deriv")
+        return _modal_sum(
+            self.temporal_factors(t)[0], self.angular_factors(theta)[0], self.radial_factors(r)[1]
+        )
 
     def trace_r1(self, theta, t) -> np.ndarray:
         """Normal derivative on the top side r = 1."""
-        theta = np.asarray(theta, dtype=float)
-        t = np.asarray(t, dtype=float)
-        out = 0.0
-        for m in self.modes:
-            out = out + m.amplitude(t) * np.sin(m.n * math.pi * theta) * m.flux_at_1
-        return out
+        flux = np.array([m.flux_at_1 for m in self.modes])
+        return _modal_sum(self.temporal_factors(t)[0], self.angular_factors(theta)[0], flux)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +368,12 @@ def _residual_axes(
     params: CarlemanParams, shape: tuple[int, int, int], r_min: float, T: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_theta, n_r, n_t = shape
+    interior = (n_theta - 1, n_r - 2, n_t - 1)
+    if min(interior) < 1:
+        raise GridMismatch(
+            f"shape {shape} leaves {interior} interior (theta, r, t) points; "
+            "each axis needs at least one"
+        )
     d0 = params.delta0
     theta = np.linspace(d0, 1.0 - d0, n_theta + 1)
     hr = (1.0 - r_min) / n_r
@@ -376,8 +415,10 @@ def conjugation_residual(
     radial profiles behave like r^(1-alpha) at the degenerate end, whose
     unbounded higher derivatives would otherwise contaminate the order).
 
-    The grid is walked in cache-sized theta x t tiles with a one-cell halo,
-    and the operator pieces are fused:
+    The grid is walked in cache-sized theta x t tiles with a one-cell halo;
+    the modal, cutoff and weight factors are evaluated once per axis, so a
+    tile builds eta and exp(s sigma) h from slices of them, and the
+    operator pieces are fused:
     P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_theta + (2-alpha) r eta_r)
     and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta.
     """
@@ -391,6 +432,9 @@ def conjugation_residual(
     kcut = kcut or time_cutoff(params.epsilon, params.T)
     zv, zd1, zd2 = eval_cutoff(zeta, theta)
     kv, kd1, kd2 = eval_cutoff(kcut, t)
+    sin, dsin = solution.angular_factors(theta)
+    rad = solution.radial_factors(r)[0]
+    amp, vel = solution.temporal_factors(t)
 
     # coefficients at the interior points (radial ones shaped (1, n_r - 2, 1));
     # the 1/(2h) of each first difference is folded into the coefficient it meets
@@ -409,16 +453,16 @@ def conjugation_residual(
     acc_res = 0.0
     acc_ref = 0.0
     for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=1):
-        th, ts = theta[ith], t[jt]
         ith_c = slice(ith.start + 1, ith.stop - 1)
         jt_c = slice(jt.start + 1, jt.stop - 1)
-        th_c = th[1:-1][:, None, None]
-        ts_c = ts[1:-1][None, None, :]
+        th_c = theta[ith_c, None, None]
 
-        phi = solution.phi(th[:, None, None], r[None, :, None], ts[None, None, :])
+        # eta = exp(s sigma) sum_m R_m(r) zeta k sin_m amp_m
         esig = np.multiply(sigma, s)
         np.exp(esig, out=esig)
-        eta = (zv[ith, None] * kv[None, jt])[:, None, :] * phi
+        q = sin[:, ith, None] * amp[:, None, jt]
+        q *= zv[ith, None] * kv[None, jt]
+        eta = np.einsum("mr,mit->irt", rad, q)
         eta *= esig
         core = eta[1:-1, 1:-1, 1:-1]
 
@@ -455,18 +499,17 @@ def conjugation_residual(
         drift *= core
         total += drift
 
-        # exp(s sigma) h with h from the exact derivatives of phi
-        lhs = solution.phi_t(th_c, r_c, ts_c)
-        lhs *= (2.0 * zv[ith_c, None] * kd1[None, jt_c])[:, None, :]
-        phi_th = solution.phi_theta(th_c, r_c, ts_c)
-        phi_th *= (2.0 * kv[None, jt_c] * zd1[ith_c, None])[:, None, :]
-        np.multiply(
-            (zv[ith_c, None] * kd2[None, jt_c] - kv[None, jt_c] * zd2[ith_c, None])[:, None, :],
-            phi[1:-1, 1:-1, 1:-1],
-            out=work,
+        # exp(s sigma) h = exp(s sigma) sum_m R_m(r) h_m with, from the exact
+        # derivatives of phi, h_m = 2 zeta k' sin_m vel_m
+        # + (zeta k'' - k zeta'') sin_m amp_m - 2 k zeta' sin_m' amp_m
+        amp_c = amp[:, None, jt_c]
+        h = sin[:, ith_c, None] * vel[:, None, jt_c]
+        h *= 2.0 * zv[ith_c, None] * kd1[None, jt_c]
+        h += (zv[ith_c, None] * kd2[None, jt_c] - kv[None, jt_c] * zd2[ith_c, None]) * (
+            sin[:, ith_c, None] * amp_c
         )
-        lhs += work
-        lhs -= phi_th
+        h -= (2.0 * kv[None, jt_c] * zd1[ith_c, None]) * (dsin[:, ith_c, None] * amp_c)
+        lhs = np.einsum("mr,mit->irt", rad[:, 1:-1], h)
         lhs *= esig[1:-1, 1:-1, 1:-1]
 
         np.subtract(lhs, total, out=total)
@@ -527,76 +570,32 @@ class ComponentIntegrals:
     log_offset: float  # peak of 2 s sigma subtracted inside the quadratures
 
 
-def _weighted_region_integrals(
-    solution: SmoothModalSolution,
-    params: CarlemanParams,
-    theta_lo: float,
-    theta_hi: float,
-    n_theta: int,
-    n_r: int,
-    n_t: int,
-    log_offset: float,
-    with_cutoffs: bool,
-    zeta: CutoffSpec,
-    kcut: CutoffSpec,
-) -> dict[str, float]:
-    """Tensor quadrature of the weighted integrands over one theta interval.
-
-    Trapezoid in theta and t, midpoint in r (the radial grid is staggered
-    because A grad phi . grad phi ~ r^{-alpha} is integrable but unbounded
-    at the degenerate side).  e^{2 s sigma} enters as
-    e^{2 s sigma - log_offset}; the caller restores the scale.
+def _contracted_weight_tiles(
+    params: CarlemanParams, theta: np.ndarray, w_th: np.ndarray, r: np.ndarray, t: np.ndarray,
+    w_t: np.ndarray, rows: np.ndarray, log_offset: float,
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Per theta x t tile, (theta slice, t slice, g) with g[..., i, j] the sum over r
+    of e^{2 s sigma - log_offset} times each of `rows` (radial functions stacked
+    before their last axis), times the theta and t rule weights at (theta_i, t_j).
     """
-    alpha, lam, s = params.alpha, params.lam, params.s
-    theta = np.linspace(theta_lo, theta_hi, n_theta + 1)
-    w_th = _trapezoid_weights(n_theta, (theta_hi - theta_lo) / n_theta)
-    hr = 1.0 / n_r
-    r = (np.arange(n_r) + 0.5) * hr
-    t = np.linspace(0.0, params.T, n_t + 1)
-    w_t = _trapezoid_weights(n_t, params.T / n_t)
-    zv, zd1, _ = eval_cutoff(zeta, theta)
-    kv, kd1, kd2 = eval_cutoff(kcut, t)
-    r3 = r[None, :, None]
-    r_alpha = r3**alpha
-
-    sums = np.zeros(2)
+    flat = rows.reshape(-1, r.size)
     for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=0):
-        th3, t3 = theta[ith, None, None], t[None, None, jt]
-        # e^{2 s sigma - log_offset} times the theta and t rule weights
-        weight = np.multiply(sigma, 2.0 * s)
+        weight = np.multiply(sigma, 2.0 * params.s)
         weight -= log_offset
         np.exp(weight, out=weight)
-        weight *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
+        g = np.matmul(flat, weight)  # (theta, row, t)
+        g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
+        yield ith, jt, np.moveaxis(g, 1, 0).reshape(rows.shape[:-1] + (g.shape[0], g.shape[2]))
 
-        phi = solution.phi(th3, r3, t3)
-        phi_t = solution.phi_t(th3, r3, t3)
-        phi_th = solution.phi_theta(th3, r3, t3)
-        phi_r = solution.phi_r(th3, r3, t3)
-        if with_cutoffs:
-            # psi = k zeta phi; its derivatives overwrite those of phi
-            kz = (zv[ith, None] * kv[None, jt])[:, None, :]
-            phi_t *= kz
-            phi_t += (zv[ith, None] * kd1[None, jt])[:, None, :] * phi
-            phi_th *= kz
-            phi_th += (zd1[ith, None] * kv[None, jt])[:, None, :] * phi
-            phi_r *= kz
-            phi *= kz
-            grad_sq = phi_t**2 + phi_th**2 + r_alpha * phi_r**2
-            sums += (
-                np.vdot(sigma * grad_sq, weight),
-                np.vdot(sigma * sigma * sigma * phi**2, weight),
-            )
-        else:
-            interior = s**2 * phi**2 + phi_th**2 + r_alpha * phi_r**2 + phi_t**2
-            commutator = (kd1[None, None, jt] * phi_t + kd2[None, None, jt] * phi) ** 2
-            sums += (np.vdot(interior, weight), np.vdot(commutator, weight))
-    sums *= hr
-    if with_cutoffs:
-        return {
-            "lhs_gradient": s * lam * float(sums[0]),
-            "lhs_zero_order": s**3 * lam**3 * float(sums[1]),
-        }
-    return {"rhs_interior": float(sums[0]), "rhs_commutator": float(sums[1])}
+
+def _pair_sum(f: np.ndarray, g: np.ndarray) -> float:
+    """sum over modes m, n and (theta, t) of f_m f_n g_mn."""
+    return float(np.einsum("mij,nij,mnij->", f, f, g))
+
+
+def _trapezoid_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the trapezoid rule with n intervals on (lo, hi)."""
+    return np.linspace(lo, hi, n + 1), _trapezoid_weights(n, (hi - lo) / n)
 
 
 def carleman_component_integrals(
@@ -614,6 +613,11 @@ def carleman_component_integrals(
     pair, and the temporal cutoff commutator term.  All exponentially
     weighted quadratures share one log-space offset so the reported
     quotient is formed from overflow-safe mantissas.
+
+    Quadrature is trapezoid in theta and t and midpoint in r (the radial
+    grid is staggered because A grad phi . grad phi ~ r^{-alpha} is
+    integrable but unbounded at the degenerate side); the regions share
+    the r and t axes and their factors.
     """
     d0 = params.delta0
     alpha, lam, s = params.alpha, params.lam, params.s
@@ -624,38 +628,76 @@ def carleman_component_integrals(
     sigma_max = math.exp(lam * 2.0)
     log_offset = 2.0 * s * sigma_max
 
-    lhs = _weighted_region_integrals(
-        solution, params, 3.0 * d0, 1.0 - 3.0 * d0, n_theta, n_r, n_t,
-        log_offset, True, zeta, kcut,
-    )
-    strip = {"rhs_interior": 0.0, "rhs_commutator": 0.0}
+    # axes and factors shared by every region: r midpoints, t trapezoid
+    hr = 1.0 / n_r
+    r = (np.arange(n_r) + 0.5) * hr
+    t, w_t = _trapezoid_rule(0.0, params.T, n_t)
+    kv, kd1, kd2 = eval_cutoff(kcut, t)
+    amp, vel = solution.temporal_factors(t)
+    rad, drad = solution.radial_factors(r)
+    # radial pair products R_m R_n and r^alpha R_m' R_n', shaped (M, M, n_r)
+    rr = rad[:, None, :] * rad[None, :, :]
+    dd = r**alpha * drad[:, None, :] * drad[None, :, :]
+
+    # left side on the core, psi = k zeta phi; sigma = sig_theta sig_r sig_t
+    # splits off the contraction, its radial factor going into the rows
+    theta, w_th = _trapezoid_rule(3.0 * d0, 1.0 - 3.0 * d0, n_theta)
+    zv, zd1, _ = eval_cutoff(zeta, theta)
+    sin, dsin = solution.angular_factors(theta)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, r, t)
+    rows = np.stack([sig_r * rr, sig_r * dd, sig_r**3 * rr])
+    lhs_gradient = lhs_zero_order = 0.0
+    for ith, jt, g in _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset):
+        kz = zv[ith, None] * kv[None, jt]
+        phi = sin[:, ith, None] * amp[:, None, jt]
+        psi_t = kz * sin[:, ith, None] * vel[:, None, jt] + zv[ith, None] * kd1[None, jt] * phi
+        psi_th = kz * dsin[:, ith, None] * amp[:, None, jt] + zd1[ith, None] * kv[None, jt] * phi
+        psi = phi * kz
+        sig_2d = sig_theta[ith, None] * sig_t[None, jt]
+        g[:2] *= sig_2d
+        g[2] *= sig_2d**3
+        lhs_gradient += _pair_sum(psi_t, g[0]) + _pair_sum(psi_th, g[0]) + _pair_sum(psi, g[1])
+        lhs_zero_order += _pair_sum(psi, g[2])
+
+    # right side over the lateral strip pair, psi = phi
+    rows = np.stack([rr, dd])
+    rhs_interior = rhs_commutator = 0.0
     for lo, hi in ((0.0, 4.0 * d0), (1.0 - 4.0 * d0, 1.0)):
-        part = _weighted_region_integrals(
-            solution, params, lo, hi, max(32, n_theta // 4), n_r, n_t,
-            log_offset, False, zeta, kcut,
-        )
-        strip["rhs_interior"] += part["rhs_interior"]
-        strip["rhs_commutator"] += part["rhs_commutator"]
+        theta, w_th = _trapezoid_rule(lo, hi, max(32, n_theta // 4))
+        sin, dsin = solution.angular_factors(theta)
+        for ith, jt, g in _contracted_weight_tiles(
+            params, theta, w_th, r, t, w_t, rows, log_offset
+        ):
+            phi = sin[:, ith, None] * amp[:, None, jt]
+            phi_t = sin[:, ith, None] * vel[:, None, jt]
+            phi_th = dsin[:, ith, None] * amp[:, None, jt]
+            rhs_interior += s**2 * _pair_sum(phi, g[0]) + _pair_sum(phi, g[1])
+            rhs_interior += _pair_sum(phi_th, g[0]) + _pair_sum(phi_t, g[0])
+            commutator = kd1[jt] * phi_t + kd2[jt] * phi
+            rhs_commutator += _pair_sum(commutator, g[0])
+
+    lhs_gradient *= s * lam * hr
+    lhs_zero_order *= s**3 * lam**3 * hr
+    rhs_interior *= hr
+    rhs_commutator *= hr
 
     # restricted top-side trace: s l int sigma (d_r phi)^2, no exponential
-    theta = np.linspace(d0, 1.0 - d0, n_theta + 1)
-    w_th = _trapezoid_weights(n_theta, (1.0 - 2.0 * d0) / n_theta)
-    t = np.linspace(0.0, params.T, n_t + 1)
-    w_t = _trapezoid_weights(n_t, params.T / n_t)
+    theta, w_th = _trapezoid_rule(d0, 1.0 - d0, n_theta)
     sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, np.ones(1), t)
     sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
-    tr = solution.trace_r1(theta[:, None], t[None, :])
+    flux = np.array([m.flux_at_1 for m in solution.modes])
+    tr = np.einsum("m,mi,mj->ij", flux, solution.angular_factors(theta)[0], amp)
     rhs_trace = s * lam * float(np.sum(sigma_top * tr**2 * w_th[:, None] * w_t[None, :]))
 
-    denom = rhs_trace * math.exp(-log_offset) + strip["rhs_interior"] + strip["rhs_commutator"]
-    chat = (lhs["lhs_gradient"] + lhs["lhs_zero_order"]) / max(denom, np.finfo(float).tiny)
+    denom = rhs_trace * math.exp(-log_offset) + rhs_interior + rhs_commutator
+    chat = (lhs_gradient + lhs_zero_order) / max(denom, np.finfo(float).tiny)
     scale = math.exp(log_offset) if log_offset < 700.0 else math.inf
     return ComponentIntegrals(
-        lhs_gradient=lhs["lhs_gradient"] * scale,
-        lhs_zero_order=lhs["lhs_zero_order"] * scale,
+        lhs_gradient=lhs_gradient * scale,
+        lhs_zero_order=lhs_zero_order * scale,
         rhs_trace=rhs_trace,
-        rhs_interior=strip["rhs_interior"] * scale,
-        rhs_commutator=strip["rhs_commutator"] * scale,
+        rhs_interior=rhs_interior * scale,
+        rhs_commutator=rhs_commutator * scale,
         chat=chat,
         s=s,
         lam=lam,

@@ -177,7 +177,7 @@ def exact_critical_constant(delta: float, bc: str = "mixed") -> float:
         raise DeltaOutOfRange(f"delta must lie in (0, 1), got {delta}")
     factor = 4.0 if bc == "mixed" else 1.0 if bc == "dirichlet" else None
     if factor is None:
-        raise ValueError(f"unknown critical bc kind: {bc!r}")
+        raise ParameterOutOfRange(f"unknown critical bc kind: {bc!r}")
     return factor / math.pi**2 * math.log(delta) ** 2
 
 
@@ -198,7 +198,7 @@ def critical_truncated_constant(
     if not 0.0 < delta < 1.0:
         raise DeltaOutOfRange(f"delta must lie in (0, 1), got {delta}")
     if bc not in ("mixed", "dirichlet"):
-        raise ValueError(f"unknown critical bc kind: {bc!r}")
+        raise ParameterOutOfRange(f"unknown critical bc kind: {bc!r}")
     if method == "direct":
         mesh = build_log_mesh(N, delta)
         fem_bc = "dirichlet-right-only" if bc == "mixed" else "dirichlet-dirichlet"
@@ -208,7 +208,7 @@ def critical_truncated_constant(
         fem_bc = "dirichlet-left-only" if bc == "mixed" else "dirichlet-dirichlet"
         mats = assemble_weighted_system(mesh, p=0.0, q=0.0, bc=fem_bc)
     else:
-        raise ValueError(f"unknown method: {method!r}")
+        raise ParameterOutOfRange(f"unknown method: {method!r}")
     c = _best_constant(mats)
     exact = exact_critical_constant(delta, bc)
     return HardyReport(

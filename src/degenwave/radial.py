@@ -603,6 +603,8 @@ def bessel_radial_mode(
     (0, 1), positive near r = 0.  R(r) = C r^{(1-alpha)/2} J_nu(j r^{(2-alpha)/2})
     with C^2 = (2-alpha)/J_{nu+1}(j)^2 and |R'(1)| = (2-alpha)^{3/2} j / 2.
     """
+    if k < 1:
+        raise ParameterOutOfRange(f"radial index k must be at least 1, got {k}")
     nu = (1.0 - alpha) / (2.0 - alpha)
     j = _bessel_root(nu, k)
     rho = ((2.0 - alpha) / 2.0 * j) ** 2

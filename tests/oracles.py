@@ -18,13 +18,21 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from degenwave.carleman import (
+    ComponentIntegrals,
     ConjugationReport,
     SmoothModalSolution,
     _residual_axes,
+    _sigma_factors,
+    _weight_tiles,
 )
 from degenwave.errors import ConvergenceFailure, DivergentWeight
 from degenwave.params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
-from degenwave.radial import RadialEigenpair, WeightedMatrices, one_sided_flux
+from degenwave.radial import (
+    RadialEigenpair,
+    WeightedMatrices,
+    _trapezoid_weights,
+    one_sided_flux,
+)
 
 
 def _series_start(alpha: float, rho: float, r0: float) -> tuple[float, float]:
@@ -184,6 +192,29 @@ def _band_certified(
     return bool(np.all(xi_min >= -gamma_hat))
 
 
+def modal_sum(
+    solution: SmoothModalSolution, theta, r, t, time_part: str, angular: str, radial: str
+) -> np.ndarray:
+    """A modal field evaluated pointwise, one mode at a time, as first written.
+
+    time_part "amp" or "vel", angular and radial "value" or "deriv": for
+    example ("amp", "value", "deriv") is phi_r.
+    """
+    theta = np.asarray(theta, dtype=float)
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = None
+    for m in solution.modes:
+        tp = m.amplitude(t) if time_part == "amp" else m.velocity(t)
+        ang = np.sin(m.n * math.pi * theta)
+        if angular == "deriv":
+            ang = m.n * math.pi * np.cos(m.n * math.pi * theta)
+        rad = m.radial(r) if radial == "value" else m.radial_deriv(r)
+        term = tp * ang * rad
+        out = term if out is None else out + term
+    return 0.0 if out is None else out
+
+
 def slab_conjugation_residual(
     solution: SmoothModalSolution,
     params: CarlemanParams,
@@ -238,7 +269,10 @@ def slab_conjugation_residual(
         ts = t[slab]
         kv, kd1, kd2 = eval_cutoff(kcut, ts)
 
-        phi = solution.phi(theta[:, None, None], r[None, :, None], ts[None, None, :])
+        phi = modal_sum(
+            solution, theta[:, None, None], r[None, :, None], ts[None, None, :],
+            "amp", "value", "value",
+        )
         sig_t = np.exp(-lam * beta * (ts - params.t0) ** 2)
         sigma = sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
         esig = np.exp(s * sigma)
@@ -268,12 +302,9 @@ def slab_conjugation_residual(
         p2_minus = s * eta_i * ((4.0 - alpha + 2.0 * beta) * lam * sig_i - lam**2 * sig_i * b)
 
         phi_i = phi[1:-1, 1:-1, 1:-1]
-        phi_t = solution.phi_t(
-            theta[1:-1][:, None, None], r[1:-1][None, :, None], ts[1:-1][None, None, :]
-        )
-        phi_th = solution.phi_theta(
-            theta[1:-1][:, None, None], r[1:-1][None, :, None], ts[1:-1][None, None, :]
-        )
+        points = (theta[1:-1][:, None, None], r[1:-1][None, :, None], ts[1:-1][None, None, :])
+        phi_t = modal_sum(solution, *points, "vel", "value", "value")
+        phi_th = modal_sum(solution, *points, "amp", "deriv", "value")
         kv_i = kv[1:-1][None, None, :]
         kd1_i = kd1[1:-1][None, None, :]
         kd2_i = kd2[1:-1][None, None, :]
@@ -299,6 +330,138 @@ def slab_conjugation_residual(
         shape=shape,
         spacings=(h_theta, h_r, h_t),
         r_min=r_min,
+    )
+
+
+def _pointwise_region_integrals(
+    solution: SmoothModalSolution,
+    params: CarlemanParams,
+    theta_lo: float,
+    theta_hi: float,
+    n_theta: int,
+    n_r: int,
+    n_t: int,
+    log_offset: float,
+    with_cutoffs: bool,
+    zeta: CutoffSpec,
+    kcut: CutoffSpec,
+) -> dict[str, float]:
+    """Tensor quadrature of the weighted integrands over one theta interval.
+
+    Every field is evaluated pointwise on each theta x t tile and the
+    integrands are formed point by point, exactly as the identity reads.
+    """
+    alpha, lam, s = params.alpha, params.lam, params.s
+    theta = np.linspace(theta_lo, theta_hi, n_theta + 1)
+    w_th = _trapezoid_weights(n_theta, (theta_hi - theta_lo) / n_theta)
+    hr = 1.0 / n_r
+    r = (np.arange(n_r) + 0.5) * hr
+    t = np.linspace(0.0, params.T, n_t + 1)
+    w_t = _trapezoid_weights(n_t, params.T / n_t)
+    zv, zd1, _ = eval_cutoff(zeta, theta)
+    kv, kd1, kd2 = eval_cutoff(kcut, t)
+    r3 = r[None, :, None]
+    r_alpha = r3**alpha
+
+    sums = np.zeros(2)
+    for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=0):
+        th3, t3 = theta[ith, None, None], t[None, None, jt]
+        # e^{2 s sigma - log_offset} times the theta and t rule weights
+        weight = np.multiply(sigma, 2.0 * s)
+        weight -= log_offset
+        np.exp(weight, out=weight)
+        weight *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
+
+        phi = modal_sum(solution, th3, r3, t3, "amp", "value", "value")
+        phi_t = modal_sum(solution, th3, r3, t3, "vel", "value", "value")
+        phi_th = modal_sum(solution, th3, r3, t3, "amp", "deriv", "value")
+        phi_r = modal_sum(solution, th3, r3, t3, "amp", "value", "deriv")
+        if with_cutoffs:
+            # psi = k zeta phi; its derivatives overwrite those of phi
+            kz = (zv[ith, None] * kv[None, jt])[:, None, :]
+            phi_t *= kz
+            phi_t += (zv[ith, None] * kd1[None, jt])[:, None, :] * phi
+            phi_th *= kz
+            phi_th += (zd1[ith, None] * kv[None, jt])[:, None, :] * phi
+            phi_r *= kz
+            phi *= kz
+            grad_sq = phi_t**2 + phi_th**2 + r_alpha * phi_r**2
+            sums += (
+                np.vdot(sigma * grad_sq, weight),
+                np.vdot(sigma * sigma * sigma * phi**2, weight),
+            )
+        else:
+            interior = s**2 * phi**2 + phi_th**2 + r_alpha * phi_r**2 + phi_t**2
+            commutator = (kd1[None, None, jt] * phi_t + kd2[None, None, jt] * phi) ** 2
+            sums += (np.vdot(interior, weight), np.vdot(commutator, weight))
+    sums *= hr
+    if with_cutoffs:
+        return {
+            "lhs_gradient": s * lam * float(sums[0]),
+            "lhs_zero_order": s**3 * lam**3 * float(sums[1]),
+        }
+    return {"rhs_interior": float(sums[0]), "rhs_commutator": float(sums[1])}
+
+
+def pointwise_component_integrals(
+    solution: SmoothModalSolution,
+    params: CarlemanParams,
+    n_theta: int = 192,
+    n_r: int = 128,
+    n_t: int = 384,
+) -> ComponentIntegrals:
+    """The component integrals as first written: pointwise integrands per tile.
+
+    Reference for `degenwave.carleman.carleman_component_integrals`, which
+    contracts the weight over r against radial pair products instead.
+    """
+    d0 = params.delta0
+    alpha, lam, s = params.alpha, params.lam, params.s
+    zeta = theta_cutoff(d0)
+    kcut = time_cutoff(params.epsilon, params.T)
+
+    # global peak of 2 s sigma: xi is maximal at (theta, r, t) = (1, 1, t0)
+    sigma_max = math.exp(lam * 2.0)
+    log_offset = 2.0 * s * sigma_max
+
+    lhs = _pointwise_region_integrals(
+        solution, params, 3.0 * d0, 1.0 - 3.0 * d0, n_theta, n_r, n_t,
+        log_offset, True, zeta, kcut,
+    )
+    strip = {"rhs_interior": 0.0, "rhs_commutator": 0.0}
+    for lo, hi in ((0.0, 4.0 * d0), (1.0 - 4.0 * d0, 1.0)):
+        part = _pointwise_region_integrals(
+            solution, params, lo, hi, max(32, n_theta // 4), n_r, n_t,
+            log_offset, False, zeta, kcut,
+        )
+        strip["rhs_interior"] += part["rhs_interior"]
+        strip["rhs_commutator"] += part["rhs_commutator"]
+
+    # restricted top-side trace: s l int sigma (d_r phi)^2, no exponential
+    theta = np.linspace(d0, 1.0 - d0, n_theta + 1)
+    w_th = _trapezoid_weights(n_theta, (1.0 - 2.0 * d0) / n_theta)
+    t = np.linspace(0.0, params.T, n_t + 1)
+    w_t = _trapezoid_weights(n_t, params.T / n_t)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, np.ones(1), t)
+    sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
+    tr = 0.0
+    for m in solution.modes:
+        tr = tr + m.amplitude(t[None, :]) * np.sin(m.n * math.pi * theta[:, None]) * m.flux_at_1
+    rhs_trace = s * lam * float(np.sum(sigma_top * tr**2 * w_th[:, None] * w_t[None, :]))
+
+    denom = rhs_trace * math.exp(-log_offset) + strip["rhs_interior"] + strip["rhs_commutator"]
+    chat = (lhs["lhs_gradient"] + lhs["lhs_zero_order"]) / max(denom, np.finfo(float).tiny)
+    scale = math.exp(log_offset) if log_offset < 700.0 else math.inf
+    return ComponentIntegrals(
+        lhs_gradient=lhs["lhs_gradient"] * scale,
+        lhs_zero_order=lhs["lhs_zero_order"] * scale,
+        rhs_trace=rhs_trace,
+        rhs_interior=strip["rhs_interior"] * scale,
+        rhs_commutator=strip["rhs_commutator"] * scale,
+        chat=chat,
+        s=s,
+        lam=lam,
+        log_offset=log_offset,
     )
 
 

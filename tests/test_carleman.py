@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import slab_conjugation_residual
+from oracles import modal_sum, pointwise_component_integrals, slab_conjugation_residual
 
 from degenwave import carleman
 from degenwave.carleman import (
@@ -18,7 +19,7 @@ from degenwave.carleman import (
     eval_b,
     eval_xi_sigma,
 )
-from degenwave.errors import DegenerateCellTouched, GridMismatch
+from degenwave.errors import DegenerateCellTouched, GridMismatch, ParameterOutOfRange
 
 
 class TestWeightPackage:
@@ -283,6 +284,70 @@ class TestPSplittingCompleteness:
         assert err <= 1e-10
 
 
+def two_mode_solution():
+    return SmoothModalSolution(
+        0.5, (bessel_mode(0.5, 1, 1, a=1.0, b=0.3), bessel_mode(0.5, 2, 3, a=-0.4, b=0.2))
+    )
+
+
+def counted_radial_solution(solution, calls):
+    """The solution with each mode's radial and radial_deriv counting its calls."""
+
+    def counted(key, f):
+        def wrapped(r):
+            calls[key] += 1
+            return f(r)
+
+        return wrapped
+
+    return SmoothModalSolution(
+        solution.alpha,
+        tuple(
+            dataclasses.replace(
+                m,
+                radial=counted(("R", i), m.radial),
+                radial_deriv=counted(("dR", i), m.radial_deriv),
+            )
+            for i, m in enumerate(solution.modes)
+        ),
+    )
+
+
+class TestModalSolution:
+    @pytest.mark.parametrize("bad", [{"n": 0}, {"n": -1}, {"k": 0}, {"k": -2}])
+    def test_degenerate_mode_rejected(self, bad):
+        with pytest.raises(ParameterOutOfRange):
+            bessel_mode(0.5, **({"n": 1, "k": 1} | bad))
+
+    def test_empty_superposition_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            SmoothModalSolution(0.5, ())
+
+    def test_fields_match_pointwise_sum(self):
+        """phi and its derivatives are the mode-by-mode pointwise sums."""
+        sol = two_mode_solution()
+        th = np.linspace(0.0, 1.0, 7)[:, None, None]
+        r = np.linspace(0.05, 1.0, 5)[None, :, None]
+        t = np.linspace(0.0, 9.0, 6)[None, None, :]
+        for field, parts in (
+            (sol.phi, ("amp", "value", "value")),
+            (sol.phi_t, ("vel", "value", "value")),
+            (sol.phi_theta, ("amp", "deriv", "value")),
+            (sol.phi_r, ("amp", "value", "deriv")),
+        ):
+            got = field(th, r, t)
+            assert got.shape == (7, 5, 6)
+            assert np.array_equal(got, modal_sum(sol, th, r, t, *parts))
+        # scalars and mixed ranks broadcast as numpy does
+        assert sol.phi(0.3, 0.4, 1.5) == modal_sum(sol, 0.3, 0.4, 1.5, "amp", "value", "value")
+        assert sol.phi(0.3, r[0, :, 0], 1.5).shape == (5,)
+        trace = sum(
+            m.amplitude(t[0]) * np.sin(m.n * math.pi * th[:, :, 0]) * m.flux_at_1
+            for m in sol.modes
+        )
+        assert np.allclose(sol.trace_r1(th[:, :, 0], t[0]), trace, rtol=1e-15, atol=0.0)
+
+
 class TestConjugationResidual:
     def test_zero_solution(self, carleman_params):
         sol = SmoothModalSolution(0.5, (bessel_mode(0.5, 1, 1, a=0.0, b=0.0),))
@@ -359,6 +424,33 @@ class TestConjugationResidual:
             tracemalloc.stop()
         assert peak <= 64e6
 
+    def test_memory_bound_at_finest_benchmark_level(self, carleman_params, bessel_solution):
+        """A whole-grid (theta, t) array at this level would be 9.5 MB per copy."""
+        tracemalloc.start()
+        try:
+            conjugation_residual(bessel_solution, carleman_params, shape=(4608, 48, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+
+    @pytest.mark.parametrize(
+        "shape,r_min",
+        [((1, 24, 96), 0.1), ((96, 2, 48), 0.5), ((864, 24, 1), 0.1), ((0, 24, 96), 0.1)],
+    )
+    def test_axis_without_interior_points(self, carleman_params, bessel_solution, shape, r_min):
+        with pytest.raises(GridMismatch):
+            conjugation_residual(bessel_solution, carleman_params, shape=shape, r_min=r_min)
+
+    def test_radial_factors_once_per_call(self, carleman_params, monkeypatch):
+        calls = collections.Counter()
+        sol = counted_radial_solution(two_mode_solution(), calls)
+        for budget in (97 * 16 * 49, 10 * 16 * 10):
+            monkeypatch.setattr(carleman, "_TILE_ELEMENTS", budget)
+            calls.clear()
+            conjugation_residual(sol, carleman_params, shape=(96, 16, 48))
+            assert calls == {("R", 0): 1, ("R", 1): 1, ("dR", 0): 1, ("dR", 1): 1}
+
 
 class TestComponentIntegrals:
     def test_zero_solution(self, carleman_params):
@@ -389,6 +481,30 @@ class TestComponentIntegrals:
         finally:
             tracemalloc.stop()
         assert peak <= 64e6
+
+    @pytest.mark.parametrize("case", ["defaults", "two_modes", "s_zero"])
+    def test_matches_pointwise_oracle(self, carleman_params, bessel_solution, case):
+        params, sol = carleman_params, bessel_solution
+        if case == "two_modes":
+            sol = two_mode_solution()
+        if case == "s_zero":
+            params = dataclasses.replace(carleman_params, s=0.0)
+        got = carleman_component_integrals(sol, params)
+        expect = pointwise_component_integrals(sol, params)
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name) == pytest.approx(
+                getattr(expect, field.name), rel=1e-13, abs=0.0
+            ), field.name
+
+    def test_radial_factors_once_per_call(self, carleman_params, monkeypatch):
+        calls = collections.Counter()
+        sol = counted_radial_solution(two_mode_solution(), calls)
+        grid = dict(n_theta=48, n_r=32, n_t=64)
+        for budget in (49 * 32 * 65, 10 * 32 * 10):
+            monkeypatch.setattr(carleman, "_TILE_ELEMENTS", budget)
+            calls.clear()
+            carleman_component_integrals(sol, carleman_params, **grid)
+            assert calls == {("R", 0): 1, ("R", 1): 1, ("dR", 0): 1, ("dR", 1): 1}
 
     def test_quadrature_refinement(self, carleman_params, bessel_solution):
         coarse = carleman_component_integrals(

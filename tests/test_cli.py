@@ -138,8 +138,15 @@ class TestParameterRange:
             (("carleman-check", "--alpha", "1.2"), "carleman.json"),
             (("spectrum", "--n", "16", "--kmax", "100"), "spectrum.csv"),
             (("hardy", "--alpha", "1.2", "--n", "64"), "hardy.json"),
+            (("hardy", "--critical", "--bc", "foo", "--n", "64"), "hardy_scan.csv"),
+            (("hardy", "--critical", "--method", "foo", "--n", "64"), "hardy_scan.csv"),
+            (("carleman-check", "--mode-n", "0"), "carleman.json"),
+            (("carleman-check", "--mode-k", "0"), "carleman.json"),
         ],
-        ids=["validate-params", "carleman-check", "spectrum", "hardy"],
+        ids=[
+            "validate-params", "carleman-check", "spectrum", "hardy", "hardy-bc",
+            "hardy-method", "carleman-mode-n", "carleman-mode-k",
+        ],
     )
     def test_out_of_range_is_json_error(self, tmp_path, args, artifact):
         res = run_cli(*args, "--out", str(tmp_path))

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from degenwave.errors import BoundaryViolation, DeltaOutOfRange, InsufficientData
+from degenwave.errors import (
+    BoundaryViolation,
+    DeltaOutOfRange,
+    InsufficientData,
+    ParameterOutOfRange,
+)
 from degenwave.hardy import (
     best_subcritical_constant,
     blowup_rate_fit,
@@ -84,11 +89,16 @@ class TestExactCriticalConstant:
                 exact_critical_constant(bad, "mixed")
 
     def test_unknown_bc(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             exact_critical_constant(0.1, "noflux")
 
 
 class TestCriticalTruncatedConstant:
+    @pytest.mark.parametrize("kwargs", [{"bc": "noflux"}, {"method": "shooting"}])
+    def test_unknown_bc_or_method(self, kwargs):
+        with pytest.raises(ParameterOutOfRange):
+            critical_truncated_constant(0.1, N=64, **kwargs)
+
     @pytest.mark.parametrize("bc,expect", [("mixed", 4.0), ("dirichlet", 1.0)])
     def test_log_pi_reference(self, bc, expect):
         rep = critical_truncated_constant(math.exp(-math.pi), bc=bc, N=1024)
