@@ -8,8 +8,9 @@ ratios over seeded ensembles; the scan over pure high tangential modes
 R_1(r) sin(n pi theta) cos(omega_n t) is the designed negative control:
 their energy grows like (n pi)^2 while the top-side trace stays bounded, so
 the pure-trace ratio diverges with slope 2 in log-log, and only the
-interior term restores boundedness.  Every observation term, for ensembles
-and scanned modes alike, comes from the exact path waves.observation_norms.
+interior term restores boundedness.  Every observation term comes from the
+exact forms of waves: scanned modes and single data through
+observation_norms, ensembles through the trace Gramian of their truncation.
 """
 
 from __future__ import annotations
@@ -19,14 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, TimeTooShort
+from .errors import InsufficientData, ParameterOutOfRange, TimeTooShort
 from .params import DomainSpec, observation_time_threshold
 from .radial import RadialBasis, solve_radial_basis
 from .waves import (
+    _BLOCK_ELEMENTS,
     ModalCoefficients,
+    _full_trace_forms,
+    _trace_data,
+    _trace_gramian,
     data_norms,
     energy,
-    full_trace_norm_closed,
     modal_state,
     observation_norms,
     random_state,
@@ -181,14 +185,29 @@ def hidden_trace_ratio_ensemble(
     Each member is a seeded damped random datum; the ratio is the squared
     trace norm over the squared data norm (weighted-gradient part of phi0
     plus L2 part of phi1).  Time integration is exact, so the statistics
-    carry no quadrature error.
+    carry no quadrature error.  The trace Gramian of the truncation is built
+    once and applied to the stacked members in batched products, chunk by
+    chunk so that the stacked data stay within a fixed element budget.
+
+    Raises:
+        ParameterOutOfRange: size below 1.
     """
+    if size < 1:
+        raise ParameterOutOfRange(f"ensemble size must be at least 1, got {size}")
     n_max, k_max = truncation
+    omega = modal_state(basis, n_max, k_max).omega
+    gramian = _trace_gramian(basis, omega, T)
+    chunk = max(1, _BLOCK_ELEMENTS // (n_max * 2 * k_max))
     ratios = []
-    for member in range(size):
-        state = random_state(basis, n_max, k_max, seed, member=member)
-        h1w, l2 = data_norms(state)
-        ratios.append(full_trace_norm_closed(state, T) / (h1w + l2))
+    for lo in range(0, size, chunk):
+        members = range(lo, min(lo + chunk, size))
+        y = np.empty((n_max, len(members), 2 * k_max))
+        norms = np.empty(len(members))
+        for j, member in enumerate(members):
+            state = random_state(basis, n_max, k_max, seed, member=member)
+            y[:, j] = _trace_data(state)
+            norms[j] = sum(data_norms(state))
+        ratios.extend(_full_trace_forms(gramian, y) / norms)
     arr = np.asarray(ratios)
     return EnsembleStats(
         seed=seed,
@@ -213,6 +232,9 @@ def hidden_trace_stability(
 
     Random data extend consistently under doubling (same master coefficient
     block), so the comparison isolates the effect of the added high modes.
+
+    Raises:
+        ParameterOutOfRange: size below 1.
     """
     base = hidden_trace_ratio_ensemble(basis, seed, size, truncation, T)
     doubled_trunc = (2 * truncation[0], 2 * truncation[1])

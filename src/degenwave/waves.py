@@ -6,10 +6,17 @@ harmonic oscillator of frequency omega_nk = sqrt((n*pi)^2 + rho_k), so time
 evolution carries no discretization error and energy conservation is a pure
 roundoff statement.  Boundary traces on the top side r = 1 and interior
 observation norms over the lateral strips are quadratic forms in the modal
-amplitudes.  All of them go through one exact path, observation_norms:
-theta factors are closed-form overlaps, radial factors exact element
-integrals, and time factors exact trigonometric pair integrals, assembled
-in blocks of sine orders so that memory stays bounded.
+data y = (a, b/omega) with exact factors: theta factors are closed-form
+overlaps, radial factors exact element integrals, and time factors exact
+trigonometric pair integrals.
+
+The whole top side couples only modes of the same sine order, so its form
+is one trace Gramian of 2k x 2k blocks G_n, built once per truncation and
+applied to any number of data in batched products.  The restricted segment
+and the lateral strips are mirror symmetric under theta -> 1 - theta, which
+multiplies sin(n pi theta) by (-1)^(n+1); their overlaps vanish for n + m
+odd, so observation_norms assembles the odd and the even sine orders apart,
+each in blocks of orders so that memory stays bounded.
 """
 
 from __future__ import annotations
@@ -302,36 +309,70 @@ def cosine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
     return anti(b) - anti(a)
 
 
-def _strips_overlap(n_max: int, strips, kind: str) -> np.ndarray:
+def _strips_overlap(n_max: int, delta0: float, kind: str) -> np.ndarray:
+    """Sine or cosine overlaps summed over the lateral strips of theta_strips(delta0).
+
+    Two strips are mirror images under theta -> 1 - theta, which multiplies
+    the product of orders n and m by (-1)^(n+m): the pair sums to twice the
+    left strip for n + m even and to zero for n + m odd.  Only the left
+    strip is evaluated, whose phases stay small, so short strips keep their
+    accuracy near theta = 1 as well.
+    """
     build = sine_overlap_matrix if kind == "sine" else cosine_overlap_matrix
-    out = np.zeros((n_max, n_max))
-    for a, b in strips:
-        out += build(n_max, a, b)
+    (a, b), *mirror = theta_strips(delta0)
+    out = build(n_max, a, b)
+    if mirror:
+        n = np.arange(n_max)
+        out *= np.where((n[:, None] + n[None, :]) % 2 == 0, 2.0, 0.0)
     return out
+
+
+def _theta_factors(n_max: int, delta0: float) -> np.ndarray:
+    """Theta factors of the amplitude forms of observation_norms, shape (n_max, n_max, 3).
+
+    Factor j pairs with radial factor j: the restricted top segment
+    (delta0, 1 - delta0); the strip cosines weighted by (n pi)(m pi) for
+    (d_theta phi)^2; the strip sines for r^alpha (d_r phi)^2 + phi^2, which
+    also weight (phi_t)^2.  Every one is mirror symmetric, so its entries
+    vanish for n + m odd.
+    """
+    mu = np.arange(1, n_max + 1) * math.pi
+    return np.stack(
+        [
+            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),
+            np.outer(mu, mu) * _strips_overlap(n_max, delta0, "cosine"),
+            _strips_overlap(n_max, delta0, "sine"),
+        ],
+        axis=-1,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Exact time pair integrals for f = 0 evolutions
 # ---------------------------------------------------------------------------
 
-#: float64 entries per time-kernel array in one block of observation_norms;
-#: about ten arrays of this size are live at once, so a block peaks near
-#: 25 MB, and blocks this small run faster than larger ones (cache reuse)
+#: float64 entries per time-kernel array in one block of observation_norms,
+#: and per stacked-data array in one chunk of an ensemble; about ten arrays
+#: of this size are live at once, so a block peaks near 25 MB, and blocks
+#: this small run faster than larger ones (cache reuse)
 _BLOCK_ELEMENTS = 2**18
 
 
-def _sinc_integral(w: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T cos(w t) dt = sin(wT)/w with the w -> 0 limit T."""
-    small = np.abs(w) * T < 1e-8
-    w_safe = np.where(small, 1.0, w)
-    return np.where(small, T - w**2 * T**3 / 6.0, np.sin(w_safe * T) / w_safe)
+def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^T cos(w t) dt = sin(wT)/w and int_0^T sin(w t) dt = (1 - cos(wT))/w.
 
-
-def _versine_integral(w: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T sin(w t) dt = (1 - cos(wT))/w with the w -> 0 limit 0."""
+    Where |w| T < 1e-8 the quotients are replaced by their w -> 0 limits
+    T - w^2 T^3 / 6 and w T^2 / 2.
+    """
+    wt = w * T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinc = np.sin(wt) / w
+        vers = (1.0 - np.cos(wt)) / w
     small = np.abs(w) * T < 1e-8
-    w_safe = np.where(small, 1.0, w)
-    return np.where(small, 0.5 * w * T**2, (1.0 - np.cos(w_safe * T)) / w_safe)
+    w_small = w[small]
+    sinc[small] = T - w_small**2 * T**3 / 6.0
+    vers[small] = 0.5 * w_small * T**2
+    return sinc, vers
 
 
 def _time_kernels(
@@ -343,12 +384,8 @@ def _time_kernels(
     that broadcast against each other.  All four kernels come from the sum
     and difference frequencies, whose sine integral is odd.
     """
-    dif = w[one] - w[other]
-    tot = w[one] + w[other]
-    sinc_dif = _sinc_integral(dif, T)
-    sinc_tot = _sinc_integral(tot, T)
-    vers_dif = _versine_integral(dif, T)
-    vers_tot = _versine_integral(tot, T)
+    sinc_dif, vers_dif = _trig_integrals(w[one] - w[other], T)
+    sinc_tot, vers_tot = _trig_integrals(w[one] + w[other], T)
     return (
         0.5 * (sinc_dif + sinc_tot),
         0.5 * (vers_tot - vers_dif),
@@ -377,18 +414,42 @@ class TraceReport:
     interior_norm_sq: float
 
 
+def _trace_gramian(basis: RadialBasis, omega: np.ndarray, T: float) -> np.ndarray:
+    """Blocks G_n of the full-side trace form over (0, T), shape (n_max, 2k, 2k).
+
+    G_n = [[F cc F, F cs F], [F sc F, F ss F]] with F = diag(R_k'(1)) and
+    the time kernels of order n; the squared trace norm of data y_n =
+    (a_n, b_n / omega_n) is (1/2) sum_n y_n^T G_n y_n.  Each block is the
+    time integral of v v^T for v = F (cos, sin)(omega_n t), so it is
+    symmetric positive semidefinite.
+    """
+    cc, cs, sc, ss = _time_kernels(omega, T, np.s_[:, :, None], np.s_[:, None, :])
+    flux = np.tile(basis.flux[: omega.shape[1]], 2)
+    return np.block([[cc, cs], [sc, ss]]) * np.outer(flux, flux)
+
+
+def _trace_data(state: ModalCoefficients) -> np.ndarray:
+    """Scaled modal data y_n = (a_n, b_n / omega_n) of the trace Gramian, shape (n_max, 2k)."""
+    return np.concatenate((state.a, state.b / state.omega), axis=1)
+
+
+def _full_trace_forms(gramian: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(1/2) sum_n y_n^T G_n y_n for data stacked as y[n, datum, :].
+
+    One batched product per sine order serves every datum.
+    """
+    return 0.5 * np.einsum("nmi,nmi->m", y @ gramian, y)
+
+
 def full_trace_norm_closed(state: ModalCoefficients, T: float) -> float:
     """Exact squared L2 norm over (0, T) of the normal derivative on the top side.
 
     Sine orthogonality on the whole side couples only mode pairs of the same
-    sine order, so the form is block diagonal in n.
+    sine order, so the form is block diagonal in n: one trace Gramian block
+    per order.
     """
-    flux = state.basis.flux[: state.k_max]
-    w = state.omega
-    one, other = np.s_[:, :, None], np.s_[:, None, :]
-    kernels = _time_kernels(w, T, one, other)
-    pair = _pair_weights(kernels, state.a, state.b / w, one, other)
-    return 0.5 * float(np.einsum("nkl,k,l->", pair, flux, flux))
+    gramian = _trace_gramian(state.basis, state.omega, T)
+    return float(_full_trace_forms(gramian, _trace_data(state)[:, None])[0])
 
 
 def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> TraceReport:
@@ -404,46 +465,45 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     Each is a quadratic form over mode pairs whose factors are exact: time
     by trigonometric pair integrals, theta by sine and cosine overlaps, and
     radius by element integrals (the consistent Gram matrix and the
-    eigenvalues rho_k).  The time kernels are built for one block of sine
-    orders against all modes at a time and shared by the amplitude and
-    velocity forms, so memory stays bounded at large truncations.
+    eigenvalues rho_k).  The whole side is the trace Gramian form of
+    full_trace_norm_closed.  The segment and the strips are mirror
+    symmetric, so their theta factors vanish between odd and even sine
+    orders: the two parity classes are assembled apart, which halves the
+    time-kernel pairs.  Within a class the kernels are built for one block
+    of orders against all orders of the class at a time and shared by the
+    amplitude and velocity forms, so memory stays bounded at large
+    truncations.
     """
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = basis.flux[:k_max]
     gram = basis.consistent_gram(k_max)
-    strips = theta_strips(delta0)
-    strip_sines = _strips_overlap(n_max, strips, "sine")
-    mu = np.arange(1, n_max + 1) * math.pi
-    # amplitude form: theta factor j pairs with radial factor j
-    theta_amp = np.stack(
-        [
-            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),  # restricted trace
-            np.outer(mu, mu) * _strips_overlap(n_max, strips, "cosine"),  # (d_theta phi)^2
-            strip_sines,  # r^alpha (d_r phi)^2 + phi^2
-        ],
-        axis=-1,
-    )
+    theta_amp = _theta_factors(n_max, delta0)
     radial_amp = np.stack(
         [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
     ).reshape(k_max * k_max, 3)
 
-    w = state.omega
     restricted = 0.0
     interior = 0.0
-    block = max(1, _BLOCK_ELEMENTS // (n_max * k_max * k_max))
     every = np.s_[None, :, None, :]
-    for lo in range(0, n_max, block):
-        rows = np.s_[lo : lo + block, None, :, None]
-        kernels = _time_kernels(w, T, rows, every)  # (block, n_max, k_max, k_max)
-        amp_pairs = _pair_weights(kernels, state.a, state.b / w, rows, every)
-        vel_pairs = _pair_weights(kernels, state.b, -state.a * w, rows, every)  # phi_t
-        del kernels
-        amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_max, 3)
-        vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_max)
-        terms = np.sum(amp_nm * theta_amp[lo : lo + block], axis=(0, 1))
-        restricted += float(terms[0])
-        interior += float(terms[1] + terms[2] + np.sum(vel_nm * strip_sines[lo : lo + block]))
+    for parity in range(min(2, n_max)):
+        cls = np.s_[parity::2]  # sine orders n = parity + 1, parity + 3, ...
+        w, a, b = state.omega[cls], state.a[cls], state.b[cls]
+        theta_cls = theta_amp[cls, cls]
+        n_cls = w.shape[0]
+        block = max(1, _BLOCK_ELEMENTS // (n_cls * k_max * k_max))
+        for lo in range(0, n_cls, block):
+            rows = np.s_[lo : lo + block, None, :, None]
+            kernels = _time_kernels(w, T, rows, every)  # (block, n_cls, k_max, k_max)
+            amp_pairs = _pair_weights(kernels, a, b / w, rows, every)
+            vel_pairs = _pair_weights(kernels, b, -a * w, rows, every)  # phi_t
+            del kernels
+            amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_cls, 3)
+            vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_cls)
+            theta_block = theta_cls[lo : lo + block]
+            terms = np.sum(amp_nm * theta_block, axis=(0, 1))
+            restricted += float(terms[0])
+            interior += float(terms[1] + terms[2] + np.sum(vel_nm * theta_block[..., 2]))
     return TraceReport(
         full_trace_norm_sq=full_trace_norm_closed(state, T),
         restricted_trace_norm_sq=restricted,

@@ -26,12 +26,28 @@ from degenwave.carleman import (
     _weight_tiles,
 )
 from degenwave.errors import ConvergenceFailure, DivergentWeight
-from degenwave.params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
+from degenwave.params import (
+    CarlemanParams,
+    CutoffSpec,
+    eval_cutoff,
+    theta_cutoff,
+    theta_strips,
+    time_cutoff,
+)
 from degenwave.radial import (
     RadialEigenpair,
     WeightedMatrices,
     _trapezoid_weights,
     one_sided_flux,
+)
+from degenwave.waves import (
+    TraceReport,
+    _pair_weights,
+    _time_kernels,
+    cosine_overlap_matrix,
+    data_norms,
+    random_state,
+    sine_overlap_matrix,
 )
 
 
@@ -151,6 +167,88 @@ def trapezoid_observation_norms(
         + np.einsum("nkml,nm,kl->", w_amp, g_s, np.diag(basis.rho[:k_max]) + gram)
     )
     return full, restricted, float(interior)
+
+
+#: float64 entries per time-kernel array in one block of all_pairs_observation_norms
+_ALL_PAIRS_BLOCK_ELEMENTS = 2**18
+
+
+def _summed_strips_overlap(n_max: int, strips, kind: str) -> np.ndarray:
+    build = sine_overlap_matrix if kind == "sine" else cosine_overlap_matrix
+    out = np.zeros((n_max, n_max))
+    for a, b in strips:
+        out += build(n_max, a, b)
+    return out
+
+
+def pair_weight_full_trace_norm(state, T: float) -> float:
+    """Full-side squared trace norm as first written: one pair-weight tensor per order."""
+    flux = state.basis.flux[: state.k_max]
+    w = state.omega
+    one, other = np.s_[:, :, None], np.s_[:, None, :]
+    kernels = _time_kernels(w, T, one, other)
+    pair = _pair_weights(kernels, state.a, state.b / w, one, other)
+    return 0.5 * float(np.einsum("nkl,k,l->", pair, flux, flux))
+
+
+def per_member_ensemble_ratios(basis, seed: int, size: int, truncation, T: float) -> list[float]:
+    """Hidden-trace ratios of a seeded ensemble, one member at a time, as first written."""
+    n_max, k_max = truncation
+    ratios = []
+    for member in range(size):
+        state = random_state(basis, n_max, k_max, seed, member=member)
+        h1w, l2 = data_norms(state)
+        ratios.append(pair_weight_full_trace_norm(state, T) / (h1w + l2))
+    return ratios
+
+
+def all_pairs_observation_norms(state, T: float, delta0: float) -> TraceReport:
+    """observation_norms as first written: every pair of sine orders, no parity split.
+
+    Each lateral strip's overlaps are evaluated and summed, and the time
+    kernels are built for one block of orders against all orders.
+    """
+    n_max, k_max = state.n_max, state.k_max
+    basis = state.basis
+    flux = basis.flux[:k_max]
+    gram = basis.consistent_gram(k_max)
+    strips = theta_strips(delta0)
+    strip_sines = _summed_strips_overlap(n_max, strips, "sine")
+    mu = np.arange(1, n_max + 1) * math.pi
+    # amplitude form: theta factor j pairs with radial factor j
+    theta_amp = np.stack(
+        [
+            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),  # restricted trace
+            np.outer(mu, mu) * _summed_strips_overlap(n_max, strips, "cosine"),  # (d_theta phi)^2
+            strip_sines,  # r^alpha (d_r phi)^2 + phi^2
+        ],
+        axis=-1,
+    )
+    radial_amp = np.stack(
+        [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
+    ).reshape(k_max * k_max, 3)
+
+    w = state.omega
+    restricted = 0.0
+    interior = 0.0
+    block = max(1, _ALL_PAIRS_BLOCK_ELEMENTS // (n_max * k_max * k_max))
+    every = np.s_[None, :, None, :]
+    for lo in range(0, n_max, block):
+        rows = np.s_[lo : lo + block, None, :, None]
+        kernels = _time_kernels(w, T, rows, every)  # (block, n_max, k_max, k_max)
+        amp_pairs = _pair_weights(kernels, state.a, state.b / w, rows, every)
+        vel_pairs = _pair_weights(kernels, state.b, -state.a * w, rows, every)  # phi_t
+        del kernels
+        amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_max, 3)
+        vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_max)
+        terms = np.sum(amp_nm * theta_amp[lo : lo + block], axis=(0, 1))
+        restricted += float(terms[0])
+        interior += float(terms[1] + terms[2] + np.sum(vel_nm * strip_sines[lo : lo + block]))
+    return TraceReport(
+        full_trace_norm_sq=pair_weight_full_trace_norm(state, T),
+        restricted_trace_norm_sq=restricted,
+        interior_norm_sq=interior,
+    )
 
 
 def _xi_spatial_range(alpha: float, grid_per_unit: int) -> tuple[float, float]:

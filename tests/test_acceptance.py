@@ -62,7 +62,7 @@ def test_criterion_01_critical_mixed_constant():
         errs.append(rel)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s exceeds seconds-per-delta budget"
-    report(1, f"mixed constants off by {max(errs):.2e} rel (<=0.5%), {elapsed:.2f}s")
+    report(1, f"mixed constants off by {max(errs):.2e} rel (<=0.5%) [timing: {elapsed:.2f}s]")
 
 
 def test_criterion_02_critical_dirichlet_constant():

@@ -142,10 +142,13 @@ class TestParameterRange:
             (("hardy", "--critical", "--method", "foo", "--n", "64"), "hardy_scan.csv"),
             (("carleman-check", "--mode-n", "0"), "carleman.json"),
             (("carleman-check", "--mode-k", "0"), "carleman.json"),
+            (("observability", "--mode", "ensemble", "--size", "0"), "ensemble.csv"),
+            (("observability", "--mode", "ensemble", "--size", "-3"), "ensemble.csv"),
         ],
         ids=[
             "validate-params", "carleman-check", "spectrum", "hardy", "hardy-bc",
-            "hardy-method", "carleman-mode-n", "carleman-mode-k",
+            "hardy-method", "carleman-mode-n", "carleman-mode-k", "ensemble-size-0",
+            "ensemble-size-negative",
         ],
     )
     def test_out_of_range_is_json_error(self, tmp_path, args, artifact):

@@ -1,9 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import per_member_ensemble_ratios
 
-from degenwave.errors import InsufficientData, NonPositiveInput, TimeTooShort
+from degenwave import observability
+from degenwave.errors import (
+    InsufficientData,
+    NonPositiveInput,
+    ParameterOutOfRange,
+    TimeTooShort,
+)
 from degenwave.observability import (
     default_beta,
     default_horizon,
@@ -14,6 +22,7 @@ from degenwave.observability import (
 )
 from degenwave.params import observation_time_threshold, theta_strips
 from degenwave.waves import (
+    data_norms,
     full_trace_norm_closed,
     modal_state,
     random_state,
@@ -149,6 +158,41 @@ class TestHiddenTraceEnsemble:
         r1 = full_trace_norm_closed(st, horizon) / sum(data_norms(st))
         r2 = full_trace_norm_closed(scaled, horizon) / sum(data_norms(scaled))
         assert r2 == pytest.approx(r1, rel=1e-10)
+
+
+class TestBatchedEnsemble:
+    @pytest.mark.parametrize("truncation", [(1, 1), (8, 8), (16, 16), (7, 12)])
+    def test_matches_per_member_oracle(self, basis05_k64, horizon, truncation):
+        stats = hidden_trace_ratio_ensemble(basis05_k64, 11, 30, truncation, horizon)
+        expect = per_member_ensemble_ratios(basis05_k64, 11, 30, truncation, horizon)
+        assert np.allclose(stats.ratios, expect, rtol=1e-13, atol=0.0)
+        for member in (0, 29):
+            st = random_state(basis05_k64, *truncation, 11, member=member)
+            one = full_trace_norm_closed(st, horizon) / sum(data_norms(st))
+            assert stats.ratios[member] == pytest.approx(one, rel=1e-13)
+
+    def test_chunk_invariance(self, basis05_k64, horizon, monkeypatch):
+        whole = hidden_trace_ratio_ensemble(basis05_k64, 12, 20, (8, 8), horizon)
+        # three members per chunk: chunks of 3 and a ragged 2
+        monkeypatch.setattr(observability, "_BLOCK_ELEMENTS", 3 * 8 * 16)
+        chunked = hidden_trace_ratio_ensemble(basis05_k64, 12, 20, (8, 8), horizon)
+        assert np.allclose(chunked.ratios, whole.ratios, rtol=1e-14, atol=0.0)
+
+    def test_memory_bound(self, basis05_k64, horizon):
+        tracemalloc.start()
+        try:
+            hidden_trace_ratio_ensemble(basis05_k64, 13, 2000, (64, 64), horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_empty_ensemble_rejected(self, basis05_k64, horizon, size):
+        with pytest.raises(ParameterOutOfRange):
+            hidden_trace_ratio_ensemble(basis05_k64, 7, size, (4, 4), horizon)
+        with pytest.raises(ParameterOutOfRange):
+            hidden_trace_stability(basis05_k64, 7, size, (4, 4), horizon)
 
 
 class TestTraceTimeMonotonicity:

@@ -2,12 +2,20 @@ import math
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from oracles import trapezoid_observation_norms
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+from oracles import (
+    all_pairs_observation_norms,
+    pair_weight_full_trace_norm,
+    trapezoid_observation_norms,
+)
 
 from degenwave import waves
 from degenwave.errors import GridMismatch, TruncationTooSmall
+from degenwave.params import theta_strips
 from degenwave.waves import (
     RANDOM_CAP,
     data_norms,
@@ -237,6 +245,30 @@ class TestBoundaryTrace:
         assert restricted == pytest.approx(exact.restricted_trace_norm_sq, rel=1e-5)
 
 
+class TestTraceGramian:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_max=st_.integers(1, 6),
+        k_max=st_.integers(1, 16),
+        T=st_.floats(0.05, 400.0),
+    )
+    def test_blocks_symmetric_positive_semidefinite(self, basis05, n_max, k_max, T):
+        omega = modal_state(basis05, n_max, k_max).omega
+        gramian = waves._trace_gramian(basis05, omega, T)
+        assert gramian.shape == (n_max, 2 * k_max, 2 * k_max)
+        for block in gramian:
+            scale = np.abs(block).max()
+            assert np.abs(block - block.T).max() <= 1e-15 * scale
+            eig = np.linalg.eigvalsh(block)
+            assert eig[0] >= -1e-12 * eig[-1]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 5), (12, 16)])
+    def test_matches_pair_weight_oracle(self, basis05, shape):
+        st = random_state(basis05, *shape, seed=16)
+        expect = pair_weight_full_trace_norm(st, T_HORIZON)
+        assert full_trace_norm_closed(st, T_HORIZON) == pytest.approx(expect, rel=1e-13)
+
+
 class TestInteriorNorm:
     def test_zero_state(self, basis05):
         st = modal_state(basis05, 2, 2)
@@ -278,6 +310,51 @@ class TestBlockedAssembly:
             assert getattr(blocked, field) == pytest.approx(
                 getattr(one_block, field), rel=1e-13
             )
+
+    @pytest.mark.parametrize("shape", [(12, 12), (17, 9), (1, 12)])
+    @pytest.mark.parametrize("orders_per_block", [None, 2])
+    def test_matches_all_pairs_oracle(self, basis05, monkeypatch, shape, orders_per_block):
+        n_max, k_max = shape
+        st = random_state(basis05, n_max, k_max, seed=17)
+        expect = all_pairs_observation_norms(st, T_HORIZON, 0.01)
+        if orders_per_block is not None:  # ragged blocks in each parity class
+            monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", orders_per_block * n_max * k_max * k_max)
+        got = observation_norms(st, T_HORIZON, 0.01)
+        for field in ("full_trace_norm_sq", "restricted_trace_norm_sq", "interior_norm_sq"):
+            assert getattr(got, field) == pytest.approx(getattr(expect, field), rel=1e-13)
+
+    @pytest.mark.parametrize("delta0", [1e-7, 1e-4, 1e-3, 0.01, 0.013, 0.03, 0.0312, 0.2499999])
+    def test_theta_factors_vanish_across_parity(self, delta0):
+        """The parity split drops the n + m odd entries; they must be roundoff."""
+        n_max = 17
+        factors = waves._theta_factors(n_max, delta0)
+        n = np.arange(n_max)
+        cross = (n[:, None] + n[None, :]) % 2 == 1
+        for j in range(3):
+            factor = factors[..., j]
+            assert np.abs(factor[cross]).max() <= 1e-15 * np.abs(factor).max()
+
+    @pytest.mark.parametrize("delta0", [1e-3, 0.01, 0.013])
+    def test_strip_overlaps_against_extended_precision(self, delta0):
+        n_max = 9
+        factors = waves._theta_factors(n_max, delta0)
+        mu = np.arange(1, n_max + 1) * math.pi
+
+        def primitive(k, x):
+            return x if k == 0 else mpmath.sin(k * mpmath.pi * x) / (k * mpmath.pi)
+
+        for sign, got in ((1, factors[..., 1] / np.outer(mu, mu)), (-1, factors[..., 2])):
+            ref = np.zeros((n_max, n_max))
+            with mpmath.workdps(40):
+                for n in range(1, n_max + 1):
+                    for m in range(1, n_max + 1):
+                        total = mpmath.mpf(0)
+                        for a, b in theta_strips(delta0):
+                            a, b = mpmath.mpf(a), mpmath.mpf(b)
+                            total += (primitive(n - m, b) - primitive(n - m, a)) / 2
+                            total += sign * (primitive(n + m, b) - primitive(n + m, a)) / 2
+                        ref[n - 1, m - 1] = float(total)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_memory_bound(self, basis05_k64):
         st = random_state(basis05_k64, 48, 48, seed=15)
