@@ -29,9 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
-from scipy.special import jv
 
 from .errors import ConvergenceFailure, DivergentWeight, InvalidMeshSpec, ParameterOutOfRange
 
@@ -336,6 +333,8 @@ def _eigenbasis(
     R is (k_max, n_nodes) with zero constrained entries; see
     `solve_eigenpairs` for the method.
     """
+    from scipy.linalg import blas, lapack
+
     n = mats.n_dof
     if not 1 <= k_max <= n:
         raise ParameterOutOfRange(f"k_max must lie in [1, {n}], got {k_max}")
@@ -363,7 +362,8 @@ def _eigenbasis(
     # Cholesky QR: the lumped inner product of x = D^{-1/2} v is v . v.  The
     # Gram matrix, the factor and the solve all go through scipy's BLAS:
     # numpy links its own OpenBLAS, and alternating between the two thread
-    # pools stalls each behind the other's spinning workers
+    # pools stalls each behind the other's spinning workers.  Runs that never
+    # solve never import scipy and start only numpy's pool
     gram = blas.dsyrk(1.0, z.T, trans=1, lower=1)
     chol, info = lapack.dpotrf(gram, lower=1, overwrite_a=1)
     if info != 0:
@@ -404,6 +404,8 @@ def refine_smallest_eigenpair(
     decrements stop shrinking (roundoff floor of the quotient, well below
     any discretization error).
     """
+    from scipy.linalg import solveh_banded
+
     n = mats.n_dof
     ab = np.zeros((2, n))
     ab[0, 1:] = mats.ke_dof
@@ -413,7 +415,7 @@ def refine_smallest_eigenpair(
     change_old = np.inf
     stalls = 0
     for it in range(max_iter):
-        y = scipy.linalg.solveh_banded(ab, mats.mass_action(x))
+        y = solveh_banded(ab, mats.mass_action(x))
         nrm = math.sqrt(y @ mats.mass_action(y))
         if nrm == 0.0:
             raise ConvergenceFailure("inverse iteration collapsed to zero")
@@ -560,6 +562,8 @@ def elliptic_identity_residual(
 
 def _bessel_root(nu: float, k: int) -> float:
     """k-th positive zero of J_nu: a sign-change scan, then bisection to the ulp."""
+    from scipy.special import jv
+
     est = (k + 0.5 * nu - 0.25) * math.pi
     # step along the axis until the k-th sign change is bracketed
     zeros_found = 0
@@ -603,6 +607,8 @@ def bessel_radial_mode(
     (0, 1), positive near r = 0.  R(r) = C r^{(1-alpha)/2} J_nu(j r^{(2-alpha)/2})
     with C^2 = (2-alpha)/J_{nu+1}(j)^2 and |R'(1)| = (2-alpha)^{3/2} j / 2.
     """
+    from scipy.special import jv
+
     if k < 1:
         raise ParameterOutOfRange(f"radial index k must be at least 1, got {k}")
     nu = (1.0 - alpha) / (2.0 - alpha)

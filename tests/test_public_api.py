@@ -1,5 +1,6 @@
 """The package namespace re-exports every public module name and error class."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -43,9 +44,50 @@ def test_every_reexport_resolves():
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize costs about a quarter second of every import and CLI run
-    probe = "import sys, degenwave; print('scipy.optimize' in sys.modules)"
+def scipy_modules_after(code):
+    """Names of the scipy modules a fresh interpreter holds after running code."""
+    probe = code + "\nimport sys\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+# scipy (with the numpy.testing, f2py and numpy.ma imports of its array-API
+# layer) costs most of a fresh import, so it loads on the first eigensolve
+# or Bessel evaluation and never for runs that do neither
+@pytest.mark.parametrize("module", ["degenwave", "degenwave.cli"])
+def test_import_loads_no_scipy(module):
+    assert scipy_modules_after(f"import {module}") == []
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["--help"], 0),
+        (["validate-params", "--delta0", "0.01", "--beta", "0.005", "--t-horizon", "50"], 0),
+        (["spectrum", "--n", "many"], 2),
+    ],
+    ids=["help", "validate-params", "config-error"],
+)
+def test_cli_without_solve_loads_no_scipy(argv, exit_code, tmp_path):
+    argv = [*argv, "--out", str(tmp_path)]
+    code = (
+        "from degenwave.cli import main\n"
+        f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+        f"assert code == {exit_code}, code"
+    )
+    assert scipy_modules_after(code) == []
+
+
+def test_eigensolve_loads_linalg_only():
+    modules = scipy_modules_after(
+        "from degenwave import solve_radial_basis\nsolve_radial_basis(0.5, N=64, k_max=4)"
+    )
+    assert "scipy.linalg" in modules
+    assert not [m for m in modules if m.startswith(("scipy.special", "scipy.optimize"))]
+
+
+def test_bessel_mode_loads_special_only():
+    modules = scipy_modules_after("from degenwave import bessel_mode\nbessel_mode(0.5, 1, 2)")
+    assert "scipy.special" in modules
+    assert not [m for m in modules if m.startswith(("scipy.linalg", "scipy.optimize"))]

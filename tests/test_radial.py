@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from degenwave import radial
 from degenwave.errors import (
@@ -293,13 +294,13 @@ class TestLumpedSolver:
         assert peak <= 49e6
 
     def test_stein_failure_is_convergence_failure(self, monkeypatch, basis05):
-        stein = radial.lapack.dstein
+        stein = scipy.linalg.lapack.dstein
 
         def failing(*args):
             z, _ = stein(*args)
             return z, 1
 
-        monkeypatch.setattr(radial.lapack, "dstein", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
         with pytest.raises(ConvergenceFailure, match="dstein"):
             solve_eigenpairs(basis05.mats, 4)
 

@@ -339,21 +339,8 @@ class TestBlockedAssembly:
         n_max = 9
         factors = waves._theta_factors(n_max, delta0)
         mu = np.arange(1, n_max + 1) * math.pi
-
-        def primitive(k, x):
-            return x if k == 0 else mpmath.sin(k * mpmath.pi * x) / (k * mpmath.pi)
-
         for sign, got in ((1, factors[..., 1] / np.outer(mu, mu)), (-1, factors[..., 2])):
-            ref = np.zeros((n_max, n_max))
-            with mpmath.workdps(40):
-                for n in range(1, n_max + 1):
-                    for m in range(1, n_max + 1):
-                        total = mpmath.mpf(0)
-                        for a, b in theta_strips(delta0):
-                            a, b = mpmath.mpf(a), mpmath.mpf(b)
-                            total += (primitive(n - m, b) - primitive(n - m, a)) / 2
-                            total += sign * (primitive(n + m, b) - primitive(n + m, a)) / 2
-                        ref[n - 1, m - 1] = float(total)
+            ref = sum(mp_overlap_matrix(n_max, a, b, sign) for a, b in theta_strips(delta0))
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_memory_bound(self, basis05_k64):
@@ -384,7 +371,36 @@ class TestRandomState:
             random_state(basis05, RANDOM_CAP + 1, 4, seed=0)
 
 
+def mp_overlap_matrix(n_max, a, b, sign):
+    """int_a^b cos(n pi t) cos(m pi t) dt (sign 1) or sin sin (sign -1), to 40 digits."""
+
+    def primitive(k, x):
+        return x if k == 0 else mpmath.sin(k * mpmath.pi * x) / (k * mpmath.pi)
+
+    out = np.zeros((n_max, n_max))
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        for n in range(1, n_max + 1):
+            for m in range(1, n_max + 1):
+                dif = primitive(n - m, b) - primitive(n - m, a)
+                tot = primitive(n + m, b) - primitive(n + m, a)
+                out[n - 1, m - 1] = float((dif + sign * tot) / 2)
+    return out
+
+
 class TestOverlapMatrices:
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, 4e-2), (0.0, 4e-4), (0.0, 4e-5), (0.0, 4e-7), (0.3, 0.3 + 4e-5)],
+        ids=["strip-1e-2", "strip-1e-4", "strip-1e-5", "strip-1e-7", "interior-1e-5"],
+    )
+    def test_short_sine_overlaps_against_extended_precision(self, a, b):
+        """Short intervals, where the two antiderivatives of the closed form cancel."""
+        G = sine_overlap_matrix(8, a, b)
+        ref = mp_overlap_matrix(8, a, b, -1)
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(G, G.T)
+
     def test_full_interval_orthogonality(self):
         G = sine_overlap_matrix(6, 0.0, 1.0)
         assert np.allclose(G, 0.5 * np.eye(6), atol=1e-14)
