@@ -14,17 +14,12 @@ from .carleman import (
     ConjugationReport,
     SmoothModalSolution,
     SmoothMode,
-    WeightDerivatives,
-    WeightField,
     bessel_mode,
     build_weight_field,
     carleman_component_integrals,
     carleman_constant_scan,
-    conjugate_field,
     conjugation_order_study,
     conjugation_residual,
-    eval_b,
-    eval_xi_sigma,
 )
 from .errors import (
     BetaOutOfRange,

@@ -1,12 +1,12 @@
-"""Carleman weight machinery: closed-form derivative package and grid checks.
+"""Carleman weight machinery: the weight on tensor grids and grid checks.
 
 The weight exponent is xi = theta^2 + r^(2-alpha) - beta (t - t0)^2 and
-sigma = exp(lambda xi).  Every derivative of sigma that the conjugated
-operator uses has a closed form; this module evaluates the whole package,
-realizes the conjugation eta = exp(s sigma) psi, measures the conjugation
-identity exp(s sigma) h = P+ eta + P- eta as a finite-difference residual
-on a tensor grid, and computes the named component integrals of the
-observability-producing estimate for empirical constant scans.
+sigma = exp(lambda xi).  This module evaluates sigma from its one-axis
+factors, measures the conjugation identity exp(s sigma) h = P+ eta + P- eta
+for eta = exp(s sigma) psi as a finite-difference residual on a tensor
+grid, whose kernel carries the derivatives of sigma in fused closed form,
+and computes the named component integrals of the observability-producing
+estimate for empirical constant scans.
 
 Exact smooth modal solutions (Bessel radial profiles) are used wherever a
 residual is differentiated numerically: second-order convergence of the
@@ -35,170 +35,17 @@ from .params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_
 from .radial import _trapezoid_weights, bessel_radial_mode
 
 __all__ = [
-    "WeightDerivatives",
-    "WeightField",
     "SmoothMode",
     "SmoothModalSolution",
     "ConjugationReport",
     "ComponentIntegrals",
-    "eval_xi_sigma",
-    "eval_b",
     "build_weight_field",
-    "conjugate_field",
     "bessel_mode",
     "conjugation_residual",
     "conjugation_order_study",
     "carleman_component_integrals",
     "carleman_constant_scan",
 ]
-
-
-@dataclass(frozen=True)
-class WeightDerivatives:
-    """Closed-form weight package at given points (all fields broadcast alike).
-
-    Gradient components are ordered (theta, r); `xi_hess_rr` carries the
-    factor (2-alpha)(1-alpha) r^(-alpha), flagged +inf at r = 0 rather than
-    evaluated silently.
-    """
-
-    xi: np.ndarray
-    sigma: np.ndarray
-    xi_t: np.ndarray
-    xi_grad_theta: np.ndarray
-    xi_grad_r: np.ndarray
-    a_xi_grad_theta: np.ndarray
-    a_xi_grad_r: np.ndarray
-    xi_hess_theta: np.ndarray
-    xi_hess_rr: np.ndarray
-    sigma_t: np.ndarray
-    sigma_grad_theta: np.ndarray
-    sigma_grad_r: np.ndarray
-    a_sigma_grad_theta: np.ndarray
-    a_sigma_grad_r: np.ndarray
-    a_grad_sigma_dot_grad_sigma: np.ndarray
-    div_a_grad_sigma: np.ndarray
-    div_a_grad_sigma_grad_theta: np.ndarray
-    div_a_grad_sigma_grad_r: np.ndarray
-    sigma_hess_theta_theta: np.ndarray
-    sigma_hess_theta_r: np.ndarray
-    sigma_hess_rr: np.ndarray
-    sigma_tt: np.ndarray
-    sigma_tt_grad_theta: np.ndarray
-    sigma_tt_grad_r: np.ndarray
-    b_xi: np.ndarray
-    sym_zero_order: np.ndarray  # (sigma_t)^2 - A grad sigma . grad sigma
-    anti_zero_order: np.ndarray  # sigma_tt - Div(A grad sigma)
-
-
-def eval_b(params: CarlemanParams, alpha: float, point) -> np.ndarray:
-    """b(xi) = |xi_t|^2 - A grad xi . grad xi, in closed form."""
-    theta, r, t = (np.asarray(x, dtype=float) for x in point)
-    return (
-        4.0 * params.beta**2 * (t - params.t0) ** 2
-        - (4.0 * theta**2 + (2.0 - alpha) ** 2 * r ** (2.0 - alpha))
-    )
-
-
-def eval_xi_sigma(params: CarlemanParams, alpha: float, point) -> WeightDerivatives:
-    """Evaluate xi, sigma, and every derivative combination the estimate uses."""
-    theta, r, t = (np.asarray(x, dtype=float) for x in point)
-    beta, lam, t0 = params.beta, params.lam, params.t0
-    two_a = 2.0 - alpha
-
-    xi = theta**2 + r**two_a - beta * (t - t0) ** 2
-    sigma = np.exp(lam * xi)
-    xi_t = -2.0 * beta * (t - t0)
-    g_theta = 2.0 * theta
-    g_r = two_a * r ** (1.0 - alpha)
-    with np.errstate(divide="ignore"):
-        inv_pow = np.where(r > 0.0, r ** (-alpha), np.inf)
-    hess_rr = two_a * (1.0 - alpha) * inv_pow
-    quad = 4.0 * theta**2 + two_a**2 * r**two_a
-    b = eval_b(params, alpha, point)
-    div_a = (4.0 - alpha) * lam * sigma + lam**2 * sigma * quad
-    sig_tt = -2.0 * beta * lam * sigma + 4.0 * beta**2 * lam**2 * sigma * (t - t0) ** 2
-
-    return WeightDerivatives(
-        xi=xi,
-        sigma=sigma,
-        xi_t=xi_t * np.ones_like(xi),
-        xi_grad_theta=g_theta * np.ones_like(xi),
-        xi_grad_r=g_r * np.ones_like(xi),
-        a_xi_grad_theta=2.0 * theta * np.ones_like(xi),
-        a_xi_grad_r=two_a * r * np.ones_like(xi),
-        xi_hess_theta=2.0 * np.ones_like(xi),
-        xi_hess_rr=hess_rr * np.ones_like(xi),
-        sigma_t=lam * sigma * xi_t,
-        sigma_grad_theta=lam * sigma * g_theta,
-        sigma_grad_r=lam * sigma * g_r,
-        a_sigma_grad_theta=lam * sigma * 2.0 * theta,
-        a_sigma_grad_r=lam * sigma * two_a * r,
-        a_grad_sigma_dot_grad_sigma=lam**2 * sigma**2 * quad,
-        div_a_grad_sigma=div_a,
-        div_a_grad_sigma_grad_theta=(
-            lam**2 * sigma * (16.0 - 2.0 * alpha) * theta
-            + lam**3 * sigma * quad * g_theta
-        ),
-        # the bracket is (4 - alpha) + (2 - alpha)^2 = 8 - 5 alpha + alpha^2,
-        # verified against centered differences of Div(A grad sigma)
-        div_a_grad_sigma_grad_r=(
-            lam**2 * sigma * two_a * (8.0 - 5.0 * alpha + alpha**2) * r ** (1.0 - alpha)
-            + lam**3 * sigma * quad * g_r
-        ),
-        sigma_hess_theta_theta=lam * sigma * 2.0 + lam**2 * sigma * 4.0 * theta**2,
-        sigma_hess_theta_r=lam**2 * sigma * 2.0 * two_a * theta * r ** (1.0 - alpha),
-        sigma_hess_rr=lam * sigma * hess_rr + lam**2 * sigma * two_a**2 * r ** (2.0 - 2.0 * alpha),
-        sigma_tt=sig_tt,
-        sigma_tt_grad_theta=(
-            (-2.0 * beta * lam**2 + 4.0 * beta**2 * lam**3 * (t - t0) ** 2) * sigma * g_theta
-        ),
-        sigma_tt_grad_r=(
-            (-2.0 * beta * lam**2 + 4.0 * beta**2 * lam**3 * (t - t0) ** 2) * sigma * g_r
-        ),
-        b_xi=b,
-        sym_zero_order=lam**2 * sigma**2 * b,
-        anti_zero_order=-(4.0 - alpha + 2.0 * beta) * lam * sigma + lam**2 * sigma * b,
-    )
-
-
-@dataclass(frozen=True)
-class WeightField:
-    """sigma and its analytic factors cached on a tensor grid (theta, r, t)."""
-
-    params: CarlemanParams
-    alpha: float
-    theta: np.ndarray
-    r: np.ndarray
-    t: np.ndarray
-    sigma: np.ndarray  # (n_theta, n_r, n_t)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.theta.size, self.r.size, self.t.size)
-
-
-def build_weight_field(
-    params: CarlemanParams, alpha: float, theta: np.ndarray, r: np.ndarray, t: np.ndarray
-) -> WeightField:
-    """Materialize sigma on the tensor grid; other factors derive by broadcasting."""
-    theta = np.asarray(theta, dtype=float)
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, r, t)
-    sigma = sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
-    return WeightField(params=params, alpha=alpha, theta=theta, r=r, t=t, sigma=sigma)
-
-
-def conjugate_field(psi: np.ndarray, field: WeightField, inverse: bool = False) -> np.ndarray:
-    """eta = exp(s sigma) psi pointwise on the field grid (or its exact inverse)."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != field.sigma.shape:
-        raise GridMismatch(
-            f"field shape {psi.shape} does not match grid shape {field.sigma.shape}"
-        )
-    s = -field.params.s if inverse else field.params.s
-    return np.exp(s * field.sigma) * psi
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +84,14 @@ def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) ->
     )
 
 
-def _modal_sum(*factors: np.ndarray) -> np.ndarray:
-    """Sum over the leading mode axis of a product of per-mode factor stacks."""
-    ndim = max(f.ndim for f in factors)
-    out = 1.0
-    for f in factors:
-        out = out * f.reshape(f.shape[:1] + (1,) * (ndim - f.ndim) + f.shape[1:])
-    return np.sum(out, axis=0)
-
-
 @dataclass(frozen=True)
 class SmoothModalSolution:
     """Finite superposition of exact modes; solves the wave equation pointwise.
 
-    Each mode separates as amp(t) sin(n pi theta) R(r): the `*_factors`
-    methods evaluate one axis for every mode (mode axis first), and the
-    fields are sums over modes of products of those factors.
+    Each mode separates as amp(t) sin(n pi theta) R(r).  The solution is
+    exposed only through its one-axis factors: each `*_factors` method
+    evaluates one axis and its derivative for every mode (mode axis first),
+    and a field is the sum over modes of a product of one factor per axis.
     """
 
     alpha: float
@@ -279,31 +118,6 @@ class SmoothModalSolution:
         amp = np.stack([m.amplitude(t) for m in self.modes])
         return amp, np.stack([m.velocity(t) for m in self.modes])
 
-    def phi(self, theta, r, t) -> np.ndarray:
-        return _modal_sum(
-            self.temporal_factors(t)[0], self.angular_factors(theta)[0], self.radial_factors(r)[0]
-        )
-
-    def phi_t(self, theta, r, t) -> np.ndarray:
-        return _modal_sum(
-            self.temporal_factors(t)[1], self.angular_factors(theta)[0], self.radial_factors(r)[0]
-        )
-
-    def phi_theta(self, theta, r, t) -> np.ndarray:
-        return _modal_sum(
-            self.temporal_factors(t)[0], self.angular_factors(theta)[1], self.radial_factors(r)[0]
-        )
-
-    def phi_r(self, theta, r, t) -> np.ndarray:
-        return _modal_sum(
-            self.temporal_factors(t)[0], self.angular_factors(theta)[0], self.radial_factors(r)[1]
-        )
-
-    def trace_r1(self, theta, t) -> np.ndarray:
-        """Normal derivative on the top side r = 1."""
-        flux = np.array([m.flux_at_1 for m in self.modes])
-        return _modal_sum(self.temporal_factors(t)[0], self.angular_factors(theta)[0], flux)
-
 
 # ---------------------------------------------------------------------------
 # Cache-sized tiles of the tensor grid
@@ -315,15 +129,25 @@ _TILE_ELEMENTS = 65536
 
 
 def _sigma_factors(
-    params: CarlemanParams, alpha: float, theta: np.ndarray, r: np.ndarray, t: np.ndarray
+    params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The axis factors of sigma = exp(lam theta^2) exp(lam r^(2-alpha)) exp(-lam beta (t-t0)^2)."""
     lam = params.lam
     return (
         np.exp(lam * theta**2),
-        np.exp(lam * r ** (2.0 - alpha)),
+        np.exp(lam * r ** (2.0 - params.alpha)),
         np.exp(-lam * params.beta * (t - params.t0) ** 2),
     )
+
+
+def build_weight_field(
+    params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """sigma on the tensor grid theta x r x t, shaped (n_theta, n_r, n_t)."""
+    sig_theta, sig_r, sig_t = _sigma_factors(
+        params, *(np.asarray(x, dtype=float) for x in (theta, r, t))
+    )
+    return sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
 
 
 def _weight_tiles(
@@ -335,7 +159,7 @@ def _weight_tiles(
     (theta slice, t slice, sigma) reaches `halo` points further on both
     sides of both axes, and sigma covers those slices and the whole r axis.
     """
-    sig_theta, sig_r, sig_t = _sigma_factors(params, params.alpha, theta, r, t)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     per_plane = max(1, _TILE_ELEMENTS // r.size)
     n_t = min(t.size - 2 * halo, max(1, math.isqrt(per_plane) - 2 * halo))
     n_theta = max(1, per_plane // (n_t + 2 * halo) - 2 * halo)
@@ -420,7 +244,8 @@ def conjugation_residual(
     tile builds eta and exp(s sigma) h from slices of them, and the
     operator pieces are fused:
     P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_theta + (2-alpha) r eta_r)
-    and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta.
+    and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta,
+    with xi_t = -2 beta (t - t0) and b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha)).
     """
     alpha = params.alpha
     lam, s, beta = params.lam, params.s, params.beta
@@ -644,7 +469,7 @@ def carleman_component_integrals(
     theta, w_th = _trapezoid_rule(3.0 * d0, 1.0 - 3.0 * d0, n_theta)
     zv, zd1, _ = eval_cutoff(zeta, theta)
     sin, dsin = solution.angular_factors(theta)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, r, t)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     rows = np.stack([sig_r * rr, sig_r * dd, sig_r**3 * rr])
     lhs_gradient = lhs_zero_order = 0.0
     for ith, jt, g in _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset):
@@ -683,7 +508,7 @@ def carleman_component_integrals(
 
     # restricted top-side trace: s l int sigma (d_r phi)^2, no exponential
     theta, w_th = _trapezoid_rule(d0, 1.0 - d0, n_theta)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, np.ones(1), t)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, np.ones(1), t)
     sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
     flux = np.array([m.flux_at_1 for m in solution.modes])
     tr = np.einsum("m,mi,mj->ij", flux, solution.angular_factors(theta)[0], amp)

@@ -152,10 +152,10 @@ def best_subcritical_constant(
     bc: str = "dirichlet-left-only",
 ) -> HardyReport:
     """Best discrete constant of the subcritical inequality on a given mesh."""
+    bound = subcritical_bound(alpha)
     mesh = mesh or build_graded_mesh(4096, 3.0)
     mats = assemble_weighted_system(mesh, p=alpha, q=alpha - 2.0, bc=bc)
     c = _best_constant(mats)
-    bound = subcritical_bound(alpha)
     return HardyReport(
         kind="subcritical",
         bc=bc,

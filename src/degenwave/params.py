@@ -65,11 +65,6 @@ class DomainSpec:
         """Theta intervals of the interior observation region (disjoint union)."""
         return theta_strips(self.delta0)
 
-    @property
-    def restricted_top_segment(self) -> tuple[float, float]:
-        """Theta interval of the restricted top-side observation segment."""
-        return (self.delta0, 1.0 - self.delta0)
-
 
 def theta_strips(delta0: float) -> tuple[tuple[float, float], ...]:
     """Lateral observation strips as disjoint theta intervals.
@@ -251,9 +246,6 @@ class CutoffSpec:
         if not a < b <= c < d:
             raise ValueError("cutoff bands must satisfy rise < plateau < fall")
 
-    def __call__(self, x: np.ndarray | float):
-        return eval_cutoff(self, x)
-
 
 def theta_cutoff(delta0: float) -> CutoffSpec:
     """Angular cutoff: 1 on (3*delta0, 1-3*delta0), 0 off (2*delta0, 1-2*delta0)."""
@@ -314,8 +306,8 @@ def eval_cutoff(
     """Evaluate a cutoff and its first two derivatives; total on the real line.
 
     Plateau and off-support values are exactly 1 and 0 with exactly zero
-    derivatives, so spec(x)*(1 - spec(x)) vanishes identically outside the
-    two transition bands.
+    derivatives, so value * (1 - value) vanishes identically outside the two
+    transition bands.
     """
     x = np.asarray(x, dtype=float)
     a, b = spec.rise

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceFailure, DivergentWeight, InvalidMeshSpec, ParameterOutOfRange
+from .params import DegeneracyParams
 
 __all__ = [
     "RadialMesh",
@@ -503,7 +504,8 @@ class RadialBasis:
 def solve_radial_basis(
     alpha: float, N: int = 2048, g: float = 2.0, k_max: int = 16
 ) -> RadialBasis:
-    """Assemble and solve the weighted eigenbasis on a graded mesh."""
+    """Assemble and solve the weighted eigenbasis on a graded mesh; 0 < alpha < 1."""
+    DegeneracyParams(alpha)
     mesh = build_graded_mesh(N, g)
     mats = assemble_weighted_system(mesh, p=alpha, q=0.0, bc="dirichlet-dirichlet")
     rho, R, flux, energy = _eigenbasis(mats, k_max)

@@ -5,7 +5,8 @@ come from adaptive ODE shooting with a regular-singular series start, and
 reference integrals come from adaptive quadrature.  Optimized kernels are
 checked against their plain first versions, kept here unchanged; the closed
 form Carleman band half-width is checked against the grid certificate that
-the validator used to search with.
+the validator used to search with, and the derivatives of the Carleman
+weight come from sympy, which only the tests that need them import.
 """
 
 from __future__ import annotations
@@ -290,6 +291,38 @@ def _band_certified(
     return bool(np.all(xi_min >= -gamma_hat))
 
 
+def symbolic_weight():
+    """sigma = exp(lam xi) in sympy, every coordinate and parameter a symbol.
+
+    Returns ((theta, r, t), (alpha, lam, s, beta, t0), sigma) with
+    xi = theta^2 + r^(2-alpha) - beta (t - t0)^2.
+    """
+    import sympy as sp
+
+    theta, t = sp.symbols("theta t", real=True)
+    r, alpha, lam, s, beta, t0 = sp.symbols("r alpha lam s beta t0", positive=True)
+    xi = theta**2 + r ** (2 - alpha) - beta * (t - t0) ** 2
+    return (theta, r, t), (alpha, lam, s, beta, t0), sp.exp(lam * xi)
+
+
+def weight_derivatives(params: CarlemanParams, theta, r, t) -> dict[str, np.ndarray]:
+    """sigma and its first and second derivatives along each axis, at the points.
+
+    Keys "sigma", "sigma_x" and "sigma_xx" for x in "th", "r", "t": sympy
+    differentiates `symbolic_weight` at the parameters of `params`, so no
+    formula is shared with the package.
+    """
+    import sympy as sp
+
+    coords, (alpha, lam, _, beta, t0), sigma = symbolic_weight()
+    sigma = sigma.subs({alpha: params.alpha, lam: params.lam, beta: params.beta, t0: params.t0})
+    exprs = {"sigma": sigma}
+    for name, x in zip(("th", "r", "t"), coords):
+        exprs[f"sigma_{name}"] = sp.diff(sigma, x)
+        exprs[f"sigma_{name}{name}"] = sp.diff(sigma, x, 2)
+    return {key: sp.lambdify(coords, e, "numpy")(theta, r, t) for key, e in exprs.items()}
+
+
 def modal_sum(
     solution: SmoothModalSolution, theta, r, t, time_part: str, angular: str, radial: str
 ) -> np.ndarray:
@@ -514,7 +547,7 @@ def pointwise_component_integrals(
     contracts the weight over r against radial pair products instead.
     """
     d0 = params.delta0
-    alpha, lam, s = params.alpha, params.lam, params.s
+    lam, s = params.lam, params.s
     zeta = theta_cutoff(d0)
     kcut = time_cutoff(params.epsilon, params.T)
 
@@ -540,7 +573,7 @@ def pointwise_component_integrals(
     w_th = _trapezoid_weights(n_theta, (1.0 - 2.0 * d0) / n_theta)
     t = np.linspace(0.0, params.T, n_t + 1)
     w_t = _trapezoid_weights(n_t, params.T / n_t)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, alpha, theta, np.ones(1), t)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, np.ones(1), t)
     sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
     tr = 0.0
     for m in solution.modes:

@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import modal_sum, pointwise_component_integrals, slab_conjugation_residual
+from oracles import (
+    modal_sum,
+    pointwise_component_integrals,
+    slab_conjugation_residual,
+    symbolic_weight,
+    weight_derivatives,
+)
 
 from degenwave import carleman
 from degenwave.carleman import (
@@ -14,162 +20,71 @@ from degenwave.carleman import (
     build_weight_field,
     carleman_component_integrals,
     carleman_constant_scan,
-    conjugate_field,
     conjugation_residual,
-    eval_b,
-    eval_xi_sigma,
 )
 from degenwave.errors import DegenerateCellTouched, GridMismatch, ParameterOutOfRange
 
 
+def symbolic_wave(u, coords, alpha):
+    """u_tt - Div(diag(1, r^alpha) grad u) of a sympy expression."""
+    import sympy as sp
+
+    theta, r, t = coords
+    return sp.diff(u, t, 2) - sp.diff(u, theta, 2) - sp.diff(r**alpha * sp.diff(u, r), r)
+
+
 class TestWeightPackage:
+    """The weight and the algebra of the conjugated operator, against sympy."""
+
     def test_origin_at_center_time(self, carleman_params):
-        w = eval_xi_sigma(carleman_params, 0.5, (0.0, 0.0, carleman_params.t0))
-        assert float(w.xi) == 0.0
-        assert float(w.sigma) == 1.0
-        assert float(w.a_xi_grad_theta) == 0.0
-        assert float(w.a_xi_grad_r) == 0.0
+        p = carleman_params
+        assert build_weight_field(p, [0.0], [0.0], [p.t0]).tolist() == [[[1.0]]]
 
     def test_far_corner_at_center_time(self, carleman_params):
-        lam = carleman_params.lam
-        w = eval_xi_sigma(carleman_params, 0.5, (1.0, 1.0, carleman_params.t0))
-        assert float(w.xi) == pytest.approx(2.0)
-        assert float(w.sigma) == pytest.approx(math.exp(2.0 * lam))
-        assert float(w.a_xi_grad_theta) == pytest.approx(2.0)
-        assert float(w.a_xi_grad_r) == pytest.approx(1.5)
-
-    def test_radial_hessian_inf_marker(self, carleman_params):
-        w = eval_xi_sigma(carleman_params, 0.5, (0.3, 0.0, 1.0))
-        assert np.isinf(float(w.xi_hess_rr))
-        assert np.isinf(float(w.sigma_hess_rr))
-
-    def test_hessian_factor_positive_and_linear_in_one_minus_alpha(self, carleman_params):
-        r = 0.37
-        for alpha in (0.2, 0.5, 0.8, 0.95):
-            w = eval_xi_sigma(carleman_params, alpha, (0.1, r, 1.0))
-            assert float(w.xi_hess_rr) > 0.0
-        # the factor collapses linearly in (1 - alpha) at fixed r
-        w1 = eval_xi_sigma(carleman_params, 0.9, (0.1, r, 1.0))
-        w2 = eval_xi_sigma(carleman_params, 0.99, (0.1, r, 1.0))
-        ratio = float(w1.xi_hess_rr) / float(w2.xi_hess_rr)
-        expect = (1.1 * 0.1 * r**-0.9) / (1.01 * 0.01 * r**-0.99)
-        assert ratio == pytest.approx(expect, rel=1e-12)
-
-    def test_package_against_finite_differences(self, carleman_params):
-        """Every derivative field matches centered differences at 1000 points."""
-        alpha = 0.5
         p = carleman_params
-        rng = np.random.default_rng(3)
-        th, r, t = rng.uniform(
-            [0.05, 0.05, 1.0], [0.95, 0.95, p.T - 1.0], size=(1000, 3)
-        ).T
-        h = 1e-5
-        h2 = 1e-4  # second differences need a larger step: eps/h^2 noise
+        sigma = build_weight_field(p, [1.0], [1.0], [p.t0])[0, 0, 0]
+        assert sigma == pytest.approx(math.exp(2.0 * p.lam), rel=1e-15)
 
-        def field(name, dth=0.0, dr=0.0, dt=0.0):
-            w = eval_xi_sigma(p, alpha, (th + dth, r + dr, t + dt))
-            return getattr(w, name)
+    def test_weight_field_matches_symbolic_sigma(self, carleman_params):
+        p = carleman_params
+        theta, r, t = np.linspace(0.0, 1.0, 5), np.linspace(0.25, 1.0, 4), np.linspace(0.0, p.T, 3)
+        sigma = build_weight_field(p, theta, r, t)
+        assert sigma.shape == (5, 4, 3)
+        expect = weight_derivatives(p, theta[:, None, None], r[None, :, None], t)["sigma"]
+        assert np.allclose(sigma, expect, rtol=1e-14, atol=0.0)
 
-        def d1(name, axis):
-            step = {"th": (h, 0, 0), "r": (0, h, 0), "t": (0, 0, h)}[axis]
-            return (field(name, *step) - field(name, *[-s for s in step])) / (2 * h)
+    def test_zero_order_identities(self):
+        import sympy as sp
 
-        def d2(name, axis):
-            step = {"th": (h2, 0, 0), "r": (0, h2, 0), "t": (0, 0, h2)}[axis]
-            return (
-                field(name, *step) - 2.0 * field(name) + field(name, *[-s for s in step])
-            ) / h2**2
-
-        w = eval_xi_sigma(p, alpha, (th, r, t))
-
-        def close(analytic, fd, rel=1e-6):
-            scale = np.max(np.abs(analytic)) + 1e-30
-            assert np.allclose(fd, analytic, rtol=rel, atol=rel * scale)
-
-        # gradient of xi and sigma, time derivatives
-        close(w.xi_grad_theta, d1("xi", "th"), rel=1e-7)
-        close(w.xi_grad_r, d1("xi", "r"), rel=1e-7)
-        close(w.xi_t, d1("xi", "t"), rel=1e-7)
-        close(w.sigma_grad_theta, d1("sigma", "th"), rel=1e-7)
-        close(w.sigma_grad_r, d1("sigma", "r"), rel=1e-7)
-        close(w.sigma_t, d1("sigma", "t"), rel=1e-6)
-        close(w.sigma_tt, d2("sigma", "t"), rel=1e-4)
-        # Hessian entries of sigma
-        close(w.sigma_hess_theta_theta, d2("sigma", "th"), rel=1e-4)
-        close(w.sigma_hess_rr, d2("sigma", "r"), rel=1e-4)
-        mixed = (
-            field("sigma", dth=h, dr=h) - field("sigma", dth=h, dr=-h)
-            - field("sigma", dth=-h, dr=h) + field("sigma", dth=-h, dr=-h)
-        ) / (4 * h * h)
-        close(w.sigma_hess_theta_r, mixed, rel=1e-4)
-        # divergence of the analytic flux and its gradient, gradient of sigma_tt
-        close(
-            w.div_a_grad_sigma,
-            d1("a_sigma_grad_theta", "th") + d1("a_sigma_grad_r", "r"),
-            rel=1e-6,
-        )
-        close(w.div_a_grad_sigma_grad_theta, d1("div_a_grad_sigma", "th"), rel=1e-6)
-        close(w.div_a_grad_sigma_grad_r, d1("div_a_grad_sigma", "r"), rel=1e-6)
-        close(w.sigma_tt_grad_theta, d1("sigma_tt", "th"), rel=1e-6)
-        close(w.sigma_tt_grad_r, d1("sigma_tt", "r"), rel=1e-6)
-
-    def test_zero_order_identities(self, carleman_params):
-        alpha = 0.5
-        w = eval_xi_sigma(carleman_params, alpha, (0.3, 0.4, 5.0))
-        lam = carleman_params.lam
+        coords, (alpha, lam, _, beta, t0), sigma = symbolic_weight()
+        theta, r, t = coords
+        b = 4 * beta**2 * (t - t0) ** 2 - (4 * theta**2 + (2 - alpha) ** 2 * r ** (2 - alpha))
         # (sigma_t)^2 - A grad sigma . grad sigma = lam^2 sigma^2 b
-        direct = float(w.sigma_t) ** 2 - float(w.a_grad_sigma_dot_grad_sigma)
-        assert direct == pytest.approx(float(w.sym_zero_order), rel=1e-13)
-        assert direct == pytest.approx(
-            lam**2 * float(w.sigma) ** 2 * float(w.b_xi), rel=1e-13
+        grad_sq = sp.diff(sigma, theta) ** 2 + r**alpha * sp.diff(sigma, r) ** 2
+        assert sp.simplify(sp.diff(sigma, t) ** 2 - grad_sq - lam**2 * sigma**2 * b) == 0
+        # sigma_tt - Div(A grad sigma) = (lam^2 b - (4 - alpha + 2 beta) lam) sigma
+        anti = symbolic_wave(sigma, coords, alpha)
+        assert sp.simplify(anti - (lam**2 * b - (4 - alpha + 2 * beta) * lam) * sigma) == 0
+
+    def test_conjugation_identity_exact(self):
+        """exp(s sigma)(psi_tt - Div(A grad psi)) = (P1+ + P1- + P2+ + P2-) eta
+        exactly, for psi = exp(-s sigma) eta with eta any smooth function and
+        P1-, P2+ + P2- in the fused forms that conjugation_residual evaluates."""
+        import sympy as sp
+
+        coords, (alpha, lam, s, beta, t0), sigma = symbolic_weight()
+        theta, r, t = coords
+        eta = sp.Function("eta")(*coords)
+        xi_t = -2 * beta * (t - t0)
+        b = xi_t**2 - (4 * theta**2 + (2 - alpha) ** 2 * r ** (2 - alpha))
+        p1_plus = symbolic_wave(eta, coords, alpha)
+        p1_minus = 2 * s * lam * sigma * (
+            -xi_t * sp.diff(eta, t) + 2 * theta * sp.diff(eta, theta)
+            + (2 - alpha) * r * sp.diff(eta, r)
         )
-        # sigma_tt - Div(A grad sigma) matches its closed combination
-        assert float(w.sigma_tt) - float(w.div_a_grad_sigma) == pytest.approx(
-            float(w.anti_zero_order), rel=1e-13
-        )
-
-
-class TestB:
-    def test_center_zero(self, carleman_params):
-        assert float(eval_b(carleman_params, 0.5, (0.0, 0.0, carleman_params.t0))) == 0.0
-
-    def test_time_offset(self, carleman_params):
-        p = dataclasses.replace(carleman_params, beta=0.01)
-        val = eval_b(p, 0.5, (0.0, 0.0, p.t0 + 1.0))
-        assert float(val) == pytest.approx(4e-4, rel=1e-12)
-
-    def test_nonpositive_on_center_slice(self, carleman_params):
-        theta = np.linspace(0.0, 1.0, 41)[:, None]
-        r = np.linspace(0.0, 1.0, 41)[None, :]
-        vals = eval_b(carleman_params, 0.5, (theta, r, carleman_params.t0))
-        assert np.all(vals <= 0.0)
-        assert np.count_nonzero(vals == 0.0) == 1  # only theta = r = 0
-
-
-class TestConjugateField:
-    def test_round_trip_and_zero(self, carleman_params):
-        theta = np.linspace(0.1, 0.9, 9)
-        r = np.linspace(0.1, 0.9, 7)
-        t = np.linspace(0.0, carleman_params.T, 11)
-        field = build_weight_field(carleman_params, 0.5, theta, r, t)
-        psi = np.random.default_rng(0).standard_normal(field.shape)
-        eta = conjugate_field(psi, field)
-        back = conjugate_field(eta, field, inverse=True)
-        assert np.allclose(back, psi, rtol=1e-12)
-        assert np.all(conjugate_field(np.zeros(field.shape), field) == 0.0)
-        # s -> 0 limit: the conjugation degenerates to the identity
-        zero_s = build_weight_field(
-            dataclasses.replace(carleman_params, s=0.0), 0.5, theta, r, t
-        )
-        assert np.array_equal(conjugate_field(psi, zero_s), psi)
-
-    def test_grid_mismatch(self, carleman_params):
-        field = build_weight_field(
-            carleman_params, 0.5, np.linspace(0.1, 0.9, 5),
-            np.linspace(0.1, 0.9, 5), np.linspace(0.0, 1.0, 5),
-        )
-        with pytest.raises(GridMismatch):
-            conjugate_field(np.zeros((4, 5, 5)), field)
+        p2 = s * lam * sigma * (s * lam * sigma * b + (4 - alpha + 2 * beta) - lam * b) * eta
+        lhs = sp.exp(s * sigma) * symbolic_wave(sp.exp(-s * sigma) * eta, coords, alpha)
+        assert sp.simplify(lhs - (p1_plus + p1_minus + p2)) == 0
 
 
 class TestPSplittingCompleteness:
@@ -233,7 +148,7 @@ class TestPSplittingCompleteness:
     def test_identity_with_analytic_derivatives(self, carleman_params):
         """The fused P+ eta + P- eta equals exp(s sigma)(psi_tt - Div(A grad psi))
         to roundoff when every derivative of eta = exp(s sigma) psi is exact:
-        the product rule runs through the closed-form weight package."""
+        the product rule runs through the derivatives of sigma that sympy takes."""
         alpha = 0.5
         p = carleman_params
         lam, s, beta = p.lam, p.s, p.beta
@@ -251,8 +166,8 @@ class TestPSplittingCompleteness:
         psi_th, psi_thth = d_ang * rad * g, -4.0 * psi
         psi_r, psi_rr = ang * d_rad * g, -1.69 * psi
 
-        w = eval_xi_sigma(p, alpha, (th, r, t))
-        esig = np.exp(s * w.sigma)
+        w = weight_derivatives(p, th, r, t)
+        esig = np.exp(s * w["sigma"])
 
         def first(sig_1, psi_1):
             return esig * (s * sig_1 * psi + psi_1)
@@ -263,16 +178,17 @@ class TestPSplittingCompleteness:
             )
 
         eta = esig * psi
-        eta_t, eta_tt = first(w.sigma_t, psi_t), second(w.sigma_t, w.sigma_tt, psi_t, psi_tt)
-        eta_th = first(w.sigma_grad_theta, psi_th)
-        eta_thth = second(w.sigma_grad_theta, w.sigma_hess_theta_theta, psi_th, psi_thth)
-        eta_r = first(w.sigma_grad_r, psi_r)
-        eta_rr = second(w.sigma_grad_r, w.sigma_hess_rr, psi_r, psi_rr)
+        eta_t = first(w["sigma_t"], psi_t)
+        eta_tt = second(w["sigma_t"], w["sigma_tt"], psi_t, psi_tt)
+        eta_th = first(w["sigma_th"], psi_th)
+        eta_thth = second(w["sigma_th"], w["sigma_thth"], psi_th, psi_thth)
+        eta_r = first(w["sigma_r"], psi_r)
+        eta_rr = second(w["sigma_r"], w["sigma_rr"], psi_r, psi_rr)
 
         # the algebra of conjugation_residual: P1+, fused P1-, fused P2+ + P2-
         xi_t = -2.0 * beta * (t - p.t0)
-        b = eval_b(p, alpha, (th, r, t))
-        slam_sigma = s * lam * w.sigma
+        b = xi_t**2 - (4.0 * th**2 + (2.0 - alpha) ** 2 * r ** (2.0 - alpha))
+        slam_sigma = s * lam * w["sigma"]
         p1_plus = eta_tt - (eta_thth + r**alpha * eta_rr + alpha * r ** (alpha - 1.0) * eta_r)
         p1_minus = 2.0 * slam_sigma * (
             -xi_t * eta_t + 2.0 * th * eta_th + (2.0 - alpha) * r * eta_r
@@ -324,28 +240,27 @@ class TestModalSolution:
             SmoothModalSolution(0.5, ())
 
     def test_fields_match_pointwise_sum(self):
-        """phi and its derivatives are the mode-by-mode pointwise sums."""
+        """Products of one factor per axis, summed over modes, are the
+        mode-by-mode pointwise fields phi, phi_t, phi_theta and phi_r."""
         sol = two_mode_solution()
         th = np.linspace(0.0, 1.0, 7)[:, None, None]
         r = np.linspace(0.05, 1.0, 5)[None, :, None]
         t = np.linspace(0.0, 9.0, 6)[None, None, :]
-        for field, parts in (
-            (sol.phi, ("amp", "value", "value")),
-            (sol.phi_t, ("vel", "value", "value")),
-            (sol.phi_theta, ("amp", "deriv", "value")),
-            (sol.phi_r, ("amp", "value", "deriv")),
+        amp, vel = sol.temporal_factors(t)
+        sin, dsin = sol.angular_factors(th)
+        rad, drad = sol.radial_factors(r)
+        for factors, parts in (
+            ((amp, sin, rad), ("amp", "value", "value")),
+            ((vel, sin, rad), ("vel", "value", "value")),
+            ((amp, dsin, rad), ("amp", "deriv", "value")),
+            ((amp, sin, drad), ("amp", "value", "deriv")),
         ):
-            got = field(th, r, t)
+            assert all(f.shape[0] == 2 for f in factors)
+            got = np.sum(factors[0] * factors[1] * factors[2], axis=0)
             assert got.shape == (7, 5, 6)
             assert np.array_equal(got, modal_sum(sol, th, r, t, *parts))
-        # scalars and mixed ranks broadcast as numpy does
-        assert sol.phi(0.3, 0.4, 1.5) == modal_sum(sol, 0.3, 0.4, 1.5, "amp", "value", "value")
-        assert sol.phi(0.3, r[0, :, 0], 1.5).shape == (5,)
-        trace = sum(
-            m.amplitude(t[0]) * np.sin(m.n * math.pi * th[:, :, 0]) * m.flux_at_1
-            for m in sol.modes
-        )
-        assert np.allclose(sol.trace_r1(th[:, :, 0], t[0]), trace, rtol=1e-15, atol=0.0)
+        # scalar arguments give one value per mode
+        assert [f.shape for f in sol.angular_factors(0.3)] == [(2,), (2,)]
 
 
 class TestConjugationResidual:
@@ -566,7 +481,7 @@ class TestComponentIntegrals:
         TH, RR, TT = th[:, None, None], r[None, :, None], t[None, None, :]
         zv = eval_cutoff(theta_cutoff(d0), th)[0][:, None, None]
         kv = eval_cutoff(time_cutoff(p.epsilon, p.T), t)[0][None, None, :]
-        psi = kv * zv * bessel_solution.phi(TH, RR, TT)
+        psi = kv * zv * modal_sum(bessel_solution, TH, RR, TT, "amp", "value", "value")
         sigma = np.exp(lam * (TH**2 + RR ** (2.0 - alpha) - beta * (TT - p.t0) ** 2))
         log_offset = 2.0 * s * math.exp(2.0 * lam)
         integrand = s**3 * lam**3 * sigma**3 * psi**2 * np.exp(2.0 * s * sigma - log_offset)

@@ -144,11 +144,17 @@ class TestParameterRange:
             (("carleman-check", "--mode-k", "0"), "carleman.json"),
             (("observability", "--mode", "ensemble", "--size", "0"), "ensemble.csv"),
             (("observability", "--mode", "ensemble", "--size", "-3"), "ensemble.csv"),
+            (("spectrum", "--alpha", "1.5"), "spectrum.csv"),
+            (("spectrum", "--alpha", "7"), "spectrum.csv"),
+            (("simulate", "--alpha", "1.5"), "energy.csv"),
+            (("observability", "--alpha", "1.5"), "obstruction.csv"),
+            (("hardy", "--alpha", "-0.5"), "hardy.json"),
         ],
         ids=[
             "validate-params", "carleman-check", "spectrum", "hardy", "hardy-bc",
             "hardy-method", "carleman-mode-n", "carleman-mode-k", "ensemble-size-0",
-            "ensemble-size-negative",
+            "ensemble-size-negative", "spectrum-alpha-above-one", "spectrum-alpha-seven",
+            "simulate-alpha", "observability-alpha", "hardy-alpha-negative",
         ],
     )
     def test_out_of_range_is_json_error(self, tmp_path, args, artifact):
