@@ -12,7 +12,6 @@ import pathlib
 
 from degenwave import (
     assemble_weighted_system,
-    bessel_eigenvalue,
     bessel_radial_mode,
     build_graded_mesh,
     eigenpairs_to_csv,
@@ -23,16 +22,15 @@ from degenwave import (
 print("== classical limit: alpha -> 0 reproduces the Dirichlet Laplacian ==")
 mesh = build_graded_mesh(2048, 1.0)
 mats = assemble_weighted_system(mesh, p=1e-12, q=0.0, bc="dirichlet-dirichlet")
-for k, pair in enumerate(solve_eigenpairs(mats, 5), start=1):
+for k, rho in enumerate(solve_eigenpairs(mats, 5).rho, start=1):
     exact = (k * math.pi) ** 2
-    print(f"  k={k}: rho = {pair.rho:12.6f}   (k pi)^2 = {exact:12.6f}   "
-          f"rel = {abs(pair.rho - exact) / exact:.2e}")
+    print(f"  k={k}: rho = {rho:12.6f}   (k pi)^2 = {exact:12.6f}   "
+          f"rel = {abs(rho - exact) / exact:.2e}")
 
 print("\n== weighted problem at alpha = 0.5 against Bessel closed forms ==")
 basis = solve_radial_basis(0.5, N=4096, g=2.0, k_max=4)
 for k in range(1, 5):
-    rho_exact = bessel_eigenvalue(0.5, k)
-    _, _, _, flux_exact = bessel_radial_mode(0.5, k)
+    rho_exact, _, _, flux_exact = bessel_radial_mode(0.5, k)
     print(f"  k={k}: rho = {basis.rho[k-1]:11.6f} vs {rho_exact:11.6f}   "
           f"R'(1) = {basis.flux[k-1]:9.5f} vs {flux_exact:9.5f}")
 

@@ -78,18 +78,15 @@ from .params import (
 )
 from .radial import (
     RadialBasis,
-    RadialEigenpair,
     RadialMesh,
     WeightedMatrices,
     assemble_weighted_system,
-    bessel_eigenvalue,
     bessel_radial_mode,
     build_graded_mesh,
     build_log_mesh,
     build_uniform_mesh,
     eigenpairs_to_csv,
     elliptic_identity_residual,
-    one_sided_flux,
     refine_smallest_eigenpair,
     solve_eigenpairs,
     solve_radial_basis,

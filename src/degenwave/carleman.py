@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCellTouched, GridMismatch, ParameterOutOfRange
+from .errors import DegenerateCellTouched, GridMismatch, NonPositiveInput, ParameterOutOfRange
 from .params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
 from .radial import _trapezoid_weights, bessel_radial_mode
 
@@ -55,8 +55,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothMode:
-    """One separated mode amp(t) sin(n pi theta) R(r) with exact radial profile."""
+    """One separated mode amp(t) sin(n pi theta) R(r) with exact radial profile.
 
+    alpha is the degeneracy exponent the radial profile was built for.
+    """
+
+    alpha: float
     n: int
     rho: float
     omega: float
@@ -80,7 +84,8 @@ def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) ->
     rho, R, dR, flux = bessel_radial_mode(alpha, k)
     omega = math.sqrt((n * math.pi) ** 2 + rho)
     return SmoothMode(
-        n=n, rho=rho, omega=omega, a=a, b=b, radial=R, radial_deriv=dR, flux_at_1=flux
+        alpha=alpha, n=n, rho=rho, omega=omega, a=a, b=b, radial=R, radial_deriv=dR,
+        flux_at_1=flux,
     )
 
 
@@ -100,6 +105,8 @@ class SmoothModalSolution:
     def __post_init__(self) -> None:
         if not self.modes:
             raise ParameterOutOfRange("a modal solution needs at least one mode")
+        if any(m.alpha != self.alpha for m in self.modes):
+            raise ParameterOutOfRange(f"every mode must be built at alpha {self.alpha}")
 
     def angular_factors(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """sin(n pi theta) and its theta-derivative, one row per mode."""
@@ -219,6 +226,14 @@ def _second_difference(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray, h2: floa
     return out
 
 
+def _check_same_alpha(solution: SmoothModalSolution, params: CarlemanParams) -> None:
+    """The modal profiles and the weight must belong to one degeneracy exponent."""
+    if solution.alpha != params.alpha:
+        raise ParameterOutOfRange(
+            f"solution built at alpha {solution.alpha}, weight parameters at alpha {params.alpha}"
+        )
+
+
 def conjugation_residual(
     solution: SmoothModalSolution,
     params: CarlemanParams,
@@ -246,7 +261,11 @@ def conjugation_residual(
     P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_theta + (2-alpha) r eta_r)
     and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta,
     with xi_t = -2 beta (t - t0) and b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha)).
+
+    Raises:
+        ParameterOutOfRange: solution.alpha differs from params.alpha.
     """
+    _check_same_alpha(solution, params)
     alpha = params.alpha
     lam, s, beta = params.lam, params.s, params.beta
     theta, r, t = _residual_axes(params, shape, r_min, params.T)
@@ -443,7 +462,11 @@ def carleman_component_integrals(
     grid is staggered because A grad phi . grad phi ~ r^{-alpha} is
     integrable but unbounded at the degenerate side); the regions share
     the r and t axes and their factors.
+
+    Raises:
+        ParameterOutOfRange: solution.alpha differs from params.alpha.
     """
+    _check_same_alpha(solution, params)
     d0 = params.delta0
     alpha, lam, s = params.alpha, params.lam, params.s
     zeta = theta_cutoff(d0)
@@ -538,11 +561,18 @@ def carleman_constant_scan(
     n_r: int = 96,
     n_t: int = 320,
 ) -> list[ComponentIntegrals]:
-    """Empirical quotient C-hat over an s-scan at fixed lambda."""
-    out = []
-    for s in s_values:
-        p = dataclasses.replace(params, s=float(s))
-        out.append(
-            carleman_component_integrals(solution, p, n_theta=n_theta, n_r=n_r, n_t=n_t)
+    """Empirical quotient C-hat over an s-scan at fixed lambda.
+
+    Raises:
+        NonPositiveInput: an s value is not positive and finite.
+    """
+    s_values = [float(s) for s in s_values]
+    bad = [s for s in s_values if not 0.0 < s < math.inf]
+    if bad:
+        raise NonPositiveInput(f"s must be positive and finite, got {bad}")
+    return [
+        carleman_component_integrals(
+            solution, dataclasses.replace(params, s=s), n_theta=n_theta, n_r=n_r, n_t=n_t
         )
-    return out
+        for s in s_values
+    ]

@@ -189,6 +189,7 @@ def _run_hardy(cfg: dict, out: Path) -> None:
     if cfg["critical"]:
         deltas = _float_list(cfg["scan"]) or [cfg["delta"]]
         rows = []
+        constants = {}
         last = None
         for d in deltas:
             rep = hardy.critical_truncated_constant(
@@ -205,6 +206,7 @@ def _run_hardy(cfg: dict, out: Path) -> None:
                     rep.mesh_n,
                 )
             )
+            constants[d] = rep.numerical_best_constant
             last = rep
         reports.write_csv(
             out / "hardy_scan.csv",
@@ -214,8 +216,7 @@ def _run_hardy(cfg: dict, out: Path) -> None:
         )
         payload = {"report": last}
         if len(deltas) >= 4:
-            fit = hardy.blowup_rate_fit(deltas, bc=cfg["bc"], method=cfg["method"], N=cfg["n"])
-            payload["blowup_fit"] = fit
+            payload["blowup_fit"] = hardy._fit_blowup(deltas, constants.__getitem__)
         reports.write_json(out / "hardy.json", payload, cfg)
     else:
         mesh = build_graded_mesh(cfg["n"], cfg["grading"])

@@ -35,6 +35,7 @@ from .errors import (
     InsufficientData,
     ParameterOutOfRange,
 )
+from .params import DegeneracyParams
 from .radial import (
     RadialMesh,
     assemble_weighted_system,
@@ -60,8 +61,7 @@ __all__ = [
 
 def subcritical_bound(alpha: float) -> float:
     """The subcritical Hardy constant 4/(1-alpha)^2."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+    DegeneracyParams(alpha)
     return 4.0 / (1.0 - alpha) ** 2
 
 
@@ -139,7 +139,7 @@ def _best_constant(mats) -> float:
     lower bound of the continuous best constant).
     """
     try:
-        x0 = solve_eigenpairs(mats, 1)[0].R[mats.i0 : mats.i1]
+        x0 = solve_eigenpairs(mats, 1).R[0, mats.i0 : mats.i1]
     except DegenWaveError:
         x0 = None  # lumped transform can drown under extreme grading
     rho, _ = refine_smallest_eigenpair(mats, x0=x0)
@@ -249,18 +249,26 @@ def blowup_rate_fit(
     Raises:
         InsufficientData: fewer than 4 deltas or a span below two decades.
     """
+    if method == "exact":
+        return _fit_blowup(deltas, lambda d: exact_critical_constant(d, bc))
+    return _fit_blowup(
+        deltas,
+        lambda d: critical_truncated_constant(d, bc=bc, method=method, N=N).numerical_best_constant,
+    )
+
+
+def _fit_blowup(deltas: Sequence[float], constant: Callable[[float], float]) -> BlowupFit:
+    """Check the scan, then fit ln constant(delta) against ln |ln delta|.
+
+    `constant` is called once per delta, in order, only after the scan
+    passes its checks.
+    """
     ds = [float(d) for d in deltas]
     if len(ds) < 4:
         raise InsufficientData("need at least 4 truncation values")
     if max(ds) / min(ds) < 100.0:
         raise InsufficientData("truncation values must span at least two decades")
-    if method == "exact":
-        cs = [exact_critical_constant(d, bc) for d in ds]
-    else:
-        cs = [
-            critical_truncated_constant(d, bc=bc, method=method, N=N).numerical_best_constant
-            for d in ds
-        ]
+    cs = [constant(d) for d in ds]
     x = np.log(np.abs(np.log(ds)))
     y = np.log(cs)
     slope, intercept = np.polyfit(x, y, 1)

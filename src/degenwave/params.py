@@ -22,26 +22,17 @@ from .errors import BetaOutOfRange, NonPositiveInput, ParameterOutOfRange, TimeT
 
 @dataclass(frozen=True)
 class DegeneracyParams:
-    """Degeneracy exponent alpha with the induced radial weight w = r^alpha.
+    """Degeneracy exponent alpha of the radial weight r^alpha, 0 < alpha < 1.
 
-    ``critical=True`` admits alpha = 1 and is meant only for the truncated
-    Hardy-Poincare constants; the wave and Carleman machinery requires
-    0 < alpha < 1.
+    The critical case alpha = 1 enters only through the truncated
+    Hardy-Poincare constants, which take no alpha.
     """
 
     alpha: float
-    critical: bool = False
 
     def __post_init__(self) -> None:
-        if self.critical:
-            if self.alpha != 1.0:
-                raise ParameterOutOfRange("critical flag requires alpha = 1")
-        elif not 0.0 < self.alpha < 1.0:
+        if not 0.0 < self.alpha < 1.0:
             raise ParameterOutOfRange(f"alpha must lie in (0, 1), got {self.alpha}")
-
-    def weight(self, r: np.ndarray | float) -> np.ndarray | float:
-        """Radial diffusion coefficient w(r) = r^alpha."""
-        return np.asarray(r) ** self.alpha
 
 
 @dataclass(frozen=True)
@@ -59,11 +50,6 @@ class DomainSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta0 < 1.0 / 32.0:
             raise ParameterOutOfRange(f"delta0 must lie in (0, 1/32), got {self.delta0}")
-
-    @property
-    def omega_theta_strips(self) -> tuple[tuple[float, float], ...]:
-        """Theta intervals of the interior observation region (disjoint union)."""
-        return theta_strips(self.delta0)
 
 
 def theta_strips(delta0: float) -> tuple[tuple[float, float], ...]:

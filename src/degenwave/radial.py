@@ -4,14 +4,15 @@ Discretizes -d/dr(r^p dR/dr) = rho * r^q * R on an interval with Dirichlet
 conditions imposed strongly at either end.  Element integrals of power
 weights are evaluated in closed form, so the only discretization errors are
 interpolation and mass lumping.  The generalized pencil is lumped to a
-symmetric tridiagonal standard problem T and its smallest eigenpairs are
-computed in three LAPACK/BLAS stages: Sturm-sequence bisection for the
-eigenvalues (dstebz), inverse iteration once per eigenvalue (dstein), and a
-single Cholesky QR orthonormalization of the whole block in the lumped
-inner product.  Inverse iteration runs per eigenvalue because dstein
-re-orthogonalizes against every neighbour within 1e-3 ||T||_1, and the
-near-origin diagonal of graded meshes inflates ||T|| so far that the whole
-low spectrum would count as one cluster.
+symmetric tridiagonal standard problem T and its smallest eigenpairs, one
+`RadialBasis` of stacked arrays for any pencil, are computed in three
+LAPACK/BLAS stages: Sturm-sequence bisection for the eigenvalues (dstebz),
+inverse iteration once per eigenvalue (dstein), and a single Cholesky QR
+orthonormalization of the whole block in the lumped inner product.
+Inverse iteration runs per eigenvalue because dstein re-orthogonalizes
+against every neighbour within 1e-3 ||T||_1, and the near-origin diagonal
+of graded meshes inflates ||T|| so far that the whole low spectrum would
+count as one cluster.
 
 The weighted stiffness integral r^alpha |R'|^2 and the weighted masses with
 exponents alpha, alpha - 2, 1, -1 are exactly the bilinear forms behind the
@@ -36,7 +37,6 @@ from .params import DegeneracyParams
 __all__ = [
     "RadialMesh",
     "WeightedMatrices",
-    "RadialEigenpair",
     "RadialBasis",
     "build_graded_mesh",
     "build_log_mesh",
@@ -46,8 +46,6 @@ __all__ = [
     "refine_smallest_eigenpair",
     "solve_radial_basis",
     "elliptic_identity_residual",
-    "one_sided_flux",
-    "bessel_eigenvalue",
     "bessel_radial_mode",
     "eigenpairs_to_csv",
 ]
@@ -72,14 +70,6 @@ class RadialMesh:
     @property
     def n_cells(self) -> int:
         return self.nodes.size - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
 
 def build_graded_mesh(N: int, g: float) -> RadialMesh:
@@ -279,22 +269,47 @@ def assemble_weighted_system(
 
 
 @dataclass(frozen=True)
-class RadialEigenpair:
-    """One eigenpair: eigenvalue, full nodal eigenvector, boundary flux.
+class RadialBasis:
+    """The smallest lumped eigenpairs of one weighted pencil K x = rho M x.
 
-    R carries the boundary nodes (zero where constrained) and is normalized
-    to unit discrete (lumped) mass with the first interior value positive;
-    flux_at_1 is the variationally recovered derivative at the right
-    endpoint, negative for the ground mode under this orientation.
+    `solve_eigenpairs` returns this one type for any assembled pencil: the
+    Dirichlet basis of -d/dr(r^alpha d/dr) on (0, 1) behind the wave
+    simulator, and the Hardy pencils alike.  Row j of R is the j-th
+    eigenvector on the full node set (zero where constrained), normalized
+    to unit lumped mass with its first nonzero entry positive; flux[j] is
+    its variationally recovered derivative at the right endpoint, negative
+    for the ground mode under this orientation.
     """
 
-    rho: float
-    R: np.ndarray
-    flux_at_1: float
-    weighted_energy: float
+    mats: WeightedMatrices
+    rho: np.ndarray  # (k_max,)
+    R: np.ndarray  # (k_max, n_nodes) nodal values
+    flux: np.ndarray  # (k_max,) boundary derivatives at the right endpoint
+    weighted_energy: np.ndarray  # (k_max,) int r^p (R_k')^2 dr
+
+    @property
+    def alpha(self) -> float:
+        """Stiffness exponent p of the pencil (the degeneracy alpha of a wave basis)."""
+        return self.mats.p
+
+    @property
+    def mesh(self) -> RadialMesh:
+        return self.mats.mesh
+
+    @property
+    def k_max(self) -> int:
+        return self.rho.size
+
+    def consistent_gram(self, k_max: int | None = None) -> np.ndarray:
+        """Exact pairwise integrals int R_j R_k dr (consistent mass products).
+
+        Covers the first k_max pairs (all of them by default).
+        """
+        dof = self.R[:k_max, self.mats.i0 : self.mats.i1]
+        return dof @ self.mats.mass_action(dof).T
 
 
-def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair]:
+def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     """Smallest k_max eigenpairs of K x = rho M x with M lumped to diagonal.
 
     The lumped pencil is transformed to the standard symmetric tridiagonal
@@ -316,23 +331,6 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair
     exceeds about 1/eps times the target eigenvalue (g >= 3 at N ~ 10^4)
     the low end of the spectrum drowns in roundoff; use
     `refine_smallest_eigenpair` on the consistent pencil in that regime.
-    """
-    rho, R, flux, energy = _eigenbasis(mats, k_max)
-    return [
-        RadialEigenpair(
-            rho=float(rho[j]), R=R[j], flux_at_1=float(flux[j]), weighted_energy=float(energy[j])
-        )
-        for j in range(k_max)
-    ]
-
-
-def _eigenbasis(
-    mats: WeightedMatrices, k_max: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (rho, R, flux, energy) of the k_max smallest lumped eigenpairs.
-
-    R is (k_max, n_nodes) with zero constrained entries; see
-    `solve_eigenpairs` for the method.
     """
     from scipy.linalg import blas, lapack
 
@@ -385,7 +383,13 @@ def _eigenbasis(
     # and restores near-machine eigenvalues (x is unit-norm in lumped mass).
     # Row by row, each product stays in cache and needs no (k, n) temporary
     energy = np.array([mats.stiffness_product(xj, xj) for xj in x])
-    return energy.copy(), R, _variational_flux(mats, R, energy), energy
+    return RadialBasis(
+        mats=mats,
+        rho=energy.copy(),
+        R=R,
+        flux=_variational_flux(mats, R, energy),
+        weighted_energy=energy,
+    )
 
 
 def refine_smallest_eigenpair(
@@ -442,63 +446,24 @@ def _variational_flux(mats: WeightedMatrices, R: np.ndarray, rho: np.ndarray) ->
 
     Tests the eigen-equation of each row of R (full nodal vectors) against
     the boundary hat function: the residual of the last full row equals
-    r^p R' there.  Falls back to a one-sided difference where the recovered
-    value is not finite.
+    r^p R' there.
+
+    Raises:
+        DivergentWeight: a recovered value is not finite, as when the
+            boundary weight r^p underflows to zero.
     """
     kd, ke, md, me = mats.kd, mats.ke, mats.md, mats.me
     k_row = ke[-1] * R[:, -2] + kd[-1] * R[:, -1]
     m_row = me[-1] * R[:, -2] + md[-1] * R[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flux = (k_row - rho * m_row) / mats.mesh.nodes[-1] ** mats.p
-    for j in np.flatnonzero(~np.isfinite(flux)):  # pragma: no cover - defensive
-        flux[j] = one_sided_flux(mats.mesh, R[j])
+    weight = mats.mesh.nodes[-1] ** mats.p
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        flux = (k_row - rho * m_row) / weight
+    if not np.all(np.isfinite(flux)):
+        raise DivergentWeight(
+            f"boundary flux is not finite: the weight r^{mats.p} at the right "
+            f"endpoint is {weight}"
+        )
     return flux
-
-
-def one_sided_flux(mesh: RadialMesh, R: np.ndarray) -> float:
-    """Second-order one-sided derivative at the right endpoint.
-
-    Differentiates the quadratic through the last three nodes; valid on
-    nonuniform meshes.
-    """
-    r2, r1, r0 = mesh.nodes[-3], mesh.nodes[-2], mesh.nodes[-1]
-    f2, f1, f0 = R[-3], R[-2], R[-1]
-    h1 = r0 - r1
-    h2 = r0 - r2
-    return float(f0 * (1.0 / h1 + 1.0 / h2) - f1 * h2 / (h1 * (h2 - h1)) + f2 * h1 / (h2 * (h2 - h1)))
-
-
-# ---------------------------------------------------------------------------
-# Eigenbasis wrapper used by the wave simulator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadialBasis:
-    """Solved Dirichlet eigenbasis of -d/dr(r^alpha d/dr) on (0, 1)."""
-
-    alpha: float
-    mats: WeightedMatrices
-    rho: np.ndarray  # (k_max,)
-    R: np.ndarray  # (k_max, n_nodes) nodal values
-    flux: np.ndarray  # (k_max,) boundary derivatives at r = 1
-    weighted_energy: np.ndarray  # (k_max,) int r^alpha (R_k')^2 dr
-
-    @property
-    def mesh(self) -> RadialMesh:
-        return self.mats.mesh
-
-    @property
-    def k_max(self) -> int:
-        return self.rho.size
-
-    def consistent_gram(self, k_max: int | None = None) -> np.ndarray:
-        """Exact pairwise integrals int R_j R_k dr (consistent mass products).
-
-        Covers the first k_max pairs (all of them by default).
-        """
-        dof = self.R[:k_max, self.mats.i0 : self.mats.i1]
-        return dof @ self.mats.mass_action(dof).T
 
 
 def solve_radial_basis(
@@ -508,10 +473,7 @@ def solve_radial_basis(
     DegeneracyParams(alpha)
     mesh = build_graded_mesh(N, g)
     mats = assemble_weighted_system(mesh, p=alpha, q=0.0, bc="dirichlet-dirichlet")
-    rho, R, flux, energy = _eigenbasis(mats, k_max)
-    return RadialBasis(
-        alpha=alpha, mats=mats, rho=rho, R=R, flux=flux, weighted_energy=energy
-    )
+    return solve_eigenpairs(mats, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -592,22 +554,16 @@ def _bessel_root(nu: float, k: int) -> float:
     return float(lo if abs(f_lo) <= abs(jv(nu, hi)) else hi)
 
 
-def bessel_eigenvalue(alpha: float, k: int) -> float:
-    """Exact k-th Dirichlet eigenvalue of -d/dr(r^alpha d/dr) on (0, 1).
-
-    rho_k = ((2-alpha)/2)^2 j_{nu,k}^2 with nu = (1-alpha)/(2-alpha).
-    """
-    return bessel_radial_mode(alpha, k)[0]
-
-
 def bessel_radial_mode(
     alpha: float, k: int
 ) -> tuple[float, Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray], float]:
-    """Closed-form k-th eigenfunction, its derivative, and the boundary flux.
+    """Closed-form k-th eigenpair of -d/dr(r^alpha d/dr) on (0, 1), Dirichlet ends.
 
-    Returns (rho, R, dR, R'(1)) with R(r) up-normalized to unit L2 mass on
-    (0, 1), positive near r = 0.  R(r) = C r^{(1-alpha)/2} J_nu(j r^{(2-alpha)/2})
-    with C^2 = (2-alpha)/J_{nu+1}(j)^2 and |R'(1)| = (2-alpha)^{3/2} j / 2.
+    Returns (rho, R, dR, R'(1)) with rho = ((2-alpha)/2)^2 j^2, j the k-th
+    zero of J_nu, nu = (1-alpha)/(2-alpha), and R(r) up-normalized to unit
+    L2 mass on (0, 1), positive near r = 0.
+    R(r) = C r^{(1-alpha)/2} J_nu(j r^{(2-alpha)/2}) with
+    C^2 = (2-alpha)/J_{nu+1}(j)^2 and |R'(1)| = (2-alpha)^{3/2} j / 2.
     """
     from scipy.special import jv
 

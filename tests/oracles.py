@@ -35,12 +35,7 @@ from degenwave.params import (
     theta_strips,
     time_cutoff,
 )
-from degenwave.radial import (
-    RadialEigenpair,
-    WeightedMatrices,
-    _trapezoid_weights,
-    one_sided_flux,
-)
+from degenwave.radial import RadialMesh, WeightedMatrices, _trapezoid_weights
 from degenwave.waves import (
     TraceReport,
     _pair_weights,
@@ -596,6 +591,19 @@ def pointwise_component_integrals(
     )
 
 
+def one_sided_flux(mesh: RadialMesh, R: np.ndarray) -> float:
+    """Second-order one-sided derivative at the right endpoint.
+
+    Differentiates the quadratic through the last three nodes; valid on
+    nonuniform meshes.
+    """
+    r2, r1, r0 = mesh.nodes[-3], mesh.nodes[-2], mesh.nodes[-1]
+    f2, f1, f0 = R[-3], R[-2], R[-1]
+    h1 = r0 - r1
+    h2 = r0 - r2
+    return float(f0 * (1.0 / h1 + 1.0 / h2) - f1 * h2 / (h1 * (h2 - h1)) + f2 * h1 / (h2 * (h2 - h1)))
+
+
 def _variational_flux(mats: WeightedMatrices, full: np.ndarray, rho: float) -> float:
     """Boundary derivative at the right endpoint by variational recovery.
 
@@ -612,12 +620,15 @@ def _variational_flux(mats: WeightedMatrices, full: np.ndarray, rho: float) -> f
     return float(flux)
 
 
-def mgs_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair]:
+def mgs_eigenpairs(
+    mats: WeightedMatrices, k_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lumped eigensolver as first written: eigh_tridiagonal plus MGS.
 
     Reference for `degenwave.radial.solve_eigenpairs`: one `stebz`/`stein`
     call for the whole request, then modified Gram-Schmidt in the lumped
-    inner product, one eigenpair at a time.
+    inner product, one eigenpair at a time.  Returns the arrays
+    (rho, R, flux, weighted_energy), R holding one full nodal vector per row.
     """
     n = mats.n_dof
     if not 1 <= k_max <= n:
@@ -647,7 +658,9 @@ def mgs_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair]:
             raise ConvergenceFailure(f"inverse iteration returned a null vector at {j}")
         x[:, j] /= nrm
 
-    pairs = []
+    rho = np.empty(k_max)
+    R = np.empty((k_max, mats.mesh.nodes.size))
+    flux = np.empty(k_max)
     for j in range(k_max):
         xj = x[:, j]
         nz = np.flatnonzero(xj)
@@ -657,15 +670,7 @@ def mgs_eigenpairs(mats: WeightedMatrices, k_max: int) -> list[RadialEigenpair]:
         # near-origin diagonal entries can make coarse; the Rayleigh quotient
         # of the computed eigenvector is second-order accurate in its
         # residual and restores near-machine eigenvalues
-        energy = mats.stiffness_product(xj, xj)
-        rho = energy  # x is unit-norm in the lumped mass
-        full = mats.expand(xj)
-        pairs.append(
-            RadialEigenpair(
-                rho=rho,
-                R=full,
-                flux_at_1=_variational_flux(mats, full, rho),
-                weighted_energy=energy,
-            )
-        )
-    return pairs
+        rho[j] = mats.stiffness_product(xj, xj)  # x is unit-norm in the lumped mass
+        R[j] = mats.expand(xj)
+        flux[j] = _variational_flux(mats, R[j], rho[j])
+    return rho, R, flux, rho.copy()

@@ -22,7 +22,12 @@ from degenwave.carleman import (
     carleman_constant_scan,
     conjugation_residual,
 )
-from degenwave.errors import DegenerateCellTouched, GridMismatch, ParameterOutOfRange
+from degenwave.errors import (
+    DegenerateCellTouched,
+    GridMismatch,
+    NonPositiveInput,
+    ParameterOutOfRange,
+)
 
 
 def symbolic_wave(u, coords, alpha):
@@ -238,6 +243,29 @@ class TestModalSolution:
     def test_empty_superposition_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             SmoothModalSolution(0.5, ())
+
+    def test_mode_records_its_alpha(self):
+        assert bessel_mode(0.3, 1, 2).alpha == 0.3
+
+    @pytest.mark.parametrize("alphas", [(0.9, (0.5,)), (0.5, (0.5, 0.3))])
+    def test_modes_at_another_alpha_rejected(self, alphas):
+        alpha, mode_alphas = alphas
+        modes = tuple(bessel_mode(a, 1, 1) for a in mode_alphas)
+        with pytest.raises(ParameterOutOfRange, match="alpha"):
+            SmoothModalSolution(alpha, modes)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda sol, p: conjugation_residual(sol, p, shape=(96, 16, 48)),
+            lambda sol, p: carleman_component_integrals(sol, p, n_theta=32, n_r=16, n_t=32),
+        ],
+        ids=["residual", "integrals"],
+    )
+    def test_kernels_reject_solution_at_another_alpha(self, carleman_params, kernel):
+        sol = SmoothModalSolution(0.9, (bessel_mode(0.9, 1, 1, a=1.0, b=0.3),))
+        with pytest.raises(ParameterOutOfRange, match="alpha"):
+            kernel(sol, carleman_params)
 
     def test_fields_match_pointwise_sum(self):
         """Products of one factor per axis, summed over modes, are the
@@ -491,6 +519,13 @@ class TestComponentIntegrals:
             bessel_solution, carleman_params, n_theta=256, n_r=128, n_t=768
         )
         assert out.lhs_zero_order == pytest.approx(expected, rel=2e-3)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_scan_rejects_nonpositive_s(self, carleman_params, bessel_solution, bad):
+        with pytest.raises(NonPositiveInput):
+            carleman_constant_scan(
+                bessel_solution, carleman_params, [2.0, bad], n_theta=32, n_r=16, n_t=32
+            )
 
     def test_scan_bounded(self, carleman_params, bessel_solution):
         scan = carleman_constant_scan(

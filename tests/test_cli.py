@@ -1,15 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(*args, env_extra=None, cwd=None):
-    import os
-
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -75,6 +77,25 @@ class TestHardy:
         assert doc["format_version"] == "2"
         assert doc["config"]["delta"] == 0.01
 
+    def test_scan_solves_each_delta_once(self, tmp_path, monkeypatch):
+        from degenwave import cli, hardy
+
+        deltas = [1e-1, 1e-2, 1e-3, 1e-4]
+        solved = []
+        solve = hardy.critical_truncated_constant
+
+        def counted(delta, **kwargs):
+            solved.append(delta)
+            return solve(delta, **kwargs)
+
+        monkeypatch.setattr(hardy, "critical_truncated_constant", counted)
+        argv = ["hardy", "--critical", "--scan", ",".join(map(str, deltas)), "--n", "256"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert solved == deltas
+        fit = json.loads((tmp_path / "hardy.json").read_text())["result"]["blowup_fit"]
+        expect = hardy.blowup_rate_fit(deltas, N=256)
+        assert (fit["slope"], fit["constants"]) == (expect.slope, list(expect.constants))
+
     def test_subcritical(self, tmp_path):
         res = run_cli("hardy", "--alpha", "0.3", "--n", "512", "--out", str(tmp_path))
         assert res.returncode == 0, res.stderr
@@ -119,6 +140,12 @@ class TestConfigHandling:
         assert res.returncode == 1
         err = json.loads(res.stderr)
         assert err["kind"] == "NonFiniteReport"
+        assert not (tmp_path / "carleman_scan.csv").exists()
+
+    def test_nonpositive_scan_s_rejected(self, tmp_path):
+        res = run_cli("carleman-check", "--s-scan=0,2", "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["kind"] == "NonPositiveInput"
         assert not (tmp_path / "carleman_scan.csv").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):

@@ -39,21 +39,14 @@ class TestDegeneracyParams:
             DegeneracyParams(alpha)
 
     def test_range_error_is_typed(self):
-        for alpha, critical in ((1.2, False), (0.5, True)):
-            with pytest.raises(ParameterOutOfRange) as info:
-                DegeneracyParams(alpha, critical=critical)
-            assert isinstance(info.value, DegenWaveError)
-
-    def test_critical_flag_admits_one(self):
-        assert DegeneracyParams(1.0, critical=True).critical
-
-    def test_weight(self):
-        assert DegeneracyParams(0.5).weight(0.25) == pytest.approx(0.5)
+        with pytest.raises(ParameterOutOfRange) as info:
+            DegeneracyParams(1.2)
+        assert isinstance(info.value, DegenWaveError)
 
 
 class TestDomainSpec:
     def test_strips_disjoint(self):
-        strips = DomainSpec(0.01).omega_theta_strips
+        strips = theta_strips(DomainSpec(0.01).delta0)
         assert strips == ((0.0, 0.04), (0.96, 1.0))
 
     def test_strips_merge_when_overlapping(self):

@@ -3,14 +3,18 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import degenwave
 from degenwave import errors
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MODULES = [
     importlib.import_module(f"degenwave.{info.name}")
@@ -47,7 +51,8 @@ def test_every_reexport_resolves():
 def scipy_modules_after(code):
     """Names of the scipy modules a fresh interpreter holds after running code."""
     probe = code + "\nimport sys\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     return ast.literal_eval(res.stdout.splitlines()[-1])
 

@@ -17,20 +17,18 @@ from degenwave.radial import (
     RadialMesh,
     _bessel_root,
     assemble_weighted_system,
-    bessel_eigenvalue,
     bessel_radial_mode,
     build_graded_mesh,
     build_log_mesh,
     build_uniform_mesh,
     eigenpairs_to_csv,
     elliptic_identity_residual,
-    one_sided_flux,
     refine_smallest_eigenpair,
     solve_eigenpairs,
     solve_radial_basis,
 )
 
-from oracles import mgs_eigenpairs, quad_power_integral
+from oracles import mgs_eigenpairs, one_sided_flux, quad_power_integral
 
 
 class TestMeshes:
@@ -120,9 +118,9 @@ class TestEigenpairs:
         # alpha -> 0: classical Dirichlet Laplacian eigenvalues
         mesh = build_graded_mesh(512, 1.0)
         mats = assemble_weighted_system(mesh, p=1e-13, q=0.0, bc="dirichlet-dirichlet")
-        pairs = solve_eigenpairs(mats, 3)
-        for k, pair in enumerate(pairs, 1):
-            assert pair.rho == pytest.approx((k * math.pi) ** 2, rel=1e-4)
+        basis = solve_eigenpairs(mats, 3)
+        for k, rho in enumerate(basis.rho, 1):
+            assert rho == pytest.approx((k * math.pi) ** 2, rel=1e-4)
 
     def test_orthonormality_and_rayleigh(self, basis05):
         mats = basis05.mats
@@ -158,7 +156,7 @@ class TestEigenpairs:
     def test_eigenvalues_against_bessel(self, basis05):
         for k in (1, 2, 3):
             assert basis05.rho[k - 1] == pytest.approx(
-                bessel_eigenvalue(0.5, k), rel=3e-4
+                bessel_radial_mode(0.5, k)[0], rel=3e-4
             )
 
     @pytest.mark.parametrize("alpha,k", [(0.3, 1), (0.5, 1), (0.5, 2), (0.8, 1)])
@@ -181,6 +179,14 @@ class TestEigenpairs:
         with pytest.raises(ParameterOutOfRange):
             solve_eigenpairs(basis05.mats, 0)
 
+    def test_underflowing_boundary_weight_is_divergent(self):
+        # r^4 underflows to 0 on (0, 1e-100): the recovered flux would be 0/0
+        mats = assemble_weighted_system(
+            build_uniform_mesh(8, 0.0, 1e-100), p=4.0, q=0.0, bc="dirichlet-dirichlet"
+        )
+        with pytest.raises(DivergentWeight, match="boundary flux"):
+            solve_eigenpairs(mats, 3)
+
     def test_one_sided_flux_reference(self):
         errs = []
         for n in (256, 512):
@@ -194,13 +200,13 @@ class TestEigenpairs:
         mesh = build_graded_mesh(2048, 3.0)
         mats = assemble_weighted_system(mesh, p=0.5, q=0.0, bc="dirichlet-dirichlet")
         rho, _ = refine_smallest_eigenpair(mats)
-        assert rho == pytest.approx(bessel_eigenvalue(0.5, 1), rel=3e-5)
+        assert rho == pytest.approx(bessel_radial_mode(0.5, 1)[0], rel=3e-5)
 
     def test_spec_example_precision_at_grading_two(self):
         # the g = 2 mesh is corner-limited to O(1/N): about 4 digits at
         # N = 8192 (see the decisions ledger); grading 3 restores 5 digits
         basis = solve_radial_basis(0.5, N=8192, g=2.0, k_max=1)
-        assert basis.rho[0] == pytest.approx(bessel_eigenvalue(0.5, 1), rel=1e-4)
+        assert basis.rho[0] == pytest.approx(bessel_radial_mode(0.5, 1)[0], rel=1e-4)
 
     def test_cauchy_convergence_order(self):
         # |rho(2N) - rho(N)| shrinks at empirical order >= 1.8 once the
@@ -232,11 +238,6 @@ def wide_basis():
     return solve_radial_basis(0.5, N=8192, g=2.0, k_max=256)
 
 
-def _oracle_arrays(mats, k_max):
-    pairs = mgs_eigenpairs(mats, k_max)
-    return np.array([p.rho for p in pairs]), np.array([p.R for p in pairs])
-
-
 def _max_eigen_residual(mats, rho, R):
     """max_j ||K x_j - rho_j D x_j|| / (rho_j ||D x_j||) in the lumped pencil."""
     x = R[:, mats.i0 : mats.i1]
@@ -251,13 +252,13 @@ class TestLumpedSolver:
     @pytest.mark.parametrize("name", ["basis05_k64", "wide_basis"])
     def test_matches_gram_schmidt_oracle(self, name, request):
         basis = request.getfixturevalue(name)
-        rho, R = _oracle_arrays(basis.mats, basis.k_max)
+        rho, R = mgs_eigenpairs(basis.mats, basis.k_max)[:2]
         assert np.max(np.abs(basis.rho - rho) / rho) <= 1e-10
         assert np.max(np.abs(basis.R - R)) <= 1e-10 * np.max(np.abs(R))
 
     def test_matches_oracle_at_grading_three(self):
         basis = solve_radial_basis(0.5, N=2048, g=3.0, k_max=64)
-        rho, R = _oracle_arrays(basis.mats, 64)
+        rho, R = mgs_eigenpairs(basis.mats, 64)[:2]
         assert np.max(np.abs(basis.rho - rho) / rho) <= 1e-10
         assert _max_eigen_residual(basis.mats, basis.rho, basis.R) <= 1.01 * _max_eigen_residual(
             basis.mats, rho, R
@@ -269,18 +270,12 @@ class TestLumpedSolver:
         gram = (dof * mats.lumped) @ dof.T
         assert np.max(np.abs(gram - np.eye(256))) <= 1e-13
 
-    def test_pairs_match_basis_arrays(self, basis05):
-        pairs = solve_eigenpairs(basis05.mats, basis05.k_max)
-        assert np.array_equal([p.rho for p in pairs], basis05.rho)
-        assert np.array_equal([p.R for p in pairs], basis05.R)
-        assert np.array_equal([p.flux_at_1 for p in pairs], basis05.flux)
-        assert np.array_equal([p.weighted_energy for p in pairs], basis05.weighted_energy)
-
     def test_single_dof(self):
         mats = assemble_weighted_system(build_uniform_mesh(2), 0.5, 0.0, "dirichlet-dirichlet")
-        (pair,) = solve_eigenpairs(mats, 1)
-        assert pair.rho == pytest.approx(mats.kd_dof[0] / mats.lumped[0], rel=1e-15)
-        assert pair.R[1] > 0.0 and pair.R[0] == pair.R[2] == 0.0
+        basis = solve_eigenpairs(mats, 1)
+        assert basis.alpha == 0.5 and basis.R.shape == (1, 3)
+        assert basis.rho[0] == pytest.approx(mats.kd_dof[0] / mats.lumped[0], rel=1e-15)
+        assert basis.R[0, 1] > 0.0 and basis.R[0, 0] == basis.R[0, 2] == 0.0
 
     def test_memory_bound(self):
         # the one-call stein path with Gram-Schmidt peaked at 51.1 MB here
@@ -316,7 +311,7 @@ class TestBesselRoots:
             root = _bessel_root(nu, k)
             assert abs(root - ref) <= 1e-14 * ref, (alpha, k)
             exact = (mpmath.mpf(2.0 - alpha) / 2 * ref) ** 2
-            assert abs(bessel_eigenvalue(alpha, k) - exact) <= 1e-14 * exact, (alpha, k)
+            assert abs(bessel_radial_mode(alpha, k)[0] - exact) <= 1e-14 * exact, (alpha, k)
 
 
 class TestConsistentGram:

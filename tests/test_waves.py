@@ -302,8 +302,9 @@ class TestBlockedAssembly:
         st = random_state(basis05, 12, 12, seed=14)
         monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 12 * 12 * 12 * 12)
         one_block = observation_norms(st, T_HORIZON, 0.01)
-        # five sine orders per block: blocks of 5, 5 and a ragged 2
-        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 5 * 12 * 12 * 12)
+        # each parity class holds 6 of the 12 sine orders: four orders per
+        # block split every class into a block of 4 and a ragged block of 2
+        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 4 * 6 * 12 * 12)
         blocked = observation_norms(st, T_HORIZON, 0.01)
         assert blocked.full_trace_norm_sq == one_block.full_trace_norm_sq
         for field in ("restricted_trace_norm_sq", "interior_norm_sq"):
