@@ -31,8 +31,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateCellTouched, GridMismatch, NonPositiveInput, ParameterOutOfRange
-from .params import CarlemanParams, CutoffSpec, eval_cutoff, theta_cutoff, time_cutoff
+from .params import CarlemanParams, eval_cutoff, theta_cutoff, theta_strips, time_cutoff
 from .radial import _trapezoid_weights, bessel_radial_mode
+from .waves import _rotate
 
 __all__ = [
     "SmoothMode",
@@ -62,19 +63,12 @@ class SmoothMode:
 
     alpha: float
     n: int
-    rho: float
     omega: float
     a: float
     b: float
     radial: Callable[[np.ndarray], np.ndarray]
     radial_deriv: Callable[[np.ndarray], np.ndarray]
     flux_at_1: float
-
-    def amplitude(self, t: np.ndarray) -> np.ndarray:
-        return self.a * np.cos(self.omega * t) + self.b / self.omega * np.sin(self.omega * t)
-
-    def velocity(self, t: np.ndarray) -> np.ndarray:
-        return -self.a * self.omega * np.sin(self.omega * t) + self.b * np.cos(self.omega * t)
 
 
 def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) -> SmoothMode:
@@ -84,8 +78,7 @@ def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) ->
     rho, R, dR, flux = bessel_radial_mode(alpha, k)
     omega = math.sqrt((n * math.pi) ** 2 + rho)
     return SmoothMode(
-        alpha=alpha, n=n, rho=rho, omega=omega, a=a, b=b, radial=R, radial_deriv=dR,
-        flux_at_1=flux,
+        alpha=alpha, n=n, omega=omega, a=a, b=b, radial=R, radial_deriv=dR, flux_at_1=flux
     )
 
 
@@ -122,8 +115,11 @@ class SmoothModalSolution:
     def temporal_factors(self, t) -> tuple[np.ndarray, np.ndarray]:
         """amp(t) and its time derivative, one row per mode."""
         t = np.asarray(t, dtype=float)
-        amp = np.stack([m.amplitude(t) for m in self.modes])
-        return amp, np.stack([m.velocity(t) for m in self.modes])
+        a, b, w = (
+            np.array([getattr(m, key) for m in self.modes]).reshape((-1,) + (1,) * t.ndim)
+            for key in ("a", "b", "omega")
+        )
+        return _rotate(a, b, w, t)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +235,6 @@ def conjugation_residual(
     params: CarlemanParams,
     shape: tuple[int, int, int] = (768, 96, 512),
     r_min: float = 0.1,
-    zeta: CutoffSpec | None = None,
-    kcut: CutoffSpec | None = None,
 ) -> ConjugationReport:
     """Finite-difference residual of the conjugation identity on a tensor grid.
 
@@ -272,10 +266,8 @@ def conjugation_residual(
     h_theta = theta[1] - theta[0]
     h_r = r[1] - r[0]
     h_t = t[1] - t[0]
-    zeta = zeta or theta_cutoff(params.delta0)
-    kcut = kcut or time_cutoff(params.epsilon, params.T)
-    zv, zd1, zd2 = eval_cutoff(zeta, theta)
-    kv, kd1, kd2 = eval_cutoff(kcut, t)
+    zv, zd1, zd2 = eval_cutoff(theta_cutoff(params.delta0), theta)
+    kv, kd1, kd2 = eval_cutoff(time_cutoff(params.epsilon, params.T), t)
     sin, dsin = solution.angular_factors(theta)
     rad = solution.radial_factors(r)[0]
     amp, vel = solution.temporal_factors(t)
@@ -487,9 +479,9 @@ def carleman_component_integrals(
     rr = rad[:, None, :] * rad[None, :, :]
     dd = r**alpha * drad[:, None, :] * drad[None, :, :]
 
-    # left side on the core, psi = k zeta phi; sigma = sig_theta sig_r sig_t
+    # left side on the core, the plateau of zeta, psi = k zeta phi; sigma = sig_theta sig_r sig_t
     # splits off the contraction, its radial factor going into the rows
-    theta, w_th = _trapezoid_rule(3.0 * d0, 1.0 - 3.0 * d0, n_theta)
+    theta, w_th = _trapezoid_rule(zeta.rise[1], zeta.fall[0], n_theta)
     zv, zd1, _ = eval_cutoff(zeta, theta)
     sin, dsin = solution.angular_factors(theta)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
@@ -510,7 +502,7 @@ def carleman_component_integrals(
     # right side over the lateral strip pair, psi = phi
     rows = np.stack([rr, dd])
     rhs_interior = rhs_commutator = 0.0
-    for lo, hi in ((0.0, 4.0 * d0), (1.0 - 4.0 * d0, 1.0)):
+    for lo, hi in theta_strips(d0):
         theta, w_th = _trapezoid_rule(lo, hi, max(32, n_theta // 4))
         sin, dsin = solution.angular_factors(theta)
         for ith, jt, g in _contracted_weight_tiles(

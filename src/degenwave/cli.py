@@ -4,7 +4,8 @@ Each experiment is a subcommand.  Options resolve in the order defaults <
 JSON config file (--config) < environment (DEGENWAVE_<KEY>) < command-line
 flags; unknown config keys are rejected.  Exit codes: 0 success, 1
 numerical failure, 2 configuration error.  Errors are emitted as a JSON
-object on stderr so harnesses can parse them.
+object on stderr so harnesses can parse them.  A run writes all of its
+reports or, when it fails, none.
 """
 
 from __future__ import annotations
@@ -154,16 +155,17 @@ def _int_list(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each computes everything, then returns its reports by
+# file name, (columns, rows) for a CSV and a payload for a JSON document
 # ---------------------------------------------------------------------------
 
 
-def _run_spectrum(cfg: dict, out: Path) -> None:
+def _run_spectrum(cfg: dict) -> dict:
     basis = solve_radial_basis(cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["kmax"])
-    reports.write_csv(out / "spectrum.csv", _EIGENPAIR_COLUMNS, _eigenpair_rows(basis), cfg)
+    return {"spectrum.csv": (_EIGENPAIR_COLUMNS, _eigenpair_rows(basis))}
 
 
-def _run_simulate(cfg: dict, out: Path) -> None:
+def _run_simulate(cfg: dict) -> dict:
     T = cfg["t_horizon"] or observability.default_horizon(cfg["delta0"])
     basis = solve_radial_basis(
         cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["k_max"]
@@ -171,21 +173,19 @@ def _run_simulate(cfg: dict, out: Path) -> None:
     state = random_state(basis, cfg["n_max"], cfg["k_max"], cfg["seed"])
     times = np.linspace(0.0, T, cfg["samples"] + 1)
     series = energy_series(state, times)
-    reports.write_csv(
-        out / "energy.csv",
-        ["t", "E", "kinetic", "potential"],
-        zip(
-            (float(x) for x in series.times),
-            (float(x) for x in series.total),
-            (float(x) for x in series.kinetic),
-            (float(x) for x in series.potential),
-        ),
-        cfg,
+    rows = zip(
+        (float(x) for x in series.times),
+        (float(x) for x in series.total),
+        (float(x) for x in series.kinetic),
+        (float(x) for x in series.potential),
     )
-    reports.write_json(out / "trace.json", observation_norms(state, T, cfg["delta0"]), cfg)
+    return {
+        "energy.csv": (["t", "E", "kinetic", "potential"], rows),
+        "trace.json": observation_norms(state, T, cfg["delta0"]),
+    }
 
 
-def _run_hardy(cfg: dict, out: Path) -> None:
+def _run_hardy(cfg: dict) -> dict:
     if cfg["critical"]:
         deltas = _float_list(cfg["scan"]) or [cfg["delta"]]
         rows = []
@@ -208,23 +208,16 @@ def _run_hardy(cfg: dict, out: Path) -> None:
             )
             constants[d] = rep.numerical_best_constant
             last = rep
-        reports.write_csv(
-            out / "hardy_scan.csv",
-            ["delta", "C_numerical", "C_exact", "relative_error", "bc", "N"],
-            rows,
-            cfg,
-        )
         payload = {"report": last}
         if len(deltas) >= 4:
             payload["blowup_fit"] = hardy._fit_blowup(deltas, constants.__getitem__)
-        reports.write_json(out / "hardy.json", payload, cfg)
-    else:
-        mesh = build_graded_mesh(cfg["n"], cfg["grading"])
-        rep = hardy.best_subcritical_constant(cfg["alpha"], mesh=mesh)
-        reports.write_json(out / "hardy.json", rep, cfg)
+        columns = ["delta", "C_numerical", "C_exact", "relative_error", "bc", "N"]
+        return {"hardy_scan.csv": (columns, rows), "hardy.json": payload}
+    mesh = build_graded_mesh(cfg["n"], cfg["grading"])
+    return {"hardy.json": hardy.best_subcritical_constant(cfg["alpha"], mesh=mesh)}
 
 
-def _run_carleman_check(cfg: dict, out: Path) -> None:
+def _run_carleman_check(cfg: dict) -> dict:
     domain = DomainSpec(cfg["delta0"])
     params = validate_carleman_params(
         cfg["alpha"], domain, beta=cfg["beta"], T=cfg["t_horizon"],
@@ -239,14 +232,11 @@ def _run_carleman_check(cfg: dict, out: Path) -> None:
         r_min=cfg["r_min"],
     )
     integrals = carleman_component_integrals(solution, params)
-    reports.write_json(
-        out / "carleman.json", {"residual": residual, "integrals": integrals}, cfg
-    )
+    artifacts = {"carleman.json": {"residual": residual, "integrals": integrals}}
     s_values = _float_list(cfg["s_scan"])
     if s_values:
         scan = carleman_constant_scan(solution, params, s_values)
-        reports.write_csv(
-            out / "carleman_scan.csv",
+        artifacts["carleman_scan.csv"] = (
             ["s", "lambda", "chat", "lhs_gradient", "lhs_zero_order",
              "rhs_trace", "rhs_interior", "rhs_commutator"],
             [
@@ -254,56 +244,49 @@ def _run_carleman_check(cfg: dict, out: Path) -> None:
                  c.rhs_trace, c.rhs_interior, c.rhs_commutator)
                 for c in scan
             ],
-            cfg,
         )
+    return artifacts
 
 
-def _run_observability(cfg: dict, out: Path) -> None:
+def _run_observability(cfg: dict) -> dict:
     domain = DomainSpec(cfg["delta0"])
     T = cfg["t_horizon"] or observability.default_horizon(cfg["delta0"])
     basis = solve_radial_basis(cfg["alpha"], N=2048, g=2.0, k_max=2 * cfg["k_max"])
     mode = cfg["mode"]
     if mode == "obstruction":
         scan = observability.high_mode_obstruction_scan(
-            _int_list(cfg["n_values"]), T, domain, alpha=cfg["alpha"], basis=basis
+            _int_list(cfg["n_values"]), T, domain, basis
         )
-        reports.write_csv(
-            out / "obstruction.csv",
-            ["n", "pure_ratio", "remedied_ratio"],
-            zip(scan.n_values, scan.pure_ratios, scan.remedied_ratios),
-            cfg,
-        )
-        reports.write_json(out / "obstruction.json", scan, cfg)
-    elif mode == "ensemble":
+        return {
+            "obstruction.csv": (
+                ["n", "pure_ratio", "remedied_ratio"],
+                zip(scan.n_values, scan.pure_ratios, scan.remedied_ratios),
+            ),
+            "obstruction.json": scan,
+        }
+    if mode == "ensemble":
         base, doubled, increase = observability.hidden_trace_stability(
             basis, cfg["seed"], cfg["size"], (cfg["n_max"], cfg["k_max"]), T
         )
-        reports.write_csv(
-            out / "ensemble.csv",
-            ["member", "ratio_base", "ratio_doubled"],
-            [(i, base.ratios[i], doubled.ratios[i]) for i in range(cfg["size"])],
-            cfg,
-        )
-        reports.write_json(
-            out / "ensemble.json",
-            {"base": base, "doubled": doubled, "max_increase": increase},
-            cfg,
-        )
-    elif mode == "ratio":
+        return {
+            "ensemble.csv": (
+                ["member", "ratio_base", "ratio_doubled"],
+                [(i, base.ratios[i], doubled.ratios[i]) for i in range(cfg["size"])],
+            ),
+            "ensemble.json": {"base": base, "doubled": doubled, "max_increase": increase},
+        }
+    if mode == "ratio":
         state = random_state(basis, cfg["n_max"], cfg["k_max"], cfg["seed"])
-        record = observability.observability_ratio(state, domain, T)
-        reports.write_json(out / "ratio.json", record, cfg)
-    else:
-        raise ConfigError(f"unknown observability mode: '{mode}'")
+        return {"ratio.json": observability.observability_ratio(state, domain, T)}
+    raise ConfigError(f"unknown observability mode: '{mode}'")
 
 
-def _run_validate_params(cfg: dict, out: Path) -> None:
+def _run_validate_params(cfg: dict) -> dict:
     params = validate_carleman_params(
         cfg["alpha"], DomainSpec(cfg["delta0"]), beta=cfg["beta"],
         T=cfg["t_horizon"], lam=cfg["lam"], s=cfg["s"],
     )
-    doc = json.loads(carleman_params_to_json(params))
-    reports.write_json(out / "params.json", doc, cfg)
+    return {"params.json": json.loads(carleman_params_to_json(params))}
 
 
 _RUNNERS = {
@@ -340,8 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
-        out = Path(cfg["out"])
-        _RUNNERS[args.command](cfg, out)
+        reports.write_reports(cfg["out"], _RUNNERS[args.command](cfg), cfg)
         return 0
     except ConfigError as exc:
         json.dump({"error": str(exc), "kind": "config"}, sys.stderr)

@@ -194,11 +194,12 @@ def critical_truncated_constant(
     unconstrained (natural condition).  log-transform method: substitute
     x = -ln r, solve the unweighted problem on (0, L), L = |ln delta|, where
     the mixed condition becomes a left Dirichlet one.  Both return 1/mu_1.
+
+    Raises:
+        DeltaOutOfRange: delta outside (0, 1).
+        ParameterOutOfRange: an unknown bc or method.
     """
-    if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must lie in (0, 1), got {delta}")
-    if bc not in ("mixed", "dirichlet"):
-        raise ParameterOutOfRange(f"unknown critical bc kind: {bc!r}")
+    exact = exact_critical_constant(delta, bc)
     if method == "direct":
         mesh = build_log_mesh(N, delta)
         fem_bc = "dirichlet-right-only" if bc == "mixed" else "dirichlet-dirichlet"
@@ -210,7 +211,6 @@ def critical_truncated_constant(
     else:
         raise ParameterOutOfRange(f"unknown method: {method!r}")
     c = _best_constant(mats)
-    exact = exact_critical_constant(delta, bc)
     return HardyReport(
         kind="critical",
         bc=bc,
@@ -243,14 +243,12 @@ def blowup_rate_fit(
     """Least-squares slope of ln C against ln |ln delta| over a delta scan.
 
     The exact constants are pure squares of |ln delta|, so the slope
-    estimates the blow-up exponent 2.  `method="exact"` fits the closed
-    forms themselves; anything else computes each constant numerically.
+    estimates the blow-up exponent 2.  Each constant is computed by
+    `critical_truncated_constant` with the given bc, method and N.
 
     Raises:
         InsufficientData: fewer than 4 deltas or a span below two decades.
     """
-    if method == "exact":
-        return _fit_blowup(deltas, lambda d: exact_critical_constant(d, bc))
     return _fit_blowup(
         deltas,
         lambda d: critical_truncated_constant(d, bc=bc, method=method, N=N).numerical_best_constant,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientData, ParameterOutOfRange, TimeTooShort
 from .params import DomainSpec, observation_time_threshold
-from .radial import RadialBasis, solve_radial_basis
+from .radial import RadialBasis
 from .waves import (
     _BLOCK_ELEMENTS,
     ModalCoefficients,
@@ -121,8 +121,7 @@ def high_mode_obstruction_scan(
     n_values,
     T: float,
     domain: DomainSpec,
-    alpha: float = 0.5,
-    basis: RadialBasis | None = None,
+    basis: RadialBasis,
 ) -> ObstructionScan:
     """Scan the modes R_1 sin(n pi theta) cos(omega_n t) over tangential orders.
 
@@ -130,7 +129,7 @@ def high_mode_obstruction_scan(
     (omega_n^2/4) / [|R_1'(1)|^2 (1/2)(T/2 + sin(2 omega_n T)/(4 omega_n))],
     growing like (n pi)^2.  The remedied ratio adds the restricted-segment
     trace and the interior term and stays bounded.  All three norms of each
-    mode come from observation_norms.
+    mode come from observation_norms, with R_1 the ground mode of basis.
 
     Raises:
         InsufficientData: fewer than 4 orders or a span below one decade.
@@ -138,8 +137,6 @@ def high_mode_obstruction_scan(
     ns = [int(n) for n in n_values]
     if len(ns) < 4 or max(ns) < 8 * min(ns):
         raise InsufficientData("need at least 4 orders spanning a decade")
-    basis = basis or solve_radial_basis(alpha, N=2048, g=2.0, k_max=1)
-
     pure = []
     remedied = []
     for n in ns:

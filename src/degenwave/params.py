@@ -222,7 +222,6 @@ class CutoffSpec:
     with smooth monotone ramps on the two transition bands.
     """
 
-    kind: str  # "theta" or "time"
     rise: tuple[float, float]
     fall: tuple[float, float]
 
@@ -238,7 +237,6 @@ def theta_cutoff(delta0: float) -> CutoffSpec:
     if not 0.0 < delta0 < 1.0 / 32.0:
         raise ValueError("delta0 must lie in (0, 1/32)")
     return CutoffSpec(
-        kind="theta",
         rise=(2.0 * delta0, 3.0 * delta0),
         fall=(1.0 - 3.0 * delta0, 1.0 - 2.0 * delta0),
     )
@@ -249,7 +247,6 @@ def time_cutoff(epsilon: float, T: float) -> CutoffSpec:
     if not 0.0 < epsilon < T / 16.0:
         raise ValueError("epsilon must lie in (0, T/16)")
     return CutoffSpec(
-        kind="time",
         rise=(epsilon, 2.0 * epsilon),
         fall=(T - 2.0 * epsilon, T - epsilon),
     )

@@ -285,7 +285,6 @@ class RadialBasis:
     rho: np.ndarray  # (k_max,)
     R: np.ndarray  # (k_max, n_nodes) nodal values
     flux: np.ndarray  # (k_max,) boundary derivatives at the right endpoint
-    weighted_energy: np.ndarray  # (k_max,) int r^p (R_k')^2 dr
 
     @property
     def alpha(self) -> float:
@@ -382,14 +381,8 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     # of the computed eigenvector is second-order accurate in its residual
     # and restores near-machine eigenvalues (x is unit-norm in lumped mass).
     # Row by row, each product stays in cache and needs no (k, n) temporary
-    energy = np.array([mats.stiffness_product(xj, xj) for xj in x])
-    return RadialBasis(
-        mats=mats,
-        rho=energy.copy(),
-        R=R,
-        flux=_variational_flux(mats, R, energy),
-        weighted_energy=energy,
-    )
+    rho = np.array([mats.stiffness_product(xj, xj) for xj in x])
+    return RadialBasis(mats=mats, rho=rho, R=R, flux=_variational_flux(mats, R, rho))
 
 
 def refine_smallest_eigenpair(
@@ -525,23 +518,16 @@ def elliptic_identity_residual(
 
 
 def _bessel_root(nu: float, k: int) -> float:
-    """k-th positive zero of J_nu: a sign-change scan, then bisection to the ulp."""
+    """k-th positive zero of J_nu for 0 < nu < 1/2, by bisection to the ulp.
+
+    Zeros grow with the order, and J_{-1/2} and J_{1/2} vanish at
+    (k - 1/2) pi and k pi, so the k-th zero lies between the two (Watson,
+    *A Treatise on the Theory of Bessel Functions*, 15.6).
+    """
     from scipy.special import jv
 
-    est = (k + 0.5 * nu - 0.25) * math.pi
-    # step along the axis until the k-th sign change is bracketed
-    zeros_found = 0
-    z, f_prev = 1e-8, jv(nu, 1e-8)
-    step = 0.05
-    while zeros_found < k:
-        z += step
-        fz = jv(nu, z)
-        if f_prev * fz < 0.0:
-            zeros_found += 1
-            lo, hi, f_lo = z - step, z, f_prev
-        f_prev = fz
-        if z > est + 20.0:  # pragma: no cover - cannot happen for moderate k
-            raise ConvergenceFailure("Bessel root bracketing failed")
+    lo, hi = (k - 0.5) * math.pi, k * math.pi
+    f_lo = jv(nu, lo)
     # halve the bracket until no float lies strictly between its endpoints
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = jv(nu, mid)
@@ -564,9 +550,14 @@ def bessel_radial_mode(
     L2 mass on (0, 1), positive near r = 0.
     R(r) = C r^{(1-alpha)/2} J_nu(j r^{(2-alpha)/2}) with
     C^2 = (2-alpha)/J_{nu+1}(j)^2 and |R'(1)| = (2-alpha)^{3/2} j / 2.
+
+    Raises:
+        ParameterOutOfRange: alpha outside (0, 1), where nu leaves (0, 1/2),
+            or k below 1.
     """
     from scipy.special import jv
 
+    DegeneracyParams(alpha)
     if k < 1:
         raise ParameterOutOfRange(f"radial index k must be at least 1, got {k}")
     nu = (1.0 - alpha) / (2.0 - alpha)
@@ -600,7 +591,7 @@ def bessel_radial_mode(
 # ---------------------------------------------------------------------------
 
 
-_EIGENPAIR_COLUMNS = ("k", "rho", "flux_at_1", "weighted_energy", "mesh_N", "grading", "alpha")
+_EIGENPAIR_COLUMNS = ("k", "rho", "flux_at_1", "mesh_N", "grading", "alpha")
 
 
 def _eigenpair_rows(basis: RadialBasis) -> list[tuple]:
@@ -610,7 +601,6 @@ def _eigenpair_rows(basis: RadialBasis) -> list[tuple]:
             k + 1,
             float(basis.rho[k]),
             float(basis.flux[k]),
-            float(basis.weighted_energy[k]),
             basis.mesh.n_cells,
             basis.mesh.grading,
             basis.alpha,
@@ -620,7 +610,7 @@ def _eigenpair_rows(basis: RadialBasis) -> list[tuple]:
 
 
 def eigenpairs_to_csv(basis: RadialBasis) -> str:
-    """Eigenpair table with columns k, rho, flux_at_1, weighted_energy, mesh_N, grading, alpha."""
+    """Eigenpair table with columns k, rho, flux_at_1, mesh_N, grading, alpha."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_EIGENPAIR_COLUMNS)

@@ -3,12 +3,15 @@
 Every artifact embeds the resolved run configuration and a format-version
 field.  CSV files start with comment lines: a timestamp (the only
 nondeterministic byte in a report) and the configuration echo; reruns with
-the same configuration and seed produce byte-identical bodies.
+the same configuration and seed produce byte-identical bodies.  Reports are
+encoded to text first and written only as a complete set, so a run never
+leaves part of its artifacts behind.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from datetime import datetime, timezone
@@ -17,62 +20,69 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NonFiniteReport
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 
 def _config_echo(config: Mapping) -> str:
     return json.dumps(dict(config), sort_keys=True)
 
 
-def write_csv(
-    path: Path | str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
-    config: Mapping,
-) -> Path:
-    """Write a CSV report: timestamp comment, config echo, header, rows.
+def _csv_text(name: str, columns: Sequence[str], rows: Iterable[Sequence], config: Mapping) -> str:
+    """Encode a CSV report: timestamp comment, config echo, header, rows.
 
     Floats are serialized with repr so the body is bit-faithful and
-    reproducible.  Every row is checked before the file is opened, so an
-    infinite or NaN value raises NonFiniteReport and leaves no file behind.
+    reproducible.  An infinite or NaN value raises NonFiniteReport.
     """
-    path = Path(path)
     body = []
     for row in rows:
         for v in row:
             if isinstance(v, float) and not math.isfinite(v):
-                raise NonFiniteReport(f"{path.name}: non-finite value {v!r} in row {row!r}")
+                raise NonFiniteReport(f"{name}: non-finite value {v!r} in row {row!r}")
         body.append([repr(v) if isinstance(v, float) else v for v in row])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
-        fh.write(f"# format_version: {FORMAT_VERSION}\n")
-        fh.write(f"# config: {_config_echo(config)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(body)
-    return path
+    buf = io.StringIO()
+    buf.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
+    buf.write(f"# format_version: {FORMAT_VERSION}\n")
+    buf.write(f"# config: {_config_echo(config)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(body)
+    return buf.getvalue()
 
 
-def write_json(path: Path | str, payload: Mapping, config: Mapping) -> Path:
-    """Write a JSON report wrapping the payload with config and version.
+def _json_text(name: str, payload: Mapping, config: Mapping) -> str:
+    """Encode a JSON report wrapping the payload with config and version.
 
-    The document is encoded as strict JSON before the file is opened, so an
-    infinite value raises NonFiniteReport and leaves no file behind.
+    The document is strict JSON: an infinite value raises NonFiniteReport.
     """
-    path = Path(path)
     doc = {
         "format_version": FORMAT_VERSION,
         "config": dict(config),
         "result": _jsonable(payload),
     }
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NonFiniteReport(f"{path.name}: {exc}") from exc
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-    return path
+        raise NonFiniteReport(f"{name}: {exc}") from exc
+
+
+def write_reports(out: Path | str, artifacts: Mapping[str, object], config: Mapping) -> None:
+    """Write a run's reports into the directory out, all of them or none.
+
+    artifacts maps each file name to its content: (columns, rows) for a
+    name ending in .csv, a JSON payload otherwise.  Every report is encoded
+    before the first file is opened, so one that fails to encode (a
+    non-finite value) leaves no file behind.
+    """
+    texts = {
+        name: _csv_text(name, *content, config) if name.endswith(".csv")
+        else _json_text(name, content, config)
+        for name, content in artifacts.items()
+    }
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with open(out / name, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _jsonable(obj):

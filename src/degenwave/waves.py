@@ -187,15 +187,21 @@ def random_state(
     return modal_state(basis, n_max, k_max, amplitudes=a, velocities=b)
 
 
+def _rotate(a, b, w, t) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic rotation of data (a, b) at frequency w over time t.
+
+    Returns amp(t) = a cos wt + (b/w) sin wt and its derivative
+    -a w sin wt + b cos wt, the time dependence of every separated mode.
+    """
+    # w t is not kept: one fewer live (modes x times) temporary
+    c, s = np.cos(w * t), np.sin(w * t)
+    return a * c + b / w * s, -a * w * s + b * c
+
+
 def evolve(state: ModalCoefficients, t: float) -> ModalCoefficients:
     """Exact free evolution to time t (per-mode rotation, no time stepping)."""
-    w = state.omega
-    c, s = np.cos(w * t), np.sin(w * t)
-    return replace(
-        state,
-        a=state.a * c + state.b / w * s,
-        b=-state.a * w * s + state.b * c,
-    )
+    a, b = _rotate(state.a, state.b, state.omega, t)
+    return replace(state, a=a, b=b)
 
 
 def duhamel_forcing(
@@ -251,10 +257,7 @@ class EnergyReport:
 def energy_series(state: ModalCoefficients, times: np.ndarray) -> EnergyReport:
     """Energy, kinetic, and potential parts sampled at the given times."""
     times = np.asarray(times, dtype=float)
-    w = state.omega[..., None]
-    c, s = np.cos(w * times), np.sin(w * times)
-    amp = state.a[..., None] * c + (state.b / state.omega)[..., None] * s
-    vel = -(state.a * state.omega)[..., None] * s + state.b[..., None] * c
+    amp, vel = _rotate(state.a[..., None], state.b[..., None], state.omega[..., None], times)
     kinetic = 0.25 * np.sum(vel**2, axis=(0, 1))
     potential = 0.25 * np.sum(state.omega_sq[..., None] * amp**2, axis=(0, 1))
     return EnergyReport(
@@ -279,6 +282,27 @@ def parseval_l2_norm_sq(state: ModalCoefficients) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
+    """int_a^b of sin sin (sign -1) or cos cos (sign +1) of (n pi t, m pi t), closed form.
+
+    Both products are (cos((n-m) pi t) + sign cos((n+m) pi t)) / 2, whose
+    antiderivatives are evaluated at the two ends.
+    """
+    n = np.arange(1, n_max + 1, dtype=float)
+    dif = (n[:, None] - n[None, :]) * math.pi
+    tot = (n[:, None] + n[None, :]) * math.pi
+
+    def anti(theta: float) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.sin(dif * theta) / (2.0 * dif) + sign * (np.sin(tot * theta) / (2.0 * tot))
+        np.fill_diagonal(
+            out, 0.5 * theta + sign * (np.sin(2.0 * n * math.pi * theta) / (4.0 * n * math.pi))
+        )
+        return out
+
+    return anti(b) - anti(a)
+
+
 def sine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
     """Exact integrals int_a^b sin(n pi t) sin(m pi t) dt for n, m <= n_max.
 
@@ -290,38 +314,19 @@ def sine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
     1e-17 of (b - a) and sums products of sines that keep their relative
     accuracy.
     """
-    n = np.arange(1, n_max + 1, dtype=float)
     if n_max * math.pi * (b - a) <= 1.0:
         x, w = np.polynomial.legendre.leggauss(8)
         half = 0.5 * (b - a)
+        n = np.arange(1, n_max + 1, dtype=float)
         s = np.sin(np.outer(n * math.pi, 0.5 * (a + b) + half * x))
         # s_n s_m w is bitwise symmetric in (n, m), and so is its sum
         return half * (s[:, None, :] * s[None, :, :] * w).sum(axis=-1)
-    dif = (n[:, None] - n[None, :]) * math.pi
-    tot = (n[:, None] + n[None, :]) * math.pi
-
-    def anti(theta: float) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.sin(dif * theta) / (2.0 * dif) - np.sin(tot * theta) / (2.0 * tot)
-        np.fill_diagonal(out, 0.5 * theta - np.sin(2.0 * n * math.pi * theta) / (4.0 * n * math.pi))
-        return out
-
-    return anti(b) - anti(a)
+    return _trig_overlaps(n_max, a, b, -1.0)
 
 
 def cosine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
     """Exact integrals int_a^b cos(n pi t) cos(m pi t) dt for n, m <= n_max."""
-    n = np.arange(1, n_max + 1, dtype=float)
-    dif = (n[:, None] - n[None, :]) * math.pi
-    tot = (n[:, None] + n[None, :]) * math.pi
-
-    def anti(theta: float) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.sin(dif * theta) / (2.0 * dif) + np.sin(tot * theta) / (2.0 * tot)
-        np.fill_diagonal(out, 0.5 * theta + np.sin(2.0 * n * math.pi * theta) / (4.0 * n * math.pi))
-        return out
-
-    return anti(b) - anti(a)
+    return _trig_overlaps(n_max, a, b, 1.0)
 
 
 def _strips_overlap(n_max: int, delta0: float, kind: str) -> np.ndarray:

@@ -318,6 +318,16 @@ def weight_derivatives(params: CarlemanParams, theta, r, t) -> dict[str, np.ndar
     return {key: sp.lambdify(coords, e, "numpy")(theta, r, t) for key, e in exprs.items()}
 
 
+def mode_amplitude(m, t):
+    """amp(t) = a cos(omega t) + (b / omega) sin(omega t) of one exact mode."""
+    return m.a * np.cos(m.omega * t) + m.b / m.omega * np.sin(m.omega * t)
+
+
+def mode_velocity(m, t):
+    """amp'(t) = -a omega sin(omega t) + b cos(omega t) of one exact mode."""
+    return -m.a * m.omega * np.sin(m.omega * t) + m.b * np.cos(m.omega * t)
+
+
 def modal_sum(
     solution: SmoothModalSolution, theta, r, t, time_part: str, angular: str, radial: str
 ) -> np.ndarray:
@@ -331,7 +341,7 @@ def modal_sum(
     t = np.asarray(t, dtype=float)
     out = None
     for m in solution.modes:
-        tp = m.amplitude(t) if time_part == "amp" else m.velocity(t)
+        tp = mode_amplitude(m, t) if time_part == "amp" else mode_velocity(m, t)
         ang = np.sin(m.n * math.pi * theta)
         if angular == "deriv":
             ang = m.n * math.pi * np.cos(m.n * math.pi * theta)
@@ -572,7 +582,8 @@ def pointwise_component_integrals(
     sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
     tr = 0.0
     for m in solution.modes:
-        tr = tr + m.amplitude(t[None, :]) * np.sin(m.n * math.pi * theta[:, None]) * m.flux_at_1
+        ang = np.sin(m.n * math.pi * theta[:, None])
+        tr = tr + mode_amplitude(m, t[None, :]) * ang * m.flux_at_1
     rhs_trace = s * lam * float(np.sum(sigma_top * tr**2 * w_th[:, None] * w_t[None, :]))
 
     denom = rhs_trace * math.exp(-log_offset) + strip["rhs_interior"] + strip["rhs_commutator"]

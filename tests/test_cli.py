@@ -74,7 +74,7 @@ class TestHardy:
         exact = 4.0 / math.pi**2 * math.log(100.0) ** 2  # ~8.5951
         assert abs(rep["reference_constant"] - exact) < 1e-9
         assert abs(rep["numerical_best_constant"] - exact) < 0.05
-        assert doc["format_version"] == "2"
+        assert doc["format_version"] == "3"
         assert doc["config"]["delta"] == 0.01
 
     def test_scan_solves_each_delta_once(self, tmp_path, monkeypatch):
@@ -132,6 +132,16 @@ class TestConfigHandling:
         assert err["kind"] == "NonFiniteReport"
         assert not (tmp_path / "carleman.json").exists()
 
+    def test_non_finite_report_leaves_finite_scan_unwritten(self, tmp_path):
+        # the scan at s = 2 is finite, the base report at s = 8 is not
+        res = run_cli(
+            "carleman-check", "--lam", "2", "--s", "8", "--s-scan", "2",
+            "--out", str(tmp_path),
+        )
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["kind"] == "NonFiniteReport"
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_csv_rejected(self, tmp_path):
         res = run_cli(
             "carleman-check", "--lam", "2", "--s", "2", "--s-scan", "2,8",
@@ -140,13 +150,13 @@ class TestConfigHandling:
         assert res.returncode == 1
         err = json.loads(res.stderr)
         assert err["kind"] == "NonFiniteReport"
-        assert not (tmp_path / "carleman_scan.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonpositive_scan_s_rejected(self, tmp_path):
         res = run_cli("carleman-check", "--s-scan=0,2", "--out", str(tmp_path))
         assert res.returncode == 1
         assert json.loads(res.stderr)["kind"] == "NonPositiveInput"
-        assert not (tmp_path / "carleman_scan.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exit_code(self, tmp_path):
         res = run_cli(

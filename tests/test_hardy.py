@@ -10,6 +10,7 @@ from degenwave.errors import (
     ParameterOutOfRange,
 )
 from degenwave.hardy import (
+    _fit_blowup,
     best_subcritical_constant,
     blowup_rate_fit,
     critical_truncated_constant,
@@ -135,7 +136,7 @@ class TestCriticalTruncatedConstant:
 
 class TestBlowupRateFit:
     def test_exact_constants_fit_perfectly(self):
-        fit = blowup_rate_fit([1e-1, 1e-2, 1e-3, 1e-4], bc="mixed", method="exact")
+        fit = _fit_blowup([1e-1, 1e-2, 1e-3, 1e-4], exact_critical_constant)
         assert fit.slope == pytest.approx(2.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
@@ -144,13 +145,14 @@ class TestBlowupRateFit:
         assert 1.95 <= fit.slope <= 2.05
 
     def test_dirichlet_intercept_shift(self):
-        mixed = blowup_rate_fit([1e-1, 1e-2, 1e-3, 1e-4], bc="mixed", method="exact")
-        dirich = blowup_rate_fit([1e-1, 1e-2, 1e-3, 1e-4], bc="dirichlet", method="exact")
+        deltas = [1e-1, 1e-2, 1e-3, 1e-4]
+        mixed = _fit_blowup(deltas, lambda d: exact_critical_constant(d, "mixed"))
+        dirich = _fit_blowup(deltas, lambda d: exact_critical_constant(d, "dirichlet"))
         assert dirich.slope == pytest.approx(mixed.slope, abs=1e-10)
         assert mixed.intercept - dirich.intercept == pytest.approx(math.log(4.0))
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            blowup_rate_fit([1e-1, 1e-2, 1e-3], method="exact")
+            blowup_rate_fit([1e-1, 1e-2, 1e-3])
         with pytest.raises(InsufficientData):
-            blowup_rate_fit([0.1, 0.2, 0.3, 0.4], method="exact")
+            blowup_rate_fit([0.1, 0.2, 0.3, 0.4])

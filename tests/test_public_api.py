@@ -96,3 +96,35 @@ def test_bessel_mode_loads_special_only():
     modules = scipy_modules_after("from degenwave import bessel_mode\nbessel_mode(0.5, 1, 2)")
     assert "scipy.special" in modules
     assert not [m for m in modules if m.startswith(("scipy.linalg", "scipy.optimize"))]
+
+
+def benchmark_calls():
+    """(name, positional count, keywords, line) of every dw.<name>(...) call in
+    the benchmark's workloads, read from the source without importing it."""
+    path = SRC.parent / "perfbench" / "workloads.py"
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "dw"
+        ):
+            # a starred or ** argument has no count to bind; none is used today
+            assert not any(isinstance(a, ast.Starred) for a in node.args), node.lineno
+            assert all(k.arg is not None for k in node.keywords), node.lineno
+            keywords = [k.arg for k in node.keywords]
+            calls.append((node.func.attr, len(node.args), keywords, node.lineno))
+    return calls
+
+
+def test_benchmark_calls_bind_to_public_signatures():
+    calls = benchmark_calls()
+    assert len(calls) >= 20
+    for name, n_args, keywords, line in calls:
+        obj = getattr(degenwave, name, None)
+        assert callable(obj), f"workloads.py:{line}: dw.{name} is not public"
+        try:
+            inspect.signature(obj).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"workloads.py:{line}: dw.{name}: {exc}")

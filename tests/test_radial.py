@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from degenwave import radial
+from degenwave.carleman import bessel_mode
 from degenwave.errors import (
     ConvergenceFailure,
     DivergentWeight,
@@ -141,9 +142,6 @@ class TestEigenpairs:
 
     def test_ground_flux_negative(self, basis05):
         assert basis05.flux[0] < 0.0
-
-    def test_weighted_energy_equals_rho(self, basis05):
-        assert np.allclose(basis05.weighted_energy, basis05.rho, rtol=1e-12)
 
     def test_flux_against_bessel_and_one_sided(self, basis05):
         for k in (1, 2):
@@ -313,6 +311,33 @@ class TestBesselRoots:
             exact = (mpmath.mpf(2.0 - alpha) / 2 * ref) ** 2
             assert abs(bessel_radial_mode(alpha, k)[0] - exact) <= 1e-14 * exact, (alpha, k)
 
+    @pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.5, 0.9, 0.999999])
+    def test_mode_root_to_the_ulp(self, monkeypatch, alpha):
+        """The zero behind bessel_radial_mode, near both ends of its bracket
+        ((k - 1/2) pi, k pi) as alpha nears 0 and 1."""
+        roots = []
+        bisect = radial._bessel_root
+
+        def recorded(nu, k):
+            roots.append((nu, k, bisect(nu, k)))
+            return roots[-1][2]
+
+        monkeypatch.setattr(radial, "_bessel_root", recorded)
+        for k in (*range(1, 9), 32, 128):
+            bessel_radial_mode(alpha, k)
+        assert len(roots) == 10
+        with mpmath.workdps(30):
+            for nu, k, root in roots:
+                ref = mpmath.besseljzero(mpmath.mpf(nu), k)
+                assert abs(root - ref) <= 5e-16 * ref, (alpha, k)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2, -0.3])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ParameterOutOfRange, match="alpha"):
+            bessel_radial_mode(alpha, 1)
+        with pytest.raises(ParameterOutOfRange, match="alpha"):
+            bessel_mode(alpha, 1, 1)
+
 
 class TestConsistentGram:
     def test_block_product_matches_per_vector_loop(self, basis05_k64):
@@ -356,6 +381,6 @@ class TestCsvExport:
     def test_header_and_determinism(self, basis05):
         text = eigenpairs_to_csv(basis05)
         lines = text.strip().split("\n")
-        assert lines[0] == "k,rho,flux_at_1,weighted_energy,mesh_N,grading,alpha"
+        assert lines[0] == "k,rho,flux_at_1,mesh_N,grading,alpha"
         assert len(lines) == 1 + basis05.k_max
         assert text == eigenpairs_to_csv(basis05)
