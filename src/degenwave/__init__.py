@@ -67,8 +67,6 @@ from .params import (
     DegeneracyParams,
     DomainSpec,
     beta_upper_bound,
-    carleman_params_from_json,
-    carleman_params_to_json,
     eval_cutoff,
     observation_time_threshold,
     theta_cutoff,
@@ -85,7 +83,6 @@ from .radial import (
     build_graded_mesh,
     build_log_mesh,
     build_uniform_mesh,
-    eigenpairs_to_csv,
     elliptic_identity_residual,
     refine_smallest_eigenpair,
     solve_eigenpairs,

@@ -1,10 +1,10 @@
 """Batch command-line front end: JSON config in, CSV/JSON reports out.
 
 Each experiment is a subcommand.  Options resolve in the order defaults <
-JSON config file (--config) < environment (DEGENWAVE_<KEY>) < command-line
-flags; unknown config keys are rejected.  Exit codes: 0 success, 1
-numerical failure, 2 configuration error.  Errors are emitted as a JSON
-object on stderr so harnesses can parse them.  A run writes all of its
+JSON config file (--config) < command-line flags; unknown config keys are
+rejected.  Exit codes: 0 success, 1 numerical failure, 2 configuration
+error.  Errors are emitted as a JSON object on stderr so harnesses can
+parse them.  A run writes all of its
 reports or, when it fails, none.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,17 +25,10 @@ from .carleman import (
     carleman_constant_scan,
     conjugation_residual,
 )
-from .errors import ConfigError, DegenWaveError
-from .params import DomainSpec, carleman_params_to_json, validate_carleman_params
-from .radial import (
-    _EIGENPAIR_COLUMNS,
-    _eigenpair_rows,
-    build_graded_mesh,
-    solve_radial_basis,
-)
+from .errors import ConfigError, DegenWaveError, ParameterOutOfRange
+from .params import DomainSpec, validate_carleman_params
+from .radial import build_graded_mesh, solve_radial_basis
 from .waves import energy_series, observation_norms, random_state
-
-ENV_PREFIX = "DEGENWAVE_"
 
 # subcommand schemas: key -> (type, default); None defaults are filled later
 _SCHEMAS = {
@@ -135,11 +127,6 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             config[key] = _coerce(key, schema[key][0], raw)
 
     for key, (kind, _) in schema.items():
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            config[key] = _coerce(key, kind, env)
-
-    for key, (kind, _) in schema.items():
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             config[key] = _coerce(key, kind, val)
@@ -162,11 +149,18 @@ def _int_list(text: str) -> list[int]:
 
 def _run_spectrum(cfg: dict) -> dict:
     basis = solve_radial_basis(cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["kmax"])
-    return {"spectrum.csv": (_EIGENPAIR_COLUMNS, _eigenpair_rows(basis))}
+    rows = [
+        (k, float(rho), float(flux), basis.mesh.n_cells, basis.mesh.grading, basis.alpha)
+        for k, (rho, flux) in enumerate(zip(basis.rho, basis.flux), start=1)
+    ]
+    return {"spectrum.csv": (["k", "rho", "flux_at_1", "mesh_N", "grading", "alpha"], rows)}
 
 
 def _run_simulate(cfg: dict) -> dict:
-    T = cfg["t_horizon"] or observability.default_horizon(cfg["delta0"])
+    domain = DomainSpec(cfg["delta0"])
+    if cfg["samples"] < 1:
+        raise ParameterOutOfRange(f"samples must be at least 1, got {cfg['samples']}")
+    T = cfg["t_horizon"] or observability.default_horizon(domain.delta0)
     basis = solve_radial_basis(
         cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["k_max"]
     )
@@ -181,7 +175,7 @@ def _run_simulate(cfg: dict) -> dict:
     )
     return {
         "energy.csv": (["t", "E", "kinetic", "potential"], rows),
-        "trace.json": observation_norms(state, T, cfg["delta0"]),
+        "trace.json": observation_norms(state, T, domain.delta0),
     }
 
 
@@ -237,7 +231,7 @@ def _run_carleman_check(cfg: dict) -> dict:
     if s_values:
         scan = carleman_constant_scan(solution, params, s_values)
         artifacts["carleman_scan.csv"] = (
-            ["s", "lambda", "chat", "lhs_gradient", "lhs_zero_order",
+            ["s", "lam", "chat", "lhs_gradient", "lhs_zero_order",
              "rhs_trace", "rhs_interior", "rhs_commutator"],
             [
                 (c.s, c.lam, c.chat, c.lhs_gradient, c.lhs_zero_order,
@@ -286,7 +280,7 @@ def _run_validate_params(cfg: dict) -> dict:
         cfg["alpha"], DomainSpec(cfg["delta0"]), beta=cfg["beta"],
         T=cfg["t_horizon"], lam=cfg["lam"], s=cfg["s"],
     )
-    return {"params.json": json.loads(carleman_params_to_json(params))}
+    return {"params.json": params}
 
 
 _RUNNERS = {

@@ -14,9 +14,9 @@ eigenvalues of weighted stiffness/mass pencils:
 
 The maximal Rayleigh quotient is the reciprocal of the smallest eigenvalue
 of the pencil with the roles of the two forms fixed as (stiffness, mass).
-Candidates come from the lumped tridiagonal solver; the reported constant
-is always the consistent-mass Rayleigh quotient of a refined eigenvector,
-so it is a true quotient of an admissible discrete function and can never
+That eigenvalue comes from consistent inverse iteration; the reported
+constant is the consistent-mass Rayleigh quotient of its eigenvector, so
+it is a true quotient of an admissible discrete function and can never
 exceed the continuous best constant.
 """
 
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     BoundaryViolation,
-    DegenWaveError,
     DeltaOutOfRange,
     InsufficientData,
     ParameterOutOfRange,
@@ -43,7 +42,6 @@ from .radial import (
     build_log_mesh,
     build_uniform_mesh,
     refine_smallest_eigenpair,
-    solve_eigenpairs,
 )
 
 __all__ = [
@@ -134,16 +132,11 @@ def subcritical_hardy_check(
 def _best_constant(mats) -> float:
     """Maximal Rayleigh quotient int w_q u^2 / int w_p (u')^2 of one pencil.
 
-    The lumped solver supplies the starting vector; the value reported is
-    the consistent Rayleigh quotient of the refined vector (a certified
-    lower bound of the continuous best constant).
+    The value is the consistent Rayleigh quotient of the vector that
+    consistent inverse iteration returns (a certified lower bound of the
+    continuous best constant).
     """
-    try:
-        x0 = solve_eigenpairs(mats, 1).R[0, mats.i0 : mats.i1]
-    except DegenWaveError:
-        x0 = None  # lumped transform can drown under extreme grading
-    rho, _ = refine_smallest_eigenpair(mats, x0=x0)
-    return 1.0 / rho
+    return 1.0 / refine_smallest_eigenpair(mats)[0]
 
 
 def best_subcritical_constant(

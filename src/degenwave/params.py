@@ -11,9 +11,8 @@ plateau cutoff.  All types are immutable; all functions are pure.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,33 +313,3 @@ def eval_cutoff(
         d1[down] = -ds / w
         d2[down] = dds / w**2
     return val, d1, d2
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-# ---------------------------------------------------------------------------
-
-_JSON_KEYS = ("alpha", "delta0", "beta", "T", "lambda", "s")
-
-
-def carleman_params_from_json(doc: str | dict) -> CarlemanParams:
-    """Build validated parameters from a JSON document with the standard keys."""
-    data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-    missing = [k for k in _JSON_KEYS if k not in data]
-    if missing:
-        raise KeyError(f"missing parameter keys: {missing}")
-    return validate_carleman_params(
-        alpha=float(data["alpha"]),
-        domain=DomainSpec(float(data["delta0"])),
-        beta=float(data["beta"]),
-        T=float(data["T"]),
-        lam=float(data["lambda"]),
-        s=float(data["s"]),
-    )
-
-
-def carleman_params_to_json(params: CarlemanParams) -> str:
-    """Serialize parameters, derived quantities included, to a JSON string."""
-    payload = asdict(params)
-    payload["lambda"] = payload.pop("lam")
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -23,8 +23,6 @@ an independent cross-check route.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,7 +45,6 @@ __all__ = [
     "solve_radial_basis",
     "elliptic_identity_residual",
     "bessel_radial_mode",
-    "eigenpairs_to_csv",
 ]
 
 
@@ -385,22 +382,24 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     return RadialBasis(mats=mats, rho=rho, R=R, flux=_variational_flux(mats, R, rho))
 
 
-def refine_smallest_eigenpair(
-    mats: WeightedMatrices,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 400,
-) -> tuple[float, np.ndarray]:
+_REFINE_TOL = 1e-10
+_REFINE_MAX_ITER = 400
+
+
+def refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of the consistent pencil K x = rho M x.
 
-    Inverse iteration with the exact (unlumped) mass, normalized in M, with
-    the Rayleigh quotient as the eigenvalue estimate.  Removes the lumping
-    perturbation of `solve_eigenpairs` and stays robust under strong mesh
-    grading, where the lumped similarity transform exhausts the dynamic
-    range of floating point and Sturm bisection loses the low end of the
-    spectrum.  Stops on relative stagnation of the quotient, or once its
-    decrements stop shrinking (roundoff floor of the quotient, well below
-    any discretization error).
+    Inverse iteration from the ones vector with the exact (unlumped) mass,
+    normalized in M, with the Rayleigh quotient as the eigenvalue estimate.
+    Removes the lumping perturbation of `solve_eigenpairs` and stays robust
+    under strong mesh grading, where the lumped similarity transform
+    exhausts the dynamic range of floating point and Sturm bisection loses
+    the low end of the spectrum.  Stops on relative stagnation of the
+    quotient (below 1e-10), or once its decrements stop shrinking (roundoff
+    floor of the quotient, well below any discretization error).
+
+    Raises:
+        ConvergenceFailure: no stop within 400 steps.
     """
     from scipy.linalg import solveh_banded
 
@@ -408,11 +407,11 @@ def refine_smallest_eigenpair(
     ab = np.zeros((2, n))
     ab[0, 1:] = mats.ke_dof
     ab[1, :] = mats.kd_dof
-    x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.ones(n)
     rho_old = np.inf
     change_old = np.inf
     stalls = 0
-    for it in range(max_iter):
+    for it in range(_REFINE_MAX_ITER):
         y = solveh_banded(ab, mats.mass_action(x))
         nrm = math.sqrt(y @ mats.mass_action(y))
         if nrm == 0.0:
@@ -420,7 +419,7 @@ def refine_smallest_eigenpair(
         x = y / nrm
         rho = float(x @ mats.stiffness_action(x))
         change = abs(rho - rho_old)
-        if change <= tol * abs(rho):
+        if change <= _REFINE_TOL * abs(rho):
             return rho, x
         if it >= 3 and change >= change_old:
             stalls += 1
@@ -430,7 +429,7 @@ def refine_smallest_eigenpair(
             stalls = 0
         rho_old, change_old = rho, change
     raise ConvergenceFailure(
-        f"consistent inverse iteration did not converge in {max_iter} steps"
+        f"consistent inverse iteration did not converge in {_REFINE_MAX_ITER} steps"
     )
 
 
@@ -584,35 +583,3 @@ def bessel_radial_mode(
 
     flux = -0.5 * (2.0 - alpha) ** 1.5 * j * math.copysign(1.0, tail)
     return rho, R, dR, flux
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-_EIGENPAIR_COLUMNS = ("k", "rho", "flux_at_1", "mesh_N", "grading", "alpha")
-
-
-def _eigenpair_rows(basis: RadialBasis) -> list[tuple]:
-    """One row per eigenpair in the column order of _EIGENPAIR_COLUMNS."""
-    return [
-        (
-            k + 1,
-            float(basis.rho[k]),
-            float(basis.flux[k]),
-            basis.mesh.n_cells,
-            basis.mesh.grading,
-            basis.alpha,
-        )
-        for k in range(basis.k_max)
-    ]
-
-
-def eigenpairs_to_csv(basis: RadialBasis) -> str:
-    """Eigenpair table with columns k, rho, flux_at_1, mesh_N, grading, alpha."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_EIGENPAIR_COLUMNS)
-    writer.writerows(_eigenpair_rows(basis))
-    return buf.getvalue()

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NonFiniteReport
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 
 
 def _config_echo(config: Mapping) -> str:
@@ -52,7 +52,8 @@ def _csv_text(name: str, columns: Sequence[str], rows: Iterable[Sequence], confi
 def _json_text(name: str, payload: Mapping, config: Mapping) -> str:
     """Encode a JSON report wrapping the payload with config and version.
 
-    The document is strict JSON: an infinite value raises NonFiniteReport.
+    The document is strict JSON: an infinite or NaN value raises
+    NonFiniteReport.
     """
     doc = {
         "format_version": FORMAT_VERSION,
@@ -101,6 +102,4 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and obj != obj:  # NaN
-        return None
     return obj

@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import GridMismatch, TruncationTooSmall
+from .errors import GridMismatch, NonPositiveInput, TruncationTooSmall
 from .params import theta_strips
 from .radial import RadialBasis, _trapezoid_weights
 
@@ -403,7 +403,12 @@ def _time_kernels(
     Mode i runs over w[one] and mode j over w[other], two index expressions
     that broadcast against each other.  All four kernels come from the sum
     and difference frequencies, whose sine integral is odd.
+
+    Raises:
+        NonPositiveInput: T not positive and finite.
     """
+    if not 0.0 < T < math.inf:
+        raise NonPositiveInput(f"observation horizon T must be positive and finite, got {T}")
     sinc_dif, vers_dif = _trig_integrals(w[one] - w[other], T)
     sinc_tot, vers_tot = _trig_integrals(w[one] + w[other], T)
     return (

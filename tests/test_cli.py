@@ -46,20 +46,24 @@ class TestSpectrum:
         assert body1 == csv_body(out2 / "spectrum.csv")
 
     def test_body_matches_library_table(self, tmp_path):
-        from degenwave.radial import eigenpairs_to_csv, solve_radial_basis
+        from degenwave.radial import solve_radial_basis
 
         res = run_cli("spectrum", "--n", "256", "--kmax", "5", "--out", str(tmp_path))
         assert res.returncode == 0, res.stderr
         basis = solve_radial_basis(0.5, N=256, g=2.0, k_max=5)
-        assert csv_body(tmp_path / "spectrum.csv") == eigenpairs_to_csv(basis).splitlines()
+        expect = [
+            f"{k},{rho!r},{flux!r},256,2.0,0.5"
+            for k, (rho, flux) in enumerate(zip(basis.rho.tolist(), basis.flux.tolist()), start=1)
+        ]
+        assert csv_body(tmp_path / "spectrum.csv")[1:] == expect
 
-    def test_env_override(self, tmp_path):
+    def test_environment_sets_no_option(self, tmp_path):
         res = run_cli(
             "spectrum", "--n", "256", "--out", str(tmp_path),
             env_extra={"DEGENWAVE_KMAX": "3"},
         )
         assert res.returncode == 0, res.stderr
-        assert len(csv_body(tmp_path / "spectrum.csv")) == 4
+        assert len(csv_body(tmp_path / "spectrum.csv")) == 9  # header + 8 eigenpairs
 
 
 class TestHardy:
@@ -74,7 +78,7 @@ class TestHardy:
         exact = 4.0 / math.pi**2 * math.log(100.0) ** 2  # ~8.5951
         assert abs(rep["reference_constant"] - exact) < 1e-9
         assert abs(rep["numerical_best_constant"] - exact) < 0.05
-        assert doc["format_version"] == "3"
+        assert doc["format_version"] == "4"
         assert doc["config"]["delta"] == 0.01
 
     def test_scan_solves_each_delta_once(self, tmp_path, monkeypatch):
@@ -186,12 +190,18 @@ class TestParameterRange:
             (("simulate", "--alpha", "1.5"), "energy.csv"),
             (("observability", "--alpha", "1.5"), "obstruction.csv"),
             (("hardy", "--alpha", "-0.5"), "hardy.json"),
+            (("simulate", "--delta0", "0.5"), "energy.csv"),
+            (("simulate", "--samples", "-5"), "energy.csv"),
+            (("simulate", "--samples", "-1"), "energy.csv"),
+            (("simulate", "--samples", "0"), "energy.csv"),
         ],
         ids=[
             "validate-params", "carleman-check", "spectrum", "hardy", "hardy-bc",
             "hardy-method", "carleman-mode-n", "carleman-mode-k", "ensemble-size-0",
             "ensemble-size-negative", "spectrum-alpha-above-one", "spectrum-alpha-seven",
             "simulate-alpha", "observability-alpha", "hardy-alpha-negative",
+            "simulate-delta0", "simulate-samples-negative", "simulate-samples-minus-one",
+            "simulate-samples-0",
         ],
     )
     def test_out_of_range_is_json_error(self, tmp_path, args, artifact):
@@ -200,6 +210,23 @@ class TestParameterRange:
         assert "Traceback" not in res.stderr
         assert json.loads(res.stderr)["kind"] == "ParameterOutOfRange"
         assert not (tmp_path / artifact).exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", "--n", "256", "--n-max", "4", "--k-max", "4", "--t-horizon", "-5"),
+            ("observability", "--mode", "obstruction", "--t-horizon", "-50"),
+            ("observability", "--mode", "ensemble", "--size", "4", "--n-max", "4",
+             "--k-max", "4", "--t-horizon", "-50"),
+        ],
+        ids=["simulate", "obstruction", "ensemble"],
+    )
+    def test_negative_horizon_is_json_error(self, tmp_path, args):
+        res = run_cli(*args, "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert json.loads(res.stderr)["kind"] == "NonPositiveInput"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidateParams:
@@ -230,7 +257,7 @@ class TestValidateParams:
         )
         assert res.returncode == 0, res.stderr
         doc = json.loads((tmp_path / "params.json").read_text())
-        for key in ("gamma", "gamma_hat", "epsilon", "A0", "A1", "lambda", "t0"):
+        for key in ("gamma", "gamma_hat", "epsilon", "A0", "A1", "lam", "t0"):
             assert key in doc["result"]
         assert doc["result"]["t0"] == 25.0
 
@@ -270,3 +297,16 @@ class TestSimulateCommand:
         assert len(body) == 66  # header + 65 samples
         doc = json.loads((tmp_path / "trace.json").read_text())
         assert doc["result"]["interior_norm_sq"] is not None
+
+
+class TestStrictReports:
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["report.json", "report.csv"])
+    def test_non_finite_payload_rejected(self, tmp_path, name, value):
+        from degenwave import reports
+        from degenwave.errors import NonFiniteReport
+
+        content = (["x"], [(value,)]) if name.endswith(".csv") else {"x": value}
+        with pytest.raises(NonFiniteReport):
+            reports.write_reports(tmp_path, {name: content}, {"seed": 1})
+        assert list(tmp_path.iterdir()) == []

@@ -25,6 +25,7 @@ from degenwave.waves import (
     data_norms,
     full_trace_norm_closed,
     modal_state,
+    observation_norms,
     random_state,
     sine_overlap_matrix,
 )
@@ -204,3 +205,15 @@ class TestTraceTimeMonotonicity:
         ]
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-12 * max(values))
+
+    @pytest.mark.parametrize("T", [-44.0, 0.0, math.nan, math.inf])
+    def test_non_positive_horizon_rejected(self, basis05, T):
+        # every time form shares one kernel source: the full trace, the
+        # restricted trace and interior norms, and the ensemble Gramian
+        st = random_state(basis05, 4, 4, seed=21)
+        with pytest.raises(NonPositiveInput):
+            full_trace_norm_closed(st, T)
+        with pytest.raises(NonPositiveInput):
+            observation_norms(st, T, 0.01)
+        with pytest.raises(NonPositiveInput):
+            hidden_trace_ratio_ensemble(basis05, 7, 4, (4, 4), T)

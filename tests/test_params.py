@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ from degenwave.params import (
     DegeneracyParams,
     DomainSpec,
     beta_upper_bound,
-    carleman_params_from_json,
-    carleman_params_to_json,
     eval_cutoff,
     observation_time_threshold,
     theta_cutoff,
@@ -251,18 +248,3 @@ class TestTimeCutoff:
         spec = time_cutoff(2.0, 40.0)
         v, _, _ = eval_cutoff(spec, np.array([-5.0, 100.0]))
         assert np.all(v == 0.0)
-
-
-class TestJsonInterface:
-    def test_round_trip(self):
-        doc = {"alpha": 0.5, "delta0": 0.01, "beta": 0.005, "T": 50.0,
-               "lambda": 1.0, "s": 2.0}
-        params = carleman_params_from_json(json.dumps(doc))
-        out = json.loads(carleman_params_to_json(params))
-        assert out["lambda"] == 1.0
-        for key in ("gamma", "gamma_hat", "epsilon", "A0", "A1", "t0"):
-            assert key in out
-
-    def test_missing_key(self):
-        with pytest.raises(KeyError):
-            carleman_params_from_json({"alpha": 0.5})

@@ -128,3 +128,39 @@ def test_benchmark_calls_bind_to_public_signatures():
             inspect.signature(obj).bind(*[None] * n_args, **dict.fromkeys(keywords))
         except TypeError as exc:
             pytest.fail(f"workloads.py:{line}: dw.{name}: {exc}")
+
+
+def benchmark_cli_argvs():
+    """The argv of every command in the benchmark's Cli.commands(), read from
+    the source without importing it."""
+    path = SRC.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Cli")
+    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "commands")
+    lists = {a.targets[0].id: a.value.elts for a in fn.body if isinstance(a, ast.Assign)}
+    table = next(n for n in fn.body if isinstance(n, ast.Return)).value
+
+    def words(elts):
+        for e in elts:
+            if isinstance(e, ast.Starred):
+                yield from words(lists[e.value.id])
+            elif isinstance(e, ast.Constant):
+                yield e.value
+            else:  # a computed word: str(self.seed)
+                yield "1"
+
+    return [list(words(row.elts[1].elts)) for row in table.elts]
+
+
+def test_benchmark_cli_commands_resolve():
+    from degenwave import cli
+
+    argvs = benchmark_cli_argvs()
+    assert len(argvs) >= 10
+    for argv in argvs:
+        try:
+            args = cli._build_parser().parse_args([*argv, "--out", "unused"])
+        except SystemExit:
+            pytest.fail(f"benchmark argv does not parse: {argv}")
+        cfg = cli._resolve_config(args.command, args)
+        assert set(cfg) == set(cli._COMMON) | set(cli._SCHEMAS[args.command])

@@ -22,7 +22,6 @@ from degenwave.radial import (
     build_graded_mesh,
     build_log_mesh,
     build_uniform_mesh,
-    eigenpairs_to_csv,
     elliptic_identity_residual,
     refine_smallest_eigenpair,
     solve_eigenpairs,
@@ -375,12 +374,3 @@ class TestEllipticIdentity:
     def test_too_many_coefficients(self, basis05):
         with pytest.raises(ValueError):
             elliptic_identity_residual(basis05, 0.0, np.ones(basis05.k_max + 1))
-
-
-class TestCsvExport:
-    def test_header_and_determinism(self, basis05):
-        text = eigenpairs_to_csv(basis05)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,rho,flux_at_1,mesh_N,grading,alpha"
-        assert len(lines) == 1 + basis05.k_max
-        assert text == eigenpairs_to_csv(basis05)
