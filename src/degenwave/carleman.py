@@ -19,6 +19,13 @@ the weight exp(s sigma) and the residual's stencil; the weighted quadratures
 contract each tile's weight over r against radial pair products (R_i R_j,
 r^alpha R_i' R_j') and reduce the result against (theta, t) products of the
 angular, temporal and cutoff factors.
+
+The residual skips the tiles on which the cutoffs vanish and spreads the
+others over one thread per CPU the process may use.  Each thread keeps its
+tile intermediates in buffers allocated once per call and forms the sums
+of squares with einsum, so the residual makes no BLAS call (and wakes no
+BLAS thread pool); the per-tile sums are added in tile order, so the
+result does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -210,16 +217,55 @@ def _residual_axes(
             "radial stencil would reach r <= 0; raise r_min or the resolution"
         )
     t = np.linspace(0.0, T, n_t + 1)
+    # the cutoff transition bands (delta0 wide in theta, epsilon wide in t)
+    # carry the largest derivatives; below two cells the stencils miss them
+    cells = (d0 / (theta[1] - theta[0]), params.epsilon / (t[1] - t[0]))
+    if min(cells) < 2.0:
+        raise GridMismatch(
+            f"shape {shape} puts {cells[0]:.3g} theta cells across the delta0-wide cutoff "
+            f"band and {cells[1]:.3g} t cells across the epsilon-wide one; each needs at least 2"
+        )
     return theta, r, t
 
 
-def _second_difference(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray, h2: float) -> np.ndarray:
-    """(hi - 2 mid + lo) / h2 into a fresh array, in the stencil's own order."""
-    out = np.multiply(mid, 2.0)
-    np.subtract(hi, out, out=out)
+# Interior points a residual tile runs along t, the contiguous axis, where
+# the grid and the point budget allow.
+_T_RUN = 64
+
+
+def _residual_tiles(n_theta: int, n_r: int, n_t: int) -> Iterator[tuple[slice, slice]]:
+    """Walk a (n_theta, n_r, n_t) grid in theta x t tiles for the residual's stencils.
+
+    The tiles partition the interior points 1 .. n - 2 of the theta and t
+    axes; each (theta slice, t slice) reaches one point further on both
+    sides and, with the whole r axis, holds at most _TILE_ELEMENTS points.
+    A tile runs _T_RUN interior points along t wherever the t axis and
+    that budget allow, and about as many along theta as along t otherwise.
+    """
+    per_plane = max(1, _TILE_ELEMENTS // n_r)
+    square = math.isqrt(per_plane) - 2
+    run_t = min(n_t - 2, max(1, square, min(_T_RUN, per_plane // 3 - 2)))
+    run_theta = max(1, per_plane // (run_t + 2) - 2)
+    for i0 in range(1, n_theta - 1, run_theta):
+        ith = slice(i0 - 1, min(i0 + run_theta, n_theta - 1) + 1)
+        for j0 in range(1, n_t - 1, run_t):
+            yield ith, slice(j0 - 1, min(j0 + run_t, n_t - 1) + 1)
+
+
+def _residual_workers() -> int:
+    """The number of CPUs this process may run on."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, h2: float) -> None:
+    """(hi - twice_mid + lo) / h2 written into out, in the stencil's own order."""
+    np.subtract(hi, twice_mid, out=out)
     out += lo
     out /= h2
-    return out
 
 
 def _check_same_alpha(solution: SmoothModalSolution, params: CarlemanParams) -> None:
@@ -248,16 +294,27 @@ def conjugation_residual(
     radial profiles behave like r^(1-alpha) at the degenerate end, whose
     unbounded higher derivatives would otherwise contaminate the order).
 
-    The grid is walked in cache-sized theta x t tiles with a one-cell halo;
-    the modal, cutoff and weight factors are evaluated once per axis, so a
-    tile builds eta and exp(s sigma) h from slices of them, and the
-    operator pieces are fused:
+    The grid is walked in cache-sized theta x t tiles with a one-cell halo
+    (`_residual_tiles`); the modal, cutoff and weight factors are evaluated
+    once per axis, so a tile builds eta and exp(s sigma) h from slices of
+    them, and the operator pieces are fused:
     P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_theta + (2-alpha) r eta_r)
     and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta,
     with xi_t = -2 beta (t - t0) and b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha)).
+    A tile on whose theta or t slice the cutoff and its derivatives vanish
+    has eta = h = 0 and adds exactly nothing, so it is skipped.  The other
+    tiles are dealt round-robin to one thread per CPU the process may use
+    (at most one per tile).  Each thread writes every (theta, r, t)
+    intermediate into buffers it allocates once, and forms the tile's sums
+    of squares with einsum, so the loop makes no BLAS call; the per-tile
+    sums are added in tile order, which makes the result independent of the
+    number of threads.
 
     Raises:
         ParameterOutOfRange: solution.alpha differs from params.alpha.
+        GridMismatch: an axis has no interior point, or the theta or t
+            spacing leaves fewer than two cells across a cutoff band.
+        DegenerateCellTouched: the radial stencil reaches r <= 0.
     """
     _check_same_alpha(solution, params)
     alpha = params.alpha
@@ -266,92 +323,179 @@ def conjugation_residual(
     h_theta = theta[1] - theta[0]
     h_r = r[1] - r[0]
     h_t = t[1] - t[0]
-    zv, zd1, zd2 = eval_cutoff(theta_cutoff(params.delta0), theta)
-    kv, kd1, kd2 = eval_cutoff(time_cutoff(params.epsilon, params.T), t)
+    zeta = eval_cutoff(theta_cutoff(params.delta0), theta)
+    kcut = eval_cutoff(time_cutoff(params.epsilon, params.T), t)
+    zv, zd1, zd2 = zeta
+    kv, kd1, kd2 = kcut
     sin, dsin = solution.angular_factors(theta)
     rad = solution.radial_factors(r)[0]
     amp, vel = solution.temporal_factors(t)
+    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
+    sig_rt = sig_r[:, None] * sig_t[None, :]
 
-    # coefficients at the interior points (radial ones shaped (1, n_r - 2, 1));
-    # the 1/(2h) of each first difference is folded into the coefficient it meets
+    # A tile skips where the cutoff and its derivatives vanish on its whole
+    # theta or t slice.  Each theta plane of a tile is one contiguous (r, t)
+    # row; its interior r rows, with every t of the tile, form a segment in
+    # which the theta, r and t neighbours lie a plane, a t row and one point
+    # away.  The work arrays are (theta, segment) shaped, so they also hold
+    # the tile's two t halo columns, whose values are discarded (their t
+    # neighbours wrap into the adjacent r row); every interior point gets
+    # exactly the operations of a (theta, r, t) evaluation.
+    z_live = np.any(zeta, axis=0)
+    k_live = np.any(kcut, axis=0)
+    tiles = [
+        (ith, jt)
+        for ith, jt in _residual_tiles(theta.size, r.size, t.size)
+        if z_live[ith].any() and k_live[jt].any()
+    ]
+    n_r = r.size
+    widths = [(ith.stop - ith.start, jt.stop - jt.start) for ith, jt in tiles]
+    halo_size = max((n_i * n_r * n_j for n_i, n_j in widths), default=0)
+    core_size = max(((n_i - 2) * (n_r - 2) * n_j for n_i, n_j in widths), default=0)
+
+    # coefficients at the interior points, radial ones repeated along each
+    # tile width and t ones along r per t slice; the 1/(2h) of each first
+    # difference is folded into the coefficient it meets
     two_a = 2.0 - alpha
-    r_c = r[1:-1][None, :, None]
-    r_alpha_c = r_c**alpha
-    lap_r_coef = alpha * r_c ** (alpha - 1.0) / (2.0 * h_r)
-    drift_r_coef = two_a * r_c / h_r
-    quad_rad_c = two_a**2 * r_c**two_a
+    r_c = r[1:-1]
+    radial_coefs = (
+        r_c**alpha,
+        alpha * r_c ** (alpha - 1.0) / (2.0 * h_r),
+        two_a * r_c / h_r,
+        two_a**2 * r_c**two_a,
+    )
+    radial = {n_j: [np.repeat(c, n_j) for c in radial_coefs] for n_j in {n_j for _, n_j in widths}}
     xi_t = -2.0 * beta * (t - params.t0)
     xi_t_sq = xi_t**2
     drift_t_coef = xi_t / h_t
+    columns = {
+        start: (
+            np.ascontiguousarray(sig_rt[:, jt]).reshape(-1),
+            np.tile(drift_t_coef[jt], n_r - 2),
+            np.tile(xi_t_sq[jt], n_r - 2),
+        )
+        for start, jt in {jt.start: jt for _, jt in tiles}.items()
+    }
     drift_th_coef = 2.0 * theta / h_theta
+    theta_sq4 = 4.0 * theta**2
     zero_order = 4.0 - alpha + 2.0 * beta
+    sums = np.zeros((len(tiles), 2))
 
+    def run(first: int, step: int) -> None:
+        """Tiles first, first + step, ... into their rows of sums."""
+        halo_buf = np.empty((2, halo_size))
+        core_buf = np.empty((4, core_size))
+        for k in range(first, len(tiles), step):
+            ith, jt = tiles[k]
+            ith_c = slice(ith.start + 1, ith.stop - 1)
+            n_i, n_j = widths[k]
+            plane, span = n_r * n_j, (n_r - 2) * n_j
+            esig, eta = (b[: n_i * plane].reshape(n_i, plane) for b in halo_buf)
+            lap, work, drift, total = (
+                b[: (n_i - 2) * span].reshape(n_i - 2, span) for b in core_buf
+            )
+            r_alpha, lap_r, drift_r, quad_rad = radial[n_j]
+            sig_plane, drift_t, xi_t_sq_rows = columns[jt.start]
+
+            # eta = exp(s sigma) sum_m R_m(r) zeta k sin_m amp_m
+            np.multiply(sig_theta[ith, None], sig_plane, out=esig)
+            esig *= s
+            np.exp(esig, out=esig)
+            q = sin[:, ith, None] * amp[:, None, jt]
+            q *= zv[ith, None] * kv[None, jt]
+            np.einsum("mr,mit->irt", rad, q, out=eta.reshape(n_i, n_r, n_j))
+            eta *= esig
+            core = eta[1:-1, n_j : n_j + span]
+            th_hi, th_lo = eta[2:, n_j : n_j + span], eta[:-2, n_j : n_j + span]
+            r_hi, r_lo = eta[1:-1, 2 * n_j :], eta[1:-1, :span]
+            t_hi, t_lo = eta[1:-1, n_j + 1 : n_j + 1 + span], eta[1:-1, n_j - 1 : n_j - 1 + span]
+
+            # P1+ = eta_tt - (eta_thth + r^alpha eta_rr + alpha r^(alpha-1) eta_r);
+            # each second difference is (hi - 2 eta) + lo, then / h^2, with the
+            # 2 eta that all three share held in total until eta_tt replaces it
+            np.multiply(core, 2.0, out=total)
+            _second_diff_into(lap, th_hi, total, th_lo, h_theta**2)
+            _second_diff_into(work, r_hi, total, r_lo, h_r**2)
+            work *= r_alpha
+            lap += work
+            np.subtract(r_hi, r_lo, out=drift)  # 2 h_r eta_r
+            np.multiply(lap_r, drift, out=work)
+            lap += work
+            _second_diff_into(total, t_hi, total, t_lo, h_t**2)
+            total -= lap
+
+            # P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_th + (2-alpha) r eta_r)
+            slam_sigma = lap
+            np.multiply(sig_theta[ith_c, None], sig_plane[n_j : n_j + span], out=slam_sigma)
+            slam_sigma *= s * lam
+            drift *= drift_r
+            np.subtract(th_hi, th_lo, out=work)
+            work *= drift_th_coef[ith_c, None]
+            drift += work
+            np.subtract(t_hi, t_lo, out=work)
+            work *= drift_t
+            drift -= work
+            drift *= slam_sigma
+            total += drift
+
+            # P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta
+            # with b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha))
+            np.add(theta_sq4[ith_c, None], quad_rad, out=work)
+            np.subtract(xi_t_sq_rows, work, out=work)
+            np.subtract(slam_sigma, lam, out=drift)
+            drift *= work
+            drift += zero_order
+            drift *= slam_sigma
+            drift *= core
+            total += drift
+
+            # exp(s sigma) h = exp(s sigma) sum_m R_m(r) h_m with, from the exact
+            # derivatives of phi, h_m = 2 zeta k' sin_m vel_m
+            # + (zeta k'' - k zeta'') sin_m amp_m - 2 k zeta' sin_m' amp_m
+            amp_j = amp[:, None, jt]
+            h = sin[:, ith_c, None] * vel[:, None, jt]
+            h *= 2.0 * zv[ith_c, None] * kd1[None, jt]
+            h += (zv[ith_c, None] * kd2[None, jt] - kv[None, jt] * zd2[ith_c, None]) * (
+                sin[:, ith_c, None] * amp_j
+            )
+            h -= (2.0 * kv[None, jt] * zd1[ith_c, None]) * (dsin[:, ith_c, None] * amp_j)
+            lhs = work
+            np.einsum("mr,mit->irt", rad[:, 1:-1], h, out=lhs.reshape(n_i - 2, n_r - 2, n_j))
+            lhs *= esig[1:-1, n_j : n_j + span]
+
+            np.subtract(lhs, total, out=total)
+            res, ref = (a.reshape(n_i - 2, n_r - 2, n_j)[:, :, 1:-1] for a in (total, lhs))
+            sums[k] = np.einsum("irt,irt->", res, res), np.einsum("irt,irt->", ref, ref)
+
+    # the calling thread takes tiles 0, w, 2w, ...; w - 1 helpers take the rest
+    import threading
+
+    workers = max(1, min(_residual_workers(), len(tiles)))
+    failures: list[BaseException] = []
+
+    def helper(first: int) -> None:
+        try:
+            run(first, workers)
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+    for th in helpers:
+        th.start()
+    try:
+        run(0, workers)
+    finally:
+        for th in helpers:
+            th.join()
+    if failures:
+        raise failures[0]
+
+    # in tile order, whichever thread formed each sum
     acc_res = 0.0
     acc_ref = 0.0
-    for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=1):
-        ith_c = slice(ith.start + 1, ith.stop - 1)
-        jt_c = slice(jt.start + 1, jt.stop - 1)
-        th_c = theta[ith_c, None, None]
-
-        # eta = exp(s sigma) sum_m R_m(r) zeta k sin_m amp_m
-        esig = np.multiply(sigma, s)
-        np.exp(esig, out=esig)
-        q = sin[:, ith, None] * amp[:, None, jt]
-        q *= zv[ith, None] * kv[None, jt]
-        eta = np.einsum("mr,mit->irt", rad, q)
-        eta *= esig
-        core = eta[1:-1, 1:-1, 1:-1]
-
-        # P1+ = eta_tt - (eta_thth + r^alpha eta_rr + alpha r^(alpha-1) eta_r)
-        lap = _second_difference(eta[2:, 1:-1, 1:-1], core, eta[:-2, 1:-1, 1:-1], h_theta**2)
-        work = _second_difference(eta[1:-1, 2:, 1:-1], core, eta[1:-1, :-2, 1:-1], h_r**2)
-        work *= r_alpha_c
-        lap += work
-        drift = np.subtract(eta[1:-1, 2:, 1:-1], eta[1:-1, :-2, 1:-1])  # 2 h_r eta_r
-        np.multiply(lap_r_coef, drift, out=work)
-        lap += work
-        total = _second_difference(eta[1:-1, 1:-1, 2:], core, eta[1:-1, 1:-1, :-2], h_t**2)
-        total -= lap
-
-        # P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_th + (2-alpha) r eta_r)
-        drift *= drift_r_coef
-        np.subtract(eta[2:, 1:-1, 1:-1], eta[:-2, 1:-1, 1:-1], out=work)
-        work *= drift_th_coef[ith_c, None, None]
-        drift += work
-        np.subtract(eta[1:-1, 1:-1, 2:], eta[1:-1, 1:-1, :-2], out=work)
-        work *= drift_t_coef[None, None, jt_c]
-        drift -= work
-        slam_sigma = np.multiply(sigma[1:-1, 1:-1, 1:-1], s * lam)
-        drift *= slam_sigma
-        total += drift
-
-        # P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta
-        # with b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha))
-        np.subtract(xi_t_sq[None, None, jt_c], 4.0 * th_c**2 + quad_rad_c, out=work)
-        np.subtract(slam_sigma, lam, out=drift)
-        drift *= work
-        drift += zero_order
-        drift *= slam_sigma
-        drift *= core
-        total += drift
-
-        # exp(s sigma) h = exp(s sigma) sum_m R_m(r) h_m with, from the exact
-        # derivatives of phi, h_m = 2 zeta k' sin_m vel_m
-        # + (zeta k'' - k zeta'') sin_m amp_m - 2 k zeta' sin_m' amp_m
-        amp_c = amp[:, None, jt_c]
-        h = sin[:, ith_c, None] * vel[:, None, jt_c]
-        h *= 2.0 * zv[ith_c, None] * kd1[None, jt_c]
-        h += (zv[ith_c, None] * kd2[None, jt_c] - kv[None, jt_c] * zd2[ith_c, None]) * (
-            sin[:, ith_c, None] * amp_c
-        )
-        h -= (2.0 * kv[None, jt_c] * zd1[ith_c, None]) * (dsin[:, ith_c, None] * amp_c)
-        lhs = np.einsum("mr,mit->irt", rad[:, 1:-1], h)
-        lhs *= esig[1:-1, 1:-1, 1:-1]
-
-        np.subtract(lhs, total, out=total)
-        acc_res += float(np.vdot(total, total))
-        acc_ref += float(np.vdot(lhs, lhs))
-
+    for res, ref in sums.tolist():
+        acc_res += res
+        acc_ref += ref
     vol = h_theta * h_r * h_t
     res = math.sqrt(acc_res * vol)
     ref = math.sqrt(acc_ref * vol)

@@ -26,6 +26,7 @@ from .radial import RadialBasis
 from .waves import (
     _BLOCK_ELEMENTS,
     ModalCoefficients,
+    _check_seed,
     _full_trace_forms,
     _trace_data,
     _trace_gramian,
@@ -187,10 +188,11 @@ def hidden_trace_ratio_ensemble(
     chunk so that the stacked data stay within a fixed element budget.
 
     Raises:
-        ParameterOutOfRange: size below 1.
+        ParameterOutOfRange: size below 1 or a negative seed.
     """
     if size < 1:
         raise ParameterOutOfRange(f"ensemble size must be at least 1, got {size}")
+    _check_seed(seed)
     n_max, k_max = truncation
     omega = modal_state(basis, n_max, k_max).omega
     gramian = _trace_gramian(basis, omega, T)
@@ -231,7 +233,7 @@ def hidden_trace_stability(
     block), so the comparison isolates the effect of the added high modes.
 
     Raises:
-        ParameterOutOfRange: size below 1.
+        ParameterOutOfRange: size below 1 or a negative seed.
     """
     base = hidden_trace_ratio_ensemble(basis, seed, size, truncation, T)
     doubled_trunc = (2 * truncation[0], 2 * truncation[1])

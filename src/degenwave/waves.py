@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import GridMismatch, NonPositiveInput, TruncationTooSmall
+from .errors import GridMismatch, NonPositiveInput, ParameterOutOfRange, TruncationTooSmall
 from .params import theta_strips
 from .radial import RadialBasis, _trapezoid_weights
 
@@ -163,6 +163,12 @@ def project_initial_data(
     )
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds of random data are non-negative integers."""
+    if seed < 0:
+        raise ParameterOutOfRange(f"seed must be non-negative, got {seed}")
+
+
 def random_state(
     basis: RadialBasis,
     n_max: int,
@@ -175,7 +181,12 @@ def random_state(
     Coefficients are sliced from a fixed 64 x 64 master block drawn in one
     shot, so enlarging the truncation extends the same datum with new damped
     modes instead of redrawing it.
+
+    Raises:
+        ParameterOutOfRange: a negative seed.
+        TruncationTooSmall: a truncation above RANDOM_CAP.
     """
+    _check_seed(seed)
     if max(n_max, k_max) > RANDOM_CAP:
         raise TruncationTooSmall(f"random data capped at truncation {RANDOM_CAP}")
     rng = np.random.default_rng([seed] if member is None else [seed, member])

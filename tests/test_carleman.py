@@ -1,6 +1,9 @@
 import collections
 import dataclasses
 import math
+import resource
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,6 +31,7 @@ from degenwave.errors import (
     NonPositiveInput,
     ParameterOutOfRange,
 )
+from degenwave.params import eval_cutoff, theta_cutoff, time_cutoff
 
 
 def symbolic_wave(u, coords, alpha):
@@ -345,20 +349,106 @@ class TestConjugationResidual:
         assert tiled.reference_norm == pytest.approx(slab.reference_norm, rel=1e-12)
 
     def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
-        shape = (96, 16, 48)  # interior 95 x 16 x 47 points
-        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 97 * 16 * 49)
+        shape = (96, 16, 160)  # interior 95 x 16 x 159 points
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 161 * 161 * 16)
+        assert len(list(carleman._residual_tiles(97, 16, 161))) == 1
         one_tile = conjugation_residual(bessel_solution, carleman_params, shape=shape)
-        # 10 x 16 x 10 tiles: 8 x 8 interior points, ragged 7 at both far edges
-        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 16 * 10)
-        theta, r, t = carleman._residual_axes(carleman_params, shape, 0.1, carleman_params.T)
-        tiles = list(carleman._weight_tiles(carleman_params, theta, r, t, halo=1))
-        assert {ith.stop - ith.start - 2 for ith, _, _ in tiles} == {8, 7}
-        assert {jt.stop - jt.start - 2 for _, jt, _ in tiles} == {8, 7}
+        # 8 x 64 interior points per tile, ragged 7 and 31 at the far edges
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 16 * 66)
+        tiles = list(carleman._residual_tiles(97, 16, 161))
+        assert {ith.stop - ith.start - 2 for ith, _ in tiles} == {8, 7}
+        assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 31}
         tiled = conjugation_residual(bessel_solution, carleman_params, shape=shape)
         assert tiled.residual_norm == pytest.approx(one_tile.residual_norm, rel=1e-13)
         assert tiled.reference_norm == pytest.approx(one_tile.reference_norm, rel=1e-13)
 
-    def test_memory_bound(self, carleman_params, bessel_solution):
+    def test_tiles_run_along_t(self):
+        # the finest benchmark level: 18 theta x 64 t interior points per tile
+        tiles = list(carleman._residual_tiles(4609, 48, 257))
+        assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 63}
+        assert max((ith.stop - ith.start) * 48 * (jt.stop - jt.start) for ith, jt in tiles) <= (
+            carleman._TILE_ELEMENTS
+        )
+
+    def test_worker_invariance(self, carleman_params, monkeypatch):
+        """The per-tile sums are added in tile order, whichever thread formed them;
+        a lost or doubled tile would move the norms."""
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 16 * 66)
+        sol = two_mode_solution()
+        norms = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(carleman, "_residual_workers", lambda w=workers: w)
+                rep = conjugation_residual(sol, carleman_params, shape=(96, 16, 160))
+                norms.add((rep.residual_norm.hex(), rep.reference_norm.hex()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(norms) == 1
+
+    def test_helper_thread_failure_reaches_the_caller(
+        self, carleman_params, bessel_solution, monkeypatch
+    ):
+        second_diff = carleman._second_diff_into
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("in a helper thread")
+            second_diff(*args)
+
+        monkeypatch.setattr(carleman, "_second_diff_into", failing)
+        monkeypatch.setattr(carleman, "_residual_workers", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="helper"):
+            conjugation_residual(bessel_solution, carleman_params, shape=(576, 12, 48))
+        assert threading.active_count() == threads
+
+    def test_skipped_tiles_match_slab_kernel(self, carleman_params, bessel_solution, monkeypatch):
+        # 1 x 2 interior points per tile: the cutoffs vanish on whole tiles at both
+        # ends of theta and of t, and those tiles are skipped
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 3 * 16 * 4)
+        shape = (96, 16, 48)
+        p = carleman_params
+        theta, r, t = carleman._residual_axes(p, shape, 0.1, p.T)
+        zeta = np.any(eval_cutoff(theta_cutoff(p.delta0), theta), axis=0)
+        kcut = np.any(eval_cutoff(time_cutoff(p.epsilon, p.T), t), axis=0)
+        tiles = list(carleman._residual_tiles(theta.size, r.size, t.size))
+        assert any(not zeta[ith].any() for ith, _ in tiles)
+        assert any(not kcut[jt].any() for _, jt in tiles)
+        tiled = conjugation_residual(bessel_solution, carleman_params, shape=shape)
+        slab = slab_conjugation_residual(bessel_solution, carleman_params, shape=shape)
+        assert tiled.residual_norm == pytest.approx(slab.residual_norm, rel=1e-12)
+        assert tiled.reference_norm == pytest.approx(slab.reference_norm, rel=1e-12)
+
+    def test_no_blas_call(self, carleman_params, monkeypatch):
+        def blas(*args, **kwargs):
+            raise AssertionError("the residual called a BLAS routine")
+
+        for name in ("vdot", "dot", "matmul"):
+            monkeypatch.setattr(np, name, blas)
+        monkeypatch.setattr(carleman, "_residual_workers", lambda: 2)
+        rep = conjugation_residual(two_mode_solution(), carleman_params, shape=(576, 12, 48))
+        assert 0.0 < rep.residual_norm < rep.reference_norm
+
+    def test_minor_page_faults(self, carleman_params, bessel_solution):
+        """Buffers allocated once per call, not fresh temporaries per tile."""
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        conjugation_residual(bessel_solution, carleman_params, shape=(4608, 48, 256))
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20_000
+
+    @pytest.mark.parametrize("shape", [(2, 24, 96), (60, 16, 48), (864, 24, 24), (63, 16, 32)])
+    def test_unresolved_cutoff_band(self, carleman_params, bessel_solution, shape):
+        with pytest.raises(GridMismatch, match="cutoff band"):
+            conjugation_residual(bessel_solution, carleman_params, shape=shape)
+
+    def test_two_cells_across_each_band_suffice(self, carleman_params, bessel_solution):
+        # 2.01 theta cells across the delta0 band, 2.06 t cells across the epsilon band
+        rep = conjugation_residual(bessel_solution, carleman_params, shape=(63, 16, 33))
+        assert 0.0 < rep.relative < math.inf
+
+    def test_memory_bound(self, carleman_params, bessel_solution, monkeypatch):
+        monkeypatch.setattr(carleman, "_residual_workers", lambda: 8)
         tracemalloc.start()
         try:
             conjugation_residual(bessel_solution, carleman_params, shape=(2304, 24, 128))
@@ -367,8 +457,12 @@ class TestConjugationResidual:
             tracemalloc.stop()
         assert peak <= 64e6
 
-    def test_memory_bound_at_finest_benchmark_level(self, carleman_params, bessel_solution):
-        """A whole-grid (theta, t) array at this level would be 9.5 MB per copy."""
+    def test_memory_bound_at_finest_benchmark_level(
+        self, carleman_params, bessel_solution, monkeypatch
+    ):
+        """A whole-grid (theta, t) array at this level would be 9.5 MB per copy;
+        each of the eight threads holds its own tile buffers."""
+        monkeypatch.setattr(carleman, "_residual_workers", lambda: 8)
         tracemalloc.start()
         try:
             conjugation_residual(bessel_solution, carleman_params, shape=(4608, 48, 256))
@@ -497,7 +591,6 @@ class TestComponentIntegrals:
 
         p = carleman_params
         alpha, lam, s, beta, d0 = p.alpha, p.lam, p.s, p.beta, p.delta0
-        from degenwave.params import eval_cutoff, theta_cutoff, time_cutoff
 
         def axis(a, b, n):
             x, w = leggauss(n)

@@ -156,6 +156,17 @@ class TestConfigHandling:
         assert err["kind"] == "NonFiniteReport"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args", [("--n-theta", "2"), ("--n-t", "24")], ids=["n-theta", "n-t"]
+    )
+    def test_unresolved_cutoff_band_rejected(self, tmp_path, args):
+        # 0.06 theta cells across the delta0 band, 1.5 t cells across the epsilon band
+        res = run_cli("carleman-check", *args, "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert json.loads(res.stderr)["kind"] == "GridMismatch"
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonpositive_scan_s_rejected(self, tmp_path):
         res = run_cli("carleman-check", "--s-scan=0,2", "--out", str(tmp_path))
         assert res.returncode == 1
@@ -194,6 +205,11 @@ class TestParameterRange:
             (("simulate", "--samples", "-5"), "energy.csv"),
             (("simulate", "--samples", "-1"), "energy.csv"),
             (("simulate", "--samples", "0"), "energy.csv"),
+            (("simulate", "--seed", "-1"), "energy.csv"),
+            (("observability", "--mode", "ensemble", "--seed", "-1", "--size", "4",
+              "--n-max", "4", "--k-max", "4"), "ensemble.csv"),
+            (("observability", "--mode", "ratio", "--seed", "-1", "--n-max", "4",
+              "--k-max", "4"), "ratio.json"),
         ],
         ids=[
             "validate-params", "carleman-check", "spectrum", "hardy", "hardy-bc",
@@ -201,7 +217,8 @@ class TestParameterRange:
             "ensemble-size-negative", "spectrum-alpha-above-one", "spectrum-alpha-seven",
             "simulate-alpha", "observability-alpha", "hardy-alpha-negative",
             "simulate-delta0", "simulate-samples-negative", "simulate-samples-minus-one",
-            "simulate-samples-0",
+            "simulate-samples-0", "simulate-seed-negative", "ensemble-seed-negative",
+            "ratio-seed-negative",
         ],
     )
     def test_out_of_range_is_json_error(self, tmp_path, args, artifact):

@@ -195,6 +195,15 @@ class TestBatchedEnsemble:
         with pytest.raises(ParameterOutOfRange):
             hidden_trace_stability(basis05_k64, 7, size, (4, 4), horizon)
 
+    def test_negative_seed_rejected_before_any_member(self, basis05_k64, horizon, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(observability, "random_state", lambda *args, **kw: drawn.append(args))
+        with pytest.raises(ParameterOutOfRange):
+            hidden_trace_ratio_ensemble(basis05_k64, -1, 4, (4, 4), horizon)
+        with pytest.raises(ParameterOutOfRange):
+            hidden_trace_stability(basis05_k64, -1, 4, (4, 4), horizon)
+        assert drawn == []
+
 
 class TestTraceTimeMonotonicity:
     def test_nondecreasing_in_horizon(self, basis05, horizon):

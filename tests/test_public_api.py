@@ -48,9 +48,11 @@ def test_every_reexport_resolves():
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
 
 
-def scipy_modules_after(code):
-    """Names of the scipy modules a fresh interpreter holds after running code."""
-    probe = code + "\nimport sys\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def modules_after(code, *packages):
+    """Names of the modules of the given top-level packages that a fresh
+    interpreter holds after running code."""
+    listing = f"[m for m in sys.modules if m.split('.')[0] in {packages}]"
+    probe = f"{code}\nimport sys\nprint({listing})"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
@@ -62,7 +64,7 @@ def scipy_modules_after(code):
 # or Bessel evaluation and never for runs that do neither
 @pytest.mark.parametrize("module", ["degenwave", "degenwave.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules_after(f"import {module}") == []
+    assert modules_after(f"import {module}", "scipy") == []
 
 
 @pytest.mark.parametrize(
@@ -81,19 +83,24 @@ def test_cli_without_solve_loads_no_scipy(argv, exit_code, tmp_path):
         f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
         f"assert code == {exit_code}, code"
     )
-    assert scipy_modules_after(code) == []
+    assert modules_after(code, "scipy") == []
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # concurrent.futures brings in logging, about 4 ms of every CLI run
+    assert modules_after("import degenwave", "concurrent", "logging") == []
 
 
 def test_eigensolve_loads_linalg_only():
-    modules = scipy_modules_after(
-        "from degenwave import solve_radial_basis\nsolve_radial_basis(0.5, N=64, k_max=4)"
+    modules = modules_after(
+        "from degenwave import solve_radial_basis\nsolve_radial_basis(0.5, N=64, k_max=4)", "scipy"
     )
     assert "scipy.linalg" in modules
     assert not [m for m in modules if m.startswith(("scipy.special", "scipy.optimize"))]
 
 
 def test_bessel_mode_loads_special_only():
-    modules = scipy_modules_after("from degenwave import bessel_mode\nbessel_mode(0.5, 1, 2)")
+    modules = modules_after("from degenwave import bessel_mode\nbessel_mode(0.5, 1, 2)", "scipy")
     assert "scipy.special" in modules
     assert not [m for m in modules if m.startswith(("scipy.linalg", "scipy.optimize"))]
 
@@ -164,3 +171,39 @@ def test_benchmark_cli_commands_resolve():
             pytest.fail(f"benchmark argv does not parse: {argv}")
         cfg = cli._resolve_config(args.command, args)
         assert set(cfg) == set(cli._COMMON) | set(cli._SCHEMAS[args.command])
+
+
+def benchmark_residual_shapes():
+    """The shapes the benchmark's carleman workload passes to conjugation_residual,
+    from Carleman.BASE and LEVELS, read from the source without importing it."""
+    path = SRC.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Carleman")
+    consts = {
+        a.targets[0].id: ast.literal_eval(a.value) for a in cls.body if isinstance(a, ast.Assign)
+    }
+    return [tuple(c * 2**lvl for c in consts["BASE"]) for lvl in range(consts["LEVELS"])]
+
+
+def test_benchmark_residual_grids_pass_the_grid_checks():
+    """A grid check that rejected a benchmark grid would count as a failed operation."""
+    from degenwave import carleman, cli
+
+    shapes = benchmark_residual_shapes()
+    assert len(shapes) == 3
+    params = degenwave.validate_carleman_params(
+        0.5, degenwave.DomainSpec(0.03), beta=0.0149, T=40.0, lam=0.5, s=2.0
+    )
+    for shape in shapes:
+        carleman._residual_axes(params, shape, 0.1, params.T)
+    argvs = [argv for argv in benchmark_cli_argvs() if argv[0] == "carleman-check"]
+    assert argvs
+    for argv in argvs:
+        args = cli._build_parser().parse_args([*argv, "--out", "unused"])
+        cfg = cli._resolve_config(args.command, args)
+        params = degenwave.validate_carleman_params(
+            cfg["alpha"], degenwave.DomainSpec(cfg["delta0"]), beta=cfg["beta"],
+            T=cfg["t_horizon"], lam=cfg["lam"], s=cfg["s"],
+        )
+        shape = (cfg["n_theta"], cfg["n_r"], cfg["n_t"])
+        carleman._residual_axes(params, shape, cfg["r_min"], params.T)

@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from degenwave import waves
-from degenwave.errors import GridMismatch, TruncationTooSmall
+from degenwave.errors import GridMismatch, ParameterOutOfRange, TruncationTooSmall
 from degenwave.params import theta_strips
 from degenwave.waves import (
     RANDOM_CAP,
@@ -94,6 +94,11 @@ class TestProjection:
             modal_state(basis05, 4, basis05.k_max + 1)
         with pytest.raises(TruncationTooSmall):
             modal_state(basis05, 4, 4, amplitudes={(5, 1): 1.0})
+
+    @pytest.mark.parametrize("member", [None, 3])
+    def test_negative_seed_rejected(self, basis05, member):
+        with pytest.raises(ParameterOutOfRange):
+            random_state(basis05, 4, 4, seed=-1, member=member)
 
 
 class TestEvolution:
