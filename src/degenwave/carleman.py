@@ -37,6 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._threads import deal
 from .errors import DegenerateCellTouched, GridMismatch, NonPositiveInput, ParameterOutOfRange
 from .params import CarlemanParams, eval_cutoff, theta_cutoff, theta_strips, time_cutoff
 from .radial import _trapezoid_weights, bessel_radial_mode
@@ -208,6 +209,8 @@ def _residual_axes(
             f"shape {shape} leaves {interior} interior (theta, r, t) points; "
             "each axis needs at least one"
         )
+    if not (math.isfinite(r_min) and r_min < 1.0):
+        raise ParameterOutOfRange(f"r_min must be finite and below 1, got {r_min}")
     d0 = params.delta0
     theta = np.linspace(d0, 1.0 - d0, n_theta + 1)
     hr = (1.0 - r_min) / n_r
@@ -250,15 +253,6 @@ def _residual_tiles(n_theta: int, n_r: int, n_t: int) -> Iterator[tuple[slice, s
         ith = slice(i0 - 1, min(i0 + run_theta, n_theta - 1) + 1)
         for j0 in range(1, n_t - 1, run_t):
             yield ith, slice(j0 - 1, min(j0 + run_t, n_t - 1) + 1)
-
-
-def _residual_workers() -> int:
-    """The number of CPUs this process may run on."""
-    import os
-
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, h2: float) -> None:
@@ -311,7 +305,8 @@ def conjugation_residual(
     number of threads.
 
     Raises:
-        ParameterOutOfRange: solution.alpha differs from params.alpha.
+        ParameterOutOfRange: solution.alpha differs from params.alpha, or
+            r_min is not finite or is at least 1.
         GridMismatch: an axis has no interior point, or the theta or t
             spacing leaves fewer than two cells across a cutoff band.
         DegenerateCellTouched: the radial stencil reaches r <= 0.
@@ -467,28 +462,7 @@ def conjugation_residual(
             res, ref = (a.reshape(n_i - 2, n_r - 2, n_j)[:, :, 1:-1] for a in (total, lhs))
             sums[k] = np.einsum("irt,irt->", res, res), np.einsum("irt,irt->", ref, ref)
 
-    # the calling thread takes tiles 0, w, 2w, ...; w - 1 helpers take the rest
-    import threading
-
-    workers = max(1, min(_residual_workers(), len(tiles)))
-    failures: list[BaseException] = []
-
-    def helper(first: int) -> None:
-        try:
-            run(first, workers)
-        except BaseException as exc:  # re-raised in the calling thread
-            failures.append(exc)
-
-    helpers = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
-    for th in helpers:
-        th.start()
-    try:
-        run(0, workers)
-    finally:
-        for th in helpers:
-            th.join()
-    if failures:
-        raise failures[0]
+    deal(len(tiles), run)
 
     # in tile order, whichever thread formed each sum
     acc_res = 0.0

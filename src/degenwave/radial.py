@@ -6,13 +6,21 @@ weights are evaluated in closed form, so the only discretization errors are
 interpolation and mass lumping.  The generalized pencil is lumped to a
 symmetric tridiagonal standard problem T and its smallest eigenpairs, one
 `RadialBasis` of stacked arrays for any pencil, are computed in three
-LAPACK/BLAS stages: Sturm-sequence bisection for the eigenvalues (dstebz),
-inverse iteration once per eigenvalue (dstein), and a single Cholesky QR
-orthonormalization of the whole block in the lumped inner product.
-Inverse iteration runs per eigenvalue because dstein re-orthogonalizes
-against every neighbour within 1e-3 ||T||_1, and the near-origin diagonal
-of graded meshes inflates ||T|| so far that the whole low spectrum would
-count as one cluster.
+LAPACK/BLAS stages: Sturm-sequence bisection for the eigenvalues (dstebz,
+one call per fixed chunk of 64 indices), inverse iteration once per
+eigenvalue (dstein), and a single Cholesky QR orthonormalization of the
+whole block in the lumped inner product.  Inverse iteration runs per
+eigenvalue because dstein re-orthogonalizes against every neighbour within
+1e-3 ||T||_1, and the near-origin diagonal of graded meshes inflates ||T||
+so far that the whole low spectrum would count as one cluster.
+
+The bisection chunks, and then the dstein calls, are dealt round-robin to
+one thread per CPU the process may use.  scipy's f2py LAPACK wrappers hold
+the GIL, so both routines are called through the C function pointers that
+scipy.linalg.cython_lapack exports, bound with ctypes, which releases the
+GIL for the call.  The chunks follow from the request alone and each call
+writes its own slots, so the basis is bitwise the same for any number of
+threads, and a request of at most 64 pairs is a single bisection call.
 
 The weighted stiffness integral r^alpha |R'|^2 and the weighted masses with
 exponents alpha, alpha - 2, 1, -1 are exactly the bilinear forms behind the
@@ -23,12 +31,14 @@ an independent cross-check route.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._threads import deal
 from .errors import ConvergenceFailure, DivergentWeight, InvalidMeshSpec, ParameterOutOfRange
 from .params import DegeneracyParams
 
@@ -59,6 +69,8 @@ class RadialMesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise InvalidMeshSpec("mesh needs at least 2 cells")
+        if not np.all(np.isfinite(nodes)):
+            raise InvalidMeshSpec("mesh nodes must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise InvalidMeshSpec("mesh nodes must be strictly increasing")
         nodes.flags.writeable = False
@@ -73,8 +85,8 @@ def build_graded_mesh(N: int, g: float) -> RadialMesh:
     """Mesh on [0, 1] with nodes (j/N)^g; g = 1 is uniform, g > 1 crowds r = 0."""
     if N < 2 or int(N) != N:
         raise InvalidMeshSpec(f"need an integer cell count N >= 2, got {N}")
-    if g < 1.0:
-        raise InvalidMeshSpec(f"grading exponent must satisfy g >= 1, got {g}")
+    if not (math.isfinite(g) and g >= 1.0):
+        raise InvalidMeshSpec(f"grading exponent must be finite with g >= 1, got {g}")
     return RadialMesh((np.arange(N + 1) / N) ** g, grading=float(g))
 
 
@@ -91,6 +103,8 @@ def build_uniform_mesh(N: int, a: float = 0.0, b: float = 1.0) -> RadialMesh:
     """Uniform mesh with N cells on [a, b]."""
     if N < 2 or int(N) != N:
         raise InvalidMeshSpec(f"need an integer cell count N >= 2, got {N}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidMeshSpec(f"interval ends must be finite, got [{a}, {b}]")
     if not b > a:
         raise InvalidMeshSpec("interval must satisfy a < b")
     return RadialMesh(np.linspace(a, b, N + 1))
@@ -234,18 +248,20 @@ def assemble_weighted_system(
     iq1 = power_integral(a, b, q + 1.0)
     iq2 = power_integral(a, b, q + 2.0)
 
-    # local stiffness is (int r^p / h^2) * [[1, -1], [-1, 1]]
-    k_cell = ip / h**2
-    # local mass from the monomial expansion of the hat-function products
-    with np.errstate(invalid="ignore"):
+    # a cell so short that h^2 underflows gives inf or nan entries here,
+    # which the finite check below turns into DivergentWeight
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # local stiffness is (int r^p / h^2) * [[1, -1], [-1, 1]]
+        k_cell = ip / h**2
+        # local mass from the monomial expansion of the hat-function products
         m_ll = (b**2 * iq - 2.0 * b * iq1 + iq2) / h**2
         m_lr = (-iq2 + (a + b) * iq1 - a * b * iq) / h**2
         m_rr = (iq2 - 2.0 * a * iq1 + a**2 * iq) / h**2
-    if touches_zero:
-        # a = 0 terms multiply divergent integrals by zero: their true value
-        # is zero, not nan, because the vanishing basis function tames r^q
-        m_lr[0] = (-iq2[0] + b[0] * iq1[0]) / h[0] ** 2
-        m_rr[0] = iq2[0] / h[0] ** 2
+        if touches_zero:
+            # a = 0 terms multiply divergent integrals by zero: their true value
+            # is zero, not nan, because the vanishing basis function tames r^q
+            m_lr[0] = (-iq2[0] + b[0] * iq1[0]) / h[0] ** 2
+            m_rr[0] = iq2[0] / h[0] ** 2
 
     n = nodes.size
     kd = np.zeros(n)
@@ -305,12 +321,47 @@ class RadialBasis:
         return dof @ self.mats.mass_action(dof).T
 
 
+# Eigenvalues per Sturm bisection call.  The chunks follow from k_max alone,
+# so the basis is the same however many threads share the calls.
+_BISECT_CHUNK = 64
+_REFINE_TOL = 1e-10
+_REFINE_MAX_ITER = 400
+
+
+@functools.cache
+def _lapack(name: str) -> Callable[..., None]:
+    """The LAPACK routine `name`, callable from threads that run at once.
+
+    scipy's f2py wrappers (scipy.linalg.lapack) hold the GIL for the whole
+    call, so threads sharing them take turns.  scipy.linalg.cython_lapack
+    exports the same routines as C function pointers in its __pyx_capi__
+    capsules; a ctypes CFUNCTYPE bound to such a pointer releases the GIL
+    while LAPACK runs.  Every argument of these routines is a pointer, passed
+    as a void pointer: ctypes byref() for scalars, ndarray.ctypes for arrays
+    (of np.intc where LAPACK takes int).
+    """
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    # typed copies of the C API functions; ctypes.pythonapi's own stay untouched
+    get_name = ctypes.pythonapi["PyCapsule_GetName"]
+    get_name.argtypes, get_name.restype = [ctypes.py_object], ctypes.c_char_p
+    get_pointer = ctypes.pythonapi["PyCapsule_GetPointer"]
+    get_pointer.argtypes, get_pointer.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p
+    signature = get_name(capsule)  # "void (char *, int *, ...)"
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))
+    return prototype(get_pointer(capsule, signature))
+
+
 def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     """Smallest k_max eigenpairs of K x = rho M x with M lumped to diagonal.
 
     The lumped pencil is transformed to the standard symmetric tridiagonal
     problem T = D^{-1/2} K D^{-1/2}.  Sturm bisection (LAPACK dstebz)
-    locates the eigenvalues; inverse iteration (dstein) is then called once
+    locates the eigenvalues in fixed chunks of _BISECT_CHUNK indices, one
+    dstebz call per chunk; inverse iteration (dstein) is then called once
     per eigenvalue.  A single dstein call re-orthogonalizes each vector
     against every earlier one whose eigenvalue lies within 1e-3 ||T||_1, and
     the near-origin diagonal of graded meshes makes ||T|| many orders larger
@@ -321,13 +372,27 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     back by D^{-1/2} and oriented to start positive.  The eigenvalue reported
     is the Rayleigh quotient of the computed vector.
 
+    The chunks, and then the dstein calls, are dealt round-robin to one
+    thread per CPU the process may use; both routines are called through
+    pointers that release the GIL (`_lapack`), so the threads run at once.
+    Each call writes its own slots of the result, and the chunks depend on
+    k_max alone, so the basis is bitwise the same for any thread count; a
+    request of at most _BISECT_CHUNK pairs is a single bisection call.
+
     Extreme grading caution: bisection resolves eigenvalues to an absolute
     tolerance tied to the norm of the transformed matrix, whose first
     diagonal entries grow like N^{g(1+p)} near r = 0.  Once that norm
     exceeds about 1/eps times the target eigenvalue (g >= 3 at N ~ 10^4)
     the low end of the spectrum drowns in roundoff; use
     `refine_smallest_eigenpair` on the consistent pencil in that regime.
+
+    Raises:
+        ConvergenceFailure: dstebz or dstein reports a failure, dstebz finds
+            a count other than its chunk's, or the vectors are numerically
+            dependent.
     """
+    import ctypes
+
     from scipy.linalg import blas, lapack
 
     n = mats.n_dof
@@ -338,21 +403,67 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
         raise DivergentWeight("lumped mass must be positive on all dofs")
     sqrt_d = np.sqrt(d_lump)
     diag = mats.kd_dof / d_lump
-    off = np.zeros(max(n - 1, 1))  # the LAPACK wrappers want one entry even at n = 1
+    off = np.zeros(max(n - 1, 1))  # LAPACK may touch one entry even at n = 1
     off[: n - 1] = mats.ke_dof / (sqrt_d[:-1] * sqrt_d[1:])
 
-    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k_max, 0.0, "B")
-    if info != 0 or m != k_max:
-        raise ConvergenceFailure(f"bisection (dstebz) returned info {info}, {m} of {k_max} values")
+    byref = ctypes.byref
+    c_n, c_one = ctypes.c_int(n), ctypes.c_int(1)
+    # dstebz(RANGE='I') ignores VL and VU; ABSTOL 0 selects eps * ||T||_1
+    c_vl, c_vu, c_tol = ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    w = np.empty(k_max)  # eigenvalues of T, ascending
+    blocks = np.empty(k_max, dtype=np.intc)  # their diagonal blocks of T
+    isplit = np.empty(n, dtype=np.intc)  # the blocks' ends, the same for every chunk
+    n_chunks = -(-k_max // _BISECT_CHUNK)
+    stebz = _lapack("dstebz")
+
+    def bisect(first: int, step: int) -> None:
+        """Chunks first, first + step, ... into their slices of w and blocks."""
+        vals, block = np.empty(n), np.empty(n, dtype=np.intc)
+        split = np.empty(n, dtype=np.intc)
+        work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.intc)
+        il, iu, m, nsplit, info = (ctypes.c_int() for _ in range(5))
+        for chunk in range(first, n_chunks, step):
+            lo = chunk * _BISECT_CHUNK
+            hi = min(lo + _BISECT_CHUNK, k_max)
+            il.value, iu.value = lo + 1, hi
+            stebz(
+                b"I", b"B", byref(c_n), byref(c_vl), byref(c_vu), byref(il), byref(iu),
+                byref(c_tol), diag.ctypes, off.ctypes, byref(m), byref(nsplit),
+                vals.ctypes, block.ctypes, split.ctypes, work.ctypes, iwork.ctypes, byref(info),
+            )
+            if info.value != 0 or m.value != hi - lo:
+                raise ConvergenceFailure(
+                    f"bisection (dstebz) returned info {info.value}, "
+                    f"{m.value} of the {hi - lo} values {lo + 1}..{hi}"
+                )
+            order = np.argsort(vals[: m.value], kind="stable")
+            w[lo:hi] = vals[order]
+            blocks[lo:hi] = block[order]
+            if chunk == 0:
+                isplit[:] = split
+
+    deal(n_chunks, bisect)
+
     # rows of z are eigenvectors of T, in ascending eigenvalue order
     z = np.empty((k_max, n))
-    one_block = np.empty(n, dtype=iblock.dtype)
-    for row, j in enumerate(np.argsort(w[:m], kind="stable")):
-        one_block[0] = iblock[j]
-        vec, info = lapack.dstein(diag, off, w[j : j + 1], one_block, isplit)
-        if info != 0:
-            raise ConvergenceFailure(f"inverse iteration (dstein) returned info {info} at {row}")
-        z[row] = vec[:, 0]
+    stein = _lapack("dstein")
+
+    def invert(first: int, step: int) -> None:
+        """Eigenvalues first, first + step, ... into their rows of z."""
+        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.intc)
+        ifail, info = ctypes.c_int(), ctypes.c_int()
+        for row in range(first, k_max, step):
+            stein(
+                byref(c_n), diag.ctypes, off.ctypes, byref(c_one), w[row:].ctypes,
+                blocks[row:].ctypes, isplit.ctypes, z[row].ctypes, byref(c_n),
+                work.ctypes, iwork.ctypes, byref(ifail), byref(info),
+            )
+            if info.value != 0:
+                raise ConvergenceFailure(
+                    f"inverse iteration (dstein) returned info {info.value} at {row}"
+                )
+
+    deal(k_max, invert)
 
     # Cholesky QR: the lumped inner product of x = D^{-1/2} v is v . v.  The
     # Gram matrix, the factor and the solve all go through scipy's BLAS:
@@ -382,8 +493,6 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     return RadialBasis(mats=mats, rho=rho, R=R, flux=_variational_flux(mats, R, rho))
 
 
-_REFINE_TOL = 1e-10
-_REFINE_MAX_ITER = 400
 
 
 def refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray]:

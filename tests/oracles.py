@@ -631,6 +631,54 @@ def _variational_flux(mats: WeightedMatrices, full: np.ndarray, rho: float) -> f
     return float(flux)
 
 
+def stebz_stein_eigenpairs(
+    mats: WeightedMatrices, k_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lumped eigensolver before its calls were split over threads.
+
+    Reference for `degenwave.radial.solve_eigenpairs` at k_max <= 64, where
+    its bisection is a single chunk: one f2py `dstebz` call for the whole
+    request, f2py `dstein` once per eigenvalue, then Cholesky QR in the
+    lumped inner product.  Returns (rho, R, flux), R holding one full nodal
+    vector per row.
+    """
+    from scipy.linalg import blas, lapack
+
+    n = mats.n_dof
+    d_lump = mats.lumped
+    sqrt_d = np.sqrt(d_lump)
+    diag = mats.kd_dof / d_lump
+    off = np.zeros(max(n - 1, 1))
+    off[: n - 1] = mats.ke_dof / (sqrt_d[:-1] * sqrt_d[1:])
+
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k_max, 0.0, "B")
+    if info != 0 or m != k_max:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(f"dstebz returned info {info}, {m} of {k_max} values")
+    z = np.empty((k_max, n))
+    one_block = np.empty(n, dtype=iblock.dtype)
+    for row, j in enumerate(np.argsort(w[:m], kind="stable")):
+        one_block[0] = iblock[j]
+        vec, info = lapack.dstein(diag, off, w[j : j + 1], one_block, isplit)
+        if info != 0:  # pragma: no cover - LAPACK failure
+            raise ConvergenceFailure(f"dstein returned info {info} at {row}")
+        z[row] = vec[:, 0]
+
+    gram = blas.dsyrk(1.0, z.T, trans=1, lower=1)
+    chol, info = lapack.dpotrf(gram, lower=1, overwrite_a=1)
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(f"dpotrf returned info {info}")
+    blas.dtrsm(1.0, chol, z.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+    R = np.zeros((k_max, mats.mesh.nodes.size))
+    x = R[:, mats.i0 : mats.i1]
+    np.divide(z, sqrt_d, out=x)
+    first = np.argmax(x != 0.0, axis=1)
+    R *= np.where(x[np.arange(k_max), first] < 0.0, -1.0, 1.0)[:, None]
+    rho = np.array([mats.stiffness_product(xj, xj) for xj in x])
+    flux = np.array([_variational_flux(mats, full, rj) for full, rj in zip(R, rho)])
+    return rho, R, flux
+
+
 def mgs_eigenpairs(
     mats: WeightedMatrices, k_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

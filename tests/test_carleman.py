@@ -16,7 +16,7 @@ from oracles import (
     weight_derivatives,
 )
 
-from degenwave import carleman
+from degenwave import _threads, carleman
 from degenwave.carleman import (
     SmoothModalSolution,
     bessel_mode,
@@ -332,6 +332,12 @@ class TestConjugationResidual:
                 bessel_solution, carleman_params, shape=(64, 8, 16), r_min=-0.1
             )
 
+    @pytest.mark.parametrize("r_min", [1.0, 1.5, math.nan, math.inf])
+    def test_r_min_at_or_past_the_boundary(self, carleman_params, bessel_solution, r_min):
+        # 1.0 once gave relative = nan and 1.5 a bare math domain error
+        with pytest.raises(ParameterOutOfRange, match="r_min"):
+            conjugation_residual(bessel_solution, carleman_params, shape=(576, 12, 48), r_min=r_min)
+
     @pytest.mark.parametrize("case", ["one_mode", "two_modes", "s_zero"])
     def test_matches_slab_kernel(self, carleman_params, bessel_solution, case):
         shape = {"one_mode": (576, 12, 48), "two_modes": (768, 24, 128), "s_zero": (384, 24, 96)}[case]
@@ -380,7 +386,7 @@ class TestConjugationResidual:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(carleman, "_residual_workers", lambda w=workers: w)
+                monkeypatch.setattr(_threads, "cpu_workers", lambda w=workers: w)
                 rep = conjugation_residual(sol, carleman_params, shape=(96, 16, 160))
                 norms.add((rep.residual_norm.hex(), rep.reference_norm.hex()))
         finally:
@@ -398,7 +404,7 @@ class TestConjugationResidual:
             second_diff(*args)
 
         monkeypatch.setattr(carleman, "_second_diff_into", failing)
-        monkeypatch.setattr(carleman, "_residual_workers", lambda: 2)
+        monkeypatch.setattr(_threads, "cpu_workers", lambda: 2)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="helper"):
             conjugation_residual(bessel_solution, carleman_params, shape=(576, 12, 48))
@@ -427,7 +433,7 @@ class TestConjugationResidual:
 
         for name in ("vdot", "dot", "matmul"):
             monkeypatch.setattr(np, name, blas)
-        monkeypatch.setattr(carleman, "_residual_workers", lambda: 2)
+        monkeypatch.setattr(_threads, "cpu_workers", lambda: 2)
         rep = conjugation_residual(two_mode_solution(), carleman_params, shape=(576, 12, 48))
         assert 0.0 < rep.residual_norm < rep.reference_norm
 
@@ -448,7 +454,7 @@ class TestConjugationResidual:
         assert 0.0 < rep.relative < math.inf
 
     def test_memory_bound(self, carleman_params, bessel_solution, monkeypatch):
-        monkeypatch.setattr(carleman, "_residual_workers", lambda: 8)
+        monkeypatch.setattr(_threads, "cpu_workers", lambda: 8)
         tracemalloc.start()
         try:
             conjugation_residual(bessel_solution, carleman_params, shape=(2304, 24, 128))
@@ -462,7 +468,7 @@ class TestConjugationResidual:
     ):
         """A whole-grid (theta, t) array at this level would be 9.5 MB per copy;
         each of the eight threads holds its own tile buffers."""
-        monkeypatch.setattr(carleman, "_residual_workers", lambda: 8)
+        monkeypatch.setattr(_threads, "cpu_workers", lambda: 8)
         tracemalloc.start()
         try:
             conjugation_residual(bessel_solution, carleman_params, shape=(4608, 48, 256))

@@ -194,6 +194,7 @@ class TestParameterRange:
             (("hardy", "--critical", "--method", "foo", "--n", "64"), "hardy_scan.csv"),
             (("carleman-check", "--mode-n", "0"), "carleman.json"),
             (("carleman-check", "--mode-k", "0"), "carleman.json"),
+            (("carleman-check", "--r-min", "1.5"), "carleman.json"),
             (("observability", "--mode", "ensemble", "--size", "0"), "ensemble.csv"),
             (("observability", "--mode", "ensemble", "--size", "-3"), "ensemble.csv"),
             (("spectrum", "--alpha", "1.5"), "spectrum.csv"),
@@ -213,7 +214,8 @@ class TestParameterRange:
         ],
         ids=[
             "validate-params", "carleman-check", "spectrum", "hardy", "hardy-bc",
-            "hardy-method", "carleman-mode-n", "carleman-mode-k", "ensemble-size-0",
+            "hardy-method", "carleman-mode-n", "carleman-mode-k", "carleman-r-min",
+            "ensemble-size-0",
             "ensemble-size-negative", "spectrum-alpha-above-one", "spectrum-alpha-seven",
             "simulate-alpha", "observability-alpha", "hardy-alpha-negative",
             "simulate-delta0", "simulate-samples-negative", "simulate-samples-minus-one",
@@ -243,6 +245,23 @@ class TestParameterRange:
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
         assert json.loads(res.stderr)["kind"] == "NonPositiveInput"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteInput:
+    def test_nan_grading_is_invalid_mesh(self, tmp_path):
+        # once surfaced later as a misleading DivergentWeight
+        res = run_cli("spectrum", "--grading", "nan", "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["kind"] == "InvalidMeshSpec"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_underflowing_cells_print_only_the_error(self, tmp_path):
+        # h^2 underflows on the first cells of the log mesh from 1e-300
+        res = run_cli("hardy", "--critical", "--delta", "1e-300", "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert len(res.stderr.splitlines()) == 1
+        assert json.loads(res.stderr)["kind"] == "DivergentWeight"
         assert list(tmp_path.iterdir()) == []
 
 

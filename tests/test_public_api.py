@@ -207,3 +207,27 @@ def test_benchmark_residual_grids_pass_the_grid_checks():
         )
         shape = (cfg["n_theta"], cfg["n_r"], cfg["n_t"])
         carleman._residual_axes(params, shape, cfg["r_min"], params.T)
+
+
+def benchmark_spectral_width():
+    """Spectral.K, the k_max of the benchmark's wide bases, read from the
+    source without importing it."""
+    path = SRC.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Spectral")
+    for node in cls.body:
+        if isinstance(node, ast.Assign):
+            target = node.targets[0]
+            names = [e.id for e in target.elts] if isinstance(target, ast.Tuple) else [target.id]
+            if "K" in names:
+                values = ast.literal_eval(node.value)
+                return values[names.index("K")] if len(names) > 1 else values
+    raise AssertionError("workloads.py: Spectral.K not found")
+
+
+def test_benchmark_bases_span_bisection_chunks():
+    """The spectral workload's wide bases keep exercising the split solver."""
+    from degenwave import radial
+
+    chunks = -(-benchmark_spectral_width() // radial._BISECT_CHUNK)
+    assert chunks >= 2

@@ -1,12 +1,16 @@
+import ctypes
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from degenwave import radial
+from degenwave import _threads, radial
 from degenwave.carleman import bessel_mode
 from degenwave.errors import (
     ConvergenceFailure,
@@ -28,7 +32,7 @@ from degenwave.radial import (
     solve_radial_basis,
 )
 
-from oracles import mgs_eigenpairs, one_sided_flux, quad_power_integral
+from oracles import mgs_eigenpairs, one_sided_flux, quad_power_integral, stebz_stein_eigenpairs
 
 
 class TestMeshes:
@@ -58,6 +62,24 @@ class TestMeshes:
     def test_nonmonotone_rejected(self):
         with pytest.raises(InvalidMeshSpec):
             RadialMesh(np.array([0.0, 0.5, 0.4, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nodes_rejected(self, bad):
+        with pytest.raises(InvalidMeshSpec, match="finite"):
+            RadialMesh(np.array([0.0, 0.5, bad]))
+        with pytest.raises(InvalidMeshSpec, match="finite"):
+            RadialMesh(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf])
+    def test_non_finite_grading_rejected(self, g):
+        # nan once gave all-nan nodes
+        with pytest.raises(InvalidMeshSpec, match="grading"):
+            build_graded_mesh(8, g)
+
+    def test_infinite_uniform_interval_rejected(self):
+        # once gave the nodes [nan, inf, inf, inf, inf]
+        with pytest.raises(InvalidMeshSpec, match="finite"):
+            build_uniform_mesh(4, 0.0, math.inf)
 
 
 class TestAssembly:
@@ -106,6 +128,15 @@ class TestAssembly:
         mesh = build_graded_mesh(16, 1.0)
         with pytest.raises(DivergentWeight):
             assemble_weighted_system(mesh, p=-1.0, q=0.0, bc="dirichlet-dirichlet")
+
+    def test_underflowing_cells_raise_without_warnings(self):
+        # from delta = 1e-300 the first cells are so short that h^2 underflows
+        mesh = build_log_mesh(64, 1e-300)
+        assert np.diff(mesh.nodes)[0] ** 2 == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentWeight, match="not all finite"):
+                assemble_weighted_system(mesh, p=1.0, q=-1.0, bc="dirichlet-dirichlet")
 
     def test_truncated_mesh_admits_any_weight(self):
         mesh = build_log_mesh(16, 0.1)
@@ -274,8 +305,10 @@ class TestLumpedSolver:
         assert basis.rho[0] == pytest.approx(mats.kd_dof[0] / mats.lumped[0], rel=1e-15)
         assert basis.R[0, 1] > 0.0 and basis.R[0, 0] == basis.R[0, 2] == 0.0
 
-    def test_memory_bound(self):
-        # the one-call stein path with Gram-Schmidt peaked at 51.1 MB here
+    def test_memory_bound(self, monkeypatch):
+        # the one-call stein path with Gram-Schmidt peaked at 51.1 MB here;
+        # each of the eight threads holds its own LAPACK work arrays
+        monkeypatch.setattr(_threads, "cpu_workers", lambda: 8)
         solve_radial_basis(0.5, N=512, g=2.0, k_max=8)
         tracemalloc.start()
         try:
@@ -286,15 +319,77 @@ class TestLumpedSolver:
         assert peak <= 49e6
 
     def test_stein_failure_is_convergence_failure(self, monkeypatch, basis05):
-        stein = scipy.linalg.lapack.dstein
-
-        def failing(*args):
-            z, _ = stein(*args)
-            return z, 1
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
+        fail_lapack(monkeypatch, "dstein")
         with pytest.raises(ConvergenceFailure, match="dstein"):
             solve_eigenpairs(basis05.mats, 4)
+
+    def test_stein_failure_in_a_helper_thread(self, monkeypatch, basis05):
+        monkeypatch.setattr(_threads, "cpu_workers", lambda: 2)
+        fail_lapack(monkeypatch, "dstein", helpers_only=True)
+        threads = threading.active_count()
+        with pytest.raises(ConvergenceFailure, match="dstein"):
+            solve_eigenpairs(basis05.mats, 4)
+        assert threading.active_count() == threads
+
+    def test_stebz_failure_is_convergence_failure(self, monkeypatch, basis05):
+        fail_lapack(monkeypatch, "dstebz")
+        with pytest.raises(ConvergenceFailure, match="dstebz"):
+            solve_eigenpairs(basis05.mats, 4)
+
+    def test_no_f2py_bisection_or_inverse_iteration(self, monkeypatch, basis05):
+        """The f2py wrappers hold the GIL; the solver binds cython_lapack instead."""
+
+        def f2py(*args, **kwargs):
+            raise AssertionError("the solver called an f2py LAPACK wrapper")
+
+        for name in ("dstebz", "dstein"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, f2py)
+        basis = solve_eigenpairs(basis05.mats, 100)
+        assert np.all(np.diff(basis.rho) > 0.0)
+
+    @pytest.mark.parametrize(
+        "alpha,N,g,k_max", [(0.5, 2048, 2.0, 16), (0.5, 2048, 2.0, 64), (0.3, 8192, 2.0, 64),
+                            (0.7, 512, 3.0, 1), (0.99, 1024, 2.0, 33)],
+    )
+    def test_single_chunk_matches_one_call_solver(self, alpha, N, g, k_max):
+        """Up to 64 pairs the bisection is one chunk: the same calls as before the
+        split, so the same bits."""
+        basis = solve_radial_basis(alpha, N=N, g=g, k_max=k_max)
+        rho, R, flux = stebz_stein_eigenpairs(basis.mats, k_max)
+        assert basis.rho.tobytes() == rho.tobytes()
+        assert basis.R.tobytes() == R.tobytes()
+        assert basis.flux.tobytes() == flux.tobytes()
+
+    def test_worker_invariance(self, monkeypatch):
+        """Chunks of 64, 64 and 22 values; every call writes its own slots."""
+        mats = solve_radial_basis(0.5, N=2048, g=2.0, k_max=1).mats
+        results = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(_threads, "cpu_workers", lambda w=workers: w)
+                basis = solve_eigenpairs(mats, 150)
+                results.add((basis.rho.tobytes(), basis.R.tobytes(), basis.flux.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 1
+
+
+def fail_lapack(monkeypatch, name, helpers_only=False):
+    """Make radial's LAPACK routine `name` report info = 1 after it runs,
+    only in helper threads if asked."""
+    bind = radial._lapack
+    routine = bind(name)
+
+    def call(*pointers):
+        routine(*pointers)
+        if not helpers_only or threading.current_thread() is not threading.main_thread():
+            ctypes.c_int.from_address(pointers[-1]).value = 1
+
+    # bound like the real routine, so the solver's arguments convert the same way
+    failing = ctypes.CFUNCTYPE(None, *routine.argtypes)(call)
+    monkeypatch.setattr(radial, "_lapack", lambda n: failing if n == name else bind(n))
 
 
 class TestBesselRoots:
