@@ -16,11 +16,14 @@ so far that the whole low spectrum would count as one cluster.
 
 The bisection chunks, and then the dstein calls, are dealt round-robin to
 one thread per CPU the process may use.  scipy's f2py LAPACK wrappers hold
-the GIL, so both routines are called through the C function pointers that
-scipy.linalg.cython_lapack exports, bound with ctypes, which releases the
-GIL for the call.  The chunks follow from the request alone and each call
-writes its own slots, so the basis is bitwise the same for any number of
-threads, and a request of at most 64 pairs is a single bisection call.
+the GIL, so every LAPACK and BLAS routine here is called through the C
+function pointers that scipy's extensions cython_lapack and cython_blas
+export, bound with ctypes, which releases the GIL for the call.  The two
+extensions are loaded on the first solve by themselves: the scipy.linalg
+package is never imported.  The chunks follow from the request alone and
+each call writes its own slots, so the basis is bitwise the same for any
+number of threads, and a request of at most 64 pairs is a single bisection
+call.
 
 The weighted stiffness integral r^alpha |R'|^2 and the weighted masses with
 exponents alpha, alpha - 2, 1, -1 are exactly the bilinear forms behind the
@@ -329,22 +332,63 @@ _REFINE_MAX_ITER = 400
 
 
 @functools.cache
-def _lapack(name: str) -> Callable[..., None]:
-    """The LAPACK routine `name`, callable from threads that run at once.
+def _capi(module: str) -> dict:
+    """The __pyx_capi__ capsules of the extension scipy.linalg.<module>.
 
-    scipy's f2py wrappers (scipy.linalg.lapack) hold the GIL for the whole
-    call, so threads sharing them take turns.  scipy.linalg.cython_lapack
-    exports the same routines as C function pointers in its __pyx_capi__
-    capsules; a ctypes CFUNCTYPE bound to such a pointer releases the GIL
-    while LAPACK runs.  Every argument of these routines is a pointer, passed
-    as a void pointer: ctypes byref() for scalars, ndarray.ctypes for arrays
-    (of np.intc where LAPACK takes int).
+    The extension is loaded on its own, without running scipy.linalg's
+    __init__ (0.25-0.4 s of imports, scipy's array-API layer among them,
+    none of which the capsules need).  It is registered in sys.modules
+    under its full name, so a later `from scipy.linalg import <module>`
+    returns this same module; one already loaded there is used as it is.
+    Python binds a submodule to its package only when it loads the two
+    together, so a scipy.linalg imported after this load has no attribute
+    <module>; the from-import and sys.modules still find it.
+
+    Raises:
+        ImportError: the installed scipy has no such extension.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    import scipy  # imported by the extension anyway, and it does not import scipy.linalg
+
+    full_name = f"scipy.linalg.{module}"
+    loaded = sys.modules.get(full_name)
+    if loaded is None:
+        linalg_dir = os.path.join(scipy.__path__[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(full_name, [linalg_dir])
+        if spec is None:
+            raise ImportError(f"no {full_name} extension in {linalg_dir}")
+        loaded = importlib.util.module_from_spec(spec)
+        sys.modules[full_name] = loaded
+        try:
+            spec.loader.exec_module(loaded)
+        except BaseException:
+            del sys.modules[full_name]
+            raise
+    return loaded.__pyx_capi__
+
+
+@functools.cache
+def _lapack(name: str) -> Callable[..., None]:
+    """The LAPACK or BLAS routine `name`, callable from threads that run at once.
+
+    scipy's f2py wrappers (scipy.linalg.lapack and .blas) hold the GIL for
+    the whole call, so threads sharing them take turns.  The extensions
+    scipy.linalg.cython_lapack and cython_blas export the same routines as C
+    function pointers in their __pyx_capi__ capsules (`_capi` loads them
+    without the scipy.linalg package); a ctypes CFUNCTYPE bound to such a
+    pointer releases the GIL while the routine runs.  Every argument of
+    these routines is a pointer, passed as a void pointer: ctypes byref()
+    for scalars, bytes for characters, ndarray.ctypes for arrays (of np.intc
+    where LAPACK takes int).
     """
     import ctypes
 
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsules = _capi("cython_lapack")
+    capsule = capsules[name] if name in capsules else _capi("cython_blas")[name]
     # typed copies of the C API functions; ctypes.pythonapi's own stay untouched
     get_name = ctypes.pythonapi["PyCapsule_GetName"]
     get_name.argtypes, get_name.restype = [ctypes.py_object], ctypes.c_char_p
@@ -392,8 +436,6 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
             dependent.
     """
     import ctypes
-
-    from scipy.linalg import blas, lapack
 
     n = mats.n_dof
     if not 1 <= k_max <= n:
@@ -466,16 +508,29 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     deal(k_max, invert)
 
     # Cholesky QR: the lumped inner product of x = D^{-1/2} v is v . v.  The
-    # Gram matrix, the factor and the solve all go through scipy's BLAS:
-    # numpy links its own OpenBLAS, and alternating between the two thread
-    # pools stalls each behind the other's spinning workers.  Runs that never
-    # solve never import scipy and start only numpy's pool
-    gram = blas.dsyrk(1.0, z.T, trans=1, lower=1)
-    chol, info = lapack.dpotrf(gram, lower=1, overwrite_a=1)
-    if info != 0:
-        raise ConvergenceFailure(f"eigenvectors are numerically dependent (dpotrf info {info})")
-    # z^T is F-ordered, so the right-side solve z^T <- z^T L^{-T} works in place
-    blas.dtrsm(1.0, chol, z.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    # Gram matrix, the factor and the solve call scipy's BLAS and LAPACK
+    # through the same capsules as above: numpy links its own OpenBLAS, and
+    # alternating between the two thread pools stalls each behind the other's
+    # spinning workers.  Runs that never solve start only numpy's pool.
+    # z^T is the F-ordered (n, k) array A; the lower triangle of the F-ordered
+    # gram receives A^T A (dsyrk, beta 0), is factored in place to L (dpotrf),
+    # and z^T <- z^T L^{-T} is solved in place (dtrsm), so z <- L^{-1} z
+    c_k, c_unit, c_zero = ctypes.c_int(k_max), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    gram = np.zeros((k_max, k_max), order="F")
+    _lapack("dsyrk")(
+        b"L", b"T", byref(c_k), byref(c_n), byref(c_unit), z.ctypes, byref(c_n),
+        byref(c_zero), gram.ctypes, byref(c_k),
+    )
+    info = ctypes.c_int()
+    _lapack("dpotrf")(b"L", byref(c_k), gram.ctypes, byref(c_k), byref(info))
+    if info.value != 0:
+        raise ConvergenceFailure(
+            f"eigenvectors are numerically dependent (dpotrf info {info.value})"
+        )
+    _lapack("dtrsm")(
+        b"R", b"L", b"T", b"N", byref(c_n), byref(c_k), byref(c_unit), gram.ctypes,
+        byref(c_k), z.ctypes, byref(c_n),
+    )
 
     R = np.zeros((k_max, mats.mesh.nodes.size))
     x = R[:, mats.i0 : mats.i1]
@@ -507,21 +562,33 @@ def refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray
     quotient (below 1e-10), or once its decrements stop shrinking (roundoff
     floor of the quotient, well below any discretization error).
 
-    Raises:
-        ConvergenceFailure: no stop within 400 steps.
-    """
-    from scipy.linalg import solveh_banded
+    The stiffness is factored once, K = L D L^T (LAPACK dpttrf), and each
+    step solves with that factor (dpttrs): the same two calls as LAPACK's
+    one-shot tridiagonal solver dptsv, so each step gives the same bits.
 
+    Raises:
+        ConvergenceFailure: the stiffness is not positive definite (dpttrf),
+            or no stop within 400 steps.
+    """
+    import ctypes
+
+    byref = ctypes.byref
     n = mats.n_dof
-    ab = np.zeros((2, n))
-    ab[0, 1:] = mats.ke_dof
-    ab[1, :] = mats.kd_dof
+    c_n, c_one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int()
+    d, e = mats.kd_dof.copy(), mats.ke_dof.copy()  # overwritten by the factor
+    _lapack("dpttrf")(byref(c_n), d.ctypes, e.ctypes, byref(info))
+    if info.value != 0:
+        raise ConvergenceFailure(
+            f"stiffness is not positive definite (dpttrf info {info.value})"
+        )
+    solve = _lapack("dpttrs")
     x = np.ones(n)
     rho_old = np.inf
     change_old = np.inf
     stalls = 0
     for it in range(_REFINE_MAX_ITER):
-        y = solveh_banded(ab, mats.mass_action(x))
+        y = mats.mass_action(x)  # a fresh array, solved in place
+        solve(byref(c_n), byref(c_one), d.ctypes, e.ctypes, y.ctypes, byref(c_n), byref(info))
         nrm = math.sqrt(y @ mats.mass_action(y))
         if nrm == 0.0:
             raise ConvergenceFailure("inverse iteration collapsed to zero")

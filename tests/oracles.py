@@ -679,6 +679,43 @@ def stebz_stein_eigenpairs(
     return rho, R, flux
 
 
+def banded_refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray]:
+    """Consistent inverse iteration as first written, with scipy's solveh_banded.
+
+    Reference for `degenwave.radial.refine_smallest_eigenpair`: the same
+    iteration and stopping rules, but every step solves the tridiagonal
+    stiffness afresh through `scipy.linalg.solveh_banded` (LAPACK dptsv,
+    that is dpttrf and dpttrs on each call, with a finite check of both
+    operands).
+    """
+    n = mats.n_dof
+    ab = np.zeros((2, n))
+    ab[0, 1:] = mats.ke_dof
+    ab[1, :] = mats.kd_dof
+    x = np.ones(n)
+    rho_old = np.inf
+    change_old = np.inf
+    stalls = 0
+    for it in range(400):
+        y = scipy.linalg.solveh_banded(ab, mats.mass_action(x))
+        nrm = math.sqrt(y @ mats.mass_action(y))
+        if nrm == 0.0:  # pragma: no cover - degenerate start
+            raise ConvergenceFailure("inverse iteration collapsed to zero")
+        x = y / nrm
+        rho = float(x @ mats.stiffness_action(x))
+        change = abs(rho - rho_old)
+        if change <= 1e-10 * abs(rho):
+            return rho, x
+        if it >= 3 and change >= change_old:
+            stalls += 1
+            if stalls >= 3:
+                return rho, x
+        else:
+            stalls = 0
+        rho_old, change_old = rho, change
+    raise ConvergenceFailure("consistent inverse iteration did not converge in 400 steps")
+
+
 def mgs_eigenpairs(
     mats: WeightedMatrices, k_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -59,9 +59,11 @@ def modules_after(code, *packages):
     return ast.literal_eval(res.stdout.splitlines()[-1])
 
 
-# scipy (with the numpy.testing, f2py and numpy.ma imports of its array-API
-# layer) costs most of a fresh import, so it loads on the first eigensolve
-# or Bessel evaluation and never for runs that do neither
+# scipy costs most of a fresh import, so it loads on the first eigensolve or
+# Bessel evaluation and never for runs that do neither; even then the
+# eigensolver loads only the extensions cython_lapack and cython_blas, never
+# the scipy.linalg package (whose array-API layer pulls in numpy.testing,
+# f2py and numpy.ma)
 @pytest.mark.parametrize("module", ["degenwave", "degenwave.cli"])
 def test_import_loads_no_scipy(module):
     assert modules_after(f"import {module}", "scipy") == []
@@ -91,12 +93,60 @@ def test_import_loads_no_thread_pool_or_logging():
     assert modules_after("import degenwave", "concurrent", "logging") == []
 
 
-def test_eigensolve_loads_linalg_only():
+def test_eigensolve_loads_lapack_capsules_without_scipy_linalg():
     modules = modules_after(
         "from degenwave import solve_radial_basis\nsolve_radial_basis(0.5, N=64, k_max=4)", "scipy"
     )
-    assert "scipy.linalg" in modules
+    assert "scipy.linalg" not in modules
+    assert {"scipy.linalg.cython_lapack", "scipy.linalg.cython_blas"} <= set(modules)
     assert not [m for m in modules if m.startswith(("scipy.special", "scipy.optimize"))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "256"],
+        ["hardy", "--n", "512"],
+        ["observability", "--mode", "ratio", "--n-max", "8", "--k-max", "8"],
+    ],
+    ids=["spectrum", "hardy", "observability-ratio"],
+)
+def test_solving_cli_loads_no_scipy_linalg(argv, tmp_path):
+    code = f"from degenwave.cli import main\nassert main({[*argv, '--out', str(tmp_path)]!r}) == 0"
+    modules = modules_after(code, "scipy")
+    assert "scipy.linalg.cython_lapack" in modules
+    assert "scipy.linalg" not in modules
+
+
+def test_scipy_linalg_imports_after_a_solve():
+    """The package, imported after the solver loaded its extensions, finds
+    those same module objects."""
+    code = (
+        "import sys\nfrom degenwave import solve_radial_basis\n"
+        "solve_radial_basis(0.5, N=64, k_max=4)\n"
+        "bound = {m: sys.modules['scipy.linalg.' + m] for m in ('cython_lapack', 'cython_blas')}\n"
+        "import scipy.linalg\nfrom scipy.linalg import cython_blas, cython_lapack\n"
+        "assert cython_lapack is bound['cython_lapack'] and cython_blas is bound['cython_blas']\n"
+        "assert scipy.linalg.solveh_banded is not None"
+    )
+    assert "scipy.linalg" in modules_after(code, "scipy")
+
+
+def test_basis_bits_do_not_depend_on_scipy_linalg():
+    """A basis solved after `import scipy.linalg` (capsules taken from the
+    package's modules) is bitwise the one solved without the package."""
+    solve = (
+        "import hashlib\nfrom degenwave import solve_radial_basis\n"
+        "b = solve_radial_basis(0.5, N=2048, g=2.0, k_max=100)\n"
+        "print(hashlib.sha256(b.rho.tobytes() + b.R.tobytes() + b.flux.tobytes()).hexdigest())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    digests = []
+    for code in (solve, f"import scipy.linalg\n{solve}"):
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        digests.append(res.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_bessel_mode_loads_special_only():

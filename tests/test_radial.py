@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import math
 import sys
 import threading
@@ -32,7 +33,13 @@ from degenwave.radial import (
     solve_radial_basis,
 )
 
-from oracles import mgs_eigenpairs, one_sided_flux, quad_power_integral, stebz_stein_eigenpairs
+from oracles import (
+    banded_refine_smallest_eigenpair,
+    mgs_eigenpairs,
+    one_sided_flux,
+    quad_power_integral,
+    stebz_stein_eigenpairs,
+)
 
 
 class TestMeshes:
@@ -336,6 +343,11 @@ class TestLumpedSolver:
         with pytest.raises(ConvergenceFailure, match="dstebz"):
             solve_eigenpairs(basis05.mats, 4)
 
+    def test_potrf_failure_is_convergence_failure(self, monkeypatch, basis05):
+        fail_lapack(monkeypatch, "dpotrf")
+        with pytest.raises(ConvergenceFailure, match="dpotrf"):
+            solve_eigenpairs(basis05.mats, 4)
+
     def test_no_f2py_bisection_or_inverse_iteration(self, monkeypatch, basis05):
         """The f2py wrappers hold the GIL; the solver binds cython_lapack instead."""
 
@@ -374,6 +386,69 @@ class TestLumpedSolver:
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 1
+
+
+def _log_mesh_pencil(delta, N, bc):
+    """The direct critical pencil of `critical_truncated_constant`."""
+    return assemble_weighted_system(build_log_mesh(N, delta), p=1.0, q=-1.0, bc=bc)
+
+
+class TestConsistentRefinement:
+    """The once-factored stiffness against solveh_banded at every step."""
+
+    @pytest.mark.parametrize(
+        "make_mats",
+        [
+            # criterion 2: delta e^-pi and 0.01, both boundary conditions, N 4096
+            *[
+                lambda d=d, bc=bc: _log_mesh_pencil(d, 4096, bc)
+                for d in (math.exp(-math.pi), 0.01)
+                for bc in ("dirichlet-right-only", "dirichlet-dirichlet")
+            ],
+            # criterion 3: the mixed blow-up scan at N 8192
+            *[lambda d=d: _log_mesh_pencil(d, 8192, "dirichlet-right-only")
+              for d in (1e-1, 1e-2, 1e-3, 1e-4)],
+            # the subcritical Hardy pencil on a graded mesh
+            lambda: assemble_weighted_system(
+                build_graded_mesh(2048, 3.0), p=0.3, q=-1.7, bc="dirichlet-left-only"
+            ),
+            # the benchmark's refinement pencil
+            lambda: assemble_weighted_system(
+                build_graded_mesh(8192, 3.0), p=0.5, q=0.0, bc="dirichlet-dirichlet"
+            ),
+        ],
+        ids=[
+            *[f"crit2-{d}-{bc}" for d in ("e-pi", "0.01") for bc in ("mixed", "dirichlet")],
+            *[f"crit3-1e-{k}" for k in range(1, 5)],
+            "subcritical-g3",
+            "benchmark-N8192-g3",
+        ],
+    )
+    def test_matches_banded_oracle_bitwise(self, make_mats):
+        mats = make_mats()
+        rho, x = refine_smallest_eigenpair(mats)
+        rho_ref, x_ref = banded_refine_smallest_eigenpair(mats)
+        assert float(rho).hex() == float(rho_ref).hex()
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_single_dof(self):
+        """solveh_banded rejected the empty off-diagonal of a 1 x 1 pencil."""
+        mats = assemble_weighted_system(build_uniform_mesh(2), 0.5, 0.0, "dirichlet-dirichlet")
+        rho, x = refine_smallest_eigenpair(mats)
+        assert rho == pytest.approx(mats.kd_dof[0] / mats.md_dof[0], rel=1e-15)
+        assert x[0] == pytest.approx(1.0 / math.sqrt(mats.md_dof[0]), rel=1e-15)
+
+    def test_pttrf_failure_is_convergence_failure(self, monkeypatch):
+        fail_lapack(monkeypatch, "dpttrf")
+        mats = assemble_weighted_system(build_graded_mesh(64, 2.0), 0.5, 0.0, "dirichlet-dirichlet")
+        with pytest.raises(ConvergenceFailure, match="dpttrf"):
+            refine_smallest_eigenpair(mats)
+
+    def test_indefinite_stiffness_is_convergence_failure(self):
+        mats = assemble_weighted_system(build_uniform_mesh(8), 0.0, 0.0, "dirichlet-dirichlet")
+        flipped = dataclasses.replace(mats, kd=-mats.kd)
+        with pytest.raises(ConvergenceFailure, match="dpttrf"):
+            refine_smallest_eigenpair(flipped)
 
 
 def fail_lapack(monkeypatch, name, helpers_only=False):
