@@ -29,7 +29,10 @@ The weighted stiffness integral r^alpha |R'|^2 and the weighted masses with
 exponents alpha, alpha - 2, 1, -1 are exactly the bilinear forms behind the
 separated structure of the degenerate wave operator and behind the
 Hardy-Poincare quotients; closed-form Bessel eigenfunctions are provided as
-an independent cross-check route.
+an independent cross-check route.  They need J_{nu-1}, J_nu and J_{nu+1}
+for one order 0 < nu < 1/2 only, which this module evaluates itself (the
+ascending series, Miller's backward recurrence and Hankel's expansion),
+so the closed forms load no scipy module.
 """
 
 from __future__ import annotations
@@ -691,28 +694,152 @@ def elliptic_identity_residual(
 # Closed-form Bessel eigenfunctions (independent cross-check route)
 # ---------------------------------------------------------------------------
 
+# J_{nu-1}, J_nu and J_{nu+1} for 0 < nu < 1/2 by three methods, switched at
+# two fixed arguments (Gil, Segura and Temme, *Numerical Methods for Special
+# Functions*, SIAM 2007, ch. 4): the ascending series below _MILLER_MIN,
+# Miller's backward recurrence up to _HANKEL_MIN, Hankel's expansion above.
+# The recurrence starts at the order x + 25 x^(1/3) + 40 of its largest
+# argument for every argument, so a value does not depend on the other
+# arguments of the call, and its seed grows by at most 1e237 down to order
+# nu (at x = 2).  The cancellation in its normalization grows with x, and
+# Hankel's truncation error at _HANKEL_TERMS terms is below 1e-18 from
+# x = 25 on.  Against mpmath the three orders are within 2e-15 of
+# max(|J|, min(1, sqrt(2/(pi x)))) over (0, 410].
+_MILLER_MIN = 2.0
+_HANKEL_MIN = 25.0
+_MILLER_TOP = int(_HANKEL_MIN + 25.0 * _HANKEL_MIN ** (1.0 / 3.0) + 40.0)
+_MILLER_SEED = 1e-100
+_SERIES_TERMS = 16
+_HANKEL_TERMS = 30
+
+
+def _bessel_series(nu: float, x):
+    """(J_{nu-1}, J_nu, J_{nu+1})(x) by the ascending series, 0 <= x <= 2.
+
+    J_mu(x) = (x/2)^mu sum_k (-x^2/4)^k / (k! Gamma(mu + k + 1)); at x = 0
+    the order nu - 1 < 0 gives +inf.  Every order enters as nu + integer,
+    never as the rounded nu - 1: its rounding error of up to ulp(1)/2 would
+    move 1/Gamma(nu) by that over nu relative, and (x/2)^(nu-1) by that
+    times |ln(x/2)|.
+    """
+    half = 0.5 * x
+    q = -half * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lead = half**nu
+        powers = np.where(half > 0.0, lead / half, np.inf), lead, lead * half
+    out = []
+    for shift, power in zip((-1, 0, 1), powers):
+        term = total = 1.0 / math.gamma(nu + (shift + 1))
+        for k in range(1, _SERIES_TERMS):
+            term = term * q / (k * (nu + (shift + k)))
+            total = total + term
+        out.append(power * total)
+    return tuple(out)
+
+
+def _bessel_miller(nu: float, x):
+    """(J_{nu-1}, J_nu, J_{nu+1})(x) by Miller's backward recurrence, 2 <= x <= 25.
+
+    f_{m-1} = 2 (nu + m)/x f_m - f_{m+1} runs down from f = 0, seed at the
+    start order to m = -1, and the Neumann series
+    (x/2)^nu / Gamma(nu) = sum_k (nu + 2k) (nu)_k / k! J_{nu+2k}(x)
+    fixes the scale.
+    """
+    top = _MILLER_TOP
+    coef = [1.0]  # (nu)_k / k!
+    for k in range(1, top // 2 + 1):
+        coef.append(coef[-1] * (nu + (k - 1)) / k)
+    h = 2.0 / x
+    f_up, f, norm = 0.0, _MILLER_SEED, 0.0
+    for m in range(top, 0, -1):  # f ~ J_{nu+m}, f_up ~ J_{nu+m+1}
+        if m % 2 == 0:
+            norm = norm + (nu + m) * coef[m // 2] * f
+        f, f_up = (nu + m) * h * f - f_up, f
+    scale = (0.5 * x) ** nu / (math.gamma(nu) * (norm + nu * f))
+    return (nu * h * f - f_up) * scale, f * scale, f_up * scale
+
+
+def _bessel_hankel(nu: float, x):
+    """(J_{nu-1}, J_nu, J_{nu+1})(x) by Hankel's expansion, x >= 25.
+
+    J_mu(x) = sqrt(2/(pi x)) (P_mu cos chi_mu - Q_mu sin chi_mu) with
+    chi_mu = x - (mu/2 + 1/4) pi.  The phase is formed by angle addition
+    from cos x and sin x, because the rounding of x - (nu/2 + 1/4) pi alone
+    is ulp(x); chi_{nu -+ 1} = chi_nu +- pi/2.
+    """
+    phi = (0.5 * nu + 0.25) * math.pi
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    c = cos_x * math.cos(phi) + sin_x * math.sin(phi)  # cos chi_nu
+    s = sin_x * math.cos(phi) - cos_x * math.sin(phi)  # sin chi_nu
+    inv8x = 0.125 / x
+    env = np.sqrt(2.0 / (math.pi * x))
+    out = []
+    for mu, cos_chi, sin_chi in ((nu - 1.0, -s, c), (nu, c, s), (nu + 1.0, s, -c)):
+        # P = a_0 - a_2/x^2 + a_4/x^4 - ..., Q = a_1/x - a_3/x^3 + ...
+        w = 4.0 * mu * mu
+        term, p, q = 1.0, 1.0, 0.0
+        for k in range(1, _HANKEL_TERMS):
+            term = term * ((w - (2 * k - 1) ** 2) / k) * inv8x
+            if k % 2:
+                q = q + term if k % 4 == 1 else q - term
+            else:
+                p = p + term if k % 4 == 0 else p - term
+        out.append(env * (p * cos_chi - q * sin_chi))
+    return tuple(out)
+
+
+def _bessel_triple(nu: float, x):
+    """(J_{nu-1}(x), J_nu(x), J_{nu+1}(x)) for 0 < nu < 1/2 and x >= 0.
+
+    The orders behind the closed-form radial modes.  An array x gives an
+    array stacked on a new first axis, a scalar x a tuple of three numpy
+    floats (the bisection evaluates one point at a time, and scalar
+    arithmetic is an order faster than 1-element arrays).  Arguments that
+    are negative or nan give nan.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x[()]
+        if not x >= 0.0:
+            return (np.float64(np.nan),) * 3
+        if x < _MILLER_MIN:
+            return _bessel_series(nu, x)
+        return _bessel_miller(nu, x) if x < _HANKEL_MIN else _bessel_hankel(nu, x)
+    out = np.full((3,) + x.shape, np.nan)
+    parts = (
+        (_bessel_series, (x >= 0.0) & (x < _MILLER_MIN)),
+        (_bessel_miller, (x >= _MILLER_MIN) & (x < _HANKEL_MIN)),
+        (_bessel_hankel, x >= _HANKEL_MIN),
+    )
+    for method, sel in parts:
+        if sel.any():
+            out[:, sel] = method(nu, x[sel])
+    return out
+
 
 def _bessel_root(nu: float, k: int) -> float:
     """k-th positive zero of J_nu for 0 < nu < 1/2, by bisection to the ulp.
 
     Zeros grow with the order, and J_{-1/2} and J_{1/2} vanish at
     (k - 1/2) pi and k pi, so the k-th zero lies between the two (Watson,
-    *A Treatise on the Theory of Bessel Functions*, 15.6).
+    *A Treatise on the Theory of Bessel Functions*, 15.6).  J_nu comes from
+    `_bessel_triple`, so no scipy module is loaded.
     """
-    from scipy.special import jv
+    def jv(z: float) -> float:
+        return _bessel_triple(nu, z)[1]
 
     lo, hi = (k - 0.5) * math.pi, k * math.pi
-    f_lo = jv(nu, lo)
+    f_lo = jv(lo)
     # halve the bracket until no float lies strictly between its endpoints
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = jv(nu, mid)
+        f_mid = jv(mid)
         if f_mid == 0.0:
             return float(mid)
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return float(lo if abs(f_lo) <= abs(jv(nu, hi)) else hi)
+    return float(lo if abs(f_lo) <= abs(jv(hi)) else hi)
 
 
 def bessel_radial_mode(
@@ -722,40 +849,39 @@ def bessel_radial_mode(
 
     Returns (rho, R, dR, R'(1)) with rho = ((2-alpha)/2)^2 j^2, j the k-th
     zero of J_nu, nu = (1-alpha)/(2-alpha), and R(r) up-normalized to unit
-    L2 mass on (0, 1), positive near r = 0.
+    L2 mass on (0, 1), positive near r = 0 (M. Gueye, SICON 52, 2014):
     R(r) = C r^{(1-alpha)/2} J_nu(j r^{(2-alpha)/2}) with
     C^2 = (2-alpha)/J_{nu+1}(j)^2 and |R'(1)| = (2-alpha)^{3/2} j / 2.
+    As r^{(1-alpha)/2} = (r^{(2-alpha)/2})^nu and (z^nu J_nu)' = z^nu J_{nu-1},
+    R'(r) = C j (2-alpha)/2 r^{1/2-alpha} J_{nu-1}(j r^{(2-alpha)/2}); it
+    grows like r^{-alpha} near the axis, and dR is +inf at r = 0.  The
+    Bessel functions come from `_bessel_triple`, so no scipy module loads.
 
     Raises:
         ParameterOutOfRange: alpha outside (0, 1), where nu leaves (0, 1/2),
             or k below 1.
     """
-    from scipy.special import jv
-
     DegeneracyParams(alpha)
     if k < 1:
         raise ParameterOutOfRange(f"radial index k must be at least 1, got {k}")
     nu = (1.0 - alpha) / (2.0 - alpha)
     j = _bessel_root(nu, k)
     rho = ((2.0 - alpha) / 2.0 * j) ** 2
-    tail = jv(nu + 1.0, j)
+    tail = float(_bessel_triple(nu, j)[2])
     c = math.sqrt(2.0 - alpha) / abs(tail)
     half = 0.5 * (1.0 - alpha)
     pow_arg = 0.5 * (2.0 - alpha)
 
     def R(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        return c * r**half * jv(nu, j * r**pow_arg)
+        return c * r**half * _bessel_triple(nu, j * r**pow_arg)[1]
 
     def dR(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        z = j * r**pow_arg
-        j_nu = jv(nu, z)
-        jp = jv(nu - 1.0, z) - nu / np.where(z > 0.0, z, np.inf) * j_nu
+        j_down = _bessel_triple(nu, j * r**pow_arg)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            term1 = half * r ** (half - 1.0) * j_nu
-            term2 = r**half * jp * j * pow_arg * r ** (pow_arg - 1.0)
-        return c * (term1 + term2)
+            out = (c * j * pow_arg) * r ** (0.5 - alpha) * j_down
+        return np.where(r == 0.0, np.inf, out)
 
     flux = -0.5 * (2.0 - alpha) ** 1.5 * j * math.copysign(1.0, tail)
     return rho, R, dR, flux

@@ -31,7 +31,13 @@ from degenwave.errors import (
     NonPositiveInput,
     ParameterOutOfRange,
 )
-from degenwave.params import eval_cutoff, theta_cutoff, time_cutoff
+from degenwave.params import (
+    DomainSpec,
+    eval_cutoff,
+    theta_cutoff,
+    time_cutoff,
+    validate_carleman_params,
+)
 
 
 def symbolic_wave(u, coords, alpha):
@@ -618,6 +624,31 @@ class TestComponentIntegrals:
             bessel_solution, carleman_params, n_theta=256, n_r=128, n_t=768
         )
         assert out.lhs_zero_order == pytest.approx(expected, rel=2e-3)
+
+    @pytest.mark.parametrize("lam, s", [(0.5, 2.0), (2.0, 6.0), (1.0, 8.0), (2.0, 8.0)])
+    def test_subnormal_weights_count_as_zero(self, bessel_solution, monkeypatch, lam, s):
+        """Weights below the smallest normal float are skipped as exact zeros
+        (at lam 2, s 8 most of them are), and no field moves by a bit."""
+        params = validate_carleman_params(
+            0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
+        )
+        grid = dict(n_theta=96, n_r=64, n_t=192)
+        flushed = carleman_component_integrals(bessel_solution, params, **grid)
+        monkeypatch.setattr(carleman, "_LOG_TINY", -math.inf)
+        kept = carleman_component_integrals(bessel_solution, params, **grid)
+        assert repr(dataclasses.astuple(flushed)) == repr(dataclasses.astuple(kept))
+
+    def test_known_fault_f1_keeps_its_values(self, bessel_solution):
+        """Known fault F1 (lam 2, s 8, log offset 873.6 > 700): the rescale
+        by inf leaves three components inf and the commutator nan, and the
+        quotient is the one computed before subnormal weights were skipped."""
+        params = validate_carleman_params(
+            0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=2.0, s=8.0
+        )
+        out = carleman_component_integrals(bessel_solution, params)
+        assert out.lhs_gradient == out.lhs_zero_order == out.rhs_interior == math.inf
+        assert math.isnan(out.rhs_commutator)
+        assert out.chat == pytest.approx(3.6779768815878413e-103, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_scan_rejects_nonpositive_s(self, carleman_params, bessel_solution, bad):

@@ -59,11 +59,11 @@ def modules_after(code, *packages):
     return ast.literal_eval(res.stdout.splitlines()[-1])
 
 
-# scipy costs most of a fresh import, so it loads on the first eigensolve or
-# Bessel evaluation and never for runs that do neither; even then the
-# eigensolver loads only the extensions cython_lapack and cython_blas, never
-# the scipy.linalg package (whose array-API layer pulls in numpy.testing,
-# f2py and numpy.ma)
+# scipy costs most of a fresh import, so it loads on the first eigensolve
+# and never for runs without one; even then the eigensolver loads only the
+# extensions cython_lapack and cython_blas, never the scipy.linalg package
+# (whose array-API layer pulls in numpy.testing, f2py and numpy.ma).  The
+# Bessel modes evaluate J_nu themselves and load no scipy module at all.
 @pytest.mark.parametrize("module", ["degenwave", "degenwave.cli"])
 def test_import_loads_no_scipy(module):
     assert modules_after(f"import {module}", "scipy") == []
@@ -75,8 +75,9 @@ def test_import_loads_no_scipy(module):
         (["--help"], 0),
         (["validate-params", "--delta0", "0.01", "--beta", "0.005", "--t-horizon", "50"], 0),
         (["spectrum", "--n", "many"], 2),
+        (["carleman-check", "--n-theta", "63", "--n-r", "16", "--n-t", "33"], 0),
     ],
-    ids=["help", "validate-params", "config-error"],
+    ids=["help", "validate-params", "config-error", "carleman-check"],
 )
 def test_cli_without_solve_loads_no_scipy(argv, exit_code, tmp_path):
     argv = [*argv, "--out", str(tmp_path)]
@@ -108,14 +109,18 @@ def test_eigensolve_loads_lapack_capsules_without_scipy_linalg():
         ["spectrum", "--n", "256"],
         ["hardy", "--n", "512"],
         ["observability", "--mode", "ratio", "--n-max", "8", "--k-max", "8"],
+        ["simulate", "--n", "256", "--n-max", "4", "--k-max", "4", "--samples", "50"],
+        ["hardy", "--critical", "--n", "512", "--scan", "1e-1,1e-2"],
     ],
-    ids=["spectrum", "hardy", "observability-ratio"],
+    ids=["spectrum", "hardy", "observability-ratio", "simulate", "hardy-critical"],
 )
 def test_solving_cli_loads_no_scipy_linalg(argv, tmp_path):
+    """Together with the runs above, every subcommand: none loads scipy.special."""
     code = f"from degenwave.cli import main\nassert main({[*argv, '--out', str(tmp_path)]!r}) == 0"
     modules = modules_after(code, "scipy")
     assert "scipy.linalg.cython_lapack" in modules
     assert "scipy.linalg" not in modules
+    assert not [m for m in modules if m.startswith("scipy.special")]
 
 
 def test_scipy_linalg_imports_after_a_solve():
@@ -149,10 +154,8 @@ def test_basis_bits_do_not_depend_on_scipy_linalg():
     assert digests[0] == digests[1]
 
 
-def test_bessel_mode_loads_special_only():
-    modules = modules_after("from degenwave import bessel_mode\nbessel_mode(0.5, 1, 2)", "scipy")
-    assert "scipy.special" in modules
-    assert not [m for m in modules if m.startswith(("scipy.linalg", "scipy.optimize"))]
+def test_bessel_mode_loads_no_scipy():
+    assert modules_after("from degenwave import bessel_mode\nbessel_mode(0.5, 1, 2)", "scipy") == []
 
 
 def benchmark_calls():

@@ -22,6 +22,7 @@ from degenwave.errors import (
 from degenwave.radial import (
     RadialMesh,
     _bessel_root,
+    _bessel_triple,
     assemble_weighted_system,
     bessel_radial_mode,
     build_graded_mesh,
@@ -506,6 +507,90 @@ class TestBesselRoots:
             bessel_radial_mode(alpha, 1)
         with pytest.raises(ParameterOutOfRange, match="alpha"):
             bessel_mode(alpha, 1, 1)
+
+
+def bessel_envelope(j, x):
+    """max(|J|, min(1, sqrt(2/(pi x)))): the size against which an absolute
+    error of J near its zeros and its large-x oscillation is judged."""
+    return max(abs(j), min(1.0, math.sqrt(2.0 / (math.pi * x))))
+
+
+# arguments near 0, on both sides of the switches at x = 2 and x = 25, and
+# up to the 128th zero
+BESSEL_ARGS = [
+    1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.7, 1.5, 1.999999, 2.0, 2.000001, 2.5, 4.0, 7.3,
+    11.9, 16.0, 19.5, 23.0, 24.999999, 25.0, 25.000001, 27.5, 33.3, 47.0, 80.0, 150.0,
+    260.0, 333.3, 398.0, 128 * math.pi,
+]
+
+
+class TestBesselFunctions:
+    """J_{nu-1}, J_nu, J_{nu+1} of the closed-form modes against mpmath."""
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.5, 0.9, 0.999999])
+    def test_orders_against_mpmath(self, alpha):
+        nu = (1.0 - alpha) / (2.0 - alpha)
+        x = np.array(BESSEL_ARGS)
+        got = _bessel_triple(nu, x)
+        assert got.shape == (3, x.size)
+        scalar = np.array([_bessel_triple(nu, xi) for xi in BESSEL_ARGS]).T
+        with mpmath.workdps(30):
+            for d, order in enumerate(mpmath.mpf(nu) + shift for shift in (-1, 0, 1)):
+                for i, xi in enumerate(BESSEL_ARGS):
+                    ref = mpmath.besselj(order, mpmath.mpf(xi))
+                    tol = 2e-14 * bessel_envelope(float(ref), xi)
+                    for value in (got[d, i], scalar[d, i]):
+                        assert abs(value - ref) <= tol, (alpha, d, xi, value)
+
+    def test_edges_of_the_domain(self):
+        nu = 1.0 / 3.0
+        vals = _bessel_triple(nu, np.array([0.0, -1.0, math.nan]))
+        assert vals[:, 0].tolist() == [math.inf, 0.0, 0.0]
+        assert np.isnan(vals[:, 1:]).all()
+        assert [float(v) for v in _bessel_triple(nu, 0.0)] == [math.inf, 0.0, 0.0]
+        assert all(math.isnan(v) for v in _bessel_triple(nu, -1.0))
+
+    @pytest.mark.parametrize(
+        "alpha, k", [(1e-6, 1), (0.1, 128), (0.5, 3), (0.9, 40), (0.999999, 8)]
+    )
+    def test_mode_profile_against_mpmath(self, alpha, k):
+        """R and R' at a few radii against the closed form in mpmath, with
+        mpmath's own zero; the rounding of j r^((2-alpha)/2) moves J by
+        ulps of that argument, hence the tolerance grows with it."""
+        _, R, dR, _ = bessel_radial_mode(alpha, k)
+        r = np.array([1e-12, 1e-3, 0.1, 0.37, 0.5, 0.9, 0.999])
+        got_r, got_dr = R(r), dR(r)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            nu = (1 - a) / (2 - a)
+            j = mpmath.besseljzero(nu, k)
+            c = mpmath.sqrt(2 - a) / abs(mpmath.besselj(nu + 1, j))
+            p = (2 - a) / 2
+            for i, ri in enumerate(r):
+                rm = mpmath.mpf(ri)
+                z = j * rm**p
+                j_nu, j_down = mpmath.besselj(nu, z), mpmath.besselj(nu - 1, z)
+                tol = 1e-14 * (1.0 + float(z))
+                scale = float(c * rm ** ((1 - a) / 2))
+                assert abs(got_r[i] - c * rm ** ((1 - a) / 2) * j_nu) <= (
+                    tol * scale * bessel_envelope(float(j_nu), float(z))
+                ), (alpha, k, ri)
+                scale = float(c * j * p * rm ** (mpmath.mpf(0.5) - a))
+                assert abs(got_dr[i] - c * j * p * rm ** (mpmath.mpf(0.5) - a) * j_down) <= (
+                    tol * scale * bessel_envelope(float(j_down), float(z))
+                ), (alpha, k, ri)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_derivative_at_the_axis(self, alpha):
+        """R ~ r^(1-alpha) is positive near r = 0, so R' -> +inf there."""
+        _, R, dR, _ = bessel_radial_mode(alpha, 2)
+        r = np.array([0.0, 1e-12])
+        assert R(r)[0] == 0.0 and R(r)[1] > 0.0
+        d = dR(r)
+        assert d[0] == math.inf
+        assert 0.0 < d[1] < math.inf
+        # the leading term (1 - alpha) R(r)/r of R' near the axis
+        assert d[1] == pytest.approx((1.0 - alpha) * R(r)[1] / 1e-12, rel=1e-6)
 
 
 class TestConsistentGram:
