@@ -23,7 +23,6 @@ from .carleman import (
 )
 from .errors import (
     BetaOutOfRange,
-    BoundaryViolation,
     ConfigError,
     ConvergenceFailure,
     DegenerateCellTouched,
@@ -41,14 +40,12 @@ from .errors import (
 )
 from .hardy import (
     BlowupFit,
-    HardyCheck,
     HardyReport,
     best_subcritical_constant,
     blowup_rate_fit,
     critical_truncated_constant,
     exact_critical_constant,
     subcritical_bound,
-    subcritical_hardy_check,
 )
 from .observability import (
     EnsembleStats,
@@ -101,7 +98,6 @@ from .waves import (
     full_trace_norm_closed,
     modal_state,
     observation_norms,
-    parseval_l2_norm_sq,
     project_initial_data,
     random_state,
     sine_overlap_matrix,

@@ -162,22 +162,21 @@ def build_weight_field(
 
 
 def _weight_tiles(
-    params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray, halo: int
+    params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """Walk theta x t in tiles of about _TILE_ELEMENTS points, with sigma on each.
 
-    The tiles partition theta[halo:-halo] x t[halo:-halo]; each yielded
-    (theta slice, t slice, sigma) reaches `halo` points further on both
-    sides of both axes, and sigma covers those slices and the whole r axis.
+    The yielded (theta slice, t slice, sigma) partition theta x t, and each
+    sigma covers its two slices and the whole r axis.
     """
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     per_plane = max(1, _TILE_ELEMENTS // r.size)
-    n_t = min(t.size - 2 * halo, max(1, math.isqrt(per_plane) - 2 * halo))
-    n_theta = max(1, per_plane // (n_t + 2 * halo) - 2 * halo)
-    for i0 in range(halo, theta.size - halo, n_theta):
-        ith = slice(i0 - halo, min(i0 + n_theta, theta.size - halo) + halo)
-        for j0 in range(halo, t.size - halo, n_t):
-            jt = slice(j0 - halo, min(j0 + n_t, t.size - halo) + halo)
+    n_t = min(t.size, max(1, math.isqrt(per_plane)))
+    n_theta = max(1, per_plane // n_t)
+    for i0 in range(0, theta.size, n_theta):
+        ith = slice(i0, min(i0 + n_theta, theta.size))
+        for j0 in range(0, t.size, n_t):
+            jt = slice(j0, min(j0 + n_t, t.size))
             sigma = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
             yield ith, jt, sigma
 
@@ -537,7 +536,7 @@ def _contracted_weight_tiles(
     before their last axis), times the theta and t rule weights at (theta_i, t_j).
     """
     flat = rows.reshape(-1, r.size)
-    for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=0):
+    for ith, jt, sigma in _weight_tiles(params, theta, r, t):
         weight = np.multiply(sigma, 2.0 * params.s)
         weight -= log_offset
         # weigh an exponent whose exp is subnormal as exactly zero: exp and

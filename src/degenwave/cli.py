@@ -30,6 +30,24 @@ from .params import DomainSpec, validate_carleman_params
 from .radial import build_graded_mesh, solve_radial_basis
 from .waves import energy_series, observation_norms, random_state
 
+
+def _items(text: str, item) -> list:
+    """Entries of a comma-separated list option, each parsed by item."""
+    return [item(x) for x in text.split(",") if x.strip()]
+
+
+def _list_of(item):
+    """Kind of a comma-separated list option: its text, kept as given for the
+    config echo once every entry parses by item."""
+
+    def kind(raw) -> str:
+        text = str(raw)
+        _items(text, item)
+        return text
+
+    return kind
+
+
 # subcommand schemas: key -> (type, default); None defaults are filled later
 _SCHEMAS = {
     "spectrum": {
@@ -56,7 +74,7 @@ _SCHEMAS = {
         "method": (str, "direct"),
         "n": (int, 4096),
         "grading": (float, 3.0),
-        "scan": (str, ""),
+        "scan": (_list_of(float), ""),
     },
     "carleman-check": {
         "alpha": (float, 0.5),
@@ -71,14 +89,14 @@ _SCHEMAS = {
         "r_min": (float, 0.1),
         "mode_n": (int, 1),
         "mode_k": (int, 1),
-        "s_scan": (str, ""),
+        "s_scan": (_list_of(float), ""),
     },
     "observability": {
         "mode": (str, "obstruction"),
         "alpha": (float, 0.5),
         "delta0": (float, 0.01),
         "t_horizon": (float, 0.0),
-        "n_values": (str, "8,16,32,64"),
+        "n_values": (_list_of(int), "8,16,32,64"),
         "size": (int, 100),
         "n_max": (int, 16),
         "k_max": (int, 16),
@@ -133,14 +151,6 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     return config
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies: each computes everything, then returns its reports by
 # file name, (columns, rows) for a CSV and a payload for a JSON document
@@ -181,7 +191,7 @@ def _run_simulate(cfg: dict) -> dict:
 
 def _run_hardy(cfg: dict) -> dict:
     if cfg["critical"]:
-        deltas = _float_list(cfg["scan"]) or [cfg["delta"]]
+        deltas = _items(cfg["scan"], float) or [cfg["delta"]]
         rows = []
         constants = {}
         last = None
@@ -227,7 +237,7 @@ def _run_carleman_check(cfg: dict) -> dict:
     )
     integrals = carleman_component_integrals(solution, params)
     artifacts = {"carleman.json": {"residual": residual, "integrals": integrals}}
-    s_values = _float_list(cfg["s_scan"])
+    s_values = _items(cfg["s_scan"], float)
     if s_values:
         scan = carleman_constant_scan(solution, params, s_values)
         artifacts["carleman_scan.csv"] = (
@@ -249,7 +259,7 @@ def _run_observability(cfg: dict) -> dict:
     mode = cfg["mode"]
     if mode == "obstruction":
         scan = observability.high_mode_obstruction_scan(
-            _int_list(cfg["n_values"]), T, domain, basis
+            _items(cfg["n_values"], int), T, domain, basis
         )
         return {
             "obstruction.csv": (

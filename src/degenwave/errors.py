@@ -41,10 +41,6 @@ class GridMismatch(DegenWaveError):
     """Field samples do not live on the expected grid."""
 
 
-class BoundaryViolation(DegenWaveError):
-    """A test function violates its required boundary condition."""
-
-
 class DeltaOutOfRange(DegenWaveError):
     """Truncation parameter outside (0, 1)."""
 

@@ -28,12 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundaryViolation,
-    DeltaOutOfRange,
-    InsufficientData,
-    ParameterOutOfRange,
-)
+from .errors import DeltaOutOfRange, InsufficientData, ParameterOutOfRange
 from .params import DegeneracyParams
 from .radial import (
     RadialMesh,
@@ -45,11 +40,9 @@ from .radial import (
 )
 
 __all__ = [
-    "HardyCheck",
     "HardyReport",
     "BlowupFit",
     "subcritical_bound",
-    "subcritical_hardy_check",
     "best_subcritical_constant",
     "critical_truncated_constant",
     "exact_critical_constant",
@@ -61,20 +54,6 @@ def subcritical_bound(alpha: float) -> float:
     """The subcritical Hardy constant 4/(1-alpha)^2."""
     DegeneracyParams(alpha)
     return 4.0 / (1.0 - alpha) ** 2
-
-
-@dataclass(frozen=True)
-class HardyCheck:
-    """One evaluation of the subcritical inequality for a fixed function."""
-
-    lhs: float  # int r^(alpha-2) u^2
-    rhs: float  # int r^alpha (u')^2
-    constant: float  # 4/(1-alpha)^2
-    holds: bool
-
-    @property
-    def bound(self) -> float:
-        return self.constant * self.rhs
 
 
 @dataclass(frozen=True)
@@ -92,43 +71,6 @@ class HardyReport:
     method: str | None = None
 
 
-def _sample_on_mesh(u: Callable | np.ndarray, mesh: RadialMesh) -> np.ndarray:
-    if callable(u):
-        vals = np.asarray(u(mesh.nodes), dtype=float)
-    else:
-        vals = np.asarray(u, dtype=float)
-    if vals.shape != mesh.nodes.shape:
-        raise ValueError("nodal vector length does not match the mesh")
-    return vals
-
-
-def subcritical_hardy_check(
-    u: Callable | np.ndarray,
-    alpha: float,
-    mesh: RadialMesh | None = None,
-) -> HardyCheck:
-    """Evaluate both sides of the subcritical Hardy inequality for one function.
-
-    `u` is a nodal vector on `mesh` (default: 2048 cells, grading 2) or a
-    callable sampled there; it must vanish at r = 0.  Both integrals are
-    exact for the piecewise-linear interpolant, so the inequality holds for
-    every admissible input up to roundoff.
-
-    Raises:
-        BoundaryViolation: u(0) != 0.
-    """
-    mesh = mesh or build_graded_mesh(2048, 2.0)
-    vals = _sample_on_mesh(u, mesh)
-    if vals[0] != 0.0:
-        raise BoundaryViolation(f"u(0) = {vals[0]}, expected exactly 0")
-    mats = assemble_weighted_system(mesh, p=alpha, q=alpha - 2.0, bc="dirichlet-left-only")
-    x = vals[mats.i0 : mats.i1]
-    lhs = mats.mass_product(x, x)
-    rhs = mats.stiffness_product(x, x)
-    constant = subcritical_bound(alpha)
-    return HardyCheck(lhs=lhs, rhs=rhs, constant=constant, holds=lhs <= constant * rhs)
-
-
 def _best_constant(mats) -> float:
     """Maximal Rayleigh quotient int w_q u^2 / int w_p (u')^2 of one pencil.
 
@@ -139,14 +81,14 @@ def _best_constant(mats) -> float:
     return 1.0 / refine_smallest_eigenpair(mats)[0]
 
 
-def best_subcritical_constant(
-    alpha: float,
-    mesh: RadialMesh | None = None,
-    bc: str = "dirichlet-left-only",
-) -> HardyReport:
-    """Best discrete constant of the subcritical inequality on a given mesh."""
+def best_subcritical_constant(alpha: float, mesh: RadialMesh | None = None) -> HardyReport:
+    """Best discrete constant of the subcritical inequality on a given mesh.
+
+    Only u(0) = 0 is imposed, so u(1) is free.
+    """
     bound = subcritical_bound(alpha)
     mesh = mesh or build_graded_mesh(4096, 3.0)
+    bc = "dirichlet-left-only"
     mats = assemble_weighted_system(mesh, p=alpha, q=alpha - 2.0, bc=bc)
     c = _best_constant(mats)
     return HardyReport(

@@ -55,10 +55,9 @@ def default_beta(delta0: float) -> float:
     return 0.499 * delta0
 
 
-def default_horizon(delta0: float, beta: float | None = None) -> float:
-    """1.1 times the smallest horizon the sufficient condition admits."""
-    beta = default_beta(delta0) if beta is None else beta
-    return 1.1 * observation_time_threshold(delta0, beta)
+def default_horizon(delta0: float) -> float:
+    """1.1 times the smallest horizon the sufficient condition admits at default_beta."""
+    return 1.1 * observation_time_threshold(delta0, default_beta(delta0))
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,16 @@ def observability_ratio(
     state: ModalCoefficients,
     domain: DomainSpec,
     T: float,
-    beta: float | None = None,
 ) -> ObservabilityRecord:
     """E(0) against restricted trace plus interior remainder for one datum.
 
     Zero data are flagged degenerate (the quotient is 0/0).  The horizon is
-    gated by the closed-form sufficient condition.
+    gated by the closed-form sufficient condition at default_beta.
 
     Raises:
         TimeTooShort: T at or below the admissible threshold.
     """
-    beta = default_beta(domain.delta0) if beta is None else beta
-    threshold = observation_time_threshold(domain.delta0, beta)
+    threshold = observation_time_threshold(domain.delta0, default_beta(domain.delta0))
     if not T > threshold:
         raise TimeTooShort(f"T = {T} must exceed {threshold}")
     e0 = energy(state)

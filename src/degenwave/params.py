@@ -90,11 +90,11 @@ class CarlemanParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < self.T / 16.0:
-            raise ValueError("epsilon must lie in (0, T/16)")
+            raise ParameterOutOfRange("epsilon must lie in (0, T/16)")
         if not 0.0 < self.gamma_hat < 0.5 * self.gamma:
-            raise ValueError("gamma_hat must lie in (0, gamma/2)")
+            raise ParameterOutOfRange("gamma_hat must lie in (0, gamma/2)")
         if not self.A1 < self.A0:
-            raise ValueError("A1 < A0 must hold")
+            raise ParameterOutOfRange("A1 < A0 must hold")
 
 
 _UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
@@ -228,13 +228,13 @@ class CutoffSpec:
         a, b = self.rise
         c, d = self.fall
         if not a < b <= c < d:
-            raise ValueError("cutoff bands must satisfy rise < plateau < fall")
+            raise ParameterOutOfRange("cutoff bands must satisfy rise < plateau < fall")
 
 
 def theta_cutoff(delta0: float) -> CutoffSpec:
     """Angular cutoff: 1 on (3*delta0, 1-3*delta0), 0 off (2*delta0, 1-2*delta0)."""
     if not 0.0 < delta0 < 1.0 / 32.0:
-        raise ValueError("delta0 must lie in (0, 1/32)")
+        raise ParameterOutOfRange("delta0 must lie in (0, 1/32)")
     return CutoffSpec(
         rise=(2.0 * delta0, 3.0 * delta0),
         fall=(1.0 - 3.0 * delta0, 1.0 - 2.0 * delta0),
@@ -244,7 +244,7 @@ def theta_cutoff(delta0: float) -> CutoffSpec:
 def time_cutoff(epsilon: float, T: float) -> CutoffSpec:
     """Temporal cutoff: 1 on (2*epsilon, T-2*epsilon), 0 off (epsilon, T-epsilon)."""
     if not 0.0 < epsilon < T / 16.0:
-        raise ValueError("epsilon must lie in (0, T/16)")
+        raise ParameterOutOfRange("epsilon must lie in (0, T/16)")
     return CutoffSpec(
         rise=(epsilon, 2.0 * epsilon),
         fall=(T - 2.0 * epsilon, T - epsilon),

@@ -229,7 +229,7 @@ def assemble_weighted_system(
     not vanish at the degenerate point).
     """
     if bc not in _BC_KINDS:
-        raise ValueError(f"unknown boundary condition kind: {bc!r}")
+        raise ParameterOutOfRange(f"unknown boundary condition kind: {bc!r}")
     nodes = mesh.nodes
     touches_zero = nodes[0] == 0.0
     if touches_zero:
@@ -318,11 +318,9 @@ class RadialBasis:
     def k_max(self) -> int:
         return self.rho.size
 
-    def consistent_gram(self, k_max: int | None = None) -> np.ndarray:
-        """Exact pairwise integrals int R_j R_k dr (consistent mass products).
-
-        Covers the first k_max pairs (all of them by default).
-        """
+    def consistent_gram(self, k_max: int) -> np.ndarray:
+        """Exact pairwise integrals int R_j R_k dr (consistent mass products)
+        of the first k_max eigenfunctions."""
         dof = self.R[:k_max, self.mats.i0 : self.mats.i1]
         return dof @ self.mats.mass_action(dof).T
 
@@ -675,7 +673,7 @@ def elliptic_identity_residual(
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size > basis.k_max:
-        raise ValueError("more coefficients than computed eigenpairs")
+        raise ParameterOutOfRange("more coefficients than computed eigenpairs")
     i0, i1 = basis.mats.i0, basis.mats.i1
     u = (c[:, None] * basis.R[: c.size, i0:i1]).sum(axis=0)
     lu = (c[:, None] * basis.rho[: c.size, None] * basis.R[: c.size, i0:i1]).sum(axis=0)

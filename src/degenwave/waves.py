@@ -43,7 +43,6 @@ __all__ = [
     "energy",
     "energy_series",
     "data_norms",
-    "parseval_l2_norm_sq",
     "full_trace_norm_closed",
     "observation_norms",
     "sine_overlap_matrix",
@@ -127,17 +126,17 @@ def project_initial_data(
     basis: RadialBasis,
     n_max: int,
     k_max: int,
-    n_theta: int = 2048,
 ) -> ModalCoefficients:
     """Project initial position/velocity fields onto the truncated modal basis.
 
     Fields may be callables phi(theta, r) (evaluated on the tensor grid of a
-    uniform theta partition and the radial mesh nodes) or explicit modal
-    dictionaries {(n, k): coefficient}.  Angular integrals use the uniform
-    trapezoidal rule, which is exact for sine polynomials below the grid
-    Nyquist order; radial products use the discrete mass inner product, so
-    basis elements project to exact unit coefficients.
+    uniform partition of theta into 2048 cells and the radial mesh nodes) or
+    explicit modal dictionaries {(n, k): coefficient}.  Angular integrals use
+    the uniform trapezoidal rule, which is exact for sine polynomials below
+    the grid Nyquist order; radial products use the discrete mass inner
+    product, so basis elements project to exact unit coefficients.
     """
+    n_theta = 2048
     omega, omega_sq = _frequencies(basis, n_max, k_max)
     # R vanishes off the dof window, so the radial product needs only its nodes
     mats = basis.mats
@@ -281,11 +280,6 @@ def data_norms(state: ModalCoefficients) -> tuple[float, float]:
     h1w = 0.5 * float(np.sum(state.omega_sq * state.a**2))
     l2 = 0.5 * float(np.sum(state.b**2))
     return h1w, l2
-
-
-def parseval_l2_norm_sq(state: ModalCoefficients) -> float:
-    """Squared L2(Omega) norm of the current amplitude field, (1/2) sum a^2."""
-    return 0.5 * float(np.sum(state.a**2))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +503,13 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     of orders against all orders of the class at a time and shared by the
     amplitude and velocity forms, so memory stays bounded at large
     truncations.
+
+    Raises:
+        ParameterOutOfRange: delta0 is nan or outside (0, 1/2), where the
+            segment (delta0, 1 - delta0) or the strips are empty or reversed.
     """
+    if not 0.0 < delta0 < 0.5:
+        raise ParameterOutOfRange(f"delta0 must lie in (0, 1/2), got {delta0}")
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = basis.flux[:k_max]

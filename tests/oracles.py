@@ -154,7 +154,7 @@ def trapezoid_observation_norms(
     c = 4.0 * delta0
     strips = [(0.0, 1.0)] if c >= 0.5 else [(0.0, c), (1.0 - c, 1.0)]
     g_s, g_c = _theta_grams(orders, strips, n_theta)
-    gram = basis.consistent_gram()[:k_max, :k_max]
+    gram = basis.consistent_gram(basis.k_max)[:k_max, :k_max]
     w_amp = ((amp * w_t) @ amp.T).reshape(n_max, k_max, n_max, k_max)
     w_vel = ((vel * w_t) @ vel.T).reshape(n_max, k_max, n_max, k_max)
     interior = (
@@ -500,7 +500,7 @@ def _pointwise_region_integrals(
     r_alpha = r3**alpha
 
     sums = np.zeros(2)
-    for ith, jt, sigma in _weight_tiles(params, theta, r, t, halo=0):
+    for ith, jt, sigma in _weight_tiles(params, theta, r, t):
         th3, t3 = theta[ith, None, None], t[None, None, jt]
         # e^{2 s sigma - log_offset} times the theta and t rule weights
         weight = np.multiply(sigma, 2.0 * s)

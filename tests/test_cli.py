@@ -122,6 +122,26 @@ class TestConfigHandling:
         res = run_cli("spectrum", "--config", str(cfg))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("hardy", "--critical", "--scan", "1e-1,1e-2,1e-3,abc"), "scan"),
+            (("carleman-check", "--s-scan", "2,x"), "s_scan"),
+            (("observability", "--n-values", "8,x"), "n_values"),
+            (("observability", "--config", "lists.json"), "n_values"),
+        ],
+        ids=["hardy-scan", "carleman-s-scan", "observability-n-values", "config-json-list"],
+    )
+    def test_unparsable_list_rejected(self, tmp_path, args, key):
+        # once a ValueError traceback with exit 1, in carleman-check only after the solve
+        (tmp_path / "lists.json").write_text('{"n_values": [8, 16, 32, 64]}')
+        res = run_cli(*args, "--out", "out", cwd=tmp_path)
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "config"
+        assert f"'{key}'" in err["error"]
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 256, "kmax": 2, "out": str(tmp_path / "o")}))

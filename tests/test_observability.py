@@ -63,13 +63,6 @@ class TestObservabilityRatio:
         with pytest.raises(TimeTooShort):
             observability_ratio(st, domain001, 0.9 * threshold)
 
-    def test_zero_beta_rejected(self, basis05, domain001, horizon):
-        st = modal_state(basis05, 1, 1, amplitudes={(1, 1): 1.0})
-        with pytest.raises(NonPositiveInput):
-            observability_ratio(st, domain001, horizon, beta=0.0)
-        with pytest.raises(NonPositiveInput):
-            default_horizon(domain001.delta0, beta=0.0)
-
 
 class TestObstructionScan:
     def test_slope_and_boundedness(self, basis05_k64, domain001, horizon):
@@ -99,7 +92,7 @@ class TestObstructionScan:
         T, d0 = horizon, domain001.delta0
         flux_sq = basis05_k64.flux[0] ** 2
         rho1 = basis05_k64.rho[0]
-        r_mass = basis05_k64.consistent_gram()[0, 0]
+        r_mass = basis05_k64.consistent_gram(1)[0, 0]
         for n, got in zip(ns, scan.remedied_ratios):
             w = math.sqrt((n * math.pi) ** 2 + rho1)
             cos2 = 0.5 * T + math.sin(2.0 * w * T) / (4.0 * w)

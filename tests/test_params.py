@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from degenwave.errors import (
     TimeTooShort,
 )
 from degenwave.params import (
+    CutoffSpec,
     DegeneracyParams,
     DomainSpec,
     beta_upper_bound,
@@ -23,6 +25,7 @@ from degenwave.params import (
     time_cutoff,
     validate_carleman_params,
 )
+from degenwave.radial import assemble_weighted_system, elliptic_identity_residual
 from oracles import _band_certified
 
 
@@ -248,3 +251,23 @@ class TestTimeCutoff:
         spec = time_cutoff(2.0, 40.0)
         v, _, _ = eval_cutoff(spec, np.array([-5.0, 100.0]))
         assert np.all(v == 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda basis, params: CutoffSpec(rise=(0.2, 0.1), fall=(0.8, 0.9)),
+        lambda basis, params: theta_cutoff(0.05),
+        lambda basis, params: time_cutoff(5.0, 40.0),
+        lambda basis, params: dataclasses.replace(params, epsilon=params.T),
+        lambda basis, params: assemble_weighted_system(basis.mesh, p=0.5, q=0.0, bc="free"),
+        lambda basis, params: elliptic_identity_residual(basis, 0.0, np.ones(basis.k_max + 1)),
+    ],
+    ids=[
+        "cutoff-bands", "theta-cutoff", "time-cutoff", "carleman-params",
+        "assembly-bc", "elliptic-coefficients",
+    ],
+)
+def test_input_checks_raise_package_errors(basis05, carleman_params, call):
+    with pytest.raises(ParameterOutOfRange):
+        call(basis05, carleman_params)

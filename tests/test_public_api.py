@@ -48,6 +48,39 @@ def test_every_reexport_resolves():
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
 
 
+#: public functions with no caller outside the test suite, each with the reason it stays
+NO_CALLER_NEEDED = {
+    "duhamel_forcing": "the only route to the forced equation phi_tt - Div(A grad phi) = f",
+}
+
+
+def names_read(node):
+    """Every bare name and attribute name under an AST node."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_public_functions_have_callers_outside_tests():
+    """A caller is another function of the package, a demo, the benchmark's
+    workloads or the acceptance suite; dataclasses and error classes are exempt."""
+    repo = SRC.parent
+    used = set()
+    for path in (SRC / "degenwave").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                used |= names_read(node) - {node.name}
+    for path in [*(repo / "demos").glob("*.py"), repo / "perfbench" / "workloads.py",
+                 repo / "tests" / "test_acceptance.py"]:
+        used |= names_read(ast.parse(path.read_text()))
+    public = {n for n, obj in vars(degenwave).items()
+              if not n.startswith("_") and inspect.isfunction(obj)}
+    assert sorted(public - used - set(NO_CALLER_NEEDED)) == []
+    assert set(NO_CALLER_NEEDED) <= public - used
+
+
 def modules_after(code, *packages):
     """Names of the modules of the given top-level packages that a fresh
     interpreter holds after running code."""

@@ -598,12 +598,12 @@ class TestConsistentGram:
         mats = basis05_k64.mats
         dof = basis05_k64.R[:, mats.i0 : mats.i1]
         loop = dof @ np.array([mats.mass_action(x) for x in dof]).T
-        gram = basis05_k64.consistent_gram()
+        gram = basis05_k64.consistent_gram(64)
         assert gram.shape == (64, 64)
         assert np.max(np.abs(gram - loop)) <= 1e-14 * np.max(np.abs(loop))
 
     def test_leading_block(self, basis05_k64):
-        full = basis05_k64.consistent_gram()
+        full = basis05_k64.consistent_gram(64)
         lead = basis05_k64.consistent_gram(5)
         assert lead.shape == (5, 5)
         assert np.max(np.abs(lead - full[:5, :5])) <= 1e-14 * np.max(np.abs(full))

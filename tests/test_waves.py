@@ -26,7 +26,6 @@ from degenwave.waves import (
     full_trace_norm_closed,
     modal_state,
     observation_norms,
-    parseval_l2_norm_sq,
     project_initial_data,
     random_state,
     sine_overlap_matrix,
@@ -80,7 +79,7 @@ class TestProjection:
             w_theta = np.full(513, 1.0 / 512)
             w_theta[[0, -1]] = 0.5 / 512
             norm_sq = float((vals**2 * lump[None, :] * w_theta[:, None]).sum())
-            errors.append(norm_sq - parseval_l2_norm_sq(st))
+            errors.append(norm_sq - 0.5 * np.sum(st.a**2))
         assert all(e > -1e-12 for e in errors)  # Bessel-type inequality
         assert errors[-1] < 0.02 * errors[0]
 
@@ -168,7 +167,7 @@ class TestEvolution:
         lump[1:] += mats.me
         field = np.einsum("nk,nt,kr->tr", at_t.a, sines, basis05.R[:6])
         norm_sq = float((field**2 * lump[None, :] * w_theta[:, None]).sum())
-        assert norm_sq == pytest.approx(parseval_l2_norm_sq(at_t), rel=1e-10)
+        assert norm_sq == pytest.approx(0.5 * np.sum(at_t.a**2), rel=1e-10)
 
 
 class TestDuhamel:
@@ -242,6 +241,13 @@ class TestBoundaryTrace:
         rep = observation_norms(st, T_HORIZON, 0.01)
         assert 0.0 < rep.restricted_trace_norm_sq <= rep.full_trace_norm_sq
 
+    @pytest.mark.parametrize("delta0", [math.nan, -0.1, 0.0, 0.5, 0.6])
+    def test_delta0_outside_range_rejected(self, basis05, delta0):
+        # once a negative interior norm, or a restricted trace above the full one
+        st = random_state(basis05, 4, 4, seed=8)
+        with pytest.raises(ParameterOutOfRange):
+            observation_norms(st, 10.0, delta0)
+
     def test_trapezoid_agrees_with_closed_form(self, basis05):
         st = random_state(basis05, 4, 4, seed=10)
         exact = observation_norms(st, T_HORIZON, 0.01)
@@ -283,7 +289,7 @@ class TestInteriorNorm:
         st = modal_state(basis05, 1, 1, amplitudes={(1, 1): 1.0})
         w = st.omega[0, 0]
         val = observation_norms(st, T_HORIZON, 0.2499999).interior_norm_sq
-        g11 = basis05.consistent_gram()[0, 0]
+        g11 = basis05.consistent_gram(1)[0, 0]
         amp_int = T_HORIZON / 2 + math.sin(2 * w * T_HORIZON) / (4 * w)
         expect = 2.0 * T_HORIZON * energy(st) + 0.5 * amp_int * g11
         assert val == pytest.approx(expect, rel=1e-5)
