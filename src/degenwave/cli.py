@@ -2,7 +2,9 @@
 
 Each experiment is a subcommand.  Options resolve in the order defaults <
 JSON config file (--config) < command-line flags; unknown config keys are
-rejected.  Exit codes: 0 success, 1 numerical failure, 2 configuration
+rejected, and so is a key, given by flag or in the file, that the mode the
+run selects (hardy with or without --critical, observability by --mode)
+does not read.  Exit codes: 0 success, 1 numerical failure, 2 configuration
 error.  Errors are emitted as a JSON object on stderr so harnesses can
 parse them.  A run writes all of its
 reports or, when it fails, none.
@@ -127,10 +129,26 @@ def _coerce(key: str, kind, raw):
         raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
 
 
+def _unread_keys(command: str, config: dict) -> set[str]:
+    """Keys of the schema that the run this configuration selects never reads."""
+    if command == "hardy":
+        if not config["critical"]:
+            return {"delta", "bc", "method", "scan"}
+        return {"alpha", "grading"} | ({"delta"} if _items(config["scan"], float) else set())
+    if command == "observability":
+        return {
+            "obstruction": {"n_values", "size", "n_max"},
+            "ensemble": {"n_values"},
+            "ratio": {"n_values", "size"},
+        }.get(config["mode"], set())
+    return set()
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     schema = dict(_COMMON)
     schema.update(_SCHEMAS[command])
     config = {k: default for k, (_, default) in schema.items()}
+    given = set()
 
     if args.config:
         try:
@@ -143,11 +161,18 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             if key not in schema:
                 raise ConfigError(f"unknown config key: '{key}'")
             config[key] = _coerce(key, schema[key][0], raw)
+            given.add(key)
 
     for key, (kind, _) in schema.items():
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             config[key] = _coerce(key, kind, val)
+            given.add(key)
+
+    unread = sorted(given & _unread_keys(command, config))
+    if unread:
+        keys = ", ".join(f"'{key}'" for key in unread)
+        raise ConfigError(f"this {command} run does not read {keys}")
     return config
 
 

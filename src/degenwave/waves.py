@@ -8,7 +8,11 @@ roundoff statement.  Boundary traces on the top side r = 1 and interior
 observation norms over the lateral strips are quadratic forms in the modal
 data y = (a, b/omega) with exact factors: theta factors are closed-form
 overlaps, radial factors exact element integrals, and time factors exact
-trigonometric pair integrals.
+pair integrals.  Every modal amplitude solves u'' = -omega^2 u, so a pair
+integral over (0, T) is a Wronskian difference at the two ends divided by
+omega_j^2 - omega_i^2: one rotation to t = T per mode and a few flops per
+pair, with a direct formula over the sum and difference frequencies for
+the few near-resonant pairs, the diagonal among them.
 
 The whole top side couples only modes of the same sine order, so its form
 is one trace Gramian of 2k x 2k blocks G_n, built once per truncation and
@@ -376,11 +380,49 @@ def _theta_factors(n_max: int, delta0: float) -> np.ndarray:
 # Exact time pair integrals for f = 0 evolutions
 # ---------------------------------------------------------------------------
 
-#: float64 entries per time-kernel array in one block of observation_norms,
-#: and per stacked-data array in one chunk of an ensemble; about ten arrays
-#: of this size are live at once, so a block peaks near 25 MB, and blocks
-#: this small run faster than larger ones (cache reuse)
+#: float64 entries per pair array in one block of observation_norms, and per
+#: stacked-data array in one chunk of an ensemble; about four arrays of this
+#: size are live at once, so a block peaks near 8 MB (tracemalloc puts a
+#: 48 x 48 call at 15 MB, most of it the trace Gramian of the whole side)
 _BLOCK_ELEMENTS = 2**18
+
+#: pairs with |w_i - w_j| T below this take the direct formula of
+#: _direct_pair_integrals, the diagonal among them; above it the rounding
+#: error of the Wronskian quotient, about eps / (2 |w_i - w_j|) for unit
+#: data, stays below eps T / 2
+_NEAR_RESONANCE = 1.0
+
+
+def _two_product(a, b):
+    """fl(a b) and its exact rounding error a b - fl(a b), by Dekker's splitting."""
+
+    def halves(x):
+        scaled = 134217729.0 * x  # 2^27 + 1: two halves of 26 significant bits
+        hi = scaled - (scaled - x)
+        return hi, x - hi
+
+    product = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = halves(a), halves(b)
+    return product, ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _ends(u0: np.ndarray, du0: np.ndarray, w: np.ndarray, T: float) -> tuple[np.ndarray, ...]:
+    """(u, u') at t = 0 and at t = T of the solutions of u'' = -w^2 u with data (u0, du0).
+
+    One rotation per mode.  The phase w T is rounded by up to half an ulp,
+    an error the pair integrals would amplify by w / |w_i - w_j|; its exact
+    residual (Dekker's product) corrects cos and sin to first order, so the
+    ends belong to the stored frequencies w.
+
+    Raises:
+        NonPositiveInput: T not positive and finite.
+    """
+    if not 0.0 < T < math.inf:
+        raise NonPositiveInput(f"observation horizon T must be positive and finite, got {T}")
+    phase, residual = _two_product(w, T)
+    cos, sin = np.cos(phase), np.sin(phase)
+    cos, sin = cos - residual * sin, sin + residual * cos
+    return u0, du0, u0 * cos + du0 / w * sin, du0 * cos - u0 * w * sin
 
 
 def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -400,34 +442,69 @@ def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     return sinc, vers
 
 
-def _time_kernels(
-    w: np.ndarray, T: float, one, other
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact int_0^T of cos cos, cos sin, sin cos and sin sin of (w_i t, w_j t).
+def _direct_pair_integrals(wi, wj, ci, si, cj, sj, T: float) -> np.ndarray:
+    """int_0^T u_i u_j dt for u = c cos(w t) + s sin(w t), elementwise.
 
-    Mode i runs over w[one] and mode j over w[other], two index expressions
-    that broadcast against each other.  All four kernels come from the sum
-    and difference frequencies, whose sine integral is odd.
-
-    Raises:
-        NonPositiveInput: T not positive and finite.
+    Products of cos and sin of (w_i t, w_j t) are half sums of cos and sin
+    of the sum and difference frequencies, whose integrals stay exact as
+    w_i - w_j tends to 0.
     """
-    if not 0.0 < T < math.inf:
-        raise NonPositiveInput(f"observation horizon T must be positive and finite, got {T}")
-    sinc_dif, vers_dif = _trig_integrals(w[one] - w[other], T)
-    sinc_tot, vers_tot = _trig_integrals(w[one] + w[other], T)
-    return (
-        0.5 * (sinc_dif + sinc_tot),
-        0.5 * (vers_tot - vers_dif),
-        0.5 * (vers_tot + vers_dif),
-        0.5 * (sinc_dif - sinc_tot),
+    sinc_dif, vers_dif = _trig_integrals(wi - wj, T)
+    sinc_tot, vers_tot = _trig_integrals(wi + wj, T)
+    return 0.5 * (
+        ci * (cj * (sinc_dif + sinc_tot) + sj * (vers_tot - vers_dif))
+        + si * (cj * (vers_tot + vers_dif) + sj * (sinc_dif - sinc_tot))
     )
 
 
-def _pair_weights(kernels, c: np.ndarray, s: np.ndarray, one, other) -> np.ndarray:
-    """int_0^T u_i(t) u_j(t) dt for u = c cos(w t) + s sin(w t), indexed as in the kernels."""
-    cc, cs, sc, ss = kernels
-    return c[one] * (c[other] * cc + s[other] * cs) + s[one] * (c[other] * sc + s[other] * ss)
+def _pair_integrals(
+    w: np.ndarray, T: float, families, rows=np.s_[...], cols=np.s_[...]
+) -> list[np.ndarray]:
+    """Exact int_0^T u_i u_j dt for each family of solutions of u'' = -w^2 u.
+
+    A family is the (u(0), u'(0), u(T), u'(T)) of _ends, one entry per mode
+    of w.  Mode i runs over the last axis of w[rows] and mode j over the
+    last axis of w[cols]; the leading axes broadcast, and the pairs come
+    out with shape (..., i, j).  The Wronskian identity
+    d/dt (u_i' u_j - u_i u_j') = (w_j^2 - w_i^2) u_i u_j gives
+
+        int_0^T u_i u_j dt = [u_i' u_j - u_i u_j']_0^T / (w_j^2 - w_i^2),
+
+    whose numerator is a product of (..., i, 4) and (..., 4, j) stacks of
+    the ends.  The near-resonant pairs, |w_i - w_j| T below
+    _NEAR_RESONANCE, are gathered and take _direct_pair_integrals instead.
+    The families share the denominator and the gathered pairs.
+    """
+
+    def mode_i(x):
+        return x[rows][..., :, None]
+
+    def mode_j(x):
+        return x[cols][..., None, :]
+
+    gap = mode_j(w) - mode_i(w)
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / (gap * (mode_j(w) + mode_i(w)))  # w_j^2 - w_i^2, to rounding
+    near = np.unravel_index(np.flatnonzero(np.abs(gap) < _NEAR_RESONANCE / T), gap.shape)
+    del gap
+
+    modes = np.arange(w.size).reshape(w.shape)  # flat index of each mode
+    i_near, j_near = (
+        np.broadcast_to(side(modes), inverse.shape)[near] for side in (mode_i, mode_j)
+    )
+    wi, wj = np.take(w, i_near), np.take(w, j_near)
+    out = []
+    for u0, du0, uT, duT in families:
+        left = np.stack([x[rows] for x in (duT, -uT, -du0, u0)], axis=-1)
+        right = np.stack([x[cols] for x in (uT, duT, u0, du0)], axis=-2)
+        with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal
+            pairs = (left @ right) * inverse
+        pairs[near] = _direct_pair_integrals(
+            wi, wj, np.take(u0, i_near), np.take(du0, i_near) / wi,
+            np.take(u0, j_near), np.take(du0, j_near) / wj, T,
+        )
+        out.append(pairs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +524,22 @@ class TraceReport:
 def _trace_gramian(basis: RadialBasis, omega: np.ndarray, T: float) -> np.ndarray:
     """Blocks G_n of the full-side trace form over (0, T), shape (n_max, 2k, 2k).
 
-    G_n = [[F cc F, F cs F], [F sc F, F ss F]] with F = diag(R_k'(1)) and
-    the time kernels of order n; the squared trace norm of data y_n =
-    (a_n, b_n / omega_n) is (1/2) sum_n y_n^T G_n y_n.  Each block is the
-    time integral of v v^T for v = F (cos, sin)(omega_n t), so it is
-    symmetric positive semidefinite.
+    G_n is the time integral of v v^T for v = F (cos, sin)(omega_n t) and
+    F = diag(R_k'(1)), so it is symmetric positive semidefinite; the
+    squared trace norm of data y_n = (a_n, b_n / omega_n) is
+    (1/2) sum_n y_n^T G_n y_n.  cos(omega t) and sin(omega t) solve
+    u'' = -omega^2 u with data (1, 0) and (0, omega), so the entries are
+    the pair integrals of _pair_integrals: the Wronskian quotient, which
+    here is the angle-addition form, and the direct formula for the
+    near-resonant pairs, among them each cos-sin pair of one mode.
     """
-    cc, cs, sc, ss = _time_kernels(omega, T, np.s_[:, :, None], np.s_[:, None, :])
+    w = np.tile(omega, 2)
+    ones, zeros = np.ones_like(omega), np.zeros_like(omega)
+    u0 = np.concatenate((ones, zeros), axis=1)
+    du0 = np.concatenate((zeros, omega), axis=1)
+    (pairs,) = _pair_integrals(w, T, (_ends(u0, du0, w, T),))
     flux = np.tile(basis.flux[: omega.shape[1]], 2)
-    return np.block([[cc, cs], [sc, ss]]) * np.outer(flux, flux)
+    return pairs * np.outer(flux, flux)
 
 
 def _trace_data(state: ModalCoefficients) -> np.ndarray:
@@ -493,20 +577,24 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     lateral strips [(0, 4 delta0) + (1 - 4 delta0, 1)] x (0, 1).
 
     Each is a quadratic form over mode pairs whose factors are exact: time
-    by trigonometric pair integrals, theta by sine and cosine overlaps, and
-    radius by element integrals (the consistent Gram matrix and the
-    eigenvalues rho_k).  The whole side is the trace Gramian form of
+    by pair integrals, theta by sine and cosine overlaps, and radius by
+    element integrals (the consistent Gram matrix and the eigenvalues
+    rho_k).  The whole side is the trace Gramian form of
     full_trace_norm_closed.  The segment and the strips are mirror
     symmetric, so their theta factors vanish between odd and even sine
     orders: the two parity classes are assembled apart, which halves the
-    time-kernel pairs.  Within a class the kernels are built for one block
-    of orders against all orders of the class at a time and shared by the
-    amplitude and velocity forms, so memory stays bounded at large
-    truncations.
+    pairs.  Each class rotates its data to t = T once per mode; the
+    amplitudes and the velocities phi_t, whose derivative is
+    -omega^2 times the amplitude, then give their pair integrals by the
+    Wronskian identity of _pair_integrals, with the direct formula for
+    the near-resonant pairs.  The pairs are formed for one block of orders
+    against all orders of the class at a time, so memory stays bounded at
+    large truncations.
 
     Raises:
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2), where the
             segment (delta0, 1 - delta0) or the strips are empty or reversed.
+        NonPositiveInput: T not positive and finite.
     """
     if not 0.0 < delta0 < 0.5:
         raise ParameterOutOfRange(f"delta0 must lie in (0, 1/2), got {delta0}")
@@ -521,19 +609,20 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
 
     restricted = 0.0
     interior = 0.0
-    every = np.s_[None, :, None, :]
     for parity in range(min(2, n_max)):
         cls = np.s_[parity::2]  # sine orders n = parity + 1, parity + 3, ...
-        w, a, b = state.omega[cls], state.a[cls], state.b[cls]
+        w, w_sq = state.omega[cls], state.omega_sq[cls]
+        amp = _ends(state.a[cls], state.b[cls], w, T)
+        u0, du0, uT, duT = amp
+        vel = (du0, -w_sq * u0, duT, -w_sq * uT)  # phi_t: u' solves u'' = -w^2 u too
         theta_cls = theta_amp[cls, cls]
         n_cls = w.shape[0]
         block = max(1, _BLOCK_ELEMENTS // (n_cls * k_max * k_max))
         for lo in range(0, n_cls, block):
-            rows = np.s_[lo : lo + block, None, :, None]
-            kernels = _time_kernels(w, T, rows, every)  # (block, n_cls, k_max, k_max)
-            amp_pairs = _pair_weights(kernels, a, b / w, rows, every)
-            vel_pairs = _pair_weights(kernels, b, -a * w, rows, every)  # phi_t
-            del kernels
+            # (block, n_cls, k_max, k_max) each
+            amp_pairs, vel_pairs = _pair_integrals(
+                w, T, (amp, vel), np.s_[lo : lo + block, None], np.s_[None]
+            )
             amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_cls, 3)
             vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_cls)
             theta_block = theta_cls[lo : lo + block]

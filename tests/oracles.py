@@ -38,8 +38,6 @@ from degenwave.params import (
 from degenwave.radial import RadialMesh, WeightedMatrices, _trapezoid_weights
 from degenwave.waves import (
     TraceReport,
-    _pair_weights,
-    _time_kernels,
     cosine_overlap_matrix,
     data_norms,
     random_state,
@@ -169,6 +167,54 @@ def trapezoid_observation_norms(
 _ALL_PAIRS_BLOCK_ELEMENTS = 2**18
 
 
+def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^T cos(w t) dt = sin(wT)/w and int_0^T sin(w t) dt = (1 - cos(wT))/w.
+
+    Where |w| T < 1e-8 the quotients are replaced by their w -> 0 limits
+    T - w^2 T^3 / 6 and w T^2 / 2.
+    """
+    wt = w * T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinc = np.sin(wt) / w
+        vers = (1.0 - np.cos(wt)) / w
+    small = np.abs(w) * T < 1e-8
+    w_small = w[small]
+    sinc[small] = T - w_small**2 * T**3 / 6.0
+    vers[small] = 0.5 * w_small * T**2
+    return sinc, vers
+
+
+def time_kernels(w: np.ndarray, T: float, one, other):
+    """Exact int_0^T of cos cos, cos sin, sin cos and sin sin of (w_i t, w_j t).
+
+    The four-kernel form the laboratory first integrated time with: mode i
+    runs over w[one] and mode j over w[other], two index expressions that
+    broadcast against each other, and all four kernels come from the sum
+    and difference frequencies.
+    """
+    sinc_dif, vers_dif = _trig_integrals(w[one] - w[other], T)
+    sinc_tot, vers_tot = _trig_integrals(w[one] + w[other], T)
+    return (
+        0.5 * (sinc_dif + sinc_tot),
+        0.5 * (vers_tot - vers_dif),
+        0.5 * (vers_tot + vers_dif),
+        0.5 * (sinc_dif - sinc_tot),
+    )
+
+
+def pair_weights(kernels, c: np.ndarray, s: np.ndarray, one, other) -> np.ndarray:
+    """int_0^T u_i(t) u_j(t) dt for u = c cos(w t) + s sin(w t), indexed as in the kernels."""
+    cc, cs, sc, ss = kernels
+    return c[one] * (c[other] * cc + s[other] * cs) + s[one] * (c[other] * sc + s[other] * ss)
+
+
+def four_kernel_trace_gramian(flux: np.ndarray, omega: np.ndarray, T: float) -> np.ndarray:
+    """Blocks G_n = [[F cc F, F cs F], [F sc F, F ss F]] of the full-side trace form."""
+    cc, cs, sc, ss = time_kernels(omega, T, np.s_[:, :, None], np.s_[:, None, :])
+    flux = np.tile(flux[: omega.shape[1]], 2)
+    return np.block([[cc, cs], [sc, ss]]) * np.outer(flux, flux)
+
+
 def _summed_strips_overlap(n_max: int, strips, kind: str) -> np.ndarray:
     build = sine_overlap_matrix if kind == "sine" else cosine_overlap_matrix
     out = np.zeros((n_max, n_max))
@@ -182,8 +228,8 @@ def pair_weight_full_trace_norm(state, T: float) -> float:
     flux = state.basis.flux[: state.k_max]
     w = state.omega
     one, other = np.s_[:, :, None], np.s_[:, None, :]
-    kernels = _time_kernels(w, T, one, other)
-    pair = _pair_weights(kernels, state.a, state.b / w, one, other)
+    kernels = time_kernels(w, T, one, other)
+    pair = pair_weights(kernels, state.a, state.b / w, one, other)
     return 0.5 * float(np.einsum("nkl,k,l->", pair, flux, flux))
 
 
@@ -231,9 +277,9 @@ def all_pairs_observation_norms(state, T: float, delta0: float) -> TraceReport:
     every = np.s_[None, :, None, :]
     for lo in range(0, n_max, block):
         rows = np.s_[lo : lo + block, None, :, None]
-        kernels = _time_kernels(w, T, rows, every)  # (block, n_max, k_max, k_max)
-        amp_pairs = _pair_weights(kernels, state.a, state.b / w, rows, every)
-        vel_pairs = _pair_weights(kernels, state.b, -state.a * w, rows, every)  # phi_t
+        kernels = time_kernels(w, T, rows, every)  # (block, n_max, k_max, k_max)
+        amp_pairs = pair_weights(kernels, state.a, state.b / w, rows, every)
+        vel_pairs = pair_weights(kernels, state.b, -state.a * w, rows, every)  # phi_t
         del kernels
         amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_max, 3)
         vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_max)

@@ -142,6 +142,38 @@ class TestConfigHandling:
         assert f"'{key}'" in err["error"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args, keys",
+        [
+            (("hardy", "--bc", "foo", "--method", "bar", "--scan", "1e-1,1e-2", "--n", "256"),
+             ("bc", "method", "scan")),
+            (("observability", "--mode", "ratio", "--size", "-5", "--n-values", "1,2"),
+             ("n_values", "size")),
+            (("observability", "--mode", "obstruction", "--n-max", "4"), ("n_max",)),
+            (("hardy", "--critical", "--scan", "1e-1,1e-2", "--delta", "0.1"), ("delta",)),
+            (("hardy", "--critical", "--alpha", "0.3"), ("alpha",)),
+            (("hardy", "--config", "unread.json", "--alpha", "0.3"), ("bc", "delta")),
+        ],
+        ids=["hardy-subcritical", "observability-ratio", "observability-obstruction",
+             "hardy-scan-and-delta", "hardy-critical-alpha", "config-file"],
+    )
+    def test_unread_key_rejected(self, tmp_path, args, keys):
+        # once exit 0 with a report whose config echo named settings the run never read
+        (tmp_path / "unread.json").write_text('{"n": 256, "delta": 0.1, "bc": "mixed"}')
+        res = run_cli(*args, "--out", "out", cwd=tmp_path)
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "config"
+        assert all(f"'{key}'" in err["error"] for key in keys)
+        assert not (tmp_path / "out").exists()
+
+    def test_common_keys_exempt(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": 0.3, "n": 256, "seed": 3, "out": str(tmp_path / "o")}))
+        res = run_cli("hardy", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "o" / "hardy.json").exists()
+
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 256, "kmax": 2, "out": str(tmp_path / "o")}))

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 from oracles import (
     all_pairs_observation_norms,
+    four_kernel_trace_gramian,
     pair_weight_full_trace_norm,
     trapezoid_observation_norms,
 )
 
 from degenwave import waves
+from degenwave.observability import default_horizon
 from degenwave.errors import GridMismatch, ParameterOutOfRange, TruncationTooSmall
 from degenwave.params import theta_strips
 from degenwave.waves import (
@@ -363,7 +365,110 @@ class TestBlockedAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 256e6
+        # 15 MB measured, most of it the trace Gramian of the whole side
+        assert peak <= 30e6
+
+
+def mp_pair_integral(wi, wj, u0i, du0i, u0j, du0j, T) -> float:
+    """int_0^T u_i u_j dt for the solutions of u'' = -w^2 u with data (u0, du0), to 40 digits.
+
+    u = u0 cos(w t) + (du0 / w) sin(w t); the products of cos and sin go
+    through the sum and difference frequencies, exact at this precision.
+    """
+    with mpmath.workdps(40):
+        wi, wj, T = mpmath.mpf(wi), mpmath.mpf(wj), mpmath.mpf(T)
+        ci, si = mpmath.mpf(u0i), mpmath.mpf(du0i) / wi
+        cj, sj = mpmath.mpf(u0j), mpmath.mpf(du0j) / wj
+
+        def integrals(f):  # int_0^T cos(f t) dt, int_0^T sin(f t) dt
+            if f == 0:
+                return T, mpmath.mpf(0)
+            return mpmath.sin(f * T) / f, (1 - mpmath.cos(f * T)) / f
+
+        sinc_dif, vers_dif = integrals(wi - wj)
+        sinc_tot, vers_tot = integrals(wi + wj)
+        cc, ss = (sinc_dif + sinc_tot) / 2, (sinc_dif - sinc_tot) / 2
+        cs, sc = (vers_tot - vers_dif) / 2, (vers_tot + vers_dif) / 2
+        return float(ci * (cj * cc + sj * cs) + si * (cj * sc + sj * ss))
+
+
+def pair_integrals(w, u0, du0, T, rows=np.s_[...]):
+    """The laboratory's pair integrals of the solutions with data (u0, du0), rows against all."""
+    (pairs,) = waves._pair_integrals(w, T, (waves._ends(u0, du0, w, T),), rows)
+    return pairs
+
+
+#: absolute bound on a pair integral with O(1) coefficients, in units of T:
+#: the worst case measured is 3e-16 T; rounding the phase w T without its
+#: residual in waves._ends leaves 2.4e-13 T just above the near threshold
+PAIR_TOLERANCE = 1e-14
+
+
+class TestPairIntegralsAgainstExtendedPrecision:
+    """The Wronskian quotient and its near-pair fallback against 40-digit mpmath."""
+
+    def test_diagonal_and_threshold_neighbours(self, basis05_k64):
+        T = default_horizon(0.01)
+        top = float(modal_state(basis05_k64, 64, 64).omega.max())
+        # |w_i - w_j| T just below and just above _NEAR_RESONANCE, on both sides
+        offsets = np.array([0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, -(1 - 1e-9), -(1 + 1e-9)])
+        w = top + offsets * waves._NEAR_RESONANCE / T
+        rng = np.random.default_rng(0)
+        u0, du0 = rng.standard_normal(w.size), w * rng.standard_normal(w.size)
+        got = pair_integrals(w, u0, du0, T)
+        for i in range(w.size):
+            for j in range(w.size):
+                ref = mp_pair_integral(w[i], w[j], u0[i], du0[i], u0[j], du0[j], T)
+                assert abs(got[i, j] - ref) <= PAIR_TOLERANCE * T
+
+    def test_far_pairs_at_the_top_frequency(self, basis05_k64):
+        T = default_horizon(0.01)
+        w = modal_state(basis05_k64, 64, 64).omega.ravel()
+        top = int(np.argmax(w))
+        rng = np.random.default_rng(1)
+        u0, du0 = rng.standard_normal(w.size), w * rng.standard_normal(w.size)
+        got = pair_integrals(w, u0, du0, T, rows=np.s_[[top]])[0]
+        for j in range(0, w.size, 7):
+            ref = mp_pair_integral(w[top], w[j], u0[top], du0[top], u0[j], du0[j], T)
+            assert abs(got[j] - ref) <= PAIR_TOLERANCE * T
+
+    def test_trace_gramian_basis_pairs(self, basis05):
+        T = T_HORIZON
+        omega = modal_state(basis05, 16, 16).omega[[0, 15]]  # lowest and highest order
+        gramian = waves._trace_gramian(basis05, omega, T)
+        flux = np.tile(basis05.flux[:16], 2)
+        for n in range(2):
+            w = np.tile(omega[n], 2)
+            u0 = np.repeat([1.0, 0.0], 16)  # cos, then sin
+            du0 = np.concatenate((np.zeros(16), omega[n]))
+            for i in range(32):
+                for j in range(i, 32):
+                    ref = mp_pair_integral(w[i], w[j], u0[i], du0[i], u0[j], du0[j], T)
+                    weight = flux[i] * flux[j]
+                    assert abs(gramian[n, i, j] - ref * weight) <= PAIR_TOLERANCE * T * abs(weight)
+
+
+class TestAgainstFourKernelOracle:
+    """The Wronskian path against the four-kernel form time was first integrated with."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_max=st_.integers(1, 24),
+        k_max=st_.integers(1, 24),
+        T=st_.floats(1.0, 60.0, exclude_min=True, exclude_max=True),
+        delta0=st_.floats(1e-4, 0.24, exclude_min=True, exclude_max=True),
+        seed=st_.integers(0, 2**16),
+    )
+    def test_norms_and_gramian(self, basis05_k64, n_max, k_max, T, delta0, seed):
+        st = random_state(basis05_k64, n_max, k_max, seed)
+        got = observation_norms(st, T, delta0)
+        expect = all_pairs_observation_norms(st, T, delta0)
+        for field in ("full_trace_norm_sq", "restricted_trace_norm_sq", "interior_norm_sq"):
+            assert getattr(got, field) == pytest.approx(getattr(expect, field), rel=1e-12)
+        gramian = waves._trace_gramian(basis05_k64, st.omega, T)
+        oracle = four_kernel_trace_gramian(basis05_k64.flux, st.omega, T)
+        scale = np.abs(oracle).max(axis=(1, 2))
+        assert np.all(np.abs(gramian - oracle).max(axis=(1, 2)) <= 1e-12 * scale)
 
 
 class TestRandomState:
