@@ -4,7 +4,8 @@ Each experiment is a subcommand.  Options resolve in the order defaults <
 JSON config file (--config) < command-line flags; unknown config keys are
 rejected, and so is a key, given by flag or in the file, that the mode the
 run selects (hardy with or without --critical, observability by --mode)
-does not read.  Exit codes: 0 success, 1 numerical failure, 2 configuration
+does not read; the run and the configuration echo of its reports see only
+the keys it reads.  Exit codes: 0 success, 1 numerical failure, 2 configuration
 error.  Errors are emitted as a JSON object on stderr so harnesses can
 parse them.  A run writes all of its
 reports or, when it fails, none.
@@ -129,19 +130,42 @@ def _coerce(key: str, kind, raw):
         raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
 
 
-def _unread_keys(command: str, config: dict) -> set[str]:
-    """Keys of the schema that the run this configuration selects never reads."""
+# keys that each mode of a subcommand reads besides out and seed; the
+# runner of a mode sees only these, so this table is the one record of
+# what a run reads.  A subcommand without modes reads its whole schema.
+_MODE_KEYS = {
+    "hardy": {
+        "subcritical": {"critical", "alpha", "n", "grading"},
+        "critical": {"critical", "delta", "bc", "method", "n", "scan"},
+        "critical scan": {"critical", "bc", "method", "n", "scan"},
+    },
+    "observability": {
+        "obstruction": {"mode", "alpha", "delta0", "t_horizon", "n_values", "k_max"},
+        "ensemble": {"mode", "alpha", "delta0", "t_horizon", "size", "n_max", "k_max"},
+        "ratio": {"mode", "alpha", "delta0", "t_horizon", "n_max", "k_max"},
+    },
+}
+
+
+def _mode(command: str, config: dict) -> str | None:
+    """The mode of _MODE_KEYS that a configuration selects, None without modes."""
     if command == "hardy":
         if not config["critical"]:
-            return {"delta", "bc", "method", "scan"}
-        return {"alpha", "grading"} | ({"delta"} if _items(config["scan"], float) else set())
+            return "subcritical"
+        return "critical scan" if _items(config["scan"], float) else "critical"
     if command == "observability":
-        return {
-            "obstruction": {"n_values", "size", "n_max"},
-            "ensemble": {"n_values"},
-            "ratio": {"n_values", "size"},
-        }.get(config["mode"], set())
-    return set()
+        return config["mode"]
+    return None
+
+
+def _read_keys(command: str, config: dict) -> set[str]:
+    """Keys that the run a configuration selects reads, out and seed among them."""
+    if command not in _MODE_KEYS:
+        return set(config)
+    mode = _mode(command, config)
+    if mode not in _MODE_KEYS[command]:
+        raise ConfigError(f"unknown {command} mode: '{mode}'")
+    return _MODE_KEYS[command][mode] | _COMMON.keys()
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
@@ -169,7 +193,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             config[key] = _coerce(key, kind, val)
             given.add(key)
 
-    unread = sorted(given & _unread_keys(command, config))
+    unread = sorted(given - _read_keys(command, config))
     if unread:
         keys = ", ".join(f"'{key}'" for key in unread)
         raise ConfigError(f"this {command} run does not read {keys}")
@@ -304,10 +328,8 @@ def _run_observability(cfg: dict) -> dict:
             ),
             "ensemble.json": {"base": base, "doubled": doubled, "max_increase": increase},
         }
-    if mode == "ratio":
-        state = random_state(basis, cfg["n_max"], cfg["k_max"], cfg["seed"])
-        return {"ratio.json": observability.observability_ratio(state, domain, T)}
-    raise ConfigError(f"unknown observability mode: '{mode}'")
+    state = random_state(basis, cfg["n_max"], cfg["k_max"], cfg["seed"])  # mode ratio
+    return {"ratio.json": observability.observability_ratio(state, domain, T)}
 
 
 def _run_validate_params(cfg: dict) -> dict:
@@ -352,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
+        reads = _read_keys(args.command, cfg)
+        cfg = {key: value for key, value in cfg.items() if key in reads}
         reports.write_reports(cfg["out"], _RUNNERS[args.command](cfg), cfg)
         return 0
     except ConfigError as exc:

@@ -442,19 +442,23 @@ def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     return sinc, vers
 
 
-def _direct_pair_integrals(wi, wj, ci, si, cj, sj, T: float) -> np.ndarray:
+def _direct_pair_integrals(wi, wj, T: float, families) -> list[np.ndarray]:
     """int_0^T u_i u_j dt for u = c cos(w t) + s sin(w t), elementwise.
 
-    Products of cos and sin of (w_i t, w_j t) are half sums of cos and sin
-    of the sum and difference frequencies, whose integrals stay exact as
-    w_i - w_j tends to 0.
+    A family is the (c_i, s_i, c_j, s_j) of its pairs.  Products of cos and
+    sin of (w_i t, w_j t) are half sums of cos and sin of the sum and
+    difference frequencies, whose integrals stay exact as w_i - w_j tends
+    to 0; the families share them.
     """
     sinc_dif, vers_dif = _trig_integrals(wi - wj, T)
     sinc_tot, vers_tot = _trig_integrals(wi + wj, T)
-    return 0.5 * (
-        ci * (cj * (sinc_dif + sinc_tot) + sj * (vers_tot - vers_dif))
-        + si * (cj * (vers_tot + vers_dif) + sj * (sinc_dif - sinc_tot))
-    )
+    return [
+        0.5 * (
+            ci * (cj * (sinc_dif + sinc_tot) + sj * (vers_tot - vers_dif))
+            + si * (cj * (vers_tot + vers_dif) + sj * (sinc_dif - sinc_tot))
+        )
+        for ci, si, cj, sj in families
+    ]
 
 
 def _pair_integrals(
@@ -472,8 +476,10 @@ def _pair_integrals(
 
     whose numerator is a product of (..., i, 4) and (..., 4, j) stacks of
     the ends.  The near-resonant pairs, |w_i - w_j| T below
-    _NEAR_RESONANCE, are gathered and take _direct_pair_integrals instead.
-    The families share the denominator and the gathered pairs.
+    _NEAR_RESONANCE, are gathered and take _direct_pair_integrals instead;
+    when every pair is near, as in the trace Gramian of one radial mode,
+    all of them do and no quotient is formed.  The families share the
+    denominator and the gathered pairs.
     """
 
     def mode_i(x):
@@ -482,27 +488,37 @@ def _pair_integrals(
     def mode_j(x):
         return x[cols][..., None, :]
 
-    gap = mode_j(w) - mode_i(w)
+    wi, wj = mode_i(w), mode_j(w)
+    gap = wj - wi
+    near = np.abs(gap) < _NEAR_RESONANCE / T
+    if near.all():
+        return _direct_pair_integrals(
+            wi, wj, T,
+            [(mode_i(u0), mode_i(du0) / wi, mode_j(u0), mode_j(du0) / wj)
+             for u0, du0, _, _ in families],
+        )
     with np.errstate(divide="ignore"):
-        inverse = 1.0 / (gap * (mode_j(w) + mode_i(w)))  # w_j^2 - w_i^2, to rounding
-    near = np.unravel_index(np.flatnonzero(np.abs(gap) < _NEAR_RESONANCE / T), gap.shape)
+        inverse = 1.0 / (gap * (wj + wi))  # w_j^2 - w_i^2, to rounding
     del gap
+    near = np.unravel_index(np.flatnonzero(near), near.shape)
 
     modes = np.arange(w.size).reshape(w.shape)  # flat index of each mode
     i_near, j_near = (
         np.broadcast_to(side(modes), inverse.shape)[near] for side in (mode_i, mode_j)
     )
-    wi, wj = np.take(w, i_near), np.take(w, j_near)
+    wi_near, wj_near = w.take(i_near), w.take(j_near)
+    near_pairs = _direct_pair_integrals(
+        wi_near, wj_near, T,
+        [(u0.take(i_near), du0.take(i_near) / wi_near, u0.take(j_near), du0.take(j_near) / wj_near)
+         for u0, du0, _, _ in families],
+    )
     out = []
-    for u0, du0, uT, duT in families:
+    for (u0, du0, uT, duT), direct in zip(families, near_pairs):
         left = np.stack([x[rows] for x in (duT, -uT, -du0, u0)], axis=-1)
         right = np.stack([x[cols] for x in (uT, duT, u0, du0)], axis=-2)
         with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal
             pairs = (left @ right) * inverse
-        pairs[near] = _direct_pair_integrals(
-            wi, wj, np.take(u0, i_near), np.take(du0, i_near) / wi,
-            np.take(u0, j_near), np.take(du0, j_near) / wj, T,
-        )
+        pairs[near] = direct
         out.append(pairs)
     return out
 

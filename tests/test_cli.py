@@ -174,6 +174,54 @@ class TestConfigHandling:
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "o" / "hardy.json").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_obstruction_orders_chosen(self, tmp_path, how):
+        # obstruction is the one mode that reads n_values; a table that
+        # called it unread there rejected every choice of the orders
+        (tmp_path / "orders.json").write_text('{"n_values": "4,8,16,40"}')
+        given = ("--n-values", "4,8,16,40") if how == "flag" else ("--config", "orders.json")
+        res = run_cli(
+            "observability", "--mode", "obstruction", *given, "--k-max", "2",
+            "--out", "out", cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        rows = csv_body(tmp_path / "out" / "obstruction.csv")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [4, 8, 16, 40]
+
+    @pytest.mark.parametrize(
+        "command, mode, doc, report",
+        [
+            ("hardy", "subcritical",
+             {"critical": False, "alpha": 0.5, "n": 256, "grading": 3.0}, "hardy.json"),
+            ("hardy", "critical",
+             {"critical": True, "delta": 0.01, "bc": "mixed", "method": "direct", "n": 256,
+              "scan": ""}, "hardy.json"),
+            ("hardy", "critical scan",
+             {"critical": True, "bc": "mixed", "method": "direct", "n": 256,
+              "scan": "1e-1,1e-2"}, "hardy.json"),
+            ("observability", "obstruction",
+             {"mode": "obstruction", "alpha": 0.5, "delta0": 0.01, "t_horizon": 0.0,
+              "n_values": "4,8,16,40", "k_max": 2}, "obstruction.json"),
+            ("observability", "ensemble",
+             {"mode": "ensemble", "alpha": 0.5, "delta0": 0.01, "t_horizon": 0.0, "size": 4,
+              "n_max": 2, "k_max": 2}, "ensemble.json"),
+            ("observability", "ratio",
+             {"mode": "ratio", "alpha": 0.5, "delta0": 0.01, "t_horizon": 0.0, "n_max": 2,
+              "k_max": 2}, "ratio.json"),
+        ],
+    )
+    def test_every_key_of_a_mode_read(self, tmp_path, command, mode, doc, report):
+        # the runner of a mode sees only the keys of its _MODE_KEYS entry,
+        # so a runner that reads any other key fails here
+        from degenwave.cli import _MODE_KEYS
+
+        assert set(doc) == _MODE_KEYS[command][mode]
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        res = run_cli(command, "--config", "run.json", "--out", "out", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        echo = json.loads((tmp_path / "out" / report).read_text())["config"]
+        assert set(echo) == set(doc) | {"out", "seed"}
+
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 256, "kmax": 2, "out": str(tmp_path / "o")}))
