@@ -1,14 +1,16 @@
 """Batch command-line front end: JSON config in, CSV/JSON reports out.
 
-Each experiment is a subcommand.  Options resolve in the order defaults <
-JSON config file (--config) < command-line flags; unknown config keys are
-rejected, and so is a key, given by flag or in the file, that the mode the
-run selects (hardy with or without --critical, observability by --mode)
-does not read; the run and the configuration echo of its reports see only
-the keys it reads.  Exit codes: 0 success, 1 numerical failure, 2 configuration
-error.  Errors are emitted as a JSON object on stderr so harnesses can
-parse them.  A run writes all of its
-reports or, when it fails, none.
+Each experiment is a subcommand; hardy runs subcritical, critical or as a
+critical scan, and observability in the mode --mode names.  The table
+`_RUNS` is the one record of what each run reads: per subcommand and mode,
+its body and its keys with their kinds and defaults.  Options resolve in the
+order defaults < JSON config file (--config) < command-line flags; a config
+key that no run of the subcommand reads is unknown and rejected, and so is
+a key, given by flag or in the file, that only other runs read; the run and
+the configuration echo of its reports see only the keys of its entry.  Exit
+codes: 0 success, 1 numerical failure, 2 configuration error.  Errors are
+emitted as a JSON object on stderr so harnesses can parse them.  A run
+writes all of its reports or, when it fails, none.
 """
 
 from __future__ import annotations
@@ -51,69 +53,6 @@ def _list_of(item):
     return kind
 
 
-# subcommand schemas: key -> (type, default); None defaults are filled later
-_SCHEMAS = {
-    "spectrum": {
-        "alpha": (float, 0.5),
-        "n": (int, 2048),
-        "grading": (float, 2.0),
-        "kmax": (int, 8),
-    },
-    "simulate": {
-        "alpha": (float, 0.5),
-        "delta0": (float, 0.01),
-        "n": (int, 1024),
-        "grading": (float, 2.0),
-        "n_max": (int, 8),
-        "k_max": (int, 8),
-        "t_horizon": (float, 0.0),
-        "samples": (int, 1000),
-    },
-    "hardy": {
-        "critical": (bool, False),
-        "alpha": (float, 0.5),
-        "delta": (float, 0.01),
-        "bc": (str, "mixed"),
-        "method": (str, "direct"),
-        "n": (int, 4096),
-        "grading": (float, 3.0),
-        "scan": (_list_of(float), ""),
-    },
-    "carleman-check": {
-        "alpha": (float, 0.5),
-        "delta0": (float, 0.03),
-        "beta": (float, 0.0149),
-        "t_horizon": (float, 40.0),
-        "lam": (float, 0.5),
-        "s": (float, 2.0),
-        "n_theta": (int, 864),
-        "n_r": (int, 24),
-        "n_t": (int, 96),
-        "r_min": (float, 0.1),
-        "mode_n": (int, 1),
-        "mode_k": (int, 1),
-        "s_scan": (_list_of(float), ""),
-    },
-    "observability": {
-        "mode": (str, "obstruction"),
-        "alpha": (float, 0.5),
-        "delta0": (float, 0.01),
-        "t_horizon": (float, 0.0),
-        "n_values": (_list_of(int), "8,16,32,64"),
-        "size": (int, 100),
-        "n_max": (int, 16),
-        "k_max": (int, 16),
-    },
-    "validate-params": {
-        "alpha": (float, 0.5),
-        "delta0": (float, 0.01),
-        "beta": (float, 0.004),
-        "t_horizon": (float, 50.0),
-        "lam": (float, 1.0),
-        "s": (float, 2.0),
-    },
-}
-
 _COMMON = {"out": (str, "runs"), "seed": (int, 20250810)}
 
 
@@ -130,25 +69,8 @@ def _coerce(key: str, kind, raw):
         raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
 
 
-# keys that each mode of a subcommand reads besides out and seed; the
-# runner of a mode sees only these, so this table is the one record of
-# what a run reads.  A subcommand without modes reads its whole schema.
-_MODE_KEYS = {
-    "hardy": {
-        "subcritical": {"critical", "alpha", "n", "grading"},
-        "critical": {"critical", "delta", "bc", "method", "n", "scan"},
-        "critical scan": {"critical", "bc", "method", "n", "scan"},
-    },
-    "observability": {
-        "obstruction": {"mode", "alpha", "delta0", "t_horizon", "n_values", "k_max"},
-        "ensemble": {"mode", "alpha", "delta0", "t_horizon", "size", "n_max", "k_max"},
-        "ratio": {"mode", "alpha", "delta0", "t_horizon", "n_max", "k_max"},
-    },
-}
-
-
 def _mode(command: str, config: dict) -> str | None:
-    """The mode of _MODE_KEYS that a configuration selects, None without modes."""
+    """The mode of the _RUNS entry that a configuration selects, None without modes."""
     if command == "hardy":
         if not config["critical"]:
             return "subcritical"
@@ -158,19 +80,19 @@ def _mode(command: str, config: dict) -> str | None:
     return None
 
 
-def _read_keys(command: str, config: dict) -> set[str]:
-    """Keys that the run a configuration selects reads, out and seed among them."""
-    if command not in _MODE_KEYS:
-        return set(config)
-    mode = _mode(command, config)
-    if mode not in _MODE_KEYS[command]:
-        raise ConfigError(f"unknown {command} mode: '{mode}'")
-    return _MODE_KEYS[command][mode] | _COMMON.keys()
+def _schema(command: str) -> dict:
+    """Kind and default of every key that some run of a subcommand reads."""
+    schema = {}
+    for (name, _), (_, keys) in _RUNS.items():
+        if name == command:
+            schema.update(keys)
+    return schema
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    schema = dict(_COMMON)
-    schema.update(_SCHEMAS[command])
+    """The configuration of the run that defaults, --config and flags select,
+    holding only the keys that run reads."""
+    schema = {**_COMMON, **_schema(command)}
     config = {k: default for k, (_, default) in schema.items()}
     given = set()
 
@@ -193,11 +115,15 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             config[key] = _coerce(key, kind, val)
             given.add(key)
 
-    unread = sorted(given - _read_keys(command, config))
+    mode = _mode(command, config)
+    if (command, mode) not in _RUNS:
+        raise ConfigError(f"unknown {command} mode: '{mode}'")
+    reads = _COMMON.keys() | _RUNS[command, mode][1].keys()
+    unread = sorted(given - reads)
     if unread:
         keys = ", ".join(f"'{key}'" for key in unread)
         raise ConfigError(f"this {command} run does not read {keys}")
-    return config
+    return {key: value for key, value in config.items() if key in reads}
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +164,29 @@ def _run_simulate(cfg: dict) -> dict:
     }
 
 
-def _run_hardy(cfg: dict) -> dict:
-    if cfg["critical"]:
-        deltas = _items(cfg["scan"], float) or [cfg["delta"]]
-        rows = []
-        constants = {}
-        last = None
-        for d in deltas:
-            rep = hardy.critical_truncated_constant(
-                d, bc=cfg["bc"], method=cfg["method"], N=cfg["n"]
-            )
-            rows.append(
-                (
-                    d,
-                    rep.numerical_best_constant,
-                    rep.reference_constant,
-                    abs(rep.numerical_best_constant - rep.reference_constant)
-                    / rep.reference_constant,
-                    rep.bc,
-                    rep.mesh_n,
-                )
-            )
-            constants[d] = rep.numerical_best_constant
-            last = rep
-        payload = {"report": last}
-        if len(deltas) >= 4:
-            payload["blowup_fit"] = hardy._fit_blowup(deltas, constants.__getitem__)
-        columns = ["delta", "C_numerical", "C_exact", "relative_error", "bc", "N"]
-        return {"hardy_scan.csv": (columns, rows), "hardy.json": payload}
+def _run_hardy_subcritical(cfg: dict) -> dict:
     mesh = build_graded_mesh(cfg["n"], cfg["grading"])
     return {"hardy.json": hardy.best_subcritical_constant(cfg["alpha"], mesh=mesh)}
+
+
+def _run_hardy_critical(cfg: dict) -> dict:
+    rows, payload = [], {}
+
+    def solve(d: float) -> float:
+        rep = hardy.critical_truncated_constant(d, bc=cfg["bc"], method=cfg["method"], N=cfg["n"])
+        c, exact = rep.numerical_best_constant, rep.reference_constant
+        rows.append((d, c, exact, abs(c - exact) / exact, rep.bc, rep.mesh_n))
+        payload["report"] = rep
+        return c
+
+    deltas = _items(cfg["scan"], float) or [cfg["delta"]]
+    if len(deltas) >= 4:  # the fit checks the scan before it solves
+        payload["blowup_fit"] = hardy._fit_blowup(deltas, solve)
+    else:
+        for d in deltas:
+            solve(d)
+    columns = ["delta", "C_numerical", "C_exact", "relative_error", "bc", "N"]
+    return {"hardy_scan.csv": (columns, rows), "hardy.json": payload}
 
 
 def _run_carleman_check(cfg: dict) -> dict:
@@ -301,34 +220,45 @@ def _run_carleman_check(cfg: dict) -> dict:
     return artifacts
 
 
-def _run_observability(cfg: dict) -> dict:
+def _observed(cfg: dict) -> tuple:
+    """Domain, horizon and radial basis of an observability run."""
     domain = DomainSpec(cfg["delta0"])
     T = cfg["t_horizon"] or observability.default_horizon(cfg["delta0"])
     basis = solve_radial_basis(cfg["alpha"], N=2048, g=2.0, k_max=2 * cfg["k_max"])
-    mode = cfg["mode"]
-    if mode == "obstruction":
-        scan = observability.high_mode_obstruction_scan(
-            _items(cfg["n_values"], int), T, domain, basis
-        )
-        return {
-            "obstruction.csv": (
-                ["n", "pure_ratio", "remedied_ratio"],
-                zip(scan.n_values, scan.pure_ratios, scan.remedied_ratios),
-            ),
-            "obstruction.json": scan,
-        }
-    if mode == "ensemble":
-        base, doubled, increase = observability.hidden_trace_stability(
-            basis, cfg["seed"], cfg["size"], (cfg["n_max"], cfg["k_max"]), T
-        )
-        return {
-            "ensemble.csv": (
-                ["member", "ratio_base", "ratio_doubled"],
-                [(i, base.ratios[i], doubled.ratios[i]) for i in range(cfg["size"])],
-            ),
-            "ensemble.json": {"base": base, "doubled": doubled, "max_increase": increase},
-        }
-    state = random_state(basis, cfg["n_max"], cfg["k_max"], cfg["seed"])  # mode ratio
+    return domain, T, basis
+
+
+def _run_obstruction(cfg: dict) -> dict:
+    domain, T, basis = _observed(cfg)
+    scan = observability.high_mode_obstruction_scan(
+        _items(cfg["n_values"], int), T, domain, basis
+    )
+    return {
+        "obstruction.csv": (
+            ["n", "pure_ratio", "remedied_ratio"],
+            zip(scan.n_values, scan.pure_ratios, scan.remedied_ratios),
+        ),
+        "obstruction.json": scan,
+    }
+
+
+def _run_ensemble(cfg: dict) -> dict:
+    _, T, basis = _observed(cfg)
+    base, doubled, increase = observability.hidden_trace_stability(
+        basis, cfg["seed"], cfg["size"], (cfg["n_max"], cfg["k_max"]), T
+    )
+    return {
+        "ensemble.csv": (
+            ["member", "ratio_base", "ratio_doubled"],
+            [(i, base.ratios[i], doubled.ratios[i]) for i in range(cfg["size"])],
+        ),
+        "ensemble.json": {"base": base, "doubled": doubled, "max_increase": increase},
+    }
+
+
+def _run_ratio(cfg: dict) -> dict:
+    domain, T, basis = _observed(cfg)
+    state = random_state(basis, cfg["n_max"], cfg["k_max"], cfg["seed"])
     return {"ratio.json": observability.observability_ratio(state, domain, T)}
 
 
@@ -340,13 +270,81 @@ def _run_validate_params(cfg: dict) -> dict:
     return {"params.json": params}
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "simulate": _run_simulate,
-    "hardy": _run_hardy,
-    "carleman-check": _run_carleman_check,
-    "observability": _run_observability,
-    "validate-params": _run_validate_params,
+# keys that several runs of one subcommand read, each written once
+_HARDY = {"critical": (bool, False), "n": (int, 4096)}
+_HARDY_CRITICAL = {
+    **_HARDY,
+    "bc": (str, "mixed"),
+    "method": (str, "direct"),
+    "scan": (_list_of(float), ""),
+}
+_OBSERVE = {
+    "mode": (str, "obstruction"),
+    "alpha": (float, 0.5),
+    "delta0": (float, 0.01),
+    "t_horizon": (float, 0.0),
+    "k_max": (int, 16),
+}
+_OBSERVE_RANDOM = {**_OBSERVE, "n_max": (int, 16)}
+
+# every run by (subcommand, mode), the mode None for a subcommand without
+# modes: its body, and each key it reads besides out and seed with its kind
+# and default.  This is the one record of what a run reads: a subcommand's
+# flags and config keys are the union of its entries, and the run and the
+# configuration echo of its reports see only the keys of its own entry.
+_RUNS = {
+    ("spectrum", None): (_run_spectrum, {
+        "alpha": (float, 0.5),
+        "n": (int, 2048),
+        "grading": (float, 2.0),
+        "kmax": (int, 8),
+    }),
+    ("simulate", None): (_run_simulate, {
+        "alpha": (float, 0.5),
+        "delta0": (float, 0.01),
+        "n": (int, 1024),
+        "grading": (float, 2.0),
+        "n_max": (int, 8),
+        "k_max": (int, 8),
+        "t_horizon": (float, 0.0),
+        "samples": (int, 1000),
+    }),
+    ("hardy", "subcritical"): (_run_hardy_subcritical, {
+        **_HARDY,
+        "alpha": (float, 0.5),
+        "grading": (float, 3.0),
+    }),
+    ("hardy", "critical"): (_run_hardy_critical, {**_HARDY_CRITICAL, "delta": (float, 0.01)}),
+    ("hardy", "critical scan"): (_run_hardy_critical, _HARDY_CRITICAL),
+    ("carleman-check", None): (_run_carleman_check, {
+        "alpha": (float, 0.5),
+        "delta0": (float, 0.03),
+        "beta": (float, 0.0149),
+        "t_horizon": (float, 40.0),
+        "lam": (float, 0.5),
+        "s": (float, 2.0),
+        "n_theta": (int, 864),
+        "n_r": (int, 24),
+        "n_t": (int, 96),
+        "r_min": (float, 0.1),
+        "mode_n": (int, 1),
+        "mode_k": (int, 1),
+        "s_scan": (_list_of(float), ""),
+    }),
+    ("observability", "obstruction"): (_run_obstruction, {
+        **_OBSERVE,
+        "n_values": (_list_of(int), "8,16,32,64"),
+    }),
+    ("observability", "ensemble"): (_run_ensemble, {**_OBSERVE_RANDOM, "size": (int, 100)}),
+    ("observability", "ratio"): (_run_ratio, _OBSERVE_RANDOM),
+    ("validate-params", None): (_run_validate_params, {
+        "alpha": (float, 0.5),
+        "delta0": (float, 0.01),
+        "beta": (float, 0.004),
+        "t_horizon": (float, 50.0),
+        "lam": (float, 1.0),
+        "s": (float, 2.0),
+    }),
 }
 
 
@@ -356,12 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Experiments for the boundary-degenerate wave laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, schema in _SCHEMAS.items():
+    for name in dict.fromkeys(command for command, _ in _RUNS):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        for key, (kind, _) in schema.items():
+        for key, (kind, _) in _schema(name).items():
             flag = "--" + key.replace("_", "-")
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True, default=None)
@@ -374,9 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args.command, args)
-        reads = _read_keys(args.command, cfg)
-        cfg = {key: value for key, value in cfg.items() if key in reads}
-        reports.write_reports(cfg["out"], _RUNNERS[args.command](cfg), cfg)
+        run, _ = _RUNS[args.command, _mode(args.command, cfg)]
+        reports.write_reports(cfg["out"], run(cfg), cfg)
         return 0
     except ConfigError as exc:
         json.dump({"error": str(exc), "kind": "config"}, sys.stderr)

@@ -166,10 +166,10 @@ def project_initial_data(
     )
 
 
-def _check_seed(seed: int) -> None:
-    """Seeds of random data are non-negative integers."""
+def _check_seed(seed: int, name: str = "seed") -> None:
+    """Seeds of random data, and the members drawn from them, are non-negative integers."""
     if seed < 0:
-        raise ParameterOutOfRange(f"seed must be non-negative, got {seed}")
+        raise ParameterOutOfRange(f"{name} must be non-negative, got {seed}")
 
 
 def random_state(
@@ -186,10 +186,12 @@ def random_state(
     modes instead of redrawing it.
 
     Raises:
-        ParameterOutOfRange: a negative seed.
+        ParameterOutOfRange: a negative seed or member.
         TruncationTooSmall: a truncation above RANDOM_CAP.
     """
     _check_seed(seed)
+    if member is not None:
+        _check_seed(member, "member")
     if max(n_max, k_max) > RANDOM_CAP:
         raise TruncationTooSmall(f"random data capped at truncation {RANDOM_CAP}")
     rng = np.random.default_rng([seed] if member is None else [seed, member])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,21 @@ class TestHardy:
         fit = json.loads((tmp_path / "hardy.json").read_text())["result"]["blowup_fit"]
         expect = hardy.blowup_rate_fit(deltas, N=256)
         assert (fit["slope"], fit["constants"]) == (expect.slope, list(expect.constants))
+
+    def test_failing_scan_solves_nothing(self, tmp_path, monkeypatch, capsys):
+        # once every delta was solved before the fit's checks rejected the scan
+        from degenwave import cli, hardy
+
+        solved = []
+        monkeypatch.setattr(
+            hardy, "critical_truncated_constant", lambda delta, **kwargs: solved.append(delta)
+        )
+        scan = ",".join(f"{k}e-1" for k in range(1, 9))  # less than two decades
+        out = tmp_path / "out"
+        assert cli.main(["hardy", "--critical", "--scan", scan, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "InsufficientData"
+        assert solved == []
+        assert not out.exists()
 
     def test_subcritical(self, tmp_path):
         res = run_cli("hardy", "--alpha", "0.3", "--n", "512", "--out", str(tmp_path))
@@ -211,16 +227,43 @@ class TestConfigHandling:
         ],
     )
     def test_every_key_of_a_mode_read(self, tmp_path, command, mode, doc, report):
-        # the runner of a mode sees only the keys of its _MODE_KEYS entry,
+        # the runner of a mode sees only the keys of its _RUNS entry,
         # so a runner that reads any other key fails here
-        from degenwave.cli import _MODE_KEYS
+        from degenwave.cli import _RUNS
 
-        assert set(doc) == _MODE_KEYS[command][mode]
+        assert set(doc) == set(_RUNS[command, mode][1])
         (tmp_path / "run.json").write_text(json.dumps(doc))
         res = run_cli(command, "--config", "run.json", "--out", "out", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         echo = json.loads((tmp_path / "out" / report).read_text())["config"]
         assert set(echo) == set(doc) | {"out", "seed"}
+
+    def test_shared_keys_agree(self):
+        # a subcommand's flags and config keys are the union of its runs' keys,
+        # well defined only while every run that reads a key gives it one kind
+        # and one default
+        from degenwave.cli import _COMMON, _RUNS
+
+        seen = {}
+        for (command, _), (_, keys) in _RUNS.items():
+            for key, spec in keys.items():
+                assert key not in _COMMON, (command, key)
+                assert seen.setdefault((command, key), spec) == spec, (command, key)
+
+    def test_readme_commands_resolve(self):
+        # every command of README's "Command line" block parses and resolves
+        from degenwave import cli
+
+        text = (SRC.parent / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("degenwave ")]
+        assert len(argvs) >= 8
+        for argv in argvs:
+            try:
+                args = cli._build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {argv}")
+            cli._resolve_config(args.command, args)
 
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "run.json"

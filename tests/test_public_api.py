@@ -256,7 +256,8 @@ def test_benchmark_cli_commands_resolve():
         except SystemExit:
             pytest.fail(f"benchmark argv does not parse: {argv}")
         cfg = cli._resolve_config(args.command, args)
-        assert set(cfg) == set(cli._COMMON) | set(cli._SCHEMAS[args.command])
+        _, keys = cli._RUNS[args.command, cli._mode(args.command, cfg)]
+        assert set(cfg) == set(cli._COMMON) | set(keys)
 
 
 def benchmark_residual_shapes():

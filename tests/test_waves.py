@@ -101,6 +101,11 @@ class TestProjection:
         with pytest.raises(ParameterOutOfRange):
             random_state(basis05, 4, 4, seed=-1, member=member)
 
+    def test_negative_member_rejected(self, basis05):
+        # once numpy's bare ValueError from default_rng
+        with pytest.raises(ParameterOutOfRange, match="member must be non-negative"):
+            random_state(basis05, 4, 4, seed=1, member=-1)
+
 
 class TestEvolution:
     def test_identity_at_zero(self, basis05):
