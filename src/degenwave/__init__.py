@@ -53,7 +53,6 @@ from .observability import (
     ObstructionScan,
     default_beta,
     default_horizon,
-    hidden_trace_ratio_ensemble,
     hidden_trace_stability,
     high_mode_obstruction_scan,
     observability_ratio,

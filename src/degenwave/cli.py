@@ -358,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=str, default=None)
         for key, (kind, _) in _schema(name).items():
             flag = "--" + key.replace("_", "-")
             if kind is bool:

@@ -10,7 +10,8 @@ their energy grows like (n pi)^2 while the top-side trace stays bounded, so
 the pure-trace ratio diverges with slope 2 in log-log, and only the
 interior term restores boundedness.  Every observation term comes from the
 exact forms of waves: scanned modes and single data through
-observation_norms, ensembles through the trace Gramian of their truncation.
+observation_norms; ensembles draw each member once, at the largest
+truncation, and apply the trace Gramian of each truncation to its slice.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from .waves import (
     _BLOCK_ELEMENTS,
     ModalCoefficients,
     _check_seed,
+    _frequencies,
     _full_trace_forms,
-    _trace_data,
+    _random_coefficients,
     _trace_gramian,
-    data_norms,
     energy,
     modal_state,
     observation_norms,
-    random_state,
 )
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "default_horizon",
     "observability_ratio",
     "high_mode_obstruction_scan",
-    "hidden_trace_ratio_ensemble",
     "hidden_trace_stability",
 ]
 
@@ -168,21 +167,25 @@ class EnsembleStats:
     mean_ratio: float
 
 
-def hidden_trace_ratio_ensemble(
+def _ensemble_stats(
     basis: RadialBasis,
     seed: int,
     size: int,
-    truncation: tuple[int, int],
+    truncations,
     T: float,
-) -> EnsembleStats:
-    """Distribution of full-side trace norms against the data energy norms.
+) -> list[EnsembleStats]:
+    """Full-side trace norms against the data energy norms, at each truncation.
 
     Each member is a seeded damped random datum; the ratio is the squared
     trace norm over the squared data norm (weighted-gradient part of phi0
     plus L2 part of phi1).  Time integration is exact, so the statistics
-    carry no quadrature error.  The trace Gramian of the truncation is built
-    once and applied to the stacked members in batched products, chunk by
-    chunk so that the stacked data stay within a fixed element budget.
+    carry no quadrature error.  The trace Gramian of each truncation is
+    built once.  Chunk by chunk, so that the stacked data stay within a
+    fixed element budget at the largest truncation, the members are drawn
+    once at that truncation, and every truncation reads its slice of them:
+    the data y = (a, b / omega) and the data norms are array operations
+    over the chunk, and the Gramian applies to all of it in batched
+    products.
 
     Raises:
         ParameterOutOfRange: size below 1 or a negative seed.
@@ -190,31 +193,39 @@ def hidden_trace_ratio_ensemble(
     if size < 1:
         raise ParameterOutOfRange(f"ensemble size must be at least 1, got {size}")
     _check_seed(seed)
-    n_max, k_max = truncation
-    omega = modal_state(basis, n_max, k_max).omega
-    gramian = _trace_gramian(basis, omega, T)
-    chunk = max(1, _BLOCK_ELEMENTS // (n_max * 2 * k_max))
-    ratios = []
+    n_big = max(n for n, _ in truncations)
+    k_big = max(k for _, k in truncations)
+    forms = []
+    for n_max, k_max in truncations:
+        omega, omega_sq = _frequencies(basis, n_max, k_max)
+        forms.append((omega, omega_sq, _trace_gramian(basis, omega, T)))
+    chunk = max(1, _BLOCK_ELEMENTS // (n_big * 2 * k_big))
+    ratios = [[] for _ in truncations]
     for lo in range(0, size, chunk):
-        members = range(lo, min(lo + chunk, size))
-        y = np.empty((n_max, len(members), 2 * k_max))
-        norms = np.empty(len(members))
-        for j, member in enumerate(members):
-            state = random_state(basis, n_max, k_max, seed, member=member)
-            y[:, j] = _trace_data(state)
-            norms[j] = sum(data_norms(state))
-        ratios.extend(_full_trace_forms(gramian, y) / norms)
-    arr = np.asarray(ratios)
-    return EnsembleStats(
-        seed=seed,
-        size=size,
-        n_max=n_max,
-        k_max=k_max,
-        T=T,
-        ratios=tuple(float(x) for x in arr),
-        max_ratio=float(arr.max()),
-        mean_ratio=float(arr.mean()),
-    )
+        a_big, b_big = _random_coefficients(seed, range(lo, min(lo + chunk, size)), n_big, k_big)
+        for (omega, omega_sq, gramian), out in zip(forms, ratios):
+            n_max, k_max = omega.shape
+            a, b = a_big[:, :n_max, :k_max], b_big[:, :n_max, :k_max]
+            y = np.empty((n_max, len(a), 2 * k_max))  # y[n, member] = (a_n, b_n / omega_n)
+            y[..., :k_max] = a.swapaxes(0, 1)
+            np.divide(b.swapaxes(0, 1), omega[:, None], out=y[..., k_max:])
+            h1w = 0.5 * np.sum((omega_sq * a**2).reshape(len(a), -1), axis=1)
+            l2 = 0.5 * np.sum((b**2).reshape(len(b), -1), axis=1)
+            out.extend(_full_trace_forms(gramian, y) / (h1w + l2))
+    stats = []
+    for (n_max, k_max), member_ratios in zip(truncations, ratios):
+        arr = np.asarray(member_ratios)
+        stats.append(EnsembleStats(
+            seed=seed,
+            size=size,
+            n_max=n_max,
+            k_max=k_max,
+            T=T,
+            ratios=tuple(float(x) for x in arr),
+            max_ratio=float(arr.max()),
+            mean_ratio=float(arr.mean()),
+        ))
+    return stats
 
 
 def hidden_trace_stability(
@@ -228,12 +239,14 @@ def hidden_trace_stability(
 
     Random data extend consistently under doubling (same master coefficient
     block), so the comparison isolates the effect of the added high modes.
+    Each member is drawn once, at the doubling, and both truncations read
+    it.
 
     Raises:
         ParameterOutOfRange: size below 1 or a negative seed.
+        TruncationTooSmall: the doubling above RANDOM_CAP.
     """
-    base = hidden_trace_ratio_ensemble(basis, seed, size, truncation, T)
     doubled_trunc = (2 * truncation[0], 2 * truncation[1])
-    doubled = hidden_trace_ratio_ensemble(basis, seed, size, doubled_trunc, T)
+    base, doubled = _ensemble_stats(basis, seed, size, (truncation, doubled_trunc), T)
     increase = doubled.max_ratio / base.max_ratio - 1.0
     return base, doubled, increase

@@ -20,7 +20,8 @@ applied to any number of data in batched products.  The restricted segment
 and the lateral strips are mirror symmetric under theta -> 1 - theta, which
 multiplies sin(n pi theta) by (-1)^(n+1); their overlaps vanish for n + m
 odd, so observation_norms assembles the odd and the even sine orders apart,
-each in blocks of orders so that memory stays bounded.
+each in blocks of orders so that memory stays bounded, and reads the whole
+side from the same-order pairs it forms there.
 """
 
 from __future__ import annotations
@@ -172,6 +173,39 @@ def _check_seed(seed: int, name: str = "seed") -> None:
         raise ParameterOutOfRange(f"{name} must be non-negative, got {seed}")
 
 
+#: damping (n^2 + k^2)^-1 of the master block, n and k from 1 to RANDOM_CAP
+_RANDOM_DAMP = 1.0 / (
+    np.arange(1, RANDOM_CAP + 1)[:, None] ** 2 + np.arange(1, RANDOM_CAP + 1)[None, :] ** 2
+)
+
+
+def _random_coefficients(seed: int, members, n_max: int, k_max: int) -> np.ndarray:
+    """Damped random coefficients (a, b) of seeded data, shape (2, len(members), n_max, k_max).
+
+    The stream of member j is seeded by [seed, members[j]], or by [seed]
+    alone where members[j] is None.  Its first 2 RANDOM_CAP^2 standard
+    normals, read as (2, RANDOM_CAP, RANDOM_CAP), are the master block of a
+    and b, and a truncation reads only its prefix of
+    RANDOM_CAP^2 + (n_max - 1) RANDOM_CAP + k_max normals; only that
+    prefix is drawn, into one buffer that every member reuses.
+
+    Raises:
+        TruncationTooSmall: a truncation above RANDOM_CAP, before any draw.
+    """
+    if max(n_max, k_max) > RANDOM_CAP:
+        raise TruncationTooSmall(f"random data capped at truncation {RANDOM_CAP}")
+    raw = np.empty(2 * RANDOM_CAP**2)
+    master = raw.reshape(2, RANDOM_CAP, RANDOM_CAP)[:, :n_max, :k_max]
+    prefix = raw[: RANDOM_CAP**2 + (n_max - 1) * RANDOM_CAP + k_max]
+    out = np.empty((2, len(members), n_max, k_max))
+    for j, member in enumerate(members):
+        rng = np.random.default_rng([seed] if member is None else [seed, member])
+        rng.standard_normal(out=prefix)
+        out[:, j] = master
+    out *= _RANDOM_DAMP[:n_max, :k_max]
+    return out
+
+
 def random_state(
     basis: RadialBasis,
     n_max: int,
@@ -181,9 +215,10 @@ def random_state(
 ) -> ModalCoefficients:
     """Seeded random datum with standard normal coefficients damped by (n^2+k^2)^-1.
 
-    Coefficients are sliced from a fixed 64 x 64 master block drawn in one
-    shot, so enlarging the truncation extends the same datum with new damped
-    modes instead of redrawing it.
+    Coefficients are slices of a fixed 64 x 64 master block, the first
+    normals of the datum's stream, so enlarging the truncation extends the
+    same datum with new damped modes instead of redrawing it.  Only the
+    prefix of the stream that the truncation reads is drawn.
 
     Raises:
         ParameterOutOfRange: a negative seed or member.
@@ -192,15 +227,9 @@ def random_state(
     _check_seed(seed)
     if member is not None:
         _check_seed(member, "member")
-    if max(n_max, k_max) > RANDOM_CAP:
-        raise TruncationTooSmall(f"random data capped at truncation {RANDOM_CAP}")
-    rng = np.random.default_rng([seed] if member is None else [seed, member])
-    raw = rng.standard_normal((2, RANDOM_CAP, RANDOM_CAP))
-    n = np.arange(1, RANDOM_CAP + 1)
-    damp = 1.0 / (n[:, None] ** 2 + n[None, :] ** 2)
-    a = (raw[0] * damp)[:n_max, :k_max]
-    b = (raw[1] * damp)[:n_max, :k_max]
-    return modal_state(basis, n_max, k_max, amplitudes=a, velocities=b)
+    omega, omega_sq = _frequencies(basis, n_max, k_max)
+    a, b = _random_coefficients(seed, [member], n_max, k_max)[:, 0]
+    return ModalCoefficients(basis=basis, a=a, b=b, omega=omega, omega_sq=omega_sq)
 
 
 def _rotate(a, b, w, t) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +414,7 @@ def _theta_factors(n_max: int, delta0: float) -> np.ndarray:
 #: float64 entries per pair array in one block of observation_norms, and per
 #: stacked-data array in one chunk of an ensemble; about four arrays of this
 #: size are live at once, so a block peaks near 8 MB (tracemalloc puts a
-#: 48 x 48 call at 15 MB, most of it the trace Gramian of the whole side)
+#: 48 x 48 call at 9 MB)
 _BLOCK_ELEMENTS = 2**18
 
 #: pairs with |w_i - w_j| T below this take the direct formula of
@@ -597,11 +626,15 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     Each is a quadratic form over mode pairs whose factors are exact: time
     by pair integrals, theta by sine and cosine overlaps, and radius by
     element integrals (the consistent Gram matrix and the eigenvalues
-    rho_k).  The whole side is the trace Gramian form of
-    full_trace_norm_closed.  The segment and the strips are mirror
-    symmetric, so their theta factors vanish between odd and even sine
-    orders: the two parity classes are assembled apart, which halves the
-    pairs.  Each class rotates its data to t = T once per mode; the
+    rho_k).  On the whole side the theta factor is delta_nm / 2 and the
+    radial factor R_k'(1) R_l'(1) is the segment's, so its form is half
+    the sum of the segment's (n, n) pairs over the sine orders n; the pair
+    of each order is kept and the orders are summed once at the end, so the
+    value does not depend on the blocking.  full_trace_norm_closed gives
+    the same form through the trace Gramian.  The segment and the strips
+    are mirror symmetric, so their theta factors vanish between odd and
+    even sine orders: the two parity classes are assembled apart, which
+    halves the pairs.  Each class rotates its data to t = T once per mode; the
     amplitudes and the velocities phi_t, whose derivative is
     -omega^2 times the amplitude, then give their pair integrals by the
     Wronskian identity of _pair_integrals, with the direct formula for
@@ -625,6 +658,7 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
         [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
     ).reshape(k_max * k_max, 3)
 
+    full = np.empty(n_max)  # (n, n) pair form of the whole side, per sine order
     restricted = 0.0
     interior = 0.0
     for parity in range(min(2, n_max)):
@@ -644,11 +678,13 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
             amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_cls, 3)
             vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_cls)
             theta_block = theta_cls[lo : lo + block]
+            rows = np.arange(len(theta_block))
+            full[cls][lo : lo + block] = amp_nm[rows, lo + rows, 0]
             terms = np.sum(amp_nm * theta_block, axis=(0, 1))
             restricted += float(terms[0])
             interior += float(terms[1] + terms[2] + np.sum(vel_nm * theta_block[..., 2]))
     return TraceReport(
-        full_trace_norm_sq=full_trace_norm_closed(state, T),
+        full_trace_norm_sq=0.5 * float(np.sum(full)),
         restricted_trace_norm_sq=restricted,
         interior_norm_sq=interior,
     )

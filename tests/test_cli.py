@@ -138,6 +138,18 @@ class TestConfigHandling:
         res = run_cli("spectrum", "--config", str(cfg))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_bad_seed_is_json_error(self, tmp_path, how):
+        # the seed flag once went through argparse, which printed its usage text instead
+        (tmp_path / "seed.json").write_text('{"seed": "abc"}')
+        args = ("--seed", "abc") if how == "flag" else ("--config", "seed.json")
+        res = run_cli("spectrum", *args, "--out", "out", cwd=tmp_path)
+        assert res.returncode == 2
+        assert json.loads(res.stderr) == {
+            "error": "invalid value for key 'seed': 'abc'", "kind": "config"
+        }
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "args, key",
         [

@@ -11,17 +11,19 @@ from degenwave.errors import (
     NonPositiveInput,
     ParameterOutOfRange,
     TimeTooShort,
+    TruncationTooSmall,
 )
 from degenwave.observability import (
+    _ensemble_stats,
     default_beta,
     default_horizon,
-    hidden_trace_ratio_ensemble,
     hidden_trace_stability,
     high_mode_obstruction_scan,
     observability_ratio,
 )
 from degenwave.params import observation_time_threshold, theta_strips
 from degenwave.waves import (
+    RANDOM_CAP,
     data_norms,
     full_trace_norm_closed,
     modal_state,
@@ -118,9 +120,9 @@ class TestObstructionScan:
 
 class TestHiddenTraceEnsemble:
     def test_reproducible(self, basis05_k64, horizon):
-        a = hidden_trace_ratio_ensemble(basis05_k64, 7, 10, (8, 8), horizon)
-        b = hidden_trace_ratio_ensemble(basis05_k64, 7, 10, (8, 8), horizon)
-        assert a.ratios == b.ratios
+        a = hidden_trace_stability(basis05_k64, 7, 10, (8, 8), horizon)
+        b = hidden_trace_stability(basis05_k64, 7, 10, (8, 8), horizon)
+        assert a == b
 
     def test_single_mode_member_closed_form(self, basis05_k64, horizon):
         st = modal_state(basis05_k64, 1, 1, amplitudes={(1, 1): 2.0}, velocities={(1, 1): -1.0})
@@ -147,35 +149,60 @@ class TestHiddenTraceEnsemble:
     def test_ratio_homogeneity(self, basis05_k64, horizon):
         st = random_state(basis05_k64, 8, 8, seed=3, member=0)
         scaled = modal_state(basis05_k64, 8, 8, amplitudes=5.0 * st.a, velocities=5.0 * st.b)
-        from degenwave.waves import data_norms
-
         r1 = full_trace_norm_closed(st, horizon) / sum(data_norms(st))
         r2 = full_trace_norm_closed(scaled, horizon) / sum(data_norms(scaled))
         assert r2 == pytest.approx(r1, rel=1e-10)
 
 
+def counted_generators(monkeypatch) -> list:
+    """The seed entropy of every numpy Generator made while the patch holds."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return made
+
+
 class TestBatchedEnsemble:
     @pytest.mark.parametrize("truncation", [(1, 1), (8, 8), (16, 16), (7, 12)])
     def test_matches_per_member_oracle(self, basis05_k64, horizon, truncation):
-        stats = hidden_trace_ratio_ensemble(basis05_k64, 11, 30, truncation, horizon)
-        expect = per_member_ensemble_ratios(basis05_k64, 11, 30, truncation, horizon)
-        assert np.allclose(stats.ratios, expect, rtol=1e-13, atol=0.0)
-        for member in (0, 29):
-            st = random_state(basis05_k64, *truncation, 11, member=member)
-            one = full_trace_norm_closed(st, horizon) / sum(data_norms(st))
-            assert stats.ratios[member] == pytest.approx(one, rel=1e-13)
+        """Both truncations of the stability run against one member at a time."""
+        doubled_trunc = tuple(2 * x for x in truncation)
+        base, doubled, _ = hidden_trace_stability(basis05_k64, 11, 30, truncation, horizon)
+        for stats, trunc in ((base, truncation), (doubled, doubled_trunc)):
+            expect = per_member_ensemble_ratios(basis05_k64, 11, 30, trunc, horizon)
+            assert np.allclose(stats.ratios, expect, rtol=1e-13, atol=0.0)
+            for member in (0, 29):
+                st = random_state(basis05_k64, *trunc, 11, member=member)
+                one = full_trace_norm_closed(st, horizon) / sum(data_norms(st))
+                assert stats.ratios[member] == pytest.approx(one, rel=1e-13)
 
     def test_chunk_invariance(self, basis05_k64, horizon, monkeypatch):
-        whole = hidden_trace_ratio_ensemble(basis05_k64, 12, 20, (8, 8), horizon)
-        # three members per chunk: chunks of 3 and a ragged 2
-        monkeypatch.setattr(observability, "_BLOCK_ELEMENTS", 3 * 8 * 16)
-        chunked = hidden_trace_ratio_ensemble(basis05_k64, 12, 20, (8, 8), horizon)
-        assert np.allclose(chunked.ratios, whole.ratios, rtol=1e-14, atol=0.0)
+        whole = hidden_trace_stability(basis05_k64, 12, 20, (8, 8), horizon)
+        # three members per chunk at the doubled truncation (16, 16):
+        # chunks of 3 and a ragged 2
+        monkeypatch.setattr(observability, "_BLOCK_ELEMENTS", 3 * 16 * 32)
+        chunked = hidden_trace_stability(basis05_k64, 12, 20, (8, 8), horizon)
+        for got, ref, trunc in zip(chunked[:2], whole[:2], ((8, 8), (16, 16))):
+            assert np.allclose(got.ratios, ref.ratios, rtol=1e-14, atol=0.0)
+            expect = per_member_ensemble_ratios(basis05_k64, 12, 20, trunc, horizon)
+            assert np.allclose(got.ratios, expect, rtol=1e-13, atol=0.0)
+
+    def test_each_member_drawn_once(self, basis05_k64, horizon, monkeypatch):
+        made = counted_generators(monkeypatch)
+        # two members per chunk at (16, 16): chunks of 2 and a ragged 1
+        monkeypatch.setattr(observability, "_BLOCK_ELEMENTS", 2 * 16 * 32)
+        hidden_trace_stability(basis05_k64, 12, 5, (8, 8), horizon)
+        assert made == [[12, member] for member in range(5)]
 
     def test_memory_bound(self, basis05_k64, horizon):
         tracemalloc.start()
         try:
-            hidden_trace_ratio_ensemble(basis05_k64, 13, 2000, (64, 64), horizon)
+            hidden_trace_stability(basis05_k64, 13, 2000, (32, 32), horizon)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -184,18 +211,27 @@ class TestBatchedEnsemble:
     @pytest.mark.parametrize("size", [0, -3])
     def test_empty_ensemble_rejected(self, basis05_k64, horizon, size):
         with pytest.raises(ParameterOutOfRange):
-            hidden_trace_ratio_ensemble(basis05_k64, 7, size, (4, 4), horizon)
+            _ensemble_stats(basis05_k64, 7, size, [(4, 4)], horizon)
         with pytest.raises(ParameterOutOfRange):
             hidden_trace_stability(basis05_k64, 7, size, (4, 4), horizon)
 
     def test_negative_seed_rejected_before_any_member(self, basis05_k64, horizon, monkeypatch):
         drawn = []
-        monkeypatch.setattr(observability, "random_state", lambda *args, **kw: drawn.append(args))
+        monkeypatch.setattr(
+            observability, "_random_coefficients", lambda *args: drawn.append(args)
+        )
+        made = counted_generators(monkeypatch)
         with pytest.raises(ParameterOutOfRange):
-            hidden_trace_ratio_ensemble(basis05_k64, -1, 4, (4, 4), horizon)
+            _ensemble_stats(basis05_k64, -1, 4, [(4, 4)], horizon)
         with pytest.raises(ParameterOutOfRange):
             hidden_trace_stability(basis05_k64, -1, 4, (4, 4), horizon)
-        assert drawn == []
+        assert drawn == [] and made == []
+
+    def test_doubling_above_cap_rejected_before_any_draw(self, basis05_k64, horizon, monkeypatch):
+        made = counted_generators(monkeypatch)
+        with pytest.raises(TruncationTooSmall):
+            hidden_trace_stability(basis05_k64, 7, 4, (RANDOM_CAP // 2 + 1, 4), horizon)
+        assert made == []
 
 
 class TestTraceTimeMonotonicity:
@@ -218,4 +254,4 @@ class TestTraceTimeMonotonicity:
         with pytest.raises(NonPositiveInput):
             observation_norms(st, T, 0.01)
         with pytest.raises(NonPositiveInput):
-            hidden_trace_ratio_ensemble(basis05, 7, 4, (4, 4), T)
+            hidden_trace_stability(basis05, 7, 4, (4, 4), T)

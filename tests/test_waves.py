@@ -255,6 +255,20 @@ class TestBoundaryTrace:
         with pytest.raises(ParameterOutOfRange):
             observation_norms(st, 10.0, delta0)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (12, 12), (17, 9), (48, 48), (64, 64)])
+    def test_full_side_matches_trace_gramian(self, basis05_k64, shape):
+        """The parity pairs' full trace against the trace Gramian of full_trace_norm_closed."""
+        st = random_state(basis05_k64, *shape, seed=18)
+        got = observation_norms(st, T_HORIZON, 0.01).full_trace_norm_sq
+        assert got == pytest.approx(full_trace_norm_closed(st, T_HORIZON), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_full_side_of_scanned_modes(self, basis05_k64, n):
+        """The obstruction scan's modes R_1 sin(n pi theta) cos(omega_n t)."""
+        st = modal_state(basis05_k64, n, 1, amplitudes={(n, 1): 1.0})
+        got = observation_norms(st, T_HORIZON, 0.01).full_trace_norm_sq
+        assert got == pytest.approx(full_trace_norm_closed(st, T_HORIZON), rel=1e-14, abs=0.0)
+
     def test_trapezoid_agrees_with_closed_form(self, basis05):
         st = random_state(basis05, 4, 4, seed=10)
         exact = observation_norms(st, T_HORIZON, 0.01)
@@ -370,7 +384,7 @@ class TestBlockedAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 15 MB measured, most of it the trace Gramian of the whole side
+        # 9 MB measured: the blocks of pairs, with no trace Gramian of the whole side
         assert peak <= 30e6
 
 
@@ -492,6 +506,23 @@ class TestRandomState:
     def test_cap(self, basis05):
         with pytest.raises(TruncationTooSmall):
             random_state(basis05, RANDOM_CAP + 1, 4, seed=0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 12), (16, 16), (64, 64)])
+    def test_prefix_draw_matches_master_block(self, basis05_k64, shape):
+        """The draw helper reads the prefix of each member's stream: the
+        slice of the whole master block drawn in one shot, as first written,
+        and the datum of random_state."""
+        n_max, k_max = shape
+        a, b = waves._random_coefficients(23, [0, 99], n_max, k_max)
+        n = np.arange(1, RANDOM_CAP + 1)
+        damp = 1.0 / (n[:, None] ** 2 + n[None, :] ** 2)
+        for j, member in enumerate((0, 99)):
+            raw = np.random.default_rng([23, member]).standard_normal((2, RANDOM_CAP, RANDOM_CAP))
+            assert np.array_equal(a[j], (raw[0] * damp)[:n_max, :k_max])
+            assert np.array_equal(b[j], (raw[1] * damp)[:n_max, :k_max])
+            st = random_state(basis05_k64, n_max, k_max, 23, member=member)
+            assert np.array_equal(a[j], st.a)
+            assert np.array_equal(b[j], st.b)
 
 
 def mp_overlap_matrix(n_max, a, b, sign):
