@@ -38,7 +38,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._threads import deal
-from .errors import DegenerateCellTouched, GridMismatch, NonPositiveInput, ParameterOutOfRange
+from .errors import (
+    DegenerateCellTouched,
+    GridMismatch,
+    InsufficientData,
+    NonPositiveInput,
+    ParameterOutOfRange,
+)
 from .params import CarlemanParams, eval_cutoff, theta_cutoff, theta_strips, time_cutoff
 from .radial import _trapezoid_weights, bessel_radial_mode
 from .waves import _rotate
@@ -489,7 +495,13 @@ def conjugation_order_study(
     levels: int = 3,
     r_min: float = 0.1,
 ) -> tuple[list[ConjugationReport], float]:
-    """Residuals under uniform grid halving and the mean observed order."""
+    """Residuals under uniform grid halving and the mean observed order.
+
+    Raises:
+        InsufficientData: fewer than 2 levels, which give no order.
+    """
+    if levels < 2:
+        raise InsufficientData(f"an order needs at least 2 levels, got {levels}")
     reports = [
         conjugation_residual(
             solution, params, shape=tuple(c * 2**lvl for c in base_shape), r_min=r_min

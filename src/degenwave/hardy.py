@@ -182,6 +182,7 @@ def blowup_rate_fit(
     `critical_truncated_constant` with the given bc, method and N.
 
     Raises:
+        DeltaOutOfRange: a delta outside (0, 1).
         InsufficientData: fewer than 4 deltas or a span below two decades.
     """
     return _fit_blowup(
@@ -197,6 +198,9 @@ def _fit_blowup(deltas: Sequence[float], constant: Callable[[float], float]) -> 
     passes its checks.
     """
     ds = [float(d) for d in deltas]
+    for d in ds:
+        if not 0.0 < d < 1.0:
+            raise DeltaOutOfRange(f"delta must lie in (0, 1), got {d}")
     if len(ds) < 4:
         raise InsufficientData("need at least 4 truncation values")
     if max(ds) / min(ds) < 100.0:

@@ -10,8 +10,10 @@ their energy grows like (n pi)^2 while the top-side trace stays bounded, so
 the pure-trace ratio diverges with slope 2 in log-log, and only the
 interior term restores boundedness.  Every observation term comes from the
 exact forms of waves: scanned modes and single data through
-observation_norms; ensembles draw each member once, at the largest
-truncation, and apply the trace Gramian of each truncation to its slice.
+observation_norms, whose full side is the same-order pair integrals of the
+datum's own ends; ensembles draw each member once, at the largest
+truncation, and apply the trace Gramian of each truncation, built only
+here, to its slice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .waves import (
     ModalCoefficients,
     _check_seed,
     _frequencies,
-    _full_trace_forms,
     _random_coefficients,
     _trace_gramian,
     energy,
@@ -180,12 +181,15 @@ def _ensemble_stats(
     trace norm over the squared data norm (weighted-gradient part of phi0
     plus L2 part of phi1).  Time integration is exact, so the statistics
     carry no quadrature error.  The trace Gramian of each truncation is
-    built once.  Chunk by chunk, so that the stacked data stay within a
-    fixed element budget at the largest truncation, the members are drawn
-    once at that truncation, and every truncation reads its slice of them:
-    the data y = (a, b / omega) and the data norms are array operations
-    over the chunk, and the Gramian applies to all of it in batched
-    products.
+    built once, the one place it is built: a single datum contracts its
+    own ends instead (full_trace_norm_closed), which is cheaper for one
+    datum but several times slower, member by member, than one block per
+    order applied to a whole chunk.  Chunk by chunk, so that
+    the stacked data stay within a fixed element budget at the largest
+    truncation, the members are drawn once at that truncation, and every
+    truncation reads its slice of them: the data y = (a, b / omega) and
+    the data norms are array operations over the chunk, and
+    (1/2) sum_n y_n^T G_n y_n is one batched product per sine order.
 
     Raises:
         ParameterOutOfRange: size below 1 or a negative seed.
@@ -211,7 +215,8 @@ def _ensemble_stats(
             np.divide(b.swapaxes(0, 1), omega[:, None], out=y[..., k_max:])
             h1w = 0.5 * np.sum((omega_sq * a**2).reshape(len(a), -1), axis=1)
             l2 = 0.5 * np.sum((b**2).reshape(len(b), -1), axis=1)
-            out.extend(_full_trace_forms(gramian, y) / (h1w + l2))
+            trace = 0.5 * np.einsum("nmi,nmi->m", y @ gramian, y)
+            out.extend(trace / (h1w + l2))
     stats = []
     for (n_max, k_max), member_ratios in zip(truncations, ratios):
         arr = np.asarray(member_ratios)

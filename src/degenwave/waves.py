@@ -14,14 +14,15 @@ omega_j^2 - omega_i^2: one rotation to t = T per mode and a few flops per
 pair, with a direct formula over the sum and difference frequencies for
 the few near-resonant pairs, the diagonal among them.
 
-The whole top side couples only modes of the same sine order, so its form
-is one trace Gramian of 2k x 2k blocks G_n, built once per truncation and
-applied to any number of data in batched products.  The restricted segment
-and the lateral strips are mirror symmetric under theta -> 1 - theta, which
-multiplies sin(n pi theta) by (-1)^(n+1); their overlaps vanish for n + m
-odd, so observation_norms assembles the odd and the even sine orders apart,
-each in blocks of orders so that memory stays bounded, and reads the whole
-side from the same-order pairs it forms there.
+The whole top side couples only modes of the same sine order, so one
+datum's form is the sum of the same-order pair integrals of its own ends
+(full_trace_norm_closed).  The trace Gramian of 2k x 2k blocks G_n is
+built only for ensembles, where one block serves a whole chunk of members.
+The restricted segment and the lateral strips are mirror symmetric under
+theta -> 1 - theta, which multiplies sin(n pi theta) by (-1)^(n+1); their
+overlaps vanish for n + m odd, so observation_norms assembles the odd and
+the even sine orders apart, each in blocks of orders so that memory stays
+bounded.
 """
 
 from __future__ import annotations
@@ -589,28 +590,25 @@ def _trace_gramian(basis: RadialBasis, omega: np.ndarray, T: float) -> np.ndarra
     return pairs * np.outer(flux, flux)
 
 
-def _trace_data(state: ModalCoefficients) -> np.ndarray:
-    """Scaled modal data y_n = (a_n, b_n / omega_n) of the trace Gramian, shape (n_max, 2k)."""
-    return np.concatenate((state.a, state.b / state.omega), axis=1)
-
-
-def _full_trace_forms(gramian: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(1/2) sum_n y_n^T G_n y_n for data stacked as y[n, datum, :].
-
-    One batched product per sine order serves every datum.
-    """
-    return 0.5 * np.einsum("nmi,nmi->m", y @ gramian, y)
-
-
 def full_trace_norm_closed(state: ModalCoefficients, T: float) -> float:
     """Exact squared L2 norm over (0, T) of the normal derivative on the top side.
 
-    Sine orthogonality on the whole side couples only mode pairs of the same
-    sine order, so the form is block diagonal in n: one trace Gramian block
-    per order.
+    The normal derivative is sum amp_nk(t) sin(n pi theta) R_k'(1), and
+    sine orthogonality on the whole side leaves only the pairs of one sine
+    order, each with theta factor 1/2: the form is half the sum over n, k, l
+    of R_k'(1) R_l'(1) int_0^T amp_nk amp_nl dt.  Those (n, k, l) pair
+    integrals come from the datum's own ends in one _pair_integrals call;
+    the trace Gramian, whose blocks would cost 2k x 2k pairs per order, is
+    left to ensembles, where one block serves many data.
+
+    Raises:
+        NonPositiveInput: T not positive and finite.
     """
-    gramian = _trace_gramian(state.basis, state.omega, T)
-    return float(_full_trace_forms(gramian, _trace_data(state)[:, None])[0])
+    w = state.omega
+    (pairs,) = _pair_integrals(w, T, (_ends(state.a, state.b, w, T),))
+    flux = state.basis.flux[: state.k_max]
+    per_order = pairs.reshape(state.n_max, -1) @ np.outer(flux, flux).ravel()
+    return 0.5 * float(np.sum(per_order))
 
 
 def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> TraceReport:
@@ -626,19 +624,15 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     Each is a quadratic form over mode pairs whose factors are exact: time
     by pair integrals, theta by sine and cosine overlaps, and radius by
     element integrals (the consistent Gram matrix and the eigenvalues
-    rho_k).  On the whole side the theta factor is delta_nm / 2 and the
-    radial factor R_k'(1) R_l'(1) is the segment's, so its form is half
-    the sum of the segment's (n, n) pairs over the sine orders n; the pair
-    of each order is kept and the orders are summed once at the end, so the
-    value does not depend on the blocking.  full_trace_norm_closed gives
-    the same form through the trace Gramian.  The segment and the strips
-    are mirror symmetric, so their theta factors vanish between odd and
-    even sine orders: the two parity classes are assembled apart, which
-    halves the pairs.  Each class rotates its data to t = T once per mode; the
-    amplitudes and the velocities phi_t, whose derivative is
-    -omega^2 times the amplitude, then give their pair integrals by the
-    Wronskian identity of _pair_integrals, with the direct formula for
-    the near-resonant pairs.  The pairs are formed for one block of orders
+    rho_k).  The whole side is full_trace_norm_closed, from the same-order
+    pairs alone.  The segment and the strips are mirror symmetric, so their
+    theta factors vanish between odd and even sine orders: the two parity
+    classes are assembled apart, which halves the pairs.  Each class
+    rotates its data to t = T once per mode; the amplitudes and the
+    velocities phi_t, whose derivative is -omega^2 times the amplitude,
+    then give their pair integrals by the Wronskian identity of
+    _pair_integrals, with the direct formula for the near-resonant pairs.
+    The pairs are formed for one block of orders
     against all orders of the class at a time, so memory stays bounded at
     large truncations.
 
@@ -658,7 +652,6 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
         [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
     ).reshape(k_max * k_max, 3)
 
-    full = np.empty(n_max)  # (n, n) pair form of the whole side, per sine order
     restricted = 0.0
     interior = 0.0
     for parity in range(min(2, n_max)):
@@ -678,13 +671,11 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
             amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_cls, 3)
             vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_cls)
             theta_block = theta_cls[lo : lo + block]
-            rows = np.arange(len(theta_block))
-            full[cls][lo : lo + block] = amp_nm[rows, lo + rows, 0]
             terms = np.sum(amp_nm * theta_block, axis=(0, 1))
             restricted += float(terms[0])
             interior += float(terms[1] + terms[2] + np.sum(vel_nm * theta_block[..., 2]))
     return TraceReport(
-        full_trace_norm_sq=0.5 * float(np.sum(full)),
+        full_trace_norm_sq=full_trace_norm_closed(state, T),
         restricted_trace_norm_sq=restricted,
         interior_norm_sq=interior,
     )

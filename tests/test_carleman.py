@@ -23,11 +23,13 @@ from degenwave.carleman import (
     build_weight_field,
     carleman_component_integrals,
     carleman_constant_scan,
+    conjugation_order_study,
     conjugation_residual,
 )
 from degenwave.errors import (
     DegenerateCellTouched,
     GridMismatch,
+    InsufficientData,
     NonPositiveInput,
     ParameterOutOfRange,
 )
@@ -499,6 +501,15 @@ class TestConjugationResidual:
             calls.clear()
             conjugation_residual(sol, carleman_params, shape=(96, 16, 48))
             assert calls == {("R", 0): 1, ("R", 1): 1, ("dR", 0): 1, ("dR", 1): 1}
+
+    @pytest.mark.parametrize("levels", [1, 0, -1])
+    def test_order_study_needs_two_levels(self, carleman_params, bessel_solution, monkeypatch, levels):
+        # one level once solved a residual and returned the order nan
+        solved = []
+        monkeypatch.setattr(carleman, "conjugation_residual", lambda *a, **k: solved.append(a))
+        with pytest.raises(InsufficientData):
+            conjugation_order_study(bessel_solution, carleman_params, (96, 16, 48), levels=levels)
+        assert solved == []
 
 
 class TestComponentIntegrals:

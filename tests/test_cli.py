@@ -116,6 +116,16 @@ class TestHardy:
         assert solved == []
         assert not out.exists()
 
+    def test_scan_with_zero_delta_is_a_reported_error(self, tmp_path):
+        # once a bare ZeroDivisionError traceback without the JSON error object
+        out = tmp_path / "out"
+        res = run_cli(
+            "hardy", "--critical", "--scan", "0,1e-2,1e-3,1e-4", "--n", "64", "--out", str(out)
+        )
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["kind"] == "DeltaOutOfRange"
+        assert not out.exists()
+
     def test_subcritical(self, tmp_path):
         res = run_cli("hardy", "--alpha", "0.3", "--n", "512", "--out", str(tmp_path))
         assert res.returncode == 0, res.stderr

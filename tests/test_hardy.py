@@ -152,3 +152,13 @@ class TestBlowupRateFit:
             blowup_rate_fit([1e-1, 1e-2, 1e-3])
         with pytest.raises(InsufficientData):
             blowup_rate_fit([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-2, 1.0, math.nan])
+    def test_delta_outside_range_solves_nothing(self, bad):
+        # a zero delta once divided by zero in the span check
+        solved = []
+        with pytest.raises(DeltaOutOfRange):
+            _fit_blowup([bad, 1e-2, 1e-3, 1e-4], solved.append)
+        assert solved == []
+        with pytest.raises(DeltaOutOfRange):
+            blowup_rate_fit([bad, 1e-2, 1e-3, 1e-4])

@@ -81,6 +81,21 @@ def test_public_functions_have_callers_outside_tests():
     assert set(NO_CALLER_NEEDED) <= public - used
 
 
+def test_private_functions_are_read_in_the_package():
+    """Every module-level private function is read somewhere in the package
+    outside its own body, so that a deletion cannot leave a helper behind."""
+    defined, used = [], set()
+    for path in sorted((SRC / "degenwave").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = names_read(node)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defined.append((path.stem, node.name))
+                names -= {node.name}
+            used |= names
+    assert defined
+    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+
+
 def modules_after(code, *packages):
     """Names of the modules of the given top-level packages that a fresh
     interpreter holds after running code."""

@@ -46,6 +46,13 @@ def interp_mode(basis, k):
     return f
 
 
+def gramian_full_trace_norm(state, T):
+    """Full-side squared trace norm as an ensemble applies it: (1/2) sum_n y_n^T G_n y_n."""
+    gramian = waves._trace_gramian(state.basis, state.omega, T)
+    y = np.concatenate((state.a, state.b / state.omega), axis=1)  # y_n = (a_n, b_n / omega_n)
+    return 0.5 * float(np.einsum("ni,nij,nj->", y, gramian, y))
+
+
 class TestProjection:
     def test_basis_element_round_trip(self, basis05):
         r1 = interp_mode(basis05, 1)
@@ -257,17 +264,17 @@ class TestBoundaryTrace:
 
     @pytest.mark.parametrize("shape", [(1, 1), (12, 12), (17, 9), (48, 48), (64, 64)])
     def test_full_side_matches_trace_gramian(self, basis05_k64, shape):
-        """The parity pairs' full trace against the trace Gramian of full_trace_norm_closed."""
+        """The datum's same-order pairs against the ensemble's trace Gramian."""
         st = random_state(basis05_k64, *shape, seed=18)
-        got = observation_norms(st, T_HORIZON, 0.01).full_trace_norm_sq
-        assert got == pytest.approx(full_trace_norm_closed(st, T_HORIZON), rel=1e-14, abs=0.0)
+        expect = gramian_full_trace_norm(st, T_HORIZON)
+        assert full_trace_norm_closed(st, T_HORIZON) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_full_side_of_scanned_modes(self, basis05_k64, n):
         """The obstruction scan's modes R_1 sin(n pi theta) cos(omega_n t)."""
         st = modal_state(basis05_k64, n, 1, amplitudes={(n, 1): 1.0})
-        got = observation_norms(st, T_HORIZON, 0.01).full_trace_norm_sq
-        assert got == pytest.approx(full_trace_norm_closed(st, T_HORIZON), rel=1e-14, abs=0.0)
+        expect = gramian_full_trace_norm(st, T_HORIZON)
+        assert full_trace_norm_closed(st, T_HORIZON) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     def test_trapezoid_agrees_with_closed_form(self, basis05):
         st = random_state(basis05, 4, 4, seed=10)
@@ -299,6 +306,7 @@ class TestTraceGramian:
         st = random_state(basis05, *shape, seed=16)
         expect = pair_weight_full_trace_norm(st, T_HORIZON)
         assert full_trace_norm_closed(st, T_HORIZON) == pytest.approx(expect, rel=1e-13)
+        assert gramian_full_trace_norm(st, T_HORIZON) == pytest.approx(expect, rel=1e-13)
 
 
 class TestInteriorNorm:
