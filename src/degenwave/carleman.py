@@ -167,26 +167,6 @@ def build_weight_field(
     return sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
 
 
-def _weight_tiles(
-    params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray
-) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Walk theta x t in tiles of about _TILE_ELEMENTS points, with sigma on each.
-
-    The yielded (theta slice, t slice, sigma) partition theta x t, and each
-    sigma covers its two slices and the whole r axis.
-    """
-    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
-    per_plane = max(1, _TILE_ELEMENTS // r.size)
-    n_t = min(t.size, max(1, math.isqrt(per_plane)))
-    n_theta = max(1, per_plane // n_t)
-    for i0 in range(0, theta.size, n_theta):
-        ith = slice(i0, min(i0 + n_theta, theta.size))
-        for j0 in range(0, t.size, n_t):
-            jt = slice(j0, min(j0 + n_t, t.size))
-            sigma = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
-            yield ith, jt, sigma
-
-
 # ---------------------------------------------------------------------------
 # Conjugation identity residual
 # ---------------------------------------------------------------------------
@@ -546,18 +526,30 @@ def _contracted_weight_tiles(
     """Per theta x t tile, (theta slice, t slice, g) with g[..., i, j] the sum over r
     of e^{2 s sigma - log_offset} times each of `rows` (radial functions stacked
     before their last axis), times the theta and t rule weights at (theta_i, t_j).
+
+    The tiles of about _TILE_ELEMENTS points, each spanning the whole r axis,
+    partition theta x t.
     """
     flat = rows.reshape(-1, r.size)
-    for ith, jt, sigma in _weight_tiles(params, theta, r, t):
-        weight = np.multiply(sigma, 2.0 * params.s)
-        weight -= log_offset
-        # weigh an exponent whose exp is subnormal as exactly zero: exp and
-        # the matmul below run many times slower on subnormals
-        weight[weight < _LOG_TINY] = -np.inf
-        np.exp(weight, out=weight)
-        g = np.matmul(flat, weight)  # (theta, row, t)
-        g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
-        yield ith, jt, np.moveaxis(g, 1, 0).reshape(rows.shape[:-1] + (g.shape[0], g.shape[2]))
+    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
+    per_plane = max(1, _TILE_ELEMENTS // r.size)
+    n_t = min(t.size, max(1, math.isqrt(per_plane)))
+    n_theta = max(1, per_plane // n_t)
+    for i0 in range(0, theta.size, n_theta):
+        ith = slice(i0, min(i0 + n_theta, theta.size))
+        for j0 in range(0, t.size, n_t):
+            jt = slice(j0, min(j0 + n_t, t.size))
+            weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
+            weight *= 2.0 * params.s
+            weight -= log_offset
+            # weigh an exponent whose exp is subnormal as exactly zero: exp and
+            # the matmul below run many times slower on subnormals
+            weight[weight < _LOG_TINY] = -np.inf
+            np.exp(weight, out=weight)
+            g = np.matmul(flat, weight)  # (theta, row, t)
+            g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
+            g = np.moveaxis(g, 1, 0).reshape(rows.shape[:-1] + (g.shape[0], g.shape[2]))
+            yield ith, jt, g
 
 
 def _pair_sum(f: np.ndarray, g: np.ndarray) -> float:

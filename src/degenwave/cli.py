@@ -3,14 +3,20 @@
 Each experiment is a subcommand; hardy runs subcritical, critical or as a
 critical scan, and observability in the mode --mode names.  The table
 `_RUNS` is the one record of what each run reads: per subcommand and mode,
-its body and its keys with their kinds and defaults.  Options resolve in the
-order defaults < JSON config file (--config) < command-line flags; a config
-key that no run of the subcommand reads is unknown and rejected, and so is
-a key, given by flag or in the file, that only other runs read; the run and
-the configuration echo of its reports see only the keys of its entry.  Exit
-codes: 0 success, 1 numerical failure, 2 configuration error.  Errors are
-emitted as a JSON object on stderr so harnesses can parse them.  A run
-writes all of its reports or, when it fails, none.
+its body and its keys with their kinds and defaults.  A subcommand has one
+flag per key (`out` and `seed` included) besides --config.  Options resolve
+in the order defaults < JSON config file (--config) < command-line flags,
+and every value given either way is parsed from its text by the key's kind
+(a file's numbers keep their spelling, a boolean is one of 1/0, true/false,
+yes/no), so a file value is accepted exactly when the same text as a flag
+is.  A config key that no run of the subcommand reads is unknown and
+rejected, and so is a key, given by flag or in the file, that only other
+runs read; the run and the configuration echo of its reports see only the
+keys of its entry.  Exit codes: 0 success, 1 numerical failure, 2
+configuration error, argparse's own errors (an unknown flag, a missing
+value) among them.  Every error is emitted as one JSON object on stderr so
+harnesses can parse it.  A run writes all of its reports or, when it fails,
+none; `reports` turns its numbers into text.
 """
 
 from __future__ import annotations
@@ -45,8 +51,7 @@ def _list_of(item):
     """Kind of a comma-separated list option: its text, kept as given for the
     config echo once every entry parses by item."""
 
-    def kind(raw) -> str:
-        text = str(raw)
+    def kind(text: str) -> str:
         _items(text, item)
         return text
 
@@ -55,18 +60,17 @@ def _list_of(item):
 
 _COMMON = {"out": (str, "runs"), "seed": (int, 20250810)}
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 def _coerce(key: str, kind, raw):
+    """The value of a key parsed by its kind from its text: a flag's text, or
+    a config-file value spelled as in the file."""
+    text = raw if isinstance(raw, str) else json.dumps(raw)
     try:
-        if kind is bool and isinstance(raw, str):
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
 
 def _mode(command: str, config: dict) -> str | None:
@@ -93,33 +97,30 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     """The configuration of the run that defaults, --config and flags select,
     holding only the keys that run reads."""
     schema = {**_COMMON, **_schema(command)}
-    config = {k: default for k, (_, default) in schema.items()}
-    given = set()
-
+    given = []
     if args.config:
         try:
-            doc = json.loads(Path(args.config).read_text())
+            # numbers keep their spelling, so a file value parses as its flag would
+            doc = json.loads(Path(args.config).read_text(), parse_float=str, parse_int=str)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        for key, raw in doc.items():
-            if key not in schema:
-                raise ConfigError(f"unknown config key: '{key}'")
-            config[key] = _coerce(key, schema[key][0], raw)
-            given.add(key)
+        given = list(doc.items())
+    given += [(key, raw) for key, raw in vars(args).items() if key in schema and raw is not None]
 
-    for key, (kind, _) in schema.items():
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            config[key] = _coerce(key, kind, val)
-            given.add(key)
+    # every value given is parsed, a file value that a flag overrides too
+    config = {key: default for key, (_, default) in schema.items()}
+    for key, raw in given:
+        if key not in schema:
+            raise ConfigError(f"unknown config key: '{key}'")
+        config[key] = _coerce(key, schema[key][0], raw)
 
     mode = _mode(command, config)
     if (command, mode) not in _RUNS:
         raise ConfigError(f"unknown {command} mode: '{mode}'")
     reads = _COMMON.keys() | _RUNS[command, mode][1].keys()
-    unread = sorted(given - reads)
+    unread = sorted({key for key, _ in given} - reads)
     if unread:
         keys = ", ".join(f"'{key}'" for key in unread)
         raise ConfigError(f"this {command} run does not read {keys}")
@@ -135,7 +136,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 def _run_spectrum(cfg: dict) -> dict:
     basis = solve_radial_basis(cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["kmax"])
     rows = [
-        (k, float(rho), float(flux), basis.mesh.n_cells, basis.mesh.grading, basis.alpha)
+        (k, rho, flux, basis.mesh.n_cells, basis.mesh.grading, basis.alpha)
         for k, (rho, flux) in enumerate(zip(basis.rho, basis.flux), start=1)
     ]
     return {"spectrum.csv": (["k", "rho", "flux_at_1", "mesh_N", "grading", "alpha"], rows)}
@@ -152,12 +153,7 @@ def _run_simulate(cfg: dict) -> dict:
     state = random_state(basis, cfg["n_max"], cfg["k_max"], cfg["seed"])
     times = np.linspace(0.0, T, cfg["samples"] + 1)
     series = energy_series(state, times)
-    rows = zip(
-        (float(x) for x in series.times),
-        (float(x) for x in series.total),
-        (float(x) for x in series.kinetic),
-        (float(x) for x in series.potential),
-    )
+    rows = zip(series.times, series.total, series.kinetic, series.potential)
     return {
         "energy.csv": (["t", "E", "kinetic", "potential"], rows),
         "trace.json": observation_norms(state, T, domain.delta0),
@@ -348,43 +344,45 @@ _RUNS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are configuration errors, not exits."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degenwave",
         description="Experiments for the boundary-degenerate wave laboratory",
     )
+    # the subparsers inherit _Parser as their parser_class
     sub = parser.add_subparsers(dest="command", required=True)
     for name in dict.fromkeys(command for command, _ in _RUNS):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=str, default=None)
-        for key, (kind, _) in _schema(name).items():
+        for key, (kind, _) in {**_COMMON, **_schema(name)}.items():
             flag = "--" + key.replace("_", "-")
             if kind is bool:
-                p.add_argument(flag, action="store_const", const=True, default=None)
+                p.add_argument(flag, dest=key, action="store_const", const="true")
             else:
-                p.add_argument(flag, type=str, default=None)
+                p.add_argument(flag, dest=key)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args.command, args)
         run, _ = _RUNS[args.command, _mode(args.command, cfg)]
         reports.write_reports(cfg["out"], run(cfg), cfg)
         return 0
-    except ConfigError as exc:
-        json.dump({"error": str(exc), "kind": "config"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except DegenWaveError as exc:
-        json.dump(
-            {"error": str(exc), "kind": type(exc).__name__}, sys.stderr
-        )
+        config = isinstance(exc, ConfigError)
+        kind = "config" if config else type(exc).__name__
+        json.dump({"error": str(exc), "kind": kind}, sys.stderr)
         sys.stderr.write("\n")
-        return 1
+        return 2 if config else 1
 
 
 if __name__ == "__main__":

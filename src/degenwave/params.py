@@ -255,8 +255,8 @@ def _smoothstep(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(-1/x) smoothstep S on [0, 1] with first and second derivatives.
 
     S = g(x) / (g(x) + g(1-x)) with g(x) = exp(-1/x); all three outputs are
-    exact 0/1 (resp. 0) outside (0, 1).  Underflow of g near the endpoints
-    reproduces the exact limit values, so no clamping is needed.
+    exact 0/1 (resp. 0) outside (0, 1), and 0 at nan.  Underflow of g near
+    the endpoints reproduces the exact limit values, so no clamping is needed.
     """
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < 1.0)
@@ -276,7 +276,7 @@ def _smoothstep(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         num2 = ddu * v - u * ddv
         dden = du - dv
         dds = (num2 * den - 2.0 * num1 * dden) / den**3
-    s = np.where(inside, s, np.where(x <= 0.0, 0.0, 1.0))
+    s = np.where(inside, s, np.where(x >= 1.0, 1.0, 0.0))
     ds = np.where(inside, ds, 0.0)
     dds = np.where(inside, dds, 0.0)
     return s, ds, dds
@@ -287,29 +287,22 @@ def eval_cutoff(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate a cutoff and its first two derivatives; total on the real line.
 
-    Plateau and off-support values are exactly 1 and 0 with exactly zero
-    derivatives, so value * (1 - value) vanishes identically outside the two
-    transition bands.
+    The cutoff is the product S((x - a)/(b - a)) S((d - x)/(d - c)) of a
+    rising and a falling smoothstep, rise = (a, b) and fall = (c, d), and
+    its derivatives follow by the product rule.  Outside its own band each
+    factor is exactly 0 or 1 with exactly zero derivatives, and each is 1 on
+    the other's band (b <= c), so plateau and off-support values are exactly
+    1 and 0 with zero derivatives, and value * (1 - value) vanishes
+    identically outside the two bands.
     """
     x = np.asarray(x, dtype=float)
     a, b = spec.rise
     c, d = spec.fall
-    val = np.where((x >= b) & (x <= c), 1.0, 0.0)
-    d1 = np.zeros_like(val)
-    d2 = np.zeros_like(val)
-
-    up = (x > a) & (x < b)
-    if np.any(up):
-        w = b - a
-        s, ds, dds = _smoothstep((x[up] - a) / w)
-        val[up] = s
-        d1[up] = ds / w
-        d2[up] = dds / w**2
-    down = (x > c) & (x < d)
-    if np.any(down):
-        w = d - c
-        s, ds, dds = _smoothstep((d - x[down]) / w)
-        val[down] = s
-        d1[down] = -ds / w
-        d2[down] = dds / w**2
+    rise, rise1, rise2 = _smoothstep((x - a) / (b - a))
+    fall, fall1, fall2 = _smoothstep((d - x) / (d - c))
+    rise1, rise2 = rise1 / (b - a), rise2 / (b - a) ** 2
+    fall1, fall2 = -fall1 / (d - c), fall2 / (d - c) ** 2
+    val = rise * fall
+    d1 = rise1 * fall + rise * fall1
+    d2 = rise2 * fall + 2.0 * rise1 * fall1 + rise * fall2
     return val, d1, d2

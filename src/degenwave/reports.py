@@ -1,22 +1,27 @@
 """Self-describing CSV and JSON report emission shared by the CLI.
 
-Every artifact embeds the resolved run configuration and a format-version
-field.  CSV files start with comment lines: a timestamp (the only
-nondeterministic byte in a report) and the configuration echo; reruns with
-the same configuration and seed produce byte-identical bodies.  Reports are
-encoded to text first and written only as a complete set, so a run never
-leaves part of its artifacts behind.
+This is the one place where a run's numbers become text: the run bodies
+hand over Python and numpy values as they are.  Every artifact embeds the
+resolved run configuration and a format-version field.  CSV files start
+with comment lines: a timestamp (the only nondeterministic byte in a
+report) and the configuration echo; reruns with the same configuration and
+seed produce byte-identical bodies.  Reports are encoded to text first and
+written only as a complete set, so a run never leaves part of its artifacts
+behind.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import NonFiniteReport
 
@@ -30,15 +35,21 @@ def _config_echo(config: Mapping) -> str:
 def _csv_text(name: str, columns: Sequence[str], rows: Iterable[Sequence], config: Mapping) -> str:
     """Encode a CSV report: timestamp comment, config echo, header, rows.
 
-    Floats are serialized with repr so the body is bit-faithful and
-    reproducible.  An infinite or NaN value raises NonFiniteReport.
+    Every float, a Python or a numpy one, is written as repr(float(v)), so
+    the body is bit-faithful and reproducible.  An infinite or NaN value
+    raises NonFiniteReport.
     """
     body = []
     for row in rows:
+        cells = []
         for v in row:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise NonFiniteReport(f"{name}: non-finite value {v!r} in row {row!r}")
-        body.append([repr(v) if isinstance(v, float) else v for v in row])
+            if isinstance(v, (float, np.floating)):
+                v = float(v)
+                if not math.isfinite(v):
+                    raise NonFiniteReport(f"{name}: non-finite value {v!r} in row {row!r}")
+                v = repr(v)
+            cells.append(v)
+        body.append(cells)
     buf = io.StringIO()
     buf.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
     buf.write(f"# format_version: {FORMAT_VERSION}\n")
@@ -88,10 +99,6 @@ def write_reports(out: Path | str, artifacts: Mapping[str, object], config: Mapp
 
 def _jsonable(obj):
     """Recursively convert dataclass-ish values into plain JSON types."""
-    import dataclasses
-
-    import numpy as np
-
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Mapping):

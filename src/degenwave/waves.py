@@ -263,8 +263,10 @@ def duhamel_forcing(
     f_hat = np.asarray(f_hat, dtype=float)
     if f_hat.ndim != 3 or f_hat.shape[:2] != state.a.shape:
         raise GridMismatch("forcing samples must have shape (n_max, k_max, steps+1)")
-    if dt <= 0.0:
-        raise GridMismatch("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise GridMismatch(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(t):
+        raise GridMismatch(f"t must be finite, got {t}")
     j = int(round(t / dt))
     if j < 0 or j >= f_hat.shape[2] or abs(t - j * dt) > 1e-9 * max(dt, 1.0):
         raise GridMismatch(f"t = {t} does not lie on the forcing grid")

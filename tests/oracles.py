@@ -23,14 +23,12 @@ from degenwave.carleman import (
     ConjugationReport,
     SmoothModalSolution,
     _residual_axes,
-    _sigma_factors,
-    _weight_tiles,
 )
 from degenwave.errors import ConvergenceFailure, DivergentWeight
 from degenwave.params import (
     CarlemanParams,
     CutoffSpec,
-    eval_cutoff,
+    _smoothstep,
     theta_cutoff,
     theta_strips,
     time_cutoff,
@@ -397,6 +395,33 @@ def modal_sum(
     return 0.0 if out is None else out
 
 
+def two_band_cutoff(spec: CutoffSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A plateau cutoff and its first two derivatives as first written: the
+    plateau and the off-support set, then each transition band on its own."""
+    x = np.asarray(x, dtype=float)
+    a, b = spec.rise
+    c, d = spec.fall
+    val = np.where((x >= b) & (x <= c), 1.0, 0.0)
+    d1 = np.zeros_like(val)
+    d2 = np.zeros_like(val)
+
+    up = (x > a) & (x < b)
+    if np.any(up):
+        w = b - a
+        s, ds, dds = _smoothstep((x[up] - a) / w)
+        val[up] = s
+        d1[up] = ds / w
+        d2[up] = dds / w**2
+    down = (x > c) & (x < d)
+    if np.any(down):
+        w = d - c
+        s, ds, dds = _smoothstep((d - x[down]) / w)
+        val[down] = s
+        d1[down] = -ds / w
+        d2[down] = dds / w**2
+    return val, d1, d2
+
+
 def slab_conjugation_residual(
     solution: SmoothModalSolution,
     params: CarlemanParams,
@@ -421,7 +446,7 @@ def slab_conjugation_residual(
     zeta = zeta or theta_cutoff(params.delta0)
     kcut = kcut or time_cutoff(params.epsilon, params.T)
 
-    zv, zd1, zd2 = eval_cutoff(zeta, theta)
+    zv, zd1, zd2 = two_band_cutoff(zeta, theta)
     two_a = 2.0 - alpha
     r_pow = r**two_a
     r_alpha = r**alpha
@@ -449,7 +474,7 @@ def slab_conjugation_residual(
         hi = min(lo + t_chunk, t.size - 1)
         slab = slice(lo - 1, hi + 1)
         ts = t[slab]
-        kv, kd1, kd2 = eval_cutoff(kcut, ts)
+        kv, kd1, kd2 = two_band_cutoff(kcut, ts)
 
         phi = modal_sum(
             solution, theta[:, None, None], r[None, :, None], ts[None, None, :],
@@ -530,8 +555,9 @@ def _pointwise_region_integrals(
 ) -> dict[str, float]:
     """Tensor quadrature of the weighted integrands over one theta interval.
 
-    Every field is evaluated pointwise on each theta x t tile and the
-    integrands are formed point by point, exactly as the identity reads.
+    Every field and the weight sigma = exp(lam xi) are evaluated pointwise
+    on slabs of eight theta rows, and the integrands are formed point by
+    point, exactly as the identity reads.
     """
     alpha, lam, s = params.alpha, params.lam, params.s
     theta = np.linspace(theta_lo, theta_hi, n_theta + 1)
@@ -540,18 +566,21 @@ def _pointwise_region_integrals(
     r = (np.arange(n_r) + 0.5) * hr
     t = np.linspace(0.0, params.T, n_t + 1)
     w_t = _trapezoid_weights(n_t, params.T / n_t)
-    zv, zd1, _ = eval_cutoff(zeta, theta)
-    kv, kd1, kd2 = eval_cutoff(kcut, t)
+    zv, zd1, _ = two_band_cutoff(zeta, theta)
+    kv, kd1, kd2 = two_band_cutoff(kcut, t)
     r3 = r[None, :, None]
     r_alpha = r3**alpha
 
     sums = np.zeros(2)
-    for ith, jt, sigma in _weight_tiles(params, theta, r, t):
+    jt = slice(None)
+    for i0 in range(0, theta.size, 8):
+        ith = slice(i0, i0 + 8)
         th3, t3 = theta[ith, None, None], t[None, None, jt]
+        # sigma = exp(lam xi) at every point of the tile, from xi itself
+        xi = th3**2 + r3 ** (2.0 - alpha) - params.beta * (t3 - params.t0) ** 2
+        sigma = np.exp(lam * xi)
         # e^{2 s sigma - log_offset} times the theta and t rule weights
-        weight = np.multiply(sigma, 2.0 * s)
-        weight -= log_offset
-        np.exp(weight, out=weight)
+        weight = np.exp(2.0 * s * sigma - log_offset)
         weight *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
 
         phi = modal_sum(solution, th3, r3, t3, "amp", "value", "value")
@@ -624,8 +653,8 @@ def pointwise_component_integrals(
     w_th = _trapezoid_weights(n_theta, (1.0 - 2.0 * d0) / n_theta)
     t = np.linspace(0.0, params.T, n_t + 1)
     w_t = _trapezoid_weights(n_t, params.T / n_t)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, np.ones(1), t)
-    sigma_top = sig_theta[:, None] * (sig_r * sig_t)[None, :]
+    xi_top = theta[:, None] ** 2 + 1.0 - params.beta * (t[None, :] - params.t0) ** 2
+    sigma_top = np.exp(lam * xi_top)
     tr = 0.0
     for m in solution.modes:
         ang = np.sin(m.n * math.pi * theta[:, None])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,6 +162,85 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ("hardy", "--critical", "--scan", "-1e-1,1e-2,1e-3,1e-4"),
+            ("observability", "--mode", "obstruction", "--n-values", "-8,8,16,64"),
+            ("spectrum", "--bogus", "1"),
+            ("spectrum", "--n"),
+            (),
+        ],
+        ids=["negative-scan", "negative-n-values", "unknown-flag", "missing-value",
+             "no-subcommand"],
+    )
+    def test_argparse_error_is_json_error(self, tmp_path, args):
+        # once argparse's usage text on stderr, without the JSON error object
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert json.loads(res.stderr)["kind"] == "config"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_attached_negative_list_value_parses(self, tmp_path):
+        res = run_cli("hardy", "--critical", "--scan=-1e-1,1e-2,1e-3,1e-4", cwd=tmp_path)
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["kind"] == "DeltaOutOfRange"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self):
+        res = run_cli("spectrum", "--help")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: degenwave spectrum")
+
+    @pytest.mark.parametrize(
+        "doc, flag",
+        [('{"kmax": 3.9}', ("--kmax", "3.9")), ('{"kmax": true}', ("--kmax", "true")),
+         ('{"n": 1e3}', ("--n", "1e3"))],
+        ids=["fraction", "boolean", "exponent"],
+    )
+    def test_file_value_parsed_like_its_flag(self, tmp_path, doc, flag):
+        # once int(3.9) = 3 and int(True) = 1 eigenpairs, with exit 0
+        (tmp_path / "run.json").write_text(doc)
+        by_file = run_cli("spectrum", "--config", "run.json", "--out", "out", cwd=tmp_path)
+        by_flag = run_cli("spectrum", *flag, "--out", "out", cwd=tmp_path)
+        assert by_file.returncode == by_flag.returncode == 2
+        assert json.loads(by_file.stderr)["kind"] == "config"
+        assert by_file.stderr == by_flag.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_file_value_fails_under_its_flag(self, tmp_path):
+        (tmp_path / "run.json").write_text('{"kmax": 3.9}')
+        res = run_cli(
+            "spectrum", "--config", "run.json", "--kmax", "2", "--out", "out", cwd=tmp_path
+        )
+        assert res.returncode == 2
+        assert "'kmax'" in json.loads(res.stderr)["error"]
+
+    @pytest.mark.parametrize(
+        "doc, echo",
+        [
+            ({"critical": True, "n": 64}, {"critical": True, "n": 64}),
+            ({"critical": 0, "grading": 3, "n": 64}, {"critical": False, "grading": 3.0}),
+        ],
+        ids=["boolean", "integral-float"],
+    )
+    def test_file_values_accepted(self, tmp_path, doc, echo):
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        res = run_cli("hardy", "--config", "run.json", "--out", "out", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        config = json.loads((tmp_path / "out" / "hardy.json").read_text())["config"]
+        assert echo.items() <= config.items()
+
+    def test_integral_file_value_of_a_float_key(self, tmp_path):
+        # {"alpha": 1} parses to 1.0, which the run then rejects as out of range
+        (tmp_path / "run.json").write_text('{"alpha": 1}')
+        res = run_cli("spectrum", "--config", "run.json", "--out", "out", cwd=tmp_path)
+        assert res.returncode == 1
+        assert json.loads(res.stderr) == {
+            "error": "alpha must lie in (0, 1), got 1.0", "kind": "ParameterOutOfRange"
+        }
+
+    @pytest.mark.parametrize(
         "args, key",
         [
             (("hardy", "--critical", "--scan", "1e-1,1e-2,1e-3,abc"), "scan"),
@@ -275,6 +355,7 @@ class TestConfigHandling:
     def test_readme_commands_resolve(self):
         # every command of README's "Command line" block parses and resolves
         from degenwave import cli
+        from degenwave.errors import ConfigError
 
         text = (SRC.parent / "README.md").read_text()
         block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -283,7 +364,7 @@ class TestConfigHandling:
         for argv in argvs:
             try:
                 args = cli._build_parser().parse_args(argv)
-            except SystemExit:
+            except ConfigError:
                 pytest.fail(f"README command does not parse: {argv}")
             cli._resolve_config(args.command, args)
 
@@ -501,7 +582,17 @@ class TestSimulateCommand:
 
 
 class TestStrictReports:
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_numpy_floats_written_as_reprs(self, tmp_path):
+        # a numpy scalar once came out as np.float64(0.1)
+        from degenwave import reports
+
+        rows = [(np.int64(1), np.float64(0.1), np.float32(0.5), 0.25, "x")]
+        reports.write_reports(tmp_path, {"r.csv": (["k", "a", "b", "c", "d"], rows)}, {})
+        assert csv_body(tmp_path / "r.csv") == ["k,a,b,c,d", "1,0.1,0.5,0.25,x"]
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, np.float64(math.inf)], ids=["nan", "inf", "numpy-inf"]
+    )
     @pytest.mark.parametrize("name", ["report.json", "report.csv"])
     def test_non_finite_payload_rejected(self, tmp_path, name, value):
         from degenwave import reports
@@ -511,3 +602,4 @@ class TestStrictReports:
         with pytest.raises(NonFiniteReport):
             reports.write_reports(tmp_path, {name: content}, {"seed": 1})
         assert list(tmp_path.iterdir()) == []
+

@@ -26,7 +26,7 @@ from degenwave.params import (
     validate_carleman_params,
 )
 from degenwave.radial import assemble_weighted_system, elliptic_identity_residual
-from oracles import _band_certified
+from oracles import _band_certified, two_band_cutoff
 
 
 class TestDegeneracyParams:
@@ -251,6 +251,31 @@ class TestTimeCutoff:
         spec = time_cutoff(2.0, 40.0)
         v, _, _ = eval_cutoff(spec, np.array([-5.0, 100.0]))
         assert np.all(v == 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [theta_cutoff(0.01), theta_cutoff(0.03), time_cutoff(0.7, 40.0), time_cutoff(1e-3, 1.0)],
+    ids=["theta-0.01", "theta-0.03", "time-0.7-40", "time-1e-3-1"],
+)
+def test_cutoff_product_matches_two_band_oracle(spec):
+    # the product of a rising and a falling step gives the values and both
+    # derivatives of the two-band evaluation exactly (a zero may flip sign),
+    # nan and the infinities included
+    a, b = spec.rise
+    c, d = spec.fall
+    lo, hi = a - (b - a), d + (d - c)
+    ends = np.array([a, b, c, d])
+    x = np.concatenate([
+        np.linspace(lo, hi, 200001),
+        ends,
+        np.nextafter(ends, -np.inf),
+        np.nextafter(ends, np.inf),
+        np.random.default_rng(20261019).uniform(lo, hi, 100_000),
+        [-np.inf, np.inf, np.nan],
+    ])
+    for got, expect in zip(eval_cutoff(spec, x), two_band_cutoff(spec, x)):
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,17 @@ class TestDuhamel:
         with pytest.raises(GridMismatch):
             duhamel_forcing(st, np.zeros((2, 2, 11)), 0.1, 0.5678)
 
+    @pytest.mark.parametrize(
+        "dt, t", [(math.inf, 0.5), (math.nan, 0.5), (0.1, math.nan), (0.1, math.inf)],
+        ids=["dt-inf", "dt-nan", "t-nan", "t-inf"],
+    )
+    def test_non_finite_step_or_time(self, basis05, dt, t):
+        # once the free evolution without the forcing (dt inf), a bare
+        # ValueError (dt or t nan) or a bare OverflowError (t inf)
+        st = modal_state(basis05, 2, 2)
+        with pytest.raises(GridMismatch):
+            duhamel_forcing(st, np.ones((2, 2, 11)), dt, t)
+
 
 class TestBoundaryTrace:
     def test_zero_state(self, basis05):
