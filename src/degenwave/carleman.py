@@ -6,7 +6,7 @@ factors, measures the conjugation identity exp(s sigma) h = P+ eta + P- eta
 for eta = exp(s sigma) psi as a finite-difference residual on a tensor
 grid, whose kernel carries the derivatives of sigma in fused closed form,
 and computes the named component integrals of the observability-producing
-estimate for empirical constant scans.
+estimate, on one grid for a single s and for an empirical constant scan.
 
 Exact smooth modal solutions (Bessel radial profiles) are used wherever a
 residual is differentiated numerically: second-order convergence of the
@@ -14,11 +14,14 @@ centered stencils needs four bounded derivatives, which the piecewise
 linear eigenvectors of the solver cannot offer.
 
 Modes, sigma and both cutoffs are products of one-axis factors, which the
-kernels evaluate once per axis per call.  Their theta x t tiles carry only
-the weight exp(s sigma) and the residual's stencil; the weighted quadratures
-contract each tile's weight over r against radial pair products (R_i R_j,
-r^alpha R_i' R_j') and reduce the result against (theta, t) products of the
-angular, temporal and cutoff factors.
+kernels evaluate once per axis per call.  Both kernels walk theta x t in
+the tiles of one walker, `_tiles` (with a one-point halo for the residual's
+stencils), and a tile carries only the weight exp(s sigma) and the
+residual's stencil.  The weighted quadratures contract each tile's weight
+over r against radial pair products (R_i R_j, r^alpha R_i' R_j') and reduce
+the result against (theta, t) products of the angular, temporal and cutoff
+factors, walking the core once and the two lateral strips, joined into one
+theta axis, once.
 
 The residual skips the tiles on which the cutoffs vanish and spreads the
 others over one thread per CPU the process may use.  Each thread keeps its
@@ -144,6 +147,31 @@ class SmoothModalSolution:
 # kernels below: small enough that each tile-sized temporary stays in cache.
 _TILE_ELEMENTS = 65536
 
+# Points a tile runs along t, the contiguous axis, halo excluded, where the
+# grid and the point budget allow.
+_T_RUN = 64
+
+
+def _tiles(n_theta: int, n_r: int, n_t: int, halo: int) -> Iterator[tuple[slice, slice]]:
+    """Walk a (n_theta, n_r, n_t) grid in theta x t tiles.
+
+    The tiles partition the points halo .. n - 1 - halo of the theta and t
+    axes; each (theta slice, t slice) reaches `halo` points further on both
+    sides and, with the whole r axis, holds at most _TILE_ELEMENTS points.
+    A tile runs _T_RUN points along t, halo excluded, wherever the t axis
+    and that budget allow, and about as many along theta as along t
+    otherwise.  The residual's stencils take a halo of 1, the quadratures 0.
+    """
+    rim = 2 * halo
+    per_plane = max(1, _TILE_ELEMENTS // n_r)
+    square = math.isqrt(per_plane) - rim
+    run_t = min(n_t - rim, max(1, square, min(_T_RUN, per_plane // (1 + rim) - rim)))
+    run_theta = max(1, per_plane // (run_t + rim) - rim)
+    for i0 in range(halo, n_theta - halo, run_theta):
+        ith = slice(i0 - halo, min(i0 + run_theta, n_theta - halo) + halo)
+        for j0 in range(halo, n_t - halo, run_t):
+            yield ith, slice(j0 - halo, min(j0 + run_t, n_t - halo) + halo)
+
 
 def _sigma_factors(
     params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray
@@ -216,30 +244,6 @@ def _residual_axes(
     return theta, r, t
 
 
-# Interior points a residual tile runs along t, the contiguous axis, where
-# the grid and the point budget allow.
-_T_RUN = 64
-
-
-def _residual_tiles(n_theta: int, n_r: int, n_t: int) -> Iterator[tuple[slice, slice]]:
-    """Walk a (n_theta, n_r, n_t) grid in theta x t tiles for the residual's stencils.
-
-    The tiles partition the interior points 1 .. n - 2 of the theta and t
-    axes; each (theta slice, t slice) reaches one point further on both
-    sides and, with the whole r axis, holds at most _TILE_ELEMENTS points.
-    A tile runs _T_RUN interior points along t wherever the t axis and
-    that budget allow, and about as many along theta as along t otherwise.
-    """
-    per_plane = max(1, _TILE_ELEMENTS // n_r)
-    square = math.isqrt(per_plane) - 2
-    run_t = min(n_t - 2, max(1, square, min(_T_RUN, per_plane // 3 - 2)))
-    run_theta = max(1, per_plane // (run_t + 2) - 2)
-    for i0 in range(1, n_theta - 1, run_theta):
-        ith = slice(i0 - 1, min(i0 + run_theta, n_theta - 1) + 1)
-        for j0 in range(1, n_t - 1, run_t):
-            yield ith, slice(j0 - 1, min(j0 + run_t, n_t - 1) + 1)
-
-
 def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, h2: float) -> None:
     """(hi - twice_mid + lo) / h2 written into out, in the stencil's own order."""
     np.subtract(hi, twice_mid, out=out)
@@ -274,7 +278,7 @@ def conjugation_residual(
     unbounded higher derivatives would otherwise contaminate the order).
 
     The grid is walked in cache-sized theta x t tiles with a one-cell halo
-    (`_residual_tiles`); the modal, cutoff and weight factors are evaluated
+    (`_tiles`); the modal, cutoff and weight factors are evaluated
     once per axis, so a tile builds eta and exp(s sigma) h from slices of
     them, and the operator pieces are fused:
     P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_theta + (2-alpha) r eta_r)
@@ -325,7 +329,7 @@ def conjugation_residual(
     k_live = np.any(kcut, axis=0)
     tiles = [
         (ith, jt)
-        for ith, jt in _residual_tiles(theta.size, r.size, t.size)
+        for ith, jt in _tiles(theta.size, r.size, t.size, 1)
         if z_live[ith].any() and k_live[jt].any()
     ]
     n_r = r.size
@@ -527,29 +531,22 @@ def _contracted_weight_tiles(
     of e^{2 s sigma - log_offset} times each of `rows` (radial functions stacked
     before their last axis), times the theta and t rule weights at (theta_i, t_j).
 
-    The tiles of about _TILE_ELEMENTS points, each spanning the whole r axis,
-    partition theta x t.
+    The tiles are those of `_tiles` without a halo: they partition theta x t.
     """
     flat = rows.reshape(-1, r.size)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
-    per_plane = max(1, _TILE_ELEMENTS // r.size)
-    n_t = min(t.size, max(1, math.isqrt(per_plane)))
-    n_theta = max(1, per_plane // n_t)
-    for i0 in range(0, theta.size, n_theta):
-        ith = slice(i0, min(i0 + n_theta, theta.size))
-        for j0 in range(0, t.size, n_t):
-            jt = slice(j0, min(j0 + n_t, t.size))
-            weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
-            weight *= 2.0 * params.s
-            weight -= log_offset
-            # weigh an exponent whose exp is subnormal as exactly zero: exp and
-            # the matmul below run many times slower on subnormals
-            weight[weight < _LOG_TINY] = -np.inf
-            np.exp(weight, out=weight)
-            g = np.matmul(flat, weight)  # (theta, row, t)
-            g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
-            g = np.moveaxis(g, 1, 0).reshape(rows.shape[:-1] + (g.shape[0], g.shape[2]))
-            yield ith, jt, g
+    for ith, jt in _tiles(theta.size, r.size, t.size, 0):
+        weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
+        weight *= 2.0 * params.s
+        weight -= log_offset
+        # weigh an exponent whose exp is subnormal as exactly zero: exp and
+        # the matmul below run many times slower on subnormals
+        weight[weight < _LOG_TINY] = -np.inf
+        np.exp(weight, out=weight)
+        g = np.matmul(flat, weight)  # (theta, row, t)
+        g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
+        g = np.moveaxis(g, 1, 0).reshape(rows.shape[:-1] + (g.shape[0], g.shape[2]))
+        yield ith, jt, g
 
 
 def _pair_sum(f: np.ndarray, g: np.ndarray) -> float:
@@ -581,12 +578,27 @@ def carleman_component_integrals(
     Quadrature is trapezoid in theta and t and midpoint in r (the radial
     grid is staggered because A grad phi . grad phi ~ r^{-alpha} is
     integrable but unbounded at the degenerate side); the regions share
-    the r and t axes and their factors.
+    the r and t axes and their factors.  The two lateral strips' theta
+    rules join into one axis, so the core and the strips are each walked
+    once in the halo-free tiles of `_tiles`.
 
     Raises:
         ParameterOutOfRange: solution.alpha differs from params.alpha.
+        GridMismatch: an axis has no cell, or the t spacing leaves fewer
+            than two cells across the epsilon-wide cutoff band.
     """
     _check_same_alpha(solution, params)
+    shape = (n_theta, n_r, n_t)
+    if min(shape) < 1:
+        raise GridMismatch(f"grid {shape} needs at least one cell on each axis")
+    # the residual's rule: below two t cells across the cutoff's transition
+    # band the t rule misses it (at n_t = 1 no node lies inside the cutoff)
+    t_cells = params.epsilon / (params.T / n_t)
+    if t_cells < 2.0:
+        raise GridMismatch(
+            f"grid {shape} puts {t_cells:.3g} t cells across the epsilon-wide cutoff band; "
+            "it needs at least 2"
+        )
     d0 = params.delta0
     alpha, lam, s = params.alpha, params.lam, params.s
     zeta = theta_cutoff(d0)
@@ -627,22 +639,21 @@ def carleman_component_integrals(
         lhs_gradient += _pair_sum(psi_t, g[0]) + _pair_sum(psi_th, g[0]) + _pair_sum(psi, g[1])
         lhs_zero_order += _pair_sum(psi, g[2])
 
-    # right side over the lateral strip pair, psi = phi
+    # right side over the lateral strip pair, psi = phi: the nodes and
+    # weights of both strips' rules join into one theta axis
+    strips = [_trapezoid_rule(lo, hi, max(32, n_theta // 4)) for lo, hi in theta_strips(d0)]
+    theta, w_th = (np.concatenate(axis) for axis in zip(*strips))
+    sin, dsin = solution.angular_factors(theta)
     rows = np.stack([rr, dd])
     rhs_interior = rhs_commutator = 0.0
-    for lo, hi in theta_strips(d0):
-        theta, w_th = _trapezoid_rule(lo, hi, max(32, n_theta // 4))
-        sin, dsin = solution.angular_factors(theta)
-        for ith, jt, g in _contracted_weight_tiles(
-            params, theta, w_th, r, t, w_t, rows, log_offset
-        ):
-            phi = sin[:, ith, None] * amp[:, None, jt]
-            phi_t = sin[:, ith, None] * vel[:, None, jt]
-            phi_th = dsin[:, ith, None] * amp[:, None, jt]
-            rhs_interior += s**2 * _pair_sum(phi, g[0]) + _pair_sum(phi, g[1])
-            rhs_interior += _pair_sum(phi_th, g[0]) + _pair_sum(phi_t, g[0])
-            commutator = kd1[jt] * phi_t + kd2[jt] * phi
-            rhs_commutator += _pair_sum(commutator, g[0])
+    for ith, jt, g in _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset):
+        phi = sin[:, ith, None] * amp[:, None, jt]
+        phi_t = sin[:, ith, None] * vel[:, None, jt]
+        phi_th = dsin[:, ith, None] * amp[:, None, jt]
+        rhs_interior += s**2 * _pair_sum(phi, g[0]) + _pair_sum(phi, g[1])
+        rhs_interior += _pair_sum(phi_th, g[0]) + _pair_sum(phi_t, g[0])
+        commutator = kd1[jt] * phi_t + kd2[jt] * phi
+        rhs_commutator += _pair_sum(commutator, g[0])
 
     lhs_gradient *= s * lam * hr
     lhs_zero_order *= s**3 * lam**3 * hr
@@ -677,11 +688,13 @@ def carleman_constant_scan(
     solution: SmoothModalSolution,
     params: CarlemanParams,
     s_values: Sequence[float],
-    n_theta: int = 160,
-    n_r: int = 96,
-    n_t: int = 320,
+    **grid: int,
 ) -> list[ComponentIntegrals]:
     """Empirical quotient C-hat over an s-scan at fixed lambda.
+
+    Each s is one `carleman_component_integrals` call, on the grid that
+    `grid` (n_theta, n_r, n_t) names and on that function's defaults
+    otherwise, so the entry at params.s is that call's result bit for bit.
 
     Raises:
         NonPositiveInput: an s value is not positive and finite.
@@ -691,8 +704,6 @@ def carleman_constant_scan(
     if bad:
         raise NonPositiveInput(f"s must be positive and finite, got {bad}")
     return [
-        carleman_component_integrals(
-            solution, dataclasses.replace(params, s=s), n_theta=n_theta, n_r=n_r, n_t=n_t
-        )
+        carleman_component_integrals(solution, dataclasses.replace(params, s=s), **grid)
         for s in s_values
     ]

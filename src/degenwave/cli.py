@@ -9,7 +9,9 @@ in the order defaults < JSON config file (--config) < command-line flags,
 and every value given either way is parsed from its text by the key's kind
 (a file's numbers keep their spelling, a boolean is one of 1/0, true/false,
 yes/no), so a file value is accepted exactly when the same text as a flag
-is.  A config key that no run of the subcommand reads is unknown and
+is; a text key takes a file's string or number, never its null, boolean,
+list or object.  A flag is matched by its whole name, never by a prefix.
+A config key that no run of the subcommand reads is unknown and
 rejected, and so is a key, given by flag or in the file, that only other
 runs read; the run and the configuration echo of its reports see only the
 keys of its entry.  Exit codes: 0 success, 1 numerical failure, 2
@@ -68,7 +70,13 @@ def _coerce(key: str, kind, raw):
     a config-file value spelled as in the file."""
     text = raw if isinstance(raw, str) else json.dumps(raw)
     try:
-        return _BOOLS[text.lower()] if kind is bool else kind(text)
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        # a file's numbers arrive as their text; its null, booleans, lists
+        # and objects are no text, so a text key rejects them
+        if kind is str and not isinstance(raw, str):
+            raise ValueError(text)
+        return kind(text)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid value for key '{key}': {text!r}") from exc
 
@@ -352,14 +360,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix of a flag is no flag (--k would set kmax)
     parser = _Parser(
         prog="degenwave",
         description="Experiments for the boundary-degenerate wave laboratory",
+        allow_abbrev=False,
     )
     # the subparsers inherit _Parser as their parser_class
     sub = parser.add_subparsers(dest="command", required=True)
     for name in dict.fromkeys(command for command, _ in _RUNS):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         for key, (kind, _) in {**_COMMON, **_schema(name)}.items():
             flag = "--" + key.replace("_", "-")

@@ -5,9 +5,12 @@ import resource
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     modal_sum,
     pointwise_component_integrals,
@@ -365,20 +368,42 @@ class TestConjugationResidual:
     def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
         shape = (96, 16, 160)  # interior 95 x 16 x 159 points
         monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 161 * 161 * 16)
-        assert len(list(carleman._residual_tiles(97, 16, 161))) == 1
+        assert len(list(carleman._tiles(97, 16, 161, 1))) == 1
         one_tile = conjugation_residual(bessel_solution, carleman_params, shape=shape)
         # 8 x 64 interior points per tile, ragged 7 and 31 at the far edges
         monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 16 * 66)
-        tiles = list(carleman._residual_tiles(97, 16, 161))
+        tiles = list(carleman._tiles(97, 16, 161, 1))
         assert {ith.stop - ith.start - 2 for ith, _ in tiles} == {8, 7}
         assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 31}
         tiled = conjugation_residual(bessel_solution, carleman_params, shape=shape)
         assert tiled.residual_norm == pytest.approx(one_tile.residual_norm, rel=1e-13)
         assert tiled.reference_norm == pytest.approx(one_tile.reference_norm, rel=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        halo=st.sampled_from([0, 1]),
+        n_theta=st.integers(min_value=3, max_value=130),
+        n_r=st.integers(min_value=1, max_value=200),
+        n_t=st.integers(min_value=3, max_value=130),
+        budget=st.integers(min_value=1, max_value=1 << 17),
+    )
+    def test_tiles_partition_the_plane(self, halo, n_theta, n_r, n_t, budget):
+        """Guard: with or without a halo, the tiles cover each theta x t point
+        in halo .. n - 1 - halo exactly once, and their slices stay in bounds."""
+        covered = np.zeros((n_theta, n_t), dtype=int)
+        with mock.patch.object(carleman, "_TILE_ELEMENTS", budget):
+            for ith, jt in carleman._tiles(n_theta, n_r, n_t, halo):
+                assert 0 <= ith.start and ith.stop <= n_theta and ith.step is None
+                assert 0 <= jt.start and jt.stop <= n_t and jt.step is None
+                assert ith.stop - ith.start > 2 * halo and jt.stop - jt.start > 2 * halo
+                covered[ith.start + halo : ith.stop - halo, jt.start + halo : jt.stop - halo] += 1
+        inner = np.zeros_like(covered)
+        inner[halo : n_theta - halo, halo : n_t - halo] = 1
+        assert np.array_equal(covered, inner)
+
     def test_tiles_run_along_t(self):
         # the finest benchmark level: 18 theta x 64 t interior points per tile
-        tiles = list(carleman._residual_tiles(4609, 48, 257))
+        tiles = list(carleman._tiles(4609, 48, 257, 1))
         assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 63}
         assert max((ith.stop - ith.start) * 48 * (jt.stop - jt.start) for ith, jt in tiles) <= (
             carleman._TILE_ELEMENTS
@@ -427,7 +452,7 @@ class TestConjugationResidual:
         theta, r, t = carleman._residual_axes(p, shape, 0.1, p.T)
         zeta = np.any(eval_cutoff(theta_cutoff(p.delta0), theta), axis=0)
         kcut = np.any(eval_cutoff(time_cutoff(p.epsilon, p.T), t), axis=0)
-        tiles = list(carleman._residual_tiles(theta.size, r.size, t.size))
+        tiles = list(carleman._tiles(theta.size, r.size, t.size, 1))
         assert any(not zeta[ith].any() for ith, _ in tiles)
         assert any(not kcut[jt].any() for _, jt in tiles)
         tiled = conjugation_residual(bessel_solution, carleman_params, shape=shape)
@@ -522,10 +547,15 @@ class TestComponentIntegrals:
 
     def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
         grid = dict(n_theta=48, n_r=32, n_t=64)
-        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 49 * 32 * 65)
+        # one tile each for the 49 x 65 core and the 66 x 65 joined strips
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 66 * 65 * 32)
+        assert len(list(carleman._tiles(49, 32, 65, 0))) == len(list(carleman._tiles(66, 32, 65, 0))) == 1
         one_tile = carleman_component_integrals(bessel_solution, carleman_params, **grid)
-        # 10 x 32 x 10 tiles: the 49 x 65 core and 33 x 65 strip grids end ragged
-        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 32 * 10)
+        # 10 x 64 x 32 tiles: both grids end ragged along theta and t
+        monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 64 * 32)
+        tiles = list(carleman._tiles(49, 32, 65, 0)) + list(carleman._tiles(66, 32, 65, 0))
+        assert {ith.stop - ith.start for ith, _ in tiles} == {10, 9, 6}
+        assert {jt.stop - jt.start for _, jt in tiles} == {64, 1}
         tiled = carleman_component_integrals(bessel_solution, carleman_params, **grid)
         for field in (
             "lhs_gradient", "lhs_zero_order", "rhs_trace", "rhs_interior",
@@ -660,6 +690,34 @@ class TestComponentIntegrals:
         assert out.lhs_gradient == out.lhs_zero_order == out.rhs_interior == math.inf
         assert math.isnan(out.rhs_commutator)
         assert out.chat == pytest.approx(3.6779768815878413e-103, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(48, 0, 64), (0, 32, 64), (48, 32, 0), (48, -4, 64), (48, 32, 1), (48, 32, 32)],
+        ids=["n_r-0", "n_theta-0", "n_t-0", "n_r-negative", "n_t-1", "n_t-32"],
+    )
+    def test_grid_checked(self, carleman_params, bessel_solution, grid):
+        # once a bare ZeroDivisionError or ValueError, and at n_t 1 (no t node
+        # inside the cutoff) or 32 (1.998 t cells across its band) a quotient
+        n_theta, n_r, n_t = grid
+        with pytest.raises(GridMismatch):
+            carleman_component_integrals(
+                bessel_solution, carleman_params, n_theta=n_theta, n_r=n_r, n_t=n_t
+            )
+
+    def test_two_t_cells_across_the_band_suffice(self, carleman_params, bessel_solution):
+        # guard: 2.06 t cells across the epsilon band, as for the residual
+        out = carleman_component_integrals(
+            bessel_solution, carleman_params, n_theta=48, n_r=32, n_t=33
+        )
+        assert 0.0 < out.chat < math.inf
+
+    def test_scan_entry_at_base_s_is_the_integrals(self, carleman_params, bessel_solution):
+        # once 3.55198... from the scan's own coarser grid against 3.55270...
+        p = carleman_params
+        scan = carleman_constant_scan(bessel_solution, p, [p.s])
+        base = carleman_component_integrals(bessel_solution, p)
+        assert dataclasses.astuple(scan[0]) == dataclasses.astuple(base)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_scan_rejects_nonpositive_s(self, carleman_params, bessel_solution, bad):

@@ -181,6 +181,26 @@ class TestConfigHandling:
         assert json.loads(res.stderr)["kind"] == "config"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(("spectrum", "--k", "3"), "--kmax"),
+         (("simulate", "--delta", "0.02"), "--delta0"),
+         (("validate-params", "--t", "50"), "--t-horizon")],
+        ids=["spectrum-k", "simulate-delta", "validate-params-t"],
+    )
+    def test_flag_prefix_rejected(self, tmp_path, args, flag):
+        # once argparse's prefix matching ran each as its whole flag, with exit 0
+        from degenwave import cli
+
+        res = run_cli(*args, "--out", "out", cwd=tmp_path)
+        assert res.returncode == 2
+        assert json.loads(res.stderr) == {
+            "error": f"unrecognized arguments: {' '.join(args[1:])}", "kind": "config"
+        }
+        assert not (tmp_path / "out").exists()
+        parsed = cli._build_parser().parse_args([args[0], flag, args[2]])
+        assert getattr(parsed, flag[2:].replace("-", "_")) == args[2]
+
     def test_attached_negative_list_value_parses(self, tmp_path):
         res = run_cli("hardy", "--critical", "--scan=-1e-1,1e-2,1e-3,1e-4", cwd=tmp_path)
         assert res.returncode == 1
@@ -230,6 +250,26 @@ class TestConfigHandling:
         assert res.returncode == 0, res.stderr
         config = json.loads((tmp_path / "out" / "hardy.json").read_text())["config"]
         assert echo.items() <= config.items()
+
+    @pytest.mark.parametrize(
+        "value", [None, True, ["runs"], {"dir": "runs"}], ids=["null", "true", "list", "object"]
+    )
+    def test_text_key_rejects_non_text_file_value(self, tmp_path, value):
+        # {"out": null} once wrote its reports into a directory named null
+        (tmp_path / "run.json").write_text(json.dumps({"out": value, "n": 64, "kmax": 1}))
+        res = run_cli("spectrum", "--config", "run.json", cwd=tmp_path)
+        assert res.returncode == 2
+        assert json.loads(res.stderr) == {
+            "error": f"invalid value for key 'out': {json.dumps(value)!r}", "kind": "config"
+        }
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+    def test_number_file_value_of_a_text_key(self, tmp_path):
+        # guard: {"out": 5} reads as the text 5, as --out 5 does
+        (tmp_path / "run.json").write_text('{"out": 5, "n": 64, "kmax": 1}')
+        res = run_cli("spectrum", "--config", "run.json", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "5" / "spectrum.csv").exists()
 
     def test_integral_file_value_of_a_float_key(self, tmp_path):
         # {"alpha": 1} parses to 1.0, which the run then rejects as out of range
@@ -412,6 +452,16 @@ class TestConfigHandling:
         assert "Traceback" not in res.stderr
         assert json.loads(res.stderr)["kind"] == "GridMismatch"
         assert list(tmp_path.iterdir()) == []
+
+    def test_scan_row_at_base_s_is_the_report(self, tmp_path):
+        # the scan once ran on its own coarser grid: chat 3.55198... in the
+        # CSV against 3.55270... in carleman.json
+        res = run_cli("carleman-check", "--s-scan", "4,2", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        integrals = json.loads((tmp_path / "carleman.json").read_text())["result"]["integrals"]
+        header, *rows = csv_body(tmp_path / "carleman_scan.csv")
+        assert [row.split(",")[0] for row in rows] == ["4.0", "2.0"]
+        assert rows[1].split(",") == [repr(integrals[c]) for c in header.split(",")]
 
     def test_nonpositive_scan_s_rejected(self, tmp_path):
         res = run_cli("carleman-check", "--s-scan=0,2", "--out", str(tmp_path))
