@@ -202,6 +202,10 @@ def _run_carleman_check(cfg: dict) -> dict:
     solution = SmoothModalSolution(
         cfg["alpha"], (bessel_mode(cfg["alpha"], cfg["mode_n"], cfg["mode_k"], a=1.0, b=0.3),)
     )
+    # the scan checks every s before it solves; the base s is the base report
+    s_values = _items(cfg["s_scan"], float)
+    others = list(dict.fromkeys(s for s in s_values if s != params.s))
+    scanned = dict(zip(others, carleman_constant_scan(solution, params, others)))
     residual = conjugation_residual(
         solution, params,
         shape=(cfg["n_theta"], cfg["n_r"], cfg["n_t"]),
@@ -209,9 +213,8 @@ def _run_carleman_check(cfg: dict) -> dict:
     )
     integrals = carleman_component_integrals(solution, params)
     artifacts = {"carleman.json": {"residual": residual, "integrals": integrals}}
-    s_values = _items(cfg["s_scan"], float)
     if s_values:
-        scan = carleman_constant_scan(solution, params, s_values)
+        scan = [scanned.get(s, integrals) for s in s_values]
         artifacts["carleman_scan.csv"] = (
             ["s", "lam", "chat", "lhs_gradient", "lhs_zero_order",
              "rhs_trace", "rhs_interior", "rhs_commutator"],

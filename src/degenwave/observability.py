@@ -9,11 +9,12 @@ R_1(r) sin(n pi theta) cos(omega_n t) is the designed negative control:
 their energy grows like (n pi)^2 while the top-side trace stays bounded, so
 the pure-trace ratio diverges with slope 2 in log-log, and only the
 interior term restores boundedness.  Every observation term comes from the
-exact forms of waves: scanned modes and single data through
-observation_norms, whose full side is the same-order pair integrals of the
-datum's own ends; ensembles draw each member once, at the largest
-truncation, and apply the trace Gramian of each truncation, built only
-here, to its slice.
+exact forms of waves, and the full side only where it is read: scanned
+modes through observation_norms, whose full side is the same-order pair
+integrals of the mode's own ends; single data through the restricted trace
+and interior norms alone, the two the ratio reads; ensembles draw each
+member once, at the largest truncation, and apply the trace Gramian of each
+truncation, built only here, to its slice.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .waves import (
     _check_seed,
     _frequencies,
     _random_coefficients,
+    _segment_and_strip_norms,
     _trace_gramian,
     energy,
     modal_state,
@@ -81,7 +83,8 @@ def observability_ratio(
     """E(0) against restricted trace plus interior remainder for one datum.
 
     Zero data are flagged degenerate (the quotient is 0/0).  The horizon is
-    gated by the closed-form sufficient condition at default_beta.
+    gated by the closed-form sufficient condition at default_beta.  Only the
+    two norms the quotient reads are formed; the full top side is not.
 
     Raises:
         TimeTooShort: T at or below the admissible threshold.
@@ -90,13 +93,13 @@ def observability_ratio(
     if not T > threshold:
         raise TimeTooShort(f"T = {T} must exceed {threshold}")
     e0 = energy(state)
-    norms = observation_norms(state, T, domain.delta0)
-    denom = norms.restricted_trace_norm_sq + norms.interior_norm_sq
+    restricted, interior = _segment_and_strip_norms(state, T, domain.delta0)
+    denom = restricted + interior
     degenerate = denom == 0.0
     return ObservabilityRecord(
         E0=e0,
-        trace_restricted=norms.restricted_trace_norm_sq,
-        interior_term=norms.interior_norm_sq,
+        trace_restricted=restricted,
+        interior_term=interior,
         ratio=math.nan if degenerate else e0 / denom,
         degenerate=degenerate,
         T=T,
@@ -128,13 +131,19 @@ def high_mode_obstruction_scan(
     growing like (n pi)^2.  The remedied ratio adds the restricted-segment
     trace and the interior term and stays bounded.  All three norms of each
     mode come from observation_norms, with R_1 the ground mode of basis.
+    The slope is fitted through distinct orders only, so each order may be
+    listed once.
 
     Raises:
-        InsufficientData: fewer than 4 orders or a span below one decade.
+        InsufficientData: fewer than 4 distinct orders or a span below one
+            decade.
+        ParameterOutOfRange: an order listed more than once.
     """
     ns = [int(n) for n in n_values]
-    if len(ns) < 4 or max(ns) < 8 * min(ns):
-        raise InsufficientData("need at least 4 orders spanning a decade")
+    if len(set(ns)) < 4 or max(ns) < 8 * min(ns):
+        raise InsufficientData("need at least 4 distinct orders spanning a decade")
+    if len(set(ns)) < len(ns):
+        raise ParameterOutOfRange(f"each order may be listed once, got {ns}")
     pure = []
     remedied = []
     for n in ns:

@@ -9,7 +9,9 @@ symmetric tridiagonal standard problem T and its smallest eigenpairs, one
 LAPACK/BLAS stages: Sturm-sequence bisection for the eigenvalues (dstebz,
 one call per fixed chunk of 64 indices), inverse iteration once per
 eigenvalue (dstein), and a single Cholesky QR orthonormalization of the
-whole block in the lumped inner product.  Inverse iteration runs per
+whole block in the lumped inner product.  The last two write into the dof
+columns of the basis array itself, so a solve holds one array of the
+basis's size, not two.  Inverse iteration runs per
 eigenvalue because dstein re-orthogonalizes against every neighbour within
 1e-3 ||T||_1, and the near-origin diagonal of graded meshes inflates ||T||
 so far that the whole low spectrum would count as one cluster.
@@ -45,7 +47,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._threads import deal
-from .errors import ConvergenceFailure, DivergentWeight, InvalidMeshSpec, ParameterOutOfRange
+from .errors import (
+    ConvergenceFailure,
+    DivergentWeight,
+    InvalidMeshSpec,
+    ParameterOutOfRange,
+    TruncationTooSmall,
+)
 from .params import DegeneracyParams
 
 __all__ = [
@@ -320,7 +328,17 @@ class RadialBasis:
 
     def consistent_gram(self, k_max: int) -> np.ndarray:
         """Exact pairwise integrals int R_j R_k dr (consistent mass products)
-        of the first k_max eigenfunctions."""
+        of the first k_max eigenfunctions.
+
+        Raises:
+            TruncationTooSmall: k_max outside [1, self.k_max].
+        """
+        if k_max > self.k_max:
+            raise TruncationTooSmall(
+                f"k_max = {k_max} exceeds the {self.k_max} computed eigenpairs"
+            )
+        if k_max < 1:
+            raise TruncationTooSmall(f"k_max must be at least 1, got {k_max}")
         dof = self.R[:k_max, self.mats.i0 : self.mats.i1]
         return dof @ self.mats.mass_action(dof).T
 
@@ -414,8 +432,12 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     cost O(n k^2) vector operations.  The vectors are instead orthonormalized
     once, by Cholesky QR in the lumped inner product (L L^T = Z Z^T,
     Z <- L^{-1} Z, the same Q as Gram-Schmidt in exact arithmetic), scaled
-    back by D^{-1/2} and oriented to start positive.  The eigenvalue reported
-    is the Rayleigh quotient of the computed vector.
+    back by D^{-1/2} and oriented to start positive.  All of it runs in
+    place: dstein writes each vector into its dof slots of the result R, and
+    the Gram product and the triangular solve read and write that strided
+    block with the row length of R as leading dimension, so no second
+    (k_max, n) array is made.  The eigenvalue reported is the Rayleigh
+    quotient of the computed vector.
 
     The chunks, and then the dstein calls, are dealt round-robin to one
     thread per CPU the process may use; both routines are called through
@@ -487,18 +509,19 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
 
     deal(n_chunks, bisect)
 
-    # rows of z are eigenvectors of T, in ascending eigenvalue order
-    z = np.empty((k_max, n))
+    # rows of R's dof block x are eigenvectors of T, in ascending eigenvalue order
+    R = np.zeros((k_max, mats.mesh.nodes.size))
+    x = R[:, mats.i0 : mats.i1]
     stein = _lapack("dstein")
 
     def invert(first: int, step: int) -> None:
-        """Eigenvalues first, first + step, ... into their rows of z."""
+        """Eigenvalues first, first + step, ... into their rows of x."""
         work, iwork = np.empty(5 * n), np.empty(n, dtype=np.intc)
         ifail, info = ctypes.c_int(), ctypes.c_int()
         for row in range(first, k_max, step):
             stein(
                 byref(c_n), diag.ctypes, off.ctypes, byref(c_one), w[row:].ctypes,
-                blocks[row:].ctypes, isplit.ctypes, z[row].ctypes, byref(c_n),
+                blocks[row:].ctypes, isplit.ctypes, x[row].ctypes, byref(c_n),
                 work.ctypes, iwork.ctypes, byref(ifail), byref(info),
             )
             if info.value != 0:
@@ -508,18 +531,20 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
 
     deal(k_max, invert)
 
-    # Cholesky QR: the lumped inner product of x = D^{-1/2} v is v . v.  The
+    # Cholesky QR: the lumped inner product of D^{-1/2} v is v . v.  The
     # Gram matrix, the factor and the solve call scipy's BLAS and LAPACK
     # through the same capsules as above: numpy links its own OpenBLAS, and
     # alternating between the two thread pools stalls each behind the other's
     # spinning workers.  Runs that never solve start only numpy's pool.
-    # z^T is the F-ordered (n, k) array A; the lower triangle of the F-ordered
-    # gram receives A^T A (dsyrk, beta 0), is factored in place to L (dpotrf),
-    # and z^T <- z^T L^{-T} is solved in place (dtrsm), so z <- L^{-1} z
+    # x^T is the F-ordered (n, k) array A with leading dimension one row of
+    # R; the lower triangle of the F-ordered gram receives A^T A (dsyrk,
+    # beta 0), is factored in place to L (dpotrf), and x^T <- x^T L^{-T} is
+    # solved in place (dtrsm), so x <- L^{-1} x
     c_k, c_unit, c_zero = ctypes.c_int(k_max), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    c_ld = ctypes.c_int(R.shape[1])
     gram = np.zeros((k_max, k_max), order="F")
     _lapack("dsyrk")(
-        b"L", b"T", byref(c_k), byref(c_n), byref(c_unit), z.ctypes, byref(c_n),
+        b"L", b"T", byref(c_k), byref(c_n), byref(c_unit), x.ctypes, byref(c_ld),
         byref(c_zero), gram.ctypes, byref(c_k),
     )
     info = ctypes.c_int()
@@ -530,22 +555,21 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
         )
     _lapack("dtrsm")(
         b"R", b"L", b"T", b"N", byref(c_n), byref(c_k), byref(c_unit), gram.ctypes,
-        byref(c_k), z.ctypes, byref(c_n),
+        byref(c_k), x.ctypes, byref(c_ld),
     )
-
-    R = np.zeros((k_max, mats.mesh.nodes.size))
-    x = R[:, mats.i0 : mats.i1]
-    np.divide(z, sqrt_d, out=x)
-    del z
-    first = np.argmax(x != 0.0, axis=1)
-    R *= np.where(x[np.arange(k_max), first] < 0.0, -1.0, 1.0)[:, None]
 
     # bisection locates eigenvalues only to ~eps * ||T||, which the huge
     # near-origin diagonal entries can make coarse; the Rayleigh quotient
     # of the computed eigenvector is second-order accurate in its residual
     # and restores near-machine eigenvalues (x is unit-norm in lumped mass).
-    # Row by row, each product stays in cache and needs no (k, n) temporary
-    rho = np.array([mats.stiffness_product(xj, xj) for xj in x])
+    # Row by row, scaled by D^{-1/2} and flipped whole to start positive,
+    # each row stays in cache and needs no (k, n) temporary
+    rho = np.empty(k_max)
+    for j, xj in enumerate(x):
+        xj /= sqrt_d
+        if xj[np.argmax(xj != 0.0)] < 0.0:
+            R[j] *= -1.0
+        rho[j] = mats.stiffness_product(xj, xj)
     return RadialBasis(mats=mats, rho=rho, R=R, flux=_variational_flux(mats, R, rho))
 
 

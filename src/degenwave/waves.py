@@ -627,7 +627,9 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     by pair integrals, theta by sine and cosine overlaps, and radius by
     element integrals (the consistent Gram matrix and the eigenvalues
     rho_k).  The whole side is full_trace_norm_closed, from the same-order
-    pairs alone.  The segment and the strips are mirror symmetric, so their
+    pairs alone; the segment and the strips come from
+    _segment_and_strip_norms, which callers that read only those two (the
+    observability ratio) call alone.  They are mirror symmetric, so their
     theta factors vanish between odd and even sine orders: the two parity
     classes are assembled apart, which halves the pairs.  Each class
     rotates its data to t = T once per mode; the amplitudes and the
@@ -641,6 +643,23 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     Raises:
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2), where the
             segment (delta0, 1 - delta0) or the strips are empty or reversed.
+        NonPositiveInput: T not positive and finite.
+    """
+    restricted, interior = _segment_and_strip_norms(state, T, delta0)
+    return TraceReport(
+        full_trace_norm_sq=full_trace_norm_closed(state, T),
+        restricted_trace_norm_sq=restricted,
+        interior_norm_sq=interior,
+    )
+
+
+def _segment_and_strip_norms(
+    state: ModalCoefficients, T: float, delta0: float
+) -> tuple[float, float]:
+    """The restricted trace and interior norms of observation_norms, in that order.
+
+    Raises:
+        ParameterOutOfRange: delta0 is nan or outside (0, 1/2).
         NonPositiveInput: T not positive and finite.
     """
     if not 0.0 < delta0 < 0.5:
@@ -676,8 +695,4 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
             terms = np.sum(amp_nm * theta_block, axis=(0, 1))
             restricted += float(terms[0])
             interior += float(terms[1] + terms[2] + np.sum(vel_nm * theta_block[..., 2]))
-    return TraceReport(
-        full_trace_norm_sq=full_trace_norm_closed(state, T),
-        restricted_trace_norm_sq=restricted,
-        interior_norm_sq=interior,
-    )
+    return restricted, interior

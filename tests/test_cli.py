@@ -469,6 +469,39 @@ class TestConfigHandling:
         assert json.loads(res.stderr)["kind"] == "NonPositiveInput"
         assert list(tmp_path.iterdir()) == []
 
+    def test_scan_reuses_the_base_integrals(self, tmp_path, monkeypatch):
+        # the scan once recomputed the row at the base s, a third call
+        from degenwave import carleman, cli
+
+        calls = []
+        integrate = carleman.carleman_component_integrals
+
+        def counted(solution, params, **grid):
+            calls.append(params.s)
+            return integrate(solution, params, **grid)
+
+        monkeypatch.setattr(carleman, "carleman_component_integrals", counted)
+        monkeypatch.setattr(cli, "carleman_component_integrals", counted)
+        assert cli.main(["carleman-check", "--s-scan", "2,4", "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == [2.0, 4.0]
+        integrals = json.loads((tmp_path / "carleman.json").read_text())["result"]["integrals"]
+        header, *rows = csv_body(tmp_path / "carleman_scan.csv")
+        assert rows[0].split(",") == [repr(integrals[c]) for c in header.split(",")]
+
+    def test_nonpositive_scan_s_solves_nothing(self, tmp_path, monkeypatch, capsys):
+        # once rejected only after the residual and the base integrals
+        from degenwave import cli
+
+        def solved(*args, **kwargs):
+            raise AssertionError("solved before the scan was checked")
+
+        monkeypatch.setattr(cli, "conjugation_residual", solved)
+        monkeypatch.setattr(cli, "carleman_component_integrals", solved)
+        out = tmp_path / "out"
+        assert cli.main(["carleman-check", "--s-scan", "0", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "NonPositiveInput"
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         res = run_cli(
             "validate-params", "--t-horizon", "10", "--out", str(tmp_path)
@@ -604,6 +637,16 @@ class TestObservabilityCommand:
         assert body[0] == "n,pure_ratio,remedied_ratio"
         assert len(body) == 5
         assert_finite_csv(tmp_path / "obstruction.csv")
+
+    def test_obstruction_repeated_orders_rejected(self, tmp_path, capsys):
+        # two distinct orders once passed the four-order check and fitted a slope
+        from degenwave import cli
+
+        out = tmp_path / "out"
+        argv = ["observability", "--mode", "obstruction", "--n-values", "8,8,8,80", "--k-max", "2"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "InsufficientData"
+        assert not out.exists()
 
     def test_ensemble_artifacts(self, tmp_path):
         res = run_cli(

@@ -59,6 +59,22 @@ class TestObservabilityRatio:
         r2 = observability_ratio(st2, domain001, horizon)
         assert r2.ratio == pytest.approx(r1.ratio, rel=1e-10)
 
+    def test_full_side_not_computed(self, monkeypatch, basis05, domain001, horizon):
+        # the ratio reads the restricted trace and the interior norm only
+        from degenwave import waves
+
+        st = random_state(basis05, 8, 8, 3)
+        norms = observation_norms(st, horizon, domain001.delta0)
+
+        def full_side(*args):
+            raise AssertionError("observability_ratio computed the full side")
+
+        monkeypatch.setattr(waves, "full_trace_norm_closed", full_side)
+        rec = observability_ratio(st, domain001, horizon)
+        assert rec.trace_restricted == norms.restricted_trace_norm_sq
+        assert rec.interior_term == norms.interior_norm_sq
+        assert rec.ratio == rec.E0 / (norms.restricted_trace_norm_sq + norms.interior_norm_sq)
+
     def test_time_gate(self, basis05, domain001):
         st = modal_state(basis05, 1, 1, amplitudes={(1, 1): 1.0})
         threshold = observation_time_threshold(domain001.delta0, default_beta(0.01))
@@ -116,6 +132,13 @@ class TestObstructionScan:
             high_mode_obstruction_scan([8, 16, 32], horizon, domain001, basis=basis05_k64)
         with pytest.raises(InsufficientData):
             high_mode_obstruction_scan([8, 10, 12, 14], horizon, domain001, basis=basis05_k64)
+
+    def test_orders_counted_once(self, basis05_k64, domain001, horizon):
+        # [8, 8, 8, 80] once fitted its slope through two orders
+        with pytest.raises(InsufficientData):
+            high_mode_obstruction_scan([8, 8, 8, 80], horizon, domain001, basis=basis05_k64)
+        with pytest.raises(ParameterOutOfRange, match="once"):
+            high_mode_obstruction_scan([8, 16, 16, 32, 64], horizon, domain001, basis=basis05_k64)
 
 
 class TestHiddenTraceEnsemble:

@@ -18,6 +18,7 @@ from degenwave.errors import (
     DivergentWeight,
     InvalidMeshSpec,
     ParameterOutOfRange,
+    TruncationTooSmall,
 )
 from degenwave.radial import (
     RadialMesh,
@@ -326,6 +327,30 @@ class TestLumpedSolver:
             tracemalloc.stop()
         assert peak <= 49e6
 
+    def test_wide_solve_holds_one_basis_array(self):
+        # dstein once filled a (k, n) array of its own that was then copied
+        # into R: the peak was 2.07 times the basis
+        solve_radial_basis(0.5, N=512, g=2.0, k_max=8)
+        tracemalloc.start()
+        try:
+            basis = solve_radial_basis(0.5, N=8192, g=2.0, k_max=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * basis.R.nbytes
+
+    @pytest.mark.parametrize(
+        "bc,constrained",
+        [("dirichlet-dirichlet", [0, -1]), ("dirichlet-left-only", [0]),
+         ("dirichlet-right-only", [-1])],
+    )
+    def test_constrained_columns_are_zero(self, bc, constrained):
+        mats = assemble_weighted_system(build_graded_mesh(512, 2.0), 0.5, 0.0, bc)
+        basis = solve_eigenpairs(mats, 70)
+        assert basis.R.shape == (70, 513)
+        assert np.all(basis.R[:, constrained] == 0.0)
+        assert np.all(basis.R[:, mats.i0 : mats.i1][:, [0, -1]] != 0.0)
+
     def test_stein_failure_is_convergence_failure(self, monkeypatch, basis05):
         fail_lapack(monkeypatch, "dstein")
         with pytest.raises(ConvergenceFailure, match="dstein"):
@@ -607,6 +632,13 @@ class TestConsistentGram:
         lead = basis05_k64.consistent_gram(5)
         assert lead.shape == (5, 5)
         assert np.max(np.abs(lead - full[:5, :5])) <= 1e-14 * np.max(np.abs(full))
+
+    def test_truncation_outside_the_basis_rejected(self, basis05):
+        # once a silent 16 x 16 and 0 x 0 matrix
+        with pytest.raises(TruncationTooSmall, match="k_max = 17 exceeds the 16 computed"):
+            basis05.consistent_gram(17)
+        with pytest.raises(TruncationTooSmall):
+            basis05.consistent_gram(0)
 
 
 class TestEllipticIdentity:
