@@ -23,12 +23,18 @@ the result against (theta, t) products of the angular, temporal and cutoff
 factors, walking the core once and the two lateral strips, joined into one
 theta axis, once.
 
-The residual skips the tiles on which the cutoffs vanish and spreads the
-others over one thread per CPU the process may use.  Each thread keeps its
-tile intermediates in buffers allocated once per call and forms the sums
-of squares with einsum, so the residual makes no BLAS call (and wakes no
-BLAS thread pool); the per-tile sums are added in tile order, so the
-result does not depend on the number of threads.
+Both kernels skip work whose result is exactly zero, so no sum moves by a
+bit for it.  The residual skips the tiles on which the cutoffs vanish, and
+builds its source term exp(s sigma) h only on the tiles that meet a cutoff
+band: elsewhere h = 0 identically.  The quadratures skip the tiles on which
+every weight exp(2 s sigma - log_offset) is subnormal, which count as
+exactly zero, and flush weights element by element only on the tiles that
+reach that range.  The residual spreads its tiles over one thread per CPU
+the process may use.  Each thread keeps its tile intermediates in buffers
+allocated once per call and forms the sums of squares with einsum, so the
+residual makes no BLAS call (and wakes no BLAS thread pool); the per-tile
+sums are added in tile order, so the result does not depend on the number
+of threads.
 """
 
 from __future__ import annotations
@@ -48,7 +54,14 @@ from .errors import (
     NonPositiveInput,
     ParameterOutOfRange,
 )
-from .params import CarlemanParams, eval_cutoff, theta_cutoff, theta_strips, time_cutoff
+from .params import (
+    CarlemanParams,
+    _whole,
+    eval_cutoff,
+    theta_cutoff,
+    theta_strips,
+    time_cutoff,
+)
 from .radial import _trapezoid_weights, bessel_radial_mode
 from .waves import _rotate
 
@@ -89,7 +102,13 @@ class SmoothMode:
 
 
 def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) -> SmoothMode:
-    """Exact eigenmode with the k-th Bessel radial profile and sine order n."""
+    """Exact eigenmode with the k-th Bessel radial profile and sine order n.
+
+    Raises:
+        ParameterOutOfRange: n or k not an integer or below 1 (sin(n pi theta)
+            vanishes at theta = 1 only for an integer n), or alpha outside (0, 1).
+    """
+    n = _whole(n, "sine order n")
     if n < 1:
         raise ParameterOutOfRange(f"sine order n must be at least 1, got {n}")
     rho, R, dR, flux = bessel_radial_mode(alpha, k)
@@ -244,11 +263,17 @@ def _residual_axes(
     return theta, r, t
 
 
-def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, h2: float) -> None:
-    """(hi - twice_mid + lo) / h2 written into out, in the stencil's own order."""
+def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, scale) -> None:
+    """(hi - twice_mid + lo) * scale written into out, in the stencil's own order;
+    scale is 1/h^2, times any coefficient the difference meets."""
     np.subtract(hi, twice_mid, out=out)
     out += lo
-    out /= h2
+    out *= scale
+
+
+def _grid_shape(shape) -> tuple[int, ...]:
+    """Grid sizes as ints: an integral float is that integer, anything else refused."""
+    return tuple(_whole(n, f"grid size in {tuple(shape)}", GridMismatch) for n in shape)
 
 
 def _check_same_alpha(solution: SmoothModalSolution, params: CarlemanParams) -> None:
@@ -285,22 +310,30 @@ def conjugation_residual(
     and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta,
     with xi_t = -2 beta (t - t0) and b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha)).
     A tile on whose theta or t slice the cutoff and its derivatives vanish
-    has eta = h = 0 and adds exactly nothing, so it is skipped.  The other
-    tiles are dealt round-robin to one thread per CPU the process may use
-    (at most one per tile).  Each thread writes every (theta, r, t)
-    intermediate into buffers it allocates once, and forms the tile's sums
-    of squares with einsum, so the loop makes no BLAS call; the per-tile
-    sums are added in tile order, which makes the result independent of the
-    number of threads.
+    has eta = h = 0 and adds exactly nothing, so it is skipped.  A tile
+    that meets neither cutoff band, where zeta', zeta'', k' and k'' all
+    vanish on its slices, has h = 0 identically, so exp(s sigma) h is
+    exactly +-0 there: the tile forms only its stencil, and adds the sum of
+    its squares to the residual and exactly 0 to the reference, the sums
+    that building and subtracting that zero would give.  The stencil's
+    constants are folded into its coefficients (1/h^2, r^alpha/h_r^2, and s
+    into the weight's theta factor).  The tiles left are dealt round-robin
+    to one thread per CPU the process may use (at most one per tile).  Each
+    thread writes every (theta, r, t) intermediate into buffers it allocates
+    once, and forms the tile's sums of squares with einsum, so the loop
+    makes no BLAS call; the per-tile sums are added in tile order, which
+    makes the result independent of the number of threads.
 
     Raises:
         ParameterOutOfRange: solution.alpha differs from params.alpha, or
             r_min is not finite or is at least 1.
-        GridMismatch: an axis has no interior point, or the theta or t
-            spacing leaves fewer than two cells across a cutoff band.
+        GridMismatch: a grid size is not an integer, an axis has no
+            interior point, or the theta or t spacing leaves fewer than two
+            cells across a cutoff band.
         DegenerateCellTouched: the radial stencil reaches r <= 0.
     """
     _check_same_alpha(solution, params)
+    shape = _grid_shape(shape)
     alpha = params.alpha
     lam, s, beta = params.lam, params.s, params.beta
     theta, r, t = _residual_axes(params, shape, r_min, params.T)
@@ -316,21 +349,29 @@ def conjugation_residual(
     amp, vel = solution.temporal_factors(t)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     sig_rt = sig_r[:, None] * sig_t[None, :]
+    s_sig_theta = s * sig_theta
+    slam_sig_theta = (s * lam) * sig_theta
 
     # A tile skips where the cutoff and its derivatives vanish on its whole
-    # theta or t slice.  Each theta plane of a tile is one contiguous (r, t)
-    # row; its interior r rows, with every t of the tile, form a segment in
-    # which the theta, r and t neighbours lie a plane, a t row and one point
-    # away.  The work arrays are (theta, segment) shaped, so they also hold
+    # theta or t slice, and forms h only where a cutoff derivative does not
+    # vanish on the slices that h takes.  Each theta plane of a tile is one
+    # contiguous (r, t) row; its interior r rows, with every t of the tile,
+    # form a segment in which the theta, r and t neighbours lie a plane, a t
+    # row and one point away.  The work arrays are (theta, segment) shaped, so they also hold
     # the tile's two t halo columns, whose values are discarded (their t
     # neighbours wrap into the adjacent r row); every interior point gets
     # exactly the operations of a (theta, r, t) evaluation.
     z_live = np.any(zeta, axis=0)
     k_live = np.any(kcut, axis=0)
+    z_band = np.any(zeta[1:], axis=0)
+    k_band = np.any(kcut[1:], axis=0)
     tiles = [
         (ith, jt)
         for ith, jt in _tiles(theta.size, r.size, t.size, 1)
         if z_live[ith].any() and k_live[jt].any()
+    ]
+    sourced = [
+        z_band[ith.start + 1 : ith.stop - 1].any() or k_band[jt].any() for ith, jt in tiles
     ]
     n_r = r.size
     widths = [(ith.stop - ith.start, jt.stop - jt.start) for ith, jt in tiles]
@@ -338,17 +379,18 @@ def conjugation_residual(
     core_size = max(((n_i - 2) * (n_r - 2) * n_j for n_i, n_j in widths), default=0)
 
     # coefficients at the interior points, radial ones repeated along each
-    # tile width and t ones along r per t slice; the 1/(2h) of each first
-    # difference is folded into the coefficient it meets
+    # tile width and (r, t) ones per t slice; the 1/(2h) of each first
+    # difference and the 1/h^2 of each second one are folded into the
+    # coefficient it meets
     two_a = 2.0 - alpha
     r_c = r[1:-1]
     radial_coefs = (
-        r_c**alpha,
+        r_c**alpha / h_r**2,
         alpha * r_c ** (alpha - 1.0) / (2.0 * h_r),
         two_a * r_c / h_r,
-        two_a**2 * r_c**two_a,
     )
     radial = {n_j: [np.repeat(c, n_j) for c in radial_coefs] for n_j in {n_j for _, n_j in widths}}
+    quad_r = two_a**2 * r_c**two_a
     xi_t = -2.0 * beta * (t - params.t0)
     xi_t_sq = xi_t**2
     drift_t_coef = xi_t / h_t
@@ -356,12 +398,14 @@ def conjugation_residual(
         start: (
             np.ascontiguousarray(sig_rt[:, jt]).reshape(-1),
             np.tile(drift_t_coef[jt], n_r - 2),
-            np.tile(xi_t_sq[jt], n_r - 2),
+            # the (r, t) part of b, xi_t^2 - (2-alpha)^2 r^(2-alpha)
+            (xi_t_sq[None, jt] - quad_r[:, None]).reshape(-1),
         )
         for start, jt in {jt.start: jt for _, jt in tiles}.items()
     }
     drift_th_coef = 2.0 * theta / h_theta
     theta_sq4 = 4.0 * theta**2
+    inv_th2, inv_t2 = 1.0 / h_theta**2, 1.0 / h_t**2
     zero_order = 4.0 - alpha + 2.0 * beta
     sums = np.zeros((len(tiles), 2))
 
@@ -378,12 +422,11 @@ def conjugation_residual(
             lap, work, drift, total = (
                 b[: (n_i - 2) * span].reshape(n_i - 2, span) for b in core_buf
             )
-            r_alpha, lap_r, drift_r, quad_rad = radial[n_j]
-            sig_plane, drift_t, xi_t_sq_rows = columns[jt.start]
+            rr_coef, lap_r, drift_r = radial[n_j]
+            sig_plane, drift_t, b_rt = columns[jt.start]
 
             # eta = exp(s sigma) sum_m R_m(r) zeta k sin_m amp_m
-            np.multiply(sig_theta[ith, None], sig_plane, out=esig)
-            esig *= s
+            np.multiply(s_sig_theta[ith, None], sig_plane, out=esig)
             np.exp(esig, out=esig)
             q = sin[:, ith, None] * amp[:, None, jt]
             q *= zv[ith, None] * kv[None, jt]
@@ -395,23 +438,22 @@ def conjugation_residual(
             t_hi, t_lo = eta[1:-1, n_j + 1 : n_j + 1 + span], eta[1:-1, n_j - 1 : n_j - 1 + span]
 
             # P1+ = eta_tt - (eta_thth + r^alpha eta_rr + alpha r^(alpha-1) eta_r);
-            # each second difference is (hi - 2 eta) + lo, then / h^2, with the
-            # 2 eta that all three share held in total until eta_tt replaces it
+            # each second difference is (hi - 2 eta) + lo, then times its scale,
+            # with the 2 eta that all three share held in total until eta_tt
+            # replaces it
             np.multiply(core, 2.0, out=total)
-            _second_diff_into(lap, th_hi, total, th_lo, h_theta**2)
-            _second_diff_into(work, r_hi, total, r_lo, h_r**2)
-            work *= r_alpha
+            _second_diff_into(lap, th_hi, total, th_lo, inv_th2)
+            _second_diff_into(work, r_hi, total, r_lo, rr_coef)
             lap += work
             np.subtract(r_hi, r_lo, out=drift)  # 2 h_r eta_r
             np.multiply(lap_r, drift, out=work)
             lap += work
-            _second_diff_into(total, t_hi, total, t_lo, h_t**2)
+            _second_diff_into(total, t_hi, total, t_lo, inv_t2)
             total -= lap
 
             # P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_th + (2-alpha) r eta_r)
             slam_sigma = lap
-            np.multiply(sig_theta[ith_c, None], sig_plane[n_j : n_j + span], out=slam_sigma)
-            slam_sigma *= s * lam
+            np.multiply(slam_sig_theta[ith_c, None], sig_plane[n_j : n_j + span], out=slam_sigma)
             drift *= drift_r
             np.subtract(th_hi, th_lo, out=work)
             work *= drift_th_coef[ith_c, None]
@@ -423,15 +465,19 @@ def conjugation_residual(
             total += drift
 
             # P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta
-            # with b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha))
-            np.add(theta_sq4[ith_c, None], quad_rad, out=work)
-            np.subtract(xi_t_sq_rows, work, out=work)
+            # with b = (xi_t^2 - (2-alpha)^2 r^(2-alpha)) - 4 theta^2
+            np.subtract(b_rt, theta_sq4[ith_c, None], out=work)
             np.subtract(slam_sigma, lam, out=drift)
             drift *= work
             drift += zero_order
             drift *= slam_sigma
             drift *= core
             total += drift
+            if not sourced[k]:
+                # h = 0: the residual is -total and the reference exactly 0
+                res = total.reshape(n_i - 2, n_r - 2, n_j)[:, :, 1:-1]
+                sums[k] = np.einsum("irt,irt->", res, res), 0.0
+                continue
 
             # exp(s sigma) h = exp(s sigma) sum_m R_m(r) h_m with, from the exact
             # derivatives of phi, h_m = 2 zeta k' sin_m vel_m
@@ -523,6 +569,24 @@ class ComponentIntegrals:
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
+def _exponent_bounds(
+    sig_theta: np.ndarray, r_ends: tuple[float, float], sig_t: np.ndarray, two_s: float,
+    log_offset: float,
+) -> tuple[float, float]:
+    """Smallest and largest 2 s sigma - log_offset over a tile, from its theta and
+    t factors and the extremes r_ends = (lo, hi) of the radial one.
+
+    Each factor is positive and rounding is monotone, so the exponents of the
+    extreme factors, formed in the elements' own order (sig_theta (sig_r sig_t),
+    then times 2 s, then minus log_offset), equal the elementwise extremes
+    exactly.
+    """
+    r_lo, r_hi = r_ends
+    lo = sig_theta.min() * (r_lo * sig_t.min()) * two_s - log_offset
+    hi = sig_theta.max() * (r_hi * sig_t.max()) * two_s - log_offset
+    return lo, hi
+
+
 def _contracted_weight_tiles(
     params: CarlemanParams, theta: np.ndarray, w_th: np.ndarray, r: np.ndarray, t: np.ndarray,
     w_t: np.ndarray, rows: np.ndarray, log_offset: float,
@@ -532,16 +596,25 @@ def _contracted_weight_tiles(
     before their last axis), times the theta and t rule weights at (theta_i, t_j).
 
     The tiles are those of `_tiles` without a halo: they partition theta x t.
+    A weight whose exp would be subnormal counts as exactly zero (exp and
+    the matmul run many times slower on subnormals).  A tile whose largest
+    exponent (`_exponent_bounds`) lies below _LOG_TINY is not yielded, since
+    its g would be exactly zero, and only a tile whose smallest does is
+    flushed element by element.
     """
     flat = rows.reshape(-1, r.size)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
+    two_s = 2.0 * params.s
+    r_ends = sig_r.min(), sig_r.max()
     for ith, jt in _tiles(theta.size, r.size, t.size, 0):
+        lo, hi = _exponent_bounds(sig_theta[ith], r_ends, sig_t[jt], two_s, log_offset)
+        if hi < _LOG_TINY:
+            continue
         weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
-        weight *= 2.0 * params.s
+        weight *= two_s
         weight -= log_offset
-        # weigh an exponent whose exp is subnormal as exactly zero: exp and
-        # the matmul below run many times slower on subnormals
-        weight[weight < _LOG_TINY] = -np.inf
+        if lo < _LOG_TINY:
+            weight[weight < _LOG_TINY] = -np.inf
         np.exp(weight, out=weight)
         g = np.matmul(flat, weight)  # (theta, row, t)
         g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
@@ -580,15 +653,21 @@ def carleman_component_integrals(
     integrable but unbounded at the degenerate side); the regions share
     the r and t axes and their factors.  The two lateral strips' theta
     rules join into one axis, so the core and the strips are each walked
-    once in the halo-free tiles of `_tiles`.
+    once in the halo-free tiles of `_tiles`.  A weight below the smallest
+    normal float counts as exactly zero, so a tile on which every weight
+    is (at lam 2, s 8 most of them) would add exactly zero to each sum and
+    is skipped; the fields are those of the loop without the skip, bit for
+    bit.
 
     Raises:
         ParameterOutOfRange: solution.alpha differs from params.alpha.
-        GridMismatch: an axis has no cell, or the t spacing leaves fewer
-            than two cells across the epsilon-wide cutoff band.
+        GridMismatch: a grid size is not an integer, an axis has no cell,
+            or the t spacing leaves fewer than two cells across the
+            epsilon-wide cutoff band.
     """
     _check_same_alpha(solution, params)
-    shape = (n_theta, n_r, n_t)
+    shape = _grid_shape((n_theta, n_r, n_t))
+    n_theta, n_r, n_t = shape
     if min(shape) < 1:
         raise GridMismatch(f"grid {shape} needs at least one cell on each axis")
     # the residual's rule: below two t cells across the cutoff's transition

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ParameterOutOfRange, TimeTooShort
-from .params import DomainSpec, observation_time_threshold
+from .params import DomainSpec, _whole, observation_time_threshold
 from .radial import RadialBasis
 from .waves import (
     _BLOCK_ELEMENTS,
@@ -137,9 +137,10 @@ def high_mode_obstruction_scan(
     Raises:
         InsufficientData: fewer than 4 distinct orders or a span below one
             decade.
-        ParameterOutOfRange: an order listed more than once.
+        ParameterOutOfRange: an order that is not an integer, or one listed
+            more than once.
     """
-    ns = [int(n) for n in n_values]
+    ns = [_whole(n, "tangential order") for n in n_values]
     if len(set(ns)) < 4 or max(ns) < 8 * min(ns):
         raise InsufficientData("need at least 4 distinct orders spanning a decade")
     if len(set(ns)) < len(ns):
@@ -201,11 +202,12 @@ def _ensemble_stats(
     (1/2) sum_n y_n^T G_n y_n is one batched product per sine order.
 
     Raises:
-        ParameterOutOfRange: size below 1 or a negative seed.
+        ParameterOutOfRange: size below 1, or a seed that is negative or
+            not an integer.
     """
     if size < 1:
         raise ParameterOutOfRange(f"ensemble size must be at least 1, got {size}")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     n_big = max(n for n, _ in truncations)
     k_big = max(k for _, k in truncations)
     forms = []
@@ -257,7 +259,8 @@ def hidden_trace_stability(
     it.
 
     Raises:
-        ParameterOutOfRange: size below 1 or a negative seed.
+        ParameterOutOfRange: size below 1, or a seed that is negative or
+            not an integer.
         TruncationTooSmall: the doubling above RANDOM_CAP.
     """
     doubled_trunc = (2 * truncation[0], 2 * truncation[1])

@@ -12,11 +12,25 @@ plateau cutoff.  All types are immutable; all functions are pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BetaOutOfRange, NonPositiveInput, ParameterOutOfRange, TimeTooShort
+
+
+def _whole(value, name: str, error: type[Exception] = ParameterOutOfRange) -> int:
+    """value as an int: an integer, or a float with an integral value.
+
+    Orders, seeds and grid sizes count things, so 1.5 (or nan) is refused
+    with `error` instead of being truncated or reaching numpy as a float.
+    """
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from .errors import (
     ParameterOutOfRange,
     TruncationTooSmall,
 )
-from .params import DegeneracyParams
+from .params import DegeneracyParams, _whole
 
 __all__ = [
     "RadialMesh",
@@ -881,9 +881,10 @@ def bessel_radial_mode(
 
     Raises:
         ParameterOutOfRange: alpha outside (0, 1), where nu leaves (0, 1/2),
-            or k below 1.
+            or k not an integer or below 1.
     """
     DegeneracyParams(alpha)
+    k = _whole(k, "radial index k")
     if k < 1:
         raise ParameterOutOfRange(f"radial index k must be at least 1, got {k}")
     nu = (1.0 - alpha) / (2.0 - alpha)

@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import GridMismatch, NonPositiveInput, ParameterOutOfRange, TruncationTooSmall
-from .params import theta_strips
+from .params import _whole, theta_strips
 from .radial import RadialBasis, _trapezoid_weights
 
 __all__ = [
@@ -168,10 +168,13 @@ def project_initial_data(
     )
 
 
-def _check_seed(seed: int, name: str = "seed") -> None:
-    """Seeds of random data, and the members drawn from them, are non-negative integers."""
+def _check_seed(seed: int, name: str = "seed") -> int:
+    """Seeds of random data, and the members drawn from them, are non-negative integers;
+    returns the seed as an int (an integral float is taken as that integer)."""
+    seed = _whole(seed, name)
     if seed < 0:
         raise ParameterOutOfRange(f"{name} must be non-negative, got {seed}")
+    return seed
 
 
 #: damping (n^2 + k^2)^-1 of the master block, n and k from 1 to RANDOM_CAP
@@ -222,12 +225,12 @@ def random_state(
     prefix of the stream that the truncation reads is drawn.
 
     Raises:
-        ParameterOutOfRange: a negative seed or member.
+        ParameterOutOfRange: a seed or member that is negative or not an integer.
         TruncationTooSmall: a truncation above RANDOM_CAP.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if member is not None:
-        _check_seed(member, "member")
+        member = _check_seed(member, "member")
     omega, omega_sq = _frequencies(basis, n_max, k_max)
     a, b = _random_coefficients(seed, [member], n_max, k_max)[:, 0]
     return ModalCoefficients(basis=basis, a=a, b=b, omega=omega, omega_sq=omega_sq)

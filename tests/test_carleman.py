@@ -16,6 +16,7 @@ from oracles import (
     pointwise_component_integrals,
     slab_conjugation_residual,
     symbolic_weight,
+    unskipped_contracted_weight_tiles,
     weight_derivatives,
 )
 
@@ -250,7 +251,10 @@ def counted_radial_solution(solution, calls):
 
 
 class TestModalSolution:
-    @pytest.mark.parametrize("bad", [{"n": 0}, {"n": -1}, {"k": 0}, {"k": -2}])
+    # a sine order of 1.5 once gave a "solution" that is -1 at theta = 1
+    @pytest.mark.parametrize(
+        "bad", [{"n": 0}, {"n": -1}, {"k": 0}, {"k": -2}, {"n": 1.5}, {"k": 1.5}]
+    )
     def test_degenerate_mode_rejected(self, bad):
         with pytest.raises(ParameterOutOfRange):
             bessel_mode(0.5, **({"n": 1, "k": 1} | bad))
@@ -460,6 +464,37 @@ class TestConjugationResidual:
         assert tiled.residual_norm == pytest.approx(slab.residual_norm, rel=1e-12)
         assert tiled.reference_norm == pytest.approx(slab.reference_norm, rel=1e-12)
 
+    def test_source_only_on_tiles_that_meet_a_cutoff_band(
+        self, carleman_params, bessel_solution, monkeypatch
+    ):
+        """At the finest benchmark level 444 of the 960 live tiles lie off both
+        cutoff bands, where h = 0; only the other 516 build exp(s sigma) h."""
+        shape = (4608, 48, 256)
+        p = carleman_params
+        theta, r, t = carleman._residual_axes(p, shape, 0.1, p.T)
+        zeta = np.asarray(eval_cutoff(theta_cutoff(p.delta0), theta))
+        kcut = np.asarray(eval_cutoff(time_cutoff(p.epsilon, p.T), t))
+        live = [
+            (ith, jt)
+            for ith, jt in carleman._tiles(theta.size, r.size, t.size, 1)
+            if np.any(zeta[0][ith]) and np.any(kcut[0][jt])
+        ]
+        banded = [
+            (ith, jt) for ith, jt in live if np.any(zeta[1:, ith]) or np.any(kcut[1:, jt])
+        ]
+        assert (len(live), len(banded)) == (960, 516)
+        einsum, sourced = np.einsum, []
+
+        def counted(subscripts, *operands, **kwargs):
+            # the contraction of h over the modes runs on the interior r points
+            if subscripts == "mr,mit->irt" and operands[0].shape[1] == r.size - 2:
+                sourced.append(operands[1].shape)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        conjugation_residual(bessel_solution, p, shape=shape)
+        assert len(sourced) == 516
+
     def test_no_blas_call(self, carleman_params, monkeypatch):
         def blas(*args, **kwargs):
             raise AssertionError("the residual called a BLAS routine")
@@ -517,6 +552,20 @@ class TestConjugationResidual:
     def test_axis_without_interior_points(self, carleman_params, bessel_solution, shape, r_min):
         with pytest.raises(GridMismatch):
             conjugation_residual(bessel_solution, carleman_params, shape=shape, r_min=r_min)
+
+    @pytest.mark.parametrize("shape", [(864.5, 24, 96), (864, math.nan, 96), (864, 24, "96")])
+    def test_grid_size_not_an_integer(self, carleman_params, bessel_solution, shape):
+        # 864.5 once died in np.linspace with a bare TypeError
+        with pytest.raises(GridMismatch, match="integer"):
+            conjugation_residual(bessel_solution, carleman_params, shape=shape)
+
+    def test_integral_float_grid_sizes(self, carleman_params, bessel_solution):
+        as_ints = conjugation_residual(bessel_solution, carleman_params, shape=(864, 24, 96))
+        as_floats = conjugation_residual(
+            bessel_solution, carleman_params, shape=(864.0, np.float64(24.0), 96.0)
+        )
+        assert as_floats == as_ints
+        assert all(type(n) is int for n in as_floats.shape)
 
     def test_radial_factors_once_per_call(self, carleman_params, monkeypatch):
         calls = collections.Counter()
@@ -679,6 +728,64 @@ class TestComponentIntegrals:
         kept = carleman_component_integrals(bessel_solution, params, **grid)
         assert repr(dataclasses.astuple(flushed)) == repr(dataclasses.astuple(kept))
 
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("lam, s", [(0.5, 2.0), (1.0, 3.0), (2.0, 8.0)])
+    def test_skipped_weight_tiles_change_no_bit(self, bessel_solution, monkeypatch, lam, s, modes):
+        """A tile whose every weight is subnormal is skipped, and only a tile
+        that reaches below _LOG_TINY is flushed: every field, inf and nan
+        included, is the unskipped loop's bit for bit (a guard where no tile
+        is skipped).  At lam 2, s 8 fewer than a third of the tiles reach exp."""
+        params = validate_carleman_params(
+            0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
+        )
+        sol = bessel_solution if modes == 1 else two_mode_solution()
+        exp, weighed = np.exp, []
+
+        def counted_exp(x, *args, **kwargs):
+            if np.ndim(x) == 3:  # a tile's weights; the axis factors are 1-D
+                weighed.append(np.shape(x))
+            return exp(x, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "exp", counted_exp)
+            skipped = carleman_component_integrals(sol, params)
+        monkeypatch.setattr(
+            carleman, "_contracted_weight_tiles", unskipped_contracted_weight_tiles
+        )
+        unskipped = carleman_component_integrals(sol, params)
+        assert [v.hex() for v in dataclasses.astuple(skipped)] == [
+            v.hex() for v in dataclasses.astuple(unskipped)
+        ]
+        if lam == 2.0:
+            # the default grid's core (193 theta nodes) and joined strips (98)
+            tiles = [*carleman._tiles(193, 128, 385, 0), *carleman._tiles(98, 128, 385, 0)]
+            assert len(weighed) < len(tiles) / 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lam=st.floats(min_value=0.05, max_value=3.0),
+        s=st.floats(min_value=0.05, max_value=12.0),
+        ith=st.lists(st.integers(0, 193), min_size=2, max_size=2, unique=True).map(sorted),
+        jt=st.lists(st.integers(0, 385), min_size=2, max_size=2, unique=True).map(sorted),
+    )
+    def test_exponent_bounds_are_the_tile_extremes(self, carleman_params, lam, s, ith, jt):
+        """Guard: the bounds formed from a tile's extreme axis factors equal the
+        elementwise min and max of its exponents 2 s sigma - log_offset."""
+        params = dataclasses.replace(carleman_params, lam=lam, s=s)
+        log_offset = 2.0 * s * math.exp(2.0 * lam)
+        theta = np.linspace(3 * params.delta0, 1.0 - 3 * params.delta0, 193)
+        r = (np.arange(128) + 0.5) / 128
+        t = np.linspace(0.0, params.T, 385)
+        sig_theta, sig_r, sig_t = carleman._sigma_factors(params, theta, r, t)
+        ith, jt = slice(*ith), slice(*jt)
+        weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
+        weight *= 2.0 * s
+        weight -= log_offset
+        lo, hi = carleman._exponent_bounds(
+            sig_theta[ith], (sig_r.min(), sig_r.max()), sig_t[jt], 2.0 * s, log_offset
+        )
+        assert (lo.hex(), hi.hex()) == (weight.min().hex(), weight.max().hex())
+
     def test_known_fault_f1_keeps_its_values(self, bessel_solution):
         """Known fault F1 (lam 2, s 8, log offset 873.6 > 700): the rescale
         by inf leaves three components inf and the commutator nan, and the
@@ -693,8 +800,14 @@ class TestComponentIntegrals:
 
     @pytest.mark.parametrize(
         "grid",
-        [(48, 0, 64), (0, 32, 64), (48, 32, 0), (48, -4, 64), (48, 32, 1), (48, 32, 32)],
-        ids=["n_r-0", "n_theta-0", "n_t-0", "n_r-negative", "n_t-1", "n_t-32"],
+        [
+            (48, 0, 64), (0, 32, 64), (48, 32, 0), (48, -4, 64), (48, 32, 1), (48, 32, 32),
+            (48.5, 32, 64), (48, math.nan, 64), (48, 32, 64.25),
+        ],
+        ids=[
+            "n_r-0", "n_theta-0", "n_t-0", "n_r-negative", "n_t-1", "n_t-32",
+            "n_theta-fraction", "n_r-nan", "n_t-fraction",
+        ],
     )
     def test_grid_checked(self, carleman_params, bessel_solution, grid):
         # once a bare ZeroDivisionError or ValueError, and at n_t 1 (no t node
@@ -704,6 +817,14 @@ class TestComponentIntegrals:
             carleman_component_integrals(
                 bessel_solution, carleman_params, n_theta=n_theta, n_r=n_r, n_t=n_t
             )
+
+    def test_integral_float_grid_sizes(self, carleman_params, bessel_solution):
+        grid = dict(n_theta=48, n_r=32, n_t=64)
+        as_ints = carleman_component_integrals(bessel_solution, carleman_params, **grid)
+        as_floats = carleman_component_integrals(
+            bessel_solution, carleman_params, **{key: float(n) for key, n in grid.items()}
+        )
+        assert dataclasses.astuple(as_floats) == dataclasses.astuple(as_ints)
 
     def test_two_t_cells_across_the_band_suffice(self, carleman_params, bessel_solution):
         # guard: 2.06 t cells across the epsilon band, as for the residual

@@ -133,6 +133,11 @@ class TestObstructionScan:
         with pytest.raises(InsufficientData):
             high_mode_obstruction_scan([8, 10, 12, 14], horizon, domain001, basis=basis05_k64)
 
+    def test_non_integral_order_rejected(self, basis05_k64, domain001, horizon):
+        # 8.7 was once scanned as order 8
+        with pytest.raises(ParameterOutOfRange, match="integer"):
+            high_mode_obstruction_scan([8.7, 16, 32, 64], horizon, domain001, basis=basis05_k64)
+
     def test_orders_counted_once(self, basis05_k64, domain001, horizon):
         # [8, 8, 8, 80] once fitted its slope through two orders
         with pytest.raises(InsufficientData):
@@ -249,6 +254,16 @@ class TestBatchedEnsemble:
         with pytest.raises(ParameterOutOfRange):
             hidden_trace_stability(basis05_k64, -1, 4, (4, 4), horizon)
         assert drawn == [] and made == []
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan])
+    def test_non_integer_seed_rejected_before_any_member(
+        self, basis05_k64, horizon, monkeypatch, seed
+    ):
+        # once numpy's bare TypeError: seed must be integer
+        made = counted_generators(monkeypatch)
+        with pytest.raises(ParameterOutOfRange, match="integer"):
+            hidden_trace_stability(basis05_k64, seed, 4, (4, 4), horizon)
+        assert made == []
 
     def test_doubling_above_cap_rejected_before_any_draw(self, basis05_k64, horizon, monkeypatch):
         made = counted_generators(monkeypatch)

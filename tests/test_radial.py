@@ -526,6 +526,16 @@ class TestBesselRoots:
                 ref = mpmath.besseljzero(mpmath.mpf(nu), k)
                 assert abs(root - ref) <= 5e-16 * ref, (alpha, k)
 
+    @pytest.mark.parametrize("k", [1.5, math.nan, "2"])
+    def test_non_integral_index_rejected(self, k):
+        # k 1.5 once gave rho 12.49, between rho_1 = 4.739 and rho_2 = 20.47
+        with pytest.raises(ParameterOutOfRange, match="integer"):
+            bessel_radial_mode(0.5, k)
+
+    def test_integral_float_index_is_that_integer(self):
+        # guard: the check refuses fractions only
+        assert bessel_radial_mode(0.5, 2.0)[0] == bessel_radial_mode(0.5, 2)[0]
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2, -0.3])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ParameterOutOfRange, match="alpha"):

@@ -108,6 +108,19 @@ class TestProjection:
         with pytest.raises(ParameterOutOfRange):
             random_state(basis05, 4, 4, seed=-1, member=member)
 
+    @pytest.mark.parametrize(
+        "seed, member", [(1.5, None), (math.nan, None), (2, 1.5), ("2", None)]
+    )
+    def test_non_integer_seed_rejected(self, basis05, seed, member):
+        # once numpy's bare TypeError: seed must be integer
+        with pytest.raises(ParameterOutOfRange, match="integer"):
+            random_state(basis05, 4, 4, seed=seed, member=member)
+
+    def test_integral_float_seed_is_that_integer(self, basis05):
+        as_float = random_state(basis05, 4, 4, seed=2.0, member=np.float64(3.0))
+        as_int = random_state(basis05, 4, 4, seed=2, member=3)
+        assert np.array_equal(as_float.a, as_int.a) and np.array_equal(as_float.b, as_int.b)
+
     def test_negative_member_rejected(self, basis05):
         # once numpy's bare ValueError from default_rng
         with pytest.raises(ParameterOutOfRange, match="member must be non-negative"):
