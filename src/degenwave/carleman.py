@@ -528,8 +528,10 @@ def conjugation_order_study(
     """Residuals under uniform grid halving and the mean observed order.
 
     Raises:
-        InsufficientData: fewer than 2 levels, which give no order.
+        InsufficientData: fewer than 2 levels, which give no order, or a
+            level count that is not an integer.
     """
+    levels = _whole(levels, "level count", InsufficientData)
     if levels < 2:
         raise InsufficientData(f"an order needs at least 2 levels, got {levels}")
     reports = [

@@ -35,6 +35,7 @@ from .waves import (
     _random_coefficients,
     _segment_and_strip_norms,
     _trace_gramian,
+    _truncation,
     energy,
     modal_state,
     observation_norms,
@@ -202,9 +203,10 @@ def _ensemble_stats(
     (1/2) sum_n y_n^T G_n y_n is one batched product per sine order.
 
     Raises:
-        ParameterOutOfRange: size below 1, or a seed that is negative or
-            not an integer.
+        ParameterOutOfRange: size below 1 or not an integer, or a seed that
+            is negative or not an integer.
     """
+    size = _whole(size, "ensemble size")
     if size < 1:
         raise ParameterOutOfRange(f"ensemble size must be at least 1, got {size}")
     seed = _check_seed(seed)
@@ -259,10 +261,12 @@ def hidden_trace_stability(
     it.
 
     Raises:
-        ParameterOutOfRange: size below 1, or a seed that is negative or
-            not an integer.
-        TruncationTooSmall: the doubling above RANDOM_CAP.
+        ParameterOutOfRange: size below 1 or not an integer, or a seed that
+            is negative or not an integer.
+        TruncationTooSmall: the doubling above RANDOM_CAP, or an order
+            that is not an integer.
     """
+    truncation = _truncation(*truncation)
     doubled_trunc = (2 * truncation[0], 2 * truncation[1])
     base, doubled = _ensemble_stats(basis, seed, size, (truncation, doubled_trunc), T)
     increase = doubled.max_ratio / base.max_ratio - 1.0

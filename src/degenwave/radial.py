@@ -17,15 +17,14 @@ eigenvalue because dstein re-orthogonalizes against every neighbour within
 so far that the whole low spectrum would count as one cluster.
 
 The bisection chunks, and then the dstein calls, are dealt round-robin to
-one thread per CPU the process may use.  scipy's f2py LAPACK wrappers hold
-the GIL, so every LAPACK and BLAS routine here is called through the C
-function pointers that scipy's extensions cython_lapack and cython_blas
-export, bound with ctypes, which releases the GIL for the call.  The two
-extensions are loaded on the first solve by themselves: the scipy.linalg
-package is never imported.  The chunks follow from the request alone and
-each call writes its own slots, so the basis is bitwise the same for any
-number of threads, and a request of at most 64 pairs is a single bisection
-call.
+one thread per CPU the process may use.  Every LAPACK and BLAS routine here
+is the Fortran symbol of the OpenBLAS that numpy itself links (the ILP64
+scipy-openblas of numpy's wheels), bound with ctypes, which releases the
+GIL for the call; so one BLAS and one thread pool serve numpy and the
+solver alike, and no scipy module is loaded.  The chunks follow from the
+request alone and each call writes its own slots, so the basis is bitwise
+the same for any number of threads, and a request of at most 64 pairs is a
+single bisection call.
 
 The weighted stiffness integral r^alpha |R'|^2 and the weighted masses with
 exponents alpha, alpha - 2, 1, -1 are exactly the bilinear forms behind the
@@ -350,72 +349,61 @@ _REFINE_TOL = 1e-10
 _REFINE_MAX_ITER = 400
 
 
-@functools.cache
-def _capi(module: str) -> dict:
-    """The __pyx_capi__ capsules of the extension scipy.linalg.<module>.
-
-    The extension is loaded on its own, without running scipy.linalg's
-    __init__ (0.25-0.4 s of imports, scipy's array-API layer among them,
-    none of which the capsules need).  It is registered in sys.modules
-    under its full name, so a later `from scipy.linalg import <module>`
-    returns this same module; one already loaded there is used as it is.
-    Python binds a submodule to its package only when it loads the two
-    together, so a scipy.linalg imported after this load has no attribute
-    <module>; the from-import and sys.modules still find it.
-
-    Raises:
-        ImportError: the installed scipy has no such extension.
-    """
-    import importlib.machinery
-    import importlib.util
-    import os
-    import sys
-
-    import scipy  # imported by the extension anyway, and it does not import scipy.linalg
-
-    full_name = f"scipy.linalg.{module}"
-    loaded = sys.modules.get(full_name)
-    if loaded is None:
-        linalg_dir = os.path.join(scipy.__path__[0], "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(full_name, [linalg_dir])
-        if spec is None:
-            raise ImportError(f"no {full_name} extension in {linalg_dir}")
-        loaded = importlib.util.module_from_spec(spec)
-        sys.modules[full_name] = loaded
-        try:
-            spec.loader.exec_module(loaded)
-        except BaseException:
-            del sys.modules[full_name]
-            raise
-    return loaded.__pyx_capi__
+# (pointer arguments, character arguments) of each routine the solver calls
+_ROUTINES = {
+    "dstebz": (18, 2),
+    "dstein": (13, 0),
+    "dsyrk": (10, 2),
+    "dpotrf": (5, 1),
+    "dtrsm": (11, 4),
+    "dpttrf": (4, 0),
+    "dpttrs": (7, 0),
+}
 
 
 @functools.cache
 def _lapack(name: str) -> Callable[..., None]:
-    """The LAPACK or BLAS routine `name`, callable from threads that run at once.
+    """The LAPACK or BLAS routine `name` of numpy's own OpenBLAS.
 
-    scipy's f2py wrappers (scipy.linalg.lapack and .blas) hold the GIL for
-    the whole call, so threads sharing them take turns.  The extensions
-    scipy.linalg.cython_lapack and cython_blas export the same routines as C
-    function pointers in their __pyx_capi__ capsules (`_capi` loads them
-    without the scipy.linalg package); a ctypes CFUNCTYPE bound to such a
-    pointer releases the GIL while the routine runs.  Every argument of
-    these routines is a pointer, passed as a void pointer: ctypes byref()
-    for scalars, bytes for characters, ndarray.ctypes for arrays (of np.intc
-    where LAPACK takes int).
+    numpy's wheels link scipy-openblas built with 64-bit integers
+    (USE64BITINT), which exports each routine as the Fortran symbol
+    scipy_<name>_64_; numpy's build record names both.  dlsym on numpy's
+    core extension searches the libraries that extension depends on, so no
+    library file is named here.  Fortran passes every argument by
+    reference, as a void pointer: ctypes byref() of c_int64 or c_double for
+    scalars, bytes for characters, ndarray.ctypes for arrays (of np.int64
+    where LAPACK takes an integer).  Each character argument also has a
+    hidden length, passed by value after all the others (1 for each here).
+    A ctypes call into a CDLL releases the GIL while the routine runs, so
+    threads that share a routine run at once.
+
+    Raises:
+        ImportError: numpy does not link an ILP64 scipy-openblas that
+            exports the routine (a numpy built against MKL or a system
+            BLAS, say).
     """
     import ctypes
 
-    capsules = _capi("cython_lapack")
-    capsule = capsules[name] if name in capsules else _capi("cython_blas")[name]
-    # typed copies of the C API functions; ctypes.pythonapi's own stay untouched
-    get_name = ctypes.pythonapi["PyCapsule_GetName"]
-    get_name.argtypes, get_name.restype = [ctypes.py_object], ctypes.c_char_p
-    get_pointer = ctypes.pythonapi["PyCapsule_GetPointer"]
-    get_pointer.argtypes, get_pointer.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p
-    signature = get_name(capsule)  # "void (char *, int *, ...)"
-    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))
-    return prototype(get_pointer(capsule, signature))
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    routine = None
+    if all(
+        deps.get(part, {}).get("name") == "scipy-openblas"
+        and "USE64BITINT" in deps[part].get("openblas configuration", "")
+        for part in ("blas", "lapack")
+    ):
+        try:
+            routine = ctypes.CDLL(np._core._multiarray_umath.__file__)[f"scipy_{name}_64_"]
+        except AttributeError:
+            pass
+    if routine is None:
+        raise ImportError(
+            f"the radial eigensolver calls LAPACK {name} through numpy's bundled ILP64 "
+            "scipy-openblas, and this numpy has none: install a numpy wheel from PyPI"
+        )
+    pointers, characters = _ROUTINES[name]
+    routine.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * characters
+    routine.restype = None
+    return routine
 
 
 def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
@@ -440,8 +428,10 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     quotient of the computed vector.
 
     The chunks, and then the dstein calls, are dealt round-robin to one
-    thread per CPU the process may use; both routines are called through
-    pointers that release the GIL (`_lapack`), so the threads run at once.
+    thread per CPU the process may use.  Every routine is the Fortran symbol
+    of numpy's own ILP64 OpenBLAS (`_lapack`): 64-bit integers, a hidden
+    length after the arguments for each character, and a ctypes call that
+    releases the GIL, so the threads run at once.
     Each call writes its own slots of the result, and the chunks depend on
     k_max alone, so the basis is bitwise the same for any thread count; a
     request of at most _BISECT_CHUNK pairs is a single bisection call.
@@ -454,6 +444,7 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     `refine_smallest_eigenpair` on the consistent pencil in that regime.
 
     Raises:
+        ParameterOutOfRange: k_max not an integer in [1, n_dof].
         ConvergenceFailure: dstebz or dstein reports a failure, dstebz finds
             a count other than its chunk's, or the vectors are numerically
             dependent.
@@ -461,6 +452,7 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     import ctypes
 
     n = mats.n_dof
+    k_max = _whole(k_max, "k_max")
     if not 1 <= k_max <= n:
         raise ParameterOutOfRange(f"k_max must lie in [1, {n}], got {k_max}")
     d_lump = mats.lumped
@@ -472,21 +464,21 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     off[: n - 1] = mats.ke_dof / (sqrt_d[:-1] * sqrt_d[1:])
 
     byref = ctypes.byref
-    c_n, c_one = ctypes.c_int(n), ctypes.c_int(1)
+    c_n, c_one = ctypes.c_int64(n), ctypes.c_int64(1)
     # dstebz(RANGE='I') ignores VL and VU; ABSTOL 0 selects eps * ||T||_1
     c_vl, c_vu, c_tol = ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_double(0.0)
     w = np.empty(k_max)  # eigenvalues of T, ascending
-    blocks = np.empty(k_max, dtype=np.intc)  # their diagonal blocks of T
-    isplit = np.empty(n, dtype=np.intc)  # the blocks' ends, the same for every chunk
+    blocks = np.empty(k_max, dtype=np.int64)  # their diagonal blocks of T
+    isplit = np.empty(n, dtype=np.int64)  # the blocks' ends, the same for every chunk
     n_chunks = -(-k_max // _BISECT_CHUNK)
     stebz = _lapack("dstebz")
 
     def bisect(first: int, step: int) -> None:
         """Chunks first, first + step, ... into their slices of w and blocks."""
-        vals, block = np.empty(n), np.empty(n, dtype=np.intc)
-        split = np.empty(n, dtype=np.intc)
-        work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.intc)
-        il, iu, m, nsplit, info = (ctypes.c_int() for _ in range(5))
+        vals, block = np.empty(n), np.empty(n, dtype=np.int64)
+        split = np.empty(n, dtype=np.int64)
+        work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
+        il, iu, m, nsplit, info = (ctypes.c_int64() for _ in range(5))
         for chunk in range(first, n_chunks, step):
             lo = chunk * _BISECT_CHUNK
             hi = min(lo + _BISECT_CHUNK, k_max)
@@ -495,6 +487,7 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
                 b"I", b"B", byref(c_n), byref(c_vl), byref(c_vu), byref(il), byref(iu),
                 byref(c_tol), diag.ctypes, off.ctypes, byref(m), byref(nsplit),
                 vals.ctypes, block.ctypes, split.ctypes, work.ctypes, iwork.ctypes, byref(info),
+                1, 1,
             )
             if info.value != 0 or m.value != hi - lo:
                 raise ConvergenceFailure(
@@ -516,8 +509,8 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
 
     def invert(first: int, step: int) -> None:
         """Eigenvalues first, first + step, ... into their rows of x."""
-        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.intc)
-        ifail, info = ctypes.c_int(), ctypes.c_int()
+        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int64)
+        ifail, info = ctypes.c_int64(), ctypes.c_int64()
         for row in range(first, k_max, step):
             stein(
                 byref(c_n), diag.ctypes, off.ctypes, byref(c_one), w[row:].ctypes,
@@ -531,31 +524,27 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
 
     deal(k_max, invert)
 
-    # Cholesky QR: the lumped inner product of D^{-1/2} v is v . v.  The
-    # Gram matrix, the factor and the solve call scipy's BLAS and LAPACK
-    # through the same capsules as above: numpy links its own OpenBLAS, and
-    # alternating between the two thread pools stalls each behind the other's
-    # spinning workers.  Runs that never solve start only numpy's pool.
+    # Cholesky QR: the lumped inner product of D^{-1/2} v is v . v.
     # x^T is the F-ordered (n, k) array A with leading dimension one row of
     # R; the lower triangle of the F-ordered gram receives A^T A (dsyrk,
     # beta 0), is factored in place to L (dpotrf), and x^T <- x^T L^{-T} is
     # solved in place (dtrsm), so x <- L^{-1} x
-    c_k, c_unit, c_zero = ctypes.c_int(k_max), ctypes.c_double(1.0), ctypes.c_double(0.0)
-    c_ld = ctypes.c_int(R.shape[1])
+    c_k, c_unit, c_zero = ctypes.c_int64(k_max), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    c_ld = ctypes.c_int64(R.shape[1])
     gram = np.zeros((k_max, k_max), order="F")
     _lapack("dsyrk")(
         b"L", b"T", byref(c_k), byref(c_n), byref(c_unit), x.ctypes, byref(c_ld),
-        byref(c_zero), gram.ctypes, byref(c_k),
+        byref(c_zero), gram.ctypes, byref(c_k), 1, 1,
     )
-    info = ctypes.c_int()
-    _lapack("dpotrf")(b"L", byref(c_k), gram.ctypes, byref(c_k), byref(info))
+    info = ctypes.c_int64()
+    _lapack("dpotrf")(b"L", byref(c_k), gram.ctypes, byref(c_k), byref(info), 1)
     if info.value != 0:
         raise ConvergenceFailure(
             f"eigenvectors are numerically dependent (dpotrf info {info.value})"
         )
     _lapack("dtrsm")(
         b"R", b"L", b"T", b"N", byref(c_n), byref(c_k), byref(c_unit), gram.ctypes,
-        byref(c_k), x.ctypes, byref(c_ld),
+        byref(c_k), x.ctypes, byref(c_ld), 1, 1, 1, 1,
     )
 
     # bisection locates eigenvalues only to ~eps * ||T||, which the huge
@@ -599,7 +588,7 @@ def refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray
 
     byref = ctypes.byref
     n = mats.n_dof
-    c_n, c_one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int()
+    c_n, c_one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64()
     d, e = mats.kd_dof.copy(), mats.ke_dof.copy()  # overwritten by the factor
     _lapack("dpttrf")(byref(c_n), d.ctypes, e.ctypes, byref(info))
     if info.value != 0:

@@ -83,6 +83,15 @@ class ModalCoefficients:
         return self.a.shape[1]
 
 
+def _truncation(n_max: int, k_max: int) -> tuple[int, int]:
+    """Truncation orders as ints: an integral float is that integer.
+
+    Raises:
+        TruncationTooSmall: an order that is not an integer.
+    """
+    return _whole(n_max, "n_max", TruncationTooSmall), _whole(k_max, "k_max", TruncationTooSmall)
+
+
 def _frequencies(basis: RadialBasis, n_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     if k_max > basis.k_max:
         raise TruncationTooSmall(
@@ -103,6 +112,7 @@ def modal_state(
     velocities: Mapping[tuple[int, int], float] | np.ndarray | None = None,
 ) -> ModalCoefficients:
     """Assemble a state from explicit modal dictionaries or coefficient arrays."""
+    n_max, k_max = _truncation(n_max, k_max)
     omega, omega_sq = _frequencies(basis, n_max, k_max)
 
     def to_array(entries) -> np.ndarray:
@@ -143,6 +153,7 @@ def project_initial_data(
     product, so basis elements project to exact unit coefficients.
     """
     n_theta = 2048
+    n_max, k_max = _truncation(n_max, k_max)
     omega, omega_sq = _frequencies(basis, n_max, k_max)
     # R vanishes off the dof window, so the radial product needs only its nodes
     mats = basis.mats
@@ -226,8 +237,9 @@ def random_state(
 
     Raises:
         ParameterOutOfRange: a seed or member that is negative or not an integer.
-        TruncationTooSmall: a truncation above RANDOM_CAP.
+        TruncationTooSmall: a truncation above RANDOM_CAP or not an integer.
     """
+    n_max, k_max = _truncation(n_max, k_max)
     seed = _check_seed(seed)
     if member is not None:
         member = _check_seed(member, "member")
@@ -247,8 +259,24 @@ def _rotate(a, b, w, t) -> tuple[np.ndarray, np.ndarray]:
     return a * c + b / w * s, -a * w * s + b * c
 
 
+def _check_times(times, name: str = "t") -> None:
+    """Every time (a number or an array of them) is finite.
+
+    Raises:
+        GridMismatch: a time that is nan or infinite.
+    """
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise GridMismatch(f"{name} must be finite, got {np.asarray(times)[~finite].flat[0]}")
+
+
 def evolve(state: ModalCoefficients, t: float) -> ModalCoefficients:
-    """Exact free evolution to time t (per-mode rotation, no time stepping)."""
+    """Exact free evolution to time t (per-mode rotation, no time stepping).
+
+    Raises:
+        GridMismatch: t is nan or infinite.
+    """
+    _check_times(t)
     a, b = _rotate(state.a, state.b, state.omega, t)
     return replace(state, a=a, b=b)
 
@@ -268,8 +296,7 @@ def duhamel_forcing(
         raise GridMismatch("forcing samples must have shape (n_max, k_max, steps+1)")
     if not 0.0 < dt < math.inf:
         raise GridMismatch(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(t):
-        raise GridMismatch(f"t must be finite, got {t}")
+    _check_times(t)
     j = int(round(t / dt))
     if j < 0 or j >= f_hat.shape[2] or abs(t - j * dt) > 1e-9 * max(dt, 1.0):
         raise GridMismatch(f"t = {t} does not lie on the forcing grid")
@@ -306,8 +333,13 @@ class EnergyReport:
 
 
 def energy_series(state: ModalCoefficients, times: np.ndarray) -> EnergyReport:
-    """Energy, kinetic, and potential parts sampled at the given times."""
+    """Energy, kinetic, and potential parts sampled at the given times.
+
+    Raises:
+        GridMismatch: a time that is nan or infinite.
+    """
     times = np.asarray(times, dtype=float)
+    _check_times(times, "times")
     amp, vel = _rotate(state.a[..., None], state.b[..., None], state.omega[..., None], times)
     kinetic = 0.25 * np.sum(vel**2, axis=(0, 1))
     potential = 0.25 * np.sum(state.omega_sq[..., None] * amp**2, axis=(0, 1))

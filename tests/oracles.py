@@ -819,6 +819,149 @@ def banded_refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.
     raise ConvergenceFailure("consistent inverse iteration did not converge in 400 steps")
 
 
+def capsule_lapack(name: str):
+    """LAPACK or BLAS routine `name` as the solver bound it before it took
+    numpy's own OpenBLAS: the C function pointer that scipy's extension
+    scipy.linalg.cython_lapack (or cython_blas) exports in its __pyx_capi__
+    capsules, bound with ctypes.  These are C wrappers over scipy's 32-bit
+    OpenBLAS: every argument is a pointer, integers are C ints, and no
+    hidden character lengths follow.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_blas, cython_lapack
+
+    capsules = cython_lapack.__pyx_capi__
+    capsule = capsules[name] if name in capsules else cython_blas.__pyx_capi__[name]
+    # typed copies of the C API functions; ctypes.pythonapi's own stay untouched
+    get_name = ctypes.pythonapi["PyCapsule_GetName"]
+    get_name.argtypes, get_name.restype = [ctypes.py_object], ctypes.c_char_p
+    get_pointer = ctypes.pythonapi["PyCapsule_GetPointer"]
+    get_pointer.argtypes, get_pointer.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p
+    signature = get_name(capsule)  # "void (char *, int *, ...)"
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))
+    return prototype(get_pointer(capsule, signature))
+
+
+def capsule_eigenpairs(
+    mats: WeightedMatrices, k_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lumped eigensolver through scipy's capsules (`capsule_lapack`).
+
+    Reference for `degenwave.radial.solve_eigenpairs`, whose calls it makes
+    one after the other on one thread: dstebz per chunk of 64 indices,
+    dstein once per eigenvalue into the dof slots of R, then Cholesky QR in
+    place (dsyrk, dpotrf, dtrsm with the row length of R as leading
+    dimension).  Returns (rho, R, flux), R holding one full nodal vector per
+    row.
+    """
+    import ctypes
+
+    byref = ctypes.byref
+    n = mats.n_dof
+    sqrt_d = np.sqrt(mats.lumped)
+    diag = mats.kd_dof / mats.lumped
+    off = np.zeros(max(n - 1, 1))
+    off[: n - 1] = mats.ke_dof / (sqrt_d[:-1] * sqrt_d[1:])
+
+    c_n, c_one = ctypes.c_int(n), ctypes.c_int(1)
+    c_vl, c_vu, c_tol = ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    w, blocks = np.empty(k_max), np.empty(k_max, dtype=np.intc)
+    vals, block = np.empty(n), np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    work, iwork = np.empty(5 * n), np.empty(3 * n, dtype=np.intc)
+    il, iu, m, nsplit, ifail, info = (ctypes.c_int() for _ in range(6))
+    stebz = capsule_lapack("dstebz")
+    for lo in range(0, k_max, 64):
+        hi = min(lo + 64, k_max)
+        il.value, iu.value = lo + 1, hi
+        stebz(
+            b"I", b"B", byref(c_n), byref(c_vl), byref(c_vu), byref(il), byref(iu),
+            byref(c_tol), diag.ctypes, off.ctypes, byref(m), byref(nsplit),
+            vals.ctypes, block.ctypes, isplit.ctypes, work.ctypes, iwork.ctypes, byref(info),
+        )
+        if info.value != 0 or m.value != hi - lo:  # pragma: no cover - LAPACK failure
+            raise ConvergenceFailure(f"dstebz returned info {info.value}, {m.value} values")
+        order = np.argsort(vals[: m.value], kind="stable")
+        w[lo:hi] = vals[order]
+        blocks[lo:hi] = block[order]
+
+    R = np.zeros((k_max, mats.mesh.nodes.size))
+    x = R[:, mats.i0 : mats.i1]
+    stein = capsule_lapack("dstein")
+    for row in range(k_max):
+        stein(
+            byref(c_n), diag.ctypes, off.ctypes, byref(c_one), w[row:].ctypes,
+            blocks[row:].ctypes, isplit.ctypes, x[row].ctypes, byref(c_n),
+            work.ctypes, iwork.ctypes, byref(ifail), byref(info),
+        )
+        if info.value != 0:  # pragma: no cover - LAPACK failure
+            raise ConvergenceFailure(f"dstein returned info {info.value} at {row}")
+
+    c_k, c_unit, c_zero = ctypes.c_int(k_max), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    c_ld = ctypes.c_int(R.shape[1])
+    gram = np.zeros((k_max, k_max), order="F")
+    capsule_lapack("dsyrk")(
+        b"L", b"T", byref(c_k), byref(c_n), byref(c_unit), x.ctypes, byref(c_ld),
+        byref(c_zero), gram.ctypes, byref(c_k),
+    )
+    capsule_lapack("dpotrf")(b"L", byref(c_k), gram.ctypes, byref(c_k), byref(info))
+    if info.value != 0:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(f"dpotrf returned info {info.value}")
+    capsule_lapack("dtrsm")(
+        b"R", b"L", b"T", b"N", byref(c_n), byref(c_k), byref(c_unit), gram.ctypes,
+        byref(c_k), x.ctypes, byref(c_ld),
+    )
+
+    rho = np.empty(k_max)
+    for j, xj in enumerate(x):
+        xj /= sqrt_d
+        if xj[np.argmax(xj != 0.0)] < 0.0:
+            R[j] *= -1.0
+        rho[j] = mats.stiffness_product(xj, xj)
+    flux = np.array([_variational_flux(mats, full, rj) for full, rj in zip(R, rho)])
+    return rho, R, flux
+
+
+def capsule_refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray]:
+    """Consistent inverse iteration through scipy's capsules (`capsule_lapack`).
+
+    Reference for `degenwave.radial.refine_smallest_eigenpair`: the
+    stiffness factored once by dpttrf, each step solved by dpttrs, and the
+    stopping rules of `banded_refine_smallest_eigenpair`.
+    """
+    import ctypes
+
+    byref = ctypes.byref
+    n = mats.n_dof
+    c_n, c_one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int()
+    d, e = mats.kd_dof.copy(), mats.ke_dof.copy()
+    capsule_lapack("dpttrf")(byref(c_n), d.ctypes, e.ctypes, byref(info))
+    if info.value != 0:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(f"dpttrf returned info {info.value}")
+    solve = capsule_lapack("dpttrs")
+    x = np.ones(n)
+    rho_old = np.inf
+    change_old = np.inf
+    stalls = 0
+    for it in range(400):
+        y = mats.mass_action(x)
+        solve(byref(c_n), byref(c_one), d.ctypes, e.ctypes, y.ctypes, byref(c_n), byref(info))
+        x = y / math.sqrt(y @ mats.mass_action(y))
+        rho = float(x @ mats.stiffness_action(x))
+        change = abs(rho - rho_old)
+        if change <= 1e-10 * abs(rho):
+            return rho, x
+        if it >= 3 and change >= change_old:
+            stalls += 1
+            if stalls >= 3:
+                return rho, x
+        else:
+            stalls = 0
+        rho_old, change_old = rho, change
+    raise ConvergenceFailure("consistent inverse iteration did not converge in 400 steps")
+
+
 def mgs_eigenpairs(
     mats: WeightedMatrices, k_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

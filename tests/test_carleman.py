@@ -585,6 +585,21 @@ class TestConjugationResidual:
             conjugation_order_study(bessel_solution, carleman_params, (96, 16, 48), levels=levels)
         assert solved == []
 
+    @pytest.mark.parametrize("levels", [2.5, math.nan, "3"])
+    def test_order_study_level_count_not_an_integer(
+        self, carleman_params, bessel_solution, monkeypatch, levels
+    ):
+        # 2.5 once died in range() with a bare TypeError
+        solved = []
+        monkeypatch.setattr(carleman, "conjugation_residual", lambda *a, **k: solved.append(a))
+        with pytest.raises(InsufficientData, match="integer"):
+            conjugation_order_study(bessel_solution, carleman_params, (96, 16, 48), levels=levels)
+        assert solved == []
+
+    def test_order_study_integral_float_level_count(self, carleman_params, bessel_solution):
+        as_float = conjugation_order_study(bessel_solution, carleman_params, (96, 16, 48), 2.0)
+        assert as_float == conjugation_order_study(bessel_solution, carleman_params, (96, 16, 48), 2)
+
 
 class TestComponentIntegrals:
     def test_zero_solution(self, carleman_params):

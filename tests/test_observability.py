@@ -265,6 +265,26 @@ class TestBatchedEnsemble:
             hidden_trace_stability(basis05_k64, seed, 4, (4, 4), horizon)
         assert made == []
 
+    @pytest.mark.parametrize(
+        "size, truncation, error",
+        [(2.5, (4, 4), ParameterOutOfRange), (4, (4.5, 4), TruncationTooSmall),
+         (4, (4, math.nan), TruncationTooSmall)],
+        ids=["size", "n_max", "k_max"],
+    )
+    def test_non_integral_count_rejected_before_any_member(
+        self, basis05_k64, horizon, monkeypatch, size, truncation, error
+    ):
+        # once a bare TypeError from numpy; (4.5, 4) must not pass as its doubling (9, 8)
+        made = counted_generators(monkeypatch)
+        with pytest.raises(error, match="integer"):
+            hidden_trace_stability(basis05_k64, 7, size, truncation, horizon)
+        assert made == []
+
+    def test_integral_float_counts_are_those_integers(self, basis05_k64, horizon):
+        as_floats = hidden_trace_stability(basis05_k64, 7, 4.0, (4.0, np.float64(4.0)), horizon)
+        assert as_floats == hidden_trace_stability(basis05_k64, 7, 4, (4, 4), horizon)
+        assert type(as_floats[0].n_max) is int and type(as_floats[0].size) is int
+
     def test_doubling_above_cap_rejected_before_any_draw(self, basis05_k64, horizon, monkeypatch):
         made = counted_generators(monkeypatch)
         with pytest.raises(TruncationTooSmall):

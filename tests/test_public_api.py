@@ -96,22 +96,26 @@ def test_private_functions_are_read_in_the_package():
     assert [f"{module}.{name}" for module, name in defined if name not in used] == []
 
 
+def run_python(code, cwd=None):
+    """Standard output of a fresh interpreter that runs code and exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
 def modules_after(code, *packages):
     """Names of the modules of the given top-level packages that a fresh
     interpreter holds after running code."""
     listing = f"[m for m in sys.modules if m.split('.')[0] in {packages}]"
-    probe = f"{code}\nimport sys\nprint({listing})"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    return ast.literal_eval(res.stdout.splitlines()[-1])
+    return ast.literal_eval(run_python(f"{code}\nimport sys\nprint({listing})").splitlines()[-1])
 
 
-# scipy costs most of a fresh import, so it loads on the first eigensolve
-# and never for runs without one; even then the eigensolver loads only the
-# extensions cython_lapack and cython_blas, never the scipy.linalg package
-# (whose array-API layer pulls in numpy.testing, f2py and numpy.ma).  The
-# Bessel modes evaluate J_nu themselves and load no scipy module at all.
+# No command loads any scipy module: the eigensolver binds LAPACK from the
+# OpenBLAS that numpy links, and the Bessel modes evaluate J_nu themselves.
+# scipy is a test oracle only.
 @pytest.mark.parametrize("module", ["degenwave", "degenwave.cli"])
 def test_import_loads_no_scipy(module):
     assert modules_after(f"import {module}", "scipy") == []
@@ -142,16 +146,12 @@ def test_import_loads_no_thread_pool_or_logging():
     assert modules_after("import degenwave", "concurrent", "logging") == []
 
 
-def test_eigensolve_loads_lapack_capsules_without_scipy_linalg():
-    modules = modules_after(
-        "from degenwave import solve_radial_basis\nsolve_radial_basis(0.5, N=64, k_max=4)", "scipy"
-    )
-    assert "scipy.linalg" not in modules
-    assert {"scipy.linalg.cython_lapack", "scipy.linalg.cython_blas"} <= set(modules)
-    assert not [m for m in modules if m.startswith(("scipy.special", "scipy.optimize"))]
+def test_eigensolve_loads_no_scipy():
+    code = "from degenwave import solve_radial_basis\nsolve_radial_basis(0.5, N=64, k_max=4)"
+    assert modules_after(code, "scipy") == []
 
 
-@pytest.mark.parametrize(
+SOLVING_ARGVS = pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--n", "256"],
@@ -162,32 +162,107 @@ def test_eigensolve_loads_lapack_capsules_without_scipy_linalg():
     ],
     ids=["spectrum", "hardy", "observability-ratio", "simulate", "hardy-critical"],
 )
+
+
+@SOLVING_ARGVS
 def test_solving_cli_loads_no_scipy_linalg(argv, tmp_path):
-    """Together with the runs above, every subcommand: none loads scipy.special."""
+    """Together with the runs above, every subcommand: none loads any scipy module."""
     code = f"from degenwave.cli import main\nassert main({[*argv, '--out', str(tmp_path)]!r}) == 0"
-    modules = modules_after(code, "scipy")
-    assert "scipy.linalg.cython_lapack" in modules
-    assert "scipy.linalg" not in modules
-    assert not [m for m in modules if m.startswith("scipy.special")]
+    assert modules_after(code, "scipy") == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+@SOLVING_ARGVS
+def test_solving_cli_maps_one_openblas(argv, tmp_path):
+    """numpy and the solver share one OpenBLAS, so one BLAS thread pool."""
+    code = (
+        f"from degenwave.cli import main\nassert main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
+        "import os\nwith open('/proc/self/maps') as maps:\n"
+        "    paths = {line.split()[-1] for line in maps if len(line.split()) >= 6}\n"
+        "print(sorted(p for p in paths if 'openblas' in os.path.basename(p).lower()))"
+    )
+    assert len(ast.literal_eval(run_python(code).splitlines()[-1])) == 1
+
+
+#: a meta path finder that makes every scipy module unimportable
+NO_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ModuleNotFoundError(f'no scipy here: {name}', name=name)\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+    "try:\n    import scipy\nexcept ModuleNotFoundError:\n    pass\n"
+    "else:\n    raise AssertionError('scipy imported')\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--n", "256"], ["hardy", "--critical", "--n", "512", "--scan", "1e-1,1e-2"]],
+    ids=["spectrum", "hardy-critical"],
+)
+def test_solving_cli_runs_without_scipy(argv, tmp_path):
+    """The same reports with scipy unimportable as with it installed."""
+    reports = []
+    for prelude in (NO_SCIPY, ""):
+        cwd = tmp_path / str(len(reports))
+        cwd.mkdir()
+        run_python(
+            f"{prelude}from degenwave.cli import main\nassert main({[*argv, '--out', 'out']!r}) == 0",
+            cwd=cwd,
+        )
+        files = sorted((cwd / "out").iterdir())
+        assert files
+        reports.append({
+            f.name: [l for l in f.read_text().splitlines() if not l.startswith("# generated:")]
+            for f in files
+        })
+    assert reports[0] == reports[1]
+
+
+def test_solve_without_ilp64_openblas_is_import_error():
+    """A numpy whose build record names another BLAS still imports the
+    package; its first solve names what the solver needs."""
+    code = (
+        "import copy\nimport numpy\n"
+        "record = copy.deepcopy(numpy.show_config(mode='dicts'))\n"
+        "for part in ('blas', 'lapack'):\n"
+        "    record['Build Dependencies'][part].update(name='mkl', version='2024.2')\n"
+        "    record['Build Dependencies'][part].pop('openblas configuration', None)\n"
+        "numpy.show_config = lambda mode='stdout': record\n"
+        "import degenwave\n"
+        "try:\n    degenwave.solve_radial_basis(0.5, N=64, k_max=4)\n"
+        "except ImportError as exc:\n    print(exc)\n"
+        "else:\n    raise AssertionError('solved without scipy-openblas')\n"
+    )
+    message = run_python(code).strip()
+    assert "ILP64 scipy-openblas" in message and "numpy wheel" in message
 
 
 def test_scipy_linalg_imports_after_a_solve():
-    """The package, imported after the solver loaded its extensions, finds
-    those same module objects."""
+    """A solve loads no scipy module; the package imported afterwards works,
+    and the solver still does beside it."""
     code = (
         "import sys\nfrom degenwave import solve_radial_basis\n"
         "solve_radial_basis(0.5, N=64, k_max=4)\n"
-        "bound = {m: sys.modules['scipy.linalg.' + m] for m in ('cython_lapack', 'cython_blas')}\n"
-        "import scipy.linalg\nfrom scipy.linalg import cython_blas, cython_lapack\n"
-        "assert cython_lapack is bound['cython_lapack'] and cython_blas is bound['cython_blas']\n"
-        "assert scipy.linalg.solveh_banded is not None"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import scipy.linalg\nassert scipy.linalg.solveh_banded is not None\n"
+        "solve_radial_basis(0.5, N=64, k_max=4)"
     )
     assert "scipy.linalg" in modules_after(code, "scipy")
 
 
+def test_runtime_dependencies_name_no_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert not [d for d in project["dependencies"] if "scipy" in d.lower()]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
 def test_basis_bits_do_not_depend_on_scipy_linalg():
-    """A basis solved after `import scipy.linalg` (capsules taken from the
-    package's modules) is bitwise the one solved without the package."""
+    """A basis solved after `import scipy.linalg` (whose own OpenBLAS is then
+    loaded beside numpy's) is bitwise the one solved without the package."""
     solve = (
         "import hashlib\nfrom degenwave import solve_radial_basis\n"
         "b = solve_radial_basis(0.5, N=2048, g=2.0, k_max=100)\n"

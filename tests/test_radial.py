@@ -37,6 +37,8 @@ from degenwave.radial import (
 
 from oracles import (
     banded_refine_smallest_eigenpair,
+    capsule_eigenpairs,
+    capsule_refine_smallest_eigenpair,
     mgs_eigenpairs,
     one_sided_flux,
     quad_power_integral,
@@ -216,6 +218,18 @@ class TestEigenpairs:
         with pytest.raises(ParameterOutOfRange):
             solve_eigenpairs(basis05.mats, 0)
 
+    @pytest.mark.parametrize("k_max", [8.5, math.nan, "8"])
+    def test_k_max_not_an_integer(self, k_max):
+        # 8.5 once died in np.empty with a bare TypeError
+        with pytest.raises(ParameterOutOfRange, match="integer"):
+            solve_radial_basis(0.5, N=256, g=2.0, k_max=k_max)
+
+    def test_integral_float_k_max_is_that_integer(self):
+        as_float = solve_radial_basis(0.5, N=256, g=2.0, k_max=8.0)
+        as_int = solve_radial_basis(0.5, N=256, g=2.0, k_max=8)
+        assert as_float.rho.tobytes() == as_int.rho.tobytes()
+        assert as_float.R.tobytes() == as_int.R.tobytes()
+
     def test_underflowing_boundary_weight_is_divergent(self):
         # r^4 underflows to 0 on (0, 1e-100): the recovered flux would be 0/0
         mats = assemble_weighted_system(
@@ -375,7 +389,7 @@ class TestLumpedSolver:
             solve_eigenpairs(basis05.mats, 4)
 
     def test_no_f2py_bisection_or_inverse_iteration(self, monkeypatch, basis05):
-        """The f2py wrappers hold the GIL; the solver binds cython_lapack instead."""
+        """The f2py wrappers hold the GIL; the solver binds numpy's OpenBLAS instead."""
 
         def f2py(*args, **kwargs):
             raise AssertionError("the solver called an f2py LAPACK wrapper")
@@ -394,6 +408,18 @@ class TestLumpedSolver:
         split, so the same bits."""
         basis = solve_radial_basis(alpha, N=N, g=g, k_max=k_max)
         rho, R, flux = stebz_stein_eigenpairs(basis.mats, k_max)
+        assert basis.rho.tobytes() == rho.tobytes()
+        assert basis.R.tobytes() == R.tobytes()
+        assert basis.flux.tobytes() == flux.tobytes()
+
+    @pytest.mark.parametrize(
+        "alpha,N,k_max", [(0.3, 8192, 256), (0.5, 2048, 64), (0.99, 1024, 33)],
+    )
+    def test_matches_capsule_binding_bitwise(self, alpha, N, k_max):
+        """numpy's ILP64 OpenBLAS gives the bits of scipy's capsules, which
+        the solver bound before."""
+        basis = solve_radial_basis(alpha, N=N, g=2.0, k_max=k_max)
+        rho, R, flux = capsule_eigenpairs(basis.mats, k_max)
         assert basis.rho.tobytes() == rho.tobytes()
         assert basis.R.tobytes() == R.tobytes()
         assert basis.flux.tobytes() == flux.tobytes()
@@ -457,6 +483,13 @@ class TestConsistentRefinement:
         assert float(rho).hex() == float(rho_ref).hex()
         assert x.tobytes() == x_ref.tobytes()
 
+    def test_matches_capsule_binding_bitwise(self):
+        mats = _log_mesh_pencil(1e-4, 4096, "dirichlet-right-only")
+        rho, x = refine_smallest_eigenpair(mats)
+        rho_ref, x_ref = capsule_refine_smallest_eigenpair(mats)
+        assert float(rho).hex() == float(rho_ref).hex()
+        assert x.tobytes() == x_ref.tobytes()
+
     def test_single_dof(self):
         """solveh_banded rejected the empty off-diagonal of a 1 x 1 pencil."""
         mats = assemble_weighted_system(build_uniform_mesh(2), 0.5, 0.0, "dirichlet-dirichlet")
@@ -482,11 +515,13 @@ def fail_lapack(monkeypatch, name, helpers_only=False):
     only in helper threads if asked."""
     bind = radial._lapack
     routine = bind(name)
+    # info is the last pointer; the hidden character lengths follow it
+    info = routine.argtypes.count(ctypes.c_void_p) - 1
 
-    def call(*pointers):
-        routine(*pointers)
+    def call(*args):
+        routine(*args)
         if not helpers_only or threading.current_thread() is not threading.main_thread():
-            ctypes.c_int.from_address(pointers[-1]).value = 1
+            ctypes.c_int64.from_address(args[info]).value = 1
 
     # bound like the real routine, so the solver's arguments convert the same way
     failing = ctypes.CFUNCTYPE(None, *routine.argtypes)(call)

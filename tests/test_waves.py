@@ -121,6 +121,27 @@ class TestProjection:
         as_int = random_state(basis05, 4, 4, seed=2, member=3)
         assert np.array_equal(as_float.a, as_int.a) and np.array_equal(as_float.b, as_int.b)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda basis, n, k: random_state(basis, n, k, 1),
+            lambda basis, n, k: modal_state(basis, n, k),
+            lambda basis, n, k: project_initial_data(None, None, basis, n, k),
+        ],
+        ids=["random_state", "modal_state", "project_initial_data"],
+    )
+    @pytest.mark.parametrize("n_max, k_max", [(4.5, 4), (4, 4.5), (4, math.nan)])
+    def test_non_integral_truncation_rejected(self, basis05, make, n_max, k_max):
+        # once a bare TypeError from numpy
+        with pytest.raises(TruncationTooSmall, match="integer"):
+            make(basis05, n_max, k_max)
+
+    def test_integral_float_truncation_is_that_integer(self, basis05):
+        as_float = random_state(basis05, 4.0, np.float64(4.0), 1)
+        as_int = random_state(basis05, 4, 4, 1)
+        assert np.array_equal(as_float.a, as_int.a) and np.array_equal(as_float.b, as_int.b)
+        assert modal_state(basis05, 4.0, 4).a.shape == (4, 4)
+
     def test_negative_member_rejected(self, basis05):
         # once numpy's bare ValueError from default_rng
         with pytest.raises(ParameterOutOfRange, match="member must be non-negative"):
@@ -174,6 +195,18 @@ class TestEvolution:
         series = energy_series(st, np.linspace(0.0, T_HORIZON, 1001))
         drift = np.max(np.abs(series.total - e0)) / e0
         assert drift <= 1e-12
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, basis05, t):
+        # evolve once returned nan coefficients without a warning, and
+        # energy_series nan energies with only numpy's RuntimeWarning
+        st = random_state(basis05, 4, 4, seed=1)
+        with pytest.raises(GridMismatch, match="finite"):
+            evolve(st, t)
+        with pytest.raises(GridMismatch, match="finite"):
+            energy_series(st, [0.0, t, 1.0])
+        with pytest.raises(GridMismatch, match="finite"):
+            duhamel_forcing(st, np.zeros((4, 4, 11)), 0.1, t)
 
     def test_data_norms_equal_twice_energy(self, basis05):
         st = random_state(basis05, 6, 6, seed=4)
