@@ -56,6 +56,7 @@ from .errors import (
 )
 from .params import (
     CarlemanParams,
+    _real,
     _whole,
     eval_cutoff,
     theta_cutoff,
@@ -106,11 +107,12 @@ def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) ->
 
     Raises:
         ParameterOutOfRange: n or k not an integer or below 1 (sin(n pi theta)
-            vanishes at theta = 1 only for an integer n), or alpha outside (0, 1).
+            vanishes at theta = 1 only for an integer n), alpha outside (0, 1),
+            or an amplitude a or b that is not a finite real number.
     """
-    n = _whole(n, "sine order n")
-    if n < 1:
-        raise ParameterOutOfRange(f"sine order n must be at least 1, got {n}")
+    n = _whole(n, "sine order n", minimum=1)
+    _real(a, "a")
+    _real(b, "b")
     rho, R, dR, flux = bessel_radial_mode(alpha, k)
     omega = math.sqrt((n * math.pi) ** 2 + rho)
     return SmoothMode(
@@ -235,14 +237,7 @@ def _residual_axes(
     params: CarlemanParams, shape: tuple[int, int, int], r_min: float, T: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_theta, n_r, n_t = shape
-    interior = (n_theta - 1, n_r - 2, n_t - 1)
-    if min(interior) < 1:
-        raise GridMismatch(
-            f"shape {shape} leaves {interior} interior (theta, r, t) points; "
-            "each axis needs at least one"
-        )
-    if not (math.isfinite(r_min) and r_min < 1.0):
-        raise ParameterOutOfRange(f"r_min must be finite and below 1, got {r_min}")
+    _real(r_min, "r_min", below=1)
     d0 = params.delta0
     theta = np.linspace(d0, 1.0 - d0, n_theta + 1)
     hr = (1.0 - r_min) / n_r
@@ -271,9 +266,13 @@ def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, scale) -> None:
     out *= scale
 
 
-def _grid_shape(shape) -> tuple[int, ...]:
-    """Grid sizes as ints: an integral float is that integer, anything else refused."""
-    return tuple(_whole(n, f"grid size in {tuple(shape)}", GridMismatch) for n in shape)
+def _grid_shape(shape, minima) -> tuple[int, ...]:
+    """Grid sizes as ints, each at least its minimum: an integral float is that
+    integer, anything else refused."""
+    return tuple(
+        _whole(n, f"grid size in {tuple(shape)}", GridMismatch, minimum=least)
+        for n, least in zip(shape, minima)
+    )
 
 
 def _check_same_alpha(solution: SmoothModalSolution, params: CarlemanParams) -> None:
@@ -333,7 +332,8 @@ def conjugation_residual(
         DegenerateCellTouched: the radial stencil reaches r <= 0.
     """
     _check_same_alpha(solution, params)
-    shape = _grid_shape(shape)
+    # each axis needs an interior point: 2 theta and t cells, 3 r midpoints
+    shape = _grid_shape(shape, (2, 3, 2))
     alpha = params.alpha
     lam, s, beta = params.lam, params.s, params.beta
     theta, r, t = _residual_axes(params, shape, r_min, params.T)
@@ -531,9 +531,7 @@ def conjugation_order_study(
         InsufficientData: fewer than 2 levels, which give no order, or a
             level count that is not an integer.
     """
-    levels = _whole(levels, "level count", InsufficientData)
-    if levels < 2:
-        raise InsufficientData(f"an order needs at least 2 levels, got {levels}")
+    levels = _whole(levels, "level count", InsufficientData, minimum=2)
     reports = [
         conjugation_residual(
             solution, params, shape=tuple(c * 2**lvl for c in base_shape), r_min=r_min
@@ -668,10 +666,8 @@ def carleman_component_integrals(
             epsilon-wide cutoff band.
     """
     _check_same_alpha(solution, params)
-    shape = _grid_shape((n_theta, n_r, n_t))
+    shape = _grid_shape((n_theta, n_r, n_t), (1, 1, 1))
     n_theta, n_r, n_t = shape
-    if min(shape) < 1:
-        raise GridMismatch(f"grid {shape} needs at least one cell on each axis")
     # the residual's rule: below two t cells across the cutoff's transition
     # band the t rule misses it (at n_t = 1 no node lies inside the cutoff)
     t_cells = params.epsilon / (params.T / n_t)
@@ -780,10 +776,7 @@ def carleman_constant_scan(
     Raises:
         NonPositiveInput: an s value is not positive and finite.
     """
-    s_values = [float(s) for s in s_values]
-    bad = [s for s in s_values if not 0.0 < s < math.inf]
-    if bad:
-        raise NonPositiveInput(f"s must be positive and finite, got {bad}")
+    s_values = [_real(s, "s", NonPositiveInput, above=0) for s in s_values]
     return [
         carleman_component_integrals(solution, dataclasses.replace(params, s=s), **grid)
         for s in s_values

@@ -38,8 +38,8 @@ from .carleman import (
     carleman_constant_scan,
     conjugation_residual,
 )
-from .errors import ConfigError, DegenWaveError, ParameterOutOfRange
-from .params import DomainSpec, validate_carleman_params
+from .errors import ConfigError, DegenWaveError
+from .params import DomainSpec, _whole, validate_carleman_params
 from .radial import build_graded_mesh, solve_radial_basis
 from .waves import energy_series, observation_norms, random_state
 
@@ -152,8 +152,7 @@ def _run_spectrum(cfg: dict) -> dict:
 
 def _run_simulate(cfg: dict) -> dict:
     domain = DomainSpec(cfg["delta0"])
-    if cfg["samples"] < 1:
-        raise ParameterOutOfRange(f"samples must be at least 1, got {cfg['samples']}")
+    _whole(cfg["samples"], "samples", minimum=1)
     T = cfg["t_horizon"] or observability.default_horizon(domain.delta0)
     basis = solve_radial_basis(
         cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["k_max"]

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DeltaOutOfRange, InsufficientData, ParameterOutOfRange
-from .params import DegeneracyParams
+from .params import DegeneracyParams, _real
 from .radial import (
     RadialMesh,
     assemble_weighted_system,
@@ -108,8 +108,7 @@ def exact_critical_constant(delta: float, bc: str = "mixed") -> float:
     `bc="mixed"` keeps u(delta) free with u(1) = 0; `bc="dirichlet"`
     constrains both ends.
     """
-    if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must lie in (0, 1), got {delta}")
+    _real(delta, "delta", DeltaOutOfRange, above=0, below=1)
     factor = 4.0 if bc == "mixed" else 1.0 if bc == "dirichlet" else None
     if factor is None:
         raise ParameterOutOfRange(f"unknown critical bc kind: {bc!r}")
@@ -152,7 +151,7 @@ def critical_truncated_constant(
         numerical_best_constant=c,
         reference_constant=exact,
         ratio=c / exact,
-        mesh_n=N,
+        mesh_n=mesh.n_cells,
         delta=delta,
         method=method,
     )
@@ -197,10 +196,7 @@ def _fit_blowup(deltas: Sequence[float], constant: Callable[[float], float]) -> 
     `constant` is called once per delta, in order, only after the scan
     passes its checks.
     """
-    ds = [float(d) for d in deltas]
-    for d in ds:
-        if not 0.0 < d < 1.0:
-            raise DeltaOutOfRange(f"delta must lie in (0, 1), got {d}")
+    ds = [_real(d, "delta", DeltaOutOfRange, above=0, below=1) for d in deltas]
     if len(ds) < 4:
         raise InsufficientData("need at least 4 truncation values")
     if max(ds) / min(ds) < 100.0:

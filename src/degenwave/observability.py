@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, ParameterOutOfRange, TimeTooShort
-from .params import DomainSpec, _whole, observation_time_threshold
+from .errors import InsufficientData, NonPositiveInput, ParameterOutOfRange, TimeTooShort
+from .params import DomainSpec, _real, _whole, observation_time_threshold
 from .radial import RadialBasis
 from .waves import (
     _BLOCK_ELEMENTS,
     ModalCoefficients,
-    _check_seed,
     _frequencies,
     _random_coefficients,
     _segment_and_strip_norms,
@@ -55,7 +54,7 @@ __all__ = [
 
 def default_beta(delta0: float) -> float:
     """A curvature just inside its admissible interval (0, delta0/2)."""
-    return 0.499 * delta0
+    return 0.499 * _real(delta0, "delta0", NonPositiveInput, above=0)
 
 
 def default_horizon(delta0: float) -> float:
@@ -88,11 +87,10 @@ def observability_ratio(
     two norms the quotient reads are formed; the full top side is not.
 
     Raises:
-        TimeTooShort: T at or below the admissible threshold.
+        TimeTooShort: T not finite, or at or below the admissible threshold.
     """
     threshold = observation_time_threshold(domain.delta0, default_beta(domain.delta0))
-    if not T > threshold:
-        raise TimeTooShort(f"T = {T} must exceed {threshold}")
+    _real(T, "T", TimeTooShort, above=threshold)
     e0 = energy(state)
     restricted, interior = _segment_and_strip_norms(state, T, domain.delta0)
     denom = restricted + interior
@@ -206,10 +204,8 @@ def _ensemble_stats(
         ParameterOutOfRange: size below 1 or not an integer, or a seed that
             is negative or not an integer.
     """
-    size = _whole(size, "ensemble size")
-    if size < 1:
-        raise ParameterOutOfRange(f"ensemble size must be at least 1, got {size}")
-    seed = _check_seed(seed)
+    size = _whole(size, "ensemble size", minimum=1)
+    seed = _whole(seed, "seed", minimum=0)
     n_big = max(n for n, _ in truncations)
     k_big = max(k for _, k in truncations)
     forms = []

@@ -7,6 +7,14 @@ weight parameters (lambda, s, beta, t0, T) together with their derived
 admissibility data (gamma, gamma_hat, epsilon, A0, A1), each in closed form,
 and the two smooth cutoffs: the angular plateau cutoff and the temporal
 plateau cutoff.  All types are immutable; all functions are pure.
+
+It also holds the package's two input gates, the only place that tests an
+argument's type, finiteness or range.  `_whole` takes a count (an integer,
+or a float with an integral value) and an optional lower bound; `_real`
+takes a real number, or an array of them such as a time grid, checks that
+it is finite and, optionally, inside an open interval or beyond one bound.
+Each caller names the argument and passes the error class it raises, so a
+refused input always raises a `DegenWaveError` subclass that names it.
 """
 
 from __future__ import annotations
@@ -20,17 +28,62 @@ import numpy as np
 from .errors import BetaOutOfRange, NonPositiveInput, ParameterOutOfRange, TimeTooShort
 
 
-def _whole(value, name: str, error: type[Exception] = ParameterOutOfRange) -> int:
-    """value as an int: an integer, or a float with an integral value.
+def _whole(
+    value, name: str, error: type[Exception] = ParameterOutOfRange, minimum: int | None = None
+) -> int:
+    """value as an int: an integer, or a float with an integral value, at least minimum.
 
     Orders, seeds and grid sizes count things, so 1.5 (or nan) is refused
     with `error` instead of being truncated or reaching numpy as a float.
     """
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real) and float(value).is_integer():
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
+    if not (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise error(f"{name} must be an integer, got {value!r}")
+    count = int(value)
+    if minimum is not None and count < minimum:
+        least = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise error(f"{name} must be {least}, got {count}")
+    return count
+
+
+def _real(
+    value,
+    name: str,
+    error: type[Exception] = ParameterOutOfRange,
+    *,
+    above: float | None = None,
+    below: float | None = None,
+    least: float | None = None,
+):
+    """value as a float, or an array of them as given, refused with `error`
+    unless it is finite and beyond the bounds given: above and below are
+    strict, least is inclusive.
+
+    A real number is an int, a float or a numpy scalar (not a string); an
+    array is a numpy array of a numeric dtype, every element checked.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        x = value
+    elif isinstance(value, numbers.Real):
+        x = float(value)
+    else:
+        raise error(f"{name} must be a real number, got {value!r}")
+    rules = [(np.isfinite(x), "be finite")]
+    if above is not None and below is not None:
+        rules.append(((x > above) & (x < below), f"lie in ({above}, {below})"))
+    elif above is not None:
+        rules.append((x > above, f"exceed {above}"))
+    elif below is not None:
+        rules.append((x < below, f"be below {below}"))
+    if least is not None:
+        rules.append((x >= least, f"be at least {least}"))
+    for ok, rule in rules:
+        if not np.all(ok):
+            bad = x if np.ndim(x) == 0 else x[~ok].flat[0]
+            raise error(f"{name} must {rule}, got {bad}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -44,8 +97,7 @@ class DegeneracyParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterOutOfRange(f"alpha must lie in (0, 1), got {self.alpha}")
+        _real(self.alpha, "alpha", above=0, below=1)
 
 
 @dataclass(frozen=True)
@@ -61,8 +113,7 @@ class DomainSpec:
     delta0: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta0 < 1.0 / 32.0:
-            raise ParameterOutOfRange(f"delta0 must lie in (0, 1/32), got {self.delta0}")
+        _real(self.delta0, "delta0", above=0, below=1 / 32)
 
 
 def theta_strips(delta0: float) -> tuple[tuple[float, float], ...]:
@@ -72,7 +123,7 @@ def theta_strips(delta0: float) -> tuple[tuple[float, float], ...]:
     admissible range delta0 < 1/32 always yields two disjoint strips, but the
     merged form keeps region-exhaustion diagnostics well defined.
     """
-    c = 4.0 * delta0
+    c = 4.0 * _real(delta0, "delta0", above=0)
     if c >= 0.5:
         return ((0.0, 1.0),)
     return ((0.0, c), (1.0 - c, 1.0))
@@ -103,10 +154,8 @@ class CarlemanParams:
     A1: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < self.T / 16.0:
-            raise ParameterOutOfRange("epsilon must lie in (0, T/16)")
-        if not 0.0 < self.gamma_hat < 0.5 * self.gamma:
-            raise ParameterOutOfRange("gamma_hat must lie in (0, gamma/2)")
+        _real(self.epsilon, "epsilon", above=0, below=_real(self.T, "T") / 16.0)
+        _real(self.gamma_hat, "gamma_hat", above=0, below=0.5 * self.gamma)
         if not self.A1 < self.A0:
             raise ParameterOutOfRange("A1 < A0 must hold")
 
@@ -116,13 +165,15 @@ _UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
 
 def beta_upper_bound(alpha: float, delta0: float) -> float:
     """Supremum of the admissible curvature interval for beta."""
+    DegeneracyParams(alpha)
+    _real(delta0, "delta0", above=0)
     return 0.5 * min((2.0 - alpha) ** 2 / 8.0, delta0)
 
 
 def observation_time_threshold(delta0: float, beta: float) -> float:
     """Minimal admissible observation horizon max{4/sqrt(delta0), sqrt(8/beta)}."""
-    if delta0 <= 0.0 or beta <= 0.0:
-        raise NonPositiveInput("delta0 and beta must be positive")
+    _real(delta0, "delta0", NonPositiveInput, above=0)
+    _real(beta, "beta", NonPositiveInput, above=0)
     return max(4.0 * delta0 ** -0.5, math.sqrt(8.0 / beta))
 
 
@@ -157,9 +208,8 @@ def validate_carleman_params(
     """
     DegeneracyParams(alpha)
     delta0 = domain.delta0
-    raw = np.array([beta, T, lam, s])
-    if not np.all((raw > 0.0) & (raw < math.inf)):
-        raise NonPositiveInput("beta, T, lambda, s must all be positive and finite")
+    for name, value in (("beta", beta), ("T", T), ("lambda", lam), ("s", s)):
+        _real(value, name, NonPositiveInput, above=0)
     bmax = beta_upper_bound(alpha, delta0)
     # the endpoint beta = bmax is admitted: every derived quantity stays
     # well defined there, and the canonical configuration delta0 = 0.01,
@@ -239,16 +289,14 @@ class CutoffSpec:
     fall: tuple[float, float]
 
     def __post_init__(self) -> None:
-        a, b = self.rise
-        c, d = self.fall
+        a, b, c, d = (_real(end, "cutoff band end") for end in (*self.rise, *self.fall))
         if not a < b <= c < d:
             raise ParameterOutOfRange("cutoff bands must satisfy rise < plateau < fall")
 
 
 def theta_cutoff(delta0: float) -> CutoffSpec:
     """Angular cutoff: 1 on (3*delta0, 1-3*delta0), 0 off (2*delta0, 1-2*delta0)."""
-    if not 0.0 < delta0 < 1.0 / 32.0:
-        raise ParameterOutOfRange("delta0 must lie in (0, 1/32)")
+    _real(delta0, "delta0", above=0, below=1 / 32)
     return CutoffSpec(
         rise=(2.0 * delta0, 3.0 * delta0),
         fall=(1.0 - 3.0 * delta0, 1.0 - 2.0 * delta0),
@@ -257,8 +305,7 @@ def theta_cutoff(delta0: float) -> CutoffSpec:
 
 def time_cutoff(epsilon: float, T: float) -> CutoffSpec:
     """Temporal cutoff: 1 on (2*epsilon, T-2*epsilon), 0 off (epsilon, T-epsilon)."""
-    if not 0.0 < epsilon < T / 16.0:
-        raise ParameterOutOfRange("epsilon must lie in (0, T/16)")
+    _real(epsilon, "epsilon", above=0, below=_real(T, "T") / 16.0)
     return CutoffSpec(
         rise=(epsilon, 2.0 * epsilon),
         fall=(T - 2.0 * epsilon, T - epsilon),

@@ -53,7 +53,7 @@ from .errors import (
     ParameterOutOfRange,
     TruncationTooSmall,
 )
-from .params import DegeneracyParams, _whole
+from .params import DegeneracyParams, _real, _whole
 
 __all__ = [
     "RadialMesh",
@@ -96,30 +96,22 @@ class RadialMesh:
 
 def build_graded_mesh(N: int, g: float) -> RadialMesh:
     """Mesh on [0, 1] with nodes (j/N)^g; g = 1 is uniform, g > 1 crowds r = 0."""
-    if N < 2 or int(N) != N:
-        raise InvalidMeshSpec(f"need an integer cell count N >= 2, got {N}")
-    if not (math.isfinite(g) and g >= 1.0):
-        raise InvalidMeshSpec(f"grading exponent must be finite with g >= 1, got {g}")
+    N = _whole(N, "cell count N", InvalidMeshSpec, minimum=2)
+    _real(g, "grading exponent g", InvalidMeshSpec, least=1)
     return RadialMesh((np.arange(N + 1) / N) ** g, grading=float(g))
 
 
 def build_log_mesh(N: int, delta: float) -> RadialMesh:
     """Geometric mesh on [delta, 1], uniform in ln r (for truncated problems)."""
-    if N < 2 or int(N) != N:
-        raise InvalidMeshSpec(f"need an integer cell count N >= 2, got {N}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidMeshSpec("delta must lie in (0, 1)")
+    N = _whole(N, "cell count N", InvalidMeshSpec, minimum=2)
+    _real(delta, "delta", InvalidMeshSpec, above=0, below=1)
     return RadialMesh(np.exp(np.linspace(math.log(delta), 0.0, N + 1)))
 
 
 def build_uniform_mesh(N: int, a: float = 0.0, b: float = 1.0) -> RadialMesh:
     """Uniform mesh with N cells on [a, b]."""
-    if N < 2 or int(N) != N:
-        raise InvalidMeshSpec(f"need an integer cell count N >= 2, got {N}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidMeshSpec(f"interval ends must be finite, got [{a}, {b}]")
-    if not b > a:
-        raise InvalidMeshSpec("interval must satisfy a < b")
+    N = _whole(N, "cell count N", InvalidMeshSpec, minimum=2)
+    _real(b, "b", InvalidMeshSpec, above=_real(a, "a", InvalidMeshSpec))
     return RadialMesh(np.linspace(a, b, N + 1))
 
 
@@ -197,12 +189,6 @@ class WeightedMatrices:
         row[1:] += self.me
         return row[self.i0 : self.i1]
 
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """Zero-pad a dof vector back to the full node set."""
-        full = np.zeros(self.mesh.nodes.size)
-        full[self.i0 : self.i1] = x
-        return full
-
     def stiffness_action(self, x: np.ndarray) -> np.ndarray:
         return _tridiag_matvec(self.kd_dof, self.ke_dof, x)
 
@@ -237,6 +223,8 @@ def assemble_weighted_system(
     """
     if bc not in _BC_KINDS:
         raise ParameterOutOfRange(f"unknown boundary condition kind: {bc!r}")
+    _real(p, "stiffness exponent p")
+    _real(q, "mass exponent q")
     nodes = mesh.nodes
     touches_zero = nodes[0] == 0.0
     if touches_zero:
@@ -330,14 +318,13 @@ class RadialBasis:
         of the first k_max eigenfunctions.
 
         Raises:
-            TruncationTooSmall: k_max outside [1, self.k_max].
+            TruncationTooSmall: k_max not an integer in [1, self.k_max].
         """
+        k_max = _whole(k_max, "k_max", TruncationTooSmall, minimum=1)
         if k_max > self.k_max:
             raise TruncationTooSmall(
                 f"k_max = {k_max} exceeds the {self.k_max} computed eigenpairs"
             )
-        if k_max < 1:
-            raise TruncationTooSmall(f"k_max must be at least 1, got {k_max}")
         dof = self.R[:k_max, self.mats.i0 : self.mats.i1]
         return dof @ self.mats.mass_action(dof).T
 
@@ -452,9 +439,9 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     import ctypes
 
     n = mats.n_dof
-    k_max = _whole(k_max, "k_max")
-    if not 1 <= k_max <= n:
-        raise ParameterOutOfRange(f"k_max must lie in [1, {n}], got {k_max}")
+    k_max = _whole(k_max, "k_max", minimum=1)
+    if k_max > n:
+        raise ParameterOutOfRange(f"k_max must not exceed the {n} dofs, got {k_max}")
     d_lump = mats.lumped
     if np.any(d_lump <= 0.0):
         raise DivergentWeight("lumped mass must be positive on all dofs")
@@ -684,6 +671,7 @@ def elliptic_identity_residual(
     makes the two sides differ only by the lumping perturbation, which is
     what this residual measures.
     """
+    _real(mu_n, "mu")
     c = np.asarray(coeffs, dtype=float)
     if c.size > basis.k_max:
         raise ParameterOutOfRange("more coefficients than computed eigenpairs")
@@ -873,9 +861,7 @@ def bessel_radial_mode(
             or k not an integer or below 1.
     """
     DegeneracyParams(alpha)
-    k = _whole(k, "radial index k")
-    if k < 1:
-        raise ParameterOutOfRange(f"radial index k must be at least 1, got {k}")
+    k = _whole(k, "radial index k", minimum=1)
     nu = (1.0 - alpha) / (2.0 - alpha)
     j = _bessel_root(nu, k)
     rho = ((2.0 - alpha) / 2.0 * j) ** 2

@@ -33,8 +33,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import GridMismatch, NonPositiveInput, ParameterOutOfRange, TruncationTooSmall
-from .params import _whole, theta_strips
+from .errors import GridMismatch, NonPositiveInput, TruncationTooSmall
+from .params import _real, _whole, theta_strips
 from .radial import RadialBasis, _trapezoid_weights
 
 __all__ = [
@@ -87,9 +87,12 @@ def _truncation(n_max: int, k_max: int) -> tuple[int, int]:
     """Truncation orders as ints: an integral float is that integer.
 
     Raises:
-        TruncationTooSmall: an order that is not an integer.
+        TruncationTooSmall: an order that is not an integer or is below 1.
     """
-    return _whole(n_max, "n_max", TruncationTooSmall), _whole(k_max, "k_max", TruncationTooSmall)
+    return (
+        _whole(n_max, "n_max", TruncationTooSmall, minimum=1),
+        _whole(k_max, "k_max", TruncationTooSmall, minimum=1),
+    )
 
 
 def _frequencies(basis: RadialBasis, n_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +100,6 @@ def _frequencies(basis: RadialBasis, n_max: int, k_max: int) -> tuple[np.ndarray
         raise TruncationTooSmall(
             f"k_max = {k_max} exceeds the {basis.k_max} computed eigenpairs"
         )
-    if n_max < 1 or k_max < 1:
-        raise TruncationTooSmall("truncation orders must be at least 1")
     mu = (np.arange(1, n_max + 1) * math.pi) ** 2
     omega_sq = mu[:, None] + basis.rho[None, :k_max]
     return np.sqrt(omega_sq), omega_sq
@@ -111,11 +112,18 @@ def modal_state(
     amplitudes: Mapping[tuple[int, int], float] | np.ndarray | None = None,
     velocities: Mapping[tuple[int, int], float] | np.ndarray | None = None,
 ) -> ModalCoefficients:
-    """Assemble a state from explicit modal dictionaries or coefficient arrays."""
+    """Assemble a state from explicit modal dictionaries or coefficient arrays.
+
+    Raises:
+        TruncationTooSmall: a truncation order that is not an integer or is
+            out of range, or a mode outside the truncation.
+        GridMismatch: an array of the wrong shape, or a coefficient that is
+            not a finite real number.
+    """
     n_max, k_max = _truncation(n_max, k_max)
     omega, omega_sq = _frequencies(basis, n_max, k_max)
 
-    def to_array(entries) -> np.ndarray:
+    def to_array(entries, name: str) -> np.ndarray:
         if entries is None:
             return np.zeros((n_max, k_max))
         if isinstance(entries, Mapping):
@@ -123,15 +131,15 @@ def modal_state(
             for (n, k), val in entries.items():
                 if not (1 <= n <= n_max and 1 <= k <= k_max):
                     raise TruncationTooSmall(f"mode ({n}, {k}) outside truncation")
-                arr[n - 1, k - 1] = val
+                arr[n - 1, k - 1] = _real(val, f"{name} of mode {(n, k)}", GridMismatch)
             return arr
-        arr = np.asarray(entries, dtype=float)
+        arr = np.array(entries, dtype=float)
         if arr.shape != (n_max, k_max):
             raise GridMismatch(f"coefficient array must have shape {(n_max, k_max)}")
-        return arr.copy()
+        return _real(arr, name, GridMismatch)
 
     return ModalCoefficients(
-        basis=basis, a=to_array(amplitudes), b=to_array(velocities),
+        basis=basis, a=to_array(amplitudes, "amplitude"), b=to_array(velocities, "velocity"),
         omega=omega, omega_sq=omega_sq,
     )
 
@@ -177,15 +185,6 @@ def project_initial_data(
     return ModalCoefficients(
         basis=basis, a=project(phi0), b=project(phi1), omega=omega, omega_sq=omega_sq
     )
-
-
-def _check_seed(seed: int, name: str = "seed") -> int:
-    """Seeds of random data, and the members drawn from them, are non-negative integers;
-    returns the seed as an int (an integral float is taken as that integer)."""
-    seed = _whole(seed, name)
-    if seed < 0:
-        raise ParameterOutOfRange(f"{name} must be non-negative, got {seed}")
-    return seed
 
 
 #: damping (n^2 + k^2)^-1 of the master block, n and k from 1 to RANDOM_CAP
@@ -240,9 +239,9 @@ def random_state(
         TruncationTooSmall: a truncation above RANDOM_CAP or not an integer.
     """
     n_max, k_max = _truncation(n_max, k_max)
-    seed = _check_seed(seed)
+    seed = _whole(seed, "seed", minimum=0)
     if member is not None:
-        member = _check_seed(member, "member")
+        member = _whole(member, "member", minimum=0)
     omega, omega_sq = _frequencies(basis, n_max, k_max)
     a, b = _random_coefficients(seed, [member], n_max, k_max)[:, 0]
     return ModalCoefficients(basis=basis, a=a, b=b, omega=omega, omega_sq=omega_sq)
@@ -259,24 +258,13 @@ def _rotate(a, b, w, t) -> tuple[np.ndarray, np.ndarray]:
     return a * c + b / w * s, -a * w * s + b * c
 
 
-def _check_times(times, name: str = "t") -> None:
-    """Every time (a number or an array of them) is finite.
-
-    Raises:
-        GridMismatch: a time that is nan or infinite.
-    """
-    finite = np.isfinite(times)
-    if not finite.all():
-        raise GridMismatch(f"{name} must be finite, got {np.asarray(times)[~finite].flat[0]}")
-
-
 def evolve(state: ModalCoefficients, t: float) -> ModalCoefficients:
     """Exact free evolution to time t (per-mode rotation, no time stepping).
 
     Raises:
-        GridMismatch: t is nan or infinite.
+        GridMismatch: t is not a finite real number.
     """
-    _check_times(t)
+    _real(t, "t", GridMismatch)
     a, b = _rotate(state.a, state.b, state.omega, t)
     return replace(state, a=a, b=b)
 
@@ -290,13 +278,16 @@ def duhamel_forcing(
     that grid.  The Duhamel convolutions int sin(w(t-s))/w f ds and
     int cos(w(t-s)) f ds are evaluated by the trapezoidal rule, second-order
     in dt for smooth forcing.
+
+    Raises:
+        GridMismatch: f_hat of the wrong shape, dt not positive and finite,
+            or t not a finite point of the forcing grid.
     """
     f_hat = np.asarray(f_hat, dtype=float)
     if f_hat.ndim != 3 or f_hat.shape[:2] != state.a.shape:
         raise GridMismatch("forcing samples must have shape (n_max, k_max, steps+1)")
-    if not 0.0 < dt < math.inf:
-        raise GridMismatch(f"dt must be positive and finite, got {dt}")
-    _check_times(t)
+    _real(dt, "dt", GridMismatch, above=0)
+    _real(t, "t", GridMismatch)
     j = int(round(t / dt))
     if j < 0 or j >= f_hat.shape[2] or abs(t - j * dt) > 1e-9 * max(dt, 1.0):
         raise GridMismatch(f"t = {t} does not lie on the forcing grid")
@@ -338,8 +329,7 @@ def energy_series(state: ModalCoefficients, times: np.ndarray) -> EnergyReport:
     Raises:
         GridMismatch: a time that is nan or infinite.
     """
-    times = np.asarray(times, dtype=float)
-    _check_times(times, "times")
+    times = _real(np.asarray(times, dtype=float), "times", GridMismatch)
     amp, vel = _rotate(state.a[..., None], state.b[..., None], state.omega[..., None], times)
     kinetic = 0.25 * np.sum(vel**2, axis=(0, 1))
     potential = 0.25 * np.sum(state.omega_sq[..., None] * amp**2, axis=(0, 1))
@@ -391,7 +381,14 @@ def sine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
     frequencies, at most 1 on the rescaled interval (-1, 1), to within
     1e-17 of (b - a) and sums products of sines that keep their relative
     accuracy.
+
+    Raises:
+        ParameterOutOfRange: n_max not an integer of at least 1, or an end
+            that is not a finite real number.
     """
+    n_max = _whole(n_max, "n_max", minimum=1)
+    _real(a, "a")
+    _real(b, "b")
     if n_max * math.pi * (b - a) <= 1.0:
         x, w = np.polynomial.legendre.leggauss(8)
         half = 0.5 * (b - a)
@@ -403,7 +400,15 @@ def sine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
 
 
 def cosine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
-    """Exact integrals int_a^b cos(n pi t) cos(m pi t) dt for n, m <= n_max."""
+    """Exact integrals int_a^b cos(n pi t) cos(m pi t) dt for n, m <= n_max.
+
+    Raises:
+        ParameterOutOfRange: n_max not an integer of at least 1, or an end
+            that is not a finite real number.
+    """
+    n_max = _whole(n_max, "n_max", minimum=1)
+    _real(a, "a")
+    _real(b, "b")
     return _trig_overlaps(n_max, a, b, 1.0)
 
 
@@ -486,8 +491,7 @@ def _ends(u0: np.ndarray, du0: np.ndarray, w: np.ndarray, T: float) -> tuple[np.
     Raises:
         NonPositiveInput: T not positive and finite.
     """
-    if not 0.0 < T < math.inf:
-        raise NonPositiveInput(f"observation horizon T must be positive and finite, got {T}")
+    _real(T, "observation horizon T", NonPositiveInput, above=0)
     phase, residual = _two_product(w, T)
     cos, sin = np.cos(phase), np.sin(phase)
     cos, sin = cos - residual * sin, sin + residual * cos
@@ -697,8 +701,7 @@ def _segment_and_strip_norms(
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2).
         NonPositiveInput: T not positive and finite.
     """
-    if not 0.0 < delta0 < 0.5:
-        raise ParameterOutOfRange(f"delta0 must lie in (0, 1/2), got {delta0}")
+    _real(delta0, "delta0", above=0, below=0.5)
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = basis.flux[:k_max]

@@ -1001,7 +1001,7 @@ def mgs_eigenpairs(
         x[:, j] /= nrm
 
     rho = np.empty(k_max)
-    R = np.empty((k_max, mats.mesh.nodes.size))
+    R = np.zeros((k_max, mats.mesh.nodes.size))  # zero off the dof window
     flux = np.empty(k_max)
     for j in range(k_max):
         xj = x[:, j]
@@ -1013,6 +1013,6 @@ def mgs_eigenpairs(
         # of the computed eigenvector is second-order accurate in its
         # residual and restores near-machine eigenvalues
         rho[j] = mats.stiffness_product(xj, xj)  # x is unit-norm in the lumped mass
-        R[j] = mats.expand(xj)
+        R[j, mats.i0 : mats.i1] = xj
         flux[j] = _variational_flux(mats, R[j], rho[j])
     return rho, R, flux, rho.copy()

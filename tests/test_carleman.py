@@ -259,6 +259,18 @@ class TestModalSolution:
         with pytest.raises(ParameterOutOfRange):
             bessel_mode(0.5, **({"n": 1, "k": 1} | bad))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"a": math.nan}, {"a": math.inf}, {"b": -math.inf}, {"b": math.nan}, {"a": "1"}],
+        ids=["a-nan", "a-inf", "b-minus-inf", "b-nan", "a-text"],
+    )
+    def test_non_finite_amplitude_rejected(self, bad):
+        # a = nan once gave a mode whose every integral and residual was nan
+        with pytest.raises(ParameterOutOfRange) as info:
+            bessel_mode(0.5, 1, 1, **bad)
+        assert type(info.value) is ParameterOutOfRange
+        assert str(info.value).startswith(next(iter(bad)))
+
     def test_empty_superposition_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             SmoothModalSolution(0.5, ())

@@ -9,14 +9,21 @@ from hypothesis import strategies as st
 from degenwave.errors import (
     BetaOutOfRange,
     DegenWaveError,
+    GridMismatch,
+    InvalidMeshSpec,
     NonPositiveInput,
     ParameterOutOfRange,
     TimeTooShort,
+    TruncationTooSmall,
 )
+from degenwave.hardy import blowup_rate_fit, critical_truncated_constant
+from degenwave.observability import default_horizon
 from degenwave.params import (
     CutoffSpec,
     DegeneracyParams,
     DomainSpec,
+    _real,
+    _whole,
     beta_upper_bound,
     eval_cutoff,
     observation_time_threshold,
@@ -25,7 +32,21 @@ from degenwave.params import (
     time_cutoff,
     validate_carleman_params,
 )
-from degenwave.radial import assemble_weighted_system, elliptic_identity_residual
+from degenwave.radial import (
+    assemble_weighted_system,
+    build_graded_mesh,
+    build_log_mesh,
+    build_uniform_mesh,
+    elliptic_identity_residual,
+    solve_radial_basis,
+)
+from degenwave.waves import (
+    cosine_overlap_matrix,
+    evolve,
+    observation_norms,
+    random_state,
+    sine_overlap_matrix,
+)
 from oracles import _band_certified, two_band_cutoff
 
 
@@ -296,3 +317,122 @@ def test_cutoff_product_matches_two_band_oracle(spec):
 def test_input_checks_raise_package_errors(basis05, carleman_params, call):
     with pytest.raises(ParameterOutOfRange):
         call(basis05, carleman_params)
+
+
+class TestInputGates:
+    """params._whole and params._real, the package's two input gates."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), True])
+    def test_whole_takes_integers_and_integral_floats(self, value):
+        assert _whole(value, "n") == int(value)
+        assert type(_whole(value, "n")) is int
+
+    @pytest.mark.parametrize("value", [3.5, math.nan, math.inf, "3", None, [3]])
+    def test_whole_refuses_other_values(self, value):
+        with pytest.raises(GridMismatch, match="n must be an integer"):
+            _whole(value, "n", GridMismatch)
+
+    def test_whole_lower_bound(self):
+        assert _whole(2, "N", minimum=2) == 2
+        with pytest.raises(ParameterOutOfRange, match="N must be at least 2, got 1"):
+            _whole(1.0, "N", minimum=2)
+        with pytest.raises(ParameterOutOfRange, match="seed must be non-negative, got -1"):
+            _whole(-1, "seed", minimum=0)
+
+    @pytest.mark.parametrize("value", [0.5, 1, np.float64(0.5), np.int32(1), True])
+    def test_real_takes_real_numbers_as_floats(self, value):
+        assert _real(value, "x") == float(value)
+        assert type(_real(value, "x")) is float
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_real_refuses_non_finite_values(self, value):
+        with pytest.raises(NonPositiveInput, match="x must be finite"):
+            _real(value, "x", NonPositiveInput)
+
+    @pytest.mark.parametrize("value", ["0.5", None, [0.5], 1j, np.array(["0.5"])])
+    def test_real_refuses_non_numbers(self, value):
+        with pytest.raises(ParameterOutOfRange, match="x must be a real number"):
+            _real(value, "x")
+
+    def test_real_bounds(self):
+        assert _real(0.5, "x", above=0, below=1) == 0.5
+        assert _real(1, "g", least=1) == 1.0
+        for value, bounds, rule in [
+            (0.0, {"above": 0, "below": 1}, r"x must lie in \(0, 1\), got 0.0"),
+            (1.0, {"above": 0, "below": 1}, r"x must lie in \(0, 1\), got 1.0"),
+            (-1.0, {"above": 0}, "x must exceed 0, got -1.0"),
+            (1.0, {"below": 1}, "x must be below 1, got 1.0"),
+            (0.5, {"least": 1}, "x must be at least 1, got 0.5"),
+        ]:
+            with pytest.raises(ParameterOutOfRange, match=rule):
+                _real(value, "x", **bounds)
+
+    def test_real_checks_every_element_of_an_array(self):
+        times = np.array([0.0, 1.0, 2.0])
+        assert _real(times, "times") is times
+        with pytest.raises(GridMismatch, match="times must be finite, got inf"):
+            _real(np.array([0.0, math.inf, math.nan]), "times", GridMismatch)
+        with pytest.raises(GridMismatch, match="times must exceed 0, got -1.0"):
+            _real(np.array([1.0, -1.0]), "times", GridMismatch, above=0)
+
+
+# Calls that died with a bare TypeError or ValueError, or returned a wrong
+# number, before every count and real number went through the two gates.
+# Each raises the error class its site already raised for other bad values.
+REFUSED = [
+    (lambda basis: build_graded_mesh(math.nan, 2.0), InvalidMeshSpec),
+    (lambda basis: build_log_mesh(math.nan, 0.01), InvalidMeshSpec),
+    (lambda basis: observation_time_threshold(0.01, math.nan), NonPositiveInput),
+    (lambda basis: observation_time_threshold(0.01, math.inf), NonPositiveInput),
+    (lambda basis: default_horizon(math.nan), NonPositiveInput),
+    (lambda basis: basis.consistent_gram(2.5), TruncationTooSmall),
+    (lambda basis: DomainSpec("0.01"), ParameterOutOfRange),
+    (lambda basis: solve_radial_basis("0.5"), ParameterOutOfRange),
+    (lambda basis: observation_norms(random_state(basis, 4, 4, 1), 44.0, "0.01"),
+     ParameterOutOfRange),
+    (lambda basis: evolve(random_state(basis, 4, 4, 1), "1.0"), GridMismatch),
+    (lambda basis: validate_carleman_params(0.5, DomainSpec(0.03), beta="0.0149", T=40.0),
+     NonPositiveInput),
+    (lambda basis: sine_overlap_matrix(4.5, 0.1, 0.5), ParameterOutOfRange),
+    (lambda basis: cosine_overlap_matrix(0, 0.1, 0.5), ParameterOutOfRange),
+    (lambda basis: beta_upper_bound(0.5, math.nan), ParameterOutOfRange),
+    (lambda basis: theta_strips(math.nan), ParameterOutOfRange),
+    (lambda basis: elliptic_identity_residual(basis, math.nan, [1.0]), ParameterOutOfRange),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    REFUSED,
+    ids=[
+        "graded-mesh-nan-N", "log-mesh-nan-N", "threshold-nan-beta", "threshold-inf-beta",
+        "horizon-nan", "gram-2.5", "domain-text", "basis-text-alpha", "norms-text-delta0",
+        "evolve-text-t", "validate-text-beta", "sine-4.5", "cosine-0", "beta-bound-nan",
+        "strips-nan", "elliptic-nan-mu",
+    ],
+)
+def test_refused_with_the_sites_error_class(basis05, call, error):
+    with pytest.raises(DegenWaveError) as info:
+        call(basis05)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda N: build_log_mesh(N, 0.01).nodes,
+        lambda N: build_uniform_mesh(N).nodes,
+        lambda N: critical_truncated_constant(0.01, N=N),
+        lambda N: blowup_rate_fit([1e-1, 1e-2, 1e-3, 1e-4], N=N),
+    ],
+    ids=["log-mesh", "uniform-mesh", "critical-constant", "blowup-fit"],
+)
+def test_integral_float_cell_count_runs_as_that_integer(call):
+    # each once died in np.linspace with a bare TypeError
+    as_float, as_int = call(256.0), call(256)
+    if isinstance(as_int, np.ndarray):
+        assert np.array_equal(as_float, as_int)
+    else:
+        assert as_float == as_int
+    if hasattr(as_int, "mesh_n"):
+        assert type(as_float.mesh_n) is int

@@ -1,15 +1,22 @@
 """The package namespace re-exports every public module name and error class."""
 
 import ast
+import dataclasses
+import functools
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degenwave
 from degenwave import errors
@@ -408,3 +415,349 @@ def test_benchmark_bases_span_bisection_chunks():
 
     chunks = -(-benchmark_spectral_width() // radial._BISECT_CHUNK)
     assert chunks >= 2
+
+
+# ---------------------------------------------------------------------------
+# The public-input sweep: every count, time and real-number argument of every
+# re-exported callable, fed values outside its contract
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def sweep_inputs():
+    """Small valid inputs shared by the rows: a basis of N 64 and k 8, a 2 x 2
+    state, the canonical Carleman parameters and one Bessel mode."""
+    basis = degenwave.solve_radial_basis(0.5, N=64, g=2.0, k_max=8)
+    params = degenwave.validate_carleman_params(
+        0.5, degenwave.DomainSpec(0.03), beta=0.0149, T=40.0, lam=0.5, s=2.0
+    )
+    return {
+        "basis": basis,
+        "state": degenwave.random_state(basis, 2, 2, 1),
+        "params": params,
+        "solution": degenwave.SmoothModalSolution(0.5, (degenwave.bessel_mode(0.5, 1, 1),)),
+        "mats": basis.mats,
+        "mesh": degenwave.build_graded_mesh(64, 3.0),
+        "domain": degenwave.DomainSpec(0.01),
+    }
+
+
+def row(args=(), **baseline):
+    """A row of SWEEP: the baseline keyword arguments, each a value or the
+    name of a sweep_inputs() entry given as {"input": name}, and the swept
+    arguments: a name, or (name, index) for one entry of a list or tuple."""
+    return baseline, args
+
+
+def shared(name):
+    return {"input": name}
+
+
+#: count, time and real-number arguments of every callable the package
+#: re-exports; records of computed values list none
+SWEEP = {
+    # carleman
+    "ComponentIntegrals": row(),
+    "ConjugationReport": row(),
+    "SmoothMode": row(),
+    "SmoothModalSolution": row(("alpha",), alpha=0.5, modes=(degenwave.bessel_mode(0.5, 1, 1),)),
+    "bessel_mode": row(("alpha", "n", "k", "a", "b"), alpha=0.5, n=1, k=1, a=1.0, b=0.3),
+    # theta, r and t are the coordinate arrays of a tensor grid
+    "build_weight_field": row(),
+    "carleman_component_integrals": row(
+        ("n_theta", "n_r", "n_t"),
+        solution=shared("solution"), params=shared("params"), n_theta=8, n_r=8, n_t=40,
+    ),
+    "carleman_constant_scan": row(
+        (("s_values", 0), "n_theta", "n_r", "n_t"),
+        solution=shared("solution"), params=shared("params"), s_values=[2.0],
+        n_theta=8, n_r=8, n_t=40,
+    ),
+    "conjugation_order_study": row(
+        (("base_shape", 0), ("base_shape", 1), ("base_shape", 2), "levels", "r_min"),
+        solution=shared("solution"), params=shared("params"), base_shape=(63, 8, 33),
+        levels=2, r_min=0.1,
+    ),
+    "conjugation_residual": row(
+        (("shape", 0), ("shape", 1), ("shape", 2), "r_min"),
+        solution=shared("solution"), params=shared("params"), shape=(63, 8, 33), r_min=0.1,
+    ),
+    # hardy
+    "BlowupFit": row(),
+    "HardyReport": row(),
+    "best_subcritical_constant": row(("alpha",), alpha=0.5, mesh=shared("mesh")),
+    "blowup_rate_fit": row(
+        (("deltas", 0), ("deltas", 3), "N"), deltas=[1e-1, 1e-2, 1e-3, 1e-4], N=64
+    ),
+    "critical_truncated_constant": row(("delta", "N"), delta=0.01, N=64),
+    "exact_critical_constant": row(("delta",), delta=0.01),
+    "subcritical_bound": row(("alpha",), alpha=0.5),
+    # observability
+    "EnsembleStats": row(),
+    "ObservabilityRecord": row(),
+    "ObstructionScan": row(),
+    "default_beta": row(("delta0",), delta0=0.01),
+    "default_horizon": row(("delta0",), delta0=0.01),
+    "hidden_trace_stability": row(
+        ("seed", "size", ("truncation", 0), ("truncation", 1), "T"),
+        basis=shared("basis"), seed=7, size=2, truncation=(2, 2), T=44.0,
+    ),
+    "high_mode_obstruction_scan": row(
+        (("n_values", 0), ("n_values", 3), "T"),
+        n_values=[1, 2, 4, 8], T=44.0, domain=shared("domain"), basis=shared("basis"),
+    ),
+    "observability_ratio": row(("T",), state=shared("state"), domain=shared("domain"), T=44.0),
+    # params; the other fields of CarlemanParams are derived by
+    # validate_carleman_params, and its check covers these two
+    "CarlemanParams": row(
+        ("epsilon", "gamma_hat"),
+        alpha=0.5, delta0=0.03, beta=0.0149, T=40.0, lam=0.5, s=2.0, t0=20.0, gamma=1.98,
+        gamma_hat=0.495, epsilon=2.4975, A0=0.78, A1=0.61,
+    ),
+    "CutoffSpec": row(
+        (("rise", 0), ("rise", 1), ("fall", 0), ("fall", 1)), rise=(0.1, 0.2), fall=(0.8, 0.9)
+    ),
+    "DegeneracyParams": row(("alpha",), alpha=0.5),
+    "DomainSpec": row(("delta0",), delta0=0.01),
+    "beta_upper_bound": row(("alpha", "delta0"), alpha=0.5, delta0=0.01),
+    "eval_cutoff": row(("x",), spec=degenwave.theta_cutoff(0.01), x=0.025),
+    "observation_time_threshold": row(("delta0", "beta"), delta0=0.01, beta=0.005),
+    "theta_cutoff": row(("delta0",), delta0=0.01),
+    "theta_strips": row(("delta0",), delta0=0.01),
+    "time_cutoff": row(("epsilon", "T"), epsilon=0.7, T=40.0),
+    "validate_carleman_params": row(
+        ("alpha", "beta", "T", "lam", "s"),
+        alpha=0.5, domain=degenwave.DomainSpec(0.03), beta=0.0149, T=40.0, lam=0.5, s=2.0,
+    ),
+    # radial
+    "RadialBasis": row(),
+    "RadialMesh": row(("nodes",), nodes=np.linspace(0.0, 1.0, 5)),
+    "WeightedMatrices": row(),
+    "assemble_weighted_system": row(
+        ("p", "q"), mesh=shared("mesh"), p=0.5, q=0.0, bc="dirichlet-dirichlet"
+    ),
+    "bessel_radial_mode": row(("alpha", "k"), alpha=0.5, k=1),
+    "build_graded_mesh": row(("N", "g"), N=64, g=2.0),
+    "build_log_mesh": row(("N", "delta"), N=64, delta=0.01),
+    "build_uniform_mesh": row(("N", "a", "b"), N=64, a=0.0, b=1.0),
+    "elliptic_identity_residual": row(
+        ("mu_n",), basis=shared("basis"), mu_n=2.0, coeffs=[1.0, 0.5]
+    ),
+    "refine_smallest_eigenpair": row(mats=shared("mats")),
+    "solve_eigenpairs": row(("k_max",), mats=shared("mats"), k_max=4),
+    "solve_radial_basis": row(("alpha", "N", "g", "k_max"), alpha=0.5, N=64, g=2.0, k_max=4),
+    # waves
+    "EnergyReport": row(),
+    "ModalCoefficients": row(),
+    "TraceReport": row(),
+    "cosine_overlap_matrix": row(("n_max", "a", "b"), n_max=4, a=0.1, b=0.5),
+    "data_norms": row(state=shared("state")),
+    "duhamel_forcing": row(
+        ("dt", "t"), state=shared("state"), f_hat=np.ones((2, 2, 11)), dt=0.1, t=0.5
+    ),
+    "energy": row(state=shared("state")),
+    "energy_series": row(("times",), state=shared("state"), times=np.linspace(0.0, 1.0, 5)),
+    "evolve": row(("t",), state=shared("state"), t=1.0),
+    "full_trace_norm_closed": row(("T",), state=shared("state"), T=44.0),
+    "modal_state": row(
+        ("n_max", "k_max"), basis=shared("basis"), n_max=2, k_max=2, amplitudes={(1, 1): 1.0}
+    ),
+    "observation_norms": row(("T", "delta0"), state=shared("state"), T=44.0, delta0=0.01),
+    "project_initial_data": row(
+        ("n_max", "k_max"), phi0={(1, 1): 1.0}, phi1=None, basis=shared("basis"), n_max=2, k_max=2
+    ),
+    "random_state": row(
+        ("n_max", "k_max", "seed", "member"), basis=shared("basis"), n_max=2, k_max=2, seed=1,
+        member=3,
+    ),
+    "sine_overlap_matrix": row(("n_max", "a", "b"), n_max=4, a=0.1, b=0.5),
+}
+
+#: values outside the contract of some argument, or at its edge
+SWEEP_VALUES = [4.5, math.nan, math.inf, -math.inf, -1, 0, True, "3"]
+
+
+def public_callables():
+    """Names of the re-exported callables other than error classes."""
+    return sorted(
+        n for n, obj in vars(degenwave).items()
+        if not n.startswith("_") and callable(obj) and not inspect.ismodule(obj)
+        and not (inspect.isclass(obj) and issubclass(obj, BaseException))
+    )
+
+
+def test_sweep_table_rows_every_public_callable():
+    assert sorted(SWEEP) == public_callables()
+    for name, (baseline, args) in SWEEP.items():
+        params = inspect.signature(getattr(degenwave, name)).parameters
+        takes_grid = any(p.kind is p.VAR_KEYWORD for p in params.values())
+        for arg in args:
+            key = arg if isinstance(arg, str) else arg[0]
+            assert key in baseline, (name, key)
+            assert key in params or takes_grid, (name, key)
+
+
+def sweep_call(name, arg=None, value=None):
+    """Call a row's callable on its baseline, with one swept argument set to value."""
+    baseline, _ = SWEEP[name]
+    inputs = sweep_inputs()
+    kwargs = {
+        k: inputs[v["input"]] if isinstance(v, dict) and "input" in v else v
+        for k, v in baseline.items()
+    }
+    if isinstance(arg, str):
+        kwargs[arg] = value
+    elif arg is not None:
+        key, index = arg
+        entries = list(kwargs[key])
+        entries[index] = value
+        kwargs[key] = type(kwargs[key])(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return getattr(degenwave, name)(**kwargs)
+
+
+def non_finite(out, path="out"):
+    """Paths of the non-finite numbers in a call's output: floats, arrays,
+    and the fields of dataclasses, tuples, lists and mappings."""
+    if isinstance(out, (bool, int, str, type(None))) or callable(out):
+        return []
+    if isinstance(out, (float, np.floating, np.ndarray)):
+        return [] if np.all(np.isfinite(out)) else [path]
+    if isinstance(out, degenwave.WeightedMatrices):
+        # a constrained node's entries may diverge (r^q at r = 0); the
+        # pencil is its dof window
+        out = {k: getattr(out, k) for k in ("p", "q", "kd_dof", "ke_dof", "md_dof", "me_dof")}
+    elif dataclasses.is_dataclass(out):
+        out = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+    if isinstance(out, dict):
+        return [p for k, v in out.items() for p in non_finite(v, f"{path}.{k}")]
+    if isinstance(out, (tuple, list)):
+        return [p for i, v in enumerate(out) for p in non_finite(v, f"{path}[{i}]")]
+    raise AssertionError(f"{path}: no finiteness rule for {type(out).__name__}")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (baseline, _) in SWEEP.items() if baseline))
+def test_sweep_baselines_are_valid(name):
+    """Each row's baseline is a valid call, so that a refusal in the sweep is
+    the swept value's doing."""
+    assert non_finite(sweep_call(name)) == []
+
+
+SWEPT = [(name, arg) for name, (_, args) in SWEEP.items() for arg in args]
+
+
+@pytest.mark.parametrize("name, arg", SWEPT, ids=[f"{n}-{a}" for n, a in SWEPT])
+@settings(max_examples=4 * len(SWEEP_VALUES), deadline=None, database=None)
+@given(value=st.sampled_from(SWEEP_VALUES))
+def test_public_input_sweep(name, arg, value):
+    """A value outside an argument's contract is refused with a package error,
+    or the call returns finite output; never a bare TypeError, ValueError or
+    warning, and never a nan or an infinity in the output."""
+    try:
+        out = sweep_call(name, arg, value)
+    except errors.DegenWaveError:
+        return
+    assert non_finite(out) == [], f"{name}({arg}={value!r})"
+
+
+# ---------------------------------------------------------------------------
+# The two input gates of params are the only argument checks
+# ---------------------------------------------------------------------------
+
+
+def is_inf(node):
+    """math.inf, np.inf or numpy.inf, negated or not."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "inf"
+        and isinstance(node.value, ast.Name) and node.value.id in {"math", "np", "numpy"}
+    )
+
+
+def is_raw_array(node, arguments):
+    """np.array or np.asarray of a list or tuple of the function's own arguments."""
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"array", "asarray"} and node.args
+        and isinstance(node.args[0], (ast.List, ast.Tuple))
+        and all(isinstance(e, ast.Name) and e.id in arguments for e in node.args[0].elts)
+    )
+
+
+def hand_rolled_checks(source):
+    """(line, kind) of each argument check written outside the params gates:
+    a comparison with inf, an integrality test, or a comparison of an array of
+    raw arguments."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        arguments = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs]}
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        raw = {
+            t.id for node in body for sub in ast.walk(node)
+            if isinstance(sub, ast.Assign) and is_raw_array(sub.value, arguments)
+            for t in sub.targets if isinstance(t, ast.Name)
+        }
+        for node in (sub for stmt in body for sub in ast.walk(stmt)):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(is_inf(o) for o in operands):
+                    found.append((node.lineno, "compares with inf"))
+                if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
+                    isinstance(o, ast.Call) and isinstance(o.func, ast.Name) and o.func.id == "int"
+                    for o in operands
+                ):
+                    found.append((node.lineno, "int(x) != x"))
+                if any(
+                    is_raw_array(o, arguments) or (isinstance(o, ast.Name) and o.id in raw)
+                    for o in operands
+                ):
+                    found.append((node.lineno, "compares an array of raw arguments"))
+            elif (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "is_integer"
+            ):
+                found.append((node.lineno, ".is_integer()"))
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(T):\n    if not 0.0 < T < math.inf:\n        raise E()\n",
+        "def f(s_values):\n    bad = [s for s in s_values if not 0.0 < s < np.inf]\n",
+        "def f(N):\n    if N < 2 or int(N) != N:\n        raise E()\n",
+        "def f(n):\n    return float(n).is_integer()\n",
+        "def f(beta, T):\n    raw = np.array([beta, T])\n    if not np.all(raw > 0.0):\n"
+        "        raise E()\n",
+        "def f(beta, T):\n    return np.all(np.asarray((beta, T)) > 0)\n",
+    ],
+    ids=["inf-compare", "np-inf-compare", "int-compare", "is-integer", "raw-array", "raw-asarray"],
+)
+def test_hand_rolled_check_detector_flags(source):
+    assert hand_rolled_checks(source)
+
+
+def test_hand_rolled_check_detector_passes_computed_checks():
+    source = (
+        "def f(mats, flux, x):\n"
+        "    if not np.all(np.isfinite(flux)):\n        raise E()\n"
+        "    scale = math.exp(x) if x < 700.0 else math.inf\n"
+        "    return np.all(np.array([mats.p, mats.q]) > 0)\n"
+    )
+    assert hand_rolled_checks(source) == []
+
+
+def test_argument_checks_live_in_params():
+    """Only params tests an argument's finiteness, integrality or sign by hand;
+    every other module calls its gates, _whole and _real."""
+    found = {
+        path.name: hand_rolled_checks(path.read_text())
+        for path in sorted((SRC / "degenwave").glob("*.py"))
+        if path.name != "params.py"
+    }
+    assert {name: checks for name, checks in found.items() if checks} == {}

@@ -97,6 +97,25 @@ class TestProjection:
         assert st.a[1, 2] == 1.5
         assert st.b[0, 0] == -0.5
 
+    @pytest.mark.parametrize("key", ["amplitudes", "velocities"])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(1, 1): math.nan},
+            {(2, 1): math.inf},
+            {(1, 2): -math.inf},
+            {(1, 1): "1"},
+            [[0.0, math.nan], [0.0, 0.0]],
+            np.array([[0.0, 0.0], [-math.inf, 0.0]]),
+        ],
+        ids=["mapping-nan", "mapping-inf", "mapping-minus-inf", "mapping-text", "list-nan",
+             "array-minus-inf"],
+    )
+    def test_non_finite_coefficients_rejected(self, basis05, key, entries):
+        # a nan amplitude once gave a state whose every energy and norm was nan
+        with pytest.raises(GridMismatch, match="finite|real number"):
+            modal_state(basis05, 2, 2, **{key: entries})
+
     def test_truncation_errors(self, basis05):
         with pytest.raises(TruncationTooSmall):
             modal_state(basis05, 4, basis05.k_max + 1)
