@@ -63,8 +63,8 @@ from .params import (
     theta_strips,
     time_cutoff,
 )
-from .radial import _trapezoid_weights, bessel_radial_mode
-from .waves import _rotate
+from .radial import bessel_radial_mode
+from .waves import _rotate, _trapezoid_weights
 
 __all__ = [
     "SmoothMode",
@@ -209,10 +209,19 @@ def _sigma_factors(
 def build_weight_field(
     params: CarlemanParams, theta: np.ndarray, r: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """sigma on the tensor grid theta x r x t, shaped (n_theta, n_r, n_t)."""
-    sig_theta, sig_r, sig_t = _sigma_factors(
-        params, *(np.asarray(x, dtype=float) for x in (theta, r, t))
-    )
+    """sigma on the tensor grid theta x r x t, shaped (n_theta, n_r, n_t).
+
+    Raises:
+        GridMismatch: an axis that is not a one-dimensional array of finite
+            real numbers.
+    """
+    axes = []
+    for name, axis in (("theta", theta), ("r", r), ("t", t)):
+        axis = _real(np.asarray(axis), name, GridMismatch)
+        if axis.ndim != 1:
+            raise GridMismatch(f"{name} must be a one-dimensional array, got shape {axis.shape}")
+        axes.append(axis.astype(float, copy=False))
+    sig_theta, sig_r, sig_t = _sigma_factors(params, *axes)
     return sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
 
 

@@ -14,7 +14,7 @@ modes through observation_norms, whose full side is the same-order pair
 integrals of the mode's own ends; single data through the restricted trace
 and interior norms alone, the two the ratio reads; ensembles draw each
 member once, at the largest truncation, and apply the trace Gramian of each
-truncation, built only here, to its slice.
+truncation to its slice (waves._ensemble_ratios).
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from .errors import InsufficientData, NonPositiveInput, ParameterOutOfRange, Tim
 from .params import DomainSpec, _real, _whole, observation_time_threshold
 from .radial import RadialBasis
 from .waves import (
-    _BLOCK_ELEMENTS,
     ModalCoefficients,
-    _frequencies,
-    _random_coefficients,
+    _ensemble_ratios,
+    _order_pair,
     _segment_and_strip_norms,
-    _trace_gramian,
-    _truncation,
     energy,
     modal_state,
     observation_norms,
@@ -184,21 +181,7 @@ def _ensemble_stats(
     truncations,
     T: float,
 ) -> list[EnsembleStats]:
-    """Full-side trace norms against the data energy norms, at each truncation.
-
-    Each member is a seeded damped random datum; the ratio is the squared
-    trace norm over the squared data norm (weighted-gradient part of phi0
-    plus L2 part of phi1).  Time integration is exact, so the statistics
-    carry no quadrature error.  The trace Gramian of each truncation is
-    built once, the one place it is built: a single datum contracts its
-    own ends instead (full_trace_norm_closed), which is cheaper for one
-    datum but several times slower, member by member, than one block per
-    order applied to a whole chunk.  Chunk by chunk, so that
-    the stacked data stay within a fixed element budget at the largest
-    truncation, the members are drawn once at that truncation, and every
-    truncation reads its slice of them: the data y = (a, b / omega) and
-    the data norms are array operations over the chunk, and
-    (1/2) sum_n y_n^T G_n y_n is one batched product per sine order.
+    """Statistics of the hidden-trace ratios of _ensemble_ratios, at each truncation.
 
     Raises:
         ParameterOutOfRange: size below 1 or not an integer, or a seed that
@@ -206,30 +189,9 @@ def _ensemble_stats(
     """
     size = _whole(size, "ensemble size", minimum=1)
     seed = _whole(seed, "seed", minimum=0)
-    n_big = max(n for n, _ in truncations)
-    k_big = max(k for _, k in truncations)
-    forms = []
-    for n_max, k_max in truncations:
-        omega, omega_sq = _frequencies(basis, n_max, k_max)
-        forms.append((omega, omega_sq, _trace_gramian(basis, omega, T)))
-    chunk = max(1, _BLOCK_ELEMENTS // (n_big * 2 * k_big))
-    ratios = [[] for _ in truncations]
-    for lo in range(0, size, chunk):
-        a_big, b_big = _random_coefficients(seed, range(lo, min(lo + chunk, size)), n_big, k_big)
-        for (omega, omega_sq, gramian), out in zip(forms, ratios):
-            n_max, k_max = omega.shape
-            a, b = a_big[:, :n_max, :k_max], b_big[:, :n_max, :k_max]
-            y = np.empty((n_max, len(a), 2 * k_max))  # y[n, member] = (a_n, b_n / omega_n)
-            y[..., :k_max] = a.swapaxes(0, 1)
-            np.divide(b.swapaxes(0, 1), omega[:, None], out=y[..., k_max:])
-            h1w = 0.5 * np.sum((omega_sq * a**2).reshape(len(a), -1), axis=1)
-            l2 = 0.5 * np.sum((b**2).reshape(len(b), -1), axis=1)
-            trace = 0.5 * np.einsum("nmi,nmi->m", y @ gramian, y)
-            out.extend(trace / (h1w + l2))
-    stats = []
-    for (n_max, k_max), member_ratios in zip(truncations, ratios):
-        arr = np.asarray(member_ratios)
-        stats.append(EnsembleStats(
+    ratios = _ensemble_ratios(basis, seed, size, truncations, T)
+    return [
+        EnsembleStats(
             seed=seed,
             size=size,
             n_max=n_max,
@@ -238,8 +200,9 @@ def _ensemble_stats(
             ratios=tuple(float(x) for x in arr),
             max_ratio=float(arr.max()),
             mean_ratio=float(arr.mean()),
-        ))
-    return stats
+        )
+        for (n_max, k_max), arr in zip(truncations, ratios)
+    ]
 
 
 def hidden_trace_stability(
@@ -259,10 +222,10 @@ def hidden_trace_stability(
     Raises:
         ParameterOutOfRange: size below 1 or not an integer, or a seed that
             is negative or not an integer.
-        TruncationTooSmall: the doubling above RANDOM_CAP, or an order
-            that is not an integer.
+        TruncationTooSmall: a truncation that is not a pair, an order that
+            is not an integer, or the doubling above RANDOM_CAP.
     """
-    truncation = _truncation(*truncation)
+    truncation = _order_pair(truncation, "truncation")
     doubled_trunc = (2 * truncation[0], 2 * truncation[1])
     base, doubled = _ensemble_stats(basis, seed, size, (truncation, doubled_trunc), T)
     increase = doubled.max_ratio / base.max_ratio - 1.0

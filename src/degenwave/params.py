@@ -27,6 +27,20 @@ import numpy as np
 
 from .errors import BetaOutOfRange, NonPositiveInput, ParameterOutOfRange, TimeTooShort
 
+__all__ = [
+    "DegeneracyParams",
+    "DomainSpec",
+    "theta_strips",
+    "CarlemanParams",
+    "beta_upper_bound",
+    "observation_time_threshold",
+    "validate_carleman_params",
+    "CutoffSpec",
+    "theta_cutoff",
+    "time_cutoff",
+    "eval_cutoff",
+]
+
 
 def _whole(
     value, name: str, error: type[Exception] = ParameterOutOfRange, minimum: int | None = None

@@ -115,13 +115,6 @@ def build_uniform_mesh(N: int, a: float = 0.0, b: float = 1.0) -> RadialMesh:
     return RadialMesh(np.linspace(a, b, N + 1))
 
 
-def _trapezoid_weights(intervals: int, h: float) -> np.ndarray:
-    """Composite trapezoidal weights on intervals + 1 equispaced nodes of step h."""
-    w = np.full(intervals + 1, h)
-    w[[0, -1]] = 0.5 * h
-    return w
-
-
 def power_integral(a: np.ndarray, b: np.ndarray, m: float) -> np.ndarray:
     """Exact integral of r^m over [a, b]; +inf where it diverges at a = 0."""
     a = np.asarray(a, dtype=float)

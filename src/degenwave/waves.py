@@ -17,7 +17,8 @@ the few near-resonant pairs, the diagonal among them.
 The whole top side couples only modes of the same sine order, so one
 datum's form is the sum of the same-order pair integrals of its own ends
 (full_trace_norm_closed).  The trace Gramian of 2k x 2k blocks G_n is
-built only for ensembles, where one block serves a whole chunk of members.
+built only for seeded ensembles (_ensemble_ratios), where one block serves
+a whole chunk of members.
 The restricted segment and the lateral strips are mirror symmetric under
 theta -> 1 - theta, which multiplies sin(n pi theta) by (-1)^(n+1); their
 overlaps vanish for n + m odd, so observation_norms assembles the odd and
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import GridMismatch, NonPositiveInput, TruncationTooSmall
 from .params import _real, _whole, theta_strips
-from .radial import RadialBasis, _trapezoid_weights
+from .radial import RadialBasis
 
 __all__ = [
     "ModalCoefficients",
@@ -83,15 +84,21 @@ class ModalCoefficients:
         return self.a.shape[1]
 
 
-def _truncation(n_max: int, k_max: int) -> tuple[int, int]:
-    """Truncation orders as ints: an integral float is that integer.
+def _order_pair(pair, name: str) -> tuple[int, int]:
+    """A mode (n, k) or a truncation (n_max, k_max) as two ints: an integral
+    float is that integer.
 
     Raises:
-        TruncationTooSmall: an order that is not an integer or is below 1.
+        TruncationTooSmall: pair is not a pair, or an entry that is not an
+            integer or is below 1.
     """
+    try:
+        n, k = pair
+    except (TypeError, ValueError):
+        raise TruncationTooSmall(f"{name} must be a pair of integers, got {pair!r}") from None
     return (
-        _whole(n_max, "n_max", TruncationTooSmall, minimum=1),
-        _whole(k_max, "k_max", TruncationTooSmall, minimum=1),
+        _whole(n, f"sine order of {name} {pair!r}", TruncationTooSmall, minimum=1),
+        _whole(k, f"radial order of {name} {pair!r}", TruncationTooSmall, minimum=1),
     )
 
 
@@ -116,11 +123,12 @@ def modal_state(
 
     Raises:
         TruncationTooSmall: a truncation order that is not an integer or is
-            out of range, or a mode outside the truncation.
+            out of range, or a mode key that is not a pair of integers or
+            lies outside the truncation.
         GridMismatch: an array of the wrong shape, or a coefficient that is
             not a finite real number.
     """
-    n_max, k_max = _truncation(n_max, k_max)
+    n_max, k_max = _order_pair((n_max, k_max), "truncation")
     omega, omega_sq = _frequencies(basis, n_max, k_max)
 
     def to_array(entries, name: str) -> np.ndarray:
@@ -128,8 +136,9 @@ def modal_state(
             return np.zeros((n_max, k_max))
         if isinstance(entries, Mapping):
             arr = np.zeros((n_max, k_max))
-            for (n, k), val in entries.items():
-                if not (1 <= n <= n_max and 1 <= k <= k_max):
+            for key, val in entries.items():
+                n, k = _order_pair(key, "mode")
+                if n > n_max or k > k_max:
                     raise TruncationTooSmall(f"mode ({n}, {k}) outside truncation")
                 arr[n - 1, k - 1] = _real(val, f"{name} of mode {(n, k)}", GridMismatch)
             return arr
@@ -142,6 +151,13 @@ def modal_state(
         basis=basis, a=to_array(amplitudes, "amplitude"), b=to_array(velocities, "velocity"),
         omega=omega, omega_sq=omega_sq,
     )
+
+
+def _trapezoid_weights(intervals: int, h: float) -> np.ndarray:
+    """Composite trapezoidal weights on intervals + 1 equispaced nodes of step h."""
+    w = np.full(intervals + 1, h)
+    w[[0, -1]] = 0.5 * h
+    return w
 
 
 def project_initial_data(
@@ -161,7 +177,7 @@ def project_initial_data(
     product, so basis elements project to exact unit coefficients.
     """
     n_theta = 2048
-    n_max, k_max = _truncation(n_max, k_max)
+    n_max, k_max = _order_pair((n_max, k_max), "truncation")
     omega, omega_sq = _frequencies(basis, n_max, k_max)
     # R vanishes off the dof window, so the radial product needs only its nodes
     mats = basis.mats
@@ -238,7 +254,7 @@ def random_state(
         ParameterOutOfRange: a seed or member that is negative or not an integer.
         TruncationTooSmall: a truncation above RANDOM_CAP or not an integer.
     """
-    n_max, k_max = _truncation(n_max, k_max)
+    n_max, k_max = _order_pair((n_max, k_max), "truncation")
     seed = _whole(seed, "seed", minimum=0)
     if member is not None:
         member = _whole(member, "member", minimum=0)
@@ -549,10 +565,8 @@ def _pair_integrals(
 
     whose numerator is a product of (..., i, 4) and (..., 4, j) stacks of
     the ends.  The near-resonant pairs, |w_i - w_j| T below
-    _NEAR_RESONANCE, are gathered and take _direct_pair_integrals instead;
-    when every pair is near, as in the trace Gramian of one radial mode,
-    all of them do and no quotient is formed.  The families share the
-    denominator and the gathered pairs.
+    _NEAR_RESONANCE, are gathered and take _direct_pair_integrals instead.
+    The families share the denominator and the gathered pairs.
     """
 
     def mode_i(x):
@@ -564,12 +578,6 @@ def _pair_integrals(
     wi, wj = mode_i(w), mode_j(w)
     gap = wj - wi
     near = np.abs(gap) < _NEAR_RESONANCE / T
-    if near.all():
-        return _direct_pair_integrals(
-            wi, wj, T,
-            [(mode_i(u0), mode_i(du0) / wi, mode_j(u0), mode_j(du0) / wj)
-             for u0, du0, _, _ in families],
-        )
     with np.errstate(divide="ignore"):
         inverse = 1.0 / (gap * (wj + wi))  # w_j^2 - w_i^2, to rounding
     del gap
@@ -629,6 +637,53 @@ def _trace_gramian(basis: RadialBasis, omega: np.ndarray, T: float) -> np.ndarra
     (pairs,) = _pair_integrals(w, T, (_ends(u0, du0, w, T),))
     flux = np.tile(basis.flux[: omega.shape[1]], 2)
     return pairs * np.outer(flux, flux)
+
+
+def _ensemble_ratios(
+    basis: RadialBasis, seed: int, size: int, truncations, T: float
+) -> list[np.ndarray]:
+    """Full-side trace norms against the data norms of seeded members, per truncation.
+
+    Member j is the damped random datum random_state(basis, n_max, k_max,
+    seed, member=j) for j below size; its ratio is the squared trace norm
+    over the squared data norm (weighted-gradient part of phi0 plus L2
+    part of phi1), and each truncation gets the array of its members'
+    ratios.  Time integration is exact, so the ratios carry no quadrature
+    error.  The trace Gramian of each truncation is built once: a single
+    datum contracts its own ends instead (full_trace_norm_closed), which is
+    cheaper for one datum but several times slower, member by member, than
+    one block per order applied to a whole chunk.  Chunk by chunk, so that
+    the stacked data stay within _BLOCK_ELEMENTS at the largest
+    truncation, the members are drawn once at that truncation, and every
+    truncation reads its slice of them: the data y = (a, b / omega) and
+    the data norms are array operations over the chunk, and
+    (1/2) sum_n y_n^T G_n y_n is one batched product per sine order.
+
+    Raises:
+        TruncationTooSmall: a truncation above RANDOM_CAP or beyond the
+            basis, before any draw.
+    """
+    n_big = max(n for n, _ in truncations)
+    k_big = max(k for _, k in truncations)
+    forms = []
+    for n_max, k_max in truncations:
+        omega, omega_sq = _frequencies(basis, n_max, k_max)
+        forms.append((omega, omega_sq, _trace_gramian(basis, omega, T)))
+    chunk = max(1, _BLOCK_ELEMENTS // (n_big * 2 * k_big))
+    ratios = [[] for _ in truncations]
+    for lo in range(0, size, chunk):
+        a_big, b_big = _random_coefficients(seed, range(lo, min(lo + chunk, size)), n_big, k_big)
+        for (omega, omega_sq, gramian), out in zip(forms, ratios):
+            n_max, k_max = omega.shape
+            a, b = a_big[:, :n_max, :k_max], b_big[:, :n_max, :k_max]
+            y = np.empty((n_max, len(a), 2 * k_max))  # y[n, member] = (a_n, b_n / omega_n)
+            y[..., :k_max] = a.swapaxes(0, 1)
+            np.divide(b.swapaxes(0, 1), omega[:, None], out=y[..., k_max:])
+            h1w = 0.5 * np.sum((omega_sq * a**2).reshape(len(a), -1), axis=1)
+            l2 = 0.5 * np.sum((b**2).reshape(len(b), -1), axis=1)
+            trace = 0.5 * np.einsum("nmi,nmi->m", y @ gramian, y)
+            out.append(trace / (h1w + l2))
+    return [np.concatenate(chunks) for chunks in ratios]
 
 
 def full_trace_norm_closed(state: ModalCoefficients, T: float) -> float:

@@ -36,9 +36,10 @@ from degenwave.params import (
     theta_strips,
     time_cutoff,
 )
-from degenwave.radial import RadialMesh, WeightedMatrices, _trapezoid_weights
+from degenwave.radial import RadialMesh, WeightedMatrices
 from degenwave.waves import (
     TraceReport,
+    _trapezoid_weights,
     cosine_overlap_matrix,
     data_norms,
     random_state,

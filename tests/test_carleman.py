@@ -74,6 +74,31 @@ class TestWeightPackage:
         expect = weight_derivatives(p, theta[:, None, None], r[None, :, None], t)["sigma"]
         assert np.allclose(sigma, expect, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (0.5, 0.5, 1.0),
+            ([math.inf], [0.5], [1.0]),
+            ([0.5], [math.nan], [1.0]),
+            ([0.5], [0.5], [-math.inf]),
+            ([[0.5]], [0.5], [1.0]),
+            ([0.5], ["0.5"], [1.0]),
+            ([0.5], [0.5], [True]),
+        ],
+        ids=["scalars", "theta-inf", "r-nan", "t-minus-inf", "theta-2d", "r-text", "t-bool"],
+    )
+    def test_axis_not_a_finite_real_vector_rejected(self, carleman_params, axes):
+        # scalars once died with a bare IndexError; theta = [inf] gave an inf field
+        with pytest.raises(GridMismatch):
+            build_weight_field(carleman_params, *axes)
+
+    def test_integer_axes_are_those_reals(self, carleman_params):
+        p = carleman_params
+        assert np.array_equal(
+            build_weight_field(p, [0, 1], np.array([1]), [20]),
+            build_weight_field(p, [0.0, 1.0], [1.0], [20.0]),
+        )
+
     def test_zero_order_identities(self):
         import sympy as sp
 

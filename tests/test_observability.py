@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import per_member_ensemble_ratios
 
-from degenwave import observability
+from degenwave import waves
 from degenwave.errors import (
     InsufficientData,
     NonPositiveInput,
@@ -61,8 +61,6 @@ class TestObservabilityRatio:
 
     def test_full_side_not_computed(self, monkeypatch, basis05, domain001, horizon):
         # the ratio reads the restricted trace and the interior norm only
-        from degenwave import waves
-
         st = random_state(basis05, 8, 8, 3)
         norms = observation_norms(st, horizon, domain001.delta0)
 
@@ -213,7 +211,7 @@ class TestBatchedEnsemble:
         whole = hidden_trace_stability(basis05_k64, 12, 20, (8, 8), horizon)
         # three members per chunk at the doubled truncation (16, 16):
         # chunks of 3 and a ragged 2
-        monkeypatch.setattr(observability, "_BLOCK_ELEMENTS", 3 * 16 * 32)
+        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 3 * 16 * 32)
         chunked = hidden_trace_stability(basis05_k64, 12, 20, (8, 8), horizon)
         for got, ref, trunc in zip(chunked[:2], whole[:2], ((8, 8), (16, 16))):
             assert np.allclose(got.ratios, ref.ratios, rtol=1e-14, atol=0.0)
@@ -223,7 +221,7 @@ class TestBatchedEnsemble:
     def test_each_member_drawn_once(self, basis05_k64, horizon, monkeypatch):
         made = counted_generators(monkeypatch)
         # two members per chunk at (16, 16): chunks of 2 and a ragged 1
-        monkeypatch.setattr(observability, "_BLOCK_ELEMENTS", 2 * 16 * 32)
+        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 2 * 16 * 32)
         hidden_trace_stability(basis05_k64, 12, 5, (8, 8), horizon)
         assert made == [[12, member] for member in range(5)]
 
@@ -246,7 +244,7 @@ class TestBatchedEnsemble:
     def test_negative_seed_rejected_before_any_member(self, basis05_k64, horizon, monkeypatch):
         drawn = []
         monkeypatch.setattr(
-            observability, "_random_coefficients", lambda *args: drawn.append(args)
+            waves, "_random_coefficients", lambda *args: drawn.append(args)
         )
         made = counted_generators(monkeypatch)
         with pytest.raises(ParameterOutOfRange):
@@ -278,6 +276,16 @@ class TestBatchedEnsemble:
         made = counted_generators(monkeypatch)
         with pytest.raises(error, match="integer"):
             hidden_trace_stability(basis05_k64, 7, size, truncation, horizon)
+        assert made == []
+
+    @pytest.mark.parametrize("truncation", [4.5, 4, (4,), (4, 4, 4), None], ids=str)
+    def test_truncation_not_a_pair_rejected_before_any_member(
+        self, basis05_k64, horizon, monkeypatch, truncation
+    ):
+        # once a bare TypeError: argument after * must be an iterable
+        made = counted_generators(monkeypatch)
+        with pytest.raises(TruncationTooSmall, match="pair"):
+            hidden_trace_stability(basis05_k64, 7, 2, truncation, horizon)
         assert made == []
 
     def test_integral_float_counts_are_those_integers(self, basis05_k64, horizon):

@@ -103,6 +103,64 @@ def test_private_functions_are_read_in_the_package():
     assert [f"{module}.{name}" for module, name in defined if name not in used] == []
 
 
+#: module-level private names that only other modules of the package read,
+#: each with the reason it lives where it does
+READ_ONLY_ELSEWHERE = {
+    "params._real": "an input gate, which every module calls",
+    "params._whole": "an input gate, which every module calls",
+    "waves._ensemble_ratios": "the ensemble's numeric core beside its trace Gramian; "
+    "observability gates its size and seed and records its ratios",
+}
+
+
+def private_definitions(tree):
+    """(name, defining node) of each module-level private function and constant."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_private_names_are_read_in_their_module():
+    """A module-level private function or constant is read in the module that
+    defines it, outside its own definition, so that each helper lives beside
+    its reader."""
+    unread, defined = [], set()
+    for path in sorted((SRC / "degenwave").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, definition in private_definitions(tree):
+            defined.add(f"{path.stem}.{name}")
+            read = set().union(*(names_read(node) for node in tree.body if node is not definition))
+            if name not in read:
+                unread.append(f"{path.stem}.{name}")
+    assert sorted(set(unread) - set(READ_ONLY_ELSEWHERE)) == []
+    assert set(READ_ONLY_ELSEWHERE) <= defined
+
+
+def test_public_names_are_the_modules_all_and_error_classes():
+    """The package exports exactly the names its modules list in __all__ and
+    the error classes, so that an import added to a module cannot leak in."""
+    listed = {n for m in MODULES for n in getattr(m, "__all__", ())}
+    classes = {
+        n for n, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.DegenWaveError)
+    }
+    public = {
+        n for n, obj in vars(degenwave).items()
+        if not n.startswith("_")
+        and not (inspect.ismodule(obj) and obj.__name__.startswith("degenwave."))
+    }
+    assert public == listed | classes
+
+
 def run_python(code, cwd=None):
     """Standard output of a fresh interpreter that runs code and exits 0."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -462,8 +520,10 @@ SWEEP = {
     "SmoothMode": row(),
     "SmoothModalSolution": row(("alpha",), alpha=0.5, modes=(degenwave.bessel_mode(0.5, 1, 1),)),
     "bessel_mode": row(("alpha", "n", "k", "a", "b"), alpha=0.5, n=1, k=1, a=1.0, b=0.3),
-    # theta, r and t are the coordinate arrays of a tensor grid
-    "build_weight_field": row(),
+    "build_weight_field": row(
+        ("theta", "r", "t"), params=shared("params"), theta=np.linspace(0.1, 0.9, 3),
+        r=np.linspace(0.2, 1.0, 3), t=np.linspace(0.0, 40.0, 3),
+    ),
     "carleman_component_integrals": row(
         ("n_theta", "n_r", "n_t"),
         solution=shared("solution"), params=shared("params"), n_theta=8, n_r=8, n_t=40,

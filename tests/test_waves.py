@@ -122,6 +122,28 @@ class TestProjection:
         with pytest.raises(TruncationTooSmall):
             modal_state(basis05, 4, 4, amplitudes={(5, 1): 1.0})
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda basis, modes: modal_state(basis, 2, 2, amplitudes=modes),
+            lambda basis, modes: modal_state(basis, 2, 2, velocities=modes),
+            lambda basis, modes: project_initial_data(modes, None, basis, 2, 2),
+        ],
+        ids=["amplitudes", "velocities", "project_initial_data"],
+    )
+    @pytest.mark.parametrize(
+        "key", [(1.5, 1), (1, math.nan), (1, "1"), (0, 1), 1, (1, 1, 1), "11"],
+        ids=["fractional", "nan", "text", "zero", "count", "triple", "text-pair"],
+    )
+    def test_mode_key_not_a_pair_of_counts_rejected(self, basis05, make, key):
+        # once numpy's bare IndexError, or a bare TypeError for a key that is no pair
+        with pytest.raises(TruncationTooSmall):
+            make(basis05, {key: 1.0})
+
+    def test_integral_float_mode_key_is_that_mode(self, basis05):
+        as_float = modal_state(basis05, 2, 2, amplitudes={(2.0, np.float64(1.0)): 1.0})
+        assert np.array_equal(as_float.a, modal_state(basis05, 2, 2, amplitudes={(2, 1): 1.0}).a)
+
     @pytest.mark.parametrize("member", [None, 3])
     def test_negative_seed_rejected(self, basis05, member):
         with pytest.raises(ParameterOutOfRange):
