@@ -23,13 +23,10 @@ the result against (theta, t) products of the angular, temporal and cutoff
 factors, walking the core once and the two lateral strips, joined into one
 theta axis, once.
 
-Both kernels skip work whose result is exactly zero, so no sum moves by a
-bit for it.  The residual skips the tiles on which the cutoffs vanish, and
-builds its source term exp(s sigma) h only on the tiles that meet a cutoff
-band: elsewhere h = 0 identically.  The quadratures skip the tiles on which
-every weight exp(2 s sigma - log_offset) is subnormal, which count as
-exactly zero, and flush weights element by element only on the tiles that
-reach that range.  The residual spreads its tiles over one thread per CPU
+The residual skips work whose result is exactly zero, so no sum moves by
+a bit for it: the tiles on which the cutoffs vanish, and its source term
+exp(s sigma) h on the tiles that meet no cutoff band, where h = 0
+identically.  The residual spreads its tiles over one thread per CPU
 the process may use.  Each thread keeps its tile intermediates in buffers
 allocated once per call and forms the sums of squares with einsum, so the
 residual makes no BLAS call (and wakes no BLAS thread pool); the per-tile
@@ -51,12 +48,14 @@ from .errors import (
     DegenerateCellTouched,
     GridMismatch,
     InsufficientData,
+    NonFiniteReport,
     NonPositiveInput,
     ParameterOutOfRange,
 )
 from .params import (
     CarlemanParams,
     _real,
+    _reals,
     _whole,
     eval_cutoff,
     theta_cutoff,
@@ -217,10 +216,10 @@ def build_weight_field(
     """
     axes = []
     for name, axis in (("theta", theta), ("r", r), ("t", t)):
-        axis = _real(np.asarray(axis), name, GridMismatch)
+        axis = _reals(axis, name, GridMismatch)
         if axis.ndim != 1:
             raise GridMismatch(f"{name} must be a one-dimensional array, got shape {axis.shape}")
-        axes.append(axis.astype(float, copy=False))
+        axes.append(axis)
     sig_theta, sig_r, sig_t = _sigma_factors(params, *axes)
     return sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
 
@@ -574,28 +573,6 @@ class ComponentIntegrals:
     log_offset: float  # peak of 2 s sigma subtracted inside the quadratures
 
 
-# below this exponent exp(x) is subnormal (about -708.4)
-_LOG_TINY = math.log(np.finfo(float).tiny)
-
-
-def _exponent_bounds(
-    sig_theta: np.ndarray, r_ends: tuple[float, float], sig_t: np.ndarray, two_s: float,
-    log_offset: float,
-) -> tuple[float, float]:
-    """Smallest and largest 2 s sigma - log_offset over a tile, from its theta and
-    t factors and the extremes r_ends = (lo, hi) of the radial one.
-
-    Each factor is positive and rounding is monotone, so the exponents of the
-    extreme factors, formed in the elements' own order (sig_theta (sig_r sig_t),
-    then times 2 s, then minus log_offset), equal the elementwise extremes
-    exactly.
-    """
-    r_lo, r_hi = r_ends
-    lo = sig_theta.min() * (r_lo * sig_t.min()) * two_s - log_offset
-    hi = sig_theta.max() * (r_hi * sig_t.max()) * two_s - log_offset
-    return lo, hi
-
-
 def _contracted_weight_tiles(
     params: CarlemanParams, theta: np.ndarray, w_th: np.ndarray, r: np.ndarray, t: np.ndarray,
     w_t: np.ndarray, rows: np.ndarray, log_offset: float,
@@ -605,30 +582,39 @@ def _contracted_weight_tiles(
     before their last axis), times the theta and t rule weights at (theta_i, t_j).
 
     The tiles are those of `_tiles` without a halo: they partition theta x t.
-    A weight whose exp would be subnormal counts as exactly zero (exp and
-    the matmul run many times slower on subnormals).  A tile whose largest
-    exponent (`_exponent_bounds`) lies below _LOG_TINY is not yielded, since
-    its g would be exactly zero, and only a tile whose smallest does is
-    flushed element by element.
+    log_offset is below 700, so every exponent 2 s sigma - log_offset lies
+    above -700 and no weight is subnormal.
     """
     flat = rows.reshape(-1, r.size)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     two_s = 2.0 * params.s
-    r_ends = sig_r.min(), sig_r.max()
     for ith, jt in _tiles(theta.size, r.size, t.size, 0):
-        lo, hi = _exponent_bounds(sig_theta[ith], r_ends, sig_t[jt], two_s, log_offset)
-        if hi < _LOG_TINY:
-            continue
         weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
         weight *= two_s
         weight -= log_offset
-        if lo < _LOG_TINY:
-            weight[weight < _LOG_TINY] = -np.inf
         np.exp(weight, out=weight)
         g = np.matmul(flat, weight)  # (theta, row, t)
         g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
         g = np.moveaxis(g, 1, 0).reshape(rows.shape[:-1] + (g.shape[0], g.shape[2]))
         yield ith, jt, g
+
+
+def _log_offset(lam: float, s: float) -> float:
+    """The peak 2 s e^(2 lam) of 2 s sigma, at (theta, r, t) = (1, 1, t0).
+
+    Raises:
+        NonFiniteReport: the peak is 700 or more, where the rescale by
+            exp(log_offset) would overflow.  From 2 lam = 700 on, e^(2 lam)
+            counts as inf without being formed (math.exp overflows past
+            709.78), and any s > 0 keeps the peak inf.
+    """
+    log_offset = 2.0 * s * (math.exp(lam * 2.0) if lam < 350.0 else math.inf)
+    if not log_offset < 700.0:
+        raise NonFiniteReport(
+            f"the weight's peak 2 s e^(2 lam) = {log_offset:.6g} at lam = {lam}, s = {s} "
+            "is 700 or more: the components would overflow"
+        )
+    return log_offset
 
 
 def _pair_sum(f: np.ndarray, g: np.ndarray) -> float:
@@ -662,17 +648,16 @@ def carleman_component_integrals(
     integrable but unbounded at the degenerate side); the regions share
     the r and t axes and their factors.  The two lateral strips' theta
     rules join into one axis, so the core and the strips are each walked
-    once in the halo-free tiles of `_tiles`.  A weight below the smallest
-    normal float counts as exactly zero, so a tile on which every weight
-    is (at lam 2, s 8 most of them) would add exactly zero to each sum and
-    is skipped; the fields are those of the loop without the skip, bit for
-    bit.
+    once in the halo-free tiles of `_tiles`.
 
     Raises:
         ParameterOutOfRange: solution.alpha differs from params.alpha.
         GridMismatch: a grid size is not an integer, an axis has no cell,
             or the t spacing leaves fewer than two cells across the
             epsilon-wide cutoff band.
+        NonFiniteReport: the offset 2 s e^(2 lam) is 700 or more, so that
+            the rescale by exp(log_offset) would overflow; refused before
+            any tile is walked.
     """
     _check_same_alpha(solution, params)
     shape = _grid_shape((n_theta, n_r, n_t), (1, 1, 1))
@@ -687,12 +672,9 @@ def carleman_component_integrals(
         )
     d0 = params.delta0
     alpha, lam, s = params.alpha, params.lam, params.s
+    log_offset = _log_offset(lam, s)
     zeta = theta_cutoff(d0)
     kcut = time_cutoff(params.epsilon, params.T)
-
-    # global peak of 2 s sigma: xi is maximal at (theta, r, t) = (1, 1, t0)
-    sigma_max = math.exp(lam * 2.0)
-    log_offset = 2.0 * s * sigma_max
 
     # axes and factors shared by every region: r midpoints, t trapezoid
     hr = 1.0 / n_r
@@ -756,7 +738,7 @@ def carleman_component_integrals(
 
     denom = rhs_trace * math.exp(-log_offset) + rhs_interior + rhs_commutator
     chat = (lhs_gradient + lhs_zero_order) / max(denom, np.finfo(float).tiny)
-    scale = math.exp(log_offset) if log_offset < 700.0 else math.inf
+    scale = math.exp(log_offset)
     return ComponentIntegrals(
         lhs_gradient=lhs_gradient * scale,
         lhs_zero_order=lhs_zero_order * scale,
@@ -784,8 +766,12 @@ def carleman_constant_scan(
 
     Raises:
         NonPositiveInput: an s value is not positive and finite.
+        NonFiniteReport: 2 s e^(2 lam) is 700 or more for an s value,
+            before any s is solved.
     """
     s_values = [_real(s, "s", NonPositiveInput, above=0) for s in s_values]
+    for s in s_values:  # every s is refused or admitted before the first solve
+        _log_offset(params.lam, s)
     return [
         carleman_component_integrals(solution, dataclasses.replace(params, s=s), **grid)
         for s in s_values

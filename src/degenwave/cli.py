@@ -201,16 +201,18 @@ def _run_carleman_check(cfg: dict) -> dict:
     solution = SmoothModalSolution(
         cfg["alpha"], (bessel_mode(cfg["alpha"], cfg["mode_n"], cfg["mode_k"], a=1.0, b=0.3),)
     )
-    # the scan checks every s before it solves; the base s is the base report
+    # the scan checks every s before it solves; the base s is the base report.
+    # The integrals run before the residual, so that a weight whose peak
+    # overflows is refused before the residual computes with it
     s_values = _items(cfg["s_scan"], float)
     others = list(dict.fromkeys(s for s in s_values if s != params.s))
     scanned = dict(zip(others, carleman_constant_scan(solution, params, others)))
+    integrals = carleman_component_integrals(solution, params)
     residual = conjugation_residual(
         solution, params,
         shape=(cfg["n_theta"], cfg["n_r"], cfg["n_t"]),
         r_min=cfg["r_min"],
     )
-    integrals = carleman_component_integrals(solution, params)
     artifacts = {"carleman.json": {"residual": residual, "integrals": integrals}}
     if s_values:
         scan = [scanned.get(s, integrals) for s in s_values]

@@ -58,4 +58,5 @@ class ConfigError(DegenWaveError):
 
 
 class NonFiniteReport(DegenWaveError):
-    """A report holds an infinite value, which strict JSON cannot encode."""
+    """A report or a computed result would hold an infinite or nan value,
+    which strict JSON cannot encode."""

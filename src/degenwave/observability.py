@@ -85,6 +85,7 @@ def observability_ratio(
 
     Raises:
         TimeTooShort: T not finite, or at or below the admissible threshold.
+        ParameterOutOfRange: the phase max(omega) T is 2^53 or more.
     """
     threshold = observation_time_threshold(domain.delta0, default_beta(domain.delta0))
     _real(T, "T", TimeTooShort, above=threshold)
@@ -134,7 +135,8 @@ def high_mode_obstruction_scan(
         InsufficientData: fewer than 4 distinct orders or a span below one
             decade.
         ParameterOutOfRange: an order that is not an integer, or one listed
-            more than once.
+            more than once, or a phase omega_n T of 2^53 or more.
+        NonPositiveInput: T not positive and finite.
     """
     ns = [_whole(n, "tangential order") for n in n_values]
     if len(set(ns)) < 4 or max(ns) < 8 * min(ns):
@@ -174,37 +176,6 @@ class EnsembleStats:
     mean_ratio: float
 
 
-def _ensemble_stats(
-    basis: RadialBasis,
-    seed: int,
-    size: int,
-    truncations,
-    T: float,
-) -> list[EnsembleStats]:
-    """Statistics of the hidden-trace ratios of _ensemble_ratios, at each truncation.
-
-    Raises:
-        ParameterOutOfRange: size below 1 or not an integer, or a seed that
-            is negative or not an integer.
-    """
-    size = _whole(size, "ensemble size", minimum=1)
-    seed = _whole(seed, "seed", minimum=0)
-    ratios = _ensemble_ratios(basis, seed, size, truncations, T)
-    return [
-        EnsembleStats(
-            seed=seed,
-            size=size,
-            n_max=n_max,
-            k_max=k_max,
-            T=T,
-            ratios=tuple(float(x) for x in arr),
-            max_ratio=float(arr.max()),
-            mean_ratio=float(arr.mean()),
-        )
-        for (n_max, k_max), arr in zip(truncations, ratios)
-    ]
-
-
 def hidden_trace_stability(
     basis: RadialBasis,
     seed: int,
@@ -220,13 +191,29 @@ def hidden_trace_stability(
     it.
 
     Raises:
-        ParameterOutOfRange: size below 1 or not an integer, or a seed that
-            is negative or not an integer.
+        ParameterOutOfRange: size below 1 or not an integer, a seed that
+            is negative or not an integer, or a phase max(omega) T of 2^53
+            or more at the doubling; all before any member is drawn.
+        NonPositiveInput: T not positive and finite.
         TruncationTooSmall: a truncation that is not a pair, an order that
             is not an integer, or the doubling above RANDOM_CAP.
     """
-    truncation = _order_pair(truncation, "truncation")
-    doubled_trunc = (2 * truncation[0], 2 * truncation[1])
-    base, doubled = _ensemble_stats(basis, seed, size, (truncation, doubled_trunc), T)
+    n_max, k_max = _order_pair(truncation, "truncation")
+    size = _whole(size, "ensemble size", minimum=1)
+    seed = _whole(seed, "seed", minimum=0)
+    truncations = ((n_max, k_max), (2 * n_max, 2 * k_max))
+    base, doubled = (
+        EnsembleStats(
+            seed=seed,
+            size=size,
+            n_max=n,
+            k_max=k,
+            T=T,
+            ratios=tuple(float(x) for x in arr),
+            max_ratio=float(arr.max()),
+            mean_ratio=float(arr.mean()),
+        )
+        for (n, k), arr in zip(truncations, _ensemble_ratios(basis, seed, size, truncations, T))
+    )
     increase = doubled.max_ratio / base.max_ratio - 1.0
     return base, doubled, increase

@@ -8,13 +8,17 @@ admissibility data (gamma, gamma_hat, epsilon, A0, A1), each in closed form,
 and the two smooth cutoffs: the angular plateau cutoff and the temporal
 plateau cutoff.  All types are immutable; all functions are pure.
 
-It also holds the package's two input gates, the only place that tests an
+It also holds the package's input gates, the only place that tests an
 argument's type, finiteness or range.  `_whole` takes a count (an integer,
 or a float with an integral value) and an optional lower bound; `_real`
-takes a real number, or an array of them such as a time grid, checks that
-it is finite and, optionally, inside an open interval or beyond one bound.
-Each caller names the argument and passes the error class it raises, so a
-refused input always raises a `DegenWaveError` subclass that names it.
+takes a real number, or a numpy array of them such as a time grid, checks
+that it is finite and, optionally, inside an open interval or beyond one
+bound; `_reals` is the one rule that turns an array argument (a number, a
+numpy array or nested sequences) into a float array, refusing text,
+ragged and non-numeric input and, unless told otherwise, non-finite
+entries.  Each caller names the argument and passes the error class it
+raises, so a refused input always raises a `DegenWaveError` subclass that
+names it.
 """
 
 from __future__ import annotations
@@ -98,6 +102,23 @@ def _real(
             bad = x if np.ndim(x) == 0 else x[~ok].flat[0]
             raise error(f"{name} must {rule}, got {bad}")
     return x
+
+
+def _reals(
+    value, name: str, error: type[Exception] = ParameterOutOfRange, *, finite: bool = True
+) -> np.ndarray:
+    """value as a new float array, refused with `error` unless it is a real
+    number, a numpy array of a numeric dtype, or nested sequences of real
+    numbers of one shape; every element must be finite unless finite is False.
+    """
+    try:
+        x = np.asarray(value)
+    except ValueError:  # sequences of unequal lengths
+        raise error(f"{name} must be an array of real numbers, got a ragged sequence") from None
+    if x.dtype.kind not in "iuf":
+        raise error(f"{name} must be an array of real numbers, got {x.dtype} entries")
+    x = x.astype(float)
+    return _real(x, name, error) if finite else x
 
 
 @dataclass(frozen=True)
@@ -369,8 +390,12 @@ def eval_cutoff(
     the other's band (b <= c), so plateau and off-support values are exactly
     1 and 0 with zero derivatives, and value * (1 - value) vanishes
     identically outside the two bands.
+
+    Raises:
+        ParameterOutOfRange: x is not a real number or an array of them
+            (infinities and nan are admitted).
     """
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "x", finite=False)
     a, b = spec.rise
     c, d = spec.fall
     rise, rise1, rise2 = _smoothstep((x - a) / (b - a))

@@ -53,7 +53,7 @@ from .errors import (
     ParameterOutOfRange,
     TruncationTooSmall,
 )
-from .params import DegeneracyParams, _real, _whole
+from .params import DegeneracyParams, _real, _reals, _whole
 
 __all__ = [
     "RadialMesh",
@@ -79,11 +79,9 @@ class RadialMesh:
     grading: float = 1.0
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _reals(self.nodes, "mesh nodes", InvalidMeshSpec)
         if nodes.ndim != 1 or nodes.size < 3:
             raise InvalidMeshSpec("mesh needs at least 2 cells")
-        if not np.all(np.isfinite(nodes)):
-            raise InvalidMeshSpec("mesh nodes must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise InvalidMeshSpec("mesh nodes must be strictly increasing")
         nodes.flags.writeable = False
@@ -663,9 +661,14 @@ def elliptic_identity_residual(
     product; evaluating every norm with the exact consistent mass instead
     makes the two sides differ only by the lumping perturbation, which is
     what this residual measures.
+
+    Raises:
+        ParameterOutOfRange: mu_n not a finite real number, coefficients
+            that are not finite real numbers, or more coefficients than
+            computed eigenpairs.
     """
     _real(mu_n, "mu")
-    c = np.asarray(coeffs, dtype=float)
+    c = _reals(coeffs, "coefficients")
     if c.size > basis.k_max:
         raise ParameterOutOfRange("more coefficients than computed eigenpairs")
     i0, i1 = basis.mats.i0, basis.mats.i1

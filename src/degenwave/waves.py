@@ -35,7 +35,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import GridMismatch, NonPositiveInput, TruncationTooSmall
-from .params import _real, _whole, theta_strips
+from .params import _real, _reals, _whole, theta_strips
 from .radial import RadialBasis
 
 __all__ = [
@@ -125,8 +125,9 @@ def modal_state(
         TruncationTooSmall: a truncation order that is not an integer or is
             out of range, or a mode key that is not a pair of integers or
             lies outside the truncation.
-        GridMismatch: an array of the wrong shape, or a coefficient that is
-            not a finite real number.
+        GridMismatch: an array that is not one of finite real numbers or
+            has the wrong shape, or a coefficient that is not a finite real
+            number.
     """
     n_max, k_max = _order_pair((n_max, k_max), "truncation")
     omega, omega_sq = _frequencies(basis, n_max, k_max)
@@ -142,10 +143,10 @@ def modal_state(
                     raise TruncationTooSmall(f"mode ({n}, {k}) outside truncation")
                 arr[n - 1, k - 1] = _real(val, f"{name} of mode {(n, k)}", GridMismatch)
             return arr
-        arr = np.array(entries, dtype=float)
+        arr = _reals(entries, name, GridMismatch)
         if arr.shape != (n_max, k_max):
             raise GridMismatch(f"coefficient array must have shape {(n_max, k_max)}")
-        return _real(arr, name, GridMismatch)
+        return arr
 
     return ModalCoefficients(
         basis=basis, a=to_array(amplitudes, "amplitude"), b=to_array(velocities, "velocity"),
@@ -175,6 +176,14 @@ def project_initial_data(
     the uniform trapezoidal rule, which is exact for sine polynomials below
     the grid Nyquist order; radial products use the discrete mass inner
     product, so basis elements project to exact unit coefficients.
+
+    Raises:
+        TruncationTooSmall: a truncation order that is not an integer or is
+            out of range, or a mode key that is not a pair of integers or
+            lies outside the truncation.
+        GridMismatch: a field callable whose values are not finite real
+            numbers on the (theta, r) grid, or a modal coefficient that is
+            not a finite real number.
     """
     n_theta = 2048
     n_max, k_max = _order_pair((n_max, k_max), "truncation")
@@ -191,7 +200,7 @@ def project_initial_data(
             return modal_state(basis, n_max, k_max, amplitudes=field).a
         theta = np.linspace(0.0, 1.0, n_theta + 1)
         w_theta = _trapezoid_weights(n_theta, 1.0 / n_theta)
-        vals = np.asarray(field(theta[:, None], nodes[None, :]), dtype=float)
+        vals = _reals(field(theta[:, None], nodes[None, :]), "field values", GridMismatch)
         if vals.shape != (theta.size, nodes.size):
             raise GridMismatch("field callable must broadcast on (theta, r) grids")
         sines = np.sin(np.outer(np.arange(1, n_max + 1) * math.pi, theta))
@@ -296,10 +305,11 @@ def duhamel_forcing(
     in dt for smooth forcing.
 
     Raises:
-        GridMismatch: f_hat of the wrong shape, dt not positive and finite,
-            or t not a finite point of the forcing grid.
+        GridMismatch: f_hat not an array of finite real numbers or of the
+            wrong shape, dt not positive and finite, or t not a finite point
+            of the forcing grid.
     """
-    f_hat = np.asarray(f_hat, dtype=float)
+    f_hat = _reals(f_hat, "forcing samples f_hat", GridMismatch)
     if f_hat.ndim != 3 or f_hat.shape[:2] != state.a.shape:
         raise GridMismatch("forcing samples must have shape (n_max, k_max, steps+1)")
     _real(dt, "dt", GridMismatch, above=0)
@@ -343,9 +353,10 @@ def energy_series(state: ModalCoefficients, times: np.ndarray) -> EnergyReport:
     """Energy, kinetic, and potential parts sampled at the given times.
 
     Raises:
-        GridMismatch: a time that is nan or infinite.
+        GridMismatch: times that are not real numbers, or a time that is
+            nan or infinite.
     """
-    times = _real(np.asarray(times, dtype=float), "times", GridMismatch)
+    times = _reals(times, "times", GridMismatch)
     amp, vel = _rotate(state.a[..., None], state.b[..., None], state.omega[..., None], times)
     kinetic = 0.25 * np.sum(vel**2, axis=(0, 1))
     potential = 0.25 * np.sum(state.omega_sq[..., None] * amp**2, axis=(0, 1))
@@ -502,12 +513,16 @@ def _ends(u0: np.ndarray, du0: np.ndarray, w: np.ndarray, T: float) -> tuple[np.
     One rotation per mode.  The phase w T is rounded by up to half an ulp,
     an error the pair integrals would amplify by w / |w_i - w_j|; its exact
     residual (Dekker's product) corrects cos and sin to first order, so the
-    ends belong to the stored frequencies w.
+    ends belong to the stored frequencies w.  A phase of 2^53 or more is
+    rounded by up to a whole radian (half its ulp of 2), where cos and sin
+    of it carry no digit, so such a horizon is refused.
 
     Raises:
         NonPositiveInput: T not positive and finite.
+        ParameterOutOfRange: max(w) T is 2^53 or more.
     """
     _real(T, "observation horizon T", NonPositiveInput, above=0)
+    _real(np.max(w) * T, f"phase max(omega) T at T = {T}", below=2.0**53)
     phase, residual = _two_product(w, T)
     cos, sin = np.cos(phase), np.sin(phase)
     cos, sin = cos - residual * sin, sin + residual * cos
@@ -699,6 +714,7 @@ def full_trace_norm_closed(state: ModalCoefficients, T: float) -> float:
 
     Raises:
         NonPositiveInput: T not positive and finite.
+        ParameterOutOfRange: the phase max(omega) T is 2^53 or more.
     """
     w = state.omega
     (pairs,) = _pair_integrals(w, T, (_ends(state.a, state.b, w, T),))
@@ -736,7 +752,8 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
 
     Raises:
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2), where the
-            segment (delta0, 1 - delta0) or the strips are empty or reversed.
+            segment (delta0, 1 - delta0) or the strips are empty or reversed,
+            or the phase max(omega) T is 2^53 or more.
         NonPositiveInput: T not positive and finite.
     """
     restricted, interior = _segment_and_strip_norms(state, T, delta0)

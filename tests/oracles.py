@@ -19,7 +19,6 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from degenwave.carleman import (
-    _LOG_TINY,
     ComponentIntegrals,
     ConjugationReport,
     SmoothModalSolution,
@@ -681,16 +680,20 @@ def pointwise_component_integrals(
     )
 
 
+# below this exponent exp(x) is subnormal (about -708.4)
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
 def unskipped_contracted_weight_tiles(
     params: CarlemanParams, theta: np.ndarray, w_th: np.ndarray, r: np.ndarray, t: np.ndarray,
     w_t: np.ndarray, rows: np.ndarray, log_offset: float,
 ):
-    """`degenwave.carleman._contracted_weight_tiles` before it skipped tiles.
+    """`degenwave.carleman._contracted_weight_tiles` with a subnormal flush.
 
     Every tile is yielded, and every tile flushes its subnormal weights
-    element by element; a drop-in replacement, so that
-    `carleman_component_integrals` run on it gives the values from before
-    the skip.
+    element by element, as the kernel once did; a drop-in replacement, so
+    that `carleman_component_integrals` run on it gives the values of a
+    loop that counts subnormal weights as exactly zero.
     """
     flat = rows.reshape(-1, r.size)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)

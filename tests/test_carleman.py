@@ -34,6 +34,7 @@ from degenwave.errors import (
     DegenerateCellTouched,
     GridMismatch,
     InsufficientData,
+    NonFiniteReport,
     NonPositiveInput,
     ParameterOutOfRange,
 )
@@ -767,88 +768,45 @@ class TestComponentIntegrals:
         )
         assert out.lhs_zero_order == pytest.approx(expected, rel=2e-3)
 
-    @pytest.mark.parametrize("lam, s", [(0.5, 2.0), (2.0, 6.0), (1.0, 8.0), (2.0, 8.0)])
-    def test_subnormal_weights_count_as_zero(self, bessel_solution, monkeypatch, lam, s):
-        """Weights below the smallest normal float are skipped as exact zeros
-        (at lam 2, s 8 most of them are), and no field moves by a bit."""
-        params = validate_carleman_params(
-            0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
-        )
-        grid = dict(n_theta=96, n_r=64, n_t=192)
-        flushed = carleman_component_integrals(bessel_solution, params, **grid)
-        monkeypatch.setattr(carleman, "_LOG_TINY", -math.inf)
-        kept = carleman_component_integrals(bessel_solution, params, **grid)
-        assert repr(dataclasses.astuple(flushed)) == repr(dataclasses.astuple(kept))
-
     @pytest.mark.parametrize("modes", [1, 2])
-    @pytest.mark.parametrize("lam, s", [(0.5, 2.0), (1.0, 3.0), (2.0, 8.0)])
+    @pytest.mark.parametrize("lam, s", [(0.5, 2.0), (1.0, 3.0), (2.0, 6.0)])
     def test_skipped_weight_tiles_change_no_bit(self, bessel_solution, monkeypatch, lam, s, modes):
-        """A tile whose every weight is subnormal is skipped, and only a tile
-        that reaches below _LOG_TINY is flushed: every field, inf and nan
-        included, is the unskipped loop's bit for bit (a guard where no tile
-        is skipped).  At lam 2, s 8 fewer than a third of the tiles reach exp."""
+        """Guard: every field is bitwise that of the loop that flushes
+        subnormal weights tile by tile, which admitted offsets never reach
+        (at lam 2, s 6 the offset is 655)."""
         params = validate_carleman_params(
             0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
         )
         sol = bessel_solution if modes == 1 else two_mode_solution()
-        exp, weighed = np.exp, []
-
-        def counted_exp(x, *args, **kwargs):
-            if np.ndim(x) == 3:  # a tile's weights; the axis factors are 1-D
-                weighed.append(np.shape(x))
-            return exp(x, *args, **kwargs)
-
-        with monkeypatch.context() as patched:
-            patched.setattr(np, "exp", counted_exp)
-            skipped = carleman_component_integrals(sol, params)
+        plain = carleman_component_integrals(sol, params)
         monkeypatch.setattr(
             carleman, "_contracted_weight_tiles", unskipped_contracted_weight_tiles
         )
-        unskipped = carleman_component_integrals(sol, params)
-        assert [v.hex() for v in dataclasses.astuple(skipped)] == [
-            v.hex() for v in dataclasses.astuple(unskipped)
+        flushed = carleman_component_integrals(sol, params)
+        assert [v.hex() for v in dataclasses.astuple(plain)] == [
+            v.hex() for v in dataclasses.astuple(flushed)
         ]
-        if lam == 2.0:
-            # the default grid's core (193 theta nodes) and joined strips (98)
-            tiles = [*carleman._tiles(193, 128, 385, 0), *carleman._tiles(98, 128, 385, 0)]
-            assert len(weighed) < len(tiles) / 3
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        lam=st.floats(min_value=0.05, max_value=3.0),
-        s=st.floats(min_value=0.05, max_value=12.0),
-        ith=st.lists(st.integers(0, 193), min_size=2, max_size=2, unique=True).map(sorted),
-        jt=st.lists(st.integers(0, 385), min_size=2, max_size=2, unique=True).map(sorted),
-    )
-    def test_exponent_bounds_are_the_tile_extremes(self, carleman_params, lam, s, ith, jt):
-        """Guard: the bounds formed from a tile's extreme axis factors equal the
-        elementwise min and max of its exponents 2 s sigma - log_offset."""
-        params = dataclasses.replace(carleman_params, lam=lam, s=s)
-        log_offset = 2.0 * s * math.exp(2.0 * lam)
-        theta = np.linspace(3 * params.delta0, 1.0 - 3 * params.delta0, 193)
-        r = (np.arange(128) + 0.5) / 128
-        t = np.linspace(0.0, params.T, 385)
-        sig_theta, sig_r, sig_t = carleman._sigma_factors(params, theta, r, t)
-        ith, jt = slice(*ith), slice(*jt)
-        weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
-        weight *= 2.0 * s
-        weight -= log_offset
-        lo, hi = carleman._exponent_bounds(
-            sig_theta[ith], (sig_r.min(), sig_r.max()), sig_t[jt], 2.0 * s, log_offset
-        )
-        assert (lo.hex(), hi.hex()) == (weight.min().hex(), weight.max().hex())
+    def test_overflowing_weight_peak_refused_before_any_tile(
+        self, carleman_params, bessel_solution, monkeypatch
+    ):
+        """Known fault F1 (lam 2, s 8, offset 2 s e^(2 lam) = 873.6) once came
+        back with three components inf and the commutator nan; an offset of
+        700 or more is now refused before any tile is walked, also where
+        e^(2 lam) itself would overflow (lam 400), and for a scan before its
+        first s is solved."""
 
-    def test_known_fault_f1_keeps_its_values(self, bessel_solution):
-        """Known fault F1 (lam 2, s 8, log offset 873.6 > 700): the rescale
-        by inf leaves three components inf and the commutator nan, and the
-        quotient is the one computed before subnormal weights were skipped."""
-        params = validate_carleman_params(
-            0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=2.0, s=8.0
-        )
-        out = carleman_component_integrals(bessel_solution, params)
-        assert out.lhs_gradient == out.lhs_zero_order == out.rhs_interior == math.inf
-        assert math.isnan(out.rhs_commutator)
-        assert out.chat == pytest.approx(3.6779768815878413e-103, rel=1e-12)
+        def walked(*args):
+            raise AssertionError("a weight tile was walked")
+
+        monkeypatch.setattr(carleman, "_contracted_weight_tiles", walked)
+        domain = DomainSpec(0.03)
+        for lam, s in [(2.0, 8.0), (400.0, 2.0)]:
+            params = validate_carleman_params(0.5, domain, beta=0.0149, T=40.0, lam=lam, s=s)
+            with pytest.raises(NonFiniteReport, match="700"):
+                carleman_component_integrals(bessel_solution, params)
+        with pytest.raises(NonFiniteReport):
+            carleman_constant_scan(bessel_solution, carleman_params, [2.0, 1e200])
 
     @pytest.mark.parametrize(
         "grid",

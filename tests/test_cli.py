@@ -442,6 +442,15 @@ class TestConfigHandling:
         assert err["kind"] == "NonFiniteReport"
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_weight_peak_is_json_error(self, tmp_path):
+        # e^(2 lam) overflows at lam 400: once a bare OverflowError and a traceback
+        res = run_cli("carleman-check", "--lam", "400", "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert json.loads(res.stderr)["kind"] == "NonFiniteReport"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "args", [("--n-theta", "2"), ("--n-t", "24")], ids=["n-theta", "n-t"]
     )
@@ -540,6 +549,10 @@ class TestParameterRange:
               "--n-max", "4", "--k-max", "4"), "ensemble.csv"),
             (("observability", "--mode", "ratio", "--seed", "-1", "--n-max", "4",
               "--k-max", "4"), "ratio.json"),
+            # the phase max(omega) T past 2^53: once a bare OverflowError
+            (("observability", "--mode", "ratio", "--t-horizon", "1e200"), "ratio.json"),
+            (("simulate", "--n", "256", "--n-max", "4", "--k-max", "4", "--t-horizon", "1e200"),
+             "energy.csv"),
         ],
         ids=[
             "validate-params", "carleman-check", "spectrum", "hardy", "hardy-bc",
@@ -549,7 +562,7 @@ class TestParameterRange:
             "simulate-alpha", "observability-alpha", "hardy-alpha-negative",
             "simulate-delta0", "simulate-samples-negative", "simulate-samples-minus-one",
             "simulate-samples-0", "simulate-seed-negative", "ensemble-seed-negative",
-            "ratio-seed-negative",
+            "ratio-seed-negative", "ratio-horizon-1e200", "simulate-horizon-1e200",
         ],
     )
     def test_out_of_range_is_json_error(self, tmp_path, args, artifact):

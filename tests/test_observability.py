@@ -14,7 +14,6 @@ from degenwave.errors import (
     TruncationTooSmall,
 )
 from degenwave.observability import (
-    _ensemble_stats,
     default_beta,
     default_horizon,
     hidden_trace_stability,
@@ -237,8 +236,6 @@ class TestBatchedEnsemble:
     @pytest.mark.parametrize("size", [0, -3])
     def test_empty_ensemble_rejected(self, basis05_k64, horizon, size):
         with pytest.raises(ParameterOutOfRange):
-            _ensemble_stats(basis05_k64, 7, size, [(4, 4)], horizon)
-        with pytest.raises(ParameterOutOfRange):
             hidden_trace_stability(basis05_k64, 7, size, (4, 4), horizon)
 
     def test_negative_seed_rejected_before_any_member(self, basis05_k64, horizon, monkeypatch):
@@ -247,8 +244,6 @@ class TestBatchedEnsemble:
             waves, "_random_coefficients", lambda *args: drawn.append(args)
         )
         made = counted_generators(monkeypatch)
-        with pytest.raises(ParameterOutOfRange):
-            _ensemble_stats(basis05_k64, -1, 4, [(4, 4)], horizon)
         with pytest.raises(ParameterOutOfRange):
             hidden_trace_stability(basis05_k64, -1, 4, (4, 4), horizon)
         assert drawn == [] and made == []
@@ -321,3 +316,32 @@ class TestTraceTimeMonotonicity:
             observation_norms(st, T, 0.01)
         with pytest.raises(NonPositiveInput):
             hidden_trace_stability(basis05, 7, 4, (4, 4), T)
+
+
+# A horizon at which the phase max(omega) T reaches 2^53 is rounded by up to
+# a radian: at T = 1e30 the forms once came back wrong with no error (full/T
+# 2.7% off, at 1e50 a negative interior norm), and at T = 1e200 died in
+# _trig_integrals with a bare OverflowError
+PAST_PHASE_RESOLUTION = [
+    lambda basis, domain, T: full_trace_norm_closed(random_state(basis, 2, 3, 1), T),
+    lambda basis, domain, T: observation_norms(random_state(basis, 2, 3, 1), T, domain.delta0),
+    lambda basis, domain, T: observability_ratio(random_state(basis, 2, 3, 1), domain, T),
+    lambda basis, domain, T: high_mode_obstruction_scan([1, 2, 4, 8], T, domain, basis),
+    lambda basis, domain, T: hidden_trace_stability(basis, 7, 2, (2, 2), T),
+]
+
+
+@pytest.mark.parametrize("T", [1e30, 1e200])
+@pytest.mark.parametrize(
+    "call", PAST_PHASE_RESOLUTION,
+    ids=["full-trace", "observation-norms", "ratio", "obstruction-scan", "ensemble"],
+)
+def test_horizon_past_phase_resolution_rejected(basis05, domain001, call, T):
+    with pytest.raises(ParameterOutOfRange, match="phase"):
+        call(basis05, domain001, T)
+
+
+def test_horizon_just_below_phase_resolution_admitted(basis05, domain001):
+    state = random_state(basis05, 2, 3, 1)
+    T = 0.99 * 2.0**53 / state.omega.max()
+    assert math.isfinite(full_trace_norm_closed(state, T))

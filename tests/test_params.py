@@ -16,6 +16,7 @@ from degenwave.errors import (
     TimeTooShort,
     TruncationTooSmall,
 )
+from degenwave.carleman import build_weight_field
 from degenwave.hardy import blowup_rate_fit, critical_truncated_constant
 from degenwave.observability import default_horizon
 from degenwave.params import (
@@ -23,6 +24,7 @@ from degenwave.params import (
     DegeneracyParams,
     DomainSpec,
     _real,
+    _reals,
     _whole,
     beta_upper_bound,
     eval_cutoff,
@@ -33,6 +35,7 @@ from degenwave.params import (
     validate_carleman_params,
 )
 from degenwave.radial import (
+    RadialMesh,
     assemble_weighted_system,
     build_graded_mesh,
     build_log_mesh,
@@ -42,8 +45,12 @@ from degenwave.radial import (
 )
 from degenwave.waves import (
     cosine_overlap_matrix,
+    duhamel_forcing,
+    energy_series,
     evolve,
+    modal_state,
     observation_norms,
+    project_initial_data,
     random_state,
     sine_overlap_matrix,
 )
@@ -320,7 +327,7 @@ def test_input_checks_raise_package_errors(basis05, carleman_params, call):
 
 
 class TestInputGates:
-    """params._whole and params._real, the package's two input gates."""
+    """params._whole, params._real and params._reals, the package's input gates."""
 
     @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), True])
     def test_whole_takes_integers_and_integral_floats(self, value):
@@ -367,6 +374,32 @@ class TestInputGates:
             with pytest.raises(ParameterOutOfRange, match=rule):
                 _real(value, "x", **bounds)
 
+    @pytest.mark.parametrize(
+        "value", [0.5, 1, [0.5, 1], [[1, 2], [3, 4]], np.arange(3), np.float32([0.5])]
+    )
+    def test_reals_takes_numbers_and_arrays_as_new_float_arrays(self, value):
+        x = _reals(value, "x")
+        assert x.dtype == float and np.array_equal(x, np.asarray(value, dtype=float))
+        assert x is not value
+
+    @pytest.mark.parametrize(
+        "value, rule",
+        [
+            ("0.5", "real numbers"), (["0.5"], "real numbers"), ([None], "real numbers"),
+            ([1j], "real numbers"), ([True], "real numbers"), ([[1.0], [1.0, 2.0]], "ragged"),
+            ([0.5, math.nan], "finite"), (math.inf, "finite"),
+        ],
+    )
+    def test_reals_refuses_text_ragged_and_non_finite_input(self, value, rule):
+        with pytest.raises(GridMismatch, match=f"x must .*{rule}"):
+            _reals(value, "x", GridMismatch)
+
+    def test_reals_admits_non_finite_entries_when_told(self):
+        x = _reals([-math.inf, math.nan], "x", finite=False)
+        assert x[0] == -math.inf and math.isnan(x[1])
+        with pytest.raises(ParameterOutOfRange, match="real numbers"):
+            _reals(["nan"], "x", finite=False)
+
     def test_real_checks_every_element_of_an_array(self):
         times = np.array([0.0, 1.0, 2.0])
         assert _real(times, "times") is times
@@ -412,6 +445,53 @@ REFUSED = [
     ],
 )
 def test_refused_with_the_sites_error_class(basis05, call, error):
+    with pytest.raises(DegenWaveError) as info:
+        call(basis05)
+    assert type(info.value) is error
+
+
+def constant_field(value):
+    """A field callable phi(theta, r) that is value everywhere."""
+    return lambda theta, r: np.full(np.broadcast(theta, r).shape, value)
+
+
+# Array arguments that np.asarray(x, dtype=float) once converted before any
+# check: numeric text ran as numbers, other text and ragged lists died with
+# numpy's bare ValueError, and nan samples gave a state of nan energy.
+ARRAYS_REFUSED = [
+    (lambda basis: energy_series(random_state(basis, 2, 2, 1), ["1.0"]), GridMismatch),
+    (lambda basis: energy_series(random_state(basis, 2, 2, 1), ["a"]), GridMismatch),
+    (lambda basis: energy_series(random_state(basis, 2, 2, 1), [[0.0, 1.0], [1.0]]),
+     GridMismatch),
+    (lambda basis: modal_state(basis, 2, 2, amplitudes=[["1", "0"], ["0", "0"]]), GridMismatch),
+    (lambda basis: modal_state(basis, 2, 2, velocities=[[1.0, 0.0], [0.0]]), GridMismatch),
+    (lambda basis: eval_cutoff(theta_cutoff(0.01), "0.5"), ParameterOutOfRange),
+    (lambda basis: eval_cutoff(theta_cutoff(0.01), [[0.5], [0.5, 0.6]]), ParameterOutOfRange),
+    (lambda basis: build_weight_field(
+        validate_carleman_params(0.5, DomainSpec(0.03), beta=0.0149, T=40.0),
+        [0.1, 0.5], [[0.2], [0.3, 0.4]], [0.0, 1.0]), GridMismatch),
+    (lambda basis: duhamel_forcing(
+        random_state(basis, 1, 2, 1), [[[0.0, 1.0], [0.0]]], 0.1, 0.1), GridMismatch),
+    (lambda basis: duhamel_forcing(
+        random_state(basis, 1, 2, 1), np.full((1, 2, 3), np.nan), 0.1, 0.1), GridMismatch),
+    (lambda basis: project_initial_data(constant_field(np.nan), None, basis, 2, 2),
+     GridMismatch),
+    (lambda basis: project_initial_data(constant_field("0"), None, basis, 2, 2), GridMismatch),
+    (lambda basis: elliptic_identity_residual(basis, 2.0, ["1", "0.5"]), ParameterOutOfRange),
+    (lambda basis: RadialMesh(["0", "0.5", "1"]), InvalidMeshSpec),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    ARRAYS_REFUSED,
+    ids=[
+        "energy-numeric-text", "energy-text", "energy-ragged", "modal-text", "modal-ragged",
+        "cutoff-text", "cutoff-ragged", "weight-field-ragged", "duhamel-ragged", "duhamel-nan",
+        "projection-nan", "projection-text", "elliptic-text", "mesh-text",
+    ],
+)
+def test_array_refused_with_the_sites_error_class(basis05, call, error):
     with pytest.raises(DegenWaveError) as info:
         call(basis05)
     assert type(info.value) is error

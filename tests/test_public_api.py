@@ -746,12 +746,48 @@ def is_raw_array(node, arguments):
     )
 
 
+def converts_argument(node, arguments):
+    """np.array or np.asarray of one of the arguments, or of a call of one."""
+    if not (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"array", "asarray"}
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in {"np", "numpy"}
+        and node.args
+    ):
+        return False
+    value = node.args[0]
+    if isinstance(value, ast.Call):
+        value = value.func
+    return isinstance(value, ast.Name) and value.id in arguments
+
+
+def exported_names(tree):
+    """The names listed in a module's __all__."""
+    return {
+        elt.value for node in tree.body if isinstance(node, ast.Assign)
+        for t in node.targets if isinstance(t, ast.Name) and t.id == "__all__"
+        for elt in node.value.elts
+    }
+
+
 def hand_rolled_checks(source):
     """(line, kind) of each argument check written outside the params gates:
-    a comparison with inf, an integrality test, or a comparison of an array of
-    raw arguments."""
+    a comparison with inf, an integrality test, a comparison of an array of
+    raw arguments, or a re-exported function's own conversion of an argument
+    to an array (which takes numeric text as numbers and dies with numpy's
+    bare ValueError on other text or a ragged list)."""
+    tree = ast.parse(source)
     found = []
-    for fn in ast.walk(ast.parse(source)):
+    exported = exported_names(tree)
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in exported:
+            a = fn.args
+            arguments = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs]}
+            found += [
+                (node.lineno, "converts an argument to an array")
+                for node in ast.walk(fn) if converts_argument(node, arguments)
+            ]
+    for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
             continue
         a = fn.args
@@ -795,8 +831,13 @@ def hand_rolled_checks(source):
         "def f(beta, T):\n    raw = np.array([beta, T])\n    if not np.all(raw > 0.0):\n"
         "        raise E()\n",
         "def f(beta, T):\n    return np.all(np.asarray((beta, T)) > 0)\n",
+        "__all__ = ['f']\ndef f(times):\n    return np.asarray(times, dtype=float)\n",
+        "__all__ = ['f']\ndef f(field):\n    return np.array(field(0.5), dtype=float)\n",
     ],
-    ids=["inf-compare", "np-inf-compare", "int-compare", "is-integer", "raw-array", "raw-asarray"],
+    ids=[
+        "inf-compare", "np-inf-compare", "int-compare", "is-integer", "raw-array", "raw-asarray",
+        "exported-asarray", "exported-array-of-call",
+    ],
 )
 def test_hand_rolled_check_detector_flags(source):
     assert hand_rolled_checks(source)
@@ -808,13 +849,17 @@ def test_hand_rolled_check_detector_passes_computed_checks():
         "    if not np.all(np.isfinite(flux)):\n        raise E()\n"
         "    scale = math.exp(x) if x < 700.0 else math.inf\n"
         "    return np.all(np.array([mats.p, mats.q]) > 0)\n"
+        "def g(times):\n    return np.asarray(times, dtype=float)\n"
+        "__all__ = ['h']\n"
+        "def h(modes):\n    return np.array([m.flux for m in modes])\n"
     )
     assert hand_rolled_checks(source) == []
 
 
 def test_argument_checks_live_in_params():
-    """Only params tests an argument's finiteness, integrality or sign by hand;
-    every other module calls its gates, _whole and _real."""
+    """Only params tests an argument's finiteness, integrality or sign by hand,
+    or converts a public function's argument to an array; every other module
+    calls its gates, _whole, _real and _reals."""
     found = {
         path.name: hand_rolled_checks(path.read_text())
         for path in sorted((SRC / "degenwave").glob("*.py"))
