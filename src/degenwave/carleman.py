@@ -338,10 +338,15 @@ def conjugation_residual(
             interior point, or the theta or t spacing leaves fewer than two
             cells across a cutoff band.
         DegenerateCellTouched: the radial stencil reaches r <= 0.
+        NonFiniteReport: the weight's peak 2 s e^(2 lam) is 700 or more, the
+            rule of the component integrals: exp(s sigma) overflows once
+            s e^(2 lam) passes about 709.8, and its squares well before;
+            refused before any tile is walked.
     """
     _check_same_alpha(solution, params)
     # each axis needs an interior point: 2 theta and t cells, 3 r midpoints
     shape = _grid_shape(shape, (2, 3, 2))
+    _log_offset(params.lam, params.s)
     alpha = params.alpha
     lam, s, beta = params.lam, params.s, params.beta
     theta, r, t = _residual_axes(params, shape, r_min, params.T)

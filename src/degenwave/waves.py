@@ -12,7 +12,10 @@ pair integrals.  Every modal amplitude solves u'' = -omega^2 u, so a pair
 integral over (0, T) is a Wronskian difference at the two ends divided by
 omega_j^2 - omega_i^2: one rotation to t = T per mode and a few flops per
 pair, with a direct formula over the sum and difference frequencies for
-the few near-resonant pairs, the diagonal among them.
+the few near-resonant pairs, the diagonal among them.  Every form finds
+its near pairs the same way: one sorted search over the frequencies of
+each class of modes that pair (_near_windows), read out and integrated in
+bounded chunks (_near_pairs, _direct_pair_integrals).
 
 The whole top side couples only modes of the same sine order, so one
 datum's form is the sum of the same-order pair integrals of its own ends
@@ -22,8 +25,11 @@ a whole chunk of members.
 The restricted segment and the lateral strips are mirror symmetric under
 theta -> 1 - theta, which multiplies sin(n pi theta) by (-1)^(n+1); their
 overlaps vanish for n + m odd, so observation_norms assembles the odd and
-the even sine orders apart, each in blocks of orders so that memory stays
-bounded.
+the even sine orders apart.  Each form is symmetric in the two modes of a
+pair, so only its half is formed: a block of orders meets the orders of
+its class from its own first one on, and the pairs past its own orders
+count twice.  Blocks keep memory bounded; the theta overlaps take the
+sines of the 2n - 1 difference and sum frequencies only.
 """
 
 from __future__ import annotations
@@ -381,15 +387,24 @@ def _trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
     """int_a^b of sin sin (sign -1) or cos cos (sign +1) of (n pi t, m pi t), closed form.
 
     Both products are (cos((n-m) pi t) + sign cos((n+m) pi t)) / 2, whose
-    antiderivatives are evaluated at the two ends.
+    antiderivatives are evaluated at the two ends.  Their terms depend on
+    n - m or on n + m alone, so each end takes the sines of the 2 n_max - 1
+    difference and the 2 n_max - 1 sum frequencies and gathers them into
+    Toeplitz and Hankel form, entry for entry the same floats as on the
+    whole n_max x n_max grid.
     """
     n = np.arange(1, n_max + 1, dtype=float)
-    dif = (n[:, None] - n[None, :]) * math.pi
-    tot = (n[:, None] + n[None, :]) * math.pi
+    dif = np.arange(1 - n_max, n_max, dtype=float) * math.pi  # (n - m) pi
+    tot = np.arange(2, 2 * n_max + 1, dtype=float) * math.pi  # (n + m) pi
+    idx = np.arange(n_max)
+    toeplitz = idx[:, None] - idx[None, :] + (n_max - 1)
+    hankel = idx[:, None] + idx[None, :]
 
     def anti(theta: float) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.sin(dif * theta) / (2.0 * dif) + sign * (np.sin(tot * theta) / (2.0 * tot))
+            out = (np.sin(dif * theta) / (2.0 * dif))[toeplitz] + (
+                sign * (np.sin(tot * theta) / (2.0 * tot))
+            )[hankel]
         np.fill_diagonal(
             out, 0.5 * theta + sign * (np.sin(2.0 * n * math.pi * theta) / (4.0 * n * math.pi))
         )
@@ -481,11 +496,14 @@ def _theta_factors(n_max: int, delta0: float) -> np.ndarray:
 # Exact time pair integrals for f = 0 evolutions
 # ---------------------------------------------------------------------------
 
-#: float64 entries per pair array in one block of observation_norms, and per
-#: stacked-data array in one chunk of an ensemble; about four arrays of this
-#: size are live at once, so a block peaks near 8 MB (tracemalloc puts a
-#: 48 x 48 call at 9 MB)
+#: float64 entries per stacked-data array in one chunk of an ensemble; a
+#: block of _segment_and_strip_norms keeps its two pair buffers within a
+#: quarter of this each, near half a megabyte, so that they stay in cache
 _BLOCK_ELEMENTS = 2**18
+
+#: about the candidates of one chunk of _near_pairs, and so the most
+#: near-resonant pairs that one evaluation of the direct formula takes
+_NEAR_CHUNK = _BLOCK_ELEMENTS // 16
 
 #: pairs with |w_i - w_j| T below this take the direct formula of
 #: _direct_pair_integrals, the diagonal among them; above it the rounding
@@ -546,77 +564,123 @@ def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     return sinc, vers
 
 
-def _direct_pair_integrals(wi, wj, T: float, families) -> list[np.ndarray]:
+def _direct_pair_integrals(wi, wj, T: float, ci, si, cj, sj) -> np.ndarray:
     """int_0^T u_i u_j dt for u = c cos(w t) + s sin(w t), elementwise.
 
-    A family is the (c_i, s_i, c_j, s_j) of its pairs.  Products of cos and
-    sin of (w_i t, w_j t) are half sums of cos and sin of the sum and
-    difference frequencies, whose integrals stay exact as w_i - w_j tends
-    to 0; the families share them.
+    Products of cos and sin of (w_i t, w_j t) are half sums of cos and sin
+    of the sum and difference frequencies, whose integrals stay exact as
+    w_i - w_j tends to 0.  The coefficients may carry a leading family
+    axis, over which the frequency integrals broadcast.
     """
     sinc_dif, vers_dif = _trig_integrals(wi - wj, T)
     sinc_tot, vers_tot = _trig_integrals(wi + wj, T)
-    return [
-        0.5 * (
-            ci * (cj * (sinc_dif + sinc_tot) + sj * (vers_tot - vers_dif))
-            + si * (cj * (vers_tot + vers_dif) + sj * (sinc_dif - sinc_tot))
-        )
-        for ci, si, cj, sj in families
-    ]
+    return 0.5 * (
+        ci * (cj * (sinc_dif + sinc_tot) + sj * (vers_tot - vers_dif))
+        + si * (cj * (vers_tot + vers_dif) + sj * (sinc_dif - sinc_tot))
+    )
 
 
-def _pair_integrals(
-    w: np.ndarray, T: float, families, rows=np.s_[...], cols=np.s_[...]
-) -> list[np.ndarray]:
-    """Exact int_0^T u_i u_j dt for each family of solutions of u'' = -w^2 u.
+@dataclass(frozen=True)
+class _NearWindows:
+    """Where the near-resonant partners of each mode lie.
 
-    A family is the (u(0), u'(0), u(T), u'(T)) of _ends, one entry per mode
-    of w.  Mode i runs over the last axis of w[rows] and mode j over the
-    last axis of w[cols]; the leading axes broadcast, and the pairs come
-    out with shape (..., i, j).  The Wronskian identity
+    sorted_modes lists the modes class by class in increasing frequency,
+    and the partners of mode i lie at the sorted positions lo[i] up to
+    hi[i] (excluded).
+    """
+
+    w: np.ndarray  # flat frequencies
+    sorted_modes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    width: float  # _NEAR_RESONANCE / T
+
+
+def _near_windows(w: np.ndarray, classes: np.ndarray, T: float) -> _NearWindows:
+    """One sorted search for the pairs |w_i - w_j| T < _NEAR_RESONANCE of each class.
+
+    w holds the frequencies of the modes and classes their labels
+    (integers from 0); modes pair only within their class.  The keys
+    w + class * shift lay the classes end to end with gaps wider than any
+    window, so one sort and one searchsorted find the upper end of every
+    window.  q lies above p in the window of p exactly when p lies below q
+    in the window of q, so the lower end of p counts the upper ends up to
+    p.  The windows reach 4 / T, capped at 4 (spread of w + 1), past which
+    a window holds its whole class, plus eight spacings of the largest
+    key: more than the rounding of the keys can take from a gap whose
+    rounded value is below 1 / T.  So they hold every near pair, and
+    _near_pairs keeps the pairs that pass that elementwise test.
+    """
+    width = _NEAR_RESONANCE / T
+    span = w.max() - w.min()
+    reach = 4.0 * min(width, span + 1.0)
+    keys = w + classes * (2.0 * span + 4.0 * reach + 1.0)
+    sorted_modes = np.argsort(keys)
+    keys = keys[sorted_modes]
+    hi = np.searchsorted(keys, keys + (reach + 8.0 * np.spacing(keys[-1])), side="right")
+    lo = np.cumsum(np.bincount(hi, minlength=hi.size))[: hi.size]  # count of hi_q <= p
+    rank = np.empty_like(sorted_modes)
+    rank[sorted_modes] = np.arange(rank.size)
+    return _NearWindows(w, sorted_modes, lo[rank], hi[rank], width)
+
+
+def _near_pairs(windows: _NearWindows):
+    """The near-resonant pairs (i, j), i <= j, of the modes of windows.
+
+    Each unordered pair comes once, from its lower mode, the diagonal
+    among them, in increasing i.  They are yielded in chunks of modes
+    whose windows hold about _NEAR_CHUNK candidates, so that memory stays
+    bounded where every pair is near.
+    """
+    lo = windows.lo
+    counts = windows.hi - lo
+    ends = np.cumsum(counts)  # of each mode's candidates
+    cuts = [0, *np.searchsorted(ends, range(_NEAR_CHUNK, ends[-1], _NEAR_CHUNK)), lo.size]
+    w = windows.w
+    for a, b in zip(cuts, cuts[1:]):
+        if a == b:  # one mode's window spans several chunks
+            continue
+        n = counts[a:b]
+        offsets = lo[a:b] - ends[a:b] + n + (ends[a - 1] if a else 0)
+        i = np.repeat(np.arange(a, b), n)
+        j = windows.sorted_modes[np.arange(i.size) + np.repeat(offsets, n)]
+        keep = (j >= i) & (np.abs(w[j] - w[i]) < windows.width)
+        yield i[keep], j[keep]
+
+
+def _pair_integrals(w: np.ndarray, T: float, ends) -> np.ndarray:
+    """Exact int_0^T u_i u_j dt for the solutions of u'' = -w^2 u in each class of w.
+
+    ends is the (u(0), u'(0), u(T), u'(T)) of _ends, one entry per mode of
+    w; modes i and j run over the last axis, the leading axes are classes,
+    and the pairs come out with shape (..., i, j).  The Wronskian identity
     d/dt (u_i' u_j - u_i u_j') = (w_j^2 - w_i^2) u_i u_j gives
 
         int_0^T u_i u_j dt = [u_i' u_j - u_i u_j']_0^T / (w_j^2 - w_i^2),
 
     whose numerator is a product of (..., i, 4) and (..., 4, j) stacks of
-    the ends.  The near-resonant pairs, |w_i - w_j| T below
-    _NEAR_RESONANCE, are gathered and take _direct_pair_integrals instead.
-    The families share the denominator and the gathered pairs.
+    the ends.  The near-resonant pairs of _near_pairs take
+    _direct_pair_integrals instead, one evaluation for (i, j) and (j, i).
     """
-
-    def mode_i(x):
-        return x[rows][..., :, None]
-
-    def mode_j(x):
-        return x[cols][..., None, :]
-
-    wi, wj = mode_i(w), mode_j(w)
-    gap = wj - wi
-    near = np.abs(gap) < _NEAR_RESONANCE / T
-    with np.errstate(divide="ignore"):
-        inverse = 1.0 / (gap * (wj + wi))  # w_j^2 - w_i^2, to rounding
-    del gap
-    near = np.unravel_index(np.flatnonzero(near), near.shape)
-
-    modes = np.arange(w.size).reshape(w.shape)  # flat index of each mode
-    i_near, j_near = (
-        np.broadcast_to(side(modes), inverse.shape)[near] for side in (mode_i, mode_j)
-    )
-    wi_near, wj_near = w.take(i_near), w.take(j_near)
-    near_pairs = _direct_pair_integrals(
-        wi_near, wj_near, T,
-        [(u0.take(i_near), du0.take(i_near) / wi_near, u0.take(j_near), du0.take(j_near) / wj_near)
-         for u0, du0, _, _ in families],
-    )
-    out = []
-    for (u0, du0, uT, duT), direct in zip(families, near_pairs):
-        left = np.stack([x[rows] for x in (duT, -uT, -du0, u0)], axis=-1)
-        right = np.stack([x[cols] for x in (uT, duT, u0, du0)], axis=-2)
-        with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal
-            pairs = (left @ right) * inverse
-        pairs[near] = direct
-        out.append(pairs)
-    return out
+    u0, du0, uT, duT = ends
+    m = w.shape[-1]
+    windows = _near_windows(w.ravel(), np.arange(w.size) // m, T)
+    left = np.stack((duT, -uT, -du0, u0), axis=-1)
+    right = np.stack((uT, duT, u0, du0), axis=-2)
+    wi, wj = w[..., :, None], w[..., None, :]
+    pairs = left @ right
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, replaced below
+        pairs /= wj - wi
+        pairs /= wj + wi
+    u0, du0, w = u0.ravel(), du0.ravel(), windows.w
+    flat = pairs.reshape(-1)
+    for i, j in _near_pairs(windows):
+        direct = _direct_pair_integrals(
+            w[i], w[j], T, u0[i], du0[i] / w[i], u0[j], du0[j] / w[j]
+        )
+        flat[i * m + j % m] = direct
+        flat[j * m + i % m] = direct
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +713,7 @@ def _trace_gramian(basis: RadialBasis, omega: np.ndarray, T: float) -> np.ndarra
     ones, zeros = np.ones_like(omega), np.zeros_like(omega)
     u0 = np.concatenate((ones, zeros), axis=1)
     du0 = np.concatenate((zeros, omega), axis=1)
-    (pairs,) = _pair_integrals(w, T, (_ends(u0, du0, w, T),))
+    pairs = _pair_integrals(w, T, _ends(u0, du0, w, T))
     flux = np.tile(basis.flux[: omega.shape[1]], 2)
     return pairs * np.outer(flux, flux)
 
@@ -707,20 +771,36 @@ def full_trace_norm_closed(state: ModalCoefficients, T: float) -> float:
     The normal derivative is sum amp_nk(t) sin(n pi theta) R_k'(1), and
     sine orthogonality on the whole side leaves only the pairs of one sine
     order, each with theta factor 1/2: the form is half the sum over n, k, l
-    of R_k'(1) R_l'(1) int_0^T amp_nk amp_nl dt.  Those (n, k, l) pair
-    integrals come from the datum's own ends in one _pair_integrals call;
-    the trace Gramian, whose blocks would cost 2k x 2k pairs per order, is
+    of R_k'(1) R_l'(1) int_0^T amp_nk amp_nl dt.  As in _pair_integrals, a
+    pair integral is the rank-4 Wronskian numerator of the datum's own ends
+    times the quotient 1 / (w_l^2 - w_k^2) of its order; the flux folds
+    into the numerator stacks, which contract the quotient directly, and
+    the near-resonant pairs, zeroed there, take _direct_pair_integrals.
+    The trace Gramian, whose blocks would cost 2k x 2k pairs per order, is
     left to ensembles, where one block serves many data.
 
     Raises:
         NonPositiveInput: T not positive and finite.
         ParameterOutOfRange: the phase max(omega) T is 2^53 or more.
     """
-    w = state.omega
-    (pairs,) = _pair_integrals(w, T, (_ends(state.a, state.b, w, T),))
-    flux = state.basis.flux[: state.k_max]
-    per_order = pairs.reshape(state.n_max, -1) @ np.outer(flux, flux).ravel()
-    return 0.5 * float(np.sum(per_order))
+    w, m = state.omega, state.k_max
+    u0, du0, uT, duT = _ends(state.a, state.b, w, T)
+    flux = state.basis.flux[:m]
+    left = np.array((duT, -uT, -du0, u0)).transpose(1, 0, 2) * flux  # (order, p, k)
+    right = np.array((uT, duT, u0, du0)).transpose(1, 0, 2) * flux
+    quotient = w[:, None, :] - w[:, :, None]
+    quotient *= w[:, None, :] + w[:, :, None]
+    with np.errstate(divide="ignore"):  # the diagonal, zeroed below
+        np.divide(1.0, quotient, out=quotient)
+    windows = _near_windows(w.ravel(), np.arange(w.size) // m, T)
+    u0, du0, w = u0.ravel(), du0.ravel(), windows.w
+    flat = quotient.reshape(-1)
+    near = 0.0
+    for i, j in _near_pairs(windows):
+        flat[i * m + j % m] = flat[j * m + i % m] = 0.0
+        direct = _direct_pair_integrals(w[i], w[j], T, u0[i], du0[i] / w[i], u0[j], du0[j] / w[j])
+        near += (2.0 - (i == j)) * flux[i % m] * flux[j % m] @ direct
+    return 0.5 * float(np.einsum("npl,npl->", np.matmul(left, quotient), right) + near)
 
 
 def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> TraceReport:
@@ -741,14 +821,14 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
     _segment_and_strip_norms, which callers that read only those two (the
     observability ratio) call alone.  They are mirror symmetric, so their
     theta factors vanish between odd and even sine orders: the two parity
-    classes are assembled apart, which halves the pairs.  Each class
-    rotates its data to t = T once per mode; the amplitudes and the
-    velocities phi_t, whose derivative is -omega^2 times the amplitude,
-    then give their pair integrals by the Wronskian identity of
-    _pair_integrals, with the direct formula for the near-resonant pairs.
-    The pairs are formed for one block of orders
-    against all orders of the class at a time, so memory stays bounded at
-    large truncations.
+    classes are assembled apart, which halves the pairs.  The data are
+    rotated to t = T once per mode; the amplitudes and the velocities
+    phi_t, whose derivative is -omega^2 times the amplitude, then give
+    their pair integrals by the Wronskian identity, with the direct formula
+    for the near-resonant pairs.  Each form is symmetric in the two modes
+    of a pair, so a block of orders is formed only against the orders of
+    its class from its own on, which halves the pairs again and keeps
+    memory bounded at large truncations.
 
     Raises:
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2), where the
@@ -769,8 +849,25 @@ def _segment_and_strip_norms(
 ) -> tuple[float, float]:
     """The restricted trace and interior norms of observation_norms, in that order.
 
+    The sine orders are put in their parity classes, odd then even, and
+    within a class each norm is sum_ij W_ij int_0^T u_i u_j dt over the
+    modes i = (n, k) and j = (m, l), with W a theta (n, m) factor times a
+    radial (k, l) factor.  Apart from the near-resonant pairs, the pair
+    integral is the rank-4 Wronskian numerator sum_p left_p[i] right_p[j]
+    times the quotient Q_ij = 1 / (w_j^2 - w_i^2).  So each block of
+    orders forms Q once for both families, amplitudes and velocities,
+    zeroes its near pairs by flat index, takes one Hadamard product
+    Q * gram, and contracts both with the numerator stacks: the flux of
+    the trace is folded into its stacks, and the rho_k of the interior
+    lives on the pairs of one radial order.  W and the pair integrals are
+    symmetric under (n, k) <-> (m, l), so a block of row orders meets only
+    the columns from its first order on, and a pair past the block's own
+    orders counts twice.  The near pairs come from one sorted search and
+    take _direct_pair_integrals, each unordered pair once, in chunks.
+
     Raises:
-        ParameterOutOfRange: delta0 is nan or outside (0, 1/2).
+        ParameterOutOfRange: delta0 is nan or outside (0, 1/2), or the
+            phase max(omega) T is 2^53 or more.
         NonPositiveInput: T not positive and finite.
     """
     _real(delta0, "delta0", above=0, below=0.5)
@@ -778,31 +875,103 @@ def _segment_and_strip_norms(
     basis = state.basis
     flux = basis.flux[:k_max]
     gram = basis.consistent_gram(k_max)
-    theta_amp = _theta_factors(n_max, delta0)
-    radial_amp = np.stack(
-        [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
-    ).reshape(k_max * k_max, 3)
+    rho = basis.rho[:k_max]
+    # radial factors: the trace's flux products; gram, which goes with both
+    # strip factors of the amplitudes and the strip sines of the
+    # velocities; rho_k, which goes with the strip sines of the amplitudes
+    radial = np.stack((np.outer(flux, flux), gram, np.diag(rho)), axis=-1)
+    order = np.concatenate((np.arange(0, n_max, 2), np.arange(1, n_max, 2)))  # odd n first
+    odd = (n_max + 1) // 2
+    theta = _theta_factors(n_max, delta0)[np.ix_(order, order)]
+    # theta factors of the trace, of the amplitudes' gram part (both strip
+    # factors) and of the strip sines' rest
+    weights = np.stack((theta[..., 0], theta[..., 1] + theta[..., 2], theta[..., 2]), axis=-1)
 
-    restricted = 0.0
-    interior = 0.0
-    for parity in range(min(2, n_max)):
-        cls = np.s_[parity::2]  # sine orders n = parity + 1, parity + 3, ...
-        w, w_sq = state.omega[cls], state.omega_sq[cls]
-        amp = _ends(state.a[cls], state.b[cls], w, T)
-        u0, du0, uT, duT = amp
-        vel = (du0, -w_sq * u0, duT, -w_sq * uT)  # phi_t: u' solves u'' = -w^2 u too
-        theta_cls = theta_amp[cls, cls]
-        n_cls = w.shape[0]
-        block = max(1, _BLOCK_ELEMENTS // (n_cls * k_max * k_max))
-        for lo in range(0, n_cls, block):
-            # (block, n_cls, k_max, k_max) each
-            amp_pairs, vel_pairs = _pair_integrals(
-                w, T, (amp, vel), np.s_[lo : lo + block, None], np.s_[None]
+    w, w_sq = state.omega[order], state.omega_sq[order]
+    u0, du0, uT, duT = _ends(state.a[order], state.b[order], w, T)
+    # numerator stacks (order, p, k): the amplitudes, then the velocities
+    # phi_t, whose ends are (u', -w^2 u)
+    wu0, wuT = w_sq * u0, w_sq * uT
+    left = np.array((duT, -uT, -du0, u0, -wuT, -duT, wu0, du0)).transpose(1, 0, 2).copy()
+    right = np.array((uT, duT, u0, du0, duT, -wuT, du0, -wu0)).transpose(1, 0, 2).copy()
+    trace_left, trace_right = left[:, :4] * flux, right[:, :4] * flux
+    # (c or s, family, mode) with u = c cos(w t) + s sin(w t)
+    coefs = np.array(((u0, du0), (du0 / w, -wu0 / w))).reshape(2, 2, -1)
+    flat_w = w.ravel()
+    windows = _near_windows(flat_w, np.arange(flat_w.size) >= odd * k_max, T)
+    forms = np.zeros((3, n_max, n_max))  # per pair of orders, as weighted by weights
+    near = np.zeros(2)
+
+    def add_near(i, j):
+        (ci, si), (cj, sj) = coefs[..., i], coefs[..., j]
+        amp, vel = _direct_pair_integrals(flat_w[i], flat_w[j], T, ci, si, cj, sj)
+        (n_i, k_i), (n_j, k_j) = np.divmod(i, k_max), np.divmod(j, k_max)
+        t = weights[n_i, n_j] * (2.0 - (i == j))[:, None]  # each unordered pair once
+        r = radial[k_i, k_j]
+        near[0] += t[:, 0] @ (r[:, 0] * amp)
+        near[1] += t[:, 1] @ (r[:, 1] * amp) + t[:, 2] @ (r[:, 2] * amp + r[:, 1] * vel)
+
+    gram_row = np.tile(gram, odd)  # gram[k, l] at (k, (m, l))
+    # (k, order, p) and (k, p, order): the rho part pairs one k with itself
+    rho_left, rho_right = (left[:, :4] * rho).transpose(2, 0, 1), right[:, :4].transpose(2, 1, 0)
+    twice = np.ones((n_max, n_max))
+    # row blocks of orders, each against the orders of its class from its
+    # own first one on: as many orders as keep a block within
+    # _BLOCK_ELEMENTS / 4 pairs, at least one, so the narrower blocks down
+    # the triangle take more orders
+    blocks = []
+    for start, stop in ((0, odd), (odd, n_max))[: min(2, n_max)]:
+        lo = start
+        while lo < stop:
+            hi = min(stop, lo + max(1, _BLOCK_ELEMENTS // (4 * (stop - lo) * k_max * k_max)))
+            blocks.append((lo, hi, stop))
+            lo = hi
+    buffers = np.empty((2, max((hi - lo) * (stop - lo) for lo, hi, stop in blocks) * k_max**2))
+    # the near pairs in increasing i, integrated as they come; each block
+    # takes those of its rows off the front of the queue to zero them
+    stream = _near_pairs(windows)
+    queue_i = queue_j = np.empty(0, dtype=np.intp)
+    # the diagonal pairs divide by zero; they are near and zeroed
+    with np.errstate(divide="ignore"):
+        for lo, hi, stop in blocks:
+            first, last, width = lo * k_max, hi * k_max, (stop - lo) * k_max
+            # off the block's own orders each pair stands for its mirror too
+            twice[lo:hi, hi:stop] = 2.0
+            quot = buffers[0, : (last - first) * width].reshape(-1, width)
+            quot_gram = buffers[1, : quot.size].reshape(-1, width)
+            wi, wj = flat_w[first:last, None], flat_w[first : stop * k_max]
+            np.subtract(wj, wi, out=quot)
+            np.add(wj, wi, out=quot_gram)
+            quot *= quot_gram
+            np.divide(1.0, quot, out=quot)
+            while not queue_i.size or queue_i[-1] < last:
+                chunk = next(stream, None)
+                if chunk is None:
+                    break
+                add_near(*chunk)
+                queue_i = np.concatenate((queue_i, chunk[0]))
+                queue_j = np.concatenate((queue_j, chunk[1]))
+            cut = np.searchsorted(queue_i, last)
+            i, j, queue_i, queue_j = queue_i[:cut], queue_j[:cut], queue_i[cut:], queue_j[cut:]
+            mirror = j < last
+            flat = quot.reshape(-1)
+            flat[(i - first) * width + (j - first)] = 0.0
+            flat[(j[mirror] - first) * width + (i[mirror] - first)] = 0.0
+            matrix = (hi - lo, k_max, width)
+            np.multiply(quot.reshape(matrix), gram_row[:, :width], out=quot_gram.reshape(matrix))
+
+            pml = (hi - lo, -1, stop - lo, k_max)
+            trace = np.matmul(trace_left[lo:hi], quot.reshape(matrix)).reshape(pml)
+            strip = np.matmul(left[lo:hi], quot_gram.reshape(matrix))
+            same_k = np.matmul(rho_left[:, lo:hi], rho_right[..., lo:stop])
+            block = forms[:, lo:hi, lo:stop]
+            np.einsum("npml,mpl->nm", trace, trace_right[lo:stop], out=block[0])
+            np.einsum(
+                "nfpml,mfpl->fnm",
+                strip.reshape(hi - lo, 2, 4, stop - lo, k_max),
+                right[lo:stop].reshape(stop - lo, 2, 4, k_max),
+                out=block[1:],
             )
-            amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_cls, 3)
-            vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_cls)
-            theta_block = theta_cls[lo : lo + block]
-            terms = np.sum(amp_nm * theta_block, axis=(0, 1))
-            restricted += float(terms[0])
-            interior += float(terms[1] + terms[2] + np.sum(vel_nm * theta_block[..., 2]))
-    return restricted, interior
+            block[2] += np.einsum("knm,nmk->nm", same_k, np.diagonal(quot.reshape(pml), 0, 1, 3))
+    restricted, amp_gram, rest = np.einsum("fnm,nmf,nm->f", forms, weights, twice)
+    return float(restricted + near[0]), float(amp_gram + rest + near[1])

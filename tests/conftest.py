@@ -8,6 +8,26 @@ sys.path.insert(0, str(Path(__file__).parent))
 from degenwave.carleman import SmoothModalSolution, bessel_mode
 from degenwave.params import DomainSpec, validate_carleman_params
 from degenwave.radial import solve_radial_basis
+from ledger import AcceptanceLedger
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--acceptance-ledger",
+        metavar="PATH",
+        default=None,
+        help="write each acceptance criterion's measured values and gates to PATH as JSON",
+    )
+
+
+@pytest.fixture(scope="session")
+def ledger(request):
+    """The acceptance ledger, written at the end of the session when a path is given."""
+    book = AcceptanceLedger()
+    yield book
+    path = request.config.getoption("--acceptance-ledger")
+    if path:
+        book.write(path)
 
 
 @pytest.fixture(scope="session")

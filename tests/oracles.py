@@ -38,6 +38,8 @@ from degenwave.params import (
 from degenwave.radial import RadialMesh, WeightedMatrices
 from degenwave.waves import (
     TraceReport,
+    _ends,
+    _theta_factors,
     _trapezoid_weights,
     cosine_overlap_matrix,
     data_norms,
@@ -292,6 +294,182 @@ def all_pairs_observation_norms(state, T: float, delta0: float) -> TraceReport:
         restricted_trace_norm_sq=restricted,
         interior_norm_sq=interior,
     )
+
+
+def term_magnitudes(state, T: float, delta0: float) -> TraceReport:
+    """The three norms of all_pairs_observation_norms with every term's magnitude.
+
+    The sum over pairs of |theta factor| |radial factor| |pair integral| is
+    the scale of the rounding error of any order of summation: where the
+    terms cancel, as at T = 1e-6 with every pair integral near
+    T a_i a_j, two correct evaluations agree to eps times this scale and
+    not to eps times the norm.
+    """
+    n_max, k_max = state.n_max, state.k_max
+    basis = state.basis
+    flux = np.abs(basis.flux[:k_max])
+    gram = np.abs(basis.consistent_gram(k_max))
+    strips = theta_strips(delta0)
+    strip_sines = np.abs(_summed_strips_overlap(n_max, strips, "sine"))
+    mu = np.arange(1, n_max + 1) * math.pi
+    theta_amp = np.abs(np.stack(
+        [
+            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),
+            np.outer(mu, mu) * _summed_strips_overlap(n_max, strips, "cosine"),
+            strip_sines,
+        ],
+        axis=-1,
+    ))
+    radial_amp = np.stack(
+        [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
+    ).reshape(k_max * k_max, 3)
+    w = state.omega
+    terms = np.zeros(4)
+    block = max(1, _ALL_PAIRS_BLOCK_ELEMENTS // (n_max * k_max * k_max))
+    every = np.s_[None, :, None, :]
+    for lo in range(0, n_max, block):
+        rows = np.s_[lo : lo + block, None, :, None]
+        kernels = time_kernels(w, T, rows, every)
+        amp_pairs = np.abs(pair_weights(kernels, state.a, state.b / w, rows, every))
+        vel_pairs = np.abs(pair_weights(kernels, state.b, -state.a * w, rows, every))
+        del kernels
+        amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_max, 3)
+        vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_max)
+        terms[:3] += np.sum(amp_nm * theta_amp[lo : lo + block], axis=(0, 1))
+        terms[3] += np.sum(vel_nm * strip_sines[lo : lo + block])
+    one = np.s_[:, :, None]
+    other = np.s_[:, None, :]
+    same = np.abs(pair_weights(time_kernels(w, T, one, other), state.a, state.b / w, one, other))
+    return TraceReport(
+        full_trace_norm_sq=0.5 * float(np.einsum("nkl,k,l->", same, flux, flux)),
+        restricted_trace_norm_sq=float(terms[0]),
+        interior_norm_sq=float(terms[1] + terms[2] + terms[3]),
+    )
+
+
+# The blocked Wronskian path of observation_norms before it formed only the
+# symmetric half of each form: every block of sine orders against all orders
+# of its parity class, with its near-resonant pairs found by an elementwise
+# scan of the block.
+
+#: float64 entries per pair array in one block of blocked_segment_and_strip_norms
+_BLOCKED_ELEMENTS = 2**18
+
+
+def _direct_pair_integrals(wi, wj, T: float, families) -> list[np.ndarray]:
+    """int_0^T u_i u_j dt for u = c cos(w t) + s sin(w t), elementwise, per family."""
+    sinc_dif, vers_dif = _trig_integrals(wi - wj, T)
+    sinc_tot, vers_tot = _trig_integrals(wi + wj, T)
+    return [
+        0.5 * (
+            ci * (cj * (sinc_dif + sinc_tot) + sj * (vers_tot - vers_dif))
+            + si * (cj * (vers_tot + vers_dif) + sj * (sinc_dif - sinc_tot))
+        )
+        for ci, si, cj, sj in families
+    ]
+
+
+def blocked_pair_integrals(
+    w: np.ndarray, T: float, families, rows=np.s_[...], cols=np.s_[...]
+) -> list[np.ndarray]:
+    """int_0^T u_i u_j dt of each family (u(0), u'(0), u(T), u'(T)), mode i over
+    w[rows] and mode j over w[cols], by the Wronskian quotient, with the pairs
+    |w_i - w_j| T < 1 gathered from the whole pair array for the direct formula."""
+
+    def mode_i(x):
+        return x[rows][..., :, None]
+
+    def mode_j(x):
+        return x[cols][..., None, :]
+
+    wi, wj = mode_i(w), mode_j(w)
+    gap = wj - wi
+    near = np.abs(gap) < 1.0 / T
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / (gap * (wj + wi))
+    del gap
+    near = np.unravel_index(np.flatnonzero(near), near.shape)
+
+    modes = np.arange(w.size).reshape(w.shape)
+    i_near, j_near = (
+        np.broadcast_to(side(modes), inverse.shape)[near] for side in (mode_i, mode_j)
+    )
+    wi_near, wj_near = w.take(i_near), w.take(j_near)
+    near_pairs = _direct_pair_integrals(
+        wi_near, wj_near, T,
+        [(u0.take(i_near), du0.take(i_near) / wi_near, u0.take(j_near), du0.take(j_near) / wj_near)
+         for u0, du0, _, _ in families],
+    )
+    out = []
+    for (u0, du0, uT, duT), direct in zip(families, near_pairs):
+        left = np.stack([x[rows] for x in (duT, -uT, -du0, u0)], axis=-1)
+        right = np.stack([x[cols] for x in (uT, duT, u0, du0)], axis=-2)
+        with np.errstate(invalid="ignore"):
+            pairs = (left @ right) * inverse
+        pairs[near] = direct
+        out.append(pairs)
+    return out
+
+
+def blocked_segment_and_strip_norms(state, T: float, delta0: float) -> tuple[float, float]:
+    """The restricted trace and interior norms, every block against its whole class."""
+    n_max, k_max = state.n_max, state.k_max
+    basis = state.basis
+    flux = basis.flux[:k_max]
+    gram = basis.consistent_gram(k_max)
+    theta_amp = _theta_factors(n_max, delta0)
+    radial_amp = np.stack(
+        [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
+    ).reshape(k_max * k_max, 3)
+
+    restricted = 0.0
+    interior = 0.0
+    for parity in range(min(2, n_max)):
+        cls = np.s_[parity::2]
+        w, w_sq = state.omega[cls], state.omega_sq[cls]
+        amp = _ends(state.a[cls], state.b[cls], w, T)
+        u0, du0, uT, duT = amp
+        vel = (du0, -w_sq * u0, duT, -w_sq * uT)
+        theta_cls = theta_amp[cls, cls]
+        n_cls = w.shape[0]
+        block = max(1, _BLOCKED_ELEMENTS // (n_cls * k_max * k_max))
+        for lo in range(0, n_cls, block):
+            amp_pairs, vel_pairs = blocked_pair_integrals(
+                w, T, (amp, vel), np.s_[lo : lo + block, None], np.s_[None]
+            )
+            amp_nm = (amp_pairs.reshape(-1, k_max * k_max) @ radial_amp).reshape(-1, n_cls, 3)
+            vel_nm = (vel_pairs.reshape(-1, k_max * k_max) @ gram.ravel()).reshape(-1, n_cls)
+            theta_block = theta_cls[lo : lo + block]
+            terms = np.sum(amp_nm * theta_block, axis=(0, 1))
+            restricted += float(terms[0])
+            interior += float(terms[1] + terms[2] + np.sum(vel_nm * theta_block[..., 2]))
+    return restricted, interior
+
+
+def blocked_full_trace_norm(state, T: float) -> float:
+    """Half the sum over n, k, l of R_k'(1) R_l'(1) int_0^T amp_nk amp_nl dt."""
+    w = state.omega
+    (pairs,) = blocked_pair_integrals(w, T, (_ends(state.a, state.b, w, T),))
+    flux = state.basis.flux[: state.k_max]
+    return 0.5 * float(np.sum(pairs.reshape(state.n_max, -1) @ np.outer(flux, flux).ravel()))
+
+
+def grid_trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
+    """int_a^b of sin sin (sign -1) or cos cos (sign +1) of (n pi t, m pi t),
+    with the sines taken on the whole n_max x n_max grid of n - m and n + m."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    dif = (n[:, None] - n[None, :]) * math.pi
+    tot = (n[:, None] + n[None, :]) * math.pi
+
+    def anti(theta: float) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.sin(dif * theta) / (2.0 * dif) + sign * (np.sin(tot * theta) / (2.0 * tot))
+        np.fill_diagonal(
+            out, 0.5 * theta + sign * (np.sin(2.0 * n * math.pi * theta) / (4.0 * n * math.pi))
+        )
+        return out
+
+    return anti(b) - anti(a)
 
 
 def _xi_spatial_range(alpha: float, grid_per_unit: int) -> tuple[float, float]:

@@ -614,6 +614,23 @@ class TestConjugationResidual:
             conjugation_residual(sol, carleman_params, shape=(96, 16, 48))
             assert calls == {("R", 0): 1, ("R", 1): 1, ("dR", 0): 1, ("dR", 1): 1}
 
+    @pytest.mark.parametrize("lam, s", [(30.0, 2.0), (400.0, 2.0), (2.0, 8.0)])
+    def test_overflowing_weight_peak_refused_before_any_tile(
+        self, bessel_solution, monkeypatch, lam, s
+    ):
+        """exp(s sigma) overflows once s e^(2 lam) passes about 709.8: at lam 30
+        the residual once came back nan with a stream of RuntimeWarnings, and
+        at lam 2, s 8 a relative residual of 1.7e12.  The integrals' rule
+        2 s e^(2 lam) >= 700 now refuses it before any tile is walked."""
+
+        def walked(*args):
+            raise AssertionError("a residual tile was walked")
+
+        monkeypatch.setattr(carleman, "_tiles", walked)
+        params = validate_carleman_params(0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s)
+        with pytest.raises(NonFiniteReport, match="700"):
+            conjugation_residual(bessel_solution, params, shape=(864, 24, 96))
+
     @pytest.mark.parametrize("levels", [1, 0, -1])
     def test_order_study_needs_two_levels(self, carleman_params, bessel_solution, monkeypatch, levels):
         # one level once solved a residual and returned the order nan

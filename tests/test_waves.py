@@ -9,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 from oracles import (
     all_pairs_observation_norms,
+    blocked_full_trace_norm,
+    blocked_segment_and_strip_norms,
     four_kernel_trace_gramian,
+    grid_trig_overlaps,
     pair_weight_full_trace_norm,
+    term_magnitudes,
     trapezoid_observation_norms,
 )
 
 from degenwave import waves
-from degenwave.observability import default_horizon
+from degenwave.observability import default_beta, default_horizon, observability_ratio
 from degenwave.errors import GridMismatch, ParameterOutOfRange, TruncationTooSmall
-from degenwave.params import theta_strips
+from degenwave.params import DomainSpec, observation_time_threshold, theta_strips
 from degenwave.waves import (
     RANDOM_CAP,
     data_norms,
@@ -438,11 +442,13 @@ class TestInteriorNorm:
 class TestBlockedAssembly:
     def test_block_invariance(self, basis05, monkeypatch):
         st = random_state(basis05, 12, 12, seed=14)
-        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 12 * 12 * 12 * 12)
+        # a block takes _BLOCK_ELEMENTS // (4 * k_max^2 * c) orders, c the
+        # orders of its class from its own first one on
+        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 4 * 6 * 6 * 12 * 12)
         one_block = observation_norms(st, T_HORIZON, 0.01)
         # each parity class holds 6 of the 12 sine orders: four orders per
         # block split every class into a block of 4 and a ragged block of 2
-        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 4 * 6 * 12 * 12)
+        monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", 4 * 4 * 6 * 12 * 12)
         blocked = observation_norms(st, T_HORIZON, 0.01)
         assert blocked.full_trace_norm_sq == one_block.full_trace_norm_sq
         for field in ("restricted_trace_norm_sq", "interior_norm_sq"):
@@ -457,7 +463,10 @@ class TestBlockedAssembly:
         st = random_state(basis05, n_max, k_max, seed=17)
         expect = all_pairs_observation_norms(st, T_HORIZON, 0.01)
         if orders_per_block is not None:  # ragged blocks in each parity class
-            monkeypatch.setattr(waves, "_BLOCK_ELEMENTS", orders_per_block * n_max * k_max * k_max)
+            odd = (n_max + 1) // 2
+            monkeypatch.setattr(
+                waves, "_BLOCK_ELEMENTS", 4 * orders_per_block * odd * k_max * k_max
+            )
         got = observation_norms(st, T_HORIZON, 0.01)
         for field in ("full_trace_norm_sq", "restricted_trace_norm_sq", "interior_norm_sq"):
             assert getattr(got, field) == pytest.approx(getattr(expect, field), rel=1e-13)
@@ -490,7 +499,20 @@ class TestBlockedAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 9 MB measured: the blocks of pairs, with no trace Gramian of the whole side
+        # 3.2 MB measured: two block buffers of 2^16 pairs, no trace Gramian
+        assert peak <= 30e6
+
+    def test_memory_bound_where_every_pair_is_near(self, basis05_k64):
+        """At T = 1e-6 every pair is near-resonant: the near pairs are found
+        and integrated in chunks, so memory stays within the same bound."""
+        st = random_state(basis05_k64, 64, 64, seed=15)
+        tracemalloc.start()
+        try:
+            observation_norms(st, 1e-6, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 13 MB measured
         assert peak <= 30e6
 
 
@@ -517,10 +539,9 @@ def mp_pair_integral(wi, wj, u0i, du0i, u0j, du0j, T) -> float:
         return float(ci * (cj * cc + sj * cs) + si * (cj * sc + sj * ss))
 
 
-def pair_integrals(w, u0, du0, T, rows=np.s_[...]):
-    """The laboratory's pair integrals of the solutions with data (u0, du0), rows against all."""
-    (pairs,) = waves._pair_integrals(w, T, (waves._ends(u0, du0, w, T),), rows)
-    return pairs
+def pair_integrals(w, u0, du0, T):
+    """The laboratory's pair integrals of the solutions with data (u0, du0), one class."""
+    return waves._pair_integrals(w, T, waves._ends(u0, du0, w, T))
 
 
 #: absolute bound on a pair integral with O(1) coefficients, in units of T:
@@ -549,13 +570,16 @@ class TestPairIntegralsAgainstExtendedPrecision:
     def test_far_pairs_at_the_top_frequency(self, basis05_k64):
         T = default_horizon(0.01)
         w = modal_state(basis05_k64, 64, 64).omega.ravel()
-        top = int(np.argmax(w))
         rng = np.random.default_rng(1)
         u0, du0 = rng.standard_normal(w.size), w * rng.standard_normal(w.size)
-        got = pair_integrals(w, u0, du0, T, rows=np.s_[[top]])[0]
-        for j in range(0, w.size, 7):
-            ref = mp_pair_integral(w[top], w[j], u0[top], du0[top], u0[j], du0[j], T)
-            assert abs(got[j] - ref) <= PAIR_TOLERANCE * T
+        # the top mode and every seventh of the 4096, as one class
+        modes = np.unique(np.r_[np.argmax(w), 0 : w.size : 7])
+        top = int(np.argmax(w[modes]))
+        got = pair_integrals(w[modes], u0[modes], du0[modes], T)[top]
+        i = modes[top]
+        for got_j, j in zip(got, modes):
+            ref = mp_pair_integral(w[i], w[j], u0[i], du0[i], u0[j], du0[j], T)
+            assert abs(got_j - ref) <= PAIR_TOLERANCE * T
 
     @pytest.mark.parametrize("k_max", [16, 1])  # with one radial mode every pair is near
     def test_trace_gramian_basis_pairs(self, basis05, k_max):
@@ -595,6 +619,104 @@ class TestAgainstFourKernelOracle:
         oracle = four_kernel_trace_gramian(basis05_k64.flux, st.omega, T)
         scale = np.abs(oracle).max(axis=(1, 2))
         assert np.all(np.abs(gramian - oracle).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+def norms_of(report):
+    return (report.full_trace_norm_sq, report.restricted_trace_norm_sq, report.interior_norm_sq)
+
+
+class TestSymmetricHalfAgainstBlockedReference:
+    """The symmetric half of each form against the blocked path it replaced.
+
+    The reference (tests/oracles.py) forms every block of sine orders
+    against its whole parity class and scans each block for near pairs.
+    Differences are measured against the sum of the terms' magnitudes,
+    which is the norm itself unless the terms cancel: the two paths sum in
+    different orders, so where the terms cancel they agree to that scale,
+    not to the norm.  The four-kernel oracle carries its own rounding at
+    the level of 1e-13 (its mirrored strip near theta = 1 and its
+    uncorrected phases), with the blocked path as well as without it.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_max=st_.one_of(
+            st_.just(1), st_.integers(1, 24).map(lambda n: 2 * n - 1), st_.integers(1, 48)
+        ),
+        k_max=st_.one_of(st_.just(1), st_.integers(1, 48)),
+        delta0=st_.sampled_from([1e-4, 0.013, 0.2]),
+        log_T=st_.floats(-6.0, 3.0),
+        seed=st_.integers(0, 2**16),
+    )
+    def test_norms(self, basis05_k64, n_max, k_max, delta0, log_T, seed):
+        T = 10.0**log_T
+        st = random_state(basis05_k64, n_max, k_max, seed)
+        got = norms_of(observation_norms(st, T, delta0))
+        scale = norms_of(term_magnitudes(st, T, delta0))
+        restricted, interior = blocked_segment_and_strip_norms(st, T, delta0)
+        reference = (blocked_full_trace_norm(st, T), restricted, interior)
+        for g, ref, s in zip(got, reference, scale):
+            assert abs(g - ref) <= 1e-14 * s
+        assert full_trace_norm_closed(st, T) == got[0]
+        for g, ref, s in zip(got, norms_of(all_pairs_observation_norms(st, T, delta0)), scale):
+            assert abs(g - ref) <= 1e-12 * s
+        if delta0 < 1 / 32 and T > observation_time_threshold(delta0, default_beta(delta0)):
+            record = observability_ratio(st, DomainSpec(delta0), T)
+            assert (record.trace_restricted, record.interior_term) == got[1:]
+            assert abs(record.trace_restricted - restricted) <= 1e-14 * scale[1]
+            assert abs(record.interior_term - interior) <= 1e-14 * scale[2]
+
+
+class TestNearPairs:
+    """The sorted search finds exactly the pairs of the elementwise test."""
+
+    @staticmethod
+    def found(w, classes, T):
+        """Flat keys i * size + j of the pairs _near_pairs yields, in its order."""
+        windows = waves._near_windows(w, classes, T)
+        keys = []
+        for i, j in waves._near_pairs(windows):
+            assert np.all(i <= j)
+            keys.append(i * w.size + j)
+        return np.concatenate(keys)
+
+    @staticmethod
+    def brute(w, classes, T):
+        mask = (classes[:, None] == classes[None, :]) & (np.abs(w[:, None] - w[None, :]) < 1.0 / T)
+        return np.flatnonzero(np.triu(mask))
+
+    def check(self, w, classes, T):
+        found = self.found(w, classes, T)
+        assert np.all(np.diff(found // w.size) >= 0)  # in increasing i
+        assert np.array_equal(np.sort(found), self.brute(w, classes, T))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 9), (16, 16), (33, 5), (48, 48)])
+    @pytest.mark.parametrize("T", [1e-6, 0.3, 44.0, 1e3, 1e9])
+    def test_parity_and_order_classes(self, basis05_k64, shape, T):
+        omega = modal_state(basis05_k64, *shape).omega
+        w = omega.ravel()
+        for classes in (np.arange(w.size) // shape[1], (np.arange(w.size) // shape[1]) % 2):
+            self.check(w, classes, T)
+
+    @pytest.mark.parametrize("x", [3.0, 251.2, 1e4])
+    @pytest.mark.parametrize("T", [1e-6, 1.0, 44.0, 1e10])
+    def test_gaps_at_the_threshold(self, x, T):
+        """Gaps of 1/T and a few ulps either side, with repeated frequencies."""
+        h = 1.0 / T
+        w = np.array([x, x + h, x - h])
+        for _ in range(2):
+            w = np.concatenate((w, np.nextafter(w[1:3], np.inf), np.nextafter(w[1:3], -np.inf)))
+        w = np.concatenate((w, w))
+        self.check(w, np.zeros(w.size, dtype=int), T)
+
+    def test_chunks_cover_each_pair_once(self, basis05_k64):
+        w = modal_state(basis05_k64, 32, 64).omega.ravel()
+        windows = waves._near_windows(w, np.zeros(w.size, dtype=int), 1e-6)
+        chunks = list(waves._near_pairs(windows))
+        assert len(chunks) > 1
+        i = np.concatenate([i for i, _ in chunks])
+        assert i.size == w.size * (w.size + 1) // 2  # every pair is near
+        assert np.all(np.diff(i) >= 0)
 
 
 class TestRandomState:
@@ -649,6 +771,16 @@ def mp_overlap_matrix(n_max, a, b, sign):
 
 
 class TestOverlapMatrices:
+    @pytest.mark.parametrize("a, b", [(0.01, 0.99), (0.0, 0.04), (0.96, 1.0), (0.2, 0.7)])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_toeplitz_hankel_overlaps_bitwise(self, a, b, sign):
+        """Sines of the 2 n - 1 difference and sum frequencies, gathered,
+        give the very floats of the n x n grid of n - m and n + m."""
+        for n_max in range(1, 65):
+            assert np.array_equal(
+                waves._trig_overlaps(n_max, a, b, sign), grid_trig_overlaps(n_max, a, b, sign)
+            )
+
     @pytest.mark.parametrize(
         "a, b",
         [(0.0, 4e-2), (0.0, 4e-4), (0.0, 4e-5), (0.0, 4e-7), (0.3, 0.3 + 4e-5)],
