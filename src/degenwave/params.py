@@ -98,7 +98,7 @@ def _real(
     if least is not None:
         rules.append((x >= least, f"be at least {least}"))
     for ok, rule in rules:
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        if not np.all(ok):
             bad = x if np.ndim(x) == 0 else x[~ok].flat[0]
             raise error(f"{name} must {rule}, got {bad}")
     return x

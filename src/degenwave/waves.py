@@ -771,36 +771,20 @@ def full_trace_norm_closed(state: ModalCoefficients, T: float) -> float:
     The normal derivative is sum amp_nk(t) sin(n pi theta) R_k'(1), and
     sine orthogonality on the whole side leaves only the pairs of one sine
     order, each with theta factor 1/2: the form is half the sum over n, k, l
-    of R_k'(1) R_l'(1) int_0^T amp_nk amp_nl dt.  As in _pair_integrals, a
-    pair integral is the rank-4 Wronskian numerator of the datum's own ends
-    times the quotient 1 / (w_l^2 - w_k^2) of its order; the flux folds
-    into the numerator stacks, which contract the quotient directly, and
-    the near-resonant pairs, zeroed there, take _direct_pair_integrals.
-    The trace Gramian, whose blocks would cost 2k x 2k pairs per order, is
+    of R_k'(1) R_l'(1) int_0^T amp_nk amp_nl dt.  Those (n, k, l) pair
+    integrals come from the datum's own ends in one _pair_integrals call;
+    the trace Gramian, whose blocks would cost 2k x 2k pairs per order, is
     left to ensembles, where one block serves many data.
 
     Raises:
         NonPositiveInput: T not positive and finite.
         ParameterOutOfRange: the phase max(omega) T is 2^53 or more.
     """
-    w, m = state.omega, state.k_max
-    u0, du0, uT, duT = _ends(state.a, state.b, w, T)
-    flux = state.basis.flux[:m]
-    left = np.array((duT, -uT, -du0, u0)).transpose(1, 0, 2) * flux  # (order, p, k)
-    right = np.array((uT, duT, u0, du0)).transpose(1, 0, 2) * flux
-    quotient = w[:, None, :] - w[:, :, None]
-    quotient *= w[:, None, :] + w[:, :, None]
-    with np.errstate(divide="ignore"):  # the diagonal, zeroed below
-        np.divide(1.0, quotient, out=quotient)
-    windows = _near_windows(w.ravel(), np.arange(w.size) // m, T)
-    u0, du0, w = u0.ravel(), du0.ravel(), windows.w
-    flat = quotient.reshape(-1)
-    near = 0.0
-    for i, j in _near_pairs(windows):
-        flat[i * m + j % m] = flat[j * m + i % m] = 0.0
-        direct = _direct_pair_integrals(w[i], w[j], T, u0[i], du0[i] / w[i], u0[j], du0[j] / w[j])
-        near += (2.0 - (i == j)) * flux[i % m] * flux[j % m] @ direct
-    return 0.5 * float(np.einsum("npl,npl->", np.matmul(left, quotient), right) + near)
+    w = state.omega
+    pairs = _pair_integrals(w, T, _ends(state.a, state.b, w, T))
+    flux = state.basis.flux[: state.k_max]
+    per_order = pairs.reshape(state.n_max, -1) @ np.outer(flux, flux).ravel()
+    return 0.5 * float(np.sum(per_order))
 
 
 def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> TraceReport:

@@ -633,10 +633,20 @@ class TestSymmetricHalfAgainstBlockedReference:
     Differences are measured against the sum of the terms' magnitudes,
     which is the norm itself unless the terms cancel: the two paths sum in
     different orders, so where the terms cancel they agree to that scale,
-    not to the norm.  The four-kernel oracle carries its own rounding at
-    the level of 1e-13 (its mirrored strip near theta = 1 and its
-    uncorrected phases), with the blocked path as well as without it.
+    not to the norm.  Where that sum is within WELL_CONDITIONED of the
+    norm, they agree within 1e-14 of the norm as well.  The four-kernel
+    oracle carries its own rounding at the level of 1e-13 where delta0 is
+    1e-4 (its mirrored strip near theta = 1 and its uncorrected phases),
+    with the blocked path as well as without it; there it is held to
+    1e-12 of the magnitude sum only.
     """
+
+    WELL_CONDITIONED = 4.0
+
+    def close(self, got, ref, scale, tol):
+        assert abs(got - ref) <= tol * scale
+        if scale <= self.WELL_CONDITIONED * abs(ref):
+            assert abs(got - ref) <= 1e-14 * abs(ref)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -656,10 +666,13 @@ class TestSymmetricHalfAgainstBlockedReference:
         restricted, interior = blocked_segment_and_strip_norms(st, T, delta0)
         reference = (blocked_full_trace_norm(st, T), restricted, interior)
         for g, ref, s in zip(got, reference, scale):
-            assert abs(g - ref) <= 1e-14 * s
+            self.close(g, ref, s, 1e-14)
         assert full_trace_norm_closed(st, T) == got[0]
         for g, ref, s in zip(got, norms_of(all_pairs_observation_norms(st, T, delta0)), scale):
-            assert abs(g - ref) <= 1e-12 * s
+            if delta0 < 1e-3:
+                assert abs(g - ref) <= 1e-12 * s
+            else:
+                self.close(g, ref, s, 1e-14)
         if delta0 < 1 / 32 and T > observation_time_threshold(delta0, default_beta(delta0)):
             record = observability_ratio(st, DomainSpec(delta0), T)
             assert (record.trace_restricted, record.interior_term) == got[1:]
