@@ -51,7 +51,6 @@ from .errors import (
     DivergentWeight,
     InvalidMeshSpec,
     ParameterOutOfRange,
-    TruncationTooSmall,
 )
 from .params import DegeneracyParams, _real, _reals, _whole
 
@@ -283,7 +282,10 @@ class RadialBasis:
     eigenvector on the full node set (zero where constrained), normalized
     to unit lumped mass with its first nonzero entry positive; flux[j] is
     its variationally recovered derivative at the right endpoint, negative
-    for the ground mode under this orientation.
+    for the ground mode under this orientation.  gram is the consistent
+    Gram matrix of all its eigenfunctions, formed once, on first use, by one
+    mass product of the dof block of R and one matmul; the observation forms
+    of a truncation to k_max pairs read its leading k_max x k_max block.
     """
 
     mats: WeightedMatrices
@@ -304,20 +306,14 @@ class RadialBasis:
     def k_max(self) -> int:
         return self.rho.size
 
-    def consistent_gram(self, k_max: int) -> np.ndarray:
-        """Exact pairwise integrals int R_j R_k dr (consistent mass products)
-        of the first k_max eigenfunctions.
-
-        Raises:
-            TruncationTooSmall: k_max not an integer in [1, self.k_max].
-        """
-        k_max = _whole(k_max, "k_max", TruncationTooSmall, minimum=1)
-        if k_max > self.k_max:
-            raise TruncationTooSmall(
-                f"k_max = {k_max} exceeds the {self.k_max} computed eigenpairs"
-            )
-        dof = self.R[:k_max, self.mats.i0 : self.mats.i1]
-        return dof @ self.mats.mass_action(dof).T
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Exact pairwise integrals int R_j R_k dr (consistent mass products),
+        read-only."""
+        dof = self.R[:, self.mats.i0 : self.mats.i1]
+        gram = dof @ self.mats.mass_action(dof).T
+        gram.flags.writeable = False
+        return gram
 
 
 # Eigenvalues per Sturm bisection call.  The chunks follow from k_max alone,

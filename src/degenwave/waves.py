@@ -6,16 +6,20 @@ harmonic oscillator of frequency omega_nk = sqrt((n*pi)^2 + rho_k), so time
 evolution carries no discretization error and energy conservation is a pure
 roundoff statement.  Boundary traces on the top side r = 1 and interior
 observation norms over the lateral strips are quadratic forms in the modal
-data y = (a, b/omega) with exact factors: theta factors are closed-form
-overlaps, radial factors exact element integrals, and time factors exact
-pair integrals.  Every modal amplitude solves u'' = -omega^2 u, so a pair
-integral over (0, T) is a Wronskian difference at the two ends divided by
-omega_j^2 - omega_i^2: one rotation to t = T per mode and a few flops per
-pair, with a direct formula over the sum and difference frequencies for
-the few near-resonant pairs, the diagonal among them.  Every form finds
-its near pairs the same way: one sorted search over the frequencies of
-each class of modes that pair (_near_windows), read out and integrated in
-bounded chunks (_near_pairs, _direct_pair_integrals).
+data y = (a, b/omega) with exact factors: theta factors are sine and
+cosine overlaps, all from one kernel (_trig_overlaps: closed form, or
+Gauss-Legendre for sines on short intervals); radial factors are exact
+element integrals, the eigenvalues rho_k and the basis's consistent Gram
+(RadialBasis.gram, formed once per basis, of which a truncation reads its
+leading block); and time factors are exact pair integrals.  Every modal
+amplitude solves u'' = -omega^2 u, so a pair integral over (0, T) is a
+Wronskian difference at the two ends divided by omega_j^2 - omega_i^2: one
+rotation to t = T per mode and a few flops per pair, with a direct formula
+over the sum and difference frequencies for the few near-resonant pairs,
+the diagonal among them.  Every form finds its near pairs the same way:
+one sorted search over the frequencies of each class of modes that pair
+(_near_windows), read out and integrated in bounded chunks (_near_pairs,
+_direct_pair_integrals).
 
 The whole top side couples only modes of the same sine order, so one
 datum's form is the sum of the same-order pair integrals of its own ends
@@ -58,8 +62,6 @@ __all__ = [
     "data_norms",
     "full_trace_norm_closed",
     "observation_norms",
-    "sine_overlap_matrix",
-    "cosine_overlap_matrix",
 ]
 
 #: side length of the master coefficient block behind seeded random data;
@@ -363,9 +365,24 @@ def energy_series(state: ModalCoefficients, times: np.ndarray) -> EnergyReport:
             nan or infinite.
     """
     times = _reals(times, "times", GridMismatch)
-    amp, vel = _rotate(state.a[..., None], state.b[..., None], state.omega[..., None], times)
-    kinetic = 0.25 * np.sum(vel**2, axis=(0, 1))
-    potential = 0.25 * np.sum(state.omega_sq[..., None] * amp**2, axis=(0, 1))
+    a, b, w = state.a[..., None], state.b[..., None], state.omega[..., None]
+    # _rotate in place, with its products and sums, in three (modes x times)
+    # arrays: the phase becomes cos, and b cos joins the velocity one sine
+    # order at a time, so that no fourth array is made
+    amp = np.multiply(w, times)
+    sin = np.sin(amp)
+    np.cos(amp, out=amp)
+    vel = np.multiply(-a * w, sin)
+    for row, b_n, cos_n in zip(vel, b, amp):
+        row += b_n * cos_n
+    amp *= a
+    sin *= b / w
+    amp += sin
+    vel *= vel
+    amp *= amp
+    amp *= state.omega_sq[..., None]
+    kinetic = 0.25 * np.sum(vel, axis=(0, 1))
+    potential = 0.25 * np.sum(amp, axis=(0, 1))
     return EnergyReport(
         times=times, total=kinetic + potential, kinetic=kinetic, potential=potential
     )
@@ -384,7 +401,7 @@ def data_norms(state: ModalCoefficients) -> tuple[float, float]:
 
 
 def _trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
-    """int_a^b of sin sin (sign -1) or cos cos (sign +1) of (n pi t, m pi t), closed form.
+    """int_a^b of sin sin (sign -1) or cos cos (sign +1) of (n pi t, m pi t), n, m <= n_max.
 
     Both products are (cos((n-m) pi t) + sign cos((n+m) pi t)) / 2, whose
     antiderivatives are evaluated at the two ends.  Their terms depend on
@@ -392,8 +409,22 @@ def _trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
     difference and the 2 n_max - 1 sum frequencies and gathers them into
     Toeplitz and Hankel form, entry for entry the same floats as on the
     whole n_max x n_max grid.
+
+    For sines the two antiderivatives cancel on short intervals: over
+    (0, c) both are near c / 2 while the entries are of order
+    (n pi)(m pi) c^3 / 3.  Where n_max pi (b - a) <= 1 the sine products
+    instead go through 8-point Gauss-Legendre, which integrates their
+    frequencies, at most 1 on the rescaled interval (-1, 1), to within
+    1e-17 of (b - a) and sums products of sines that keep their relative
+    accuracy.
     """
     n = np.arange(1, n_max + 1, dtype=float)
+    if sign < 0 and n_max * math.pi * (b - a) <= 1.0:
+        x, w = np.polynomial.legendre.leggauss(8)
+        half = 0.5 * (b - a)
+        s = np.sin(np.outer(n * math.pi, 0.5 * (a + b) + half * x))
+        # s_n s_m w is bitwise symmetric in (n, m), and so is its sum
+        return half * (s[:, None, :] * s[None, :, :] * w).sum(axis=-1)
     dif = np.arange(1 - n_max, n_max, dtype=float) * math.pi  # (n - m) pi
     tot = np.arange(2, 2 * n_max + 1, dtype=float) * math.pi  # (n + m) pi
     idx = np.arange(n_max)
@@ -413,49 +444,8 @@ def _trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
     return anti(b) - anti(a)
 
 
-def sine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
-    """Exact integrals int_a^b sin(n pi t) sin(m pi t) dt for n, m <= n_max.
-
-    The closed form subtracts two antiderivatives, which cancel on short
-    intervals: over (0, c) both are near c / 2 while the entries are of
-    order (n pi)(m pi) c^3 / 3.  Where n_max pi (b - a) <= 1 the integrand
-    instead goes through 8-point Gauss-Legendre, which integrates its
-    frequencies, at most 1 on the rescaled interval (-1, 1), to within
-    1e-17 of (b - a) and sums products of sines that keep their relative
-    accuracy.
-
-    Raises:
-        ParameterOutOfRange: n_max not an integer of at least 1, or an end
-            that is not a finite real number.
-    """
-    n_max = _whole(n_max, "n_max", minimum=1)
-    _real(a, "a")
-    _real(b, "b")
-    if n_max * math.pi * (b - a) <= 1.0:
-        x, w = np.polynomial.legendre.leggauss(8)
-        half = 0.5 * (b - a)
-        n = np.arange(1, n_max + 1, dtype=float)
-        s = np.sin(np.outer(n * math.pi, 0.5 * (a + b) + half * x))
-        # s_n s_m w is bitwise symmetric in (n, m), and so is its sum
-        return half * (s[:, None, :] * s[None, :, :] * w).sum(axis=-1)
-    return _trig_overlaps(n_max, a, b, -1.0)
-
-
-def cosine_overlap_matrix(n_max: int, a: float, b: float) -> np.ndarray:
-    """Exact integrals int_a^b cos(n pi t) cos(m pi t) dt for n, m <= n_max.
-
-    Raises:
-        ParameterOutOfRange: n_max not an integer of at least 1, or an end
-            that is not a finite real number.
-    """
-    n_max = _whole(n_max, "n_max", minimum=1)
-    _real(a, "a")
-    _real(b, "b")
-    return _trig_overlaps(n_max, a, b, 1.0)
-
-
-def _strips_overlap(n_max: int, delta0: float, kind: str) -> np.ndarray:
-    """Sine or cosine overlaps summed over the lateral strips of theta_strips(delta0).
+def _strips_overlap(n_max: int, delta0: float, sign: float) -> np.ndarray:
+    """The overlaps _trig_overlaps(sign) summed over the strips of theta_strips(delta0).
 
     Two strips are mirror images under theta -> 1 - theta, which multiplies
     the product of orders n and m by (-1)^(n+m): the pair sums to twice the
@@ -463,9 +453,8 @@ def _strips_overlap(n_max: int, delta0: float, kind: str) -> np.ndarray:
     strip is evaluated, whose phases stay small, so short strips keep their
     accuracy near theta = 1 as well.
     """
-    build = sine_overlap_matrix if kind == "sine" else cosine_overlap_matrix
     (a, b), *mirror = theta_strips(delta0)
-    out = build(n_max, a, b)
+    out = _trig_overlaps(n_max, a, b, sign)
     if mirror:
         n = np.arange(n_max)
         out *= np.where((n[:, None] + n[None, :]) % 2 == 0, 2.0, 0.0)
@@ -484,9 +473,9 @@ def _theta_factors(n_max: int, delta0: float) -> np.ndarray:
     mu = np.arange(1, n_max + 1) * math.pi
     return np.stack(
         [
-            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),
-            np.outer(mu, mu) * _strips_overlap(n_max, delta0, "cosine"),
-            _strips_overlap(n_max, delta0, "sine"),
+            _trig_overlaps(n_max, delta0, 1.0 - delta0, -1.0),
+            np.outer(mu, mu) * _strips_overlap(n_max, delta0, 1.0),
+            _strips_overlap(n_max, delta0, -1.0),
         ],
         axis=-1,
     )
@@ -548,19 +537,19 @@ def _ends(u0: np.ndarray, du0: np.ndarray, w: np.ndarray, T: float) -> tuple[np.
 
 
 def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^T cos(w t) dt = sin(wT)/w and int_0^T sin(w t) dt = (1 - cos(wT))/w.
+    """int_0^T cos(w t) dt = sin(wT)/w and int_0^T sin(w t) dt = 2 sin(wT/2)^2/w.
 
-    Where |w| T < 1e-8 the quotients are replaced by their w -> 0 limits
-    T - w^2 T^3 / 6 and w T^2 / 2.
+    The versine form keeps its relative accuracy for small w T, where
+    (1 - cos(wT))/w cancels.  At w = 0 the quotients take their limits T
+    and 0.
     """
     wt = w * T
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.sin(wt) / w
-        vers = (1.0 - np.cos(wt)) / w
-    small = np.abs(w) * T < 1e-8
-    w_small = w[small]
-    sinc[small] = T - w_small**2 * T**3 / 6.0
-    vers[small] = 0.5 * w_small * T**2
+        vers = 2.0 * np.sin(0.5 * wt) ** 2 / w
+    zero = w == 0.0
+    sinc[zero] = T
+    vers[zero] = 0.0
     return sinc, vers
 
 
@@ -858,7 +847,7 @@ def _segment_and_strip_norms(
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = basis.flux[:k_max]
-    gram = basis.consistent_gram(k_max)
+    gram = basis.gram[:k_max, :k_max]
     rho = basis.rho[:k_max]
     # radial factors: the trace's flux products; gram, which goes with both
     # strip factors of the amplitudes and the strip sines of the

@@ -41,10 +41,9 @@ from degenwave.waves import (
     _ends,
     _theta_factors,
     _trapezoid_weights,
-    cosine_overlap_matrix,
+    _trig_overlaps,
     data_norms,
     random_state,
-    sine_overlap_matrix,
 )
 
 
@@ -155,7 +154,7 @@ def trapezoid_observation_norms(
     c = 4.0 * delta0
     strips = [(0.0, 1.0)] if c >= 0.5 else [(0.0, c), (1.0 - c, 1.0)]
     g_s, g_c = _theta_grams(orders, strips, n_theta)
-    gram = basis.consistent_gram(basis.k_max)[:k_max, :k_max]
+    gram = basis.gram[:k_max, :k_max]
     w_amp = ((amp * w_t) @ amp.T).reshape(n_max, k_max, n_max, k_max)
     w_vel = ((vel * w_t) @ vel.T).reshape(n_max, k_max, n_max, k_max)
     interior = (
@@ -171,19 +170,16 @@ _ALL_PAIRS_BLOCK_ELEMENTS = 2**18
 
 
 def _trig_integrals(w: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^T cos(w t) dt = sin(wT)/w and int_0^T sin(w t) dt = (1 - cos(wT))/w.
-
-    Where |w| T < 1e-8 the quotients are replaced by their w -> 0 limits
-    T - w^2 T^3 / 6 and w T^2 / 2.
-    """
+    """int_0^T cos(w t) dt = sin(wT)/w and int_0^T sin(w t) dt = 2 sin(wT/2)^2/w,
+    with the limits T and 0 at w = 0.  The versine form does not cancel for
+    small w T, as (1 - cos(wT))/w does."""
     wt = w * T
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.sin(wt) / w
-        vers = (1.0 - np.cos(wt)) / w
-    small = np.abs(w) * T < 1e-8
-    w_small = w[small]
-    sinc[small] = T - w_small**2 * T**3 / 6.0
-    vers[small] = 0.5 * w_small * T**2
+        vers = 2.0 * np.sin(0.5 * wt) ** 2 / w
+    zero = w == 0.0
+    sinc[zero] = T
+    vers[zero] = 0.0
     return sinc, vers
 
 
@@ -218,11 +214,10 @@ def four_kernel_trace_gramian(flux: np.ndarray, omega: np.ndarray, T: float) -> 
     return np.block([[cc, cs], [sc, ss]]) * np.outer(flux, flux)
 
 
-def _summed_strips_overlap(n_max: int, strips, kind: str) -> np.ndarray:
-    build = sine_overlap_matrix if kind == "sine" else cosine_overlap_matrix
+def _summed_strips_overlap(n_max: int, strips, sign: float) -> np.ndarray:
     out = np.zeros((n_max, n_max))
     for a, b in strips:
-        out += build(n_max, a, b)
+        out += _trig_overlaps(n_max, a, b, sign)
     return out
 
 
@@ -256,15 +251,15 @@ def all_pairs_observation_norms(state, T: float, delta0: float) -> TraceReport:
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = basis.flux[:k_max]
-    gram = basis.consistent_gram(k_max)
+    gram = basis.gram[:k_max, :k_max]
     strips = theta_strips(delta0)
-    strip_sines = _summed_strips_overlap(n_max, strips, "sine")
+    strip_sines = _summed_strips_overlap(n_max, strips, -1.0)
     mu = np.arange(1, n_max + 1) * math.pi
     # amplitude form: theta factor j pairs with radial factor j
     theta_amp = np.stack(
         [
-            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),  # restricted trace
-            np.outer(mu, mu) * _summed_strips_overlap(n_max, strips, "cosine"),  # (d_theta phi)^2
+            _trig_overlaps(n_max, delta0, 1.0 - delta0, -1.0),  # restricted trace
+            np.outer(mu, mu) * _summed_strips_overlap(n_max, strips, 1.0),  # (d_theta phi)^2
             strip_sines,  # r^alpha (d_r phi)^2 + phi^2
         ],
         axis=-1,
@@ -308,14 +303,14 @@ def term_magnitudes(state, T: float, delta0: float) -> TraceReport:
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = np.abs(basis.flux[:k_max])
-    gram = np.abs(basis.consistent_gram(k_max))
+    gram = np.abs(basis.gram[:k_max, :k_max])
     strips = theta_strips(delta0)
-    strip_sines = np.abs(_summed_strips_overlap(n_max, strips, "sine"))
+    strip_sines = np.abs(_summed_strips_overlap(n_max, strips, -1.0))
     mu = np.arange(1, n_max + 1) * math.pi
     theta_amp = np.abs(np.stack(
         [
-            sine_overlap_matrix(n_max, delta0, 1.0 - delta0),
-            np.outer(mu, mu) * _summed_strips_overlap(n_max, strips, "cosine"),
+            _trig_overlaps(n_max, delta0, 1.0 - delta0, -1.0),
+            np.outer(mu, mu) * _summed_strips_overlap(n_max, strips, 1.0),
             strip_sines,
         ],
         axis=-1,
@@ -416,7 +411,7 @@ def blocked_segment_and_strip_norms(state, T: float, delta0: float) -> tuple[flo
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
     flux = basis.flux[:k_max]
-    gram = basis.consistent_gram(k_max)
+    gram = basis.gram[:k_max, :k_max]
     theta_amp = _theta_factors(n_max, delta0)
     radial_amp = np.stack(
         [np.outer(flux, flux), gram, np.diag(basis.rho[:k_max]) + gram], axis=-1
@@ -456,8 +451,15 @@ def blocked_full_trace_norm(state, T: float) -> float:
 
 def grid_trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
     """int_a^b of sin sin (sign -1) or cos cos (sign +1) of (n pi t, m pi t),
-    with the sines taken on the whole n_max x n_max grid of n - m and n + m."""
+    with the sines taken on the whole n_max x n_max grid of n - m and n + m;
+    the sines of short intervals, n_max pi (b - a) <= 1, by 8-point
+    Gauss-Legendre, as the package takes them."""
     n = np.arange(1, n_max + 1, dtype=float)
+    if sign < 0 and n_max * math.pi * (b - a) <= 1.0:
+        x, w = np.polynomial.legendre.leggauss(8)
+        half = 0.5 * (b - a)
+        s = np.sin(np.outer(n * math.pi, 0.5 * (a + b) + half * x))
+        return half * (s[:, None, :] * s[None, :, :] * w).sum(axis=-1)
     dif = (n[:, None] - n[None, :]) * math.pi
     tot = (n[:, None] + n[None, :]) * math.pi
 

@@ -21,6 +21,7 @@ from degenwave.observability import (
     observability_ratio,
 )
 from degenwave.params import observation_time_threshold, theta_strips
+from degenwave.radial import WeightedMatrices, solve_radial_basis
 from degenwave.waves import (
     RANDOM_CAP,
     data_norms,
@@ -28,7 +29,6 @@ from degenwave.waves import (
     modal_state,
     observation_norms,
     random_state,
-    sine_overlap_matrix,
 )
 
 
@@ -107,12 +107,15 @@ class TestObstructionScan:
         T, d0 = horizon, domain001.delta0
         flux_sq = basis05_k64.flux[0] ** 2
         rho1 = basis05_k64.rho[0]
-        r_mass = basis05_k64.consistent_gram(1)[0, 0]
+        r_mass = basis05_k64.gram[0, 0]
         for n, got in zip(ns, scan.remedied_ratios):
             w = math.sqrt((n * math.pi) ** 2 + rho1)
             cos2 = 0.5 * T + math.sin(2.0 * w * T) / (4.0 * w)
             sin2 = T - cos2
-            sin_sq = [(b - a, sine_overlap_matrix(n, a, b)[n - 1, n - 1]) for a, b in theta_strips(d0)]
+            sin_sq = [
+                (b - a, waves._trig_overlaps(n, a, b, -1.0)[n - 1, n - 1])
+                for a, b in theta_strips(d0)
+            ]
             g_s = sum(s for _, s in sin_sq)
             g_c = sum(width - s for width, s in sin_sq)  # int cos^2 = width - int sin^2
             interior = (
@@ -121,7 +124,7 @@ class TestObstructionScan:
                 + cos2 * g_s * rho1  # r^alpha (d_r phi)^2
                 + cos2 * g_s * r_mass  # phi^2
             )
-            restricted = flux_sq * sine_overlap_matrix(n, d0, 1.0 - d0)[n - 1, n - 1] * cos2
+            restricted = flux_sq * waves._trig_overlaps(n, d0, 1.0 - d0, -1.0)[n - 1, n - 1] * cos2
             assert got == pytest.approx((w**2 / 4.0) / (restricted + interior), rel=1e-12)
 
     def test_insufficient_data(self, basis05_k64, domain001, horizon):
@@ -345,3 +348,31 @@ def test_horizon_just_below_phase_resolution_admitted(basis05, domain001):
     state = random_state(basis05, 2, 3, 1)
     T = 0.99 * 2.0**53 / state.omega.max()
     assert math.isfinite(full_trace_norm_closed(state, T))
+
+
+# The forms read the basis's consistent Gram, which the basis forms once: a
+# second call on one basis once rebuilt it by another mass product
+GRAM_READERS = [
+    lambda basis, domain, T: observation_norms(random_state(basis, 4, 8, 1), T, domain.delta0),
+    lambda basis, domain, T: observability_ratio(random_state(basis, 4, 8, 1), domain, T),
+    lambda basis, domain, T: high_mode_obstruction_scan([1, 2, 4, 8], T, domain, basis),
+]
+
+
+@pytest.mark.parametrize(
+    "call", GRAM_READERS, ids=["observation-norms", "ratio", "obstruction-scan"]
+)
+def test_gram_formed_once_per_basis(domain001, horizon, monkeypatch, call):
+    basis = solve_radial_basis(0.5, N=256, g=2.0, k_max=8)
+    calls = []
+    mass_action = WeightedMatrices.mass_action
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return mass_action(self, x)
+
+    monkeypatch.setattr(WeightedMatrices, "mass_action", counted)
+    call(basis, domain001, horizon)
+    assert calls == [(8, basis.mats.n_dof)]  # all the basis's pairs at once
+    call(basis, domain001, horizon)
+    assert len(calls) == 1

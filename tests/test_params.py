@@ -14,7 +14,6 @@ from degenwave.errors import (
     NonPositiveInput,
     ParameterOutOfRange,
     TimeTooShort,
-    TruncationTooSmall,
 )
 from degenwave.carleman import build_weight_field
 from degenwave.hardy import blowup_rate_fit, critical_truncated_constant
@@ -44,7 +43,6 @@ from degenwave.radial import (
     solve_radial_basis,
 )
 from degenwave.waves import (
-    cosine_overlap_matrix,
     duhamel_forcing,
     energy_series,
     evolve,
@@ -52,7 +50,6 @@ from degenwave.waves import (
     observation_norms,
     project_initial_data,
     random_state,
-    sine_overlap_matrix,
 )
 from oracles import _band_certified, two_band_cutoff
 
@@ -418,7 +415,6 @@ REFUSED = [
     (lambda basis: observation_time_threshold(0.01, math.nan), NonPositiveInput),
     (lambda basis: observation_time_threshold(0.01, math.inf), NonPositiveInput),
     (lambda basis: default_horizon(math.nan), NonPositiveInput),
-    (lambda basis: basis.consistent_gram(2.5), TruncationTooSmall),
     (lambda basis: DomainSpec("0.01"), ParameterOutOfRange),
     (lambda basis: solve_radial_basis("0.5"), ParameterOutOfRange),
     (lambda basis: observation_norms(random_state(basis, 4, 4, 1), 44.0, "0.01"),
@@ -426,8 +422,6 @@ REFUSED = [
     (lambda basis: evolve(random_state(basis, 4, 4, 1), "1.0"), GridMismatch),
     (lambda basis: validate_carleman_params(0.5, DomainSpec(0.03), beta="0.0149", T=40.0),
      NonPositiveInput),
-    (lambda basis: sine_overlap_matrix(4.5, 0.1, 0.5), ParameterOutOfRange),
-    (lambda basis: cosine_overlap_matrix(0, 0.1, 0.5), ParameterOutOfRange),
     (lambda basis: beta_upper_bound(0.5, math.nan), ParameterOutOfRange),
     (lambda basis: theta_strips(math.nan), ParameterOutOfRange),
     (lambda basis: elliptic_identity_residual(basis, math.nan, [1.0]), ParameterOutOfRange),
@@ -439,8 +433,8 @@ REFUSED = [
     REFUSED,
     ids=[
         "graded-mesh-nan-N", "log-mesh-nan-N", "threshold-nan-beta", "threshold-inf-beta",
-        "horizon-nan", "gram-2.5", "domain-text", "basis-text-alpha", "norms-text-delta0",
-        "evolve-text-t", "validate-text-beta", "sine-4.5", "cosine-0", "beta-bound-nan",
+        "horizon-nan", "domain-text", "basis-text-alpha", "norms-text-delta0",
+        "evolve-text-t", "validate-text-beta", "beta-bound-nan",
         "strips-nan", "elliptic-nan-mu",
     ],
 )

@@ -610,7 +610,6 @@ SWEEP = {
     "EnergyReport": row(),
     "ModalCoefficients": row(),
     "TraceReport": row(),
-    "cosine_overlap_matrix": row(("n_max", "a", "b"), n_max=4, a=0.1, b=0.5),
     "data_norms": row(state=shared("state")),
     "duhamel_forcing": row(
         ("dt", "t"), state=shared("state"), f_hat=np.ones((2, 2, 11)), dt=0.1, t=0.5
@@ -630,7 +629,6 @@ SWEEP = {
         ("n_max", "k_max", "seed", "member"), basis=shared("basis"), n_max=2, k_max=2, seed=1,
         member=3,
     ),
-    "sine_overlap_matrix": row(("n_max", "a", "b"), n_max=4, a=0.1, b=0.5),
 }
 
 #: values outside the contract of some argument, or at its edge

@@ -34,6 +34,7 @@ from degenwave.radial import (
     solve_eigenpairs,
     solve_radial_basis,
 )
+from degenwave.waves import random_state
 
 from oracles import (
     banded_refine_smallest_eigenpair,
@@ -668,22 +669,29 @@ class TestConsistentGram:
         mats = basis05_k64.mats
         dof = basis05_k64.R[:, mats.i0 : mats.i1]
         loop = dof @ np.array([mats.mass_action(x) for x in dof]).T
-        gram = basis05_k64.consistent_gram(64)
+        gram = basis05_k64.gram
         assert gram.shape == (64, 64)
         assert np.max(np.abs(gram - loop)) <= 1e-14 * np.max(np.abs(loop))
 
     def test_leading_block(self, basis05_k64):
-        full = basis05_k64.consistent_gram(64)
-        lead = basis05_k64.consistent_gram(5)
-        assert lead.shape == (5, 5)
-        assert np.max(np.abs(lead - full[:5, :5])) <= 1e-14 * np.max(np.abs(full))
+        """A truncation's block of the Gram against the product of its own k rows."""
+        mats = basis05_k64.mats
+        for k in (1, 5, 16, 48, 64):
+            dof = basis05_k64.R[:k, mats.i0 : mats.i1]
+            product = dof @ mats.mass_action(dof).T
+            lead = basis05_k64.gram[:k, :k]
+            assert np.max(np.abs(lead - product)) <= 1e-15 * np.max(np.abs(product)), k
+
+    def test_formed_once_and_read_only(self, basis05):
+        gram = basis05.gram
+        assert basis05.gram is gram
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0, 0] = 1.0
 
     def test_truncation_outside_the_basis_rejected(self, basis05):
-        # once a silent 16 x 16 and 0 x 0 matrix
+        # a state reads the Gram's leading block, so no state may reach past it
         with pytest.raises(TruncationTooSmall, match="k_max = 17 exceeds the 16 computed"):
-            basis05.consistent_gram(17)
-        with pytest.raises(TruncationTooSmall):
-            basis05.consistent_gram(0)
+            random_state(basis05, 2, 17, seed=1)
 
 
 class TestEllipticIdentity:

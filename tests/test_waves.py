@@ -34,7 +34,6 @@ from degenwave.waves import (
     observation_norms,
     project_initial_data,
     random_state,
-    sine_overlap_matrix,
 )
 
 T_HORIZON = 44.0
@@ -241,6 +240,32 @@ class TestEvolution:
         drift = np.max(np.abs(series.total - e0)) / e0
         assert drift <= 1e-12
 
+    def test_energy_series_is_the_rotation(self, basis05):
+        """The in-place rotation gives the very floats of _rotate's amplitudes."""
+        st = random_state(basis05, 7, 5, seed=12)
+        times = np.linspace(0.0, T_HORIZON, 301)
+        amp, vel = waves._rotate(st.a[..., None], st.b[..., None], st.omega[..., None], times)
+        kinetic = 0.25 * np.sum(vel**2, axis=(0, 1))
+        potential = 0.25 * np.sum(st.omega_sq[..., None] * amp**2, axis=(0, 1))
+        series = energy_series(st, times)
+        assert np.array_equal(series.kinetic, kinetic)
+        assert np.array_equal(series.potential, potential)
+        assert np.array_equal(series.total, kinetic + potential)
+
+    def test_energy_series_memory(self, basis05):
+        st = random_state(basis05, 16, 16, seed=11)
+        times = np.linspace(0.0, T_HORIZON, 1001)
+        array = st.a.size * times.nbytes  # one (modes x times) array
+        tracemalloc.start()
+        try:
+            energy_series(st, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.1 arrays measured: cos, sin and the velocity, and one sine
+        # order's b cos
+        assert peak <= 3.2 * array
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, basis05, t):
         # evolve once returned nan coefficients without a warning, and
@@ -420,7 +445,7 @@ class TestInteriorNorm:
         st = modal_state(basis05, 1, 1, amplitudes={(1, 1): 1.0})
         w = st.omega[0, 0]
         val = observation_norms(st, T_HORIZON, 0.2499999).interior_norm_sq
-        g11 = basis05.consistent_gram(1)[0, 0]
+        g11 = basis05.gram[0, 0]
         amp_int = T_HORIZON / 2 + math.sin(2 * w * T_HORIZON) / (4 * w)
         expect = 2.0 * T_HORIZON * energy(st) + 0.5 * amp_int * g11
         assert val == pytest.approx(expect, rel=1e-5)
@@ -596,6 +621,22 @@ class TestPairIntegralsAgainstExtendedPrecision:
                     ref = mp_pair_integral(w[i], w[j], u0[i], du0[i], u0[j], du0[j], T)
                     weight = flux[i] * flux[j]
                     assert abs(gramian[n, i, j] - ref * weight) <= PAIR_TOLERANCE * T * abs(weight)
+
+    @pytest.mark.parametrize("T", [1e-6, default_horizon(0.01)], ids=["T-1e-6", "default-horizon"])
+    def test_state_pairs_to_roundoff(self, basis05, T):
+        """Every pair of a 3x2 state as one class, within 1e-14 of the
+        Cauchy-Schwarz scale sqrt(int u_i^2 int u_j^2).  At T = 1e-6 every
+        pair takes the direct formula, whose sine integral (1 - cos(wT))/w
+        once cancelled to 1e-11 relative."""
+        st = random_state(basis05, 3, 2, seed=2)
+        w, u0, du0 = st.omega.ravel(), st.a.ravel(), st.b.ravel()
+        got = pair_integrals(w, u0, du0, T)
+        ref = np.array([
+            [mp_pair_integral(w[i], w[j], u0[i], du0[i], u0[j], du0[j], T) for j in range(w.size)]
+            for i in range(w.size)
+        ])
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 class TestAgainstFourKernelOracle:
@@ -801,19 +842,19 @@ class TestOverlapMatrices:
     )
     def test_short_sine_overlaps_against_extended_precision(self, a, b):
         """Short intervals, where the two antiderivatives of the closed form cancel."""
-        G = sine_overlap_matrix(8, a, b)
+        G = waves._trig_overlaps(8, a, b, -1.0)
         ref = mp_overlap_matrix(8, a, b, -1)
         assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(G, G.T)
 
     def test_full_interval_orthogonality(self):
-        G = sine_overlap_matrix(6, 0.0, 1.0)
+        G = waves._trig_overlaps(6, 0.0, 1.0, -1.0)
         assert np.allclose(G, 0.5 * np.eye(6), atol=1e-14)
 
     def test_against_quadrature(self):
         from scipy.integrate import quad
 
-        G = sine_overlap_matrix(4, 0.1, 0.7)
+        G = waves._trig_overlaps(4, 0.1, 0.7, -1.0)
         for n in range(1, 5):
             for m in range(1, 5):
                 ref, _ = quad(
