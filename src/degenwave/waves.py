@@ -285,10 +285,20 @@ def _rotate(a, b, w, t) -> tuple[np.ndarray, np.ndarray]:
 
     Returns amp(t) = a cos wt + (b/w) sin wt and its derivative
     -a w sin wt + b cos wt, the time dependence of every separated mode.
+    a, b and w share their leading axis, that of the modes.
     """
-    # w t is not kept: one fewer live (modes x times) temporary
-    c, s = np.cos(w * t), np.sin(w * t)
-    return a * c + b / w * s, -a * w * s + b * c
+    # in three arrays of the result's shape: the phase becomes cos, and
+    # b cos joins the velocity one mode row at a time, so no fourth is made
+    amp = np.multiply(w, t)
+    sin = np.sin(amp)
+    np.cos(amp, out=amp)
+    vel = np.multiply(-a * w, sin)
+    for i in range(len(vel)):
+        vel[i] += b[i] * amp[i]
+    amp *= a
+    sin *= b / w
+    amp += sin
+    return amp, vel
 
 
 def evolve(state: ModalCoefficients, t: float) -> ModalCoefficients:
@@ -365,19 +375,8 @@ def energy_series(state: ModalCoefficients, times: np.ndarray) -> EnergyReport:
             nan or infinite.
     """
     times = _reals(times, "times", GridMismatch)
-    a, b, w = state.a[..., None], state.b[..., None], state.omega[..., None]
-    # _rotate in place, with its products and sums, in three (modes x times)
-    # arrays: the phase becomes cos, and b cos joins the velocity one sine
-    # order at a time, so that no fourth array is made
-    amp = np.multiply(w, times)
-    sin = np.sin(amp)
-    np.cos(amp, out=amp)
-    vel = np.multiply(-a * w, sin)
-    for row, b_n, cos_n in zip(vel, b, amp):
-        row += b_n * cos_n
-    amp *= a
-    sin *= b / w
-    amp += sin
+    amp, vel = _rotate(state.a[..., None], state.b[..., None], state.omega[..., None], times)
+    # squared in place, within the rotation's three (modes x times) arrays
     vel *= vel
     amp *= amp
     amp *= state.omega_sq[..., None]
@@ -808,6 +807,8 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
             segment (delta0, 1 - delta0) or the strips are empty or reversed,
             or the phase max(omega) T is 2^53 or more.
         NonPositiveInput: T not positive and finite.
+        TruncationTooSmall: a state built by hand with more radial orders
+            than its basis computed.
     """
     restricted, interior = _segment_and_strip_norms(state, T, delta0)
     return TraceReport(
@@ -842,10 +843,14 @@ def _segment_and_strip_norms(
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2), or the
             phase max(omega) T is 2^53 or more.
         NonPositiveInput: T not positive and finite.
+        TruncationTooSmall: a state built by hand with more radial orders
+            than its basis computed.
     """
     _real(delta0, "delta0", above=0, below=0.5)
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
+    if k_max > basis.k_max:
+        raise TruncationTooSmall(f"k_max = {k_max} exceeds the {basis.k_max} computed eigenpairs")
     flux = basis.flux[:k_max]
     gram = basis.gram[:k_max, :k_max]
     rho = basis.rho[:k_max]

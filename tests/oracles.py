@@ -451,15 +451,8 @@ def blocked_full_trace_norm(state, T: float) -> float:
 
 def grid_trig_overlaps(n_max: int, a: float, b: float, sign: float) -> np.ndarray:
     """int_a^b of sin sin (sign -1) or cos cos (sign +1) of (n pi t, m pi t),
-    with the sines taken on the whole n_max x n_max grid of n - m and n + m;
-    the sines of short intervals, n_max pi (b - a) <= 1, by 8-point
-    Gauss-Legendre, as the package takes them."""
+    with the sines taken on the whole n_max x n_max grid of n - m and n + m."""
     n = np.arange(1, n_max + 1, dtype=float)
-    if sign < 0 and n_max * math.pi * (b - a) <= 1.0:
-        x, w = np.polynomial.legendre.leggauss(8)
-        half = 0.5 * (b - a)
-        s = np.sin(np.outer(n * math.pi, 0.5 * (a + b) + half * x))
-        return half * (s[:, None, :] * s[None, :, :] * w).sum(axis=-1)
     dif = (n[:, None] - n[None, :]) * math.pi
     tot = (n[:, None] + n[None, :]) * math.pi
 

@@ -240,18 +240,6 @@ class TestEvolution:
         drift = np.max(np.abs(series.total - e0)) / e0
         assert drift <= 1e-12
 
-    def test_energy_series_is_the_rotation(self, basis05):
-        """The in-place rotation gives the very floats of _rotate's amplitudes."""
-        st = random_state(basis05, 7, 5, seed=12)
-        times = np.linspace(0.0, T_HORIZON, 301)
-        amp, vel = waves._rotate(st.a[..., None], st.b[..., None], st.omega[..., None], times)
-        kinetic = 0.25 * np.sum(vel**2, axis=(0, 1))
-        potential = 0.25 * np.sum(st.omega_sq[..., None] * amp**2, axis=(0, 1))
-        series = energy_series(st, times)
-        assert np.array_equal(series.kinetic, kinetic)
-        assert np.array_equal(series.potential, potential)
-        assert np.array_equal(series.total, kinetic + potential)
-
     def test_energy_series_memory(self, basis05):
         st = random_state(basis05, 16, 16, seed=11)
         times = np.linspace(0.0, T_HORIZON, 1001)
@@ -262,8 +250,8 @@ class TestEvolution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 3.1 arrays measured: cos, sin and the velocity, and one sine
-        # order's b cos
+        # 3.1 arrays measured: cos, sin and the velocity, and one mode
+        # row's b cos
         assert peak <= 3.2 * array
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -829,8 +817,12 @@ class TestOverlapMatrices:
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_toeplitz_hankel_overlaps_bitwise(self, a, b, sign):
         """Sines of the 2 n - 1 difference and sum frequencies, gathered,
-        give the very floats of the n x n grid of n - m and n + m."""
+        give the very floats of the n x n grid of n - m and n + m.  Short
+        sine intervals, n_max pi (b - a) <= 1, take Gauss-Legendre instead
+        and are checked against extended precision below."""
         for n_max in range(1, 65):
+            if sign < 0 and n_max * math.pi * (b - a) <= 1.0:
+                continue
             assert np.array_equal(
                 waves._trig_overlaps(n_max, a, b, sign), grid_trig_overlaps(n_max, a, b, sign)
             )
