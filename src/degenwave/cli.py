@@ -34,7 +34,6 @@ from . import hardy, observability, reports
 from .carleman import (
     SmoothModalSolution,
     bessel_mode,
-    carleman_component_integrals,
     carleman_constant_scan,
     conjugation_residual,
 )
@@ -201,28 +200,26 @@ def _run_carleman_check(cfg: dict) -> dict:
     solution = SmoothModalSolution(
         cfg["alpha"], (bessel_mode(cfg["alpha"], cfg["mode_n"], cfg["mode_k"], a=1.0, b=0.3),)
     )
-    # the scan checks every s before it solves; the base s is the base report.
-    # The integrals run before the residual, so that a weight whose peak
+    # the scan checks every s, the base s first, before it solves any.  Its
+    # integrals run before the residual, so that a weight whose peak
     # overflows is refused before the residual computes with it
     s_values = _items(cfg["s_scan"], float)
-    others = list(dict.fromkeys(s for s in s_values if s != params.s))
-    scanned = dict(zip(others, carleman_constant_scan(solution, params, others)))
-    integrals = carleman_component_integrals(solution, params)
+    scan = list(dict.fromkeys([params.s, *s_values]))
+    integrals = dict(zip(scan, carleman_constant_scan(solution, params, scan)))
     residual = conjugation_residual(
         solution, params,
         shape=(cfg["n_theta"], cfg["n_r"], cfg["n_t"]),
         r_min=cfg["r_min"],
     )
-    artifacts = {"carleman.json": {"residual": residual, "integrals": integrals}}
+    artifacts = {"carleman.json": {"residual": residual, "integrals": integrals[params.s]}}
     if s_values:
-        scan = [scanned.get(s, integrals) for s in s_values]
         artifacts["carleman_scan.csv"] = (
             ["s", "lam", "chat", "lhs_gradient", "lhs_zero_order",
              "rhs_trace", "rhs_interior", "rhs_commutator"],
             [
                 (c.s, c.lam, c.chat, c.lhs_gradient, c.lhs_zero_order,
                  c.rhs_trace, c.rhs_interior, c.rhs_commutator)
-                for c in scan
+                for c in (integrals[s] for s in s_values)
             ],
         )
     return artifacts

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,37 +164,6 @@ def theta_strips(delta0: float) -> tuple[tuple[float, float], ...]:
     return ((0.0, c), (1.0 - c, 1.0))
 
 
-@dataclass(frozen=True)
-class CarlemanParams:
-    """Validated Carleman weight parameters and their derived quantities.
-
-    gamma certifies the endpoint sign condition of the weight exponent
-    xi = theta^2 + r^(2-alpha) - beta*(t - t0)^2; gamma_hat and epsilon
-    certify the two-sided band conditions used to remove the auxiliary
-    terminal constraint, and A0 = exp(-lambda*gamma_hat),
-    A1 = exp(-2*lambda*gamma_hat) are the absorption constants.
-    """
-
-    alpha: float
-    delta0: float
-    beta: float
-    T: float
-    lam: float
-    s: float
-    t0: float
-    gamma: float
-    gamma_hat: float
-    epsilon: float
-    A0: float
-    A1: float
-
-    def __post_init__(self) -> None:
-        _real(self.epsilon, "epsilon", above=0, below=_real(self.T, "T") / 16.0)
-        _real(self.gamma_hat, "gamma_hat", above=0, below=0.5 * self.gamma)
-        if not self.A1 < self.A0:
-            raise ParameterOutOfRange("A1 < A0 must hold")
-
-
 _UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
 
 
@@ -212,6 +181,89 @@ def observation_time_threshold(delta0: float, beta: float) -> float:
     return max(4.0 * delta0 ** -0.5, math.sqrt(8.0 / beta))
 
 
+@dataclass(frozen=True)
+class CarlemanParams:
+    """Carleman weight parameters and the admissibility data they derive.
+
+    A record keeps the alpha, delta0, beta, T, lambda and s it is given and
+    derives the rest in closed form whenever it is made, by
+    `dataclasses.replace` too, so no derived field can go stale or be
+    passed: t0 = T/2; gamma certifies the endpoint sign condition of the
+    weight exponent xi = theta^2 + r^(2-alpha) - beta*(t - t0)^2;
+    gamma_hat and epsilon certify the two-sided band conditions used to
+    remove the auxiliary terminal constraint, and A0 = exp(-lambda*gamma_hat),
+    A1 = exp(-2*lambda*gamma_hat) are the absorption constants.  The closed
+    forms are those of `validate_carleman_params`, which also gates the
+    given values themselves (alpha, s and the bound on beta); build records
+    through it.
+
+    Raises:
+        ParameterOutOfRange: T or lambda is not a finite real number.
+        NonPositiveInput: delta0 or beta is not positive and finite, or
+            A1 < A0 fails in floating point.
+        TimeTooShort: T at or within rounding of the observation threshold.
+    """
+
+    alpha: float
+    delta0: float
+    beta: float
+    T: float
+    lam: float
+    s: float
+    t0: float = field(init=False)
+    gamma: float = field(init=False)
+    gamma_hat: float = field(init=False)
+    epsilon: float = field(init=False)
+    A0: float = field(init=False)
+    A1: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        delta0, beta = self.delta0, self.beta
+        T, lam = _real(self.T, "T"), _real(self.lam, "lambda")
+        threshold = observation_time_threshold(delta0, beta)
+        if not T > threshold:
+            raise TimeTooShort(f"T = {T} must exceed {threshold}")
+
+        gamma = (min(delta0, beta) * T * T - 8.0) / 8.0
+        gamma_hat = 0.25 * gamma
+        # The band conditions below compare xi = theta^2 + r^(2-alpha)
+        # - beta (t - t0)^2, of magnitude at most X = 2 + beta T^2/4, with
+        # -gamma_hat and -2 gamma_hat.  Forming t - t0, its square, the product
+        # with beta, the sum, and gamma_hat itself each err by at most a few
+        # units u = 2^-53 of X, less than 16 u X in all.  Shrinking epsilon by
+        # 0.999 leaves every band a slack of at least (1 - 0.999^2) gamma_hat
+        # > gamma_hat/1000 (the center band is the tightest; the outer slack is
+        # 0.012 gamma_hat root/(T/2 + root) >= 0.004 gamma_hat, because
+        # root^2 = T^2/16 + 3/(2 beta) puts root in [T/4, T/2]).  Unless that
+        # slack exceeds 16 u X, the conditions hold only to rounding.
+        if not gamma_hat > 16000.0 * _UNIT_ROUNDOFF * (2.0 + 0.25 * beta * T * T):
+            raise TimeTooShort(
+                f"T = {T} is within rounding of the threshold {threshold}: "
+                f"gamma_hat = {gamma_hat} cannot certify the band conditions"
+            )
+        # center band |t - T/2| <= epsilon: xi >= -beta epsilon^2 >= -gamma_hat;
+        # outer bands within 2 epsilon of 0 or T:
+        # xi <= 2 - beta (T/2 - 2 epsilon)^2 <= -2 gamma_hat.  beta <= delta0/2
+        # gives T^2/4 - (2 + 2 gamma_hat)/beta = 6 gamma_hat/beta, so the outer
+        # bound is written without the cancellation in T/2 - sqrt(...)
+        root = math.sqrt((2.0 + 2.0 * gamma_hat) / beta)
+        epsilon = 0.999 * min(
+            math.sqrt(gamma_hat / beta),
+            3.0 * gamma_hat / (beta * (0.5 * T + root)),
+            T / 16.0 * (1.0 - 1e-9),
+        )
+        A0 = math.exp(-lam * gamma_hat)
+        A1 = math.exp(-2.0 * lam * gamma_hat)
+        if not A1 < A0:
+            raise NonPositiveInput(
+                f"A1 = exp(-2 lam gamma_hat) < A0 = exp(-lam gamma_hat) fails in "
+                f"floating point at lam = {lam}, gamma_hat = {gamma_hat}"
+            )
+        derived = (0.5 * T, gamma, gamma_hat, epsilon, A0, A1)
+        for name, value in zip(("t0", "gamma", "gamma_hat", "epsilon", "A0", "A1"), derived):
+            object.__setattr__(self, name, value)
+
+
 def validate_carleman_params(
     alpha: float,
     domain: DomainSpec,
@@ -220,13 +272,15 @@ def validate_carleman_params(
     lam: float = 1.0,
     s: float = 2.0,
 ) -> CarlemanParams:
-    """Validate raw weight parameters and derive the admissibility package.
+    """Validate raw weight parameters and build their record, which derives
+    the admissibility package in closed form.
 
-    gamma is set to half its maximal admissible value,
-    gamma = (min{delta0, beta} T^2 - 8)/8, and gamma_hat = gamma/4.  On the
-    unit square theta^2 + r^(2-alpha) spans exactly [0, 2] and both band
-    conditions on xi are monotone in |t - T/2|, so the largest admissible
-    band half-width is the closed form
+    It gates what the record does not: alpha, the positivity of beta, T,
+    lambda and s, and the bound on beta.  The record sets gamma to half its
+    maximal admissible value, gamma = (min{delta0, beta} T^2 - 8)/8, and
+    gamma_hat = gamma/4.  On the unit square theta^2 + r^(2-alpha) spans
+    exactly [0, 2] and both band conditions on xi are monotone in
+    |t - T/2|, so the largest admissible band half-width is the closed form
     min{sqrt(gamma_hat/beta), (T/2 - sqrt((2 + 2 gamma_hat)/beta))/2, T/16};
     epsilon is that value with the cap just below T/16, shrunk by 0.999.
     Both bounds are positive whenever gamma_hat is, that is above the
@@ -251,60 +305,7 @@ def validate_carleman_params(
     # beta = 0.005 sits exactly on it
     if beta > bmax:
         raise BetaOutOfRange(f"beta = {beta} must not exceed {bmax}")
-    threshold = observation_time_threshold(delta0, beta)
-    if not T > threshold:
-        raise TimeTooShort(f"T = {T} must exceed {threshold}")
-
-    gamma = (min(delta0, beta) * T * T - 8.0) / 8.0
-    gamma_hat = 0.25 * gamma
-    # The band conditions below compare xi = theta^2 + r^(2-alpha)
-    # - beta (t - t0)^2, of magnitude at most X = 2 + beta T^2/4, with
-    # -gamma_hat and -2 gamma_hat.  Forming t - t0, its square, the product
-    # with beta, the sum, and gamma_hat itself each err by at most a few
-    # units u = 2^-53 of X, less than 16 u X in all.  Shrinking epsilon by
-    # 0.999 leaves every band a slack of at least (1 - 0.999^2) gamma_hat
-    # > gamma_hat/1000 (the center band is the tightest; the outer slack is
-    # 0.012 gamma_hat root/(T/2 + root) >= 0.004 gamma_hat, because
-    # root^2 = T^2/16 + 3/(2 beta) puts root in [T/4, T/2]).  Unless that
-    # slack exceeds 16 u X, the conditions hold only to rounding.
-    if not gamma_hat > 16000.0 * _UNIT_ROUNDOFF * (2.0 + 0.25 * beta * T * T):
-        raise TimeTooShort(
-            f"T = {T} is within rounding of the threshold {threshold}: "
-            f"gamma_hat = {gamma_hat} cannot certify the band conditions"
-        )
-    # center band |t - T/2| <= epsilon: xi >= -beta epsilon^2 >= -gamma_hat;
-    # outer bands within 2 epsilon of 0 or T:
-    # xi <= 2 - beta (T/2 - 2 epsilon)^2 <= -2 gamma_hat.  beta <= delta0/2
-    # gives T^2/4 - (2 + 2 gamma_hat)/beta = 6 gamma_hat/beta, so the outer
-    # bound is written without the cancellation in T/2 - sqrt(...)
-    root = math.sqrt((2.0 + 2.0 * gamma_hat) / beta)
-    epsilon = 0.999 * min(
-        math.sqrt(gamma_hat / beta),
-        3.0 * gamma_hat / (beta * (0.5 * T + root)),
-        T / 16.0 * (1.0 - 1e-9),
-    )
-    A0 = math.exp(-lam * gamma_hat)
-    A1 = math.exp(-2.0 * lam * gamma_hat)
-    if not A1 < A0:
-        raise NonPositiveInput(
-            f"A1 = exp(-2 lam gamma_hat) < A0 = exp(-lam gamma_hat) fails in "
-            f"floating point at lam = {lam}, gamma_hat = {gamma_hat}"
-        )
-
-    return CarlemanParams(
-        alpha=alpha,
-        delta0=delta0,
-        beta=beta,
-        T=T,
-        lam=lam,
-        s=s,
-        t0=0.5 * T,
-        gamma=gamma,
-        gamma_hat=gamma_hat,
-        epsilon=epsilon,
-        A0=A0,
-        A1=A1,
-    )
+    return CarlemanParams(alpha, delta0, beta, T, lam, s)
 
 
 # ---------------------------------------------------------------------------

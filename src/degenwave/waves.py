@@ -39,7 +39,7 @@ sines of the 2n - 1 difference and sum frequencies only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -73,15 +73,28 @@ RANDOM_CAP = 64
 class ModalCoefficients:
     """Truncated modal state: amplitudes a, velocities b, frequencies omega.
 
-    a[n-1, k-1] multiplies sin(n*pi*theta) R_k(r); omega_sq stores
-    (n*pi)^2 + rho_k exactly and omega its square root.
+    a[n-1, k-1] multiplies sin(n*pi*theta) R_k(r).  A state keeps the basis,
+    a and b it is given and derives omega_sq = (n*pi)^2 + rho_k exactly and
+    omega, its square root, whenever it is made, by `dataclasses.replace`
+    too, so its frequencies always match its basis and cannot be passed.
+
+    Raises:
+        GridMismatch: a and b are not 2-D numpy arrays of one shape.
+        TruncationTooSmall: more radial orders than the basis computed.
     """
 
     basis: RadialBasis
     a: np.ndarray
     b: np.ndarray
-    omega: np.ndarray
-    omega_sq: np.ndarray
+    omega: np.ndarray = field(init=False)
+    omega_sq: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        a, b = self.a, self.b
+        if not all(isinstance(x, np.ndarray) for x in (a, b)) or a.ndim != 2 or b.shape != a.shape:
+            raise GridMismatch("amplitudes a and velocities b must be 2-D arrays of one shape")
+        for name, value in zip(("omega", "omega_sq"), _frequencies(self.basis, *a.shape)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_max(self) -> int:
@@ -110,11 +123,13 @@ def _order_pair(pair, name: str) -> tuple[int, int]:
     )
 
 
-def _frequencies(basis: RadialBasis, n_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _within_basis(basis: RadialBasis, k_max: int) -> None:
     if k_max > basis.k_max:
-        raise TruncationTooSmall(
-            f"k_max = {k_max} exceeds the {basis.k_max} computed eigenpairs"
-        )
+        raise TruncationTooSmall(f"k_max = {k_max} exceeds the {basis.k_max} computed eigenpairs")
+
+
+def _frequencies(basis: RadialBasis, n_max: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    _within_basis(basis, k_max)
     mu = (np.arange(1, n_max + 1) * math.pi) ** 2
     omega_sq = mu[:, None] + basis.rho[None, :k_max]
     return np.sqrt(omega_sq), omega_sq
@@ -138,7 +153,6 @@ def modal_state(
             number.
     """
     n_max, k_max = _order_pair((n_max, k_max), "truncation")
-    omega, omega_sq = _frequencies(basis, n_max, k_max)
 
     def to_array(entries, name: str) -> np.ndarray:
         if entries is None:
@@ -157,8 +171,7 @@ def modal_state(
         return arr
 
     return ModalCoefficients(
-        basis=basis, a=to_array(amplitudes, "amplitude"), b=to_array(velocities, "velocity"),
-        omega=omega, omega_sq=omega_sq,
+        basis=basis, a=to_array(amplitudes, "amplitude"), b=to_array(velocities, "velocity")
     )
 
 
@@ -195,7 +208,8 @@ def project_initial_data(
     """
     n_theta = 2048
     n_max, k_max = _order_pair((n_max, k_max), "truncation")
-    omega, omega_sq = _frequencies(basis, n_max, k_max)
+    # refused before projecting: R[:k_max] past the basis would be short
+    _within_basis(basis, k_max)
     # R vanishes off the dof window, so the radial product needs only its nodes
     mats = basis.mats
     dof = slice(mats.i0, mats.i1)
@@ -215,9 +229,7 @@ def project_initial_data(
         c = 2.0 * (sines * w_theta) @ vals  # (n_max, n_nodes)
         return (c[:, dof] * mats.lumped) @ basis.R[:k_max, dof].T
 
-    return ModalCoefficients(
-        basis=basis, a=project(phi0), b=project(phi1), omega=omega, omega_sq=omega_sq
-    )
+    return ModalCoefficients(basis=basis, a=project(phi0), b=project(phi1))
 
 
 #: damping (n^2 + k^2)^-1 of the master block, n and k from 1 to RANDOM_CAP
@@ -269,15 +281,14 @@ def random_state(
 
     Raises:
         ParameterOutOfRange: a seed or member that is negative or not an integer.
-        TruncationTooSmall: a truncation above RANDOM_CAP or not an integer.
+        TruncationTooSmall: a truncation above RANDOM_CAP, past the basis or not an integer.
     """
     n_max, k_max = _order_pair((n_max, k_max), "truncation")
     seed = _whole(seed, "seed", minimum=0)
     if member is not None:
         member = _whole(member, "member", minimum=0)
-    omega, omega_sq = _frequencies(basis, n_max, k_max)
     a, b = _random_coefficients(seed, [member], n_max, k_max)[:, 0]
-    return ModalCoefficients(basis=basis, a=a, b=b, omega=omega, omega_sq=omega_sq)
+    return ModalCoefficients(basis=basis, a=a, b=b)
 
 
 def _rotate(a, b, w, t) -> tuple[np.ndarray, np.ndarray]:
@@ -807,8 +818,6 @@ def observation_norms(state: ModalCoefficients, T: float, delta0: float) -> Trac
             segment (delta0, 1 - delta0) or the strips are empty or reversed,
             or the phase max(omega) T is 2^53 or more.
         NonPositiveInput: T not positive and finite.
-        TruncationTooSmall: a state built by hand with more radial orders
-            than its basis computed.
     """
     restricted, interior = _segment_and_strip_norms(state, T, delta0)
     return TraceReport(
@@ -843,14 +852,10 @@ def _segment_and_strip_norms(
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2), or the
             phase max(omega) T is 2^53 or more.
         NonPositiveInput: T not positive and finite.
-        TruncationTooSmall: a state built by hand with more radial orders
-            than its basis computed.
     """
     _real(delta0, "delta0", above=0, below=0.5)
     n_max, k_max = state.n_max, state.k_max
     basis = state.basis
-    if k_max > basis.k_max:
-        raise TruncationTooSmall(f"k_max = {k_max} exceeds the {basis.k_max} computed eigenpairs")
     flux = basis.flux[:k_max]
     gram = basis.gram[:k_max, :k_max]
     rho = basis.rho[:k_max]

@@ -1,14 +1,15 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from degenwave.carleman import SmoothModalSolution, bessel_mode
+from degenwave.carleman import SmoothModalSolution, bessel_mode, carleman_component_integrals
 from degenwave.params import DomainSpec, validate_carleman_params
 from degenwave.radial import solve_radial_basis
-from ledger import AcceptanceLedger
+from ledger import CARLEMAN_POINTS, DEMOS, AcceptanceLedger, run_demo
 
 
 def pytest_addoption(parser):
@@ -16,17 +17,30 @@ def pytest_addoption(parser):
         "--acceptance-ledger",
         metavar="PATH",
         default=None,
-        help="write each acceptance criterion's measured values and gates to PATH as JSON",
+        help="write each acceptance criterion's measured values and gates, the Carleman "
+        "component integrals and the demos' stdout to PATH as JSON",
     )
 
 
 @pytest.fixture(scope="session")
-def ledger(request):
-    """The acceptance ledger, written at the end of the session when a path is given."""
+def ledger(request, bessel_solution):
+    """The acceptance ledger, written at the end of the session when a path
+    is given, with the Carleman component integrals at CARLEMAN_POINTS and
+    the stdout of every demo."""
     book = AcceptanceLedger()
     yield book
     path = request.config.getoption("--acceptance-ledger")
     if path:
+        for lam, s in CARLEMAN_POINTS:
+            params = validate_carleman_params(
+                0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
+            )
+            book.record_carleman(carleman_component_integrals(bessel_solution, params))
+        with tempfile.TemporaryDirectory() as cwd:
+            for demo in DEMOS:
+                res = run_demo(demo, cwd)
+                assert res.returncode == 0, res.stderr
+                book.record_demo(demo.stem, res.stdout)
         book.write(path)
 
 

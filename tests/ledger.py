@@ -1,9 +1,12 @@
 """The acceptance ledger: each criterion's measured values and gates as strict JSON.
 
 `pytest tests/test_acceptance.py --acceptance-ledger PATH` writes one
-object: per criterion (keyed "01" to "11") its measured values by name and
-its gate bounds, and under "timing_s" the wall times, the one field that
-differs between two runs of one tree.  Floats are written by repr, so a
+object: under "criteria", per criterion (keyed "01" to "11") its measured
+values by name and its gate bounds; under "carleman", every
+`ComponentIntegrals` field on the default grid of the canonical weight at
+each (lam, s) of CARLEMAN_POINTS; under "demos", the stdout lines of each
+demo; and under "timing_s" the wall times, the one field that differs
+between two runs of one tree.  Floats are written by repr, so a
 value reads back bit for bit; a non-finite float, which strict JSON cannot
 hold, is written as the string of its repr ("nan", "inf", "-inf").
 
@@ -18,14 +21,34 @@ code is 0 when the ledgers agree bit for bit, 1 otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 #: the one field that differs between two runs of one tree
 TIMING = "timing_s"
+
+#: (lam, s) at which the ledger holds the Carleman component integrals:
+#: both sides of the admitted range, up to the offset 655 at (2, 6)
+CARLEMAN_POINTS = ((0.5, 2.0), (1.0, 3.0), (1.0, 8.0), (2.0, 6.0), (0.5, 8.0))
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_demo(demo: Path, cwd) -> subprocess.CompletedProcess:
+    """One demo in a fresh interpreter that imports this tree's package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(demo)], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 def _plain(value):
@@ -44,10 +67,13 @@ def _plain(value):
 
 
 class AcceptanceLedger:
-    """Values and gates of the acceptance criteria, filled as they run."""
+    """Values and gates of the acceptance criteria, filled as they run, and
+    the Carleman component integrals and demo outputs beside them."""
 
     def __init__(self):
         self.criteria = {}
+        self.carleman = {}
+        self.demos = {}
         self.timing = {}
 
     def record(self, num: int, values: dict, gates: dict, timing: dict | None = None) -> None:
@@ -56,8 +82,19 @@ class AcceptanceLedger:
         if timing is not None:
             self.timing[key] = _plain(timing)
 
+    def record_carleman(self, integrals) -> None:
+        """Every field of one ComponentIntegrals, keyed by its lam and s."""
+        key = f"lam {integrals.lam!r} s {integrals.s!r}"
+        self.carleman[key] = _plain(dataclasses.asdict(integrals))
+
+    def record_demo(self, name: str, stdout: str) -> None:
+        self.demos[name] = stdout.splitlines()
+
     def write(self, path) -> None:
-        book = {"criteria": self.criteria, TIMING: self.timing}
+        book = {
+            "criteria": self.criteria, "carleman": self.carleman, "demos": self.demos,
+            TIMING: self.timing,
+        }
         with open(path, "w") as f:
             json.dump(book, f, allow_nan=False, indent=1, sort_keys=True)
             f.write("\n")

@@ -23,8 +23,6 @@ from degenwave.carleman import (
     ConjugationReport,
     SmoothModalSolution,
     _residual_axes,
-    _sigma_factors,
-    _tiles,
 )
 from degenwave.errors import ConvergenceFailure, DivergentWeight
 from degenwave.params import (
@@ -851,35 +849,6 @@ def pointwise_component_integrals(
         lam=lam,
         log_offset=log_offset,
     )
-
-
-# below this exponent exp(x) is subnormal (about -708.4)
-_LOG_TINY = math.log(np.finfo(float).tiny)
-
-
-def unskipped_contracted_weight_tiles(
-    params: CarlemanParams, theta: np.ndarray, w_th: np.ndarray, r: np.ndarray, t: np.ndarray,
-    w_t: np.ndarray, rows: np.ndarray, log_offset: float,
-):
-    """`degenwave.carleman._contracted_weight_tiles` with a subnormal flush.
-
-    Every tile is yielded, and every tile flushes its subnormal weights
-    element by element, as the kernel once did; a drop-in replacement, so
-    that `carleman_component_integrals` run on it gives the values of a
-    loop that counts subnormal weights as exactly zero.
-    """
-    flat = rows.reshape(-1, r.size)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
-    for ith, jt in _tiles(theta.size, r.size, t.size, 0):
-        weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
-        weight *= 2.0 * params.s
-        weight -= log_offset
-        weight[weight < _LOG_TINY] = -np.inf
-        np.exp(weight, out=weight)
-        g = np.matmul(flat, weight)  # (theta, row, t)
-        g *= (w_th[ith, None] * w_t[None, jt])[:, None, :]
-        g = np.moveaxis(g, 1, 0).reshape(rows.shape[:-1] + (g.shape[0], g.shape[2]))
-        yield ith, jt, g
 
 
 def one_sided_flux(mesh: RadialMesh, R: np.ndarray) -> float:

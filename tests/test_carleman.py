@@ -16,7 +16,6 @@ from oracles import (
     pointwise_component_integrals,
     slab_conjugation_residual,
     symbolic_weight,
-    unskipped_contracted_weight_tiles,
     weight_derivatives,
 )
 
@@ -785,24 +784,15 @@ class TestComponentIntegrals:
         )
         assert out.lhs_zero_order == pytest.approx(expected, rel=2e-3)
 
-    @pytest.mark.parametrize("modes", [1, 2])
-    @pytest.mark.parametrize("lam, s", [(0.5, 2.0), (1.0, 3.0), (2.0, 6.0)])
-    def test_skipped_weight_tiles_change_no_bit(self, bessel_solution, monkeypatch, lam, s, modes):
-        """Guard: every field is bitwise that of the loop that flushes
-        subnormal weights tile by tile, which admitted offsets never reach
-        (at lam 2, s 6 the offset is 655)."""
-        params = validate_carleman_params(
-            0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
-        )
-        sol = bessel_solution if modes == 1 else two_mode_solution()
-        plain = carleman_component_integrals(sol, params)
-        monkeypatch.setattr(
-            carleman, "_contracted_weight_tiles", unskipped_contracted_weight_tiles
-        )
-        flushed = carleman_component_integrals(sol, params)
-        assert [v.hex() for v in dataclasses.astuple(plain)] == [
-            v.hex() for v in dataclasses.astuple(flushed)
-        ]
+    def test_admitted_weights_are_never_subnormal(self):
+        """Every weight e^(2 s sigma - log_offset) is a normal float: sigma > 0
+        keeps each exponent above -log_offset, and the refusal keeps
+        log_offset below 700, under -ln(tiny), about 708.4."""
+        largest = math.nextafter(700.0, 0.0)
+        assert carleman._log_offset(0.0, largest / 2.0) == largest
+        with pytest.raises(NonFiniteReport, match="700"):
+            carleman._log_offset(0.0, 350.0)
+        assert math.exp(-700.0) >= np.finfo(float).tiny
 
     def test_overflowing_weight_peak_refused_before_any_tile(
         self, carleman_params, bessel_solution, monkeypatch

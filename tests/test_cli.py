@@ -490,7 +490,6 @@ class TestConfigHandling:
             return integrate(solution, params, **grid)
 
         monkeypatch.setattr(carleman, "carleman_component_integrals", counted)
-        monkeypatch.setattr(cli, "carleman_component_integrals", counted)
         assert cli.main(["carleman-check", "--s-scan", "2,4", "--out", str(tmp_path)]) == 0
         assert sorted(calls) == [2.0, 4.0]
         integrals = json.loads((tmp_path / "carleman.json").read_text())["result"]["integrals"]
@@ -499,13 +498,13 @@ class TestConfigHandling:
 
     def test_nonpositive_scan_s_solves_nothing(self, tmp_path, monkeypatch, capsys):
         # once rejected only after the residual and the base integrals
-        from degenwave import cli
+        from degenwave import carleman, cli
 
         def solved(*args, **kwargs):
             raise AssertionError("solved before the scan was checked")
 
         monkeypatch.setattr(cli, "conjugation_residual", solved)
-        monkeypatch.setattr(cli, "carleman_component_integrals", solved)
+        monkeypatch.setattr(carleman, "carleman_component_integrals", solved)
         out = tmp_path / "out"
         assert cli.main(["carleman-check", "--s-scan", "0", "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "NonPositiveInput"

@@ -1,21 +1,10 @@
 """Every demo runs to completion in a fresh interpreter."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
-
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from ledger import DEMOS, run_demo
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
+    res = run_demo(demo, tmp_path)
     assert res.returncode == 0, res.stderr

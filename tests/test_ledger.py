@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from ledger import TIMING, AcceptanceLedger, differences, main
 
+from degenwave.carleman import ComponentIntegrals
+
 
 def write(tmp_path, name, values, timing=0.5):
     book = AcceptanceLedger()
@@ -61,3 +63,42 @@ def test_a_differing_value_is_named_with_its_relative_difference(tmp_path, capsy
 )
 def test_differences(parent, change, expect):
     assert differences(parent, change) == expect
+
+
+def integrals(lam, s, chat):
+    return ComponentIntegrals(
+        lhs_gradient=1.5, lhs_zero_order=0.1 + 0.2, rhs_trace=math.inf, rhs_interior=2.0,
+        rhs_commutator=0.25, chat=chat, s=s, lam=lam, log_offset=2.0 * s * math.exp(2.0 * lam),
+    )
+
+
+def write_beside(tmp_path, name, chat, line):
+    book = AcceptanceLedger()
+    book.record(7, {"drift": 1e-13}, {"drift_at_most": 1e-12})
+    book.record_carleman(integrals(0.5, 2.0, chat))
+    book.record_demo("04_carleman_weight", f"derived weight parameters:\n{line}\n")
+    path = tmp_path / name
+    book.write(path)
+    return path
+
+
+def test_carleman_values_and_demos_sit_beside_the_criteria(tmp_path):
+    x = 0.1 + 0.2
+    book = json.loads(write_beside(tmp_path, "a.json", x, "  gamma = 1.9800").read_text())
+    assert sorted(book) == ["carleman", "criteria", "demos", TIMING]
+    fields = book["carleman"]["lam 0.5 s 2.0"]
+    assert float.hex(fields["chat"]) == float.hex(x)
+    assert fields["rhs_trace"] == "inf"
+    assert (fields["lam"], fields["s"]) == (0.5, 2.0)
+    assert book["demos"] == {"04_carleman_weight": ["derived weight parameters:", "  gamma = 1.9800"]}
+
+
+def test_a_differing_carleman_value_or_demo_line_is_named(tmp_path, capsys):
+    a = write_beside(tmp_path, "a.json", 0.3, "  gamma = 1.9800")
+    assert main([str(a), str(write_beside(tmp_path, "b.json", 0.3, "  gamma = 1.9800"))]) == 0
+    b = write_beside(tmp_path, "c.json", 0.3 + 2.0**-54, "  gamma = 1.9801")
+    assert main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3].startswith("carleman.lam 0.5 s 2.0.chat: 0.3 -> 0.30000000000000004")
+    assert out[-2] == "demos.04_carleman_weight[1]: '  gamma = 1.9800' -> '  gamma = 1.9801'"
+    assert out[-1] == "2 values differ"

@@ -19,6 +19,7 @@ from degenwave.carleman import build_weight_field
 from degenwave.hardy import blowup_rate_fit, critical_truncated_constant
 from degenwave.observability import default_horizon
 from degenwave.params import (
+    CarlemanParams,
     CutoffSpec,
     DegeneracyParams,
     DomainSpec,
@@ -184,6 +185,33 @@ class TestValidateCarlemanParams:
                 p.alpha, p.beta, p.T, p.gamma_hat, p.epsilon, grid_per_unit
             )
 
+    def test_replaced_record_derives_afresh(self, carleman_params):
+        # a replaced horizon once kept t0 = 20 and epsilon = 2.4975
+        moved = dataclasses.replace(carleman_params, T=80.0)
+        fresh = validate_carleman_params(
+            0.5, DomainSpec(0.03), beta=0.0149, T=80.0, lam=0.5, s=2.0
+        )
+        assert dataclasses.astuple(moved) == dataclasses.astuple(fresh)
+        assert moved.t0 == 40.0
+
+    def test_replaced_lambda_gets_fresh_absorption_constants(self, carleman_params):
+        p = dataclasses.replace(carleman_params, lam=2.0)
+        assert p.A0 == math.exp(-2.0 * p.gamma_hat) != carleman_params.A0
+        assert p.A1 == math.exp(-4.0 * p.gamma_hat) != carleman_params.A1
+
+    def test_replaced_short_horizon_refused(self, carleman_params):
+        with pytest.raises(TimeTooShort):
+            dataclasses.replace(carleman_params, T=1.0)
+
+    @pytest.mark.parametrize("name", ["t0", "gamma", "gamma_hat", "epsilon", "A0", "A1"])
+    def test_derived_fields_cannot_be_passed(self, carleman_params, name):
+        names = ("alpha", "delta0", "beta", "T", "lam", "s")
+        given = {f: getattr(carleman_params, f) for f in names}
+        with pytest.raises(TypeError):
+            CarlemanParams(**given, **{name: 1.0})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(carleman_params, **{name: 1.0})
+
     @settings(max_examples=40, deadline=None)
     @given(
         alpha=st.floats(min_value=0.05, max_value=0.95),
@@ -309,7 +337,7 @@ def test_cutoff_product_matches_two_band_oracle(spec):
         lambda basis, params: CutoffSpec(rise=(0.2, 0.1), fall=(0.8, 0.9)),
         lambda basis, params: theta_cutoff(0.05),
         lambda basis, params: time_cutoff(5.0, 40.0),
-        lambda basis, params: dataclasses.replace(params, epsilon=params.T),
+        lambda basis, params: dataclasses.replace(params, T=math.nan),
         lambda basis, params: assemble_weighted_system(basis.mesh, p=0.5, q=0.0, bc="free"),
         lambda basis, params: elliptic_identity_residual(basis, 0.0, np.ones(basis.k_max + 1)),
     ],

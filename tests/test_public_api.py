@@ -567,12 +567,10 @@ SWEEP = {
         n_values=[1, 2, 4, 8], T=44.0, domain=shared("domain"), basis=shared("basis"),
     ),
     "observability_ratio": row(("T",), state=shared("state"), domain=shared("domain"), T=44.0),
-    # params; the other fields of CarlemanParams are derived by
-    # validate_carleman_params, and its check covers these two
+    # params; a CarlemanParams record derives the rest from the given fields
+    # it reads, and validate_carleman_params gates alpha and s
     "CarlemanParams": row(
-        ("epsilon", "gamma_hat"),
-        alpha=0.5, delta0=0.03, beta=0.0149, T=40.0, lam=0.5, s=2.0, t0=20.0, gamma=1.98,
-        gamma_hat=0.495, epsilon=2.4975, A0=0.78, A1=0.61,
+        ("delta0", "beta", "T", "lam"), alpha=0.5, delta0=0.03, beta=0.0149, T=40.0, lam=0.5, s=2.0
     ),
     "CutoffSpec": row(
         (("rise", 0), ("rise", 1), ("fall", 0), ("fall", 1)), rise=(0.1, 0.2), fall=(0.8, 0.9)
@@ -608,7 +606,9 @@ SWEEP = {
     "solve_radial_basis": row(("alpha", "N", "g", "k_max"), alpha=0.5, N=64, g=2.0, k_max=4),
     # waves
     "EnergyReport": row(),
-    "ModalCoefficients": row(),
+    "ModalCoefficients": row(
+        ("a", "b"), basis=shared("basis"), a=np.ones((2, 2)), b=np.ones((2, 2))
+    ),
     "TraceReport": row(),
     "data_norms": row(state=shared("state")),
     "duhamel_forcing": row(

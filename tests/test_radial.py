@@ -34,7 +34,7 @@ from degenwave.radial import (
     solve_eigenpairs,
     solve_radial_basis,
 )
-from degenwave.waves import observation_norms, random_state
+from degenwave.waves import random_state
 
 from oracles import (
     banded_refine_smallest_eigenpair,
@@ -692,11 +692,10 @@ class TestConsistentGram:
         # a state reads the Gram's leading block, so no state may reach past it
         with pytest.raises(TruncationTooSmall, match="k_max = 17 exceeds the 16 computed"):
             random_state(basis05, 2, 17, seed=1)
-        # nor may a state built by hand, which the observation forms refuse
+        # nor may a state built by hand, which is refused when it is made
         wide = np.zeros((2, 17))
-        st = dataclasses.replace(random_state(basis05, 2, 16, seed=1), a=wide, b=wide)
         with pytest.raises(TruncationTooSmall, match="k_max = 17 exceeds the 16 computed"):
-            observation_norms(st, 1.0, 0.1)
+            dataclasses.replace(random_state(basis05, 2, 16, seed=1), a=wide, b=wide)
 
 
 class TestEllipticIdentity:

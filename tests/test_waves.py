@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import tracemalloc
@@ -759,6 +760,40 @@ class TestNearPairs:
         i = np.concatenate([i for i, _ in chunks])
         assert i.size == w.size * (w.size + 1) // 2  # every pair is near
         assert np.all(np.diff(i) >= 0)
+
+
+class TestStateRecord:
+    """A state derives its frequencies from its basis whenever it is made
+    (a state wider than its basis: tests/test_radial.py)."""
+
+    def test_replaced_state_derives_its_frequencies(self, basis05):
+        st = random_state(basis05, 4, 6, seed=3)
+        narrow = dataclasses.replace(st, a=st.a[:2, :3], b=st.b[:2, :3])
+        fresh = random_state(basis05, 2, 3, seed=3)
+        assert np.array_equal(narrow.omega, fresh.omega)
+        assert np.array_equal(narrow.omega_sq, fresh.omega_sq)
+        assert energy(narrow) == energy(fresh)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.zeros((2, 3)), np.zeros((3, 2))),
+            (np.zeros((2, 3)), np.zeros((2, 2))),
+            (np.zeros(3), np.zeros(3)),
+            ([[0.0]], [[0.0]]),
+        ],
+        ids=["transposed", "narrower-b", "one-dimensional", "nested-lists"],
+    )
+    def test_shapes_that_differ_refused(self, basis05, a, b):
+        with pytest.raises(GridMismatch, match="2-D arrays of one shape"):
+            waves.ModalCoefficients(basis05, a, b)
+
+    def test_frequencies_cannot_be_passed(self, basis05):
+        st = random_state(basis05, 2, 2, seed=1)
+        with pytest.raises(TypeError):
+            waves.ModalCoefficients(basis05, st.a, st.b, omega=st.omega)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(st, omega_sq=st.omega_sq)
 
 
 class TestRandomState:
