@@ -164,23 +164,6 @@ def theta_strips(delta0: float) -> tuple[tuple[float, float], ...]:
     return ((0.0, c), (1.0 - c, 1.0))
 
 
-_UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
-
-
-def beta_upper_bound(alpha: float, delta0: float) -> float:
-    """Supremum of the admissible curvature interval for beta."""
-    DegeneracyParams(alpha)
-    _real(delta0, "delta0", above=0)
-    return 0.5 * min((2.0 - alpha) ** 2 / 8.0, delta0)
-
-
-def observation_time_threshold(delta0: float, beta: float) -> float:
-    """Minimal admissible observation horizon max{4/sqrt(delta0), sqrt(8/beta)}."""
-    _real(delta0, "delta0", NonPositiveInput, above=0)
-    _real(beta, "beta", NonPositiveInput, above=0)
-    return max(4.0 * delta0 ** -0.5, math.sqrt(8.0 / beta))
-
-
 @dataclass(frozen=True)
 class CarlemanParams:
     """Carleman weight parameters and the admissibility data they derive.
@@ -262,6 +245,23 @@ class CarlemanParams:
         derived = (0.5 * T, gamma, gamma_hat, epsilon, A0, A1)
         for name, value in zip(("t0", "gamma", "gamma_hat", "epsilon", "A0", "A1"), derived):
             object.__setattr__(self, name, value)
+
+
+_UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
+
+
+def beta_upper_bound(alpha: float, delta0: float) -> float:
+    """Supremum of the admissible curvature interval for beta."""
+    DegeneracyParams(alpha)
+    _real(delta0, "delta0", above=0)
+    return 0.5 * min((2.0 - alpha) ** 2 / 8.0, delta0)
+
+
+def observation_time_threshold(delta0: float, beta: float) -> float:
+    """Minimal admissible observation horizon max{4/sqrt(delta0), sqrt(8/beta)}."""
+    _real(delta0, "delta0", NonPositiveInput, above=0)
+    _real(beta, "beta", NonPositiveInput, above=0)
+    return max(4.0 * delta0 ** -0.5, math.sqrt(8.0 / beta))
 
 
 def validate_carleman_params(
