@@ -784,6 +784,31 @@ class TestComponentIntegrals:
         )
         assert out.lhs_zero_order == pytest.approx(expected, rel=2e-3)
 
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("lam, s", [(0.5, 2.0), (1.0, 3.0), (2.0, 6.0)])
+    def test_skipped_weight_tiles_change_no_bit(self, bessel_solution, monkeypatch, lam, s, modes):
+        """Guard: a flush of subnormal weights would change no bit, since on
+        every grid the kernel walks the smallest exponent 2 s min(sigma) -
+        log_offset lies above ln(tiny) (at lam 2, s 6 the offset is 655)."""
+        params = validate_carleman_params(
+            0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
+        )
+        sol = bessel_solution if modes == 1 else two_mode_solution()
+        kernel = carleman._contracted_weight_tiles
+        lowest = []
+
+        def spy(params, theta, w_th, r, t, w_t, rows, log_offset):
+            factors = carleman._sigma_factors(params, theta, r, t)
+            sigma_min = math.prod(float(f.min()) for f in factors)
+            lowest.append(2.0 * params.s * sigma_min - log_offset)
+            yield from kernel(params, theta, w_th, r, t, w_t, rows, log_offset)
+
+        monkeypatch.setattr(carleman, "_contracted_weight_tiles", spy)
+        out = carleman_component_integrals(sol, params)
+        assert len(lowest) == 2  # the core and the strip pair
+        assert -out.log_offset <= min(lowest)
+        assert min(lowest) > math.log(np.finfo(float).tiny)
+
     def test_admitted_weights_are_never_subnormal(self):
         """Every weight e^(2 s sigma - log_offset) is a normal float: sigma > 0
         keeps each exponent above -log_offset, and the refusal keeps
