@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ from .errors import (
     GridMismatch,
     InsufficientData,
     NonFiniteReport,
-    NonPositiveInput,
     ParameterOutOfRange,
 )
 from .params import (
@@ -88,35 +87,43 @@ __all__ = [
 class SmoothMode:
     """One separated mode amp(t) sin(n pi theta) R(r) with exact radial profile.
 
-    alpha is the degeneracy exponent the radial profile was built for.
-    """
-
-    alpha: float
-    n: int
-    omega: float
-    a: float
-    b: float
-    radial: Callable[[np.ndarray], np.ndarray]
-    radial_deriv: Callable[[np.ndarray], np.ndarray]
-    flux_at_1: float
-
-
-def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) -> SmoothMode:
-    """Exact eigenmode with the k-th Bessel radial profile and sine order n.
+    A mode keeps the alpha, radial index k and amplitudes a, b it is given
+    and the sine order n as an int, and derives the k-th Bessel profile R of
+    `bessel_radial_mode` at alpha, its derivative, its flux R'(1) and the
+    frequency omega = sqrt((n pi)^2 + rho_k) whenever it is made, by
+    `dataclasses.replace` too, so no mode carries a frequency that is not
+    its profile's.  amp(t) = a cos(omega t) + (b/omega) sin(omega t).
 
     Raises:
         ParameterOutOfRange: n or k not an integer or below 1 (sin(n pi theta)
             vanishes at theta = 1 only for an integer n), alpha outside (0, 1),
             or an amplitude a or b that is not a finite real number.
     """
-    n = _whole(n, "sine order n", minimum=1)
-    _real(a, "a")
-    _real(b, "b")
-    rho, R, dR, flux = bessel_radial_mode(alpha, k)
-    omega = math.sqrt((n * math.pi) ** 2 + rho)
-    return SmoothMode(
-        alpha=alpha, n=n, omega=omega, a=a, b=b, radial=R, radial_deriv=dR, flux_at_1=flux
-    )
+
+    alpha: float
+    n: int
+    k: int
+    a: float
+    b: float
+    omega: float = field(init=False)
+    radial: Callable[[np.ndarray], np.ndarray] = field(init=False)
+    radial_deriv: Callable[[np.ndarray], np.ndarray] = field(init=False)
+    flux_at_1: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = _whole(self.n, "sine order n", minimum=1)
+        _real(self.a, "a")
+        _real(self.b, "b")
+        rho, R, dR, flux = bessel_radial_mode(self.alpha, self.k)
+        derived = (n, math.sqrt((n * math.pi) ** 2 + rho), R, dR, flux)
+        for name, value in zip(("n", "omega", "radial", "radial_deriv", "flux_at_1"), derived):
+            object.__setattr__(self, name, value)
+
+
+def bessel_mode(alpha: float, n: int, k: int, a: float = 1.0, b: float = 0.0) -> SmoothMode:
+    """Exact eigenmode with the k-th Bessel radial profile and sine order n;
+    raises what `SmoothMode` raises."""
+    return SmoothMode(alpha, n, k, a, b)
 
 
 @dataclass(frozen=True)
@@ -774,10 +781,7 @@ def carleman_constant_scan(
         NonFiniteReport: 2 s e^(2 lam) is 700 or more for an s value,
             before any s is solved.
     """
-    s_values = [_real(s, "s", NonPositiveInput, above=0) for s in s_values]
-    for s in s_values:  # every s is refused or admitted before the first solve
-        _log_offset(params.lam, s)
-    return [
-        carleman_component_integrals(solution, dataclasses.replace(params, s=s), **grid)
-        for s in s_values
-    ]
+    records = [dataclasses.replace(params, s=s) for s in s_values]
+    for p in records:  # every s is refused or admitted before the first solve
+        _log_offset(p.lam, p.s)
+    return [carleman_component_integrals(solution, p, **grid) for p in records]

@@ -200,9 +200,9 @@ def _run_carleman_check(cfg: dict) -> dict:
     solution = SmoothModalSolution(
         cfg["alpha"], (bessel_mode(cfg["alpha"], cfg["mode_n"], cfg["mode_k"], a=1.0, b=0.3),)
     )
-    # the scan checks every s, the base s first, before it solves any.  Its
-    # integrals run before the residual, so that a weight whose peak
-    # overflows is refused before the residual computes with it
+    # the scan checks every s, the base s first, before it solves any, and
+    # runs before the residual, so a refused s costs no solve at all (the
+    # residual refuses an overflowing weight on its own)
     s_values = _items(cfg["s_scan"], float)
     scan = list(dict.fromkeys([params.s, *s_values]))
     integrals = dict(zip(scan, carleman_constant_scan(solution, params, scan)))

@@ -82,13 +82,14 @@ def _real(
     A real number is an int, a float or a numpy scalar (not a string); an
     array is a numpy array of a numeric dtype, every element checked.
     """
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+    if array := isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         x = value
     elif isinstance(value, numbers.Real):
         x = float(value)
     else:
         raise error(f"{name} must be a real number, got {value!r}")
-    rules = [(np.isfinite(x), "be finite")]
+    # a number's rules are plain bools, tested without numpy's per-call cost
+    rules = [(np.isfinite(x) if array else math.isfinite(x), "be finite")]
     if above is not None and below is not None:
         rules.append(((x > above) & (x < below), f"lie in ({above}, {below})"))
     elif above is not None:
@@ -98,7 +99,7 @@ def _real(
     if least is not None:
         rules.append((x >= least, f"be at least {least}"))
     for ok, rule in rules:
-        if not np.all(ok):
+        if not (np.all(ok) if array else ok):
             bad = x if np.ndim(x) == 0 else x[~ok].flat[0]
             raise error(f"{name} must {rule}, got {bad}")
     return x
@@ -168,23 +169,34 @@ def theta_strips(delta0: float) -> tuple[tuple[float, float], ...]:
 class CarlemanParams:
     """Carleman weight parameters and the admissibility data they derive.
 
-    A record keeps the alpha, delta0, beta, T, lambda and s it is given and
-    derives the rest in closed form whenever it is made, by
-    `dataclasses.replace` too, so no derived field can go stale or be
-    passed: t0 = T/2; gamma certifies the endpoint sign condition of the
-    weight exponent xi = theta^2 + r^(2-alpha) - beta*(t - t0)^2;
-    gamma_hat and epsilon certify the two-sided band conditions used to
-    remove the auxiliary terminal constraint, and A0 = exp(-lambda*gamma_hat),
-    A1 = exp(-2*lambda*gamma_hat) are the absorption constants.  The closed
-    forms are those of `validate_carleman_params`, which also gates the
-    given values themselves (alpha, s and the bound on beta); build records
-    through it.
+    A record keeps the alpha, delta0, beta, T, lambda and s it is given,
+    checks them, and derives the rest in closed form whenever it is made,
+    by `dataclasses.replace` too, so no record holds an inadmissible value
+    and no derived field can go stale or be passed.  The record sets
+    t0 = T/2 and gamma to half its maximal admissible value,
+    gamma = (min{delta0, beta} T^2 - 8)/8, which certifies the endpoint
+    sign condition of the weight exponent
+    xi = theta^2 + r^(2-alpha) - beta*(t - t0)^2; gamma_hat = gamma/4 and
+    epsilon certify the two-sided band conditions used to remove the
+    auxiliary terminal constraint, and A0 = exp(-lambda*gamma_hat),
+    A1 = exp(-2*lambda*gamma_hat) are the absorption constants.  On the
+    unit square theta^2 + r^(2-alpha) spans exactly [0, 2] and both band
+    conditions on xi are monotone in |t - T/2|, so the largest admissible
+    band half-width is the closed form
+    min{sqrt(gamma_hat/beta), (T/2 - sqrt((2 + 2 gamma_hat)/beta))/2, T/16};
+    epsilon is that value with the cap just below T/16, shrunk by 0.999.
+    Both bounds are positive whenever gamma_hat is, that is above the
+    threshold beta T^2 > 8.
 
     Raises:
-        ParameterOutOfRange: T or lambda is not a finite real number.
-        NonPositiveInput: delta0 or beta is not positive and finite, or
-            A1 < A0 fails in floating point.
-        TimeTooShort: T at or within rounding of the observation threshold.
+        ParameterOutOfRange: alpha outside (0, 1) or delta0 outside
+            (0, 1/32).
+        NonPositiveInput: beta, T, lambda or s is not positive and finite,
+            or A1 < A0 fails in floating point.
+        BetaOutOfRange: beta above min{(2-alpha)^2/8, delta0}/2.
+        TimeTooShort: T at or below the observation threshold, or so close
+            to it (about 1e-11 relative) that gamma_hat is too small to
+            certify the band conditions against their own rounding.
     """
 
     alpha: float
@@ -201,8 +213,16 @@ class CarlemanParams:
     A1: float = field(init=False)
 
     def __post_init__(self) -> None:
-        delta0, beta = self.delta0, self.beta
-        T, lam = _real(self.T, "T"), _real(self.lam, "lambda")
+        DegeneracyParams(self.alpha)
+        delta0 = DomainSpec(self.delta0).delta0
+        given = (("beta", self.beta), ("T", self.T), ("lambda", self.lam), ("s", self.s))
+        beta, T, lam, _ = (_real(value, name, NonPositiveInput, above=0) for name, value in given)
+        bmax = beta_upper_bound(self.alpha, delta0)
+        # the endpoint beta = bmax is admitted: every derived quantity stays
+        # well defined there, and the canonical configuration delta0 = 0.01,
+        # beta = 0.005 sits exactly on it
+        if beta > bmax:
+            raise BetaOutOfRange(f"beta = {beta} must not exceed {bmax}")
         threshold = observation_time_threshold(delta0, beta)
         if not T > threshold:
             raise TimeTooShort(f"T = {T} must exceed {threshold}")
@@ -272,40 +292,12 @@ def validate_carleman_params(
     lam: float = 1.0,
     s: float = 2.0,
 ) -> CarlemanParams:
-    """Validate raw weight parameters and build their record, which derives
-    the admissibility package in closed form.
+    """The weight record of raw parameters on a domain.
 
-    It gates what the record does not: alpha, the positivity of beta, T,
-    lambda and s, and the bound on beta.  The record sets gamma to half its
-    maximal admissible value, gamma = (min{delta0, beta} T^2 - 8)/8, and
-    gamma_hat = gamma/4.  On the unit square theta^2 + r^(2-alpha) spans
-    exactly [0, 2] and both band conditions on xi are monotone in
-    |t - T/2|, so the largest admissible band half-width is the closed form
-    min{sqrt(gamma_hat/beta), (T/2 - sqrt((2 + 2 gamma_hat)/beta))/2, T/16};
-    epsilon is that value with the cap just below T/16, shrunk by 0.999.
-    Both bounds are positive whenever gamma_hat is, that is above the
-    threshold beta T^2 > 8.
-
-    Raises:
-        NonPositiveInput: a raw scalar is not positive and finite, or
-            A1 = exp(-2 lam gamma_hat) < A0 = exp(-lam gamma_hat) fails in
-            floating point.
-        BetaOutOfRange: beta outside (0, min{(2-alpha)^2/8, delta0}/2].
-        TimeTooShort: T at or below the observation threshold, or so close
-            to it (about 1e-11 relative) that gamma_hat is too small to
-            certify the band conditions against their own rounding.
+    `CarlemanParams` checks them and derives the admissibility package in
+    closed form; it raises what that record raises.
     """
-    DegeneracyParams(alpha)
-    delta0 = domain.delta0
-    for name, value in (("beta", beta), ("T", T), ("lambda", lam), ("s", s)):
-        _real(value, name, NonPositiveInput, above=0)
-    bmax = beta_upper_bound(alpha, delta0)
-    # the endpoint beta = bmax is admitted: every derived quantity stays
-    # well defined there, and the canonical configuration delta0 = 0.01,
-    # beta = 0.005 sits exactly on it
-    if beta > bmax:
-        raise BetaOutOfRange(f"beta = {beta} must not exceed {bmax}")
-    return CarlemanParams(alpha, delta0, beta, T, lam, s)
+    return CarlemanParams(alpha, domain.delta0, beta, T, lam, s)
 
 
 # ---------------------------------------------------------------------------

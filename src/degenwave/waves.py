@@ -79,7 +79,8 @@ class ModalCoefficients:
     too, so its frequencies always match its basis and cannot be passed.
 
     Raises:
-        GridMismatch: a and b are not 2-D numpy arrays of one shape.
+        GridMismatch: a and b are not 2-D numpy arrays of finite real
+            numbers of one shape.
         TruncationTooSmall: more radial orders than the basis computed.
     """
 
@@ -93,6 +94,8 @@ class ModalCoefficients:
         a, b = self.a, self.b
         if not all(isinstance(x, np.ndarray) for x in (a, b)) or a.ndim != 2 or b.shape != a.shape:
             raise GridMismatch("amplitudes a and velocities b must be 2-D arrays of one shape")
+        _real(a, "amplitudes a", GridMismatch)
+        _real(b, "velocities b", GridMismatch)
         for name, value in zip(("omega", "omega_sq"), _frequencies(self.basis, *a.shape)):
             object.__setattr__(self, name, value)
 
@@ -165,7 +168,7 @@ def modal_state(
                     raise TruncationTooSmall(f"mode ({n}, {k}) outside truncation")
                 arr[n - 1, k - 1] = _real(val, f"{name} of mode {(n, k)}", GridMismatch)
             return arr
-        arr = _reals(entries, name, GridMismatch)
+        arr = _reals(entries, name, GridMismatch, finite=False)  # the state checks finiteness
         if arr.shape != (n_max, k_max):
             raise GridMismatch(f"coefficient array must have shape {(n_max, k_max)}")
         return arr

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from degenwave.carleman import SmoothModalSolution, bessel_mode, carleman_component_integrals
 from degenwave.params import DomainSpec, validate_carleman_params
 from degenwave.radial import solve_radial_basis
-from ledger import CARLEMAN_POINTS, DEMOS, AcceptanceLedger, run_demo
+from ledger import BASIS_CASES, CARLEMAN_POINTS, DEMOS, AcceptanceLedger, run_demo
 
 
 def pytest_addoption(parser):
@@ -18,15 +18,15 @@ def pytest_addoption(parser):
         metavar="PATH",
         default=None,
         help="write each acceptance criterion's measured values and gates, the Carleman "
-        "component integrals and the demos' stdout to PATH as JSON",
+        "component integrals, the radial basis hashes and the demos' stdout to PATH as JSON",
     )
 
 
 @pytest.fixture(scope="session")
 def ledger(request, bessel_solution):
     """The acceptance ledger, written at the end of the session when a path
-    is given, with the Carleman component integrals at CARLEMAN_POINTS and
-    the stdout of every demo."""
+    is given, with the Carleman component integrals at CARLEMAN_POINTS, the
+    hashes of the bases at BASIS_CASES and the stdout of every demo."""
     book = AcceptanceLedger()
     yield book
     path = request.config.getoption("--acceptance-ledger")
@@ -36,6 +36,9 @@ def ledger(request, bessel_solution):
                 0.5, DomainSpec(0.03), beta=0.0149, T=40.0, lam=lam, s=s
             )
             book.record_carleman(carleman_component_integrals(bessel_solution, params))
+        for alpha, N, k_max in BASIS_CASES:
+            basis = solve_radial_basis(alpha, N=N, g=2.0, k_max=k_max)
+            book.record_basis(alpha, N, k_max, basis)
         with tempfile.TemporaryDirectory() as cwd:
             for demo in DEMOS:
                 res = run_demo(demo, cwd)

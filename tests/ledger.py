@@ -4,8 +4,10 @@
 object: under "criteria", per criterion (keyed "01" to "11") its measured
 values by name and its gate bounds; under "carleman", every
 `ComponentIntegrals` field on the default grid of the canonical weight at
-each (lam, s) of CARLEMAN_POINTS; under "demos", the stdout lines of each
-demo; and under "timing_s" the wall times, the one field that differs
+each (lam, s) of CARLEMAN_POINTS; under "bases", the sha256 of the bytes
+of `rho`, `R` and `flux` of the radial basis at each (alpha, N, k_max) of
+BASIS_CASES (grading 2); under "demos", the stdout lines of each demo;
+and under "timing_s" the wall times, the one field that differs
 between two runs of one tree.  Floats are written by repr, so a
 value reads back bit for bit; a non-finite float, which strict JSON cannot
 hold, is written as the string of its repr ("nan", "inf", "-inf").
@@ -22,6 +24,7 @@ code is 0 when the ledgers agree bit for bit, 1 otherwise.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -37,6 +40,11 @@ TIMING = "timing_s"
 #: (lam, s) at which the ledger holds the Carleman component integrals:
 #: both sides of the admitted range, up to the offset 655 at (2, 6)
 CARLEMAN_POINTS = ((0.5, 2.0), (1.0, 3.0), (1.0, 8.0), (2.0, 6.0), (0.5, 8.0))
+
+#: (alpha, N, k_max) of the radial bases the ledger hashes, the cases at
+#: which the solver is pinned bitwise to scipy's LAPACK capsules: one split
+#: over several bisection chunks, one single chunk, one near alpha = 1
+BASIS_CASES = ((0.3, 8192, 256), (0.5, 2048, 64), (0.99, 1024, 33))
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -68,11 +76,13 @@ def _plain(value):
 
 class AcceptanceLedger:
     """Values and gates of the acceptance criteria, filled as they run, and
-    the Carleman component integrals and demo outputs beside them."""
+    the Carleman component integrals, basis hashes and demo outputs beside
+    them."""
 
     def __init__(self):
         self.criteria = {}
         self.carleman = {}
+        self.bases = {}
         self.demos = {}
         self.timing = {}
 
@@ -87,13 +97,20 @@ class AcceptanceLedger:
         key = f"lam {integrals.lam!r} s {integrals.s!r}"
         self.carleman[key] = _plain(dataclasses.asdict(integrals))
 
+    def record_basis(self, alpha: float, N: int, k_max: int, basis) -> None:
+        """The sha256 of the bytes of a basis's rho, R and flux, keyed by its case."""
+        self.bases[f"alpha {alpha!r} N {N} k_max {k_max}"] = {
+            name: hashlib.sha256(getattr(basis, name).tobytes()).hexdigest()
+            for name in ("rho", "R", "flux")
+        }
+
     def record_demo(self, name: str, stdout: str) -> None:
         self.demos[name] = stdout.splitlines()
 
     def write(self, path) -> None:
         book = {
-            "criteria": self.criteria, "carleman": self.carleman, "demos": self.demos,
-            TIMING: self.timing,
+            "criteria": self.criteria, "carleman": self.carleman, "bases": self.bases,
+            "demos": self.demos, TIMING: self.timing,
         }
         with open(path, "w") as f:
             json.dump(book, f, allow_nan=False, indent=1, sort_keys=True)

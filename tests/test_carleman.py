@@ -21,6 +21,7 @@ from oracles import (
 
 from degenwave import _threads, carleman
 from degenwave.carleman import (
+    SmoothMode,
     SmoothModalSolution,
     bessel_mode,
     build_weight_field,
@@ -44,6 +45,7 @@ from degenwave.params import (
     time_cutoff,
     validate_carleman_params,
 )
+from degenwave.radial import bessel_radial_mode
 
 
 def symbolic_wave(u, coords, alpha):
@@ -252,8 +254,10 @@ def two_mode_solution():
     )
 
 
-def counted_radial_solution(solution, calls):
-    """The solution with each mode's radial and radial_deriv counting its calls."""
+def counted_radial_solution(calls, monkeypatch):
+    """two_mode_solution with each mode's radial and radial_deriv counting
+    its calls, keyed by the mode's index."""
+    built = iter(range(2))
 
     def counted(key, f):
         def wrapped(r):
@@ -262,20 +266,34 @@ def counted_radial_solution(solution, calls):
 
         return wrapped
 
-    return SmoothModalSolution(
-        solution.alpha,
-        tuple(
-            dataclasses.replace(
-                m,
-                radial=counted(("R", i), m.radial),
-                radial_deriv=counted(("dR", i), m.radial_deriv),
-            )
-            for i, m in enumerate(solution.modes)
-        ),
-    )
+    def counted_profile(alpha, k):
+        rho, R, dR, flux = bessel_radial_mode(alpha, k)
+        i = next(built)
+        return rho, counted(("R", i), R), counted(("dR", i), dR), flux
+
+    monkeypatch.setattr(carleman, "bessel_radial_mode", counted_profile)
+    return two_mode_solution()
 
 
 class TestModalSolution:
+    def test_mode_derives_its_profile(self):
+        mode = SmoothMode(0.5, 1, 1, 1.0, 0.3)
+        assert float.hex(mode.omega) == "0x1.e93b86ae76a5ap+1"
+        assert float.hex(mode.flux_at_1) == "-0x1.5545e6b6c76a9p+1"
+        # a replaced radial index gets its own profile and frequency
+        r = np.linspace(0.0, 1.0, 5)
+        moved, fresh = dataclasses.replace(mode, k=2), bessel_mode(0.5, 1, 2, a=1.0, b=0.3)
+        assert (moved.omega, moved.flux_at_1) == (fresh.omega, fresh.flux_at_1)
+        assert np.array_equal(moved.radial(r), fresh.radial(r))
+
+    @pytest.mark.parametrize("name", ["omega", "radial", "radial_deriv", "flux_at_1"])
+    def test_derived_fields_cannot_be_passed(self, name):
+        mode = SmoothMode(0.5, 1, 1, 1.0, 0.3)
+        with pytest.raises(TypeError):
+            SmoothMode(0.5, 1, 1, 1.0, 0.3, **{name: getattr(mode, name)})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(mode, **{name: getattr(mode, name)})
+
     # a sine order of 1.5 once gave a "solution" that is -1 at theta = 1
     @pytest.mark.parametrize(
         "bad", [{"n": 0}, {"n": -1}, {"k": 0}, {"k": -2}, {"n": 1.5}, {"k": 1.5}]
@@ -354,15 +372,19 @@ class TestConjugationResidual:
         assert rep.residual_norm == 0.0
         assert rep.relative == 0.0
 
-    def test_identity_reduces_to_pde_residual_at_s_zero(
+    def test_identity_tends_to_pde_residual_as_s_vanishes(
         self, carleman_params, bessel_solution
     ):
-        p0 = dataclasses.replace(carleman_params, s=0.0)
-        rep0 = conjugation_residual(bessel_solution, p0, shape=(384, 24, 96))
-        rep = conjugation_residual(bessel_solution, carleman_params, shape=(384, 24, 96))
-        # with s = 0 the conjugation is trivial and only the wave-operator
-        # stencil error of psi = k zeta phi remains
-        assert 0.0 < rep0.residual_norm < rep.residual_norm
+        # as s -> 0 the conjugation becomes trivial and only the wave-operator
+        # stencil error of psi = k zeta phi remains; s = 0 itself is refused
+        small, smaller, rep = (
+            conjugation_residual(
+                bessel_solution, dataclasses.replace(carleman_params, s=s), shape=(384, 24, 96)
+            )
+            for s in (1e-6, 1e-9, carleman_params.s)
+        )
+        assert small.residual_norm == pytest.approx(smaller.residual_norm, rel=1e-5)
+        assert 0.0 < smaller.residual_norm < rep.residual_norm
 
     def test_residual_second_order(self, carleman_params, bessel_solution):
         r1 = conjugation_residual(bessel_solution, carleman_params, shape=(576, 12, 48))
@@ -390,17 +412,17 @@ class TestConjugationResidual:
         with pytest.raises(ParameterOutOfRange, match="r_min"):
             conjugation_residual(bessel_solution, carleman_params, shape=(576, 12, 48), r_min=r_min)
 
-    @pytest.mark.parametrize("case", ["one_mode", "two_modes", "s_zero"])
+    @pytest.mark.parametrize("case", ["one_mode", "two_modes", "s_small"])
     def test_matches_slab_kernel(self, carleman_params, bessel_solution, case):
-        shape = {"one_mode": (576, 12, 48), "two_modes": (768, 24, 128), "s_zero": (384, 24, 96)}[case]
+        shape = {"one_mode": (576, 12, 48), "two_modes": (768, 24, 128), "s_small": (384, 24, 96)}[case]
         params, sol = carleman_params, bessel_solution
         if case == "two_modes":
             sol = SmoothModalSolution(
                 0.5,
                 (bessel_mode(0.5, 1, 1, a=1.0, b=0.3), bessel_mode(0.5, 2, 2, a=-0.4, b=0.2)),
             )
-        if case == "s_zero":
-            params = dataclasses.replace(carleman_params, s=0.0)
+        if case == "s_small":  # a weight within 1e-8 of 1
+            params = dataclasses.replace(carleman_params, s=1e-9)
         tiled = conjugation_residual(sol, params, shape=shape)
         slab = slab_conjugation_residual(sol, params, shape=shape)
         assert tiled.residual_norm == pytest.approx(slab.residual_norm, rel=1e-12)
@@ -606,7 +628,7 @@ class TestConjugationResidual:
 
     def test_radial_factors_once_per_call(self, carleman_params, monkeypatch):
         calls = collections.Counter()
-        sol = counted_radial_solution(two_mode_solution(), calls)
+        sol = counted_radial_solution(calls, monkeypatch)
         for budget in (97 * 16 * 49, 10 * 16 * 10):
             monkeypatch.setattr(carleman, "_TILE_ELEMENTS", budget)
             calls.clear()
@@ -663,6 +685,14 @@ class TestComponentIntegrals:
         assert out.lhs_zero_order == 0.0
         assert out.rhs_trace == 0.0
 
+    def test_negative_s_refused(self, carleman_params, bessel_solution):
+        # once lhs_gradient -8.35, rhs_trace -69.0 and chat -inf, without an error
+        with pytest.raises(NonPositiveInput, match="s must exceed 0"):
+            carleman_component_integrals(
+                bessel_solution, dataclasses.replace(carleman_params, s=-2.0),
+                n_theta=48, n_r=32, n_t=96,
+            )
+
     def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
         grid = dict(n_theta=48, n_r=32, n_t=64)
         # one tile each for the 49 x 65 core and the 66 x 65 joined strips
@@ -690,13 +720,13 @@ class TestComponentIntegrals:
             tracemalloc.stop()
         assert peak <= 64e6
 
-    @pytest.mark.parametrize("case", ["defaults", "two_modes", "s_zero"])
+    @pytest.mark.parametrize("case", ["defaults", "two_modes", "s_small"])
     def test_matches_pointwise_oracle(self, carleman_params, bessel_solution, case):
         params, sol = carleman_params, bessel_solution
         if case == "two_modes":
             sol = two_mode_solution()
-        if case == "s_zero":
-            params = dataclasses.replace(carleman_params, s=0.0)
+        if case == "s_small":  # a weight within 1e-8 of 1
+            params = dataclasses.replace(carleman_params, s=1e-9)
         got = carleman_component_integrals(sol, params)
         expect = pointwise_component_integrals(sol, params)
         for field in dataclasses.fields(got):
@@ -706,7 +736,7 @@ class TestComponentIntegrals:
 
     def test_radial_factors_once_per_call(self, carleman_params, monkeypatch):
         calls = collections.Counter()
-        sol = counted_radial_solution(two_mode_solution(), calls)
+        sol = counted_radial_solution(calls, monkeypatch)
         grid = dict(n_theta=48, n_r=32, n_t=64)
         for budget in (49 * 32 * 65, 10 * 32 * 10):
             monkeypatch.setattr(carleman, "_TILE_ELEMENTS", budget)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,10 +74,12 @@ def integrals(lam, s, chat):
     )
 
 
-def write_beside(tmp_path, name, chat, line):
+def write_beside(tmp_path, name, chat, line, rho=(1.0, 2.0)):
     book = AcceptanceLedger()
     book.record(7, {"drift": 1e-13}, {"drift_at_most": 1e-12})
     book.record_carleman(integrals(0.5, 2.0, chat))
+    basis = SimpleNamespace(rho=np.array(rho), R=np.eye(2), flux=np.array([1.5, -1.5]))
+    book.record_basis(0.5, 64, 2, basis)
     book.record_demo("04_carleman_weight", f"derived weight parameters:\n{line}\n")
     path = tmp_path / name
     book.write(path)
@@ -85,12 +89,15 @@ def write_beside(tmp_path, name, chat, line):
 def test_carleman_values_and_demos_sit_beside_the_criteria(tmp_path):
     x = 0.1 + 0.2
     book = json.loads(write_beside(tmp_path, "a.json", x, "  gamma = 1.9800").read_text())
-    assert sorted(book) == ["carleman", "criteria", "demos", TIMING]
+    assert sorted(book) == ["bases", "carleman", "criteria", "demos", TIMING]
     fields = book["carleman"]["lam 0.5 s 2.0"]
     assert float.hex(fields["chat"]) == float.hex(x)
     assert fields["rhs_trace"] == "inf"
     assert (fields["lam"], fields["s"]) == (0.5, 2.0)
     assert book["demos"] == {"04_carleman_weight": ["derived weight parameters:", "  gamma = 1.9800"]}
+    hashes = book["bases"]["alpha 0.5 N 64 k_max 2"]
+    assert hashes["rho"] == hashlib.sha256(np.array([1.0, 2.0]).tobytes()).hexdigest()
+    assert sorted(hashes) == ["R", "flux", "rho"]
 
 
 def test_a_differing_carleman_value_or_demo_line_is_named(tmp_path, capsys):
@@ -102,3 +109,12 @@ def test_a_differing_carleman_value_or_demo_line_is_named(tmp_path, capsys):
     assert out[-3].startswith("carleman.lam 0.5 s 2.0.chat: 0.3 -> 0.30000000000000004")
     assert out[-2] == "demos.04_carleman_weight[1]: '  gamma = 1.9800' -> '  gamma = 1.9801'"
     assert out[-1] == "2 values differ"
+
+
+def test_a_basis_that_moves_by_one_bit_is_named(tmp_path, capsys):
+    a = write_beside(tmp_path, "a.json", 0.3, "  gamma = 1.9800")
+    b = write_beside(tmp_path, "b.json", 0.3, "  gamma = 1.9800", rho=(1.0, 2.0 + 2.0**-51))
+    assert main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("bases.alpha 0.5 N 64 k_max 2.rho: ")
+    assert out[-1] == "1 values differ"

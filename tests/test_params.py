@@ -203,6 +203,19 @@ class TestValidateCarlemanParams:
         with pytest.raises(TimeTooShort):
             dataclasses.replace(carleman_params, T=1.0)
 
+    @pytest.mark.parametrize(
+        "given, error",
+        [
+            ({"s": -2.0}, NonPositiveInput), ({"s": math.nan}, NonPositiveInput),
+            ({"beta": 0.5}, BetaOutOfRange), ({"delta0": 0.05}, ParameterOutOfRange),
+        ],
+        ids=["s-negative", "s-nan", "beta-above-bound", "delta0-above-range"],
+    )
+    def test_replaced_record_checks_given_values(self, carleman_params, given, error):
+        # s = -2 once gave negative squared norms, and beta = 0.5 was admitted
+        with pytest.raises(error):
+            dataclasses.replace(carleman_params, **given)
+
     @pytest.mark.parametrize("name", ["t0", "gamma", "gamma_hat", "epsilon", "A0", "A1"])
     def test_derived_fields_cannot_be_passed(self, carleman_params, name):
         names = ("alpha", "delta0", "beta", "T", "lam", "s")
@@ -337,7 +350,7 @@ def test_cutoff_product_matches_two_band_oracle(spec):
         lambda basis, params: CutoffSpec(rise=(0.2, 0.1), fall=(0.8, 0.9)),
         lambda basis, params: theta_cutoff(0.05),
         lambda basis, params: time_cutoff(5.0, 40.0),
-        lambda basis, params: dataclasses.replace(params, T=math.nan),
+        lambda basis, params: dataclasses.replace(params, alpha=1.5),
         lambda basis, params: assemble_weighted_system(basis.mesh, p=0.5, q=0.0, bc="free"),
         lambda basis, params: elliptic_identity_residual(basis, 0.0, np.ones(basis.k_max + 1)),
     ],

@@ -517,7 +517,7 @@ SWEEP = {
     # carleman
     "ComponentIntegrals": row(),
     "ConjugationReport": row(),
-    "SmoothMode": row(),
+    "SmoothMode": row(("alpha", "n", "k", "a", "b"), alpha=0.5, n=1, k=1, a=1.0, b=0.3),
     "SmoothModalSolution": row(("alpha",), alpha=0.5, modes=(degenwave.bessel_mode(0.5, 1, 1),)),
     "bessel_mode": row(("alpha", "n", "k", "a", "b"), alpha=0.5, n=1, k=1, a=1.0, b=0.3),
     "build_weight_field": row(
@@ -567,10 +567,11 @@ SWEEP = {
         n_values=[1, 2, 4, 8], T=44.0, domain=shared("domain"), basis=shared("basis"),
     ),
     "observability_ratio": row(("T",), state=shared("state"), domain=shared("domain"), T=44.0),
-    # params; a CarlemanParams record derives the rest from the given fields
-    # it reads, and validate_carleman_params gates alpha and s
+    # params; a CarlemanParams record checks every given field and derives
+    # the rest from them
     "CarlemanParams": row(
-        ("delta0", "beta", "T", "lam"), alpha=0.5, delta0=0.03, beta=0.0149, T=40.0, lam=0.5, s=2.0
+        ("alpha", "delta0", "beta", "T", "lam", "s"),
+        alpha=0.5, delta0=0.03, beta=0.0149, T=40.0, lam=0.5, s=2.0,
     ),
     "CutoffSpec": row(
         (("rise", 0), ("rise", 1), ("fall", 0), ("fall", 1)), rise=(0.1, 0.2), fall=(0.8, 0.9)

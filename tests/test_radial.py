@@ -36,6 +36,7 @@ from degenwave.radial import (
 )
 from degenwave.waves import random_state
 
+from ledger import BASIS_CASES
 from oracles import (
     banded_refine_smallest_eigenpair,
     capsule_eigenpairs,
@@ -413,9 +414,7 @@ class TestLumpedSolver:
         assert basis.R.tobytes() == R.tobytes()
         assert basis.flux.tobytes() == flux.tobytes()
 
-    @pytest.mark.parametrize(
-        "alpha,N,k_max", [(0.3, 8192, 256), (0.5, 2048, 64), (0.99, 1024, 33)],
-    )
+    @pytest.mark.parametrize("alpha,N,k_max", BASIS_CASES)
     def test_matches_capsule_binding_bitwise(self, alpha, N, k_max):
         """numpy's ILP64 OpenBLAS gives the bits of scipy's capsules, which
         the solver bound before."""

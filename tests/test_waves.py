@@ -788,6 +788,15 @@ class TestStateRecord:
         with pytest.raises(GridMismatch, match="2-D arrays of one shape"):
             waves.ModalCoefficients(basis05, a, b)
 
+    @pytest.mark.parametrize("name", ["a", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficients_refused(self, basis05, name, value):
+        # a nan amplitude once made a state whose energy was nan
+        coeffs = {"a": np.zeros((2, 2)), "b": np.zeros((2, 2))}
+        coeffs[name][1, 0] = value
+        with pytest.raises(GridMismatch, match="must be finite"):
+            waves.ModalCoefficients(basis05, **coeffs)
+
     def test_frequencies_cannot_be_passed(self, basis05):
         st = random_state(basis05, 2, 2, seed=1)
         with pytest.raises(TypeError):
