@@ -49,10 +49,12 @@ from .errors import (
     GridMismatch,
     InsufficientData,
     NonFiniteReport,
+    NonPositiveInput,
     ParameterOutOfRange,
 )
 from .params import (
     CarlemanParams,
+    DegeneracyParams,
     _real,
     _reals,
     _whole,
@@ -140,6 +142,7 @@ class SmoothModalSolution:
     modes: tuple[SmoothMode, ...]
 
     def __post_init__(self) -> None:
+        DegeneracyParams(self.alpha)
         if not self.modes:
             raise ParameterOutOfRange("a modal solution needs at least one mode")
         if any(m.alpha != self.alpha for m in self.modes):
@@ -221,12 +224,8 @@ def build_weight_field(
         GridMismatch: an axis that is not a one-dimensional array of finite
             real numbers.
     """
-    axes = []
-    for name, axis in (("theta", theta), ("r", r), ("t", t)):
-        axis = _reals(axis, name, GridMismatch)
-        if axis.ndim != 1:
-            raise GridMismatch(f"{name} must be a one-dimensional array, got shape {axis.shape}")
-        axes.append(axis)
+    given = (("theta", theta), ("r", r), ("t", t))
+    axes = [_reals(axis, name, GridMismatch, ndim=1) for name, axis in given]
     sig_theta, sig_r, sig_t = _sigma_factors(params, *axes)
     return sig_theta[:, None, None] * (sig_r[:, None] * sig_t[None, :])[None, :, :]
 
@@ -777,10 +776,12 @@ def carleman_constant_scan(
     otherwise, so the entry at params.s is that call's result bit for bit.
 
     Raises:
-        NonPositiveInput: an s value is not positive and finite.
+        NonPositiveInput: s_values is not a one-dimensional array of real
+            numbers, or an s value is not positive and finite.
         NonFiniteReport: 2 s e^(2 lam) is 700 or more for an s value,
             before any s is solved.
     """
+    _reals(s_values, "s_values", NonPositiveInput, finite=False, ndim=1)
     records = [dataclasses.replace(params, s=s) for s in s_values]
     for p in records:  # every s is refused or admitted before the first solve
         _log_offset(p.lam, p.s)

@@ -9,16 +9,16 @@ and the two smooth cutoffs: the angular plateau cutoff and the temporal
 plateau cutoff.  All types are immutable; all functions are pure.
 
 It also holds the package's input gates, the only place that tests an
-argument's type, finiteness or range.  `_whole` takes a count (an integer,
-or a float with an integral value) and an optional lower bound; `_real`
-takes a real number, or a numpy array of them such as a time grid, checks
-that it is finite and, optionally, inside an open interval or beyond one
-bound; `_reals` is the one rule that turns an array argument (a number, a
-numpy array or nested sequences) into a float array, refusing text,
-ragged and non-numeric input and, unless told otherwise, non-finite
-entries.  Each caller names the argument and passes the error class it
-raises, so a refused input always raises a `DegenWaveError` subclass that
-names it.
+argument's type, finiteness or range.  Each gate takes one kind of input.
+`_whole` takes a count (an integer, or a float with an integral value) and
+an optional lower bound; `_real` takes one real number, never an array,
+checks that it is finite and, optionally, inside an open interval or
+beyond one bound; `_reals` is the one rule that turns an array argument (a
+number, a numpy array or nested sequences) into a float array, refusing
+text, ragged and non-numeric input, input of another rank than the one
+asked for and, unless told otherwise, non-finite entries.  Each caller
+names the argument and passes the error class it raises, so a refused
+input always raises a `DegenWaveError` subclass that names it.
 """
 
 from __future__ import annotations
@@ -74,24 +74,21 @@ def _real(
     above: float | None = None,
     below: float | None = None,
     least: float | None = None,
-):
-    """value as a float, or an array of them as given, refused with `error`
-    unless it is finite and beyond the bounds given: above and below are
-    strict, least is inclusive.
+) -> float:
+    """value as a float, refused with `error` unless it is a finite real
+    number beyond the bounds given: above and below are strict, least is
+    inclusive.
 
-    A real number is an int, a float or a numpy scalar (not a string); an
-    array is a numpy array of a numeric dtype, every element checked.
+    A real number is an int, a float or a numpy scalar; not a string, and
+    not a numpy array, a 0-d one included: an argument that takes an array
+    goes through `_reals`.
     """
-    if array := isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        x = value
-    elif isinstance(value, numbers.Real):
-        x = float(value)
-    else:
+    if not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
-    # a number's rules are plain bools, tested without numpy's per-call cost
-    rules = [(np.isfinite(x) if array else math.isfinite(x), "be finite")]
+    x = float(value)
+    rules = [(math.isfinite(x), "be finite")]
     if above is not None and below is not None:
-        rules.append(((x > above) & (x < below), f"lie in ({above}, {below})"))
+        rules.append((above < x < below, f"lie in ({above}, {below})"))
     elif above is not None:
         rules.append((x > above, f"exceed {above}"))
     elif below is not None:
@@ -99,18 +96,19 @@ def _real(
     if least is not None:
         rules.append((x >= least, f"be at least {least}"))
     for ok, rule in rules:
-        if not (np.all(ok) if array else ok):
-            bad = x if np.ndim(x) == 0 else x[~ok].flat[0]
-            raise error(f"{name} must {rule}, got {bad}")
+        if not ok:
+            raise error(f"{name} must {rule}, got {x}")
     return x
 
 
 def _reals(
-    value, name: str, error: type[Exception] = ParameterOutOfRange, *, finite: bool = True
+    value, name: str, error: type[Exception] = ParameterOutOfRange, *,
+    finite: bool = True, ndim: int | None = None,
 ) -> np.ndarray:
     """value as a new float array, refused with `error` unless it is a real
     number, a numpy array of a numeric dtype, or nested sequences of real
-    numbers of one shape; every element must be finite unless finite is False.
+    numbers of one shape, with ndim axes if ndim is given; every element
+    must be finite unless finite is False.
     """
     try:
         x = np.asarray(value)
@@ -118,8 +116,11 @@ def _reals(
         raise error(f"{name} must be an array of real numbers, got a ragged sequence") from None
     if x.dtype.kind not in "iuf":
         raise error(f"{name} must be an array of real numbers, got {x.dtype} entries")
-    x = x.astype(float)
-    return _real(x, name, error) if finite else x
+    if ndim is not None and x.ndim != ndim:
+        raise error(f"{name} must be a {ndim}-D array, got shape {x.shape}")
+    if finite and not (ok := np.isfinite(x)).all():
+        raise error(f"{name} must be finite, got {x[~ok].flat[0]}")
+    return x.astype(float)
 
 
 @dataclass(frozen=True)

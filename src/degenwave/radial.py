@@ -78,8 +78,8 @@ class RadialMesh:
     grading: float = 1.0
 
     def __post_init__(self) -> None:
-        nodes = _reals(self.nodes, "mesh nodes", InvalidMeshSpec)
-        if nodes.ndim != 1 or nodes.size < 3:
+        nodes = _reals(self.nodes, "mesh nodes", InvalidMeshSpec, ndim=1)
+        if nodes.size < 3:
             raise InvalidMeshSpec("mesh needs at least 2 cells")
         if np.any(np.diff(nodes) <= 0.0):
             raise InvalidMeshSpec("mesh nodes must be strictly increasing")
@@ -660,13 +660,13 @@ def elliptic_identity_residual(
 
     Raises:
         ParameterOutOfRange: mu_n not a finite real number, coefficients
-            that are not finite real numbers, or more coefficients than
-            computed eigenpairs.
+            that are not a one-dimensional array of finite real numbers, no
+            coefficient, or more coefficients than computed eigenpairs.
     """
     _real(mu_n, "mu")
-    c = _reals(coeffs, "coefficients")
-    if c.size > basis.k_max:
-        raise ParameterOutOfRange("more coefficients than computed eigenpairs")
+    c = _reals(coeffs, "coefficients", ndim=1)
+    if not 0 < c.size <= basis.k_max:
+        raise ParameterOutOfRange(f"need 1 to {basis.k_max} coefficients, got {c.size}")
     i0, i1 = basis.mats.i0, basis.mats.i1
     u = (c[:, None] * basis.R[: c.size, i0:i1]).sum(axis=0)
     lu = (c[:, None] * basis.rho[: c.size, None] * basis.R[: c.size, i0:i1]).sum(axis=0)

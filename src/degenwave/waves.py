@@ -94,8 +94,8 @@ class ModalCoefficients:
         a, b = self.a, self.b
         if not all(isinstance(x, np.ndarray) for x in (a, b)) or a.ndim != 2 or b.shape != a.shape:
             raise GridMismatch("amplitudes a and velocities b must be 2-D arrays of one shape")
-        _real(a, "amplitudes a", GridMismatch)
-        _real(b, "velocities b", GridMismatch)
+        _reals(a, "amplitudes a", GridMismatch)
+        _reals(b, "velocities b", GridMismatch)
         for name, value in zip(("omega", "omega_sq"), _frequencies(self.basis, *a.shape)):
             object.__setattr__(self, name, value)
 
@@ -341,8 +341,8 @@ def duhamel_forcing(
             wrong shape, dt not positive and finite, or t not a finite point
             of the forcing grid.
     """
-    f_hat = _reals(f_hat, "forcing samples f_hat", GridMismatch)
-    if f_hat.ndim != 3 or f_hat.shape[:2] != state.a.shape:
+    f_hat = _reals(f_hat, "forcing samples f_hat", GridMismatch, ndim=3)
+    if f_hat.shape[:2] != state.a.shape:
         raise GridMismatch("forcing samples must have shape (n_max, k_max, steps+1)")
     _real(dt, "dt", GridMismatch, above=0)
     _real(t, "t", GridMismatch)
@@ -385,10 +385,10 @@ def energy_series(state: ModalCoefficients, times: np.ndarray) -> EnergyReport:
     """Energy, kinetic, and potential parts sampled at the given times.
 
     Raises:
-        GridMismatch: times that are not real numbers, or a time that is
-            nan or infinite.
+        GridMismatch: times that are not a one-dimensional array of real
+            numbers, or a time that is nan or infinite.
     """
-    times = _reals(times, "times", GridMismatch)
+    times = _reals(times, "times", GridMismatch, ndim=1)
     amp, vel = _rotate(state.a[..., None], state.b[..., None], state.omega[..., None], times)
     # squared in place, within the rotation's three (modes x times) arrays
     vel *= vel

@@ -240,6 +240,50 @@ def per_member_ensemble_ratios(basis, seed: int, size: int, truncation, T: float
     return ratios
 
 
+def single_mode_forms(
+    n: int, omega: float, a: float, b: float, T: float, delta0: float,
+    flux: float, mass: float, stiffness: float,
+) -> dict[str, float]:
+    """The observation forms of one separated mode in closed form.
+
+    phi = u(t) sin(n pi theta) R(r) with u = a cos(omega t) + (b/omega)
+    sin(omega t), whose radial factors are flux = R'(1), mass = int R^2 dr
+    and stiffness = int r^alpha R'^2 dr.  Over (0, T) the squares and the
+    product of cos and sin integrate to T/2 +- sin(2 omega T)/(4 omega)
+    and sin(omega T)^2/(2 omega); over theta, sin^2 and cos^2 of n pi theta
+    integrate to 1/2 on the whole side, to
+    (1 - 2 delta0)/2 + sin(2 n pi delta0)/(2 n pi) on the segment
+    (delta0, 1 - delta0), and to c -+ sin(2 n pi c)/(2 n pi) on the two
+    disjoint strips of width c = 4 delta0 (delta0 < 1/8).
+
+    Returns the full and restricted squared traces and the interior norm
+    of observation_norms ("full", "restricted", "interior"), and the
+    remainders int_0^T phi^2 over the square ("phi_sq_square") and over the
+    strips ("phi_sq_strips") and int_0^T phi_theta^2 over the strips
+    ("phi_theta_sq_strips").
+    """
+    mu = n * math.pi
+    half_sin = math.sin(2.0 * omega * T) / (4.0 * omega)
+    cos_sq, sin_sq = 0.5 * T + half_sin, 0.5 * T - half_sin
+    cos_sin = math.sin(omega * T) ** 2 / (2.0 * omega)
+    c = b / omega
+    amp_sq = a * a * cos_sq + c * c * sin_sq + 2.0 * a * c * cos_sin  # int u^2
+    vel_sq = (a * omega) ** 2 * sin_sq + b * b * cos_sq - 2.0 * a * omega * b * cos_sin
+    width = 4.0 * delta0
+    segment = 0.5 * (1.0 - 2.0 * delta0) + math.sin(2.0 * mu * delta0) / (2.0 * mu)
+    strip_sin = width - math.sin(2.0 * mu * width) / (2.0 * mu)
+    strip_cos = width + math.sin(2.0 * mu * width) / (2.0 * mu)
+    return {
+        "full": 0.5 * flux**2 * amp_sq,
+        "restricted": segment * flux**2 * amp_sq,
+        "interior": mass * (vel_sq * strip_sin + amp_sq * (mu**2 * strip_cos + strip_sin))
+        + stiffness * amp_sq * strip_sin,
+        "phi_sq_square": 0.5 * mass * amp_sq,
+        "phi_sq_strips": strip_sin * mass * amp_sq,
+        "phi_theta_sq_strips": mu**2 * strip_cos * mass * amp_sq,
+    }
+
+
 def all_pairs_observation_norms(state, T: float, delta0: float) -> TraceReport:
     """observation_norms as first written: every pair of sine orders, no parity split.
 

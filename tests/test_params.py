@@ -15,7 +15,12 @@ from degenwave.errors import (
     ParameterOutOfRange,
     TimeTooShort,
 )
-from degenwave.carleman import build_weight_field
+from degenwave.carleman import (
+    SmoothModalSolution,
+    bessel_mode,
+    build_weight_field,
+    carleman_constant_scan,
+)
 from degenwave.hardy import blowup_rate_fit, critical_truncated_constant
 from degenwave.observability import default_horizon
 from degenwave.params import (
@@ -438,13 +443,28 @@ class TestInputGates:
         with pytest.raises(ParameterOutOfRange, match="real numbers"):
             _reals(["nan"], "x", finite=False)
 
-    def test_real_checks_every_element_of_an_array(self):
+    @pytest.mark.parametrize(
+        "value", [np.array(0.5), np.array([0.5, 2.0]), np.ones((2, 2)), np.array([1], dtype=int)]
+    )
+    def test_real_refuses_every_array(self, value):
+        # an array once ran through every rule element by element, so a
+        # number argument took a grid and returned a result built from it
+        with pytest.raises(GridMismatch, match=r"t must be a real number, got array\("):
+            _real(value, "t", GridMismatch)
+
+    def test_reals_checks_every_element_of_an_array(self):
         times = np.array([0.0, 1.0, 2.0])
-        assert _real(times, "times") is times
+        assert np.array_equal(_reals(times, "times"), times)
         with pytest.raises(GridMismatch, match="times must be finite, got inf"):
-            _real(np.array([0.0, math.inf, math.nan]), "times", GridMismatch)
-        with pytest.raises(GridMismatch, match="times must exceed 0, got -1.0"):
-            _real(np.array([1.0, -1.0]), "times", GridMismatch, above=0)
+            _reals(np.array([0.0, math.inf, math.nan]), "times", GridMismatch)
+        with pytest.raises(GridMismatch, match="times must be finite, got nan"):
+            _reals([[0.0, 1.0], [math.nan, math.inf]], "times", GridMismatch)
+
+    @pytest.mark.parametrize("value", [0.5, [[0.5, 1.0]], np.zeros((1, 1, 2))])
+    def test_reals_refuses_another_rank(self, value):
+        assert _reals([0.5, 1.0], "x", ndim=1).shape == (2,)
+        with pytest.raises(GridMismatch, match=r"x must be a 1-D array, got shape \("):
+            _reals(value, "x", GridMismatch, ndim=1)
 
 
 # Calls that died with a bare TypeError or ValueError, or returned a wrong
@@ -527,6 +547,41 @@ ARRAYS_REFUSED = [
     ],
 )
 def test_array_refused_with_the_sites_error_class(basis05, call, error):
+    with pytest.raises(DegenWaveError) as info:
+        call(basis05)
+    assert type(info.value) is error
+
+
+# Arguments that are lists of numbers, given at another rank: a 2-D time
+# grid once returned a total of the wrong shape from a 2 x 2 state and died
+# with numpy's bare ValueError on a 3 x 3 one, coefficients died with a bare
+# ValueError (2-D) or IndexError (a number) or gave a residual of 0.0 from
+# no data (none), and a lone s died with a bare TypeError.
+RANKS_REFUSED = [
+    (lambda basis: energy_series(random_state(basis, 2, 2, 1), [[0.0, 1.0], [2.0, 3.0]]),
+     GridMismatch),
+    (lambda basis: energy_series(random_state(basis, 3, 3, 1), [[0.0, 1.0], [2.0, 3.0]]),
+     GridMismatch),
+    (lambda basis: elliptic_identity_residual(basis, 2.0, [[1.0, 0.5], [0.2, 0.1]]),
+     ParameterOutOfRange),
+    (lambda basis: elliptic_identity_residual(basis, 2.0, 1.0), ParameterOutOfRange),
+    (lambda basis: elliptic_identity_residual(basis, 2.0, []), ParameterOutOfRange),
+    (lambda basis: carleman_constant_scan(
+        SmoothModalSolution(0.5, (bessel_mode(0.5, 1, 1),)),
+        validate_carleman_params(0.5, DomainSpec(0.03), beta=0.0149, T=40.0), 2.0),
+     NonPositiveInput),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    RANKS_REFUSED,
+    ids=[
+        "energy-2d-times-2x2", "energy-2d-times-3x3", "elliptic-2d-coeffs",
+        "elliptic-number-coeffs", "elliptic-no-coeffs", "scan-number-s",
+    ],
+)
+def test_list_of_numbers_at_another_rank_refused(basis05, call, error):
     with pytest.raises(DegenWaveError) as info:
         call(basis05)
     assert type(info.value) is error

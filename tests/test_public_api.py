@@ -633,7 +633,18 @@ SWEEP = {
 }
 
 #: values outside the contract of some argument, or at its edge
-SWEEP_VALUES = [4.5, math.nan, math.inf, -math.inf, -1, 0, True, "3"]
+SWEEP_VALUES = [
+    4.5, math.nan, math.inf, -math.inf, -1, 0, True, "3", np.array([0.5, 2.0]), np.array(0.5)
+]
+
+#: the swept arguments that take an array of numbers; every other swept
+#: argument refuses both arrays of SWEEP_VALUES, a number argument because
+#: it takes no array, ModalCoefficients a and b and RadialMesh nodes because
+#: they take another shape
+ARRAY_ARGUMENTS = {
+    ("build_weight_field", "theta"), ("build_weight_field", "r"), ("build_weight_field", "t"),
+    ("eval_cutoff", "x"), ("energy_series", "times"),
+}
 
 
 def public_callables():
@@ -718,6 +729,53 @@ def test_public_input_sweep(name, arg, value):
     except errors.DegenWaveError:
         return
     assert non_finite(out) == [], f"{name}({arg}={value!r})"
+
+
+@pytest.mark.parametrize("name, arg", SWEPT, ids=[f"{n}-{a}" for n, a in SWEPT])
+def test_number_arguments_refuse_arrays(name, arg):
+    """An argument that means one number refuses a numpy array, a 0-d one
+    included, with the error class its site raises for text; an argument
+    in ARRAY_ARGUMENTS takes a 1-D array and returns finite output."""
+    arrays = [v for v in SWEEP_VALUES if isinstance(v, np.ndarray)]
+    if (name, arg) in ARRAY_ARGUMENTS:
+        for value in (v for v in arrays if v.ndim == 1):
+            assert non_finite(sweep_call(name, arg, value)) == []
+        return
+    with pytest.raises(errors.DegenWaveError) as text:
+        sweep_call(name, arg, "3")
+    for value in arrays:
+        with pytest.raises(errors.DegenWaveError) as info:
+            sweep_call(name, arg, value)
+        assert type(info.value) is type(text.value), f"{name}({arg}={value!r})"
+
+
+def test_array_arguments_are_swept():
+    assert ARRAY_ARGUMENTS <= set(SWEPT)
+
+
+# Number arguments that once took an array and returned a result built from
+# it: evolve moved each radial column of a 2 x 2 state to its own time, and
+# a weight record or a mode held an array s, a or b; and a modal solution,
+# which compared an array alpha with its modes' alpha in a bare ValueError
+ARRAY_AS_NUMBER = [
+    ("evolve", "t", errors.GridMismatch),
+    ("CarlemanParams", "s", errors.NonPositiveInput),
+    ("validate_carleman_params", "s", errors.NonPositiveInput),
+    ("SmoothMode", "a", errors.ParameterOutOfRange),
+    ("SmoothMode", "b", errors.ParameterOutOfRange),
+    ("bessel_mode", "a", errors.ParameterOutOfRange),
+    ("bessel_mode", "b", errors.ParameterOutOfRange),
+    ("default_beta", "delta0", errors.NonPositiveInput),
+    ("SmoothModalSolution", "alpha", errors.ParameterOutOfRange),
+]
+
+
+@pytest.mark.parametrize(
+    "name, arg, error", ARRAY_AS_NUMBER, ids=[f"{n}-{a}" for n, a, _ in ARRAY_AS_NUMBER]
+)
+def test_array_for_a_number_is_refused(name, arg, error):
+    with pytest.raises(error, match=f"{arg} must be a real number"):
+        sweep_call(name, arg, np.array([0.5, 2.0]))
 
 
 # ---------------------------------------------------------------------------

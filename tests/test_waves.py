@@ -15,6 +15,7 @@ from oracles import (
     four_kernel_trace_gramian,
     grid_trig_overlaps,
     pair_weight_full_trace_norm,
+    single_mode_forms,
     term_magnitudes,
     trapezoid_observation_norms,
 )
@@ -23,6 +24,7 @@ from degenwave import waves
 from degenwave.observability import default_beta, default_horizon, observability_ratio
 from degenwave.errors import GridMismatch, ParameterOutOfRange, TruncationTooSmall
 from degenwave.params import DomainSpec, observation_time_threshold, theta_strips
+from degenwave.radial import bessel_radial_mode
 from degenwave.waves import (
     RANDOM_CAP,
     data_norms,
@@ -451,6 +453,62 @@ class TestInteriorNorm:
         exact = observation_norms(st, T_HORIZON, 0.01).interior_norm_sq
         _, _, quad = trapezoid_observation_norms(st, T_HORIZON, 0.01)
         assert quad == pytest.approx(exact, rel=1e-5)
+
+
+class TestSingleModeClosedForms:
+    """One separated mode against the closed forms of oracles.single_mode_forms:
+    an oracle of every observation form built from elementary integrals."""
+
+    @pytest.mark.parametrize(
+        "n, k, a, b, T, delta0",
+        [
+            (1, 1, 1.0, 0.0, 44.04, 0.01), (3, 2, 0.7, -1.3, 10.0, 0.02),
+            (8, 5, -0.4, 2.5, T_HORIZON, 0.005), (17, 16, 1.1, 0.6, 100.0, 0.03),
+            (2, 3, 0.0, 1.0, 1.5, 0.1), (64, 1, 1.0, 0.3, 44.04, 0.01),
+        ],
+    )
+    def test_observation_norms(self, basis05, n, k, a, b, T, delta0):
+        st = modal_state(basis05, n, k, amplitudes={(n, k): a}, velocities={(n, k): b})
+        exact = single_mode_forms(
+            n, st.omega[-1, -1], a, b, T, delta0,
+            basis05.flux[k - 1], basis05.gram[k - 1, k - 1], basis05.rho[k - 1],
+        )
+        rep = observation_norms(st, T, delta0)
+        assert rep.full_trace_norm_sq == pytest.approx(exact["full"], rel=1e-13)
+        assert rep.restricted_trace_norm_sq == pytest.approx(exact["restricted"], rel=1e-13)
+        assert rep.interior_norm_sq == pytest.approx(exact["interior"], rel=1e-13)
+
+    @staticmethod
+    def table(alpha, remainder):
+        """E(0) over the full-side trace plus a remainder for the exact grazing
+        modes (n, 1), data (1, 0), at delta0 = 0.01 and T = default_horizon(0.01)."""
+        T = default_horizon(0.01)
+        rho, _, _, flux = bessel_radial_mode(alpha, 1)
+        ratios = {}
+        for n in (1, 16, 64, 1024):
+            omega = math.sqrt((n * math.pi) ** 2 + rho)
+            forms = single_mode_forms(n, omega, 1.0, 0.0, T, 0.01, flux, 1.0, rho)
+            ratios[n] = 0.25 * omega**2 / (forms["full"] + forms[remainder])
+        return T, flux, ratios
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    @pytest.mark.parametrize("remainder", ["phi_sq_square", "phi_sq_strips"])
+    def test_l2_remainder_ratio_grows_like_n_squared(self, alpha, remainder):
+        # past n = 1 the ratio is n^2 pi^2 / (T (R'(1)^2 + m)) to within
+        # rho / (n pi)^2, with m = 1 (the square) or 2 c = 8 delta0 (the strips)
+        T, flux, ratios = self.table(alpha, remainder)
+        m = 1.0 if remainder == "phi_sq_square" else 0.08
+        for n in (16, 64, 1024):
+            assert ratios[n] / n**2 == pytest.approx(math.pi**2 / (T * (flux**2 + m)), rel=1e-2)
+        assert ratios[1024] > 1e4
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    def test_theta_derivative_remainder_keeps_the_ratio_bounded(self, alpha):
+        # the ratio tends to 1 / (2 c T), c = 4 delta0, and stays below twice that
+        T, _, ratios = self.table(alpha, "phi_theta_sq_strips")
+        limit = 1.0 / (2.0 * 0.04 * T)
+        assert max(ratios.values()) < 2.0 * limit
+        assert ratios[1024] == pytest.approx(limit, rel=1e-2)
 
 
 class TestBlockedAssembly:
