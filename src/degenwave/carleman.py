@@ -23,15 +23,18 @@ the result against (theta, t) products of the angular, temporal and cutoff
 factors, walking the core once and the two lateral strips, joined into one
 theta axis, once.
 
-The residual skips work whose result is exactly zero, so no sum moves by
-a bit for it: the tiles on which the cutoffs vanish, and its source term
-exp(s sigma) h on the tiles that meet no cutoff band, where h = 0
-identically.  The residual spreads its tiles over one thread per CPU
-the process may use.  Each thread keeps its tile intermediates in buffers
-allocated once per call and forms the sums of squares with einsum, so the
-residual makes no BLAS call (and wakes no BLAS thread pool); the per-tile
-sums are added in tile order, so the result does not depend on the number
-of threads.
+Each kernel hands `_tiles` one window, a theta range and a t range that it
+derives from the cutoffs zeta(theta) and k(t), outside which every term it
+sums is an exact zero: for the residual, the points where a cutoff or one
+of its first two derivatives is nonzero, widened by its one-point stencil;
+for the core quadrature, the t nodes where k or k' is nonzero; for the
+strip pair, whose interior term carries no cutoff, the whole grid.  So
+leaving the rest out changes only how the sums are grouped.  The residual
+spreads its tiles over one thread per CPU the process may use.  Each
+thread keeps its tile intermediates in buffers allocated once per call
+and forms the sums of squares with einsum, so the residual makes no BLAS
+call (and wakes no BLAS thread pool); the per-tile sums are added in tile
+order, so the result does not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -182,25 +185,34 @@ _TILE_ELEMENTS = 65536
 _T_RUN = 64
 
 
-def _tiles(n_theta: int, n_r: int, n_t: int, halo: int) -> Iterator[tuple[slice, slice]]:
-    """Walk a (n_theta, n_r, n_t) grid in theta x t tiles.
+def _tiles(window: tuple[range, range], n_r: int, halo: int) -> Iterator[tuple[slice, slice]]:
+    """Walk a theta x t window of a (theta, r, t) grid in tiles.
 
-    The tiles partition the points halo .. n - 1 - halo of the theta and t
-    axes; each (theta slice, t slice) reaches `halo` points further on both
-    sides and, with the whole r axis, holds at most _TILE_ELEMENTS points.
-    A tile runs _T_RUN points along t, halo excluded, wherever the t axis
-    and that budget allow, and about as many along theta as along t
-    otherwise.  The residual's stencils take a halo of 1, the quadratures 0.
+    The window's theta and t ranges name the points a kernel owns; the
+    tiles partition them, and each (theta slice, t slice) reaches `halo`
+    points further on both sides and, with the whole r axis, holds at most
+    _TILE_ELEMENTS points.  A tile runs _T_RUN points along t, halo
+    excluded, wherever the window and that budget allow, and about as many
+    along theta as along t otherwise.  The residual's stencils take a halo
+    of 1, the quadratures 0.
     """
+    owned_theta, owned_t = window
     rim = 2 * halo
     per_plane = max(1, _TILE_ELEMENTS // n_r)
     square = math.isqrt(per_plane) - rim
-    run_t = min(n_t - rim, max(1, square, min(_T_RUN, per_plane // (1 + rim) - rim)))
+    run_t = max(1, min(len(owned_t), max(square, min(_T_RUN, per_plane // (1 + rim) - rim))))
     run_theta = max(1, per_plane // (run_t + rim) - rim)
-    for i0 in range(halo, n_theta - halo, run_theta):
-        ith = slice(i0 - halo, min(i0 + run_theta, n_theta - halo) + halo)
-        for j0 in range(halo, n_t - halo, run_t):
-            yield ith, slice(j0 - halo, min(j0 + run_t, n_t - halo) + halo)
+    for i0 in owned_theta[::run_theta]:
+        ith = slice(i0 - halo, min(i0 + run_theta, owned_theta.stop) + halo)
+        for j0 in owned_t[::run_t]:
+            yield ith, slice(j0 - halo, min(j0 + run_t, owned_t.stop) + halo)
+
+
+def _live(factors: Sequence[np.ndarray]) -> range:
+    """The points of an axis from the first to the last at which one of
+    `factors` (a cutoff and its derivatives there) is nonzero."""
+    live = np.flatnonzero(np.any(factors, axis=0))
+    return range(live[0], live[-1] + 1) if live.size else range(0)
 
 
 def _sigma_factors(
@@ -261,15 +273,25 @@ def _residual_axes(
             "radial stencil would reach r <= 0; raise r_min or the resolution"
         )
     t = np.linspace(0.0, T, n_t + 1)
-    # the cutoff transition bands (delta0 wide in theta, epsilon wide in t)
-    # carry the largest derivatives; below two cells the stencils miss them
-    cells = (d0 / (theta[1] - theta[0]), params.epsilon / (t[1] - t[0]))
-    if min(cells) < 2.0:
-        raise GridMismatch(
-            f"shape {shape} puts {cells[0]:.3g} theta cells across the delta0-wide cutoff "
-            f"band and {cells[1]:.3g} t cells across the epsilon-wide one; each needs at least 2"
-        )
+    _check_bands(params, shape, delta0=theta[1] - theta[0], epsilon=t[1] - t[0])
     return theta, r, t
+
+
+def _check_bands(params: CarlemanParams, shape, **spacing: float) -> None:
+    """Refuse a grid with fewer than two cells across a cutoff band.
+
+    The cutoffs' transition bands, delta0 wide in theta and epsilon wide in
+    t, carry their largest derivatives; below two cells the stencils and
+    quadrature rules miss them.  `spacing` maps the width of each band
+    checked, "delta0" or "epsilon", to the grid step across it.
+
+    Raises:
+        GridMismatch: a spacing leaves fewer than two cells across its band.
+    """
+    cells = {width: getattr(params, width) / h for width, h in spacing.items()}
+    if min(cells.values()) < 2.0:
+        across = " and ".join(f"{n:.4g} cells across the {w}-wide band" for w, n in cells.items())
+        raise GridMismatch(f"grid {tuple(shape)} puts {across}; each cutoff band needs at least 2")
 
 
 def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, scale) -> None:
@@ -322,15 +344,13 @@ def conjugation_residual(
     P1- = 2 s lam sigma (-xi_t eta_t + 2 theta eta_theta + (2-alpha) r eta_r)
     and P2+ + P2- = s lam sigma (s lam sigma b + (4 - alpha + 2 beta) - lam b) eta,
     with xi_t = -2 beta (t - t0) and b = xi_t^2 - (4 theta^2 + (2-alpha)^2 r^(2-alpha)).
-    A tile on whose theta or t slice the cutoff and its derivatives vanish
-    has eta = h = 0 and adds exactly nothing, so it is skipped.  A tile
-    that meets neither cutoff band, where zeta', zeta'', k' and k'' all
-    vanish on its slices, has h = 0 identically, so exp(s sigma) h is
-    exactly +-0 there: the tile forms only its stencil, and adds the sum of
-    its squares to the residual and exactly 0 to the reference, the sums
-    that building and subtracting that zero would give.  The stencil's
+    The tiles cover one window: on each axis, the interior points that lie
+    within one point of where the cutoff, its first or its second
+    derivative is nonzero.  Off that window eta vanishes on every stencil
+    and h on the point, so the point's residual and reference terms are
+    exact zeros, and every tile runs one path.  The stencil's
     constants are folded into its coefficients (1/h^2, r^alpha/h_r^2, and s
-    into the weight's theta factor).  The tiles left are dealt round-robin
+    into the weight's theta factor).  The tiles are dealt round-robin
     to one thread per CPU the process may use (at most one per tile).  Each
     thread writes every (theta, r, t) intermediate into buffers it allocates
     once, and forms the tile's sums of squares with einsum, so the loop
@@ -371,28 +391,22 @@ def conjugation_residual(
     s_sig_theta = s * sig_theta
     slam_sig_theta = (s * lam) * sig_theta
 
-    # A tile skips where the cutoff and its derivatives vanish on its whole
-    # theta or t slice, and forms h only where a cutoff derivative does not
-    # vanish on the slices that h takes.  Each theta plane of a tile is one
-    # contiguous (r, t) row; its interior r rows, with every t of the tile,
-    # form a segment in which the theta, r and t neighbours lie a plane, a t
-    # row and one point away.  The work arrays are (theta, segment) shaped, so they also hold
-    # the tile's two t halo columns, whose values are discarded (their t
-    # neighbours wrap into the adjacent r row); every interior point gets
-    # exactly the operations of a (theta, r, t) evaluation.
-    z_live = np.any(zeta, axis=0)
-    k_live = np.any(kcut, axis=0)
-    z_band = np.any(zeta[1:], axis=0)
-    k_band = np.any(kcut[1:], axis=0)
-    tiles = [
-        (ith, jt)
-        for ith, jt in _tiles(theta.size, r.size, t.size, 1)
-        if z_live[ith].any() and k_live[jt].any()
-    ]
-    sourced = [
-        z_band[ith.start + 1 : ith.stop - 1].any() or k_band[jt].any() for ith, jt in tiles
-    ]
+    # The window: the points where a cutoff or one of its derivatives lives,
+    # widened by the stencil's reach and clipped to the interior; off it eta
+    # vanishes on every stencil and h on the point.  Each theta plane of a
+    # tile is one contiguous (r, t) row; its interior r rows, with every t
+    # of the tile, form a segment in which the theta, r and t neighbours lie
+    # a plane, a t row and one point away.  The work arrays are (theta,
+    # segment) shaped, so they also hold the tile's two t halo columns, whose
+    # values are discarded (their t neighbours wrap into the adjacent r
+    # row); every interior point gets exactly the operations of a
+    # (theta, r, t) evaluation.
+    window = tuple(
+        range(max(live.start - 1, 1), min(live.stop + 1, n - 1))
+        for live, n in ((_live(zeta), theta.size), (_live(kcut), t.size))
+    )
     n_r = r.size
+    tiles = list(_tiles(window, n_r, 1))
     widths = [(ith.stop - ith.start, jt.stop - jt.start) for ith, jt in tiles]
     halo_size = max((n_i * n_r * n_j for n_i, n_j in widths), default=0)
     core_size = max(((n_i - 2) * (n_r - 2) * n_j for n_i, n_j in widths), default=0)
@@ -492,11 +506,6 @@ def conjugation_residual(
             drift *= slam_sigma
             drift *= core
             total += drift
-            if not sourced[k]:
-                # h = 0: the residual is -total and the reference exactly 0
-                res = total.reshape(n_i - 2, n_r - 2, n_j)[:, :, 1:-1]
-                sums[k] = np.einsum("irt,irt->", res, res), 0.0
-                continue
 
             # exp(s sigma) h = exp(s sigma) sum_m R_m(r) h_m with, from the exact
             # derivatives of phi, h_m = 2 zeta k' sin_m vel_m
@@ -586,20 +595,21 @@ class ComponentIntegrals:
 
 def _contracted_weight_tiles(
     params: CarlemanParams, theta: np.ndarray, w_th: np.ndarray, r: np.ndarray, t: np.ndarray,
-    w_t: np.ndarray, rows: np.ndarray, log_offset: float,
+    w_t: np.ndarray, rows: np.ndarray, log_offset: float, window: tuple[range, range],
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """Per theta x t tile, (theta slice, t slice, g) with g[..., i, j] the sum over r
     of e^{2 s sigma - log_offset} times each of `rows` (radial functions stacked
     before their last axis), times the theta and t rule weights at (theta_i, t_j).
 
-    The tiles are those of `_tiles` without a halo: they partition theta x t.
+    The tiles are those of `_tiles` without a halo: they partition `window`,
+    a theta range and a t range outside which the caller's integrand vanishes.
     log_offset is below 700, so every exponent 2 s sigma - log_offset lies
     above -700 and no weight is subnormal.
     """
     flat = rows.reshape(-1, r.size)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     two_s = 2.0 * params.s
-    for ith, jt in _tiles(theta.size, r.size, t.size, 0):
+    for ith, jt in _tiles(window, r.size, 0):
         weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
         weight *= two_s
         weight -= log_offset
@@ -659,7 +669,9 @@ def carleman_component_integrals(
     integrable but unbounded at the degenerate side); the regions share
     the r and t axes and their factors.  The two lateral strips' theta
     rules join into one axis, so the core and the strips are each walked
-    once in the halo-free tiles of `_tiles`.
+    once in the halo-free tiles of `_tiles`: the core only over the t nodes
+    where k or k' is nonzero, since psi, psi_t and psi_theta vanish at the
+    others, and the strips whole.
 
     Raises:
         ParameterOutOfRange: solution.alpha differs from params.alpha.
@@ -673,14 +685,8 @@ def carleman_component_integrals(
     _check_same_alpha(solution, params)
     shape = _grid_shape((n_theta, n_r, n_t), (1, 1, 1))
     n_theta, n_r, n_t = shape
-    # the residual's rule: below two t cells across the cutoff's transition
-    # band the t rule misses it (at n_t = 1 no node lies inside the cutoff)
-    t_cells = params.epsilon / (params.T / n_t)
-    if t_cells < 2.0:
-        raise GridMismatch(
-            f"grid {shape} puts {t_cells:.3g} t cells across the epsilon-wide cutoff band; "
-            "it needs at least 2"
-        )
+    # at n_t = 1 no t node lies inside the cutoff
+    _check_bands(params, shape, epsilon=params.T / n_t)
     d0 = params.delta0
     alpha, lam, s = params.alpha, params.lam, params.s
     log_offset = _log_offset(lam, s)
@@ -705,8 +711,11 @@ def carleman_component_integrals(
     sin, dsin = solution.angular_factors(theta)
     sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     rows = np.stack([sig_r * rr, sig_r * dd, sig_r**3 * rr])
+    # psi, psi_t and psi_theta vanish wherever k and k' do
+    window = (range(theta.size), _live((kv, kd1)))
     lhs_gradient = lhs_zero_order = 0.0
-    for ith, jt, g in _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset):
+    tiles = _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset, window)
+    for ith, jt, g in tiles:
         kz = zv[ith, None] * kv[None, jt]
         phi = sin[:, ith, None] * amp[:, None, jt]
         psi_t = kz * sin[:, ith, None] * vel[:, None, jt] + zv[ith, None] * kd1[None, jt] * phi
@@ -724,8 +733,11 @@ def carleman_component_integrals(
     theta, w_th = (np.concatenate(axis) for axis in zip(*strips))
     sin, dsin = solution.angular_factors(theta)
     rows = np.stack([rr, dd])
+    # the interior term carries no cutoff: the strips are walked whole
+    window = (range(theta.size), range(t.size))
     rhs_interior = rhs_commutator = 0.0
-    for ith, jt, g in _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset):
+    tiles = _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset, window)
+    for ith, jt, g in tiles:
         phi = sin[:, ith, None] * amp[:, None, jt]
         phi_t = sin[:, ith, None] * vel[:, None, jt]
         phi_th = dsin[:, ith, None] * amp[:, None, jt]

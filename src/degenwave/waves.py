@@ -198,13 +198,15 @@ def project_initial_data(
     uniform partition of theta into 2048 cells and the radial mesh nodes) or
     explicit modal dictionaries {(n, k): coefficient}.  Angular integrals use
     the uniform trapezoidal rule, which is exact for sine polynomials below
-    the grid Nyquist order; radial products use the discrete mass inner
+    the grid Nyquist order 2048; radial products use the discrete mass inner
     product, so basis elements project to exact unit coefficients.
 
     Raises:
         TruncationTooSmall: a truncation order that is not an integer or is
-            out of range, or a mode key that is not a pair of integers or
-            lies outside the truncation.
+            out of range, n_max of 2048 or more with a callable field (on the
+            grid, sine order 2048 vanishes and each order past it aliases
+            onto 4096 minus it), or a mode key that is not a pair of integers
+            or lies outside the truncation.
         GridMismatch: a field callable whose values are not finite real
             numbers on the (theta, r) grid, or a modal coefficient that is
             not a finite real number.
@@ -213,6 +215,11 @@ def project_initial_data(
     n_max, k_max = _order_pair((n_max, k_max), "truncation")
     # refused before projecting: R[:k_max] past the basis would be short
     _within_basis(basis, k_max)
+    if n_max >= n_theta and any(map(callable, (phi0, phi1))):
+        raise TruncationTooSmall(
+            f"n_max = {n_max} reaches the Nyquist order {n_theta} of the theta grid a "
+            f"callable field is sampled on; it must stay below {n_theta}"
+        )
     # R vanishes off the dof window, so the radial product needs only its nodes
     mats = basis.mats
     dof = slice(mats.i0, mats.i1)

@@ -17,8 +17,12 @@ Compare two ledgers, say of a parent and a change:
     python tests/ledger.py PARENT.json CHANGE.json
 
 prints every value that differs, with its relative difference, and each
-value that is bitwise equal counts as equal; timing is left out.  The exit
-code is 0 when the ledgers agree bit for bit, 1 otherwise.
+value that is bitwise equal counts as equal; timing is left out.  The last
+line sums the differences up: how many numbers differ and the largest of
+their relative differences, and apart from them how many text values
+(demo stdout lines, basis hashes, non-finite floats), keys, list lengths
+or kinds of value, so a diff at roundoff reads as one at a glance.  The
+exit code is 0 when the ledgers agree bit for bit, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -117,8 +121,9 @@ class AcceptanceLedger:
             f.write("\n")
 
 
-def differences(parent, change, where: str = "") -> list[str]:
-    """Lines naming each value of two ledgers (loaded JSON) that is not bitwise equal."""
+def differences(parent, change, where: str = "") -> list[tuple[str, float | None]]:
+    """A line naming each value of two ledgers (loaded JSON) that is not bitwise
+    equal, with the relative difference of two numbers and None for the rest."""
     if isinstance(parent, dict) and isinstance(change, dict):
         out = []
         for key in sorted(set(parent) | set(change)):
@@ -126,23 +131,35 @@ def differences(parent, change, where: str = "") -> list[str]:
                 continue
             name = f"{where}.{key}" if where else key
             if key not in parent or key not in change:
-                out.append(f"{name}: only in {'change' if key in change else 'parent'}")
+                out.append((f"{name}: only in {'change' if key in change else 'parent'}", None))
             else:
                 out.extend(differences(parent[key], change[key], name))
         return out
     if isinstance(parent, list) and isinstance(change, list):
         if len(parent) != len(change):
-            return [f"{where}: {len(parent)} entries against {len(change)}"]
+            return [(f"{where}: {len(parent)} entries against {len(change)}", None)]
         out = []
         for i, (p, c) in enumerate(zip(parent, change)):
             out.extend(differences(p, c, f"{where}[{i}]"))
         return out
     if type(parent) is type(change) and parent == change:
         return []
-    if isinstance(parent, float) and isinstance(change, float):
+    if type(parent) is type(change) and type(parent) in (int, float):
         rel = abs(change - parent) / max(abs(parent), abs(change))
-        return [f"{where}: {parent!r} -> {change!r} (relative {rel:.2e})"]
-    return [f"{where}: {parent!r} -> {change!r}"]
+        return [(f"{where}: {parent!r} -> {change!r} (relative {rel:.2e})", rel)]
+    return [(f"{where}: {parent!r} -> {change!r}", None)]
+
+
+def summary(found: list[tuple[str, float | None]]) -> str:
+    """One line on the differences `differences` found."""
+    if not found:
+        return "ledgers agree bit for bit"
+    gaps = [rel for _, rel in found if rel is not None]
+    largest = f", largest relative difference {max(gaps):.2e}" if gaps else ""
+    return (
+        f"{len(found)} values differ: {len(gaps)} numbers{largest}; "
+        f"{len(found) - len(gaps)} text values, keys, lengths or kinds"
+    )
 
 
 def main(argv=None) -> int:
@@ -154,11 +171,11 @@ def main(argv=None) -> int:
         parent = json.load(f)
     with open(args[1]) as f:
         change = json.load(f)
-    lines = differences(parent, change)
-    for line in lines:
+    found = differences(parent, change)
+    for line, _ in found:
         print(line)
-    print("ledgers agree bit for bit" if not lines else f"{len(lines)} values differ")
-    return 1 if lines else 0
+    print(summary(found))
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

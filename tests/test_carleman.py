@@ -275,6 +275,40 @@ def counted_radial_solution(calls, monkeypatch):
     return two_mode_solution()
 
 
+def recorded_tiles(monkeypatch):
+    """carleman._tiles recording each call: its window, halo and tiles."""
+    calls = []
+    walker = carleman._tiles
+
+    def spy(window, n_r, halo):
+        tiles = list(walker(window, n_r, halo))
+        calls.append((window, halo, tiles))
+        return iter(tiles)
+
+    monkeypatch.setattr(carleman, "_tiles", spy)
+    return calls
+
+
+def owned_points(call, shape) -> np.ndarray:
+    """How often the tiles of one recorded call own each (theta, t) point."""
+    _, halo, tiles = call
+    covered = np.zeros(shape, dtype=int)
+    for ith, jt in tiles:
+        assert 0 <= ith.start and ith.stop <= shape[0] and ith.step is None
+        assert 0 <= jt.start and jt.stop <= shape[1] and jt.step is None
+        covered[ith.start + halo : ith.stop - halo, jt.start + halo : jt.stop - halo] += 1
+    return covered
+
+
+def within_one_point(factors) -> np.ndarray:
+    """The interior points of an axis with a nonzero cutoff factor at
+    themselves or a neighbour: where the residual's terms can be nonzero."""
+    live = np.any(factors, axis=0)
+    near = np.zeros_like(live)
+    near[1:-1] = live[:-2] | live[1:-1] | live[2:]
+    return near
+
+
 class TestModalSolution:
     def test_mode_derives_its_profile(self):
         mode = SmoothMode(0.5, 1, 1, 1.0, 0.3)
@@ -429,16 +463,17 @@ class TestConjugationResidual:
         assert tiled.reference_norm == pytest.approx(slab.reference_norm, rel=1e-12)
 
     def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
-        shape = (96, 16, 160)  # interior 95 x 16 x 159 points
+        shape = (96, 16, 160)  # a window of 91 x 16 x 141 points
+        calls = recorded_tiles(monkeypatch)
         monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 161 * 161 * 16)
-        assert len(list(carleman._tiles(97, 16, 161, 1))) == 1
         one_tile = conjugation_residual(bessel_solution, carleman_params, shape=shape)
-        # 8 x 64 interior points per tile, ragged 7 and 31 at the far edges
+        assert len(calls[-1][2]) == 1
+        # 8 x 64 points per tile, ragged 3 and 13 at the far edges
         monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 16 * 66)
-        tiles = list(carleman._tiles(97, 16, 161, 1))
-        assert {ith.stop - ith.start - 2 for ith, _ in tiles} == {8, 7}
-        assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 31}
         tiled = conjugation_residual(bessel_solution, carleman_params, shape=shape)
+        tiles = calls[-1][2]
+        assert {ith.stop - ith.start - 2 for ith, _ in tiles} == {8, 3}
+        assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 13}
         assert tiled.residual_norm == pytest.approx(one_tile.residual_norm, rel=1e-13)
         assert tiled.reference_norm == pytest.approx(one_tile.reference_norm, rel=1e-13)
 
@@ -449,28 +484,56 @@ class TestConjugationResidual:
         n_r=st.integers(min_value=1, max_value=200),
         n_t=st.integers(min_value=3, max_value=130),
         budget=st.integers(min_value=1, max_value=1 << 17),
+        cuts=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 4),
     )
-    def test_tiles_partition_the_plane(self, halo, n_theta, n_r, n_t, budget):
-        """Guard: with or without a halo, the tiles cover each theta x t point
-        in halo .. n - 1 - halo exactly once, and their slices stay in bounds."""
-        covered = np.zeros((n_theta, n_t), dtype=int)
+    def test_tiles_partition_the_window(self, halo, n_theta, n_r, n_t, budget, cuts):
+        """Guard: with or without a halo, the tiles own each point of a window
+        inside halo .. n - 1 - halo exactly once and no point outside it, and
+        their slices stay in bounds; an empty window has no tile."""
+        window = tuple(
+            range(*sorted(halo + round(c * (n - 2 * halo)) for c in pair))
+            for pair, n in ((cuts[:2], n_theta), (cuts[2:], n_t))
+        )
         with mock.patch.object(carleman, "_TILE_ELEMENTS", budget):
-            for ith, jt in carleman._tiles(n_theta, n_r, n_t, halo):
-                assert 0 <= ith.start and ith.stop <= n_theta and ith.step is None
-                assert 0 <= jt.start and jt.stop <= n_t and jt.step is None
-                assert ith.stop - ith.start > 2 * halo and jt.stop - jt.start > 2 * halo
-                covered[ith.start + halo : ith.stop - halo, jt.start + halo : jt.stop - halo] += 1
-        inner = np.zeros_like(covered)
-        inner[halo : n_theta - halo, halo : n_t - halo] = 1
-        assert np.array_equal(covered, inner)
+            tiles = list(carleman._tiles(window, n_r, halo))
+        for ith, jt in tiles:
+            assert ith.stop - ith.start > 2 * halo and jt.stop - jt.start > 2 * halo
+        expect = np.zeros((n_theta, n_t), dtype=int)
+        expect[tuple(slice(w.start, w.stop) for w in window)] = 1
+        assert np.array_equal(owned_points((window, halo, tiles), (n_theta, n_t)), expect)
 
-    def test_tiles_run_along_t(self):
-        # the finest benchmark level: 18 theta x 64 t interior points per tile
-        tiles = list(carleman._tiles(4609, 48, 257, 1))
-        assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 63}
+    def test_tiles_run_along_t(self, carleman_params, bessel_solution, monkeypatch):
+        # the finest benchmark level: 18 theta x 64 t points per tile over a
+        # window of 225 t points
+        calls = recorded_tiles(monkeypatch)
+        conjugation_residual(bessel_solution, carleman_params, shape=(4608, 48, 256))
+        tiles = calls[0][2]
+        assert {jt.stop - jt.start - 2 for _, jt in tiles} == {64, 33}
+        assert {ith.stop - ith.start - 2 for ith, _ in tiles} >= {18}
         assert max((ith.stop - ith.start) * 48 * (jt.stop - jt.start) for ith, jt in tiles) <= (
             carleman._TILE_ELEMENTS
         )
+
+    @pytest.mark.parametrize("shape", [(96, 16, 48), (4608, 48, 256)])
+    def test_tiles_partition_the_window_of_the_cutoffs(
+        self, carleman_params, bessel_solution, monkeypatch, shape
+    ):
+        """The residual's tiles own each interior point within one point of
+        where a cutoff or one of its first two derivatives is nonzero exactly
+        once, and no other point: off that window every term is zero."""
+        p = carleman_params
+        calls = recorded_tiles(monkeypatch)
+        conjugation_residual(bessel_solution, p, shape=shape)
+        theta, _, t = carleman._residual_axes(p, shape, 0.1, p.T)
+        live_theta = within_one_point(eval_cutoff(theta_cutoff(p.delta0), theta))
+        live_t = within_one_point(eval_cutoff(time_cutoff(p.epsilon, p.T), t))
+        # the window leaves out interior points at both ends of both axes
+        for live in (live_theta, live_t):
+            assert not live[1] and not live[-2] and live.any()
+        [call] = calls
+        assert call[1] == 1
+        expect = np.outer(live_theta, live_t).astype(int)
+        assert np.array_equal(owned_points(call, (theta.size, t.size)), expect)
 
     def test_worker_invariance(self, carleman_params, monkeypatch):
         """The per-tile sums are added in tile order, whichever thread formed them;
@@ -506,53 +569,23 @@ class TestConjugationResidual:
             conjugation_residual(bessel_solution, carleman_params, shape=(576, 12, 48))
         assert threading.active_count() == threads
 
-    def test_skipped_tiles_match_slab_kernel(self, carleman_params, bessel_solution, monkeypatch):
-        # 1 x 2 interior points per tile: the cutoffs vanish on whole tiles at both
-        # ends of theta and of t, and those tiles are skipped
+    def test_window_matches_slab_kernel(self, carleman_params, bessel_solution, monkeypatch):
+        # 1 x 2 interior points per tile: the window leaves out the interior
+        # points at both ends of theta and of t where the cutoffs vanish, two
+        # rows of whole tiles at each end of theta, while the slab kernel
+        # sums every point
         monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 3 * 16 * 4)
         shape = (96, 16, 48)
         p = carleman_params
-        theta, r, t = carleman._residual_axes(p, shape, 0.1, p.T)
-        zeta = np.any(eval_cutoff(theta_cutoff(p.delta0), theta), axis=0)
-        kcut = np.any(eval_cutoff(time_cutoff(p.epsilon, p.T), t), axis=0)
-        tiles = list(carleman._tiles(theta.size, r.size, t.size, 1))
-        assert any(not zeta[ith].any() for ith, _ in tiles)
-        assert any(not kcut[jt].any() for _, jt in tiles)
-        tiled = conjugation_residual(bessel_solution, carleman_params, shape=shape)
-        slab = slab_conjugation_residual(bessel_solution, carleman_params, shape=shape)
+        calls = recorded_tiles(monkeypatch)
+        tiled = conjugation_residual(bessel_solution, p, shape=shape)
+        theta, _, t = carleman._residual_axes(p, shape, 0.1, p.T)
+        owned = owned_points(calls[0], (theta.size, t.size))
+        assert not owned[1:3].any() and not owned[-3:-1].any()
+        assert not owned[:, 1].any() and not owned[:, -2].any()
+        slab = slab_conjugation_residual(bessel_solution, p, shape=shape)
         assert tiled.residual_norm == pytest.approx(slab.residual_norm, rel=1e-12)
         assert tiled.reference_norm == pytest.approx(slab.reference_norm, rel=1e-12)
-
-    def test_source_only_on_tiles_that_meet_a_cutoff_band(
-        self, carleman_params, bessel_solution, monkeypatch
-    ):
-        """At the finest benchmark level 444 of the 960 live tiles lie off both
-        cutoff bands, where h = 0; only the other 516 build exp(s sigma) h."""
-        shape = (4608, 48, 256)
-        p = carleman_params
-        theta, r, t = carleman._residual_axes(p, shape, 0.1, p.T)
-        zeta = np.asarray(eval_cutoff(theta_cutoff(p.delta0), theta))
-        kcut = np.asarray(eval_cutoff(time_cutoff(p.epsilon, p.T), t))
-        live = [
-            (ith, jt)
-            for ith, jt in carleman._tiles(theta.size, r.size, t.size, 1)
-            if np.any(zeta[0][ith]) and np.any(kcut[0][jt])
-        ]
-        banded = [
-            (ith, jt) for ith, jt in live if np.any(zeta[1:, ith]) or np.any(kcut[1:, jt])
-        ]
-        assert (len(live), len(banded)) == (960, 516)
-        einsum, sourced = np.einsum, []
-
-        def counted(subscripts, *operands, **kwargs):
-            # the contraction of h over the modes runs on the interior r points
-            if subscripts == "mr,mit->irt" and operands[0].shape[1] == r.size - 2:
-                sourced.append(operands[1].shape)
-            return einsum(subscripts, *operands, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counted)
-        conjugation_residual(bessel_solution, p, shape=shape)
-        assert len(sourced) == 516
 
     def test_no_blas_call(self, carleman_params, monkeypatch):
         def blas(*args, **kwargs):
@@ -695,21 +728,49 @@ class TestComponentIntegrals:
 
     def test_tile_invariance(self, carleman_params, bessel_solution, monkeypatch):
         grid = dict(n_theta=48, n_r=32, n_t=64)
-        # one tile each for the 49 x 65 core and the 66 x 65 joined strips
+        calls = recorded_tiles(monkeypatch)
+        # one tile each for the 49 x 55 core window and the 66 x 65 joined strips
         monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 66 * 65 * 32)
-        assert len(list(carleman._tiles(49, 32, 65, 0))) == len(list(carleman._tiles(66, 32, 65, 0))) == 1
         one_tile = carleman_component_integrals(bessel_solution, carleman_params, **grid)
-        # 10 x 64 x 32 tiles: both grids end ragged along theta and t
+        assert [len(tiles) for _, _, tiles in calls] == [1, 1]
+        # 10 x 64 x 32 tiles: both grids end ragged along theta, the strips along t
         monkeypatch.setattr(carleman, "_TILE_ELEMENTS", 10 * 64 * 32)
-        tiles = list(carleman._tiles(49, 32, 65, 0)) + list(carleman._tiles(66, 32, 65, 0))
-        assert {ith.stop - ith.start for ith, _ in tiles} == {10, 9, 6}
-        assert {jt.stop - jt.start for _, jt in tiles} == {64, 1}
+        calls.clear()
         tiled = carleman_component_integrals(bessel_solution, carleman_params, **grid)
+        (_, _, core), (_, _, strips) = calls
+        assert {ith.stop - ith.start for ith, _ in core} == {11, 5}
+        assert {jt.stop - jt.start for _, jt in core} == {55}
+        assert {ith.stop - ith.start for ith, _ in strips} == {10, 6}
+        assert {jt.stop - jt.start for _, jt in strips} == {64, 1}
         for field in (
             "lhs_gradient", "lhs_zero_order", "rhs_trace", "rhs_interior",
             "rhs_commutator", "chat",
         ):
             assert getattr(tiled, field) == pytest.approx(getattr(one_tile, field), rel=1e-13)
+
+    @pytest.mark.parametrize("n_t", [64, 384])
+    def test_tiles_partition_the_window_of_the_cutoffs(
+        self, carleman_params, bessel_solution, monkeypatch, n_t
+    ):
+        """The core's tiles own each point whose t node has k or k' nonzero
+        exactly once, and no other point: psi, psi_t and psi_theta vanish
+        there.  The strips' interior term carries no cutoff, so their tiles
+        own every point once."""
+        p = carleman_params
+        calls = recorded_tiles(monkeypatch)
+        carleman_component_integrals(bessel_solution, p, n_theta=48, n_r=32, n_t=n_t)
+        t = np.linspace(0.0, p.T, n_t + 1)
+        live_t = np.any(eval_cutoff(time_cutoff(p.epsilon, p.T), t)[:2], axis=0)
+        assert not live_t[:2].any() and not live_t[-2:].any() and live_t.any()
+        n_strip = calls[1][0][0].stop  # the theta nodes of both strips, joined
+        assert n_strip == 2 * (max(32, 48 // 4) + 1)
+        for call, expect in [
+            (calls[0], np.outer(np.ones(49, dtype=bool), live_t)),
+            (calls[1], np.ones((n_strip, n_t + 1), dtype=bool)),
+        ]:
+            assert call[1] == 0
+            covered = owned_points(call, expect.shape)
+            assert np.array_equal(covered, expect.astype(int))
 
     def test_memory_bound(self, carleman_params, bessel_solution):
         tracemalloc.start()
@@ -827,11 +888,11 @@ class TestComponentIntegrals:
         kernel = carleman._contracted_weight_tiles
         lowest = []
 
-        def spy(params, theta, w_th, r, t, w_t, rows, log_offset):
+        def spy(params, theta, w_th, r, t, w_t, rows, log_offset, window):
             factors = carleman._sigma_factors(params, theta, r, t)
             sigma_min = math.prod(float(f.min()) for f in factors)
             lowest.append(2.0 * params.s * sigma_min - log_offset)
-            yield from kernel(params, theta, w_th, r, t, w_t, rows, log_offset)
+            yield from kernel(params, theta, w_th, r, t, w_t, rows, log_offset, window)
 
         monkeypatch.setattr(carleman, "_contracted_weight_tiles", spy)
         out = carleman_component_integrals(sol, params)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from ledger import TIMING, AcceptanceLedger, differences, main
+from ledger import TIMING, AcceptanceLedger, differences, main, summary
 
 from degenwave.carleman import ComponentIntegrals
 
@@ -57,10 +57,12 @@ def test_a_differing_value_is_named_with_its_relative_difference(tmp_path, capsy
 @pytest.mark.parametrize(
     "parent, change, expect",
     [
-        ({"a": 1}, {"a": 1, "b": 2}, ["b: only in change"]),
-        ({"a": [1, 2]}, {"a": [1]}, ["a: 2 entries against 1"]),
-        ({"a": 1}, {"a": 1.0}, ["a: 1 -> 1.0"]),
+        ({"a": 1}, {"a": 1, "b": 2}, [("b: only in change", None)]),
+        ({"a": [1, 2]}, {"a": [1]}, [("a: 2 entries against 1", None)]),
+        ({"a": 1}, {"a": 1.0}, [("a: 1 -> 1.0", None)]),
         ({"a": "nan"}, {"a": "nan"}, []),
+        ({"a": 4}, {"a": 5}, [("a: 4 -> 5 (relative 2.00e-01)", 0.2)]),
+        ({"a": 2.0}, {"a": "inf"}, [("a: 2.0 -> 'inf'", None)]),
     ],
 )
 def test_differences(parent, change, expect):
@@ -108,7 +110,10 @@ def test_a_differing_carleman_value_or_demo_line_is_named(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-3].startswith("carleman.lam 0.5 s 2.0.chat: 0.3 -> 0.30000000000000004")
     assert out[-2] == "demos.04_carleman_weight[1]: '  gamma = 1.9800' -> '  gamma = 1.9801'"
-    assert out[-1] == "2 values differ"
+    assert out[-1] == (
+        "2 values differ: 1 numbers, largest relative difference 1.85e-16; "
+        "1 text values, keys, lengths or kinds"
+    )
 
 
 def test_a_basis_that_moves_by_one_bit_is_named(tmp_path, capsys):
@@ -117,4 +122,25 @@ def test_a_basis_that_moves_by_one_bit_is_named(tmp_path, capsys):
     assert main([str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("bases.alpha 0.5 N 64 k_max 2.rho: ")
-    assert out[-1] == "1 values differ"
+    assert out[-1] == "1 values differ: 0 numbers; 1 text values, keys, lengths or kinds"
+
+
+def test_summary_sets_roundoff_apart_from_text(tmp_path, capsys):
+    """Numbers that moved by roundoff read as such: the summary gives their
+    largest relative difference and counts the text that differs apart."""
+    a = write_beside(tmp_path, "a.json", 0.3, "  gamma = 1.9800")
+    b = write_beside(tmp_path, "b.json", 0.3 + 2.0**-54, "  gamma = 1.9800")
+    assert main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 values differ: 1 numbers, largest relative difference 1.85e-16; "
+        "0 text values, keys, lengths or kinds"
+    )
+    c = write_beside(tmp_path, "c.json", 0.3 + 2.0**-50, "  gamma = 1.98", rho=(1.0, 2.5))
+    d = write(tmp_path, "d.json", {"drift": 1.25e-13})
+    found = differences(json.loads(b.read_text()), json.loads(c.read_text()))
+    found += differences(json.loads(b.read_text()), json.loads(d.read_text()))
+    # the text: the demo line, the rho hash and the three sections d lacks
+    assert summary(found) == (
+        "7 values differ: 2 numbers, largest relative difference 2.00e-01; "
+        "5 text values, keys, lengths or kinds"
+    )

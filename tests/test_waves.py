@@ -24,7 +24,7 @@ from degenwave import waves
 from degenwave.observability import default_beta, default_horizon, observability_ratio
 from degenwave.errors import GridMismatch, ParameterOutOfRange, TruncationTooSmall
 from degenwave.params import DomainSpec, observation_time_threshold, theta_strips
-from degenwave.radial import bessel_radial_mode
+from degenwave.radial import bessel_radial_mode, solve_radial_basis
 from degenwave.waves import (
     RANDOM_CAP,
     data_norms,
@@ -97,6 +97,24 @@ class TestProjection:
             errors.append(norm_sq - 0.5 * np.sum(st.a**2))
         assert all(e > -1e-12 for e in errors)  # Bessel-type inequality
         assert errors[-1] < 0.02 * errors[0]
+
+    def test_callable_field_past_the_grid_nyquist_order_refused(self):
+        """The theta rule samples 2048 cells: sin(2047 pi theta) R_1 once
+        projected to +1 at order 2047 and -1 at order 2049, and
+        sin(2048 pi theta) R_1 to all zeros."""
+        basis = solve_radial_basis(0.5, N=64, g=2.0, k_max=2)
+        r1 = interp_mode(basis, 1)
+        field = lambda n: lambda th, r: np.sin(n * math.pi * th) * r1(r)
+        for n_max in (2048, 2049):
+            for phi0, phi1 in ((field(2047), None), (None, field(2048))):
+                with pytest.raises(TruncationTooSmall, match="Nyquist order 2048"):
+                    project_initial_data(phi0, phi1, basis, n_max, 1)
+        below = project_initial_data(field(2047), None, basis, 2047, 1)
+        assert below.a[2046, 0] == pytest.approx(1.0, abs=1e-10)
+        assert np.abs(below.a[:2046]).max() < 1e-10
+        # a modal dictionary is not sampled, so it takes any truncation
+        modes = project_initial_data({(2049, 1): 0.5}, {(1, 1): 1.0}, basis, 2049, 1)
+        assert modes.a[2048, 0] == 0.5 and modes.b[0, 0] == 1.0
 
     def test_modal_dictionary_input(self, basis05):
         st = project_initial_data({(2, 3): 1.5}, {(1, 1): -0.5}, basis05, 4, 4)
