@@ -143,7 +143,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 def _run_spectrum(cfg: dict) -> dict:
     basis = solve_radial_basis(cfg["alpha"], N=cfg["n"], g=cfg["grading"], k_max=cfg["kmax"])
     rows = [
-        (k, rho, flux, basis.mesh.n_cells, basis.mesh.grading, basis.alpha)
+        (k, rho, flux, basis.mesh.n_cells, cfg["grading"], basis.alpha)
         for k, (rho, flux) in enumerate(zip(basis.rho, basis.flux), start=1)
     ]
     return {"spectrum.csv": (["k", "rho", "flux_at_1", "mesh_N", "grading", "alpha"], rows)}

@@ -16,6 +16,13 @@ eigenvalue because dstein re-orthogonalizes against every neighbour within
 1e-3 ||T||_1, and the near-origin diagonal of graded meshes inflates ||T||
 so far that the whole low spectrum would count as one cluster.
 
+Each record keeps only its inputs and derives the rest whenever it is
+made, `dataclasses.replace` included: a `RadialMesh` its nodes, a
+`WeightedMatrices` pencil (mesh, p, q, bc), whose matrices it assembles,
+and a `RadialBasis` (pencil, eigenvector rows R), whose eigenvalues are
+the Rayleigh quotients of its rows and whose fluxes it recovers.  No record
+can hold numbers of another pencil.
+
 The bisection chunks, and then the dstein calls, are dealt round-robin to
 one thread per CPU the process may use.  Every LAPACK and BLAS routine here
 is the Fortran symbol of the OpenBLAS that numpy itself links (the ILP64
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +56,7 @@ from ._threads import deal
 from .errors import (
     ConvergenceFailure,
     DivergentWeight,
+    GridMismatch,
     InvalidMeshSpec,
     ParameterOutOfRange,
 )
@@ -75,7 +83,6 @@ class RadialMesh:
     """Strictly increasing node vector of a 1D piecewise-linear mesh."""
 
     nodes: np.ndarray
-    grading: float = 1.0
 
     def __post_init__(self) -> None:
         nodes = _reals(self.nodes, "mesh nodes", InvalidMeshSpec, ndim=1)
@@ -95,7 +102,7 @@ def build_graded_mesh(N: int, g: float) -> RadialMesh:
     """Mesh on [0, 1] with nodes (j/N)^g; g = 1 is uniform, g > 1 crowds r = 0."""
     N = _whole(N, "cell count N", InvalidMeshSpec, minimum=2)
     _real(g, "grading exponent g", InvalidMeshSpec, least=1)
-    return RadialMesh((np.arange(N + 1) / N) ** g, grading=float(g))
+    return RadialMesh((np.arange(N + 1) / N) ** g)
 
 
 def build_log_mesh(N: int, delta: float) -> RadialMesh:
@@ -133,24 +140,96 @@ _BC_KINDS = _LEFT_DIRICHLET | _RIGHT_DIRICHLET
 
 @dataclass(frozen=True)
 class WeightedMatrices:
-    """Assembled tridiagonal stiffness/mass pair for one weighted pencil.
+    """Tridiagonal stiffness/mass pair K_ij = int r^p phi_i' phi_j' and
+    M_ij = int r^q phi_i phi_j of one weighted pencil.
 
-    Full-mesh symmetric tridiagonals are kept (diagonal kd/md, off-diagonal
-    ke/me) together with the constrained dof window [i0, i1); `lumped` holds
-    the row sums of the full mass rows restricted to that window, i.e. the
-    discrete mass inner product used by the eigensolver.
+    A pencil keeps the mesh, p, q and bc it is given and assembles the rest
+    whenever it is made, by `dataclasses.replace` too, so its matrices are
+    always those of its inputs.  Full-mesh symmetric tridiagonals are kept
+    (diagonal kd/md, off-diagonal ke/me) together with the constrained dof
+    window [i0, i1); `lumped` holds the row sums of the full mass rows
+    restricted to that window, i.e. the discrete mass inner product used by
+    the eigensolver.
+
+    All element integrals are closed-form power integrals; no quadrature.
+    On meshes touching r = 0 the weights must keep every assembled entry
+    finite: p > -1 always, and q > -2 with a left Dirichlet condition
+    (q >= 0 without one, since the unconstrained corner basis function does
+    not vanish at the degenerate point).
     """
 
     mesh: RadialMesh
     p: float
     q: float
     bc: str
-    kd: np.ndarray
-    ke: np.ndarray
-    md: np.ndarray
-    me: np.ndarray
-    i0: int
-    i1: int
+    kd: np.ndarray = field(init=False)
+    ke: np.ndarray = field(init=False)
+    md: np.ndarray = field(init=False)
+    me: np.ndarray = field(init=False)
+    i0: int = field(init=False)
+    i1: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        p, q, bc = self.p, self.q, self.bc
+        if bc not in _BC_KINDS:
+            raise ParameterOutOfRange(f"unknown boundary condition kind: {bc!r}")
+        _real(p, "stiffness exponent p")
+        _real(q, "mass exponent q")
+        nodes = self.mesh.nodes
+        touches_zero = nodes[0] == 0.0
+        if touches_zero:
+            if p <= -1.0:
+                raise DivergentWeight(f"stiffness weight r^{p} is not integrable at 0")
+            if bc in _LEFT_DIRICHLET:
+                if q <= -2.0:
+                    raise DivergentWeight(
+                        f"mass weight r^{q} diverges on the first cell even with "
+                        "a left Dirichlet condition"
+                    )
+            elif q < 0.0:
+                raise DivergentWeight(
+                    f"mass weight r^{q} needs a left Dirichlet condition on "
+                    "meshes touching r = 0"
+                )
+
+        a, b = nodes[:-1], nodes[1:]
+        h = b - a
+        ip = power_integral(a, b, p)
+        iq = power_integral(a, b, q)
+        iq1 = power_integral(a, b, q + 1.0)
+        iq2 = power_integral(a, b, q + 2.0)
+
+        # a cell so short that h^2 underflows gives inf or nan entries here,
+        # which the finite check below turns into DivergentWeight
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # local stiffness is (int r^p / h^2) * [[1, -1], [-1, 1]]
+            k_cell = ip / h**2
+            # local mass from the monomial expansion of the hat-function products
+            m_ll = (b**2 * iq - 2.0 * b * iq1 + iq2) / h**2
+            m_lr = (-iq2 + (a + b) * iq1 - a * b * iq) / h**2
+            m_rr = (iq2 - 2.0 * a * iq1 + a**2 * iq) / h**2
+            if touches_zero:
+                # a = 0 terms multiply divergent integrals by zero: their true
+                # value is zero, not nan, because the vanishing basis function
+                # tames r^q
+                m_lr[0] = (-iq2[0] + b[0] * iq1[0]) / h[0] ** 2
+                m_rr[0] = iq2[0] / h[0] ** 2
+
+        n = nodes.size
+        kd = np.zeros(n)
+        kd[:-1] += k_cell
+        kd[1:] += k_cell
+        md = np.zeros(n)
+        md[:-1] += m_ll
+        md[1:] += m_rr
+
+        i0 = 1 if bc in _LEFT_DIRICHLET else 0
+        i1 = n - 1 if bc in _RIGHT_DIRICHLET else n
+        derived = (kd, -k_cell, md, m_lr, i0, i1)
+        for name, value in zip(("kd", "ke", "md", "me", "i0", "i1"), derived):
+            object.__setattr__(self, name, value)
+        if not np.all(np.isfinite(self.kd_dof)) or not np.all(np.isfinite(self.lumped)):
+            raise DivergentWeight("assembled dof entries are not all finite")
 
     @property
     def n_dof(self) -> int:
@@ -203,95 +282,64 @@ def _tridiag_matvec(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
 def assemble_weighted_system(
     mesh: RadialMesh, p: float, q: float, bc: str
 ) -> WeightedMatrices:
-    """Assemble K_ij = int r^p phi_i' phi_j' and M_ij = int r^q phi_i phi_j.
-
-    All element integrals are closed-form power integrals; no quadrature.
-    On meshes touching r = 0 the weights must keep every assembled entry
-    finite: p > -1 always, and q > -2 with a left Dirichlet condition
-    (q >= 0 without one, since the unconstrained corner basis function does
-    not vanish at the degenerate point).
-    """
-    if bc not in _BC_KINDS:
-        raise ParameterOutOfRange(f"unknown boundary condition kind: {bc!r}")
-    _real(p, "stiffness exponent p")
-    _real(q, "mass exponent q")
-    nodes = mesh.nodes
-    touches_zero = nodes[0] == 0.0
-    if touches_zero:
-        if p <= -1.0:
-            raise DivergentWeight(f"stiffness weight r^{p} is not integrable at 0")
-        if bc in _LEFT_DIRICHLET:
-            if q <= -2.0:
-                raise DivergentWeight(
-                    f"mass weight r^{q} diverges on the first cell even with "
-                    "a left Dirichlet condition"
-                )
-        elif q < 0.0:
-            raise DivergentWeight(
-                f"mass weight r^{q} needs a left Dirichlet condition on "
-                "meshes touching r = 0"
-            )
-
-    a, b = nodes[:-1], nodes[1:]
-    h = b - a
-    ip = power_integral(a, b, p)
-    iq = power_integral(a, b, q)
-    iq1 = power_integral(a, b, q + 1.0)
-    iq2 = power_integral(a, b, q + 2.0)
-
-    # a cell so short that h^2 underflows gives inf or nan entries here,
-    # which the finite check below turns into DivergentWeight
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # local stiffness is (int r^p / h^2) * [[1, -1], [-1, 1]]
-        k_cell = ip / h**2
-        # local mass from the monomial expansion of the hat-function products
-        m_ll = (b**2 * iq - 2.0 * b * iq1 + iq2) / h**2
-        m_lr = (-iq2 + (a + b) * iq1 - a * b * iq) / h**2
-        m_rr = (iq2 - 2.0 * a * iq1 + a**2 * iq) / h**2
-        if touches_zero:
-            # a = 0 terms multiply divergent integrals by zero: their true value
-            # is zero, not nan, because the vanishing basis function tames r^q
-            m_lr[0] = (-iq2[0] + b[0] * iq1[0]) / h[0] ** 2
-            m_rr[0] = iq2[0] / h[0] ** 2
-
-    n = nodes.size
-    kd = np.zeros(n)
-    kd[:-1] += k_cell
-    kd[1:] += k_cell
-    md = np.zeros(n)
-    md[:-1] += m_ll
-    md[1:] += m_rr
-
-    i0 = 1 if bc in _LEFT_DIRICHLET else 0
-    i1 = n - 1 if bc in _RIGHT_DIRICHLET else n
-    mats = WeightedMatrices(
-        mesh=mesh, p=p, q=q, bc=bc, kd=kd, ke=-k_cell, md=md, me=m_lr, i0=i0, i1=i1
-    )
-    if not np.all(np.isfinite(mats.kd_dof)) or not np.all(np.isfinite(mats.lumped)):
-        raise DivergentWeight("assembled dof entries are not all finite")
-    return mats
+    """The weighted pencil of (mesh, p, q, bc); raises what `WeightedMatrices`
+    raises."""
+    return WeightedMatrices(mesh, p, q, bc)
 
 
 @dataclass(frozen=True)
 class RadialBasis:
-    """The smallest lumped eigenpairs of one weighted pencil K x = rho M x.
+    """Eigenpairs of one weighted pencil K x = rho M x, from their vectors.
 
     `solve_eigenpairs` returns this one type for any assembled pencil: the
     Dirichlet basis of -d/dr(r^alpha d/dr) on (0, 1) behind the wave
-    simulator, and the Hardy pencils alike.  Row j of R is the j-th
-    eigenvector on the full node set (zero where constrained), normalized
-    to unit lumped mass with its first nonzero entry positive; flux[j] is
-    its variationally recovered derivative at the right endpoint, negative
-    for the ground mode under this orientation.  gram is the consistent
-    Gram matrix of all its eigenfunctions, formed once, on first use, by one
-    mass product of the dof block of R and one matmul; the observation forms
-    of a truncation to k_max pairs read its leading k_max x k_max block.
+    simulator, and the Hardy pencils alike.  A basis keeps the pencil and
+    the rows R it is given and derives the rest whenever it is made, by
+    `dataclasses.replace` too.  Row j of R is the j-th eigenvector on the
+    full node set (zero where constrained), normalized to unit lumped mass
+    with its first nonzero entry positive.  rho[j] is the Rayleigh quotient
+    of row j (the eigenvalue, as R is unit in the lumped mass), and flux[j]
+    its variationally recovered derivative at the right endpoint: the
+    residual of the eigen-equation tested against the boundary hat
+    function, that is r^p R' there, negative for the ground mode under this
+    orientation.  gram is the consistent Gram matrix of all its
+    eigenfunctions, formed once, on first use, by one mass product of the
+    dof block of R and one matmul; the observation forms of a truncation to
+    k_max pairs read its leading k_max x k_max block.  R is held, not
+    copied.
+
+    Raises:
+        GridMismatch: R is not a 2-D float64 numpy array of at least one
+            row and one column per mesh node.
+        DivergentWeight: a recovered flux is not finite, as when the
+            boundary weight r^p underflows to zero.
     """
 
     mats: WeightedMatrices
-    rho: np.ndarray  # (k_max,)
     R: np.ndarray  # (k_max, n_nodes) nodal values
-    flux: np.ndarray  # (k_max,) boundary derivatives at the right endpoint
+    rho: np.ndarray = field(init=False)  # (k_max,)
+    flux: np.ndarray = field(init=False)  # (k_max,) boundary derivatives at the right endpoint
+
+    def __post_init__(self) -> None:
+        mats, R, n = self.mats, self.R, self.mats.mesh.nodes.size
+        if not (isinstance(R, np.ndarray) and R.dtype == np.float64 and R.ndim == 2
+                and R.shape[0] >= 1 and R.shape[1] == n):
+            raise GridMismatch(f"R must be a 2-D float64 array of at least one row of {n} nodes")
+        rho = np.empty(R.shape[0])
+        for j, x in enumerate(R[:, mats.i0 : mats.i1]):
+            rho[j] = mats.stiffness_product(x, x)
+        k_row = mats.ke[-1] * R[:, -2] + mats.kd[-1] * R[:, -1]
+        m_row = mats.me[-1] * R[:, -2] + mats.md[-1] * R[:, -1]
+        weight = mats.mesh.nodes[-1] ** mats.p
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            flux = (k_row - rho * m_row) / weight
+        if not np.all(np.isfinite(flux)):
+            raise DivergentWeight(
+                f"boundary flux is not finite: the weight r^{mats.p} at the right "
+                f"endpoint is {weight}"
+            )
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "flux", flux)
 
     @property
     def alpha(self) -> float:
@@ -398,8 +446,9 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
     place: dstein writes each vector into its dof slots of the result R, and
     the Gram product and the triangular solve read and write that strided
     block with the row length of R as leading dimension, so no second
-    (k_max, n) array is made.  The eigenvalue reported is the Rayleigh
-    quotient of the computed vector.
+    (k_max, n) array is made.  The result is `RadialBasis(mats, R)`, so the
+    eigenvalue reported is that record's Rayleigh quotient of the computed
+    vector, and the flux its variational recovery.
 
     The chunks, and then the dstein calls, are dealt round-robin to one
     thread per CPU the process may use.  Every routine is the Fortran symbol
@@ -521,21 +570,17 @@ def solve_eigenpairs(mats: WeightedMatrices, k_max: int) -> RadialBasis:
         byref(c_k), x.ctypes, byref(c_ld), 1, 1, 1, 1,
     )
 
-    # bisection locates eigenvalues only to ~eps * ||T||, which the huge
-    # near-origin diagonal entries can make coarse; the Rayleigh quotient
-    # of the computed eigenvector is second-order accurate in its residual
-    # and restores near-machine eigenvalues (x is unit-norm in lumped mass).
     # Row by row, scaled by D^{-1/2} and flipped whole to start positive,
-    # each row stays in cache and needs no (k, n) temporary
-    rho = np.empty(k_max)
+    # each row stays in cache and needs no (k, n) temporary.  Bisection
+    # locates eigenvalues only to ~eps * ||T||, which the huge near-origin
+    # diagonal entries can make coarse; the basis's Rayleigh quotient of each
+    # computed eigenvector is second-order accurate in its residual and
+    # restores near-machine eigenvalues (x is unit-norm in lumped mass)
     for j, xj in enumerate(x):
         xj /= sqrt_d
         if xj[np.argmax(xj != 0.0)] < 0.0:
             R[j] *= -1.0
-        rho[j] = mats.stiffness_product(xj, xj)
-    return RadialBasis(mats=mats, rho=rho, R=R, flux=_variational_flux(mats, R, rho))
-
-
+    return RadialBasis(mats, R)
 
 
 def refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray]:
@@ -595,31 +640,6 @@ def refine_smallest_eigenpair(mats: WeightedMatrices) -> tuple[float, np.ndarray
     raise ConvergenceFailure(
         f"consistent inverse iteration did not converge in {_REFINE_MAX_ITER} steps"
     )
-
-
-def _variational_flux(mats: WeightedMatrices, R: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Boundary derivatives at the right endpoint by variational recovery.
-
-    Tests the eigen-equation of each row of R (full nodal vectors) against
-    the boundary hat function: the residual of the last full row equals
-    r^p R' there.
-
-    Raises:
-        DivergentWeight: a recovered value is not finite, as when the
-            boundary weight r^p underflows to zero.
-    """
-    kd, ke, md, me = mats.kd, mats.ke, mats.md, mats.me
-    k_row = ke[-1] * R[:, -2] + kd[-1] * R[:, -1]
-    m_row = me[-1] * R[:, -2] + md[-1] * R[:, -1]
-    weight = mats.mesh.nodes[-1] ** mats.p
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        flux = (k_row - rho * m_row) / weight
-    if not np.all(np.isfinite(flux)):
-        raise DivergentWeight(
-            f"boundary flux is not finite: the weight r^{mats.p} at the right "
-            f"endpoint is {weight}"
-        )
-    return flux
 
 
 def solve_radial_basis(

@@ -7,10 +7,12 @@ checked against their plain first versions, kept here unchanged; the closed
 form Carleman band half-width is checked against the grid certificate that
 the validator used to search with, and the derivatives of the Carleman
 weight come from sympy, which only the tests that need them import.
+`assert_same` compares a record with one made afresh, field by field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -1206,3 +1208,24 @@ def mgs_eigenpairs(
         R[j, mats.i0 : mats.i1] = xj
         flux[j] = _variational_flux(mats, R[j], rho[j])
     return rho, R, flux, rho.copy()
+
+
+def assert_same(got, fresh, where="record"):
+    """got is fresh: records field by field, derived fields included, arrays
+    by dtype and value, functions by their values on (0, 1]."""
+    if dataclasses.is_dataclass(fresh):
+        assert type(got) is type(fresh), where
+        for f in dataclasses.fields(fresh):
+            assert_same(getattr(got, f.name), getattr(fresh, f.name), f"{where}.{f.name}")
+    elif isinstance(fresh, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == fresh.dtype, where
+        assert np.array_equal(got, fresh), where
+    elif isinstance(fresh, tuple):
+        assert isinstance(got, tuple) and len(got) == len(fresh), where
+        for i, (a, b) in enumerate(zip(got, fresh)):
+            assert_same(a, b, f"{where}[{i}]")
+    elif callable(fresh):
+        r = np.linspace(0.1, 1.0, 7)
+        assert np.array_equal(got(r), fresh(r)), where
+    else:
+        assert type(got) is type(fresh) and got == fresh, where

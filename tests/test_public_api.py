@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import degenwave
 from degenwave import errors
+from oracles import assert_same
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -483,8 +484,9 @@ def test_benchmark_bases_span_bisection_chunks():
 
 @functools.cache
 def sweep_inputs():
-    """Small valid inputs shared by the rows: a basis of N 64 and k 8, a 2 x 2
-    state, the canonical Carleman parameters and one Bessel mode."""
+    """Small valid inputs shared by the rows: a basis of N 64 and k 8, its
+    pencil and rows, a 2 x 2 state, the canonical Carleman parameters and
+    one Bessel mode."""
     basis = degenwave.solve_radial_basis(0.5, N=64, g=2.0, k_max=8)
     params = degenwave.validate_carleman_params(
         0.5, degenwave.DomainSpec(0.03), beta=0.0149, T=40.0, lam=0.5, s=2.0
@@ -495,6 +497,7 @@ def sweep_inputs():
         "params": params,
         "solution": degenwave.SmoothModalSolution(0.5, (degenwave.bessel_mode(0.5, 1, 1),)),
         "mats": basis.mats,
+        "R": basis.R,
         "mesh": degenwave.build_graded_mesh(64, 3.0),
         "domain": degenwave.DomainSpec(0.01),
     }
@@ -588,10 +591,13 @@ SWEEP = {
         ("alpha", "beta", "T", "lam", "s"),
         alpha=0.5, domain=degenwave.DomainSpec(0.03), beta=0.0149, T=40.0, lam=0.5, s=2.0,
     ),
-    # radial
-    "RadialBasis": row(),
+    # radial; a pencil assembles its matrices and a basis derives its pairs
+    # from the inputs they are given
+    "RadialBasis": row(("R",), mats=shared("mats"), R=shared("R")),
     "RadialMesh": row(("nodes",), nodes=np.linspace(0.0, 1.0, 5)),
-    "WeightedMatrices": row(),
+    "WeightedMatrices": row(
+        ("p", "q"), mesh=shared("mesh"), p=0.5, q=0.0, bc="dirichlet-dirichlet"
+    ),
     "assemble_weighted_system": row(
         ("p", "q"), mesh=shared("mesh"), p=0.5, q=0.0, bc="dirichlet-dirichlet"
     ),
@@ -639,8 +645,8 @@ SWEEP_VALUES = [
 
 #: the swept arguments that take an array of numbers; every other swept
 #: argument refuses both arrays of SWEEP_VALUES, a number argument because
-#: it takes no array, ModalCoefficients a and b and RadialMesh nodes because
-#: they take another shape
+#: it takes no array, ModalCoefficients a and b, RadialMesh nodes and
+#: RadialBasis R because they take another shape
 ARRAY_ARGUMENTS = {
     ("build_weight_field", "theta"), ("build_weight_field", "r"), ("build_weight_field", "t"),
     ("eval_cutoff", "x"), ("energy_series", "times"),
@@ -923,3 +929,86 @@ def test_argument_checks_live_in_params():
         if path.name != "params.py"
     }
     assert {name: checks for name, checks in found.items() if checks} == {}
+
+
+# ---------------------------------------------------------------------------
+# Every public record keeps the inputs it is given and derives the rest, or
+# holds computed values
+# ---------------------------------------------------------------------------
+
+#: records of computed values, which the package's functions fill in
+COMPUTED_RECORDS = {
+    "BlowupFit", "ComponentIntegrals", "ConjugationReport", "EnergyReport", "EnsembleStats",
+    "HardyReport", "ObservabilityRecord", "ObstructionScan", "TraceReport",
+}
+
+
+@functools.cache
+def input_records():
+    """Per input record, a valid record and changes of its given fields to
+    other valid values; fields that can only move together share a change."""
+    inputs = sweep_inputs()
+    basis, mats = inputs["basis"], inputs["mats"]
+    mode = degenwave.bessel_mode
+    return {
+        "CarlemanParams": (inputs["params"], [
+            {"alpha": 0.3}, {"delta0": 0.031}, {"beta": 0.01}, {"T": 50.0}, {"lam": 1.0},
+            {"s": 3.0},
+        ]),
+        "CutoffSpec": (
+            degenwave.theta_cutoff(0.01), [{"rise": (0.01, 0.05)}, {"fall": (0.9, 0.99)}]
+        ),
+        "DegeneracyParams": (degenwave.DegeneracyParams(0.5), [{"alpha": 0.3}]),
+        "DomainSpec": (inputs["domain"], [{"delta0": 0.02}]),
+        "ModalCoefficients": (inputs["state"], [
+            {"basis": degenwave.solve_radial_basis(0.3, N=64, g=2.0, k_max=8)},
+            {"a": np.full((2, 2), 0.5)}, {"b": np.full((2, 2), -0.5)},
+        ]),
+        "RadialBasis": (basis, [
+            {"mats": degenwave.assemble_weighted_system(basis.mesh, 0.9, 0.0, mats.bc)},
+            {"R": basis.R[:2].copy()},
+        ]),
+        "RadialMesh": (inputs["mesh"], [{"nodes": np.linspace(0.0, 1.0, 5)}]),
+        "SmoothMode": (
+            mode(0.5, 1, 1, b=0.3), [{"alpha": 0.3}, {"n": 2}, {"k": 2}, {"a": 0.5}, {"b": 0.1}]
+        ),
+        "SmoothModalSolution": (inputs["solution"], [
+            {"modes": (mode(0.5, 2, 1), mode(0.5, 1, 2))},
+            {"alpha": 0.3, "modes": (mode(0.3, 1, 1),)},
+        ]),
+        "WeightedMatrices": (mats, [
+            {"mesh": degenwave.build_graded_mesh(32, 2.0)}, {"p": 0.9}, {"q": 1.0},
+            {"bc": "dirichlet-left-only"},
+        ]),
+    }
+
+
+INPUT_RECORDS = [
+    "CarlemanParams", "CutoffSpec", "DegeneracyParams", "DomainSpec", "ModalCoefficients",
+    "RadialBasis", "RadialMesh", "SmoothModalSolution", "SmoothMode", "WeightedMatrices",
+]
+
+
+def test_public_records_are_inputs_or_values():
+    records = {
+        n for n, obj in vars(degenwave).items()
+        if not n.startswith("_") and inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+    }
+    assert COMPUTED_RECORDS.isdisjoint(INPUT_RECORDS)
+    assert records == COMPUTED_RECORDS | set(INPUT_RECORDS)
+    assert sorted(input_records()) == INPUT_RECORDS
+
+
+@pytest.mark.parametrize("name", INPUT_RECORDS)
+def test_replaced_input_record_is_made_afresh(name):
+    """Every field an input record takes is an input, and a record made by
+    dataclasses.replace is the record made from its inputs: a field stored
+    from its inputs instead of derived would keep another record's value."""
+    record, changes = input_records()[name]
+    cls = getattr(degenwave, name)
+    inputs = set().union(*changes)
+    assert type(record) is cls
+    assert {f.name for f in dataclasses.fields(cls) if f.init} == inputs
+    for change in changes:
+        fresh = cls(**{**{k: getattr(record, k) for k in inputs}, **change})
+        assert_same(dataclasses.replace(record, **change), fresh, f"{name}{sorted(change)}")

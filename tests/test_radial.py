@@ -16,6 +16,7 @@ from degenwave.carleman import bessel_mode
 from degenwave.errors import (
     ConvergenceFailure,
     DivergentWeight,
+    GridMismatch,
     InvalidMeshSpec,
     ParameterOutOfRange,
     TruncationTooSmall,
@@ -38,6 +39,7 @@ from degenwave.waves import random_state
 
 from ledger import BASIS_CASES
 from oracles import (
+    assert_same,
     banded_refine_smallest_eigenpair,
     capsule_eigenpairs,
     capsule_refine_smallest_eigenpair,
@@ -504,10 +506,88 @@ class TestConsistentRefinement:
             refine_smallest_eigenpair(mats)
 
     def test_indefinite_stiffness_is_convergence_failure(self):
-        mats = assemble_weighted_system(build_uniform_mesh(8), 0.0, 0.0, "dirichlet-dirichlet")
-        flipped = dataclasses.replace(mats, kd=-mats.kd)
+        # r^400 underflows to zero on (0, 0.01), so the stiffness is zero
+        mats = assemble_weighted_system(
+            build_uniform_mesh(8, 0.0, 0.01), 400.0, 0.0, "dirichlet-dirichlet"
+        )
+        assert not np.any(mats.kd_dof)
         with pytest.raises(ConvergenceFailure, match="dpttrf"):
-            refine_smallest_eigenpair(flipped)
+            refine_smallest_eigenpair(mats)
+
+
+@pytest.fixture
+def pencil():
+    """The alpha 0.5 Dirichlet pencil on the graded mesh of 256 cells."""
+    return assemble_weighted_system(build_graded_mesh(256, 2.0), 0.5, 0.0, "dirichlet-dirichlet")
+
+
+class TestRecordsDeriveWhatTheyHold:
+    """A record made by dataclasses.replace is the record made afresh from
+    its inputs.  The field checks come first: a solve on a pencil that keeps
+    another pencil's matrices can write past the rows of its basis."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"p": 0.9}, {"bc": "dirichlet-left-only"}, {"mesh": build_graded_mesh(128, 2.0)}],
+        ids=["p", "bc", "mesh"],
+    )
+    def test_replaced_pencil_is_assembled_afresh(self, pencil, change):
+        # the moved pencil once kept the old matrices and window: the p and
+        # bc changes solved to the alpha 0.5 value 4.746 (2.161 and 0.871
+        # afresh), and the mesh change aborted the interpreter in dsyrk
+        moved = dataclasses.replace(pencil, **change)
+        inputs = {"mesh": pencil.mesh, "p": pencil.p, "q": pencil.q, "bc": pencil.bc}
+        fresh = assemble_weighted_system(**{**inputs, **change})
+        assert_same(moved, fresh)
+        assert_same(solve_eigenpairs(moved, 2), solve_eigenpairs(fresh, 2))
+
+    def test_replaced_rows_derive_their_pairs(self, pencil):
+        basis = solve_eigenpairs(pencil, 16)
+        moved = dataclasses.replace(basis, R=basis.R[:2].copy())
+        assert moved.k_max == 2
+        assert moved.rho.tobytes() == basis.rho[:2].tobytes()
+        assert moved.flux.tobytes() == basis.flux[:2].tobytes()
+        assert_same(moved, radial.RadialBasis(pencil, moved.R))
+
+    @pytest.mark.parametrize(
+        "record, names",
+        [("pencil", ("kd", "ke", "md", "me", "i0", "i1")), ("basis", ("rho", "flux"))],
+    )
+    def test_derived_fields_are_not_inputs(self, pencil, record, names):
+        # a basis with twice its rho once kept its flux, and moved a seeded
+        # state's energy from 0.458 to 0.652
+        obj = pencil if record == "pencil" else solve_eigenpairs(pencil, 2)
+        for name in names:
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(obj, **{name: getattr(obj, name)})
+
+    def test_basis_holds_its_rows_without_a_copy(self, pencil):
+        R = solve_eigenpairs(pencil, 3).R
+        assert radial.RadialBasis(pencil, R).R is R
+
+    @pytest.mark.parametrize(
+        "make_rows",
+        [
+            lambda R: R.astype(np.float32),
+            lambda R: R[0],
+            lambda R: R[:0],
+            lambda R: R[:, :-1],
+            lambda R: R.tolist(),
+        ],
+        ids=["float32", "one-dim", "no-row", "short-row", "list"],
+    )
+    def test_rows_off_the_mesh_refused(self, pencil, make_rows):
+        R = solve_eigenpairs(pencil, 3).R
+        with pytest.raises(GridMismatch, match="R must be a 2-D float64 array"):
+            radial.RadialBasis(pencil, make_rows(R))
+
+    def test_mesh_holds_only_its_nodes(self):
+        # a mesh once carried a grading label that nothing checked: 3.0 for
+        # any nodes, and 1.0 on the geometric mesh of build_log_mesh
+        assert [f.name for f in dataclasses.fields(RadialMesh)] == ["nodes"]
+        mesh = build_log_mesh(8, 0.01)
+        assert_same(dataclasses.replace(mesh), RadialMesh(mesh.nodes))
+        assert not hasattr(mesh, "grading")
 
 
 def fail_lapack(monkeypatch, name, helpers_only=False):
