@@ -58,6 +58,7 @@ from .errors import (
 from .params import (
     CarlemanParams,
     DegeneracyParams,
+    _entries,
     _real,
     _reals,
     _whole,
@@ -139,6 +140,11 @@ class SmoothModalSolution:
     exposed only through its one-axis factors: each `*_factors` method
     evaluates one axis and its derivative for every mode (mode axis first),
     and a field is the sum over modes of a product of one factor per axis.
+
+    Raises:
+        ParameterOutOfRange: alpha outside (0, 1); modes not a tuple, a
+            list or a 1-D array of at least one SmoothMode; or a mode built
+            at another alpha.
     """
 
     alpha: float
@@ -146,8 +152,8 @@ class SmoothModalSolution:
 
     def __post_init__(self) -> None:
         DegeneracyParams(self.alpha)
-        if not self.modes:
-            raise ParameterOutOfRange("a modal solution needs at least one mode")
+        if not all(isinstance(m, SmoothMode) for m in _entries(self.modes, "modes")):
+            raise ParameterOutOfRange(f"every mode must be a SmoothMode, got {self.modes!r}")
         if any(m.alpha != self.alpha for m in self.modes):
             raise ParameterOutOfRange(f"every mode must be built at alpha {self.alpha}")
 
@@ -305,10 +311,9 @@ def _second_diff_into(out: np.ndarray, hi, twice_mid, lo, scale) -> None:
 def _grid_shape(shape, minima) -> tuple[int, ...]:
     """Grid sizes as ints, each at least its minimum: an integral float is that
     integer, anything else refused."""
-    return tuple(
-        _whole(n, f"grid size in {tuple(shape)}", GridMismatch, minimum=least)
-        for n, least in zip(shape, minima)
-    )
+    shape = _entries(shape, "grid shape", GridMismatch, size=len(minima))
+    name = f"grid size in {shape}"
+    return tuple(_whole(n, name, GridMismatch, minimum=least) for n, least in zip(shape, minima))
 
 
 def _check_same_alpha(solution: SmoothModalSolution, params: CarlemanParams) -> None:
@@ -360,9 +365,10 @@ def conjugation_residual(
     Raises:
         ParameterOutOfRange: solution.alpha differs from params.alpha, or
             r_min is not finite or is at least 1.
-        GridMismatch: a grid size is not an integer, an axis has no
-            interior point, or the theta or t spacing leaves fewer than two
-            cells across a cutoff band.
+        GridMismatch: shape is not a tuple, a list or a 1-D array of three
+            sizes, a grid size is not an integer, an axis has no interior
+            point, or the theta or t spacing leaves fewer than two cells
+            across a cutoff band.
         DegenerateCellTouched: the radial stencil reaches r <= 0.
         NonFiniteReport: the weight's peak 2 s e^(2 lam) is 700 or more, the
             rule of the component integrals: exp(s sigma) overflows once
@@ -558,8 +564,12 @@ def conjugation_order_study(
     Raises:
         InsufficientData: fewer than 2 levels, which give no order, or a
             level count that is not an integer.
+        GridMismatch: base_shape is not a tuple, a list or a 1-D array of
+            three sizes, before the first level; each level raises what
+            conjugation_residual raises.
     """
     levels = _whole(levels, "level count", InsufficientData, minimum=2)
+    base_shape = _entries(base_shape, "base grid shape", GridMismatch, size=3)
     reports = [
         conjugation_residual(
             solution, params, shape=tuple(c * 2**lvl for c in base_shape), r_min=r_min

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DeltaOutOfRange, InsufficientData, ParameterOutOfRange
-from .params import DegeneracyParams, _real
+from .params import DegeneracyParams, _entries, _real
 from .radial import (
     RadialMesh,
     assemble_weighted_system,
@@ -182,7 +182,8 @@ def blowup_rate_fit(
 
     Raises:
         DeltaOutOfRange: a delta outside (0, 1).
-        InsufficientData: fewer than 4 deltas or a span below two decades.
+        InsufficientData: deltas not a tuple, a list or a 1-D array, fewer
+            than 4 deltas or a span below two decades.
     """
     return _fit_blowup(
         deltas,
@@ -196,7 +197,8 @@ def _fit_blowup(deltas: Sequence[float], constant: Callable[[float], float]) -> 
     `constant` is called once per delta, in order, only after the scan
     passes its checks.
     """
-    ds = [_real(d, "delta", DeltaOutOfRange, above=0, below=1) for d in deltas]
+    scan = _entries(deltas, "delta scan", InsufficientData)
+    ds = [_real(d, "delta", DeltaOutOfRange, above=0, below=1) for d in scan]
     if len(ds) < 4:
         raise InsufficientData("need at least 4 truncation values")
     if max(ds) / min(ds) < 100.0:

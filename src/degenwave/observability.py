@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientData, NonPositiveInput, ParameterOutOfRange, TimeTooShort
-from .params import DomainSpec, _real, _whole, observation_time_threshold
+from .params import DomainSpec, _entries, _real, _whole, observation_time_threshold
 from .radial import RadialBasis
 from .waves import (
     ModalCoefficients,
@@ -116,7 +117,7 @@ class ObstructionScan:
 
 
 def high_mode_obstruction_scan(
-    n_values,
+    n_values: Sequence[int],
     T: float,
     domain: DomainSpec,
     basis: RadialBasis,
@@ -132,13 +133,13 @@ def high_mode_obstruction_scan(
     listed once.
 
     Raises:
-        InsufficientData: fewer than 4 distinct orders or a span below one
-            decade.
+        InsufficientData: n_values not a tuple, a list or a 1-D array, fewer
+            than 4 distinct orders or a span below one decade.
         ParameterOutOfRange: an order that is not an integer, or one listed
             more than once, or a phase omega_n T of 2^53 or more.
         NonPositiveInput: T not positive and finite.
     """
-    ns = [_whole(n, "tangential order") for n in n_values]
+    ns = [_whole(n, "tangential order") for n in _entries(n_values, "n_values", InsufficientData)]
     if len(set(ns)) < 4 or max(ns) < 8 * min(ns):
         raise InsufficientData("need at least 4 distinct orders spanning a decade")
     if len(set(ns)) < len(ns):

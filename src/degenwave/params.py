@@ -16,9 +16,14 @@ checks that it is finite and, optionally, inside an open interval or
 beyond one bound; `_reals` is the one rule that turns an array argument (a
 number, a numpy array or nested sequences) into a float array, refusing
 text, ragged and non-numeric input, input of another rank than the one
-asked for and, unless told otherwise, non-finite entries.  Each caller
-names the argument and passes the error class it raises, so a refused
-input always raises a `DegenWaveError` subclass that names it.
+asked for and, unless told otherwise, non-finite entries.  `_entries`
+takes a sequence argument whose entries are checked one by one (a grid
+shape, a cutoff band, a scan): it accepts a tuple, a list or a 1-D numpy
+array with an exact number of entries, or with at least one, refuses a
+number, a string, a mapping or any other container, and hands the entries
+unchanged to the gates above.  Each caller names the argument and passes
+the error class it raises, so a refused input always raises a
+`DegenWaveError` subclass that names it.
 """
 
 from __future__ import annotations
@@ -121,6 +126,21 @@ def _reals(
     if finite and not (ok := np.isfinite(x)).all():
         raise error(f"{name} must be finite, got {x[~ok].flat[0]}")
     return x.astype(float)
+
+
+def _entries(
+    value, name: str, error: type[Exception] = ParameterOutOfRange, *, size: int | None = None
+) -> tuple:
+    """The entries of value as a tuple, refused with `error` unless value is
+    a tuple, a list or a 1-D numpy array with exactly size entries, or with
+    at least one if size is None.  The entries themselves are not checked:
+    each goes on to another gate.
+    """
+    if not (isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim == 1):
+        raise error(f"{name} must be a tuple, a list or a 1-D array, got {value!r}")
+    if len(value) != (size or max(len(value), 1)):
+        raise error(f"{name} must hold {size or 'one or more'} entries, got {len(value)}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -312,13 +332,18 @@ class CutoffSpec:
 
     Zero on (-inf, rise[0]] and [fall[1], +inf), one on [rise[1], fall[0]],
     with smooth monotone ramps on the two transition bands.
+
+    Raises:
+        ParameterOutOfRange: rise or fall is not a tuple, a list or a 1-D
+            array of two finite real numbers, or the ends are out of order.
     """
 
     rise: tuple[float, float]
     fall: tuple[float, float]
 
     def __post_init__(self) -> None:
-        a, b, c, d = (_real(end, "cutoff band end") for end in (*self.rise, *self.fall))
+        ends = (*_entries(self.rise, "rise", size=2), *_entries(self.fall, "fall", size=2))
+        a, b, c, d = (_real(end, "cutoff band end") for end in ends)
         if not a < b <= c < d:
             raise ParameterOutOfRange("cutoff bands must satisfy rise < plateau < fall")
 

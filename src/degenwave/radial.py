@@ -156,6 +156,13 @@ class WeightedMatrices:
     finite: p > -1 always, and q > -2 with a left Dirichlet condition
     (q >= 0 without one, since the unconstrained corner basis function does
     not vanish at the degenerate point).
+
+    Raises:
+        InvalidMeshSpec: mesh is not a RadialMesh.
+        ParameterOutOfRange: bc is not one of the known kinds (a string),
+            or p or q is not a finite real number.
+        DivergentWeight: a weight that diverges on the mesh, or an
+            assembled dof entry that is not finite.
     """
 
     mesh: RadialMesh
@@ -171,7 +178,9 @@ class WeightedMatrices:
 
     def __post_init__(self) -> None:
         p, q, bc = self.p, self.q, self.bc
-        if bc not in _BC_KINDS:
+        if not isinstance(self.mesh, RadialMesh):
+            raise InvalidMeshSpec(f"mesh must be a RadialMesh, got {type(self.mesh).__name__}")
+        if not isinstance(bc, str) or bc not in _BC_KINDS:
             raise ParameterOutOfRange(f"unknown boundary condition kind: {bc!r}")
         _real(p, "stiffness exponent p")
         _real(q, "mass exponent q")

@@ -16,10 +16,10 @@ amplitude solves u'' = -omega^2 u, so a pair integral over (0, T) is a
 Wronskian difference at the two ends divided by omega_j^2 - omega_i^2: one
 rotation to t = T per mode and a few flops per pair, with a direct formula
 over the sum and difference frequencies for the few near-resonant pairs,
-the diagonal among them.  Every form finds its near pairs the same way:
-one sorted search over the frequencies of each class of modes that pair
-(_near_windows), read out and integrated in bounded chunks (_near_pairs,
-_direct_pair_integrals).
+the diagonal among them.  Every form finds its near pairs the same way,
+by one call of _near_pairs(w, classes, T): one sorted search over the
+frequencies of each class of modes that pair, read out in bounded chunks
+that _direct_pair_integrals integrates.
 
 The whole top side couples only modes of the same sine order, so one
 datum's form is the sum of the same-order pair integrals of its own ends
@@ -45,7 +45,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import GridMismatch, NonPositiveInput, TruncationTooSmall
-from .params import _real, _reals, _whole, theta_strips
+from .params import _entries, _real, _reals, _whole, theta_strips
 from .radial import RadialBasis
 
 __all__ = [
@@ -113,13 +113,10 @@ def _order_pair(pair, name: str) -> tuple[int, int]:
     float is that integer.
 
     Raises:
-        TruncationTooSmall: pair is not a pair, or an entry that is not an
-            integer or is below 1.
+        TruncationTooSmall: pair is not a tuple, a list or a 1-D array of
+            two entries, or an entry that is not an integer or is below 1.
     """
-    try:
-        n, k = pair
-    except (TypeError, ValueError):
-        raise TruncationTooSmall(f"{name} must be a pair of integers, got {pair!r}") from None
+    n, k = _entries(pair, f"{name} pair", TruncationTooSmall, size=2)
     return (
         _whole(n, f"sine order of {name} {pair!r}", TruncationTooSmall, minimum=1),
         _whole(k, f"radial order of {name} {pair!r}", TruncationTooSmall, minimum=1),
@@ -589,27 +586,12 @@ def _direct_pair_integrals(wi, wj, T: float, ci, si, cj, sj) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class _NearWindows:
-    """Where the near-resonant partners of each mode lie.
-
-    sorted_modes lists the modes class by class in increasing frequency,
-    and the partners of mode i lie at the sorted positions lo[i] up to
-    hi[i] (excluded).
-    """
-
-    w: np.ndarray  # flat frequencies
-    sorted_modes: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    width: float  # _NEAR_RESONANCE / T
-
-
-def _near_windows(w: np.ndarray, classes: np.ndarray, T: float) -> _NearWindows:
-    """One sorted search for the pairs |w_i - w_j| T < _NEAR_RESONANCE of each class.
+def _near_pairs(w: np.ndarray, classes: np.ndarray, T: float):
+    """The pairs (i, j), i <= j, of modes of one class with |w_i - w_j| T < _NEAR_RESONANCE.
 
     w holds the frequencies of the modes and classes their labels
-    (integers from 0); modes pair only within their class.  The keys
+    (integers from 0); modes pair only within their class.  One sorted
+    search finds where the partners of each mode lie: the keys
     w + class * shift lay the classes end to end with gaps wider than any
     window, so one sort and one searchsorted find the upper end of every
     window.  q lies above p in the window of p exactly when p lies below q
@@ -617,8 +599,13 @@ def _near_windows(w: np.ndarray, classes: np.ndarray, T: float) -> _NearWindows:
     p.  The windows reach 4 / T, capped at 4 (spread of w + 1), past which
     a window holds its whole class, plus eight spacings of the largest
     key: more than the rounding of the keys can take from a gap whose
-    rounded value is below 1 / T.  So they hold every near pair, and
-    _near_pairs keeps the pairs that pass that elementwise test.
+    rounded value is below 1 / T.  So they hold every near pair, and the
+    pairs that pass the elementwise test are kept.
+
+    Each unordered pair comes once, from its lower mode, the diagonal
+    among them, in increasing i.  They are yielded in chunks of modes
+    whose windows hold about _NEAR_CHUNK candidates, so that memory stays
+    bounded where every pair is near.
     """
     width = _NEAR_RESONANCE / T
     span = w.max() - w.min()
@@ -630,30 +617,18 @@ def _near_windows(w: np.ndarray, classes: np.ndarray, T: float) -> _NearWindows:
     lo = np.cumsum(np.bincount(hi, minlength=hi.size))[: hi.size]  # count of hi_q <= p
     rank = np.empty_like(sorted_modes)
     rank[sorted_modes] = np.arange(rank.size)
-    return _NearWindows(w, sorted_modes, lo[rank], hi[rank], width)
-
-
-def _near_pairs(windows: _NearWindows):
-    """The near-resonant pairs (i, j), i <= j, of the modes of windows.
-
-    Each unordered pair comes once, from its lower mode, the diagonal
-    among them, in increasing i.  They are yielded in chunks of modes
-    whose windows hold about _NEAR_CHUNK candidates, so that memory stays
-    bounded where every pair is near.
-    """
-    lo = windows.lo
-    counts = windows.hi - lo
+    # the partners of mode i lie at the sorted positions lo[i] on, counts[i] of them
+    lo, counts = lo[rank], (hi - lo)[rank]
     ends = np.cumsum(counts)  # of each mode's candidates
     cuts = [0, *np.searchsorted(ends, range(_NEAR_CHUNK, ends[-1], _NEAR_CHUNK)), lo.size]
-    w = windows.w
     for a, b in zip(cuts, cuts[1:]):
         if a == b:  # one mode's window spans several chunks
             continue
         n = counts[a:b]
         offsets = lo[a:b] - ends[a:b] + n + (ends[a - 1] if a else 0)
         i = np.repeat(np.arange(a, b), n)
-        j = windows.sorted_modes[np.arange(i.size) + np.repeat(offsets, n)]
-        keep = (j >= i) & (np.abs(w[j] - w[i]) < windows.width)
+        j = sorted_modes[np.arange(i.size) + np.repeat(offsets, n)]
+        keep = (j >= i) & (np.abs(w[j] - w[i]) < width)
         yield i[keep], j[keep]
 
 
@@ -668,12 +643,12 @@ def _pair_integrals(w: np.ndarray, T: float, ends) -> np.ndarray:
         int_0^T u_i u_j dt = [u_i' u_j - u_i u_j']_0^T / (w_j^2 - w_i^2),
 
     whose numerator is a product of (..., i, 4) and (..., 4, j) stacks of
-    the ends.  The near-resonant pairs of _near_pairs take
-    _direct_pair_integrals instead, one evaluation for (i, j) and (j, i).
+    the ends.  The near-resonant pairs of _near_pairs(w, classes, T), one
+    class per leading index, take _direct_pair_integrals instead, one
+    evaluation for (i, j) and (j, i).
     """
     u0, du0, uT, duT = ends
     m = w.shape[-1]
-    windows = _near_windows(w.ravel(), np.arange(w.size) // m, T)
     left = np.stack((duT, -uT, -du0, u0), axis=-1)
     right = np.stack((uT, duT, u0, du0), axis=-2)
     wi, wj = w[..., :, None], w[..., None, :]
@@ -681,9 +656,9 @@ def _pair_integrals(w: np.ndarray, T: float, ends) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, replaced below
         pairs /= wj - wi
         pairs /= wj + wi
-    u0, du0, w = u0.ravel(), du0.ravel(), windows.w
+    u0, du0, w = u0.ravel(), du0.ravel(), w.ravel()
     flat = pairs.reshape(-1)
-    for i, j in _near_pairs(windows):
+    for i, j in _near_pairs(w, np.arange(w.size) // m, T):
         direct = _direct_pair_integrals(
             w[i], w[j], T, u0[i], du0[i] / w[i], u0[j], du0[j] / w[j]
         )
@@ -855,8 +830,9 @@ def _segment_and_strip_norms(
     lives on the pairs of one radial order.  W and the pair integrals are
     symmetric under (n, k) <-> (m, l), so a block of row orders meets only
     the columns from its first order on, and a pair past the block's own
-    orders counts twice.  The near pairs come from one sorted search and
-    take _direct_pair_integrals, each unordered pair once, in chunks.
+    orders counts twice.  The near pairs come from one call of
+    _near_pairs(w, classes, T), the two parity classes apart, and take
+    _direct_pair_integrals, each unordered pair once, in chunks.
 
     Raises:
         ParameterOutOfRange: delta0 is nan or outside (0, 1/2), or the
@@ -891,7 +867,6 @@ def _segment_and_strip_norms(
     # (c or s, family, mode) with u = c cos(w t) + s sin(w t)
     coefs = np.array(((u0, du0), (du0 / w, -wu0 / w))).reshape(2, 2, -1)
     flat_w = w.ravel()
-    windows = _near_windows(flat_w, np.arange(flat_w.size) >= odd * k_max, T)
     forms = np.zeros((3, n_max, n_max))  # per pair of orders, as weighted by weights
     near = np.zeros(2)
 
@@ -922,7 +897,7 @@ def _segment_and_strip_norms(
     buffers = np.empty((2, max((hi - lo) * (stop - lo) for lo, hi, stop in blocks) * k_max**2))
     # the near pairs in increasing i, integrated as they come; each block
     # takes those of its rows off the front of the queue to zero them
-    stream = _near_pairs(windows)
+    stream = _near_pairs(flat_w, np.arange(flat_w.size) >= odd * k_max, T)
     queue_i = queue_j = np.empty(0, dtype=np.intp)
     # the diagonal pairs divide by zero; they are near and zeroed
     with np.errstate(divide="ignore"):

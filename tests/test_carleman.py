@@ -651,6 +651,21 @@ class TestConjugationResidual:
         with pytest.raises(GridMismatch, match="integer"):
             conjugation_residual(bessel_solution, carleman_params, shape=shape)
 
+    @pytest.mark.parametrize(
+        "shape", [(576, 12, 64, 7), (10, 10), [864], 10, "864"], ids=repr
+    )
+    def test_grid_shape_not_three_sizes(self, carleman_params, bessel_solution, shape):
+        # (576, 12, 64, 7) once ran, its report naming (576, 12, 64); (10, 10)
+        # died unpacking with a bare ValueError and 10 iterating with a bare
+        # TypeError
+        with pytest.raises(GridMismatch, match="grid shape must"):
+            conjugation_residual(bessel_solution, carleman_params, shape=shape)
+
+    def test_grid_shape_as_list_or_array(self, carleman_params, bessel_solution):
+        as_tuple = conjugation_residual(bessel_solution, carleman_params, shape=(96, 16, 48))
+        for shape in ([96, 16, 48], np.array([96, 16, 48])):
+            assert conjugation_residual(bessel_solution, carleman_params, shape=shape) == as_tuple
+
     def test_integral_float_grid_sizes(self, carleman_params, bessel_solution):
         as_ints = conjugation_residual(bessel_solution, carleman_params, shape=(864, 24, 96))
         as_floats = conjugation_residual(
@@ -703,6 +718,18 @@ class TestConjugationResidual:
         monkeypatch.setattr(carleman, "conjugation_residual", lambda *a, **k: solved.append(a))
         with pytest.raises(InsufficientData, match="integer"):
             conjugation_order_study(bessel_solution, carleman_params, (96, 16, 48), levels=levels)
+        assert solved == []
+
+    @pytest.mark.parametrize("base_shape", [(576, 12, 64, 3), (96, 16), 10, "961"], ids=repr)
+    def test_order_study_base_shape_not_three_sizes(
+        self, carleman_params, bessel_solution, monkeypatch, base_shape
+    ):
+        # (576, 12, 64, 3) once ran every level on its first three sizes,
+        # and 10 died iterating with a bare TypeError
+        solved = []
+        monkeypatch.setattr(carleman, "conjugation_residual", lambda *a, **k: solved.append(a))
+        with pytest.raises(GridMismatch, match="base grid shape must"):
+            conjugation_order_study(bessel_solution, carleman_params, base_shape, levels=2)
         assert solved == []
 
     def test_order_study_integral_float_level_count(self, carleman_params, bessel_solution):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from degenwave.errors import (
     BetaOutOfRange,
     DegenWaveError,
+    DeltaOutOfRange,
     GridMismatch,
+    InsufficientData,
     InvalidMeshSpec,
     NonPositiveInput,
     ParameterOutOfRange,
@@ -22,12 +24,13 @@ from degenwave.carleman import (
     carleman_constant_scan,
 )
 from degenwave.hardy import blowup_rate_fit, critical_truncated_constant
-from degenwave.observability import default_horizon
+from degenwave.observability import default_horizon, high_mode_obstruction_scan
 from degenwave.params import (
     CarlemanParams,
     CutoffSpec,
     DegeneracyParams,
     DomainSpec,
+    _entries,
     _real,
     _reals,
     _whole,
@@ -41,6 +44,7 @@ from degenwave.params import (
 )
 from degenwave.radial import (
     RadialMesh,
+    WeightedMatrices,
     assemble_weighted_system,
     build_graded_mesh,
     build_log_mesh,
@@ -466,6 +470,36 @@ class TestInputGates:
         with pytest.raises(GridMismatch, match=r"x must be a 1-D array, got shape \("):
             _reals(value, "x", GridMismatch, ndim=1)
 
+    @pytest.mark.parametrize("value", [(1, "a", None), [1, "a", None]], ids=type)
+    def test_entries_hands_over_the_entries_unchanged(self, value):
+        for entries in (_entries(value, "x", size=3), _entries(value, "x")):
+            assert type(entries) is tuple
+            assert all(e is v for e, v in zip(entries, value, strict=True))
+
+    def test_entries_of_an_array_are_its_scalars(self):
+        entries = _entries(np.array([1.5, math.nan, 2.0]), "x", size=3)
+        assert [type(e) for e in entries] == [np.float64] * 3
+        assert entries[0] == 1.5 and math.isnan(entries[1]) and entries[2] == 2.0
+
+    @pytest.mark.parametrize(
+        "value",
+        [3, 0.5, "abc", b"ab", None, {"a": 1}, {1, 2}, range(3), np.array(3), np.ones((3, 1))],
+        ids=repr,
+    )
+    def test_entries_refuses_other_containers(self, value):
+        with pytest.raises(GridMismatch, match="x must be a tuple, a list or a 1-D array"):
+            _entries(value, "x", GridMismatch)
+
+    def test_entries_counts(self):
+        with pytest.raises(GridMismatch, match="x must hold 3 entries, got 4"):
+            _entries((1, 2, 3, 4), "x", GridMismatch, size=3)
+        with pytest.raises(GridMismatch, match="x must hold 3 entries, got 2"):
+            _entries([1, 2], "x", GridMismatch, size=3)
+        for empty in ((), [], np.zeros(0)):
+            with pytest.raises(GridMismatch, match="x must hold one or more entries, got 0"):
+                _entries(empty, "x", GridMismatch)
+        assert _entries([7], "x") == (7,)
+
 
 # Calls that died with a bare TypeError or ValueError, or returned a wrong
 # number, before every count and real number went through the two gates.
@@ -550,6 +584,60 @@ def test_array_refused_with_the_sites_error_class(basis05, call, error):
     with pytest.raises(DegenWaveError) as info:
         call(basis05)
     assert type(info.value) is error
+
+
+# Sequence arguments that were accepted or died with a bare TypeError,
+# ValueError or AttributeError before they went through the container gate:
+# a one-ended cutoff band was accepted and killed eval_cutoff, a number for
+# a sequence died in iteration or unpacking, a mode that is not a
+# SmoothMode died reading its alpha, and a list for a boundary condition
+# was unhashable.  The grid shapes of the Carleman residual and order study
+# are in tests/test_carleman.py.
+SEQUENCES_REFUSED = [
+    (lambda: CutoffSpec((0.1,), (0.2, 0.8, 0.9)), ParameterOutOfRange),
+    (lambda: blowup_rate_fit(0.1), InsufficientData),
+    (lambda: high_mode_obstruction_scan(8, 44.0, DomainSpec(0.01), None), InsufficientData),
+    (lambda: CutoffSpec(0.1, (0.2, 0.3)), ParameterOutOfRange),
+    (lambda: SmoothModalSolution(0.5, 5), ParameterOutOfRange),
+    (lambda: CutoffSpec((0.1, 0.15, 0.2), (0.8, 0.9)), ParameterOutOfRange),
+    (lambda: SmoothModalSolution(0.5, (1,)), ParameterOutOfRange),
+    (lambda: WeightedMatrices(build_uniform_mesh(8), 0.5, 0.0, ["dirichlet-dirichlet"]),
+     ParameterOutOfRange),
+    (lambda: WeightedMatrices(np.linspace(0.0, 1.0, 9), 0.5, 0.0, "dirichlet-dirichlet"),
+     InvalidMeshSpec),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    SEQUENCES_REFUSED,
+    ids=[
+        "cutoff-one-ended-rise", "blowup-number", "obstruction-number", "cutoff-number-rise",
+        "solution-number-modes", "cutoff-three-ended-rise", "solution-int-mode",
+        "pencil-list-bc", "pencil-array-mesh",
+    ],
+)
+def test_sequence_refused_with_the_sites_error_class(call, error):
+    with pytest.raises(DegenWaveError) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_cutoff_bands_take_any_sequence_of_two_ends():
+    spec = CutoffSpec((0.1, 0.2), (0.8, 0.9))
+    x = np.linspace(0.0, 1.0, 11)
+    for rise, fall in (([0.1, 0.2], [0.8, 0.9]), (np.array([0.1, 0.2]), np.array([0.8, 0.9]))):
+        for got, expect in zip(eval_cutoff(CutoffSpec(rise, fall), x), eval_cutoff(spec, x)):
+            assert np.array_equal(got, expect)
+
+
+def test_delta_and_order_scans_keep_their_entry_errors():
+    with pytest.raises(DeltaOutOfRange):
+        blowup_rate_fit([1e-1, 1e-2, 1e-3, 2.0])
+    with pytest.raises(InsufficientData):
+        blowup_rate_fit([])
+    with pytest.raises(ParameterOutOfRange, match="integer"):
+        high_mode_obstruction_scan([1, 2, 4, 8.5], 44.0, DomainSpec(0.01), None)
 
 
 # Arguments that are lists of numbers, given at another rank: a 2-D time

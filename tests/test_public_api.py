@@ -785,6 +785,77 @@ def test_array_for_a_number_is_refused(name, arg, error):
 
 
 # ---------------------------------------------------------------------------
+# The sequence sweep: every public parameter annotated tuple[...] or
+# Sequence[...], fed values that are not a sequence of its entries
+# ---------------------------------------------------------------------------
+
+#: per (callable, parameter) annotated as a tuple or a sequence, the number
+#: of entries it must hold, or None where it takes any positive number; the
+#: baseline of each is its SWEEP row's
+SEQUENCE_ARGUMENTS = {
+    ("CutoffSpec", "fall"): 2,
+    ("CutoffSpec", "rise"): 2,
+    ("SmoothModalSolution", "modes"): None,
+    ("blowup_rate_fit", "deltas"): None,
+    ("carleman_constant_scan", "s_values"): None,
+    ("conjugation_order_study", "base_shape"): 3,
+    ("conjugation_residual", "shape"): 3,
+    ("elliptic_identity_residual", "coeffs"): None,
+    ("hidden_trace_stability", "truncation"): 2,
+    ("high_mode_obstruction_scan", "n_values"): None,
+}
+
+
+def sequence_parameters():
+    """(callable, parameter) of each parameter of a public callable whose
+    annotation, a string under `from __future__ import annotations`, is a
+    tuple[...] or a Sequence[...]; records of computed values take none
+    from callers."""
+    return {
+        (name, p.name)
+        for name in public_callables() if name not in COMPUTED_RECORDS
+        for p in inspect.signature(getattr(degenwave, name)).parameters.values()
+        if isinstance(p.annotation, str) and p.annotation.startswith(("tuple[", "Sequence["))
+    }
+
+
+def test_every_sequence_parameter_has_a_row():
+    assert sorted(SEQUENCE_ARGUMENTS) == sorted(sequence_parameters())
+    for name, arg in SEQUENCE_ARGUMENTS:
+        assert len(SWEEP[name][0][arg]) >= 1, (name, arg)
+
+
+def not_sequences(baseline, size):
+    """A number, a string and a nested list of the baseline's entries, and
+    where the size is fixed one entry too few and one too many."""
+    entries = list(baseline)
+    values = [4.5, "abc", [[e] for e in entries]]
+    if size is not None:
+        values += [entries[:-1], [*entries, entries[-1]]]
+    return values
+
+
+@pytest.mark.parametrize(
+    "name, arg", sorted(SEQUENCE_ARGUMENTS), ids=[f"{n}-{a}" for n, a in sorted(SEQUENCE_ARGUMENTS)]
+)
+def test_sequence_arguments_refuse_what_is_not_a_sequence_of_entries(name, arg):
+    """A number, text, nested entries or a wrong count is refused with a
+    package error: never run on some of its entries, and never a bare
+    TypeError, ValueError or AttributeError."""
+    accepted = []
+    for value in not_sequences(SWEEP[name][0][arg], SEQUENCE_ARGUMENTS[name, arg]):
+        try:
+            sweep_call(name, arg, value)
+        except errors.DegenWaveError:
+            continue
+        except Exception as exc:  # a bare error, reported with its value
+            accepted.append(f"{value!r}: {type(exc).__name__}")
+        else:
+            accepted.append(f"{value!r}: ran")
+    assert accepted == []
+
+
+# ---------------------------------------------------------------------------
 # The two input gates of params are the only argument checks
 # ---------------------------------------------------------------------------
 

@@ -514,6 +514,15 @@ class TestConsistentRefinement:
         with pytest.raises(ConvergenceFailure, match="dpttrf"):
             refine_smallest_eigenpair(mats)
 
+    def test_vanishing_lumped_mass_is_divergent_weight(self):
+        # r^400 underflows to zero on (0, 0.01), so the lumped mass is zero
+        mats = assemble_weighted_system(
+            build_uniform_mesh(8, 0.0, 0.01), 0.0, 400.0, "dirichlet-dirichlet"
+        )
+        assert not np.any(mats.lumped)
+        with pytest.raises(DivergentWeight, match="lumped mass must be positive"):
+            solve_eigenpairs(mats, 1)
+
 
 @pytest.fixture
 def pencil():
@@ -540,6 +549,24 @@ class TestRecordsDeriveWhatTheyHold:
         fresh = assemble_weighted_system(**{**inputs, **change})
         assert_same(moved, fresh)
         assert_same(solve_eigenpairs(moved, 2), solve_eigenpairs(fresh, 2))
+
+    @pytest.mark.parametrize("bc", [["dirichlet-dirichlet"], None, 1, b"dirichlet-dirichlet"])
+    def test_pencil_refuses_a_bc_that_is_not_a_kind(self, pencil, bc):
+        # a list once died in the set lookup with a bare TypeError: unhashable type
+        with pytest.raises(ParameterOutOfRange, match="boundary condition"):
+            assemble_weighted_system(pencil.mesh, 0.5, 0.0, bc)
+        with pytest.raises(ParameterOutOfRange, match="boundary condition"):
+            dataclasses.replace(pencil, bc=bc)
+
+    @pytest.mark.parametrize(
+        "mesh", [np.linspace(0.0, 1.0, 9), [0.0, 0.5, 1.0], None], ids=["array", "list", "none"]
+    )
+    def test_pencil_refuses_a_mesh_that_is_not_a_radial_mesh(self, pencil, mesh):
+        # an array of nodes once died reading .nodes with a bare AttributeError
+        with pytest.raises(InvalidMeshSpec, match="mesh must be a RadialMesh"):
+            assemble_weighted_system(mesh, 0.5, 0.0, "dirichlet-dirichlet")
+        with pytest.raises(InvalidMeshSpec, match="mesh must be a RadialMesh"):
+            dataclasses.replace(pencil, mesh=mesh)
 
     def test_replaced_rows_derive_their_pairs(self, pencil):
         basis = solve_eigenpairs(pencil, 16)

@@ -792,9 +792,8 @@ class TestNearPairs:
     @staticmethod
     def found(w, classes, T):
         """Flat keys i * size + j of the pairs _near_pairs yields, in its order."""
-        windows = waves._near_windows(w, classes, T)
         keys = []
-        for i, j in waves._near_pairs(windows):
+        for i, j in waves._near_pairs(w, classes, T):
             assert np.all(i <= j)
             keys.append(i * w.size + j)
         return np.concatenate(keys)
@@ -830,12 +829,33 @@ class TestNearPairs:
 
     def test_chunks_cover_each_pair_once(self, basis05_k64):
         w = modal_state(basis05_k64, 32, 64).omega.ravel()
-        windows = waves._near_windows(w, np.zeros(w.size, dtype=int), 1e-6)
-        chunks = list(waves._near_pairs(windows))
+        chunks = list(waves._near_pairs(w, np.zeros(w.size, dtype=int), 1e-6))
         assert len(chunks) > 1
         i = np.concatenate([i for i, _ in chunks])
         assert i.size == w.size * (w.size + 1) // 2  # every pair is near
         assert np.all(np.diff(i) >= 0)
+
+    def test_windows_wider_than_a_chunk(self, basis05_k64, monkeypatch):
+        """At T = 1e-6 each mode's window holds all 2048 modes, so with
+        chunks of 64 candidates a window spans many chunk ends alone: those
+        empty chunks are skipped and each mode comes as one chunk."""
+        w = modal_state(basis05_k64, 32, 64).omega.ravel()
+        classes = np.zeros(w.size, dtype=int)
+        default = self.found(w, classes, 1e-6)
+        monkeypatch.setattr(waves, "_NEAR_CHUNK", 64)
+        chunks = list(waves._near_pairs(w, classes, 1e-6))
+        assert len(chunks) == w.size
+        assert all(np.all(i == i[0]) for i, _ in chunks)
+        assert np.array_equal(self.found(w, classes, 1e-6), default)
+
+    def test_chunk_size_moves_only_the_rounding(self, basis05_k64, monkeypatch):
+        """The near pairs are summed chunk by chunk, so a smaller chunk only
+        reorders the sums of the segment and strip forms."""
+        st = random_state(basis05_k64, 32, 64, seed=15)
+        default = norms_of(observation_norms(st, 1e-6, 0.01))
+        monkeypatch.setattr(waves, "_NEAR_CHUNK", 8)
+        small = norms_of(observation_norms(st, 1e-6, 0.01))
+        assert np.allclose(small, default, rtol=1e-14, atol=0.0)
 
 
 class TestStateRecord:
