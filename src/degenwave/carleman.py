@@ -68,7 +68,7 @@ from .params import (
     time_cutoff,
 )
 from .radial import bessel_radial_mode
-from .waves import _rotate, _trapezoid_weights
+from .waves import _rotate, _trapezoid_rule
 
 __all__ = [
     "SmoothMode",
@@ -140,6 +140,8 @@ class SmoothModalSolution:
     exposed only through its one-axis factors: each `*_factors` method
     evaluates one axis and its derivative for every mode (mode axis first),
     and a field is the sum over modes of a product of one factor per axis.
+    The modes are kept as the tuple their gate returns, whatever sequence
+    holds them, so solutions hash and compare by their modes.
 
     Raises:
         ParameterOutOfRange: alpha outside (0, 1); modes not a tuple, a
@@ -152,10 +154,12 @@ class SmoothModalSolution:
 
     def __post_init__(self) -> None:
         DegeneracyParams(self.alpha)
-        if not all(isinstance(m, SmoothMode) for m in _entries(self.modes, "modes")):
+        modes = _entries(self.modes, "modes")
+        if not all(isinstance(m, SmoothMode) for m in modes):
             raise ParameterOutOfRange(f"every mode must be a SmoothMode, got {self.modes!r}")
-        if any(m.alpha != self.alpha for m in self.modes):
+        if any(m.alpha != self.alpha for m in modes):
             raise ParameterOutOfRange(f"every mode must be built at alpha {self.alpha}")
+        object.__setattr__(self, "modes", modes)
 
     def angular_factors(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """sin(n pi theta) and its theta-derivative, one row per mode."""
@@ -604,22 +608,23 @@ class ComponentIntegrals:
 
 
 def _contracted_weight_tiles(
-    params: CarlemanParams, theta: np.ndarray, w_th: np.ndarray, r: np.ndarray, t: np.ndarray,
+    sigma: tuple[np.ndarray, np.ndarray, np.ndarray], two_s: float, w_th: np.ndarray,
     w_t: np.ndarray, rows: np.ndarray, log_offset: float, window: tuple[range, range],
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """Per theta x t tile, (theta slice, t slice, g) with g[..., i, j] the sum over r
     of e^{2 s sigma - log_offset} times each of `rows` (radial functions stacked
     before their last axis), times the theta and t rule weights at (theta_i, t_j).
 
-    The tiles are those of `_tiles` without a halo: they partition `window`,
-    a theta range and a t range outside which the caller's integrand vanishes.
-    log_offset is below 700, so every exponent 2 s sigma - log_offset lies
-    above -700 and no weight is subnormal.
+    sigma holds the region's theta, r and t factors of sigma, as
+    `_sigma_factors` forms them, and two_s is 2 s.  The tiles are those of
+    `_tiles` without a halo: they partition `window`, a theta range and a t
+    range outside which the caller's integrand vanishes.  log_offset is
+    below 700, so every exponent 2 s sigma - log_offset lies above -700 and
+    no weight is subnormal.
     """
-    flat = rows.reshape(-1, r.size)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
-    two_s = 2.0 * params.s
-    for ith, jt in _tiles(window, r.size, 0):
+    sig_theta, sig_r, sig_t = sigma
+    flat = rows.reshape(-1, sig_r.size)
+    for ith, jt in _tiles(window, sig_r.size, 0):
         weight = sig_theta[ith, None, None] * (sig_r[:, None] * sig_t[None, jt])[None, :, :]
         weight *= two_s
         weight -= log_offset
@@ -653,11 +658,6 @@ def _pair_sum(f: np.ndarray, g: np.ndarray) -> float:
     return float(np.einsum("mij,nij,mnij->", f, f, g))
 
 
-def _trapezoid_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the trapezoid rule with n intervals on (lo, hi)."""
-    return np.linspace(lo, hi, n + 1), _trapezoid_weights(n, (hi - lo) / n)
-
-
 def carleman_component_integrals(
     solution: SmoothModalSolution,
     params: CarlemanParams,
@@ -667,10 +667,12 @@ def carleman_component_integrals(
 ) -> ComponentIntegrals:
     """Compute every named integral of the estimate for one modal solution.
 
-    The left side lives on the core (3 delta0, 1 - 3 delta0) x (0, 1) with
-    psi = k zeta phi; the right side carries the restricted top-side trace
-    term (no exponential factor), the interior term over the lateral strip
-    pair, and the temporal cutoff commutator term.  All exponentially
+    The left side lives on the core (3 delta0, 1 - 3 delta0) x (0, 1), the
+    plateau of zeta, where zeta is exactly 1 and zeta' exactly 0 at every
+    node, so psi = k zeta phi is k phi and zeta is never evaluated; the
+    right side carries the restricted top-side trace term (no exponential
+    factor), the interior term over the lateral strip pair, and the
+    temporal cutoff commutator term.  All exponentially
     weighted quadratures share one log-space offset so the reported
     quotient is formed from overflow-safe mantissas.
 
@@ -684,7 +686,9 @@ def carleman_component_integrals(
     others, and the strips whole.
 
     Raises:
-        ParameterOutOfRange: solution.alpha differs from params.alpha.
+        ParameterOutOfRange: solution.alpha differs from params.alpha, or
+            delta0 is so small (below about 1e-17) that `theta_cutoff`
+            refuses it, the ends of its fall band rounding to one point.
         GridMismatch: a grid size is not an integer, an axis has no cell,
             or the t spacing leaves fewer than two cells across the
             epsilon-wide cutoff band.
@@ -714,23 +718,21 @@ def carleman_component_integrals(
     rr = rad[:, None, :] * rad[None, :, :]
     dd = r**alpha * drad[:, None, :] * drad[None, :, :]
 
-    # left side on the core, the plateau of zeta, psi = k zeta phi; sigma = sig_theta sig_r sig_t
+    # left side on the core, the plateau of zeta, psi = k phi; sigma = sig_theta sig_r sig_t
     # splits off the contraction, its radial factor going into the rows
     theta, w_th = _trapezoid_rule(zeta.rise[1], zeta.fall[0], n_theta)
-    zv, zd1, _ = eval_cutoff(zeta, theta)
     sin, dsin = solution.angular_factors(theta)
-    sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
+    sigma = sig_theta, sig_r, sig_t = _sigma_factors(params, theta, r, t)
     rows = np.stack([sig_r * rr, sig_r * dd, sig_r**3 * rr])
     # psi, psi_t and psi_theta vanish wherever k and k' do
     window = (range(theta.size), _live((kv, kd1)))
     lhs_gradient = lhs_zero_order = 0.0
-    tiles = _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset, window)
-    for ith, jt, g in tiles:
-        kz = zv[ith, None] * kv[None, jt]
+    for ith, jt, g in _contracted_weight_tiles(sigma, 2.0 * s, w_th, w_t, rows, log_offset, window):
+        k = kv[None, jt]
         phi = sin[:, ith, None] * amp[:, None, jt]
-        psi_t = kz * sin[:, ith, None] * vel[:, None, jt] + zv[ith, None] * kd1[None, jt] * phi
-        psi_th = kz * dsin[:, ith, None] * amp[:, None, jt] + zd1[ith, None] * kv[None, jt] * phi
-        psi = phi * kz
+        psi_t = k * sin[:, ith, None] * vel[:, None, jt] + kd1[None, jt] * phi
+        psi_th = k * dsin[:, ith, None] * amp[:, None, jt]
+        psi = phi * k
         sig_2d = sig_theta[ith, None] * sig_t[None, jt]
         g[:2] *= sig_2d
         g[2] *= sig_2d**3
@@ -746,8 +748,8 @@ def carleman_component_integrals(
     # the interior term carries no cutoff: the strips are walked whole
     window = (range(theta.size), range(t.size))
     rhs_interior = rhs_commutator = 0.0
-    tiles = _contracted_weight_tiles(params, theta, w_th, r, t, w_t, rows, log_offset, window)
-    for ith, jt, g in tiles:
+    sigma = _sigma_factors(params, theta, r, t)
+    for ith, jt, g in _contracted_weight_tiles(sigma, 2.0 * s, w_th, w_t, rows, log_offset, window):
         phi = sin[:, ith, None] * amp[:, None, jt]
         phi_t = sin[:, ith, None] * vel[:, None, jt]
         phi_th = dsin[:, ith, None] * amp[:, None, jt]

@@ -38,7 +38,7 @@ from .carleman import (
     conjugation_residual,
 )
 from .errors import ConfigError, DegenWaveError
-from .params import DomainSpec, _whole, validate_carleman_params
+from .params import CarlemanParams, DomainSpec, _whole, validate_carleman_params
 from .radial import build_graded_mesh, solve_radial_basis
 from .waves import energy_series, observation_norms, random_state
 
@@ -191,12 +191,16 @@ def _run_hardy_critical(cfg: dict) -> dict:
     return {"hardy_scan.csv": (columns, rows), "hardy.json": payload}
 
 
-def _run_carleman_check(cfg: dict) -> dict:
-    domain = DomainSpec(cfg["delta0"])
-    params = validate_carleman_params(
-        cfg["alpha"], domain, beta=cfg["beta"], T=cfg["t_horizon"],
-        lam=cfg["lam"], s=cfg["s"],
+def _weight_params(cfg: dict) -> CarlemanParams:
+    """The weight record of a run's alpha, delta0, beta, horizon, lambda and s."""
+    return validate_carleman_params(
+        cfg["alpha"], DomainSpec(cfg["delta0"]), beta=cfg["beta"],
+        T=cfg["t_horizon"], lam=cfg["lam"], s=cfg["s"],
     )
+
+
+def _run_carleman_check(cfg: dict) -> dict:
+    params = _weight_params(cfg)
     solution = SmoothModalSolution(
         cfg["alpha"], (bessel_mode(cfg["alpha"], cfg["mode_n"], cfg["mode_k"], a=1.0, b=0.3),)
     )
@@ -268,11 +272,7 @@ def _run_ratio(cfg: dict) -> dict:
 
 
 def _run_validate_params(cfg: dict) -> dict:
-    params = validate_carleman_params(
-        cfg["alpha"], DomainSpec(cfg["delta0"]), beta=cfg["beta"],
-        T=cfg["t_horizon"], lam=cfg["lam"], s=cfg["s"],
-    )
-    return {"params.json": params}
+    return {"params.json": _weight_params(cfg)}
 
 
 # keys that several runs of one subcommand read, each written once

@@ -135,11 +135,13 @@ def high_mode_obstruction_scan(
     Raises:
         InsufficientData: n_values not a tuple, a list or a 1-D array, fewer
             than 4 distinct orders or a span below one decade.
-        ParameterOutOfRange: an order that is not an integer, or one listed
-            more than once, or a phase omega_n T of 2^53 or more.
+        ParameterOutOfRange: an order that is not an integer or is below 1,
+            refused before any mode is solved, or one listed more than once,
+            or a phase omega_n T of 2^53 or more.
         NonPositiveInput: T not positive and finite.
     """
-    ns = [_whole(n, "tangential order") for n in _entries(n_values, "n_values", InsufficientData)]
+    entries = _entries(n_values, "n_values", InsufficientData)
+    ns = [_whole(n, "tangential order", minimum=1) for n in entries]
     if len(set(ns)) < 4 or max(ns) < 8 * min(ns):
         raise InsufficientData("need at least 4 distinct orders spanning a decade")
     if len(set(ns)) < len(ns):

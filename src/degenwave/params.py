@@ -331,7 +331,9 @@ class CutoffSpec:
     """A C-infinity plateau cutoff built from the exp(-1/x) mollifier ramp.
 
     Zero on (-inf, rise[0]] and [fall[1], +inf), one on [rise[1], fall[0]],
-    with smooth monotone ramps on the two transition bands.
+    with smooth monotone ramps on the two transition bands.  A spec keeps
+    each band as the tuple of two floats its gates return, whatever
+    sequence it is given, so specs hash and compare by their ends.
 
     Raises:
         ParameterOutOfRange: rise or fall is not a tuple, a list or a 1-D
@@ -346,11 +348,17 @@ class CutoffSpec:
         a, b, c, d = (_real(end, "cutoff band end") for end in ends)
         if not a < b <= c < d:
             raise ParameterOutOfRange("cutoff bands must satisfy rise < plateau < fall")
+        object.__setattr__(self, "rise", (a, b))
+        object.__setattr__(self, "fall", (c, d))
 
 
 def theta_cutoff(delta0: float) -> CutoffSpec:
-    """Angular cutoff: 1 on (3*delta0, 1-3*delta0), 0 off (2*delta0, 1-2*delta0)."""
-    _real(delta0, "delta0", above=0, below=1 / 32)
+    """Angular cutoff: 1 on (3*delta0, 1-3*delta0), 0 off (2*delta0, 1-2*delta0).
+
+    Raises:
+        ParameterOutOfRange: delta0 outside (0, 1/32), as `DomainSpec` gates it.
+    """
+    DomainSpec(delta0)
     return CutoffSpec(
         rise=(2.0 * delta0, 3.0 * delta0),
         fall=(1.0 - 3.0 * delta0, 1.0 - 2.0 * delta0),

@@ -147,22 +147,24 @@ class WeightedMatrices:
     whenever it is made, by `dataclasses.replace` too, so its matrices are
     always those of its inputs.  Full-mesh symmetric tridiagonals are kept
     (diagonal kd/md, off-diagonal ke/me) together with the constrained dof
-    window [i0, i1); `lumped` holds the row sums of the full mass rows
-    restricted to that window, i.e. the discrete mass inner product used by
-    the eigensolver.
+    window [i0, i1); `lumped`, formed once with them, holds the row sums of
+    the full mass rows restricted to that window, i.e. the discrete mass
+    inner product used by the eigensolver.
 
     All element integrals are closed-form power integrals; no quadrature.
-    On meshes touching r = 0 the weights must keep every assembled entry
-    finite: p > -1 always, and q > -2 with a left Dirichlet condition
-    (q >= 0 without one, since the unconstrained corner basis function does
-    not vanish at the degenerate point).
+    A pencil is admitted exactly when every assembled dof entry is finite,
+    so the admitted exponents are what that rule implies: on meshes touching
+    r = 0, p > -1 always, and q > -2 with a left Dirichlet condition.
+    Without one, q >= 0 is required as a policy, since the unconstrained
+    corner basis function does not vanish at the degenerate point (its
+    entries are finite for -1 < q < 0).
 
     Raises:
         InvalidMeshSpec: mesh is not a RadialMesh.
         ParameterOutOfRange: bc is not one of the known kinds (a string),
             or p or q is not a finite real number.
-        DivergentWeight: a weight that diverges on the mesh, or an
-            assembled dof entry that is not finite.
+        DivergentWeight: q < 0 without a left Dirichlet condition on a mesh
+            touching r = 0, or an assembled dof entry that is not finite.
     """
 
     mesh: RadialMesh
@@ -175,6 +177,7 @@ class WeightedMatrices:
     me: np.ndarray = field(init=False)
     i0: int = field(init=False)
     i1: int = field(init=False)
+    lumped: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         p, q, bc = self.p, self.q, self.bc
@@ -186,31 +189,25 @@ class WeightedMatrices:
         _real(q, "mass exponent q")
         nodes = self.mesh.nodes
         touches_zero = nodes[0] == 0.0
-        if touches_zero:
-            if p <= -1.0:
-                raise DivergentWeight(f"stiffness weight r^{p} is not integrable at 0")
-            if bc in _LEFT_DIRICHLET:
-                if q <= -2.0:
-                    raise DivergentWeight(
-                        f"mass weight r^{q} diverges on the first cell even with "
-                        "a left Dirichlet condition"
-                    )
-            elif q < 0.0:
-                raise DivergentWeight(
-                    f"mass weight r^{q} needs a left Dirichlet condition on "
-                    "meshes touching r = 0"
-                )
+        # the unconstrained corner basis function does not vanish at the
+        # degenerate point: a policy, since for -1 < q < 0 every entry is finite
+        if touches_zero and q < 0.0 and bc not in _LEFT_DIRICHLET:
+            raise DivergentWeight(
+                f"mass weight r^{q} needs a left Dirichlet condition on "
+                "meshes touching r = 0"
+            )
 
         a, b = nodes[:-1], nodes[1:]
         h = b - a
-        ip = power_integral(a, b, p)
-        iq = power_integral(a, b, q)
-        iq1 = power_integral(a, b, q + 1.0)
-        iq2 = power_integral(a, b, q + 2.0)
-
-        # a cell so short that h^2 underflows gives inf or nan entries here,
-        # which the finite check below turns into DivergentWeight
+        n = nodes.size
+        # a divergent weight, or a cell so short that h^2 underflows, gives
+        # inf or nan entries here, which the finite check below turns into
+        # DivergentWeight
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ip = power_integral(a, b, p)
+            iq = power_integral(a, b, q)
+            iq1 = power_integral(a, b, q + 1.0)
+            iq2 = power_integral(a, b, q + 2.0)
             # local stiffness is (int r^p / h^2) * [[1, -1], [-1, 1]]
             k_cell = ip / h**2
             # local mass from the monomial expansion of the hat-function products
@@ -224,21 +221,26 @@ class WeightedMatrices:
                 m_lr[0] = (-iq2[0] + b[0] * iq1[0]) / h[0] ** 2
                 m_rr[0] = iq2[0] / h[0] ** 2
 
-        n = nodes.size
-        kd = np.zeros(n)
-        kd[:-1] += k_cell
-        kd[1:] += k_cell
-        md = np.zeros(n)
-        md[:-1] += m_ll
-        md[1:] += m_rr
+            kd = np.zeros(n)
+            kd[:-1] += k_cell
+            kd[1:] += k_cell
+            md = np.zeros(n)
+            md[:-1] += m_ll
+            md[1:] += m_rr
+            # the row sums of the full mass rows, on the dof window
+            row = md.copy()
+            row[:-1] += m_lr
+            row[1:] += m_lr
 
         i0 = 1 if bc in _LEFT_DIRICHLET else 0
         i1 = n - 1 if bc in _RIGHT_DIRICHLET else n
-        derived = (kd, -k_cell, md, m_lr, i0, i1)
-        for name, value in zip(("kd", "ke", "md", "me", "i0", "i1"), derived):
+        derived = (kd, -k_cell, md, m_lr, i0, i1, row[i0:i1])
+        for name, value in zip(("kd", "ke", "md", "me", "i0", "i1", "lumped"), derived):
             object.__setattr__(self, name, value)
-        if not np.all(np.isfinite(self.kd_dof)) or not np.all(np.isfinite(self.lumped)):
-            raise DivergentWeight("assembled dof entries are not all finite")
+        if not (np.all(np.isfinite(self.kd_dof)) and np.all(np.isfinite(self.lumped))):
+            raise DivergentWeight(
+                f"assembled dof entries of the weights r^{p} and r^{q} are not all finite"
+            )
 
     @property
     def n_dof(self) -> int:
@@ -259,13 +261,6 @@ class WeightedMatrices:
     @property
     def me_dof(self) -> np.ndarray:
         return self.me[self.i0 : self.i1 - 1]
-
-    @property
-    def lumped(self) -> np.ndarray:
-        row = self.md.copy()
-        row[:-1] += self.me
-        row[1:] += self.me
-        return row[self.i0 : self.i1]
 
     def stiffness_action(self, x: np.ndarray) -> np.ndarray:
         return _tridiag_matvec(self.kd_dof, self.ke_dof, x)

@@ -182,6 +182,11 @@ def _trapezoid_weights(intervals: int, h: float) -> np.ndarray:
     return w
 
 
+def _trapezoid_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the trapezoid rule with n intervals on (lo, hi)."""
+    return np.linspace(lo, hi, n + 1), _trapezoid_weights(n, (hi - lo) / n)
+
+
 def project_initial_data(
     phi0: Callable | Mapping[tuple[int, int], float] | None,
     phi1: Callable | Mapping[tuple[int, int], float] | None,
@@ -227,8 +232,7 @@ def project_initial_data(
             return np.zeros((n_max, k_max))
         if isinstance(field, Mapping):
             return modal_state(basis, n_max, k_max, amplitudes=field).a
-        theta = np.linspace(0.0, 1.0, n_theta + 1)
-        w_theta = _trapezoid_weights(n_theta, 1.0 / n_theta)
+        theta, w_theta = _trapezoid_rule(0.0, 1.0, n_theta)
         vals = _reals(field(theta[:, None], nodes[None, :]), "field values", GridMismatch)
         if vals.shape != (theta.size, nodes.size):
             raise GridMismatch("field callable must broadcast on (theta, r) grids")

@@ -8,9 +8,13 @@ counts each line it is written on. The rule reads the token stream, so a
 still counts.
 
     python tests/code_lines.py [DIR]
+    python tests/code_lines.py BEFORE_DIR AFTER_DIR
 
-prints each module's count and the total, for DIR or by default the
-package at src/degenwave; compare two trees by running it in each.
+The first form prints each module's count and the total, for the package
+directory DIR or by default the package at src/degenwave.  The second
+compares two package directories: per module, and for the total, it prints
+the count in BEFORE_DIR, the count in AFTER_DIR and their difference (a
+module missing from one tree counts 0 there).
 """
 
 from __future__ import annotations
@@ -60,10 +64,17 @@ def count_package(package: Path) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> int:
-    counts = count_package(Path(argv[0]) if argv else PACKAGE)
-    for name, count in counts.items():
-        print(f"{count:6d}  {name}")
-    print(f"{sum(counts.values()):6d}  total")
+    if len(argv) > 2:
+        print("usage: code_lines.py [DIR | BEFORE_DIR AFTER_DIR]", file=sys.stderr)
+        return 2
+    trees = [count_package(Path(arg)) for arg in argv] or [count_package(PACKAGE)]
+    rows = [(name, [tree.get(name, 0) for tree in trees]) for name in sorted(set().union(*trees))]
+    rows.append(("total", [sum(tree.values()) for tree in trees]))
+    for name, counts in rows:
+        cells = [f"{count:6d}" for count in counts]
+        if len(counts) == 2:
+            cells.append(f"{counts[1] - counts[0]:+6d}")
+        print("  ".join(cells) + f"  {name}")
     return 0
 
 

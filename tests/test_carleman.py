@@ -46,6 +46,7 @@ from degenwave.params import (
     validate_carleman_params,
 )
 from degenwave.radial import bessel_radial_mode
+from degenwave.waves import _trapezoid_rule
 
 
 def symbolic_wave(u, coords, alpha):
@@ -351,6 +352,15 @@ class TestModalSolution:
     def test_empty_superposition_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             SmoothModalSolution(0.5, ())
+
+    def test_solution_keeps_its_modes_as_a_tuple(self):
+        # a list of modes once made the frozen record unhashable (a bare TypeError)
+        mode = bessel_mode(0.5, 1, 1)
+        made = SmoothModalSolution(0.5, (mode,))
+        for modes in ([mode], np.array([mode], dtype=object)):
+            sol = SmoothModalSolution(0.5, modes)
+            assert sol.modes == (mode,) and type(sol.modes) is tuple
+            assert sol == made and hash(sol) == hash(made)
 
     def test_mode_records_its_alpha(self):
         assert bessel_mode(0.3, 1, 2).alpha == 0.3
@@ -737,6 +747,26 @@ class TestConjugationResidual:
         assert as_float == conjugation_order_study(bessel_solution, carleman_params, (96, 16, 48), 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    d0=st.floats(min_value=0.0, max_value=1 / 32, exclude_min=True, exclude_max=True),
+    n=st.integers(min_value=1, max_value=4096),
+)
+def test_core_nodes_lie_on_the_angular_plateau(d0, n):
+    """The component integrals take psi = k phi on the core: zeta is exactly 1
+    and zeta', zeta'' exactly 0 at every node of its trapezoid rule."""
+    try:
+        zeta = theta_cutoff(d0)
+    except ParameterOutOfRange:
+        # below about 1e-17 the fall band rounds to one point, and the
+        # component integrals refuse such a margin through the cutoff
+        assert not 1.0 - 3.0 * d0 < 1.0 - 2.0 * d0
+        return
+    theta, _ = _trapezoid_rule(3.0 * d0, 1.0 - 3.0 * d0, n)
+    value, first, second = eval_cutoff(zeta, theta)
+    assert np.all(value == 1.0) and not np.any(first) and not np.any(second)
+
+
 class TestComponentIntegrals:
     def test_zero_solution(self, carleman_params):
         sol = SmoothModalSolution(0.5, (bessel_mode(0.5, 1, 1, a=0.0, b=0.0),))
@@ -744,6 +774,15 @@ class TestComponentIntegrals:
         assert out.lhs_gradient == 0.0
         assert out.lhs_zero_order == 0.0
         assert out.rhs_trace == 0.0
+
+    def test_margin_without_an_angular_cutoff_refused(self, monkeypatch):
+        # at delta0 = 1e-20 the record is admissible but 1 - 3 delta0 rounds to
+        # 1 - 2 delta0, so theta_cutoff refuses the margin before any tile
+        params = validate_carleman_params(0.5, DomainSpec(1e-20), beta=5e-21, T=1e11)
+        sol = SmoothModalSolution(0.5, (bessel_mode(0.5, 1, 1),))
+        monkeypatch.setattr(carleman, "_contracted_weight_tiles", None)
+        with pytest.raises(ParameterOutOfRange, match="cutoff bands"):
+            carleman_component_integrals(sol, params, n_theta=48, n_r=32, n_t=96)
 
     def test_negative_s_refused(self, carleman_params, bessel_solution):
         # once lhs_gradient -8.35, rhs_trace -69.0 and chat -inf, without an error
@@ -915,11 +954,10 @@ class TestComponentIntegrals:
         kernel = carleman._contracted_weight_tiles
         lowest = []
 
-        def spy(params, theta, w_th, r, t, w_t, rows, log_offset, window):
-            factors = carleman._sigma_factors(params, theta, r, t)
-            sigma_min = math.prod(float(f.min()) for f in factors)
-            lowest.append(2.0 * params.s * sigma_min - log_offset)
-            yield from kernel(params, theta, w_th, r, t, w_t, rows, log_offset, window)
+        def spy(sigma, two_s, w_th, w_t, rows, log_offset, window):
+            sigma_min = math.prod(float(f.min()) for f in sigma)
+            lowest.append(two_s * sigma_min - log_offset)
+            yield from kernel(sigma, two_s, w_th, w_t, rows, log_offset, window)
 
         monkeypatch.setattr(carleman, "_contracted_weight_tiles", spy)
         out = carleman_component_integrals(sol, params)

@@ -33,3 +33,25 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text("y = 2\n")
     assert main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["6", "a.py", "1", "b.py", "7", "total"]
+
+
+def test_main_compares_two_trees(tmp_path, capsys):
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir()
+    after.mkdir()
+    (before / "a.py").write_text(FIXTURE)
+    (before / "gone.py").write_text("y = 2\nz = 3\n")
+    (after / "a.py").write_text(FIXTURE + "w = 4\n")
+    (after / "new.py").write_text("y = 2\n")
+    assert main([str(before), str(after)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     6       7      +1  a.py",
+        "     2       0      -2  gone.py",
+        "     0       1      +1  new.py",
+        "     8       8      +0  total",
+    ]
+
+
+def test_main_refuses_a_third_tree(tmp_path, capsys):
+    assert main([str(tmp_path)] * 3) == 2
+    assert "usage" in capsys.readouterr().err

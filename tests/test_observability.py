@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import per_member_ensemble_ratios
 
-from degenwave import waves
+from degenwave import observability, waves
 from degenwave.errors import (
     InsufficientData,
     NonPositiveInput,
@@ -137,6 +137,18 @@ class TestObstructionScan:
         # 8.7 was once scanned as order 8
         with pytest.raises(ParameterOutOfRange, match="integer"):
             high_mode_obstruction_scan([8.7, 16, 32, 64], horizon, domain001, basis=basis05_k64)
+
+    @pytest.mark.parametrize("orders", [[8, 16, 64, 0], [-8, 16, 32, 64]])
+    def test_order_below_one_refused_before_any_mode(
+        self, basis05_k64, domain001, horizon, monkeypatch, orders
+    ):
+        # [8, 16, 64, 0] once solved three modes and then raised TruncationTooSmall
+        def solved(*args):
+            raise AssertionError("a mode was solved")
+
+        monkeypatch.setattr(observability, "observation_norms", solved)
+        with pytest.raises(ParameterOutOfRange, match="at least 1"):
+            high_mode_obstruction_scan(orders, horizon, domain001, basis=basis05_k64)
 
     def test_orders_counted_once(self, basis05_k64, domain001, horizon):
         # [8, 8, 8, 80] once fitted its slope through two orders

@@ -631,6 +631,18 @@ def test_cutoff_bands_take_any_sequence_of_two_ends():
             assert np.array_equal(got, expect)
 
 
+def test_cutoff_spec_keeps_its_bands_as_float_pairs():
+    # a list-built spec was once unhashable (a bare TypeError) and unequal to the
+    # tuple-built one, and two array-built specs compared with a bare ValueError
+    spec = CutoffSpec((0.1, 0.2), (0.8, 0.9))
+    for rise, fall in (([0.1, 0.2], [0.8, 0.9]), (np.array([0.1, 0.2]), np.array([0.8, 0.9]))):
+        made = CutoffSpec(rise, fall)
+        assert made == spec and hash(made) == hash(spec)
+        assert made == CutoffSpec(rise, fall)
+        assert (made.rise, made.fall) == ((0.1, 0.2), (0.8, 0.9))
+        assert all(type(end) is float for end in made.rise + made.fall)
+
+
 def test_delta_and_order_scans_keep_their_entry_errors():
     with pytest.raises(DeltaOutOfRange):
         blowup_rate_fit([1e-1, 1e-2, 1e-3, 2.0])

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -134,24 +135,37 @@ class TestAssembly:
             assemble_weighted_system(mesh, p=0.5, q=-0.5, bc="dirichlet-right-only")
 
     def test_mass_exponent_lower_limit(self):
+        # refused by the finite-entry rule alone: the first free row sum is
+        # inf at q = -2 and nan from q = -3 on, where the corner entry meets
+        # inf - inf
         mesh = build_graded_mesh(16, 1.0)
-        with pytest.raises(DivergentWeight):
-            assemble_weighted_system(mesh, p=0.5, q=-2.0, bc="dirichlet-left-only")
+        for q, bc in itertools.product([-2.0, -2.5, -3.0, -4.0], sorted(radial._LEFT_DIRICHLET)):
+            with pytest.raises(DivergentWeight, match=rf"r\^0.5 and r\^{q} are not all finite"):
+                assemble_weighted_system(mesh, p=0.5, q=q, bc=bc)
         assemble_weighted_system(mesh, p=0.5, q=-1.9, bc="dirichlet-left-only")
 
     def test_divergent_stiffness(self):
+        # int r^p over the first cell is inf, which reaches a dof entry for
+        # every bc: refused by the finite-entry rule alone
         mesh = build_graded_mesh(16, 1.0)
-        with pytest.raises(DivergentWeight):
-            assemble_weighted_system(mesh, p=-1.0, q=0.0, bc="dirichlet-dirichlet")
+        for p, bc in itertools.product([-1.0, -1.5, -3.0], sorted(radial._BC_KINDS)):
+            with pytest.raises(DivergentWeight, match=rf"r\^{p} and r\^0.0 are not all finite"):
+                assemble_weighted_system(mesh, p=p, q=0.0, bc=bc)
 
     def test_underflowing_cells_raise_without_warnings(self):
-        # from delta = 1e-300 the first cells are so short that h^2 underflows
+        # from delta = 1e-300 the first cells are so short that h^2 underflows;
+        # 39 of the 75 pencils of the grid once printed an overflow or
+        # invalid-value RuntimeWarning before they were refused
         mesh = build_log_mesh(64, 1e-300)
         assert np.diff(mesh.nodes)[0] ** 2 == 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergentWeight, match="not all finite"):
-                assemble_weighted_system(mesh, p=1.0, q=-1.0, bc="dirichlet-dirichlet")
+        grid = itertools.product(
+            [-3.0, -1.5, 0.0, 0.5, 2.0], [-4.0, -2.5, -1.0, 0.0, 1.0], sorted(radial._BC_KINDS)
+        )
+        for p, q, bc in [(1.0, -1.0, "dirichlet-dirichlet"), *grid]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergentWeight, match="not all finite"):
+                    assemble_weighted_system(mesh, p=p, q=q, bc=bc)
 
     def test_truncated_mesh_admits_any_weight(self):
         mesh = build_log_mesh(16, 0.1)
@@ -587,6 +601,16 @@ class TestRecordsDeriveWhatTheyHold:
         for name in names:
             with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(obj, **{name: getattr(obj, name)})
+
+    def test_lumped_mass_is_a_derived_field(self, pencil):
+        # once a property that formed the row sums again on every read
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(pencil, lumped=pencil.lumped)
+        rows = pencil.md.copy()
+        rows[:-1] += pencil.me
+        rows[1:] += pencil.me
+        assert pencil.lumped.tobytes() == rows[pencil.i0 : pencil.i1].tobytes()
+        assert pencil.lumped is pencil.lumped
 
     def test_basis_holds_its_rows_without_a_copy(self, pencil):
         R = solve_eigenpairs(pencil, 3).R
